@@ -229,7 +229,7 @@ def _suite_action_laws(args, tol):
     G = fileio.parse_group_spec(args.group)
     alpha = fileio.parse_cocycle_spec(args.cocycle, G)
     A = fileio.parse_subgroup_spec(args.subgroup, G)
-    action = action_table(G, A, alpha, seed=args.seed, tol=tol)  # asserts the laws
+    action = action_table(G, A, alpha, seed=args.seed, tol=tol)  # certifies and checks the laws
     orbit_data(action, alpha, tol=tol)  # asserts M families and the induced cocycle identity
     yield f"action-laws |G|={G.order} |A|={A.order}", True
 

@@ -5,7 +5,13 @@ irreducible alpha-projective representations of A by
 
     (g . tau)(a) = alpha(g^-1 a, g) alpha(g, g^-1 a)^-1 tau(g^-1 a g),
 
-and the action factors through Q = G/A. Each orbit carries an isotropy
+and the action factors through Q = G/A. A class is fixed by its character,
+so action_table reads the permutation of Irr(A, alpha|_A) off
+
+    chi_{g.tau}(a) = alpha(g^-1 a, g) alpha(g, g^-1 a)^-1 chi_tau(g^-1 a g),
+
+with no matrices, after an exact integer certificate mod K shows that
+every g.tau is an alpha|_A-representation. Each orbit carries an isotropy
 group, a family of Schur intertwiners M_q, and an induced 2-cocycle beta on
 the isotropy quotient. verify_point_decomposition checks that the
 irreducibles of (G, alpha) biject with the beta-twisted irreducibles of the
@@ -28,6 +34,7 @@ from .cocycles import (
 )
 from .config import Tolerances, default_tolerances
 from .errors import (
+    DecompositionFailure,
     InputError,
     MatchFailure,
     NotIsotypic,
@@ -109,7 +116,6 @@ class IrrAction:
     alpha_a: Cocycle
     a_map: tuple[int, ...]              # A-standalone index -> G index
     perm: np.ndarray                    # (|G|, #irr) int
-    witnesses: list[list[np.ndarray]]   # [g][i]: intertwiner from g.tau_i to its class rep
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbits on irreducible indices, sorted by smallest member."""
@@ -139,7 +145,24 @@ class IrrAction:
 def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
                  irr_a: IrrTable | None = None, seed: int = 0,
                  tol: Tolerances | None = None) -> IrrAction:
-    """Tabulate g . [tau_i] with class-identifying witnesses, then check the laws."""
+    """Tabulate g . [tau_i] from characters, then check the action laws.
+
+    With c_g(a) = g^-1 a g and s_g(a) = alpha(g^-1 a, g) - alpha(g, g^-1 a)
+    in exponents mod K, the moved character is
+
+        chi_{g.tau}(a) = exp(2 pi i s_g(a) / K) chi_tau(c_g a),
+
+    matched against the table under tol.char. Before matching, the exact
+    integer certificate
+
+        s_g(a) + s_g(b) + alpha_A(c_g a, c_g b) == alpha_A(a, b) + s_g(ab)  (mod K)
+
+    for all a, b in A shows that every g.tau is an alpha|_A-representation.
+    All |G| rows are kept, so perm(1) = id, the trivial action of A and
+    perm(gh) = perm(g) o perm(h) are checked on the full table. A failed
+    check raises DecompositionFailure (UnmatchedCharacter for a moved
+    character with no table entry).
+    """
     tol = tol or default_tolerances()
     if not is_normal(G, A):
         raise NotNormal("the action is defined for a normal subgroup")
@@ -147,34 +170,45 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
     a_std, _ = A.as_group()
     if irr_a is None:
         irr_a = irreducibles(a_std, alpha_a, seed=seed, tol=tol)
-    m = len(irr_a)
-    perm = np.empty((G.order, m), dtype=np.int64)
-    witnesses: list[list[np.ndarray]] = []
+    K = alpha.order
+    a_elems = np.asarray(a_map)
+    a_pos = np.full(G.order, -1, dtype=np.int64)
+    a_pos[a_elems] = np.arange(len(a_elems))
+    gs = np.arange(G.order)[:, None]
+    x = G.mul[G.inv[gs], a_elems[None, :]]               # g^-1 a
+    back = a_pos[G.mul[x, gs]]                           # g^-1 a g, as an A position
+    s = (alpha.exponents[x, gs] - alpha.exponents[gs, x]) % K
+    roots = np.exp(2j * np.pi * np.arange(K) / K)
+    expo_a = alpha_a.exponents
+    chars = irr_a.character_values
+    perm = np.empty((G.order, len(irr_a)), dtype=np.int64)
     for g in range(G.order):
-        row: list[np.ndarray] = []
-        for i in range(m):
-            moved = act(alpha, A, g, irr_a.irreducibles[i], tol=tol)
-            report = validate_rep(moved, tol)
-            assert report.ok, f"g.tau failed validation at g={g}, i={i}"
-            j = irr_a.match_character(character(moved), tol.char)
-            if j is None:
-                raise UnmatchedCharacter(f"act({g}, tau_{i}) matches no table entry")
-            perm[g, i] = j
-            w = intertwiner(irr_a.irreducibles[j], moved, tol)
-            assert w is not None
-            row.append(w)
-        witnesses.append(row)
-    ident = np.arange(m)
-    assert np.array_equal(perm[G.identity], ident), "perm(1) is not the identity"
-    for a in A.elements:
-        assert np.array_equal(perm[a], ident), f"perm({a}) moves classes inside A"
+        sg, cg = s[g], back[g]
+        defect = (sg[:, None] + sg[None, :] + expo_a[np.ix_(cg, cg)]
+                  - expo_a - sg[a_std.mul]) % K
+        if defect.any():
+            a, b = np.argwhere(defect)[0]
+            raise DecompositionFailure(
+                f"g.tau is not an alpha|_A-representation at g={g}: "
+                f"certificate fails at (a, b) = ({a_map[a]}, {a_map[b]})"
+            )
+        perm[g] = irr_a.match_characters(roots[sg] * chars[:, cg], tol.char)
+        unmatched = np.flatnonzero(perm[g] < 0)
+        if unmatched.size:
+            raise UnmatchedCharacter(f"act({g}, tau_{unmatched[0]}) matches no table entry")
+    ident = np.arange(len(irr_a))
+    if not np.array_equal(perm[G.identity], ident):
+        raise DecompositionFailure("perm(1) is not the identity")
+    moving = np.flatnonzero(np.any(perm[a_elems] != ident, axis=1))
+    if moving.size:
+        raise DecompositionFailure(f"perm({a_map[moving[0]]}) moves classes inside A")
     for g in range(G.order):
-        for h in range(G.order):
-            if not np.array_equal(perm[g][perm[h]], perm[int(G.mul[g, h])]):
-                raise AssertionError(f"action law fails at ({g},{h})")
+        bad = np.flatnonzero(np.any(perm[g][perm] != perm[G.mul[g]], axis=1))
+        if bad.size:
+            raise DecompositionFailure(f"action law fails at ({g},{bad[0]})")
     return IrrAction(
         group=G, subgroup=A, alpha=alpha, base=irr_a, alpha_a=alpha_a,
-        a_map=tuple(a_map), perm=perm, witnesses=witnesses,
+        a_map=tuple(a_map), perm=perm,
     )
 
 

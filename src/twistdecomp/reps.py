@@ -10,6 +10,7 @@ one-dimensional, never inferred from eigenvalue multiplicities alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ MAX_DENSE_ORDER = 512
 _NULLSPACE_RTOL = 1e-8
 _CLUSTER_ATOL = 1e-7
 _FINGERPRINT_DIGITS = 9
+_MATCH_CHUNK = 1 << 16   # complex entries per broadcast in match_characters
 
 
 @dataclass(eq=False)
@@ -238,14 +240,39 @@ class IrrTable:
     def dims(self) -> tuple[int, ...]:
         return tuple(rep.dim for rep in self.irreducibles)
 
+    @cached_property
+    def character_values(self) -> np.ndarray:
+        """The characters stacked into one read-only (#irr, |G|) array."""
+        values = np.stack([c.values for c in self.characters])
+        values.flags.writeable = False
+        return values
+
+    def match_characters(self, values: np.ndarray, tol: float) -> np.ndarray:
+        """Index of the unique matching table entry for each row, -1 where none.
+
+        A row matches an entry when their values differ by at most tol in
+        max-abs; a row matching several entries raises NonIntegerMultiplicity.
+        """
+        values = np.asarray(values, dtype=np.complex128)
+        table = self.character_values
+        out = np.full(len(values), -1, dtype=np.int64)
+        if values.shape[1:] != table.shape[1:]:
+            return out
+        step = max(1, _MATCH_CHUNK // table.size)
+        for lo in range(0, len(values), step):
+            chunk = values[lo:lo + step]
+            close = np.max(np.abs(chunk[:, None, :] - table[None]), axis=2) <= tol
+            hits = close.sum(axis=1)
+            if np.any(hits > 1):
+                raise NonIntegerMultiplicity("character matched several table entries")
+            found = np.flatnonzero(hits == 1)
+            out[lo + found] = np.argmax(close[found], axis=1)
+        return out
+
     def match_character(self, chi: AlphaCharacter, tol: float) -> int | None:
         """Index of the unique table entry whose character matches, if any."""
-        hits = [i for i, c in enumerate(self.characters) if c.close_to(chi, tol)]
-        if len(hits) == 1:
-            return hits[0]
-        if not hits:
-            return None
-        raise NonIntegerMultiplicity("character matched several table entries")
+        j = int(self.match_characters(chi.values[None], tol)[0])
+        return j if j >= 0 else None
 
 
 def _sort_key(chi: AlphaCharacter):

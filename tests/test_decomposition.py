@@ -78,20 +78,23 @@ class TestActionTable:
     def test_d8_center_transitive(self, d8_z_action):
         assert len(d8_z_action.orbits()) == 1
 
-    def test_witnesses_conjugate_correctly(self, d8, alpha4, a_cyclic, d8_a_action):
-        action = d8_a_action
-        for g in range(8):
-            for i, tau in enumerate(action.base.irreducibles):
-                moved = td.act(alpha4, a_cyclic, g, tau)
-                j = int(action.perm[g, i])
-                w = action.witnesses[g][i]
-                target = action.base.irreducibles[j]
-                for a in range(4):
+    def test_witnesses_conjugate_correctly(self, alpha4, d8_a_action, d8_z_action):
+        """M_q witnesses sigma(q).tau ~ tau, and act(g, tau_i) has the
+        character of the class perm[g, i] names."""
+        for action in (d8_a_action, d8_z_action):
+            A = action.subgroup
+            for datum in td.orbit_data(action, alpha4):
+                for q in range(datum.q_group.order):
+                    moved = td.act(alpha4, A, datum.section_in_g(q), datum.tau)
+                    Mq = datum.M[q]
                     assert np.allclose(
-                        moved.matrices[a],
-                        w.conj().T @ target.matrices[a] @ w,
-                        atol=1e-8,
+                        moved.matrices, Mq.conj().T @ datum.tau.matrices @ Mq, atol=1e-8
                     )
+            for g in range(8):
+                for i, tau in enumerate(action.base.irreducibles):
+                    moved = td.act(alpha4, A, g, tau)
+                    target = action.base.characters[int(action.perm[g, i])]
+                    assert np.allclose(td.character(moved).values, target.values, atol=1e-8)
 
 
 class TestOrbitData:

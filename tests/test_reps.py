@@ -4,6 +4,7 @@ import pytest
 import twistdecomp as td
 from twistdecomp.errors import NonIntegerMultiplicity, NotIrreducible
 from twistdecomp.groups import trivial_subgroup
+from twistdecomp import reps
 from twistdecomp.reps import commutant_dimension, is_irreducible
 
 from oracles import (
@@ -135,6 +136,25 @@ class TestCharacter:
 
     def test_tau2_at_a2(self, explicit_taus):
         assert td.character(explicit_taus[2]).values[2] == pytest.approx(0)
+
+
+class TestMatchCharacters:
+    @pytest.mark.parametrize("chunk", [1, reps._MATCH_CHUNK])
+    def test_rows_match_like_single_calls(self, monkeypatch, chunk):
+        monkeypatch.setattr(reps, "_MATCH_CHUNK", chunk)
+        table = td.irreducibles(td.dihedral(8), td.dihedral_alpha(8), seed=0)
+        values = table.character_values[::-1].copy()
+        values[0] += 1.0
+        rows = table.match_characters(values, 1e-6)
+        assert list(rows) == [-1] + list(range(len(table) - 2, -1, -1))
+        for row, chi in zip(rows, values):
+            found = table.match_character(td.AlphaCharacter(chi), 1e-6)
+            assert found == (None if row < 0 else row)
+
+    def test_ambiguous_match_raises(self):
+        table = td.irreducibles(td.dihedral(8), td.dihedral_alpha(8), seed=0)
+        with pytest.raises(NonIntegerMultiplicity):
+            table.match_characters(table.character_values, 10.0)
 
 
 class TestMultiplicity:
