@@ -285,16 +285,23 @@ class SubgroupHandle:
 
     def __post_init__(self):
         self.elements = tuple(sorted(int(x) for x in self.elements))
-        elems = set(self.elements)
         G = self.parent
-        if G.identity not in elems:
+        idx = np.array(self.elements, dtype=np.int64)
+        members = np.zeros(G.order, dtype=bool)
+        members[idx] = True
+        if not members[G.identity]:
             raise InputError("subgroup must contain the identity")
-        for a in self.elements:
-            if int(G.inv[a]) not in elems:
-                raise InputError(f"subgroup not closed under inverse at element {a}")
-            for b in self.elements:
-                if int(G.mul[a, b]) not in elems:
-                    raise InputError(f"subgroup not closed under product at ({a},{b})")
+        bad_mul = ~members[G.mul[idx[:, None], idx]]
+        if not bad_mul.any():
+            return
+        # a row a with a * S inside S holds every power of a, so a^-1 too: the
+        # first bad product row is the first bad row, and its inverse is named first
+        i = int(np.flatnonzero(bad_mul.any(axis=1))[0])
+        a = self.elements[i]
+        if not members[G.inv[a]]:
+            raise InputError(f"subgroup not closed under inverse at element {a}")
+        b = self.elements[int(np.argmax(bad_mul[i]))]
+        raise InputError(f"subgroup not closed under product at ({a},{b})")
 
     @property
     def order(self) -> int:
@@ -333,31 +340,25 @@ class SubgroupHandle:
 
 
 def subgroup_closure(G: FiniteGroup, seeds) -> SubgroupHandle:
-    """Smallest subgroup of G containing the seed elements."""
-    elems = {G.identity}
-    frontier = []
+    """Smallest subgroup of G containing the seed elements.
+
+    Adds all products of the elements found so far until nothing new
+    appears; in a finite group the products already contain the inverses.
+    """
+    members = np.zeros(G.order, dtype=bool)
+    members[G.identity] = True
     for s in seeds:
         s = int(s)
         if not 0 <= s < G.order:
             raise InputError(f"seed {s} out of range")
-        if s not in elems:
-            elems.add(s)
-            frontier.append(s)
-    while frontier:
-        nxt = []
-        for a in list(elems):
-            for b in frontier:
-                for c in (int(G.mul[a, b]), int(G.mul[b, a])):
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-        for b in frontier:
-            c = int(G.inv[b])
-            if c not in elems:
-                elems.add(c)
-                nxt.append(c)
-        frontier = nxt
-    return SubgroupHandle(G, tuple(sorted(elems)))
+        members[s] = True
+    elems = np.flatnonzero(members)
+    while True:
+        members[G.mul[elems[:, None], elems]] = True
+        grown = np.flatnonzero(members)
+        if grown.size == elems.size:
+            return SubgroupHandle(G, tuple(elems.tolist()))
+        elems = grown
 
 
 def trivial_subgroup(G: FiniteGroup) -> SubgroupHandle:

@@ -1,10 +1,16 @@
 """Projective representations: validation, regular representation,
-numerical decomposition into irreducibles, characters, intertwiners.
+splitting into irreducibles, characters, intertwiners.
 
 An alpha-representation satisfies rho(g) rho(h) = alpha(g,h) rho(gh) with
-rho(1) = Id and all matrices unitary. Irreducibility is certified
-structurally: the commutant (solutions M of M rho(g) = rho(g) M) must be
-one-dimensional, never inferred from eigenvalue multiplicities alone.
+rho(1) = Id and all matrices unitary. Irreducibles are split off the
+twisted regular representation in one step: the right operators
+R(k) e_h = alpha(h,k) e_{hk} commute with it, and the eigenspaces of one
+random Hermitian combination of them are its irreducible subspaces
+(Dixon's method). Irreducibility is certified structurally: the commutant
+(solutions M of M rho(g) = rho(g) M) must be one-dimensional, never
+inferred from eigenvalue multiplicities alone. The table is further
+certified by block multiplicities, the sum of squared dimensions and an
+exact integer count of alpha-regular conjugacy classes.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .errors import (
     InputError,
     NonIntegerMultiplicity,
     NotIrreducible,
+    NumericFailure,
     SplitFailure,
 )
 from .groups import FiniteGroup, SubgroupHandle, generating_set
@@ -63,12 +70,16 @@ class AlphaCharacter:
         return int(round(self.values[0].real))
 
     def fingerprint(self, digits: int = _FINGERPRINT_DIGITS) -> tuple:
-        out = []
-        for v in self.values:
-            re = round(float(v.real), digits) + 0.0
-            im = round(float(v.imag), digits) + 0.0
-            out.append((re, im))
-        return tuple(out)
+        """((re, im), ...) of the values, each as Python's round(x, digits)."""
+        parts = np.stack([self.values.real, self.values.imag])
+        rounded = np.round(parts, digits) + 0.0
+        # np.round rounds x * 10**digits after one float multiply, so it can
+        # pick the other neighbour only within an ulp of a half-integer.
+        scaled = parts * 10.0 ** digits
+        near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 4 * np.abs(np.spacing(scaled))
+        for i, j in np.argwhere(near_half):
+            rounded[i, j] = round(float(parts[i, j]), digits) + 0.0
+        return tuple(zip(rounded[0].tolist(), rounded[1].tolist()))
 
     def close_to(self, other: "AlphaCharacter", tol: float) -> bool:
         return self.values.shape == other.values.shape and bool(
@@ -137,13 +148,6 @@ def regular_rep(G: FiniteGroup, cocycle: Cocycle | NumericCocycle) -> Projective
     return ProjectiveRep(G, cocycle, n, mats)
 
 
-def _apply_regular(G: FiniteGroup, ctable: np.ndarray, g: int, B: np.ndarray) -> np.ndarray:
-    """rho_reg(g) @ B without materializing the |G| x |G| matrix."""
-    out = np.empty_like(B)
-    out[G.mul[g]] = ctable[g][:, None] * B
-    return out
-
-
 def _nullspace(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel, columns; rows(A) >= cols(A) assumed."""
     _, s, vh = np.linalg.svd(A, full_matrices=True)
@@ -183,45 +187,68 @@ def _cluster_sorted(w: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def _split_regular(G: FiniteGroup, cocycle, seed: int) -> list[np.ndarray]:
-    """Bases (columns) of irreducible invariant subspaces of the regular rep."""
+def _split_regular(G: FiniteGroup, cocycle, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Eigenvectors and eigenvalue clusters of a random element of the commutant.
+
+    The right operators R(k) e_h = alpha(h,k) e_{hk} commute with every
+    rho_reg(g) by the 2-cocycle identity, so T = X + X^H with
+    X = sum_k c_k R(k) does too. For generic c each eigenspace of T is one
+    irreducible invariant subspace; a class of dimension d owns d of them.
+    """
     n = G.order
-    ctable = cocycle.complex_table
-    gens = generating_set(G)
     rng = np.random.default_rng(seed)
-    leaves: list[np.ndarray] = []
-    max_depth = n
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    X = np.zeros((n, n), dtype=np.complex128)
+    X[G.mul, np.arange(n)[:, None]] = c * cocycle.complex_table   # X[hk, h] = c_k alpha(h,k)
+    w, V = np.linalg.eigh(X + X.conj().T)
+    return V, _cluster_sorted(w)
 
-    def sub_matrices(B: np.ndarray, elements) -> list[np.ndarray]:
-        return [B.conj().T @ _apply_regular(G, ctable, g, B) for g in elements]
 
-    def recurse(B: np.ndarray, depth: int):
-        if depth > max_depth:
-            raise SplitFailure(f"splitting recursion exceeded depth {max_depth}")
-        d = B.shape[1]
-        # any irreducible constituent of the regular rep has dim^2 <= |G|
-        if d * d <= n and _commutant_dim(sub_matrices(B, gens) or [np.eye(d)]) == 1:
-            leaves.append(np.linalg.qr(B)[0])
-            return
-        all_mats = sub_matrices(B, range(n))
-        for _ in range(8):
-            H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            H = H + H.conj().T
-            T = np.zeros((d, d), dtype=np.complex128)
-            for m in all_mats:
-                T += m @ H @ m.conj().T
-            T /= n
-            T = (T + T.conj().T) / 2
-            w, V = np.linalg.eigh(T)
-            clusters = _cluster_sorted(w)
-            if len(clusters) > 1:
-                for idx in clusters:
-                    recurse(B @ V[:, idx], depth + 1)
-                return
-        raise SplitFailure("averaging operator repeatedly failed to separate eigenvalues")
+def _block_characters(G: FiniteGroup, ctable: np.ndarray, V: np.ndarray,
+                      clusters: list[np.ndarray]) -> np.ndarray:
+    """(#clusters, |G|) characters of the blocks spanned by each cluster's columns.
 
-    recurse(np.eye(n, dtype=np.complex128), 0)
-    return leaves
+    Column j contributes sum_h conj(V[gh, j]) alpha(g,h) V[h, j] at g.
+    """
+    Vc = V.conj()
+    cols = np.empty((G.order, V.shape[1]), dtype=np.complex128)
+    for g in range(G.order):
+        cols[g] = ctable[g] @ (Vc[G.mul[g]] * V)
+    return np.stack([cols[:, idx].sum(axis=1) for idx in clusters])
+
+
+def _block_matrices(G: FiniteGroup, ctable: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """B^H rho_reg(g) B for every g, as one (|G|, d, d) array.
+
+    Row i of every matrix is sum_h conj(B[gh, i]) alpha(g,h) B[h], one GEMM.
+    """
+    n, d = B.shape
+    Bc = B.conj()
+    mats = np.empty((n, d, d), dtype=np.complex128)
+    for i in range(d):
+        mats[:, i, :] = (Bc[G.mul, i] * ctable) @ B
+    return mats
+
+
+def _regular_class_count(G: FiniteGroup, cocycle, tol: Tolerances) -> int:
+    """Number of alpha-regular conjugacy classes, counted in integers.
+
+    g is alpha-regular when alpha(g,h) = alpha(h,g) for every h commuting
+    with g. Regularity is a class function, so the count is the sum of
+    |C_G(g)| over regular g, divided by |G|. By Schur's theorem it equals
+    |Irr(G, alpha)|.
+    """
+    comm = G.mul == G.mul.T
+    if isinstance(cocycle, Cocycle):
+        differ = cocycle.exponents != cocycle.exponents.T
+    else:
+        table = cocycle.complex_table
+        differ = np.abs(table - table.T) > tol.snap
+    regular = ~np.any(comm & differ, axis=1)
+    total = int(np.count_nonzero(comm[regular]))
+    if total % G.order:
+        raise SplitFailure(f"centralizer sum {total} over regular elements is not a multiple of {G.order}")
+    return total // G.order
 
 
 @dataclass(eq=False)
@@ -283,9 +310,15 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
                  seed: int = 0, tol: Tolerances | None = None) -> IrrTable:
     """Decompose the twisted regular representation into irreducibles.
 
-    Randomized equivariant-averaging splits, seeded and retried; the table
-    is sorted by (dimension, lexicographic character) and deduplicated by
-    character equality, so the result is deterministic per seed.
+    One eigendecomposition of a seeded random Hermitian element of the
+    right-regular commutant splits the regular representation into
+    irreducible blocks; blocks are deduplicated by character. The table is
+    certified (commutant dimension 1 per entry, as many blocks per class as
+    its dimension, squared dimensions summing to |G|, as many classes as
+    alpha-regular conjugacy classes); on a failed certificate the split is
+    redrawn with the next seed, up to 5 seeds. The table is sorted by
+    (dimension, lexicographic character), so the result is deterministic
+    per seed.
     """
     tol = tol or default_tolerances()
     if G.order > MAX_DENSE_ORDER:
@@ -295,41 +328,57 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
     last_error: Exception | None = None
     for attempt in range(5):
         try:
-            bases = _split_regular(G, cocycle, seed + attempt)
-            return _assemble_table(G, cocycle, bases, tol)
+            V, clusters = _split_regular(G, cocycle, seed + attempt)
+            return _assemble_table(G, cocycle, V, clusters, tol)
         except SplitFailure as exc:
             last_error = exc
     raise SplitFailure(f"no clean split after 5 seeds starting at {seed}") from last_error
 
 
-def _assemble_table(G: FiniteGroup, cocycle, bases: list[np.ndarray],
+def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.ndarray],
                     tol: Tolerances) -> IrrTable:
+    """One certified table entry per character class of the split blocks.
+
+    Blocks are deduplicated by character. Isomorphic blocks share a
+    character, so certifying one block per class certifies the others.
+    Certificates: every class has as many blocks as its dimension, the
+    squared dimensions sum to |G|, the class count equals the number of
+    alpha-regular conjugacy classes, and every entry has commutant dimension 1.
+    """
     n = G.order
     ctable = cocycle.complex_table
-    reps = []
-    for B in bases:
-        mats = np.stack([B.conj().T @ _apply_regular(G, ctable, g, B) for g in range(n)])
-        reps.append(ProjectiveRep(G, cocycle, B.shape[1], mats))
-    chars = [character(r) for r in reps]
-    order = sorted(range(len(reps)), key=lambda i: _sort_key(chars[i]))
-    table_reps: list[ProjectiveRep] = []
-    table_chars: list[AlphaCharacter] = []
+    chars = _block_characters(G, ctable, V, clusters)
+    known = np.empty_like(chars)        # characters of firsts, in order
+    firsts: list[int] = []
     counts: list[int] = []
-    for i in order:
-        for j, known in enumerate(table_chars):
-            if known.close_to(chars[i], tol.char):
-                counts[j] += 1
-                break
+    for c, values in enumerate(chars):
+        k = len(firsts)
+        hit = np.flatnonzero(np.max(np.abs(known[:k] - values), axis=1) <= tol.char)
+        if hit.size:
+            counts[hit[0]] += 1
         else:
-            table_reps.append(reps[i])
-            table_chars.append(chars[i])
+            known[k] = values
+            firsts.append(c)
             counts.append(1)
-    dims = [r.dim for r in table_reps]
-    if any(c != d for c, d in zip(counts, dims)):
+    dims = [clusters[c].size for c in firsts]
+    if counts != dims:
         raise SplitFailure(f"block multiplicities {counts} differ from dimensions {dims}")
     if sum(d * d for d in dims) != n:
         raise SplitFailure(f"sum of squared dimensions {dims} misses group order {n}")
-    return IrrTable(group=G, cocycle=cocycle, irreducibles=table_reps, characters=table_chars)
+    expected = _regular_class_count(G, cocycle, tol)
+    if len(dims) != expected:
+        raise SplitFailure(f"{len(dims)} classes, but {expected} alpha-regular conjugacy classes")
+    gens = generating_set(G)
+    reps = []
+    for c in firsts:
+        rep = ProjectiveRep(G, cocycle, clusters[c].size, _block_matrices(G, ctable, V[:, clusters[c]]))
+        if gens and _commutant_dim([rep.matrices[g] for g in gens]) != 1:
+            raise SplitFailure(f"block of dimension {rep.dim} is not irreducible")
+        reps.append(rep)
+    table_chars = [character(r) for r in reps]
+    order = sorted(range(len(reps)), key=lambda i: _sort_key(table_chars[i]))
+    return IrrTable(group=G, cocycle=cocycle, irreducibles=[reps[i] for i in order],
+                    characters=[table_chars[i] for i in order])
 
 
 def _check_compatible(r1: ProjectiveRep, r2: ProjectiveRep) -> None:
@@ -384,7 +433,8 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
         for g in gens
     ]
     kernel = _nullspace(np.vstack(rows))
-    assert kernel.shape[1] == 1, "Schur solution space is not one-dimensional"
+    if kernel.shape[1] != 1:
+        raise NotIrreducible(f"Schur solution space has dimension {kernel.shape[1]}, not 1")
     M = kernel[:, 0].reshape(d, d)
     # scale to unitary: M^H M = c I for an intertwiner between unitary irreps
     c = np.trace(M.conj().T @ M).real / d
@@ -398,7 +448,8 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
         float(np.max(np.abs(rho2.matrices[g] - M.conj().T @ rho1.matrices[g] @ M)))
         for g in range(rho1.group.order)
     )
-    assert err <= 10 * rtol, f"intertwiner verification failed (residual {err:.2e})"
+    if err > 10 * rtol:
+        raise NumericFailure(f"intertwiner verification failed (residual {err:.2e})")
     return M
 
 

@@ -174,6 +174,57 @@ class TestSubgroups:
         assert brute_isomorphic(sub, td.cyclic(4))
 
 
+def loop_closure(G, seeds):
+    """Reference subgroup closure: grow by products with every element until stable."""
+    elems = {G.identity, *(int(s) for s in seeds)}
+    while True:
+        grown = elems | {int(G.mul[a, b]) for a in elems for b in elems}
+        if grown == elems:
+            return tuple(sorted(elems))
+        elems = grown
+
+
+def loop_handle_error(G, elements):
+    """Reference SubgroupHandle check: the message of its first failure, or None."""
+    elems = set(elements)
+    if G.identity not in elems:
+        return "subgroup must contain the identity"
+    for a in sorted(elems):
+        if int(G.inv[a]) not in elems:
+            return f"subgroup not closed under inverse at element {a}"
+        for b in sorted(elems):
+            if int(G.mul[a, b]) not in elems:
+                return f"subgroup not closed under product at ({a},{b})"
+    return None
+
+
+class TestSubgroupsAgainstLoops:
+    GROUPS = {
+        "D12": lambda: td.dihedral(6),
+        "C12": lambda: td.cyclic(12),
+        "C2xD8": lambda: td.direct_product(td.cyclic(2), td.dihedral(4)),
+        "S4": lambda: td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+    }
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_closure_and_membership_checks(self, name):
+        G = self.GROUPS[name]()
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            seeds = rng.integers(0, G.order, rng.integers(0, 4)).tolist()
+            assert td.subgroup_closure(G, seeds).elements == loop_closure(G, seeds)
+            elements = set(rng.choice(G.order, rng.integers(1, G.order + 1), replace=False).tolist())
+            if rng.random() < 0.8:
+                elements.add(G.identity)
+            want = loop_handle_error(G, elements)
+            if want is None:
+                assert td.SubgroupHandle(G, tuple(elements)).elements == tuple(sorted(elements))
+            else:
+                with pytest.raises(InputError) as err:
+                    td.SubgroupHandle(G, tuple(elements))
+                assert str(err.value) == want
+
+
 class TestQuotientWithSection:
     def test_d8_mod_a(self, d8, a_cyclic):
         qs = td.quotient_with_section(d8, a_cyclic)

@@ -7,11 +7,41 @@ from twistdecomp.groups import trivial_subgroup
 from twistdecomp import reps
 from twistdecomp.reps import commutant_dimension, is_irreducible
 
+from test_action_table import c2_x_d8_alpha
 from oracles import (
     character_values_by_element,
     classical_character_table,
     classical_dims,
 )
+
+
+def symmetric(n):
+    """S_n from a transposition and an n-cycle."""
+    return td.from_permutation_generators(
+        n, [(1, 0, *range(2, n)), (*range(1, n), 0)])
+
+
+def alternating(n):
+    """A_4 from two 3-cycles."""
+    assert n == 4
+    return td.from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)])
+
+
+def quaternion(n):
+    """Q_8 as its left-regular permutation group; index 2u + s is (-1)^s times unit u."""
+    assert n == 8
+    # u * v = sign[u][v] * unit[u][v] for the units 1, i, j, k
+    sign = [[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]]
+    unit = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+    def left(u):
+        return tuple(2 * unit[u][v // 2] + (v % 2 + (sign[u][v // 2] < 0)) % 2 for v in range(8))
+
+    return td.from_permutation_generators(8, [left(1), left(2)])
+
+
+def c2_times_dihedral(n):
+    return td.direct_product(td.cyclic(2), td.dihedral(n))
 
 
 def trivial_rep(G):
@@ -99,11 +129,14 @@ class TestIrreducibles:
             assert np.array_equal(r1.matrices, r2.matrices)
 
     def test_character_set_seed_independent(self, d8, alpha4):
-        tables = [td.irreducibles(d8, alpha4, seed=s) for s in (0, 1, 2)]
-        prints = [
-            {c.fingerprint(6) for c in t.characters} for t in tables
-        ]
-        assert prints[0] == prints[1] == prints[2]
+        cases = [(d8, alpha4), (td.dihedral(8), td.dihedral_alpha(8)), c2_x_d8_alpha()]
+        for G, alpha in cases:
+            tables = [td.irreducibles(G, alpha, seed=s) for s in (0, 1, 2)]
+            prints = [
+                {c.fingerprint(6) for c in t.characters} for t in tables
+            ]
+            assert prints[0] == prints[1] == prints[2]
+            assert len(prints[0]) == len(tables[0])
 
     def test_all_irreducible_by_commutant(self, d8, alpha4):
         table = td.irreducibles(d8, alpha4, seed=0)
@@ -113,6 +146,7 @@ class TestIrreducibles:
     @pytest.mark.parametrize("make,n", [
         (td.cyclic, 2), (td.cyclic, 3), (td.cyclic, 5), (td.cyclic, 8),
         (td.dihedral, 2), (td.dihedral, 3), (td.dihedral, 4),
+        (symmetric, 4), (alternating, 4), (quaternion, 8), (c2_times_dihedral, 4),
     ])
     def test_matches_classical_oracle_small(self, make, n):
         G = make(n)

@@ -1,0 +1,206 @@
+"""The one-shot split of the twisted regular representation and its certificates."""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import twistdecomp as td
+from twistdecomp import reps
+from twistdecomp.errors import NotIrreducible, NumericFailure, SplitFailure
+
+from test_action_table import c2_x_d8_alpha
+
+REPS_SOURCE = Path(reps.__file__)
+
+
+def class_count(G, cocycle):
+    return reps._regular_class_count(G, cocycle, td.default_tolerances())
+
+
+class TestRegularClassCount:
+    @pytest.mark.parametrize("n", range(2, 65, 2))
+    def test_dihedral_twisted_closed_form(self, n):
+        assert class_count(td.dihedral(n), td.dihedral_alpha(n)) == n // 2
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_dihedral_trivial_closed_form(self, n):
+        G = td.dihedral(n)
+        want = n // 2 + 3 if n % 2 == 0 else (n + 3) // 2
+        assert class_count(G, td.trivial_cocycle(G)) == want
+
+    def test_c2_x_d8(self):
+        G, alpha = c2_x_d8_alpha()
+        assert class_count(G, td.trivial_cocycle(G)) == 10
+        assert class_count(G, alpha) == 4
+        assert len(td.irreducibles(G, alpha, seed=0)) == 4
+
+    def test_numeric_cohomologous_cocycle_counts_alike(self):
+        rng = np.random.default_rng(0)
+        for n in (4, 6, 8):
+            alpha = td.dihedral_alpha(n)
+            G = alpha.group
+            f = np.exp(2j * np.pi * rng.random(G.order))
+            f[G.identity] = 1.0
+            table = alpha.complex_table * np.outer(f, f) / f[G.mul]
+            beta = td.make_numeric_cocycle(G, table)
+            assert class_count(G, beta) == n // 2
+            assert len(td.irreducibles(G, beta, seed=0)) == n // 2
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matches_irreducibles(self, n):
+        G = td.dihedral(n)
+        cocycles = [td.trivial_cocycle(G)] + ([td.dihedral_alpha(n)] if n % 2 == 0 else [])
+        for cocycle in cocycles:
+            assert len(td.irreducibles(G, cocycle, seed=0)) == class_count(G, cocycle)
+
+    def test_wrong_count_fails_the_split(self, monkeypatch, d8, alpha4):
+        monkeypatch.setattr(reps, "_regular_class_count", lambda *args: 3)
+        with pytest.raises(SplitFailure, match="no clean split after 5 seeds"):
+            td.irreducibles(d8, alpha4, seed=0)
+
+
+class TestCertificates:
+    def test_missing_block_fails_multiplicity(self, d8, alpha4):
+        V, clusters = reps._split_regular(d8, alpha4, seed=0)
+        with pytest.raises(SplitFailure, match="block multiplicities"):
+            reps._assemble_table(d8, alpha4, V, clusters[1:], td.default_tolerances())
+
+    def test_missing_class_fails_sum_of_squares(self, d8):
+        trivial = td.trivial_cocycle(d8)
+        V, clusters = reps._split_regular(d8, trivial, seed=0)
+        one_dim = [i for i, c in enumerate(clusters) if c.size == 1]
+        kept = [c for i, c in enumerate(clusters) if i != one_dim[0]]
+        with pytest.raises(SplitFailure, match="sum of squared dimensions"):
+            reps._assemble_table(d8, trivial, V, kept, td.default_tolerances())
+
+    def test_reducible_entry_fails_the_split(self, monkeypatch, d8, alpha4):
+        monkeypatch.setattr(reps, "_commutant_dim", lambda mats: 2)
+        with pytest.raises(SplitFailure, match="no clean split") as err:
+            td.irreducibles(d8, alpha4, seed=0)
+        assert "not irreducible" in str(err.value.__cause__)
+
+
+def merge_all(calls):
+    """A _cluster_sorted that puts every eigenvalue into one cluster while calls[0] > 0."""
+    honest = reps._cluster_sorted
+
+    def cluster(w):
+        if calls[0] > 0:
+            calls[0] -= 1
+            return [np.arange(w.size)]
+        return honest(w)
+
+    return cluster
+
+
+class TestRetry:
+    def test_failed_first_split_redraws_with_next_seed(self, monkeypatch, d8, alpha4):
+        want = td.irreducibles(d8, alpha4, seed=1)
+        monkeypatch.setattr(reps, "_cluster_sorted", merge_all([1]))
+        got = td.irreducibles(d8, alpha4, seed=0)
+        assert [c.fingerprint(6) for c in got.characters] == [
+            c.fingerprint(6) for c in want.characters]
+        for r1, r2 in zip(got.irreducibles, want.irreducibles):
+            assert np.array_equal(r1.matrices, r2.matrices)
+
+    def test_gives_up_after_five_seeds(self, monkeypatch, d8, alpha4):
+        monkeypatch.setattr(reps, "_cluster_sorted", merge_all([10]))
+        with pytest.raises(SplitFailure, match="no clean split after 5 seeds starting at 0"):
+            td.irreducibles(d8, alpha4, seed=0)
+
+
+def _always_merged_error() -> str | None:
+    """The error of a D_8 split whose clusters are always merged, or None.
+
+    Replaces reps._cluster_sorted for good, so it runs in a fresh interpreter.
+    """
+    reps._cluster_sorted = merge_all([10])
+    try:
+        td.irreducibles(td.dihedral(4), td.dihedral_alpha(4), seed=0)
+    except SplitFailure as exc:
+        return str(exc)
+    return None
+
+
+def test_retry_failure_raises_under_python_O():
+    here = Path(__file__).resolve().parent
+    src = Path(td.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path[:0] = [{str(src)!r}, {str(here)!r}]; import json; "
+        "import test_split as t; "
+        "print(json.dumps([sys.flags.optimize, t._always_merged_error()]))"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    optimize, error = json.loads(out.stdout.splitlines()[-1])
+    assert optimize == 1
+    assert error is not None and error.startswith("no clean split after 5 seeds")
+
+
+def test_reps_has_no_assert_statement():
+    tree = ast.parse(REPS_SOURCE.read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
+class TestIntertwinerFailures:
+    def test_schur_kernel_not_one_dimensional(self, monkeypatch, explicit_taus):
+        honest = reps._nullspace
+        monkeypatch.setattr(reps, "commutant_dimension", lambda rep: 1)
+        monkeypatch.setattr(reps, "_nullspace", lambda A: np.hstack([honest(A)] * 2))
+        with pytest.raises(NotIrreducible, match="Schur solution space"):
+            td.intertwiner(explicit_taus[1], explicit_taus[1])
+
+    def test_verification_residual(self, explicit_taus):
+        tol = td.default_tolerances().replace(rep=1e-30)
+        with pytest.raises(NumericFailure, match="intertwiner verification failed"):
+            td.intertwiner(explicit_taus[1], explicit_taus[1], tol)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_eigenspaces_are_invariant(self, n):
+        G, alpha = td.dihedral(n), td.dihedral_alpha(n)
+        V, clusters = reps._split_regular(G, alpha, seed=0)
+        reg = td.regular_rep(G, alpha).matrices
+        assert sorted(c.size for c in clusters) == [2] * n
+        for idx in clusters:
+            B = V[:, idx]
+            for g in range(G.order):
+                moved = reg[g] @ B
+                assert np.allclose(B @ (B.conj().T @ moved), moved, atol=1e-10)
+
+    def test_block_characters_are_traces(self, d8, alpha4):
+        V, clusters = reps._split_regular(d8, alpha4, seed=0)
+        chars = reps._block_characters(d8, alpha4.complex_table, V, clusters)
+        for idx, chi in zip(clusters, chars):
+            mats = reps._block_matrices(d8, alpha4.complex_table, V[:, idx])
+            assert np.allclose(np.trace(mats, axis1=1, axis2=2), chi, atol=1e-12)
+
+
+def python_fingerprint(values, digits):
+    return tuple(
+        (round(float(v.real), digits) + 0.0, round(float(v.imag), digits) + 0.0)
+        for v in values
+    )
+
+
+@pytest.mark.parametrize("digits", [6, 9])
+def test_fingerprint_equals_python_round(digits):
+    rng = np.random.default_rng(0)
+    k = rng.integers(-10**10, 10**10, 512)
+    halfway = (k + 0.5) / 10**digits
+    halfway = halfway + rng.integers(-3, 4, 512) * np.spacing(halfway)
+    samples = [
+        rng.standard_normal(512) * 10 + 1j * rng.standard_normal(512),
+        halfway + 1j * halfway[::-1],
+        np.round(rng.standard_normal(512), digits + 1) - 1j * np.round(rng.standard_normal(512), 12),
+        np.array([0.0, -0.0, 1e-17, -1e-17, 2.0, -2.0]) * (1 - 2e-16) - 1e-17j,
+    ]
+    for values in samples:
+        assert td.AlphaCharacter(values).fingerprint(digits) == python_fingerprint(values, digits)

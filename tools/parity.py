@@ -1,0 +1,180 @@
+"""Compare two source trees of twistdecomp on fixed inputs.
+
+    python tools/parity.py --base OTHER_CHECKOUT/src [--head src]
+
+Each tree is imported in its own subprocess. The script checks:
+
+- for dihedral(n), n = 1..12, under the trivial cocycle and, for even n,
+  dihedral_alpha(n), and every normal subgroup A, running
+  verify_point_decomposition(seed=0): the dimensions and characters
+  (within tol.char, entry by entry in table order) of the irreducibles of
+  (G, alpha) and of (A, alpha|A), and the action perm and multiplicities
+  exactly. A configuration that raises must raise the same error type in
+  both trees;
+- the beta tables up to a coboundary. The induced cocycle beta depends on
+  the basis of each irreducible of A (through the phase of the M_q
+  intertwiners), so a new basis may multiply beta by a coboundary df, each
+  beta-character by f and so reorder a beta table. The check compares
+  their dimensions and the moduli |chi| as multisets of rows, and for the
+  matching the orbit and the |chi| row of the matched class;
+- that the default CLI JSON of a fixed list of commands is byte-identical.
+
+Representation matrices are not compared: a change of splitting algorithm
+may change the basis. Exit status 0 when everything agrees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+CLI_COMMANDS = [
+    ["irr", "dihedral:6", "dihedral_alpha:6", "--format=json"],
+    ["irr", "dihedral:6", "trivial", "--format=json"],
+    ["decompose", "dihedral:4", "dihedral_alpha:4", "--A=a", "--format=json"],
+    ["decompose", "dihedral:4", "dihedral_alpha:4", "--A=a2", "--format=json"],
+    ["decompose", "dihedral:4", "dihedral_alpha:4", "--A=all", "--format=json"],
+    ["decompose", "dihedral:8", "dihedral_alpha:8", "--A=a", "--format=json"],
+    ["decompose", "dihedral:6", "trivial", "--A=a2", "--format=json"],
+    ["verify", "dihedral-family", "--format=json"],
+    ["verify", "action-laws", "--group=dihedral:4", "--cocycle=dihedral_alpha:4", "--A=a",
+     "--format=json"],
+    ["verify", "random-gsets", "--format=json"],
+]
+
+
+def _table(table) -> dict:
+    return {"dims": list(table.dims),
+            "chars": [[[v.real, v.imag] for v in c.values] for c in table.characters]}
+
+
+def dump() -> list:
+    """Results of every configuration in the importable twistdecomp."""
+    import twistdecomp as td
+    from twistdecomp.errors import TwistError
+    from twistdecomp.groups import normal_subgroups
+
+    out = []
+    for n in range(1, 13):
+        G = td.dihedral(n)
+        cocycles = [("trivial", td.trivial_cocycle(G))]
+        if n % 2 == 0:
+            cocycles.append(("dihedral_alpha", td.dihedral_alpha(n)))
+        for name, alpha in cocycles:
+            for A in normal_subgroups(G):
+                case = {"case": f"dihedral:{n} {name} A={list(A.elements)}"}
+                try:
+                    rep = td.verify_point_decomposition(G, A, alpha, seed=0)
+                except TwistError as exc:
+                    case["error"] = type(exc).__name__
+                else:
+                    case.update(
+                        irr_g=_table(rep.irr_g), base=_table(rep.action.base),
+                        beta=[_table(t) for t in rep.beta_tables],
+                        perm=rep.action.perm.tolist(),
+                        matching=[list(m) for m in rep.matching],
+                        multiplicities=[list(m) for m in rep.multiplicities])
+                out.append(case)
+    return out
+
+
+def _run(src: Path, code: str, *args: str) -> subprocess.CompletedProcess:
+    env_path = f"import sys; sys.path.insert(0, {str(src)!r}); "
+    return subprocess.run([sys.executable, "-c", env_path + code, *args],
+                          capture_output=True, text=True, timeout=1800)
+
+
+def _tables_agree(a: dict, b: dict, tol: float) -> bool:
+    if a["dims"] != b["dims"] or len(a["chars"]) != len(b["chars"]):
+        return False
+    return all(abs(complex(*x) - complex(*y)) <= tol
+               for ca, cb in zip(a["chars"], b["chars"]) for x, y in zip(ca, cb))
+
+
+def _moduli(table: dict, i: int) -> tuple:
+    return tuple(round(abs(complex(*v)), 6) for v in table["chars"][i])
+
+
+def _gauge_agree(a: dict, b: dict) -> bool:
+    """Equal dims and equal multisets of |chi| rows: what a coboundary keeps."""
+    return (sorted(a["dims"]) == sorted(b["dims"]) and
+            sorted(_moduli(a, i) for i in range(len(a["dims"]))) ==
+            sorted(_moduli(b, i) for i in range(len(b["dims"]))))
+
+
+def compare_cases(base: list, head: list, tol: float) -> tuple[list[str], int]:
+    """Mismatches, and the number of configurations whose beta tables differ only in gauge."""
+    problems = []
+    regauged = 0
+    if [c["case"] for c in base] != [c["case"] for c in head]:
+        return ["configuration lists differ"], 0
+    for b, h in zip(base, head):
+        name = b["case"]
+        if "error" in b or "error" in h:
+            if b.get("error") != h.get("error"):
+                problems.append(f"{name}: error {b.get('error')} vs {h.get('error')}")
+            continue
+        for key in ("perm", "multiplicities"):
+            if b[key] != h[key]:
+                problems.append(f"{name}: {key} differs")
+        for key in ("irr_g", "base"):
+            if not _tables_agree(b[key], h[key], tol):
+                problems.append(f"{name}: {key} dims or characters differ")
+        if len(b["beta"]) != len(h["beta"]):
+            problems.append(f"{name}: number of beta tables differs")
+            continue
+        for i, (x, y) in enumerate(zip(b["beta"], h["beta"])):
+            if not _gauge_agree(x, y):
+                problems.append(f"{name}: beta[{i}] differs beyond a coboundary")
+        for (ob, cb), (oh, ch) in zip(b["matching"], h["matching"]):
+            if ob != oh or _moduli(b["beta"][ob], cb) != _moduli(h["beta"][oh], ch):
+                problems.append(f"{name}: matching differs beyond a coboundary")
+                break
+        if any(not _tables_agree(x, y, tol) for x, y in zip(b["beta"], h["beta"])):
+            regauged += 1
+    return problems, regauged
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, type=Path, help="src directory of the reference tree")
+    parser.add_argument("--head", default=Path(__file__).resolve().parents[1] / "src", type=Path,
+                        help="src directory of the tree under test (default: this checkout)")
+    args = parser.parse_args()
+    here = str(Path(__file__).resolve().parent)
+    dump_code = (f"sys.path.insert(0, {here!r}); import json, parity; "
+                 "print(json.dumps(parity.dump()))")
+    results = {}
+    for side in ("base", "head"):
+        proc = _run(getattr(args, side), dump_code)
+        if proc.returncode:
+            print(proc.stderr, file=sys.stderr)
+            return 2
+        results[side] = json.loads(proc.stdout)
+    sys.path.insert(0, str(args.head))
+    from twistdecomp.config import default_tolerances
+
+    problems, regauged = compare_cases(results["base"], results["head"], default_tolerances().char)
+    n_ok = sum("error" not in c for c in results["head"])
+    print(f"configurations: {len(results['head'])} ({n_ok} decomposed, "
+          f"{len(results['head']) - n_ok} raising alike); beta tables differ entry by "
+          f"entry but agree in dims and |chi| in {regauged}")
+    cli_code = "from twistdecomp.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    for cmd in CLI_COMMANDS:
+        outs = [_run(getattr(args, side), cli_code, *cmd) for side in ("base", "head")]
+        same = outs[0].stdout == outs[1].stdout and outs[0].returncode == outs[1].returncode
+        print(f"cli {'same' if same else 'DIFFERS'} (exit {outs[1].returncode}, "
+              f"{len(outs[1].stdout)} bytes): {' '.join(cmd)}")
+        if not same:
+            problems.append(f"cli output differs: {' '.join(cmd)}")
+    for p in problems:
+        print("MISMATCH", p)
+    print("parity: " + ("ok" if not problems else f"{len(problems)} mismatches"))
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
