@@ -11,7 +11,6 @@ from .cocycles import (
     make_cocycle,
     make_numeric_cocycle,
     restrict,
-    restrict_numeric,
     snap_to_lattice,
     tau_scalar,
     trivial_cocycle,

@@ -230,7 +230,7 @@ def _suite_action_laws(args, tol):
     alpha = fileio.parse_cocycle_spec(args.cocycle, G)
     A = fileio.parse_subgroup_spec(args.subgroup, G)
     action = action_table(G, A, alpha, seed=args.seed, tol=tol)  # certifies and checks the laws
-    orbit_data(action, alpha, tol=tol)  # asserts M families and the induced cocycle identity
+    orbit_data(action, alpha, tol=tol)  # checks M families and the induced cocycle identity
     yield f"action-laws |G|={G.order} |A|={A.order}", True
 
 

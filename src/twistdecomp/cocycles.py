@@ -251,27 +251,20 @@ def dihedral_alpha(n: int) -> Cocycle:
     return make_cocycle(G, n, expo)
 
 
-def restrict(alpha: Cocycle, handle: SubgroupHandle) -> tuple[Cocycle, tuple[int, ...]]:
-    """Restrict to a subgroup, re-indexed 0..m-1; returns the index map too."""
-    if handle.parent is not alpha.group and not handle.parent.same_table(alpha.group):
+def restrict(cocycle: Cocycle | NumericCocycle, handle: SubgroupHandle,
+             tol: Tolerances | None = None) -> tuple[Cocycle | NumericCocycle, tuple[int, ...]]:
+    """Restrict to a subgroup, re-indexed 0..m-1; returns the index map too.
+
+    The restricted table is validated again (make_cocycle or
+    make_numeric_cocycle), although a restriction of a cocycle is one.
+    """
+    if handle.parent is not cocycle.group and not handle.parent.same_table(cocycle.group):
         raise InputError("subgroup handle does not belong to the cocycle's group")
     sub, to_parent = handle.as_group()
-    expo = alpha.exponents[np.ix_(to_parent, to_parent)]
-    restricted = make_cocycle(sub, alpha.order, expo)  # validity is inherited; asserted
-    return restricted, to_parent
-
-
-def restrict_numeric(beta: NumericCocycle, handle: SubgroupHandle,
-                     tol: Tolerances | None = None) -> tuple[NumericCocycle, tuple[int, ...]]:
-    sub, to_parent = handle.as_group()
-    table = beta.table[np.ix_(to_parent, to_parent)]
-    return make_numeric_cocycle(sub, table, tol), to_parent
-
-
-def restrict_any(cocycle, handle: SubgroupHandle, tol: Tolerances | None = None):
+    block = np.ix_(to_parent, to_parent)
     if isinstance(cocycle, Cocycle):
-        return restrict(cocycle, handle)
-    return restrict_numeric(cocycle, handle, tol)
+        return make_cocycle(sub, cocycle.order, cocycle.exponents[block]), to_parent
+    return make_numeric_cocycle(sub, cocycle.table[block], tol), to_parent
 
 
 @dataclass(eq=False)
@@ -338,7 +331,8 @@ def tau_scalar(alpha: Cocycle, qs: QuotientWithSection, q1: int, q2: int) -> Uni
         - int(alpha.exponents[x, xinv])
         + int(alpha.exponents[s[q1], s[q2]])
     ) % K
-    assert direct == expanded, "tau formulas disagree: cocycle table is corrupted"
+    if direct != expanded:
+        raise InvalidCocycle("tau formulas disagree: cocycle table is corrupted")
     return UnitScalar(direct, K)
 
 

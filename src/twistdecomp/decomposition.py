@@ -29,7 +29,6 @@ from .cocycles import (
     NumericCocycle,
     make_numeric_cocycle,
     restrict,
-    restrict_any,
     tau_scalar,
 )
 from .config import Tolerances, default_tolerances
@@ -41,6 +40,7 @@ from .errors import (
     NotNormal,
     NotScalar,
     NotUnimodular,
+    NumericFailure,
     OrbitMixing,
     UnmatchedCharacter,
 )
@@ -48,6 +48,8 @@ from .groups import (
     FiniteGroup,
     QuotientWithSection,
     SubgroupHandle,
+    _action_orbits,
+    _stabilizer,
     chi,
     is_normal,
     quotient_with_section,
@@ -55,6 +57,7 @@ from .groups import (
 from .reps import (
     IrrTable,
     ProjectiveRep,
+    _hom_space,
     character,
     intertwiner,
     irreducibles,
@@ -64,19 +67,12 @@ from .reps import (
 )
 
 
-def _complex_scalars(cocycle) -> np.ndarray:
-    return cocycle.complex_table
-
-
 def act(alpha: Cocycle, A: SubgroupHandle, g: int, tau: ProjectiveRep,
-        validate: bool = False, tol: Tolerances | None = None) -> ProjectiveRep:
+        tol: Tolerances | None = None) -> ProjectiveRep:
     """The twisted conjugation action of g in G on a representation of A."""
     out_handle, rep = conjugate_rep(alpha, A, g, tau, tol=tol)
     if out_handle.elements != A.elements:
         raise NotNormal("act requires a normal subgroup")
-    if validate:
-        report = validate_rep(rep, tol)
-        assert report.ok, f"act produced an invalid representation: {report.violations[:3]}"
     return rep
 
 
@@ -89,11 +85,11 @@ def conjugate_rep(cocycle, H: SubgroupHandle, g: int, rho: ProjectiveRep,
     exact representation for the cocycle restricted to the conjugate.
     """
     G = H.parent
-    ctable = _complex_scalars(cocycle)
+    ctable = cocycle.complex_table
     _, to_parent = H.as_group()
     conj_elems = sorted(G.conjugate(g, a) for a in to_parent)
     out_handle = H if tuple(conj_elems) == H.elements else SubgroupHandle(G, tuple(conj_elems))
-    out_cocycle, out_map = restrict_any(cocycle, out_handle, tol)
+    out_cocycle, out_map = restrict(cocycle, out_handle, tol)
     ginv = int(G.inv[g])
     mats = np.empty((len(out_map), rho.dim, rho.dim), dtype=np.complex128)
     for i, hG in enumerate(out_map):
@@ -119,27 +115,7 @@ class IrrAction:
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbits on irreducible indices, sorted by smallest member."""
-        m = len(self.base)
-        seen = [False] * m
-        out = []
-        for i in range(m):
-            if seen[i]:
-                continue
-            orbit = {i}
-            frontier = [i]
-            while frontier:
-                nxt = []
-                for j in frontier:
-                    for g in range(self.group.order):
-                        k = int(self.perm[g, j])
-                        if k not in orbit:
-                            orbit.add(k)
-                            nxt.append(k)
-                frontier = nxt
-            for j in orbit:
-                seen[j] = True
-            out.append(tuple(sorted(orbit)))
-        return out
+        return _action_orbits(self.perm)
 
 
 def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
@@ -241,6 +217,11 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
                tol: Tolerances | None = None) -> list[OrbitDatum]:
     """Isotropy groups, intertwiner families, and induced cocycles per orbit.
 
+    M(q) = intertwiner(tau, sigma(q).tau), whose phase makes tr(tau(a) M(q))
+    real positive at the first a where |tr(tau(a) M(q))| is within tol.char
+    of its maximum. These traces do not depend on the basis of tau, so
+    neither does beta: it is the same for every seed.
+
     phase_seed, when given, multiplies each M(q), q != 1, by a fixed random
     unit scalar: a convention change that moves beta by a coboundary and
     must leave all cohomology-level outputs unchanged.
@@ -252,10 +233,7 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
     data = []
     for members in action.orbits():
         rep_idx = members[0]
-        iso_elems = tuple(
-            g for g in range(G.order) if int(action.perm[g, rep_idx]) == rep_idx
-        )
-        isotropy = SubgroupHandle(G, iso_elems)
+        isotropy = _stabilizer(G, action.perm, rep_idx)
         gt_group, gt_map = isotropy.as_group()
         alpha_gt, _ = restrict(alpha, isotropy)
         a_in_gt = SubgroupHandle(gt_group, tuple(isotropy.position(a) for a in A.elements))
@@ -296,7 +274,8 @@ def _check_m_family(datum: OrbitDatum, action: IrrAction, tol: Tolerances) -> No
         err = float(
             np.max(np.abs(moved.matrices - Mq.conj().T[None] @ tau.matrices @ Mq[None]))
         )
-        assert err <= 10 * tol.rep, f"M family fails conjugation check at q={q} ({err:.2e})"
+        if err > 10 * tol.rep:
+            raise DecompositionFailure(f"M family fails conjugation check at q={q} ({err:.2e})")
 
 
 def induced_cocycle(datum: OrbitDatum, alpha: Cocycle,
@@ -340,21 +319,6 @@ def _a_parent_order(datum: OrbitDatum) -> tuple[int, ...]:
     return tuple(datum.gt_map[x] for x in datum.a_in_gt.elements)
 
 
-def _hom_basis(tau_mats: np.ndarray, w_mats: list[np.ndarray]) -> np.ndarray:
-    """Orthonormal basis of {f : f tau(a) = W(a) f for all a}, as columns of vec(f)."""
-    d_tau = tau_mats.shape[1]
-    d_w = w_mats[0].shape[0]
-    eye_tau = np.eye(d_tau)
-    eye_w = np.eye(d_w)
-    rows = [
-        np.kron(w, eye_tau) - np.kron(eye_w, t.T)
-        for t, w in zip(tau_mats, w_mats)
-    ]
-    from .reps import _nullspace
-
-    return _nullspace(np.vstack(rows))
-
-
 def _hom_action(datum: OrbitDatum, w_lookup, q_list, tol: Tolerances
                 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Basis of Hom_A(V_tau, W) and the matrices of q . f = W(sigma(q)) f M_q^-1.
@@ -363,12 +327,12 @@ def _hom_action(datum: OrbitDatum, w_lookup, q_list, tol: Tolerances
     must cover A and sigma(q) for the requested q_list.
     """
     tau = datum.tau
-    a_order = _a_parent_order(datum)
-    F = _hom_basis(tau.matrices, [w_lookup(g) for g in a_order])
+    w_a = np.stack([w_lookup(g) for g in _a_parent_order(datum)])
+    F = _hom_space(tau.group, w_a, tau.matrices)
     m = F.shape[1]
     if m == 0:
         raise NotIsotypic("input has no component on the orbit representative")
-    d_w = w_lookup(a_order[0]).shape[0]
+    d_w = w_a.shape[1]
     mats: dict[int, np.ndarray] = {}
     for q in q_list:
         S = w_lookup(datum.section_in_g(q))
@@ -379,7 +343,8 @@ def _hom_action(datum: OrbitDatum, w_lookup, q_list, tol: Tolerances
             moved = (S @ f @ Minv).reshape(-1)
             coords = F.conj().T @ moved
             resid = float(np.linalg.norm(moved - F @ coords))
-            assert resid <= tol.rep_numeric, f"q.f left the Hom space (residual {resid:.2e})"
+            if resid > tol.rep_numeric:
+                raise NumericFailure(f"q.f left the Hom space (residual {resid:.2e})")
             R[:, i] = coords
         mats[q] = R
     return F, mats
@@ -393,7 +358,7 @@ def hom_rep(W: ProjectiveRep, datum: OrbitDatum,
     indexing). The input is implicitly projected onto its tau-isotypic
     part: the Hom space only sees that component. Errors if the component
     is zero; the result satisfies the beta-twisted relation, which is
-    asserted.
+    checked.
     """
     tol = tol or default_tolerances()
     if W.group is not datum.gt_group and not W.group.same_table(datum.gt_group):
@@ -408,10 +373,11 @@ def hom_rep(W: ProjectiveRep, datum: OrbitDatum,
     m = mats[0].shape[0]
     stacked = np.stack([mats[q] for q in range(Q.order)])
     rep = ProjectiveRep(Q, datum.beta, m, stacked)
-    _assert_twisted_relation(rep, tol)
+    _check_twisted_relation(rep, tol)
     # m * dim(tau) is the dimension of the tau-isotypic component
     tau_mult = _isotypic_multiplicity(W, datum, tol)
-    assert m == tau_mult, f"Hom dimension {m} != character multiplicity {tau_mult}"
+    if m != tau_mult:
+        raise DecompositionFailure(f"Hom dimension {m} != character multiplicity {tau_mult}")
     return rep
 
 
@@ -421,14 +387,15 @@ def _isotypic_multiplicity(W: ProjectiveRep, datum: OrbitDatum, tol: Tolerances)
     return multiplicity(w_a, datum.tau, tol)
 
 
-def _assert_twisted_relation(rep: ProjectiveRep, tol: Tolerances) -> None:
+def _check_twisted_relation(rep: ProjectiveRep, tol: Tolerances) -> None:
     Q = rep.group
     beta = rep.cocycle.complex_table
     for q1 in range(Q.order):
         lhs = rep.matrices[q1] @ rep.matrices
         rhs = beta[q1][:, None, None] * rep.matrices[Q.mul[q1]]
         err = float(np.max(np.abs(lhs - rhs)))
-        assert err <= 10 * tol.rep, f"beta-twisted relation fails at q1={q1} ({err:.2e})"
+        if err > 10 * tol.rep:
+            raise DecompositionFailure(f"beta-twisted relation fails at q1={q1} ({err:.2e})")
 
 
 def reconstruct_rep(datum: OrbitDatum, hom: ProjectiveRep,
@@ -458,7 +425,8 @@ def reconstruct_rep(datum: OrbitDatum, hom: ProjectiveRep,
         mats[h] = np.kron(left, hom.matrices[q])
     rep = ProjectiveRep(gt, datum.alpha_gt, d, mats)
     report = validate_rep(rep, tol)
-    assert report.ok, f"reconstruction is not a representation: {report.violations[:3]}"
+    if not report.ok:
+        raise DecompositionFailure(f"reconstruction is not a representation: {report.violations[:3]}")
     return rep
 
 
@@ -531,7 +499,8 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
         if len(orbit_mults) != 1 or 0 in orbit_mults:
             raise OrbitMixing(f"W_{wi} has uneven multiplicities across its orbit")
         dim_check = sum(mults[i] * action.base.irreducibles[i].dim for i in support)
-        assert dim_check == W.dim, "restriction dimensions do not add up"
+        if dim_check != W.dim:
+            raise OrbitMixing(f"W_{wi}: restriction dimensions do not add up")
         w_gt = restrict_rep(W, datum.isotropy, datum.alpha_gt, tol=tol)
         hom = hom_rep(w_gt, datum, tol=tol)
         j = beta_tables[oi].match_character(character(hom), tol.char)

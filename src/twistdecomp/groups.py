@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     ClosureTooLarge,
+    DecompositionFailure,
     InputError,
     NoIdentity,
     NoInverse,
@@ -76,6 +77,16 @@ class FiniteGroup:
 
     def same_table(self, other: "FiniteGroup") -> bool:
         return self.order == other.order and np.array_equal(self.mul, other.mul)
+
+    @cached_property
+    def _generating_set(self) -> tuple[int, ...]:
+        gens: list[int] = []
+        current = trivial_subgroup(self)
+        while current.order < self.order:
+            g = next(i for i in range(self.order) if not current.contains(i))
+            gens.append(g)
+            current = subgroup_closure(self, gens)
+        return tuple(gens)
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -400,15 +411,29 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
     return classes
 
 
+def _action_orbits(table: np.ndarray) -> list[tuple[int, ...]]:
+    """Orbits of a group action given as a (|G|, m) table, row g = the permutation by g.
+
+    For a group action the orbit of i is the set of column i, so points
+    share an orbit exactly when their columns share a minimum. Orbits are
+    sorted tuples, ordered by smallest member.
+    """
+    smallest = np.asarray(table).min(axis=0)
+    firsts = np.flatnonzero(smallest == np.arange(smallest.size))
+    return [tuple(np.flatnonzero(smallest == p).tolist()) for p in firsts]
+
+
+def _stabilizer(G: FiniteGroup, table: np.ndarray, point: int) -> SubgroupHandle:
+    """The elements of G whose row of the (|G|, m) action table fixes point."""
+    return SubgroupHandle(G, tuple(np.flatnonzero(np.asarray(table)[:, point] == point).tolist()))
+
+
 def generating_set(G: FiniteGroup) -> list[int]:
-    """A small generating set, grown greedily by smallest missing element."""
-    gens: list[int] = []
-    current = trivial_subgroup(G)
-    while current.order < G.order:
-        g = next(i for i in range(G.order) if not current.contains(i))
-        gens.append(g)
-        current = subgroup_closure(G, gens)
-    return gens
+    """A small generating set, grown greedily by smallest missing element.
+
+    Computed once per group, since the multiplication table is read-only.
+    """
+    return list(G._generating_set)
 
 
 def normal_subgroups(G: FiniteGroup, max_order: int | None = None) -> list[SubgroupHandle]:
@@ -474,39 +499,32 @@ class QuotientWithSection:
     section: tuple[int, ...]        # Q index -> G index
 
 
+def left_cosets(G: FiniteGroup, H: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
+    """Left cosets gH: the coset index of every g, and each coset's smallest member.
+
+    Cosets are numbered by ascending smallest member, the order in which an
+    ascending scan of G meets them.
+    """
+    minima = G.mul[:, list(H.elements)].min(axis=1)
+    reps = np.flatnonzero(minima == np.arange(G.order))
+    return np.searchsorted(reps, minima), reps
+
+
 def quotient_with_section(G: FiniteGroup, A: SubgroupHandle) -> QuotientWithSection:
     if not is_normal(G, A):
         raise NotNormal("quotient requires a normal subgroup")
-    n = G.order
-    coset_id = np.full(n, -1, dtype=np.int64)
-    section: list[int] = []
-    for g in range(n):
-        if coset_id[g] >= 0:
-            continue
-        q = len(section)
-        section.append(g)  # g is the smallest member: ascending scan
-        for a in A.elements:
-            coset_id[int(G.mul[g, a])] = q
-    m = len(section)
-    qmul = np.empty((m, m), dtype=np.int64)
-    for q1 in range(m):
-        for q2 in range(m):
-            qmul[q1, q2] = coset_id[int(G.mul[section[q1], section[q2]])]
-    labels = [f"[{G.labels[s]}]" for s in section]
-    quotient = _validated_group(qmul, labels)
-    # projection must be a homomorphism with kernel exactly A
-    for g in range(n):
-        for h in range(n):
-            assert coset_id[int(G.mul[g, h])] == int(qmul[coset_id[g], coset_id[h]])
-    kernel = tuple(sorted(int(x) for x in np.flatnonzero(coset_id == 0)))
-    assert kernel == A.elements, "projection kernel differs from the subgroup"
-    assert section[0] == G.identity
+    coset_id, section = left_cosets(G, A)
+    qmul = coset_id[G.mul[np.ix_(section, section)]]
+    quotient = _validated_group(qmul, [f"[{G.labels[s]}]" for s in section])
+    homomorphism = np.array_equal(coset_id[G.mul], qmul[np.ix_(coset_id, coset_id)])
+    if not homomorphism or not np.array_equal(np.flatnonzero(coset_id == 0), A.elements):
+        raise DecompositionFailure("projection is not a homomorphism with kernel the subgroup")
     return QuotientWithSection(
         parent=G,
         subgroup=A,
         quotient=quotient,
-        projection=tuple(int(x) for x in coset_id),
-        section=tuple(section),
+        projection=tuple(coset_id.tolist()),
+        section=tuple(section.tolist()),
     )
 
 
@@ -516,5 +534,6 @@ def chi(qs: QuotientWithSection, q1: int, q2: int) -> int:
     s = qs.section
     q12 = int(qs.quotient.mul[q1, q2])
     out = int(G.mul[G.inv[s[q12]], G.mul[s[q1], s[q2]]])
-    assert qs.subgroup.contains(out), "section is broken: chi value left the subgroup"
+    if not qs.subgroup.contains(out):
+        raise DecompositionFailure("section is broken: chi value left the subgroup")
     return out

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import Cocycle, NumericCocycle, restrict_any
+from .cocycles import Cocycle, NumericCocycle, restrict
 from .config import Tolerances, default_tolerances
 from .decomposition import (
-    IrrAction,
     OrbitDatum,
     _hom_action,
     action_table,
@@ -24,7 +23,14 @@ from .decomposition import (
     orbit_data,
 )
 from .errors import ANotTrivial, InputError, NotEquivariant, NotIsotypic, RankMismatch
-from .groups import FiniteGroup, SubgroupHandle, all_subgroups
+from .groups import (
+    FiniteGroup,
+    SubgroupHandle,
+    _action_orbits,
+    _stabilizer,
+    all_subgroups,
+    left_cosets,
+)
 from .reps import (
     IrrTable,
     ProjectiveRep,
@@ -87,22 +93,9 @@ def left_translation_gset(group: FiniteGroup) -> FiniteGSet:
 
 
 def coset_gset(group: FiniteGroup, handle: SubgroupHandle) -> FiniteGSet:
-    """Left cosets gH with the translation action."""
-    n = group.order
-    coset_id = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for g in range(n):
-        if coset_id[g] >= 0:
-            continue
-        for a in handle.elements:
-            coset_id[int(group.mul[g, a])] = count
-        count += 1
-    reps = [int(np.flatnonzero(coset_id == c)[0]) for c in range(count)]
-    action = np.empty((n, count), dtype=np.int64)
-    for g in range(n):
-        for c, r in enumerate(reps):
-            action[g, c] = coset_id[int(group.mul[g, r])]
-    return make_gset(group, action)
+    """Left cosets gH with the translation action, numbered as left_cosets does."""
+    coset_id, reps = left_cosets(group, handle)
+    return make_gset(group, coset_id[group.mul[:, reps]])
 
 
 def disjoint_union(x1: FiniteGSet, x2: FiniteGSet) -> FiniteGSet:
@@ -124,21 +117,11 @@ def relabel_gset(x: FiniteGSet, perm) -> FiniteGSet:
 
 def gset_orbits(x: FiniteGSet) -> list[tuple[int, ...]]:
     """Orbits as sorted tuples, ordered by smallest point."""
-    seen = [False] * x.size
-    out = []
-    for p in range(x.size):
-        if seen[p]:
-            continue
-        orbit = sorted(set(int(q) for q in x.action[:, p]))
-        for q in orbit:
-            seen[q] = True
-        out.append(tuple(orbit))
-    return out
+    return _action_orbits(x.action)
 
 
 def isotropy_subgroup(x: FiniteGSet, point: int) -> SubgroupHandle:
-    elems = tuple(int(g) for g in np.flatnonzero(x.action[:, point] == point))
-    return SubgroupHandle(x.group, elems)
+    return _stabilizer(x.group, x.action, point)
 
 
 @dataclass(eq=False)
@@ -175,7 +158,7 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
     for orbit in gset_orbits(x):
         p = orbit[0]
         handle = isotropy_subgroup(x, p)
-        sub_cocycle, _ = restrict_any(cocycle, handle, tol)
+        sub_cocycle, _ = restrict(cocycle, handle, tol)
         sub_group, _ = handle.as_group()
         basepoints.append(p)
         isotropies.append(handle)
@@ -288,9 +271,7 @@ def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
 
 
 def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
-               seed: int = 0, tol: Tolerances | None = None,
-               action: IrrAction | None = None,
-               data: list[OrbitDatum] | None = None) -> np.ndarray:
+               seed: int = 0, tol: Tolerances | None = None) -> np.ndarray:
     """Integer matrix of the decomposition isomorphism on K^0 of a finite G-set.
 
     Columns run over the direct basis (G-orbit, isotropy irreducible); rows
@@ -301,10 +282,8 @@ def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
     if not acts_trivially(x, A):
         raise ANotTrivial("the designated subgroup moves some point of the G-set")
     kx = k0_of_gset(G, alpha, x, seed=seed, tol=tol)
-    if action is None:
-        action = action_table(G, A, alpha, seed=seed, tol=tol)
-    if data is None:
-        data = orbit_data(action, alpha, tol=tol)
+    action = action_table(G, A, alpha, seed=seed, tol=tol)
+    data = orbit_data(action, alpha, tol=tol)
     col_offsets = np.cumsum([0] + [len(t) for t in kx.summands])
     x_orbits = gset_orbits(x)
 
@@ -404,11 +383,10 @@ def random_cover(base: FiniteGSet, rng: np.random.Generator,
         stab_set = set(stab.elements)
         inside = [h for h in subgroups if set(h.elements) <= stab_set]
         t = inside[int(rng.integers(len(inside)))]
-        piece = coset_gset(G, t)
-        # coset of g maps to g.p
-        reps = _coset_representatives(G, t)
-        maps.append([base.apply(r, p) for r in reps])
-        pieces.append(piece)
+        # the coset of g maps to g.p
+        _, reps = left_cosets(G, t)
+        maps.append(base.action[reps, p].tolist())
+        pieces.append(coset_gset(G, t))
     x = pieces[0]
     fmap = list(maps[0])
     for piece, piece_map in zip(pieces[1:], maps[1:]):
@@ -420,18 +398,6 @@ def random_cover(base: FiniteGSet, rng: np.random.Generator,
     for old, new in enumerate(perm):
         out_map[int(new)] = fmap[old]
     return relabelled, tuple(out_map)
-
-
-def _coset_representatives(G: FiniteGroup, handle: SubgroupHandle) -> list[int]:
-    coset_id = np.full(G.order, -1, dtype=np.int64)
-    reps = []
-    for g in range(G.order):
-        if coset_id[g] >= 0:
-            continue
-        for a in handle.elements:
-            coset_id[int(G.mul[g, a])] = len(reps)
-        reps.append(g)
-    return reps
 
 
 def pullback_to_group(xq: FiniteGSet, G: FiniteGroup, projection) -> FiniteGSet:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cocycles import Cocycle, NumericCocycle, restrict_any
+from .cocycles import Cocycle, NumericCocycle, restrict
 from .config import Tolerances, default_tolerances
 from .errors import (
     InputError,
@@ -156,19 +156,23 @@ def _nullspace(A: np.ndarray) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _commutant_dim(mats_by_gen: list[np.ndarray]) -> int:
-    """Dimension of {M : M rho(g) = rho(g) M for all generators}."""
-    d = mats_by_gen[0].shape[0]
-    eye = np.eye(d)
-    rows = [np.kron(eye, m.T) - np.kron(m, eye) for m in mats_by_gen]
-    if not rows:
-        return d * d
-    return _nullspace(np.vstack(rows)).shape[1]
+def _hom_space(G: FiniteGroup, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {f : X(g) f = f Y(g)}, as columns of row-major vec f.
+
+    X and Y are (|G|, ., .) stacks. The equations are imposed on the
+    generators of G only: when X and Y carry the same cocycle, the relation
+    for g and h gives it for gh.
+    """
+    gens = generating_set(G)
+    dx, dy = X.shape[1], Y.shape[1]
+    if not gens:
+        return np.eye(dx * dy)
+    rows = [np.kron(X[g], np.eye(dy)) - np.kron(np.eye(dx), Y[g].T) for g in gens]
+    return _nullspace(np.vstack(rows))
 
 
 def commutant_dimension(rep: ProjectiveRep) -> int:
-    gens = generating_set(rep.group)
-    return _commutant_dim([rep.matrices[g] for g in gens]) if gens else rep.dim ** 2
+    return _hom_space(rep.group, rep.matrices, rep.matrices).shape[1]
 
 
 def is_irreducible(rep: ProjectiveRep) -> bool:
@@ -368,11 +372,10 @@ def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.nd
     expected = _regular_class_count(G, cocycle, tol)
     if len(dims) != expected:
         raise SplitFailure(f"{len(dims)} classes, but {expected} alpha-regular conjugacy classes")
-    gens = generating_set(G)
     reps = []
     for c in firsts:
         rep = ProjectiveRep(G, cocycle, clusters[c].size, _block_matrices(G, ctable, V[:, clusters[c]]))
-        if gens and _commutant_dim([rep.matrices[g] for g in gens]) != 1:
+        if _hom_space(G, rep.matrices, rep.matrices).shape[1] != 1:
             raise SplitFailure(f"block of dimension {rep.dim} is not irreducible")
         reps.append(rep)
     table_chars = [character(r) for r in reps]
@@ -409,7 +412,10 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
     """Unitary M with rho2(g) = M^-1 rho1(g) M, or None if not isomorphic.
 
     Both inputs must be irreducible; Schur's lemma then makes M unique up
-    to phase, which is fixed by making the first large entry real positive.
+    to phase. The phase makes tr(rho1(g) M) real positive at the first g
+    whose |tr(rho1(g) M)| is within tol.char of the maximum. These traces do
+    not change when rho1 and rho2 change basis together, so neither does
+    the phase.
     """
     tol = tol or default_tolerances()
     _check_compatible(rho1, rho2)
@@ -426,22 +432,16 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
     if commutant_dimension(rho2) != 1:
         raise NotIrreducible("second representation has commutant dimension > 1")
     d = rho1.dim
-    eye = np.eye(d)
-    gens = generating_set(rho1.group) or [rho1.group.identity]
-    rows = [
-        np.kron(eye, rho2.matrices[g].T) - np.kron(rho1.matrices[g], eye)
-        for g in gens
-    ]
-    kernel = _nullspace(np.vstack(rows))
+    kernel = _hom_space(rho1.group, rho1.matrices, rho2.matrices)
     if kernel.shape[1] != 1:
         raise NotIrreducible(f"Schur solution space has dimension {kernel.shape[1]}, not 1")
     M = kernel[:, 0].reshape(d, d)
     # scale to unitary: M^H M = c I for an intertwiner between unitary irreps
     c = np.trace(M.conj().T @ M).real / d
     M = M / np.sqrt(c)
-    flat = np.abs(M).ravel()
-    pivot = int(np.flatnonzero(flat > 0.5 * flat.max())[0])
-    z = M.ravel()[pivot]
+    traces = np.einsum("gij,ji->g", rho1.matrices, M)
+    size = np.abs(traces)
+    z = traces[np.flatnonzero(size >= size.max() - tol.char)[0]]
     M = M * (np.conj(z) / np.abs(z))
     rtol = _relation_tol(rho1.cocycle, tol)
     err = max(
@@ -461,6 +461,6 @@ def restrict_rep(rho: ProjectiveRep, handle: SubgroupHandle,
         raise InputError("handle does not belong to the representation's group")
     sub, to_parent = handle.as_group()
     if sub_cocycle is None:
-        sub_cocycle, _ = restrict_any(rho.cocycle, handle, tol)
+        sub_cocycle, _ = restrict(rho.cocycle, handle, tol)
     mats = rho.matrices[list(to_parent)]
     return ProjectiveRep(sub, sub_cocycle, rho.dim, mats)

@@ -67,6 +67,36 @@ def test_perm_equals_per_pair_route(case):
             assert hits == [action.perm[g, i]]
 
 
+def bfs_orbits(table):
+    """Reference orbits of a (|G|, m) action table: breadth-first search over its rows."""
+    seen, out = set(), []
+    for i in range(table.shape[1]):
+        if i in seen:
+            continue
+        orbit, frontier = {i}, [i]
+        while frontier:
+            nxt = []
+            for j in frontier:
+                for k in map(int, table[:, j]):
+                    if k not in orbit:
+                        orbit.add(k)
+                        nxt.append(k)
+            frontier = nxt
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_orbits_and_isotropy_equal_search(case):
+    _, G, A, alpha = case
+    action = td.action_table(G, A, alpha, seed=0)
+    orbits = action.orbits()
+    assert orbits == bfs_orbits(action.perm)
+    want = [tuple(g for g in range(G.order) if action.perm[g, o[0]] == o[0]) for o in orbits]
+    assert [d.isotropy.elements for d in td.orbit_data(action, alpha)] == want
+
+
 def test_certificate_rejects_a_corrupted_cocycle():
     G = td.dihedral(4)
     with pytest.raises(DecompositionFailure, match="certificate"):

@@ -10,7 +10,7 @@ from twistdecomp.cocycles import (
     snap_to_lattice,
     validate_cocycle_table,
 )
-from twistdecomp.errors import InvalidCocycle, OddN, SearchSpaceTooLarge
+from twistdecomp.errors import InputError, InvalidCocycle, OddN, SearchSpaceTooLarge
 from twistdecomp.groups import trivial_subgroup
 
 
@@ -100,6 +100,13 @@ class TestRestrict:
         restricted, _ = td.restrict(alpha4, H)
         assert not restricted.is_trivial()
         assert td.validate_cocycle(restricted).ok
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "numeric"])
+    def test_rejects_a_handle_of_another_group(self, alpha4, exact):
+        cocycle = alpha4 if exact else numeric_from_exact(alpha4)
+        d12 = td.dihedral(6)
+        with pytest.raises(InputError, match="does not belong"):
+            td.restrict(cocycle, td.subgroup_closure(d12, [1]))
 
 
 class TestCentralExtension:
@@ -240,5 +247,5 @@ class TestNumericValidation:
 
     def test_restrict_numeric(self, d8, alpha4):
         beta = numeric_from_exact(alpha4)
-        sub, _ = td.restrict_numeric(beta, td.subgroup_closure(d8, [1]))
+        sub, _ = td.restrict(beta, td.subgroup_closure(d8, [1]))
         assert np.allclose(sub.table, 1.0)

@@ -3,9 +3,10 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp.cocycles import is_coboundary_brute
-from twistdecomp.decomposition import _hom_basis
 from twistdecomp.errors import NotIsotypic
 from twistdecomp.groups import full_subgroup, trivial_subgroup
+from twistdecomp.report import decomposition_payload
+from twistdecomp.reps import _hom_space, _nullspace
 
 
 def char_tuple(values, digits=6):
@@ -52,7 +53,7 @@ class TestAct:
     def test_validity_for_all_g(self, d8, alpha4, a_center, d8_z_action):
         for g in range(8):
             for tau in d8_z_action.base.irreducibles:
-                moved = td.act(alpha4, a_center, g, tau, validate=True)
+                moved = td.act(alpha4, a_center, g, tau)
                 assert td.validate_rep(moved).ok
 
 
@@ -203,6 +204,20 @@ class TestHomRep:
         with pytest.raises(NotIsotypic):
             td.hom_rep(datum1.tau, datum0)
 
+    def test_generator_equations_give_the_all_of_a_kernel(self, d8, alpha4, d8_a_action,
+                                                         d8_z_action, explicit_taus):
+        irr_g = td.irreducibles(d8, alpha4, seed=0)
+        for action in (d8_a_action, d8_z_action):
+            for datum in td.orbit_data(action, alpha4):
+                tau = datum.tau
+                a_order = [datum.gt_map[x] for x in datum.a_in_gt.elements]
+                for W in [*explicit_taus.values(), *irr_g.irreducibles]:
+                    w_a = W.matrices[a_order]
+                    rows = [np.kron(w, np.eye(tau.dim)) - np.kron(np.eye(W.dim), t.T)
+                            for w, t in zip(w_a, tau.matrices)]
+                    want = _nullspace(np.vstack(rows)).shape[1]
+                    assert _hom_space(tau.group, w_a, tau.matrices).shape[1] == want
+
     def test_beta_relation_holds(self, d8, alpha4, a_center, d8_z_action, explicit_taus):
         datum = td.orbit_data(d8_z_action, alpha4)[0]
         w_gt = td.restrict_rep(explicit_taus[1], datum.isotropy, datum.alpha_gt)
@@ -226,8 +241,8 @@ class TestReconstruction:
         # independent projector onto the isotypic subspace from the Hom basis
         gt_pos = {g: i for i, g in enumerate(datum.gt_map)}
         a_order = [datum.gt_map[x] for x in datum.a_in_gt.elements]
-        F = _hom_basis(datum.tau.matrices,
-                       [W.matrices[gt_pos[g]] for g in a_order])
+        w_a = np.stack([W.matrices[gt_pos[g]] for g in a_order])
+        F = _hom_space(datum.tau.group, w_a, datum.tau.matrices)
         d_w = W.dim
         fs = [F[:, i].reshape(d_w, datum.tau.dim) for i in range(F.shape[1])]
         P = datum.tau.dim * sum(f @ f.conj().T for f in fs)
@@ -325,6 +340,24 @@ class TestPhaseRobustness:
                 for q1 in range(nq)
             ])
             assert np.allclose(db.beta.table, da.beta.table * delta, atol=1e-8)
+
+    @pytest.mark.parametrize("n, gens", [(4, [2, 4]), (8, [2, 8]), (12, [2, 13])],
+                             ids=["D8 <a^2,b>", "D16 <a^2,b>", "D24 <a^2,ab>"])
+    def test_beta_and_matching_independent_of_seed(self, n, gens):
+        """The M_q phase is fixed by basis-free traces, so a new basis of tau
+        (another seed) leaves beta, the beta classes and the matching alone."""
+        G, alpha = td.dihedral(n), td.dihedral_alpha(n)
+        A = td.subgroup_closure(G, gens)
+        reports = [td.verify_point_decomposition(G, A, alpha, seed=s) for s in (0, 1)]
+        taus = [[d.tau for d in r.orbits] for r in reports]
+        assert any(t0.dim == 2 and not np.allclose(t0.matrices, t1.matrices)
+                   for t0, t1 in zip(*taus))
+        assert len(reports[0].orbits) == len(reports[1].orbits)
+        for d0, d1 in zip(reports[0].orbits, reports[1].orbits):
+            assert np.max(np.abs(d0.beta.table - d1.beta.table)) <= td.default_tolerances().cocycle
+        payloads = [decomposition_payload(r) for r in reports]
+        for key in ("orbits", "matching"):
+            assert payloads[0][key] == payloads[1][key]
 
     def test_matching_invariant_across_conventions(self, d8, alpha4, a_center):
         reports = {

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistdecomp as td
+from twistdecomp import groups
 from twistdecomp.errors import (
     ClosureTooLarge,
+    DecompositionFailure,
     InputError,
     NoIdentity,
     NotAPermutation,
@@ -16,6 +18,8 @@ from twistdecomp.groups import (
     all_subgroups,
     full_subgroup,
     generating_set,
+    is_normal,
+    left_cosets,
     trivial_subgroup,
 )
 
@@ -198,8 +202,22 @@ def loop_handle_error(G, elements):
     return None
 
 
+def loop_cosets(G, H):
+    """Reference left cosets: an ascending scan numbers gH when it meets its smallest member g."""
+    coset_id = np.full(G.order, -1, dtype=np.int64)
+    reps = []
+    for g in range(G.order):
+        if coset_id[g] >= 0:
+            continue
+        for a in H.elements:
+            coset_id[int(G.mul[g, a])] = len(reps)
+        reps.append(g)
+    return coset_id, reps
+
+
 class TestSubgroupsAgainstLoops:
     GROUPS = {
+        "D8": lambda: td.dihedral(4),
         "D12": lambda: td.dihedral(6),
         "C12": lambda: td.cyclic(12),
         "C2xD8": lambda: td.direct_product(td.cyclic(2), td.dihedral(4)),
@@ -224,6 +242,23 @@ class TestSubgroupsAgainstLoops:
                     td.SubgroupHandle(G, tuple(elements))
                 assert str(err.value) == want
 
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_cosets_and_quotients(self, name):
+        G = self.GROUPS[name]()
+        for H in all_subgroups(G):
+            coset_id, reps = loop_cosets(G, H)
+            got_id, got_reps = left_cosets(G, H)
+            assert got_id.tolist() == coset_id.tolist()
+            assert got_reps.tolist() == reps
+            translation = [[coset_id[G.mul[g, r]] for r in reps] for g in range(G.order)]
+            assert td.coset_gset(G, H).action.tolist() == translation
+            if is_normal(G, H):
+                qs = td.quotient_with_section(G, H)
+                assert qs.section == tuple(reps)
+                assert qs.projection == tuple(coset_id.tolist())
+                assert qs.quotient.mul.tolist() == [[coset_id[G.mul[s, t]] for t in reps]
+                                                    for s in reps]
+
 
 class TestQuotientWithSection:
     def test_d8_mod_a(self, d8, a_cyclic):
@@ -245,6 +280,11 @@ class TestQuotientWithSection:
 
     def test_not_normal_rejected(self, d8):
         with pytest.raises(NotNormal):
+            td.quotient_with_section(d8, td.subgroup_closure(d8, [4]))
+
+    def test_projection_check_catches_a_non_normal_subgroup(self, monkeypatch, d8):
+        monkeypatch.setattr(groups, "is_normal", lambda G, A: True)
+        with pytest.raises(DecompositionFailure, match="not a homomorphism"):
             td.quotient_with_section(d8, td.subgroup_closure(d8, [4]))
 
     def test_order_product(self, d8):

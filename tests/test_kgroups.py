@@ -22,6 +22,9 @@ from twistdecomp.kgroups import (
     relabel_gset,
 )
 
+from test_action_table import bfs_orbits
+from test_groups import loop_cosets
+
 
 def swap_gset(d8):
     """Two points swapped by b, fixed by a."""
@@ -29,6 +32,30 @@ def swap_gset(d8):
     for g in range(8):
         act[g] = [0, 1] if g < 4 else [1, 0]
     return td.make_gset(d8, act)
+
+
+def loop_random_cover(base, rng, subgroups):
+    """Reference random_cover, built from loops: orbits and stabilizers by
+    scanning the table, cosets by the ascending-scan loop. Draws from rng in
+    the same order as random_cover."""
+    G = base.group
+    seen, columns, fmap = set(), [], []
+    for p in range(base.size):
+        if p in seen:
+            continue
+        seen |= set(base.action[:, p].tolist())
+        stab = {g for g in range(G.order) if base.action[g, p] == p}
+        inside = [h for h in subgroups if set(h.elements) <= stab]
+        t = inside[int(rng.integers(len(inside)))]
+        coset_id, reps = loop_cosets(G, t)
+        columns.append([[len(fmap) + coset_id[G.mul[g, r]] for r in reps] for g in range(G.order)])
+        fmap.extend(int(base.action[r, p]) for r in reps)
+    action = np.concatenate(columns, axis=1)
+    perm = rng.permutation(len(fmap))
+    out_map = [0] * len(fmap)
+    for old, new in enumerate(perm):
+        out_map[int(new)] = fmap[old]
+    return perm[action[:, np.argsort(perm)]], tuple(out_map)
 
 
 def block_diag(blocks):
@@ -66,6 +93,20 @@ class TestGSetBasics:
     def test_isotropy_of_swap(self, d8):
         x = swap_gset(d8)
         assert isotropy_subgroup(x, 0).elements == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("group", ["D8", "S4"])
+    def test_random_cover_equals_loop_reference(self, group):
+        G = td.dihedral(4) if group == "D8" else td.from_permutation_generators(
+            4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+        subs = all_subgroups(G)
+        for seed in range(10):
+            base = random_gset(G, 8, np.random.default_rng(seed), subs)
+            x, f = random_cover(base, np.random.default_rng(100 + seed), subs)
+            want_action, want_f = loop_random_cover(base, np.random.default_rng(100 + seed), subs)
+            assert x.action.tolist() == want_action.tolist()
+            assert f == want_f
+            assert gset_orbits(x) == bfs_orbits(x.action)
+            assert gset_orbits(base) == bfs_orbits(base.action)
 
     def test_relabel_preserves_orbit_structure(self, d8):
         x = swap_gset(d8)
@@ -223,8 +264,8 @@ class TestPhiMatrix:
         f = [0, 0]
         action = action_table(d8, A, alpha4, seed=0)
         data = orbit_data(action, alpha4)
-        phi_x = phi_matrix(d8, A, alpha4, x, seed=0, action=action, data=data)
-        phi_y = phi_matrix(d8, A, alpha4, y, seed=0, action=action, data=data)
+        phi_x = phi_matrix(d8, A, alpha4, x, seed=0)
+        phi_y = phi_matrix(d8, A, alpha4, y, seed=0)
         direct = td.pullback_matrix(d8, alpha4, f, x, y, seed=0)
         blocks = []
         for datum in data:

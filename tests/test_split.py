@@ -1,6 +1,7 @@
 """The one-shot split of the twisted regular representation and its certificates."""
 
 import ast
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,11 +12,17 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp import reps
-from twistdecomp.errors import NotIrreducible, NumericFailure, SplitFailure
+from twistdecomp.errors import (
+    DecompositionFailure,
+    InvalidCocycle,
+    NotIrreducible,
+    NumericFailure,
+    SplitFailure,
+)
 
 from test_action_table import c2_x_d8_alpha
 
-REPS_SOURCE = Path(reps.__file__)
+PACKAGE_DIR = Path(reps.__file__).parent
 
 
 def class_count(G, cocycle):
@@ -79,7 +86,7 @@ class TestCertificates:
             reps._assemble_table(d8, trivial, V, kept, td.default_tolerances())
 
     def test_reducible_entry_fails_the_split(self, monkeypatch, d8, alpha4):
-        monkeypatch.setattr(reps, "_commutant_dim", lambda mats: 2)
+        monkeypatch.setattr(reps, "_hom_space", lambda G, X, Y: np.zeros((X.shape[1] * Y.shape[1], 2)))
         with pytest.raises(SplitFailure, match="no clean split") as err:
             td.irreducibles(d8, alpha4, seed=0)
         assert "not irreducible" in str(err.value.__cause__)
@@ -142,10 +149,55 @@ def test_retry_failure_raises_under_python_O():
     assert error is not None and error.startswith("no clean split after 5 seeds")
 
 
-def test_reps_has_no_assert_statement():
-    tree = ast.parse(REPS_SOURCE.read_text())
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert lines == []
+def test_src_has_no_assert_statement():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _typed_failures() -> list[str]:
+    """Error types raised by two invariant checks fed broken inputs.
+
+    chi on a section that mixes cosets of <a^2> in D_8, and tau_scalar on a
+    table (built directly, bypassing validation) whose two tau formulas
+    disagree.
+    """
+    G = td.dihedral(4)
+    qs = td.quotient_with_section(G, td.subgroup_closure(G, [2]))
+    out = []
+    broken = dataclasses.replace(qs, section=(0, 4, 4, 5))
+    try:
+        td.chi(broken, 1, 2)
+    except DecompositionFailure as exc:
+        out.append(type(exc).__name__)
+    expo = np.array(td.dihedral_alpha(4).exponents)
+    expo[1, 3] += 1
+    corrupted = td.Cocycle(group=G, order=4, exponents=expo)
+    try:
+        for q1 in range(4):
+            for q2 in range(4):
+                td.tau_scalar(corrupted, qs, q1, q2)
+    except InvalidCocycle as exc:
+        out.append(type(exc).__name__)
+    return out
+
+
+def test_typed_failures_under_python_O():
+    here = Path(__file__).resolve().parent
+    src = Path(td.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path[:0] = [{str(src)!r}, {str(here)!r}]; import json; "
+        "import test_split as t; "
+        "print(json.dumps([sys.flags.optimize, t._typed_failures()]))"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    optimize, errors = json.loads(out.stdout.splitlines()[-1])
+    assert optimize == 1
+    assert errors == ["DecompositionFailure", "InvalidCocycle"] == _typed_failures()
 
 
 class TestIntertwinerFailures:

@@ -1,8 +1,9 @@
-"""Compare two source trees of twistdecomp on fixed inputs.
+"""Compare two source trees of twistdecomp on fixed inputs, or one tree at two seeds.
 
     python tools/parity.py --base OTHER_CHECKOUT/src [--head src]
+    python tools/parity.py --seeds 0,1 [--head src]
 
-Each tree is imported in its own subprocess. The script checks:
+With --base, each tree is imported in its own subprocess. The script checks:
 
 - for dihedral(n), n = 1..12, under the trivial cocycle and, for even n,
   dihedral_alpha(n), and every normal subgroup A, running
@@ -11,21 +12,31 @@ Each tree is imported in its own subprocess. The script checks:
   (G, alpha) and of (A, alpha|A), and the action perm and multiplicities
   exactly. A configuration that raises must raise the same error type in
   both trees;
-- the beta tables up to a coboundary. The induced cocycle beta depends on
-  the basis of each irreducible of A (through the phase of the M_q
-  intertwiners), so a new basis may multiply beta by a coboundary df, each
+- the beta tables up to a coboundary. A new convention for the phase of
+  the M_q intertwiners may multiply beta by a coboundary df, each
   beta-character by f and so reorder a beta table. The check compares
   their dimensions and the moduli |chi| as multisets of rows, and for the
   matching the orbit and the |chi| row of the matched class;
 - that the default CLI JSON of a fixed list of commands is byte-identical.
 
 Representation matrices are not compared: a change of splitting algorithm
-may change the basis. Exit status 0 when everything agrees.
+may change the basis.
+
+With --seeds, only the head tree runs, in this process. The phase of each
+M_q is fixed by traces, which do not depend on the basis of tau, so beta
+must not depend on the seed. For every configuration above the script
+checks that the seeds give equal beta tables (within tol.cocycle) and
+identical matchings, and that the JSON of `twistdecomp decompose` differs
+only in "seed".
+
+Exit status 0 when everything agrees.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -51,34 +62,92 @@ def _table(table) -> dict:
             "chars": [[[v.real, v.imag] for v in c.values] for c in table.characters]}
 
 
+def configurations():
+    """(name, CLI arguments, G, A, alpha) for dihedral(n), n = 1..12, and every normal A."""
+    import twistdecomp as td
+    from twistdecomp.groups import normal_subgroups
+
+    for n in range(1, 13):
+        G = td.dihedral(n)
+        cocycles = [("trivial", "trivial", td.trivial_cocycle(G))]
+        if n % 2 == 0:
+            cocycles.append(("dihedral_alpha", f"dihedral_alpha:{n}", td.dihedral_alpha(n)))
+        for name, spec, alpha in cocycles:
+            for A in normal_subgroups(G):
+                args = [f"dihedral:{n}", spec, "--A=" + ",".join(map(str, A.elements))]
+                yield f"dihedral:{n} {name} A={list(A.elements)}", args, G, A, alpha
+
+
 def dump() -> list:
     """Results of every configuration in the importable twistdecomp."""
     import twistdecomp as td
     from twistdecomp.errors import TwistError
-    from twistdecomp.groups import normal_subgroups
 
     out = []
-    for n in range(1, 13):
-        G = td.dihedral(n)
-        cocycles = [("trivial", td.trivial_cocycle(G))]
-        if n % 2 == 0:
-            cocycles.append(("dihedral_alpha", td.dihedral_alpha(n)))
-        for name, alpha in cocycles:
-            for A in normal_subgroups(G):
-                case = {"case": f"dihedral:{n} {name} A={list(A.elements)}"}
-                try:
-                    rep = td.verify_point_decomposition(G, A, alpha, seed=0)
-                except TwistError as exc:
-                    case["error"] = type(exc).__name__
-                else:
-                    case.update(
-                        irr_g=_table(rep.irr_g), base=_table(rep.action.base),
-                        beta=[_table(t) for t in rep.beta_tables],
-                        perm=rep.action.perm.tolist(),
-                        matching=[list(m) for m in rep.matching],
-                        multiplicities=[list(m) for m in rep.multiplicities])
-                out.append(case)
+    for name, _, G, A, alpha in configurations():
+        case = {"case": name}
+        try:
+            rep = td.verify_point_decomposition(G, A, alpha, seed=0)
+        except TwistError as exc:
+            case["error"] = type(exc).__name__
+        else:
+            case.update(
+                irr_g=_table(rep.irr_g), base=_table(rep.action.base),
+                beta=[_table(t) for t in rep.beta_tables],
+                perm=rep.action.perm.tolist(),
+                matching=[list(m) for m in rep.matching],
+                multiplicities=[list(m) for m in rep.multiplicities])
+        out.append(case)
     return out
+
+
+def _decompose_json(args: list[str], seed: int) -> dict:
+    from twistdecomp.cli import main as cli_main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["decompose", *args, "--format=json", f"--seed={seed}"])
+    return {"exit": code, **json.loads(out.getvalue())}
+
+
+def seed_dependence(seeds: list[int]) -> tuple[int, dict[str, list[str]]]:
+    """Number of configurations, and those whose beta, matching or CLI JSON depend on the seed."""
+    import numpy as np
+
+    import twistdecomp as td
+
+    tol = td.default_tolerances()
+    found: dict[str, list[str]] = {"beta": [], "matching": [], "cli": []}
+    count = 0
+    for name, args, G, A, alpha in configurations():
+        count += 1
+        reports = [td.verify_point_decomposition(G, A, alpha, seed=s) for s in seeds]
+        betas = [[d.beta.table for d in r.orbits] for r in reports]
+        if any(len(b) != len(betas[0]) or any(
+                np.max(np.abs(x - y)) > tol.cocycle for x, y in zip(b, betas[0]))
+               for b in betas[1:]):
+            found["beta"].append(name)
+        if any(r.matching != reports[0].matching for r in reports[1:]):
+            found["matching"].append(name)
+        payloads = [_decompose_json(args, s) for s in seeds]
+        for p in payloads:
+            p.pop("seed")
+        if any(p != payloads[0] for p in payloads[1:]):
+            found["cli"].append(name)
+    return count, found
+
+
+def check_seeds(head: Path, seeds: list[int]) -> int:
+    sys.path.insert(0, str(head))
+    count, found = seed_dependence(seeds)
+    dependent = sorted(set().union(*found.values()))
+    for kind, names in found.items():
+        for name in names:
+            print(f"SEED-DEPENDENT {kind}: {name}")
+    print(f"seeds {','.join(map(str, seeds))}: {count} configurations, {len(dependent)} "
+          f"seed-dependent (beta {len(found['beta'])}, matching {len(found['matching'])}, "
+          f"cli {len(found['cli'])})")
+    return 1 if dependent else 0
 
 
 def _run(src: Path, code: str, *args: str) -> subprocess.CompletedProcess:
@@ -140,10 +209,16 @@ def compare_cases(base: list, head: list, tol: float) -> tuple[list[str], int]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, type=Path, help="src directory of the reference tree")
+    parser.add_argument("--base", type=Path, help="src directory of the reference tree")
     parser.add_argument("--head", default=Path(__file__).resolve().parents[1] / "src", type=Path,
                         help="src directory of the tree under test (default: this checkout)")
+    parser.add_argument("--seeds", type=lambda v: [int(x) for x in v.split(",")],
+                        help="comma-separated seeds: check the head tree for seed dependence")
     args = parser.parse_args()
+    if args.seeds:
+        return check_seeds(args.head, args.seeds)
+    if args.base is None:
+        parser.error("give --base or --seeds")
     here = str(Path(__file__).resolve().parent)
     dump_code = (f"sys.path.insert(0, {here!r}); import json, parity; "
                  "print(json.dumps(parity.dump()))")
