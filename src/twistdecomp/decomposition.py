@@ -61,7 +61,6 @@ from .reps import (
     character,
     intertwiner,
     irreducibles,
-    multiplicity,
     restrict_rep,
     validate_rep,
 )
@@ -85,20 +84,22 @@ def conjugate_rep(cocycle, H: SubgroupHandle, g: int, rho: ProjectiveRep,
     exact representation for the cocycle restricted to the conjugate.
     """
     G = H.parent
-    ctable = cocycle.complex_table
-    _, to_parent = H.as_group()
-    conj_elems = sorted(G.conjugate(g, a) for a in to_parent)
-    out_handle = H if tuple(conj_elems) == H.elements else SubgroupHandle(G, tuple(conj_elems))
+    h_elems = np.asarray(H.elements)
+    conj_elems = tuple(np.sort(G.mul[G.mul[g, h_elems], G.inv[g]]).tolist())
+    out_handle = H if conj_elems == H.elements else SubgroupHandle(G, conj_elems)
     out_cocycle, out_map = restrict(cocycle, out_handle, tol)
-    ginv = int(G.inv[g])
-    mats = np.empty((len(out_map), rho.dim, rho.dim), dtype=np.complex128)
-    for i, hG in enumerate(out_map):
-        x = int(G.mul[ginv, hG])            # g^-1 h
-        back = int(G.mul[x, g])             # g^-1 h g, an element of H
-        scale = ctable[x, g] * np.conj(ctable[g, x])
-        mats[i] = scale * rho.matrices[H.position(back)]
+    back, scale = _conjugation(cocycle, g, out_map)
+    mats = scale[:, None, None] * rho.matrices[np.searchsorted(h_elems, back)]
     sub_group, _ = out_handle.as_group()
     return out_handle, ProjectiveRep(sub_group, out_cocycle, rho.dim, mats)
+
+
+def _conjugation(cocycle, g: int, elements) -> tuple[np.ndarray, np.ndarray]:
+    """back = g^-1 h g and scale = alpha(g^-1 h, g) alpha(g, g^-1 h)^-1 for every h."""
+    G = cocycle.group
+    ctable = cocycle.complex_table
+    x = G.mul[G.inv[g], np.asarray(elements, dtype=np.int64)]    # g^-1 h
+    return G.mul[x, g], ctable[x, g] * np.conj(ctable[g, x])
 
 
 @dataclass(eq=False)
@@ -241,12 +242,15 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
         tau = action.base.irreducibles[rep_idx]
         d = tau.dim
         nq = qs.quotient.order
+        moved = np.empty((nq, *tau.matrices.shape), dtype=np.complex128)
+        moved[0] = tau.matrices
         M = np.empty((nq, d, d), dtype=np.complex128)
         M[0] = np.eye(d)
         for q in range(1, nq):
             g = gt_map[qs.section[q]]
-            moved = act(alpha, A, g, tau, tol=tol)
-            w = intertwiner(tau, moved, tol)
+            moved_rep = act(alpha, A, g, tau, tol=tol)
+            moved[q] = moved_rep.matrices
+            w = intertwiner(tau, moved_rep, tol)
             if w is None:
                 raise UnmatchedCharacter(f"section element {g} does not fix the class")
             if rng is not None:
@@ -258,24 +262,21 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
             gt_group=gt_group, gt_map=tuple(gt_map), alpha_gt=alpha_gt,
             a_in_gt=a_in_gt, quotient=qs, tau=tau, M=M, beta=None,
         )
-        _check_m_family(datum, action, tol)
+        _check_m_family(datum, moved, tol)
         datum.beta = induced_cocycle(datum, alpha, tol)
         data.append(datum)
     return data
 
 
-def _check_m_family(datum: OrbitDatum, action: IrrAction, tol: Tolerances) -> None:
-    """sigma(q).tau(a) must equal M(q)^-1 tau(a) M(q) for every q and a."""
-    tau = datum.tau
-    for q in range(datum.q_group.order):
-        g = datum.section_in_g(q)
-        moved = act(action.alpha, action.subgroup, g, tau, tol=tol)
-        Mq = datum.M[q]
-        err = float(
-            np.max(np.abs(moved.matrices - Mq.conj().T[None] @ tau.matrices @ Mq[None]))
-        )
-        if err > 10 * tol.rep:
-            raise DecompositionFailure(f"M family fails conjugation check at q={q} ({err:.2e})")
+def _check_m_family(datum: OrbitDatum, moved: np.ndarray, tol: Tolerances) -> None:
+    """moved[q] = sigma(q).tau must equal M(q)^-1 tau M(q), for every q and a."""
+    M = datum.M
+    conjugated = np.conj(np.swapaxes(M, 1, 2))[:, None] @ datum.tau.matrices[None] @ M[:, None]
+    err = np.max(np.abs(moved - conjugated), axis=(1, 2, 3))
+    bad = np.flatnonzero(err > 10 * tol.rep)
+    if bad.size:
+        q = int(bad[0])
+        raise DecompositionFailure(f"M family fails conjugation check at q={q} ({err[q]:.2e})")
 
 
 def induced_cocycle(datum: OrbitDatum, alpha: Cocycle,
@@ -383,8 +384,9 @@ def hom_rep(W: ProjectiveRep, datum: OrbitDatum,
 
 def _isotypic_multiplicity(W: ProjectiveRep, datum: OrbitDatum, tol: Tolerances) -> int:
     # a_in_gt ordering matches the standalone-A ordering used by tau
-    w_a = restrict_rep(W, datum.a_in_gt, tol=tol)
-    return multiplicity(w_a, datum.tau, tol)
+    tau = IrrTable(datum.tau.group, datum.tau.cocycle, [datum.tau], [character(datum.tau)])
+    w_a = character(W).values[list(datum.a_in_gt.elements)]
+    return int(tau.multiplicities(w_a[None], tol.char)[0, 0])
 
 
 def _check_twisted_relation(rep: ProjectiveRep, tol: Tolerances) -> None:
@@ -483,11 +485,10 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
             orbit_of_irr[member] = oi
     matching: list[tuple[int, int]] = []
     multiplicities: list[tuple[int, ...]] = []
+    restricted = action.base.multiplicities(irr_g.character_values[:, list(action.a_map)],
+                                            tol.char)
     for wi, W in enumerate(irr_g.irreducibles):
-        w_a = restrict_rep(W, A, action.alpha_a, tol=tol)
-        mults = tuple(
-            multiplicity(w_a, tau, tol) for tau in action.base.irreducibles
-        )
+        mults = tuple(restricted[wi].tolist())
         multiplicities.append(mults)
         support = [i for i, m in enumerate(mults) if m > 0]
         touched = {orbit_of_irr[i] for i in support}

@@ -333,12 +333,7 @@ class SubgroupHandle:
     def _as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         G = self.parent
         elems = self.elements
-        pos = self._position
-        m = len(elems)
-        mul = np.empty((m, m), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                mul[i, j] = pos[int(G.mul[a, b])]
+        mul = np.searchsorted(elems, G.mul[np.ix_(elems, elems)])
         labels = [G.labels[a] for a in elems]
         return _validated_group(mul, labels), elems
 
@@ -384,12 +379,10 @@ def is_normal(G: FiniteGroup, A: SubgroupHandle) -> bool:
     """True iff g a g^-1 lies in A for every g in G, a in A."""
     if A.parent is not G and not A.parent.same_table(G):
         raise InputError("subgroup belongs to a different group")
-    members = set(A.elements)
-    for g in range(G.order):
-        for a in A.elements:
-            if G.conjugate(g, a) not in members:
-                return False
-    return True
+    members = np.zeros(G.order, dtype=bool)
+    members[list(A.elements)] = True
+    a_elems = np.asarray(A.elements)
+    return bool(members[G.mul[G.mul[:, a_elems], G.inv[:, None]]].all())
 
 
 def center(G: FiniteGroup) -> SubgroupHandle:

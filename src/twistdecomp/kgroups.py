@@ -5,6 +5,16 @@ isotropy group, so K^0 is the direct sum of twisted representation rings of
 isotropies. verify_gset_decomposition computes the rank of that group twice:
 directly, and through the orbit decomposition over the irreducibles of a
 normal subgroup acting trivially, and demands equality.
+
+The integer matrices are read off characters. pullback_matrix moves an
+irreducible w of the target isotropy by a witness g and restricts it to the
+source isotropy through the moved character
+
+    chi_{g.w}(s) = alpha(g^-1 s, g) alpha(g, g^-1 s)^-1 chi_w(g^-1 s g),
+
+and IrrTable.multiplicities turns a stack of characters into one block of
+multiplicities. phi_matrix decomposes each Hom fiber over the beta-twisted
+classes from the traces of its quotient-isotropy matrices.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from .cocycles import Cocycle, NumericCocycle, restrict
 from .config import Tolerances, default_tolerances
 from .decomposition import (
     OrbitDatum,
+    _conjugation,
     _hom_action,
     action_table,
     conjugate_rep,
@@ -31,13 +42,7 @@ from .groups import (
     all_subgroups,
     left_cosets,
 )
-from .reps import (
-    IrrTable,
-    ProjectiveRep,
-    irreducibles,
-    multiplicity,
-    restrict_rep,
-)
+from .reps import IrrTable, ProjectiveRep, irreducibles
 
 
 @dataclass(eq=False)
@@ -145,6 +150,21 @@ class TwistedKGroup:
             out.extend((i, j) for j in range(len(table)))
         return out
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Matrix row of each orbit's first class, then the rank: (#orbits + 1,)."""
+        return np.cumsum([0] + [len(t) for t in self.summands])
+
+    def locate(self, point: int) -> tuple[int, int]:
+        """(orbit index, first g with g . basepoint = point) for a point of the G-set.
+
+        The basepoint of an orbit is its smallest point, and column `point`
+        of the action table is the orbit of `point`.
+        """
+        action = self.gset.action
+        base = int(action[:, point].min())
+        return self.orbit_basepoints.index(base), int(np.argmax(action[:, base] == point))
+
 
 def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
                seed: int = 0, tol: Tolerances | None = None) -> TwistedKGroup:
@@ -170,17 +190,13 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
 
 
 def acts_trivially(x: FiniteGSet, A: SubgroupHandle) -> bool:
-    ident = np.arange(x.size)
-    return all(np.array_equal(x.action[a], ident) for a in A.elements)
+    return bool(np.all(x.action[list(A.elements)] == np.arange(x.size)))
 
 
 def gset_as_quotient_action(x: FiniteGSet, datum: OrbitDatum) -> FiniteGSet:
     """View an A-trivial G-set as a Q_[tau]-set through the section."""
-    q_group = datum.q_group
-    action = np.empty((q_group.order, x.size), dtype=np.int64)
-    for q in range(q_group.order):
-        action[q] = x.action[datum.section_in_g(q)]
-    return make_gset(q_group, action)
+    section = np.asarray(datum.gt_map)[list(datum.quotient.section)]
+    return make_gset(datum.q_group, x.action[section])
 
 
 @dataclass(eq=False)
@@ -190,20 +206,27 @@ class GSetDecompositionReport:
     ok: bool
 
 
+def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
+                     seed: int, tol: Tolerances
+                     ) -> tuple[TwistedKGroup, list[tuple[OrbitDatum, TwistedKGroup]]]:
+    """K^0_G(X), and per orbit datum K^0 of X as a Q_[tau]-set twisted by beta."""
+    if not acts_trivially(x, A):
+        raise ANotTrivial("the designated subgroup moves some point of the G-set")
+    kx = k0_of_gset(G, alpha, x, seed=seed, tol=tol)
+    data = orbit_data(action_table(G, A, alpha, seed=seed, tol=tol), alpha, tol=tol)
+    return kx, [(datum, k0_of_gset(datum.q_group, datum.beta, gset_as_quotient_action(x, datum),
+                                   seed=seed, tol=tol))
+                for datum in data]
+
+
 def verify_gset_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
                               x: FiniteGSet, seed: int = 0,
                               tol: Tolerances | None = None) -> GSetDecompositionReport:
     """Check rank(K^0_G(X)) against the sum over orbits of twisted quotient ranks."""
     tol = tol or default_tolerances()
-    if not acts_trivially(x, A):
-        raise ANotTrivial("the designated subgroup moves some point of the G-set")
-    lhs = k0_of_gset(G, alpha, x, seed=seed, tol=tol).rank
-    action = action_table(G, A, alpha, seed=seed, tol=tol)
-    data = orbit_data(action, alpha, tol=tol)
-    rhs_ranks = []
-    for datum in data:
-        xq = gset_as_quotient_action(x, datum)
-        rhs_ranks.append(k0_of_gset(datum.q_group, datum.beta, xq, seed=seed, tol=tol).rank)
+    kx, sides = _decomposed_side(G, A, alpha, x, seed, tol)
+    lhs = kx.rank
+    rhs_ranks = [kq.rank for _, kq in sides]
     ok = lhs == sum(rhs_ranks)
     if not ok:
         raise RankMismatch(f"direct rank {lhs} != decomposed rank {sum(rhs_ranks)}")
@@ -214,26 +237,12 @@ def check_equivariant(f, x: FiniteGSet, y: FiniteGSet) -> tuple[int, ...]:
     fmap = tuple(int(v) for v in f)
     if len(fmap) != x.size or any(not 0 <= v < y.size for v in fmap):
         raise NotEquivariant("map does not send points to points")
-    for g in range(x.group.order):
-        for p in range(x.size):
-            if fmap[x.apply(g, p)] != y.apply(g, fmap[p]):
-                raise NotEquivariant(f"map fails equivariance at g={g}, x={p}")
+    f_arr = np.asarray(fmap, dtype=np.int64)
+    bad = np.argwhere(f_arr[x.action] != y.action[:, f_arr])
+    if bad.size:
+        g, p = bad[0]
+        raise NotEquivariant(f"map fails equivariance at g={g}, x={p}")
     return fmap
-
-
-def _conjugated_restriction(cocycle, witness: int, target_iso: SubgroupHandle,
-                            w_rep: ProjectiveRep, source_iso: SubgroupHandle,
-                            tol: Tolerances) -> ProjectiveRep:
-    """Transport a target-isotropy irreducible to the source isotropy.
-
-    Conjugates by the witness (giving a representation of the stabilizer of
-    the image point) and restricts along the inclusion of the source
-    stabilizer.
-    """
-    big_handle, moved = conjugate_rep(cocycle, target_iso, witness, w_rep, tol=tol)
-    positions = tuple(big_handle.position(g) for g in source_iso.elements)
-    inner = SubgroupHandle(big_handle.as_group()[0], positions)
-    return restrict_rep(moved, inner, tol=tol)
 
 
 def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
@@ -242,31 +251,27 @@ def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
     """Integer matrix of the pullback K^0(Y) -> K^0(X) along an equivariant map.
 
     Rows run over the source basis, columns over the target basis. Entry =
-    multiplicity of the source-isotropy irreducible in the restriction of
-    the (witness-conjugated) target-isotropy irreducible.
+    multiplicity of the source-isotropy irreducible u in the restriction of
+    the target-isotropy irreducible w, moved by a witness g with
+    g . basepoint = f(source basepoint). It is read off the moved character
+
+        chi_{g.w}(s) = alpha(g^-1 s, g) alpha(g, g^-1 s)^-1 chi_w(g^-1 s g)
+
+    on the source isotropy, one block of the matrix per source orbit.
     """
     tol = tol or default_tolerances()
     fmap = check_equivariant(f, x, y)
     kx = k0_of_gset(G, cocycle, x, seed=seed, tol=tol)
     ky = k0_of_gset(G, cocycle, y, seed=seed, tol=tol)
     out = np.zeros((kx.rank, ky.rank), dtype=np.int64)
-    row_offsets = np.cumsum([0] + [len(t) for t in kx.summands])
-    col_offsets = np.cumsum([0] + [len(t) for t in ky.summands])
-    y_orbits = gset_orbits(y)
+    rows, cols = kx.offsets, ky.offsets
     for i, xp in enumerate(kx.orbit_basepoints):
-        image = fmap[xp]
-        j = next(k for k, orb in enumerate(y_orbits) if image in orb)
-        yp = ky.orbit_basepoints[j]
-        witness = int(np.flatnonzero(y.action[:, yp] == image)[0])
-        src_iso = kx.isotropies[i]
-        for w_idx, w_rep in enumerate(ky.summands[j].irreducibles):
-            pulled = _conjugated_restriction(
-                cocycle, witness, ky.isotropies[j], w_rep, src_iso, tol
-            )
-            for u_idx, u_rep in enumerate(kx.summands[i].irreducibles):
-                out[row_offsets[i] + u_idx, col_offsets[j] + w_idx] = multiplicity(
-                    pulled, u_rep, tol
-                )
+        j, witness = ky.locate(fmap[xp])
+        back, scale = _conjugation(cocycle, witness, kx.isotropies[i].elements)
+        at_back = np.searchsorted(ky.isotropies[j].elements, back)
+        target = ky.summands[j].character_values[:, at_back]
+        out[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = kx.summands[i].multiplicities(
+            scale * target, tol.char).T
     return out
 
 
@@ -279,66 +284,40 @@ def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
     class). Entries are multiplicities of Hom fibers at basepoints.
     """
     tol = tol or default_tolerances()
-    if not acts_trivially(x, A):
-        raise ANotTrivial("the designated subgroup moves some point of the G-set")
-    kx = k0_of_gset(G, alpha, x, seed=seed, tol=tol)
-    action = action_table(G, A, alpha, seed=seed, tol=tol)
-    data = orbit_data(action, alpha, tol=tol)
-    col_offsets = np.cumsum([0] + [len(t) for t in kx.summands])
-    x_orbits = gset_orbits(x)
-
-    rows = []
-    for datum in data:
-        xq = gset_as_quotient_action(x, datum)
-        kq = k0_of_gset(datum.q_group, datum.beta, xq, seed=seed, tol=tol)
-        rows.append((datum, xq, kq))
-    total_rows = sum(kq.rank for _, _, kq in rows)
-    out = np.zeros((total_rows, kx.rank), dtype=np.int64)
-
+    kx, sides = _decomposed_side(G, A, alpha, x, seed, tol)
+    out = np.zeros((sum(kq.rank for _, kq in sides), kx.rank), dtype=np.int64)
+    cols = kx.offsets
     row_base = 0
-    for datum, xq, kq in rows:
+    for datum, kq in sides:
+        rows = row_base + kq.offsets
         for qo_idx, y_point in enumerate(kq.orbit_basepoints):
-            qiso = kq.isotropies[qo_idx]              # handle on the quotient group
-            beta_table = kq.summands[qo_idx]
-            i = next(k for k, orb in enumerate(x_orbits) if y_point in orb)
-            xp = kx.orbit_basepoints[i]
-            witness = int(np.flatnonzero(x.action[:, xp] == y_point)[0])
+            i, witness = kx.locate(y_point)
             for w_idx, w_rep in enumerate(kx.summands[i].irreducibles):
-                col = col_offsets[i] + w_idx
                 fiber_handle, fiber = conjugate_rep(
                     alpha, kx.isotropies[i], witness, w_rep, tol=tol
                 )
-                entries = _hom_fiber_multiplicities(
-                    datum, fiber_handle, fiber, qiso, beta_table, tol
+                out[rows[qo_idx]:rows[qo_idx + 1], cols[i] + w_idx] = _hom_fiber_multiplicities(
+                    datum, fiber_handle, fiber, kq.isotropies[qo_idx], kq.summands[qo_idx], tol
                 )
-                for u_idx, mult in enumerate(entries):
-                    out[row_base + _row_offset(kq, qo_idx) + u_idx, col] = mult
-        row_base += kq.rank
+        row_base = rows[-1]
     return out
-
-
-def _row_offset(kq: TwistedKGroup, orbit_index: int) -> int:
-    return sum(len(t) for t in kq.summands[:orbit_index])
 
 
 def _hom_fiber_multiplicities(datum: OrbitDatum, fiber_handle: SubgroupHandle,
                               fiber: ProjectiveRep, qiso: SubgroupHandle,
-                              beta_table: IrrTable, tol: Tolerances) -> list[int]:
+                              beta_table: IrrTable, tol: Tolerances) -> np.ndarray:
     """Decompose the Hom fiber at a point over the restricted beta classes."""
     pos = {g: i for i, g in enumerate(fiber_handle.elements)}
 
     def w_lookup(g_parent: int) -> np.ndarray:
         return fiber.matrices[pos[g_parent]]
 
-    q_list = list(qiso.elements)
     try:
-        _, mats = _hom_action(datum, w_lookup, q_list, tol)
+        _, mats = _hom_action(datum, w_lookup, qiso.elements, tol)
     except NotIsotypic:
-        return [0] * len(beta_table)
-    sub_group, sub_map = qiso.as_group()
-    stacked = np.stack([mats[q] for q in sub_map])
-    rep = ProjectiveRep(sub_group, beta_table.cocycle, stacked.shape[1], stacked)
-    return [multiplicity(rep, u, tol) for u in beta_table.irreducibles]
+        return np.zeros(len(beta_table), dtype=np.int64)
+    traces = np.array([np.trace(mats[q]) for q in qiso.elements])
+    return beta_table.multiplicities(traces[None], tol.char)[0]
 
 
 def random_gset(group: FiniteGroup, max_size: int, rng: np.random.Generator,
@@ -402,7 +381,4 @@ def random_cover(base: FiniteGSet, rng: np.random.Generator,
 
 def pullback_to_group(xq: FiniteGSet, G: FiniteGroup, projection) -> FiniteGSet:
     """Turn a Q-set into a G-set along a projection G -> Q."""
-    action = np.empty((G.order, xq.size), dtype=np.int64)
-    for g in range(G.order):
-        action[g] = xq.action[projection[g]]
-    return make_gset(G, action)
+    return make_gset(G, xq.action[list(projection)])

@@ -300,6 +300,26 @@ class IrrTable:
             out[lo + found] = np.argmax(close[found], axis=1)
         return out
 
+    def multiplicities(self, values: np.ndarray, tol: float) -> np.ndarray:
+        """(rows, #irr) multiplicities of a (rows, |G|) stack of characters.
+
+        The rows must be characters on this table's group and cocycle. Entry
+        (r, i) is round(values[r] . conj(chi_i) / |G|), the rule of
+        multiplicity: a value not within tol of a non-negative integer
+        raises NonIntegerMultiplicity.
+        """
+        table = self.character_values
+        values = np.asarray(values, dtype=np.complex128)
+        if values.ndim != 2 or values.shape[1] != table.shape[1]:
+            raise InputError(f"characters of shape {values.shape} for order {table.shape[1]}")
+        inner = values @ table.conj().T / table.shape[1]
+        rounded = np.round(inner.real)
+        bad = np.argwhere((np.abs(inner - rounded) > tol) | (rounded < 0))
+        if bad.size:
+            val = inner[tuple(bad[0])]
+            raise NonIntegerMultiplicity(f"character inner product {val} is not a multiplicity")
+        return rounded.astype(np.int64)
+
     def match_character(self, chi: AlphaCharacter, tol: float) -> int | None:
         """Index of the unique table entry whose character matches, if any."""
         j = int(self.match_characters(chi.values[None], tol)[0])

@@ -3,7 +3,8 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp.cocycles import is_coboundary_brute
-from twistdecomp.errors import NotIsotypic
+from twistdecomp import decomposition
+from twistdecomp.errors import DecompositionFailure, NotIsotypic
 from twistdecomp.groups import full_subgroup, trivial_subgroup
 from twistdecomp.report import decomposition_payload
 from twistdecomp.reps import _hom_space, _nullspace
@@ -123,6 +124,19 @@ class TestOrbitData:
     def test_m_family_starts_at_identity(self, d8_z_action, alpha4):
         datum = td.orbit_data(d8_z_action, alpha4)[0]
         assert np.allclose(datum.M[0], np.eye(datum.tau.dim))
+
+
+    def test_m_family_check_catches_a_wrong_intertwiner(self, monkeypatch, d8, alpha4):
+        # A = <a^2, b> has one 2-dimensional tau; M(1) U is no intertwiner
+        # for a unitary U that is not scalar
+        action = td.action_table(d8, td.subgroup_closure(d8, [2, 4]), alpha4)
+        c, s = np.cos(0.3), np.sin(0.3)
+        rotate = np.array([[c, -s], [s, c]])
+        schur = decomposition.intertwiner
+        monkeypatch.setattr(decomposition, "intertwiner",
+                            lambda rho1, rho2, tol: schur(rho1, rho2, tol) @ rotate)
+        with pytest.raises(DecompositionFailure, match="conjugation check at q=1 "):
+            td.orbit_data(action, alpha4)
 
 
 class TestInducedCocycle:

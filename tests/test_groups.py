@@ -215,6 +215,17 @@ def loop_cosets(G, H):
     return coset_id, reps
 
 
+def loop_subgroup_table(G, H):
+    """Reference as_group table: the product of the i-th and j-th elements, by position."""
+    pos = {g: i for i, g in enumerate(H.elements)}
+    return [[pos[int(G.mul[a, b])] for b in H.elements] for a in H.elements]
+
+
+def loop_is_normal(G, A):
+    members = set(A.elements)
+    return all(G.conjugate(g, a) in members for g in range(G.order) for a in A.elements)
+
+
 class TestSubgroupsAgainstLoops:
     GROUPS = {
         "D8": lambda: td.dihedral(4),
@@ -241,6 +252,19 @@ class TestSubgroupsAgainstLoops:
                 with pytest.raises(InputError) as err:
                     td.SubgroupHandle(G, tuple(elements))
                 assert str(err.value) == want
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_as_group_and_normality(self, name):
+        G = self.GROUPS[name]()
+        normal = 0
+        for H in all_subgroups(G):
+            sub, to_parent = H.as_group()
+            assert sub.mul.tolist() == loop_subgroup_table(G, H)
+            assert to_parent == H.elements
+            assert list(sub.labels) == [G.labels[a] for a in H.elements]
+            assert is_normal(G, H) == loop_is_normal(G, H)
+            normal += is_normal(G, H)
+        assert 0 < normal < len(all_subgroups(G)) or name == "C12"
 
     @pytest.mark.parametrize("name", GROUPS)
     def test_cosets_and_quotients(self, name):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp.decomposition import action_table, orbit_data
+from twistdecomp.decomposition import action_table, conjugate_rep, orbit_data
 from twistdecomp.errors import ANotTrivial, InputError, NotEquivariant
 from twistdecomp.groups import quotient_with_section
 from twistdecomp.kgroups import (
@@ -56,6 +56,53 @@ def loop_random_cover(base, rng, subgroups):
     for old, new in enumerate(perm):
         out_map[int(new)] = fmap[old]
     return perm[action[:, np.argsort(perm)]], tuple(out_map)
+
+
+def loop_locate(k, point):
+    """(orbit index, witness) of a point by scanning the orbits and the basepoint column."""
+    i = next(n for n, orb in enumerate(gset_orbits(k.gset)) if point in orb)
+    return i, int(np.flatnonzero(k.gset.action[:, k.orbit_basepoints[i]] == point)[0])
+
+
+def loop_pullback(G, cocycle, f, x, y):
+    """Reference pullback_matrix by the matrix route: conjugate each target-isotropy
+    irreducible by the witness, restrict it to the source isotropy, and take the
+    multiplicity of every source-isotropy irreducible, one entry at a time."""
+    kx = td.k0_of_gset(G, cocycle, x)
+    ky = td.k0_of_gset(G, cocycle, y)
+    rows = np.cumsum([0] + [len(t) for t in kx.summands])
+    cols = np.cumsum([0] + [len(t) for t in ky.summands])
+    out = np.zeros((kx.rank, ky.rank), dtype=np.int64)
+    for i, xp in enumerate(kx.orbit_basepoints):
+        j, witness = loop_locate(ky, f[xp])
+        for w_idx, w_rep in enumerate(ky.summands[j].irreducibles):
+            big, moved = conjugate_rep(cocycle, ky.isotropies[j], witness, w_rep)
+            inner = td.SubgroupHandle(big.as_group()[0],
+                                      tuple(big.position(g) for g in kx.isotropies[i].elements))
+            pulled = td.restrict_rep(moved, inner)
+            for u_idx, u_rep in enumerate(kx.summands[i].irreducibles):
+                out[rows[i] + u_idx, cols[j] + w_idx] = td.multiplicity(pulled, u_rep)
+    return out
+
+
+def loop_equivariance_error(f, x, y):
+    for g in range(x.group.order):
+        for p in range(x.size):
+            if f[x.action[g, p]] != y.action[g, f[p]]:
+                return f"map fails equivariance at g={g}, x={p}"
+    return None
+
+
+def random_chains(G, A, count, seed):
+    """Chains X -> Y -> Z of random covers over G/A, pulled back to G, with the maps."""
+    qs = quotient_with_section(G, A)
+    rng = np.random.default_rng(seed)
+    subs = all_subgroups(qs.quotient)
+    for _ in range(count):
+        zq = random_gset(qs.quotient, 4, rng, subs)
+        yq, f2 = random_cover(zq, rng, subs)
+        xq, f1 = random_cover(yq, rng, subs)
+        yield tuple(pullback_to_group(s, G, qs.projection) for s in (xq, yq, zq)) + (f1, f2)
 
 
 def block_diag(blocks):
@@ -224,6 +271,52 @@ class TestPullback:
         two_fixed = td.disjoint_union(point_gset(d8), point_gset(d8))
         with pytest.raises(NotEquivariant):
             check_equivariant([0, 1], x, two_fixed)
+
+    def test_not_equivariant_message_names_the_first_pair(self, d8):
+        rng = np.random.default_rng(3)
+        subs = all_subgroups(d8)
+        seen = 0
+        for _ in range(40):
+            x = random_gset(d8, 8, rng, subs)
+            y = random_gset(d8, 8, rng, subs)
+            f = rng.integers(0, y.size, x.size).tolist()
+            want = loop_equivariance_error(f, x, y)
+            if want is None:
+                assert check_equivariant(f, x, y) == tuple(f)
+                continue
+            seen += 1
+            with pytest.raises(NotEquivariant) as err:
+                check_equivariant(f, x, y)
+            assert str(err.value) == want
+        assert seen > 0
+
+    def test_equals_matrix_route_on_random_chains(self, d8, alpha4, a_center):
+        for x, y, z, f1, f2 in random_chains(d8, a_center, 5, 23):
+            composite = [f2[f1[p]] for p in range(x.size)]
+            for f, s, t in ((f1, x, y), (f2, y, z), (composite, x, z)):
+                assert np.array_equal(td.pullback_matrix(d8, alpha4, f, s, t),
+                                      loop_pullback(d8, alpha4, f, s, t))
+            for s in (x, y, z):
+                k = td.k0_of_gset(d8, alpha4, s)
+                assert [k.locate(p) for p in range(s.size)] == [loop_locate(k, p)
+                                                                for p in range(s.size)]
+                assert k.offsets.tolist() == [0, *np.cumsum([len(t) for t in k.summands])]
+
+    @pytest.mark.parametrize("gens", [[1], [2]])
+    def test_equals_matrix_route_for_beta_over_a_quotient(self, d8, alpha4, gens):
+        A = td.subgroup_closure(d8, gens)
+        maps = [(swap_gset(d8), point_gset(d8), [0, 0])]
+        maps += [(x, y, f1) for x, y, _, f1, _ in random_chains(d8, A, 3, 29)]
+        for datum in orbit_data(action_table(d8, A, alpha4), alpha4):
+            Q = datum.q_group
+            for x, y, f in maps:
+                xq = gset_as_quotient_action(x, datum)
+                yq = gset_as_quotient_action(y, datum)
+                assert np.array_equal(td.pullback_matrix(Q, datum.beta, f, xq, yq),
+                                      loop_pullback(Q, datum.beta, f, xq, yq))
+                k = td.k0_of_gset(Q, datum.beta, xq)
+                assert [k.locate(p) for p in range(xq.size)] == [loop_locate(k, p)
+                                                                 for p in range(xq.size)]
 
     def test_functoriality_on_random_chains(self, d8, alpha4, a_center):
         qs = quotient_with_section(d8, a_center)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
+from twistdecomp.decomposition import action_table, orbit_data
 from twistdecomp.errors import NonIntegerMultiplicity, NotIrreducible
 from twistdecomp.groups import trivial_subgroup
 from twistdecomp import reps
@@ -214,6 +215,57 @@ class TestMultiplicity:
                                  np.ones((8, 1, 1), dtype=complex))
         with pytest.raises((NonIntegerMultiplicity, Exception)):
             td.multiplicity(explicit_taus[1], other)
+
+
+def direct_sum(*parts):
+    """Block-diagonal sum of representations on one group and cocycle."""
+    G = parts[0].group
+    d = sum(p.dim for p in parts)
+    mats = np.zeros((G.order, d, d), dtype=complex)
+    at = 0
+    for p in parts:
+        mats[:, at:at + p.dim, at:at + p.dim] = p.matrices
+        at += p.dim
+    return td.ProjectiveRep(G, parts[0].cocycle, d, mats)
+
+
+def beta_table():
+    """Irreducibles of an induced cocycle of nontrivial class: D_8 mod its center, trivial alpha."""
+    G = td.dihedral(4)
+    alpha = td.trivial_cocycle(G)
+    data = orbit_data(action_table(G, td.subgroup_closure(G, [2]), alpha), alpha)
+    return next(t for t in (td.irreducibles(d.q_group, d.beta) for d in data) if t.dims == (2,))
+
+
+class TestMultiplicities:
+    TABLES = {
+        "D8-alpha": lambda: td.irreducibles(td.dihedral(4), td.dihedral_alpha(4)),
+        "S4-trivial": lambda: td.irreducibles(symmetric(4), td.trivial_cocycle(symmetric(4))),
+        "beta": beta_table,
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_equal_per_entry_multiplicity(self, name):
+        table = self.TABLES[name]()
+        irr = table.irreducibles
+        samples = [td.regular_rep(table.group, table.cocycle), *irr,
+                   direct_sum(irr[0], irr[-1], irr[-1]), direct_sum(*irr)]
+        got = table.multiplicities(np.stack([td.character(w).values for w in samples]),
+                                   td.default_tolerances().char)
+        want = [[td.multiplicity(w, u) for u in irr] for w in samples]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    def test_negative_multiplicity_raises(self, d8, alpha4):
+        table = td.irreducibles(d8, alpha4)
+        with pytest.raises(NonIntegerMultiplicity):
+            table.multiplicities(-table.character_values[:1], td.default_tolerances().char)
+
+    def test_characters_of_another_cocycle_raise(self, d8, alpha4):
+        table = td.irreducibles(d8, alpha4)
+        other = td.irreducibles(d8, td.trivial_cocycle(d8))
+        with pytest.raises(NonIntegerMultiplicity):
+            table.multiplicities(other.character_values, td.default_tolerances().char)
 
 
 class TestIntertwiner:

@@ -17,7 +17,13 @@ With --base, each tree is imported in its own subprocess. The script checks:
   beta-character by f and so reorder a beta table. The check compares
   their dimensions and the moduli |chi| as multisets of rows, and for the
   matching the orbit and the |chi| row of the matched class;
-- that the default CLI JSON of a fixed list of commands is byte-identical.
+- that the default CLI JSON of a fixed list of commands is byte-identical;
+- the integer K-group outputs, exactly: on the 50 G-sets of
+  `twistdecomp verify random-gsets` (seed 0, default sizes) the ranks of
+  verify_gset_decomposition and phi_matrix, and on 10 seeded chains
+  X -> Y -> Z of random_cover over the same configurations the three
+  pullback_matrix calls (f1, f2 and the composite) under alpha and, per
+  orbit datum, the pullback along f1 under the induced cocycle beta.
 
 Representation matrices are not compared: a change of splitting algorithm
 may change the basis.
@@ -98,6 +104,65 @@ def dump() -> list:
                 matching=[list(m) for m in rep.matching],
                 multiplicities=[list(m) for m in rep.multiplicities])
         out.append(case)
+    return out
+
+
+def kgroup_dump() -> list:
+    """Integer K-group outputs of the importable twistdecomp (see the module docstring)."""
+    import numpy as np
+
+    import twistdecomp as td
+    from twistdecomp.cli import _standard_configs
+    from twistdecomp.decomposition import action_table, orbit_data
+    from twistdecomp.errors import TwistError
+    from twistdecomp.groups import quotient_with_section
+    from twistdecomp.kgroups import (
+        all_subgroups,
+        gset_as_quotient_action,
+        pullback_to_group,
+        random_cover,
+        random_gset,
+    )
+
+    configs = list(_standard_configs())
+    out = []
+
+    def record(name, compute):
+        try:
+            out.append({"case": name, **compute()})
+        except TwistError as exc:
+            out.append({"case": name, "error": type(exc).__name__})
+
+    rng = np.random.default_rng(0)
+    for case in range(50):
+        G, A, alpha = configs[case % len(configs)]
+        qs = quotient_with_section(G, A)
+        x = pullback_to_group(random_gset(qs.quotient, 6, rng), G, qs.projection)
+
+        def gset_case():
+            rep = td.verify_gset_decomposition(G, A, alpha, x)
+            return {"ranks": [rep.lhs_rank, rep.rhs_ranks],
+                    "phi": td.phi_matrix(G, A, alpha, x).tolist()}
+        record(f"gset {case}", gset_case)
+    for seed in range(10):
+        G, A, alpha = configs[seed % len(configs)]
+        qs = quotient_with_section(G, A)
+        subs = all_subgroups(qs.quotient)
+        chain_rng = np.random.default_rng(seed)
+        zq = random_gset(qs.quotient, 4, chain_rng, subs)
+        yq, f2 = random_cover(zq, chain_rng, subs)
+        xq, f1 = random_cover(yq, chain_rng, subs)
+        x, y, z = (pullback_to_group(s, G, qs.projection) for s in (xq, yq, zq))
+        composite = [f2[f1[p]] for p in range(x.size)]
+
+        def chain_case():
+            pulled = [td.pullback_matrix(G, alpha, f, s, t).tolist()
+                      for f, s, t in ((f1, x, y), (f2, y, z), (composite, x, z))]
+            beta = [td.pullback_matrix(d.q_group, d.beta, f1, gset_as_quotient_action(x, d),
+                                       gset_as_quotient_action(y, d)).tolist()
+                    for d in orbit_data(action_table(G, A, alpha), alpha)]
+            return {"pullbacks": pulled, "beta_pullbacks": beta}
+        record(f"chain {seed}", chain_case)
     return out
 
 
@@ -221,7 +286,7 @@ def main() -> int:
         parser.error("give --base or --seeds")
     here = str(Path(__file__).resolve().parent)
     dump_code = (f"sys.path.insert(0, {here!r}); import json, parity; "
-                 "print(json.dumps(parity.dump()))")
+                 "print(json.dumps({'point': parity.dump(), 'kgroups': parity.kgroup_dump()}))")
     results = {}
     for side in ("base", "head"):
         proc = _run(getattr(args, side), dump_code)
@@ -232,11 +297,19 @@ def main() -> int:
     sys.path.insert(0, str(args.head))
     from twistdecomp.config import default_tolerances
 
-    problems, regauged = compare_cases(results["base"], results["head"], default_tolerances().char)
-    n_ok = sum("error" not in c for c in results["head"])
-    print(f"configurations: {len(results['head'])} ({n_ok} decomposed, "
-          f"{len(results['head']) - n_ok} raising alike); beta tables differ entry by "
+    base, head = results["base"]["point"], results["head"]["point"]
+    problems, regauged = compare_cases(base, head, default_tolerances().char)
+    n_ok = sum("error" not in c for c in head)
+    print(f"configurations: {len(head)} ({n_ok} decomposed, "
+          f"{len(head) - n_ok} raising alike); beta tables differ entry by "
           f"entry but agree in dims and |chi| in {regauged}")
+    k_base, k_head = results["base"]["kgroups"], results["head"]["kgroups"]
+    k_diff = [h["case"] for b, h in zip(k_base, k_head) if b != h]
+    if len(k_base) != len(k_head):
+        k_diff.append("number of K-group cases")
+    problems.extend(f"K-group outputs differ: {name}" for name in k_diff)
+    print(f"K-group cases: {len(k_head)} ({sum('error' in c for c in k_head)} raising), "
+          f"{len(k_head) - len(k_diff)} identical")
     cli_code = "from twistdecomp.cli import main; raise SystemExit(main(sys.argv[1:]))"
     for cmd in CLI_COMMANDS:
         outs = [_run(getattr(args, side), cli_code, *cmd) for side in ("base", "head")]
