@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _memo
 from .config import Tolerances, default_tolerances
 from .errors import InputError, InvalidCocycle, OddN, SearchSpaceTooLarge
 from .groups import (
@@ -67,7 +68,12 @@ class CocycleReport:
 
 
 def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray) -> CocycleReport:
-    """Check normalization and the 2-cocycle identity on an exponent table."""
+    """Check normalization and the 2-cocycle identity on an exponent table.
+
+    The checks run once per content (group table, identity, order and the
+    table mod order): a content that passed before passes again without
+    them. A report with violations is never remembered.
+    """
     n = group.order
     table = np.asarray(exponents, dtype=np.int64)
     violations: list = []
@@ -76,6 +82,9 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
     if order < 1:
         return CocycleReport([("order", order)])
     table = table % order
+    key = _memo.key("cocycle", group.mul, group.identity, order, table)
+    if _memo.get(key):
+        return CocycleReport([])
     e = group.identity
     for g in range(n):
         if table[g, e] % order:
@@ -90,6 +99,8 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
         bad = np.argwhere((lhs - rhs) % order != 0)
         for h, k in bad:
             violations.append(("cocycle", g, int(h), int(k)))
+    if not violations:
+        _memo.put(key, True, len(key))
     return CocycleReport(violations)
 
 
@@ -189,7 +200,12 @@ def validate_cocycle(alpha: Cocycle) -> CocycleReport:
 
 
 def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None) -> CocycleReport:
-    """Check |values| = 1, normalization, and the cocycle identity within tolerance."""
+    """Check |values| = 1, normalization, and the cocycle identity within tolerance.
+
+    The checks run once per content (group table, identity, values and
+    tolerances): a content that passed before passes again without them. A
+    report with violations is never remembered.
+    """
     tol = tol or default_tolerances()
     G = beta.group
     n = G.order
@@ -197,6 +213,9 @@ def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None
     violations: list = []
     if t.shape != (n, n):
         return CocycleReport([("shape", t.shape, (n, n))])
+    key = _memo.key("numeric cocycle", G.mul, G.identity, t, tol)
+    if _memo.get(key):
+        return CocycleReport([])
     off_unit = np.argwhere(np.abs(np.abs(t) - 1.0) > tol.unitary)
     for g, h in off_unit:
         violations.append(("unit", int(g), int(h)))
@@ -213,6 +232,8 @@ def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None
         bad = np.argwhere(np.abs(lhs - rhs) > tol.cocycle)
         for h, k in bad:
             violations.append(("cocycle", g, int(h), int(k)))
+    if not violations:
+        _memo.put(key, True, len(key))
     return CocycleReport(violations)
 
 
@@ -255,7 +276,7 @@ def restrict(cocycle: Cocycle | NumericCocycle, handle: SubgroupHandle,
              tol: Tolerances | None = None) -> tuple[Cocycle | NumericCocycle, tuple[int, ...]]:
     """Restrict to a subgroup, re-indexed 0..m-1; returns the index map too.
 
-    The restricted table is validated again (make_cocycle or
+    The restricted table is validated once per content (make_cocycle or
     make_numeric_cocycle), although a restriction of a cocycle is one.
     """
     if handle.parent is not cocycle.group and not handle.parent.same_table(cocycle.group):

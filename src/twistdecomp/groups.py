@@ -11,6 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _memo
 from .errors import (
     ClosureTooLarge,
     DecompositionFailure,
@@ -144,22 +145,39 @@ def _check_associative(mul: np.ndarray) -> None:
 
 
 def _validated_group(mul: np.ndarray, labels=None) -> FiniteGroup:
+    """Check a table (Latin square, identity, inverses, associativity) and build the group.
+
+    The identity is moved to index 0, and the labels with it. The checks
+    run once per table content: a table that passed them before is rebuilt
+    from the memo, with the caller's labels permuted the same way. A table
+    that fails raises on every call.
+    """
     n = mul.shape[0]
-    _check_latin(mul)
-    e = _find_identity(mul)
-    if e != 0:
-        # relabel so the identity sits at index 0
-        perm = np.arange(n)
-        perm[0], perm[e] = e, 0
-        inverse_perm = perm  # the swap is an involution
-        mul = inverse_perm[mul[np.ix_(perm, perm)]]
-        if labels is not None:
-            labels = [labels[perm[i]] for i in range(n)]
-    inv = _find_inverses(mul, 0)
-    _check_associative(mul)
+    key = _memo.key("group", mul)
+    hit = _memo.get(key)
+    if hit is not None:
+        perm, mul, inv = hit
+    else:
+        _check_latin(mul)
+        e = _find_identity(mul)
+        perm = None
+        if e != 0:
+            # relabel so the identity sits at index 0
+            perm = np.arange(n)
+            perm[0], perm[e] = e, 0
+            inverse_perm = perm  # the swap is an involution
+            mul = inverse_perm[mul[np.ix_(perm, perm)]]
+        inv = _find_inverses(mul, 0)
+        _check_associative(mul)
     if labels is None:
         labels = [str(i) for i in range(n)]
-    return FiniteGroup(order=n, mul=mul, inv=inv, labels=tuple(labels))
+    elif perm is not None:
+        labels = [labels[perm[i]] for i in range(n)]
+    group = FiniteGroup(order=n, mul=mul, inv=inv, labels=tuple(labels))
+    if hit is None:
+        stored = (perm, group.mul, group.inv)
+        _memo.put(key, stored, sum(a.nbytes for a in stored if a is not None))
+    return group
 
 
 def from_multiplication_table(table, labels=None) -> FiniteGroup:

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _memo
 from .cocycles import Cocycle, NumericCocycle, restrict
 from .config import Tolerances, default_tolerances
 from .errors import (
@@ -343,17 +344,45 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
     redrawn with the next seed, up to 5 seeds. The table is sorted by
     (dimension, lexicographic character), so the result is deterministic
     per seed.
+
+    A certified table is split and certified once per content: group table,
+    inverses and identity, cocycle values, seed and tolerances. A later call
+    with the same content gets the same matrices and characters back, in a
+    table whose group and cocycle are the caller's objects. A failure is
+    never remembered.
     """
     tol = tol or default_tolerances()
     if G.order > MAX_DENSE_ORDER:
         raise InputError(f"dense decomposition capped at order {MAX_DENSE_ORDER}")
     if cocycle.group is not G and not cocycle.group.same_table(G):
         raise InputError("cocycle is not defined on the given group")
+    key = _memo.key("irreducibles", G.mul, G.inv, G.identity,
+                    *_cocycle_content(cocycle), seed, tol)
+    hit = _memo.get(key)
+    if hit is None:
+        hit = _split_certified(G, cocycle, seed, tol)
+        _memo.put(key, hit, sum(a.nbytes for arrays in hit for a in arrays))
+    matrices, values = hit
+    return IrrTable(group=G, cocycle=cocycle,
+                    irreducibles=[ProjectiveRep(G, cocycle, m.shape[1], m) for m in matrices],
+                    characters=[AlphaCharacter(v) for v in values])
+
+
+def _cocycle_content(cocycle) -> tuple:
+    if isinstance(cocycle, Cocycle):
+        return ("exact", cocycle.order, cocycle.exponents)
+    return ("numeric", cocycle.table)
+
+
+def _split_certified(G: FiniteGroup, cocycle, seed: int,
+                     tol: Tolerances) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The sorted matrices and characters of a certified table, redrawing up to 5 seeds."""
     last_error: Exception | None = None
     for attempt in range(5):
         try:
             V, clusters = _split_regular(G, cocycle, seed + attempt)
-            return _assemble_table(G, cocycle, V, clusters, tol)
+            table = _assemble_table(G, cocycle, V, clusters, tol)
+            return [r.matrices for r in table.irreducibles], [c.values for c in table.characters]
         except SplitFailure as exc:
             last_error = exc
     raise SplitFailure(f"no clean split after 5 seeds starting at {seed}") from last_error

@@ -6,6 +6,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import twistdecomp as td
+from twistdecomp import _memo
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Start every test with an empty memo, so a test that patches a checked
+    step sees that step run instead of a result remembered by an earlier test."""
+    _memo.clear()
 
 
 @pytest.fixture(scope="session")

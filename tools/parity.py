@@ -3,7 +3,10 @@
     python tools/parity.py --base OTHER_CHECKOUT/src [--head src]
     python tools/parity.py --seeds 0,1 [--head src]
 
-With --base, each tree is imported in its own subprocess. The script checks:
+With --base, each tree is imported in its own subprocess. The head tree
+computes its point and K-group dumps twice in that subprocess, the second
+time with the memo of certified tables warm from the first; the two dumps
+must be identical. The script then checks, between the trees:
 
 - for dihedral(n), n = 1..12, under the trivial cocycle and, for even n,
   dihedral_alpha(n), and every normal subgroup A, running
@@ -286,19 +289,26 @@ def main() -> int:
         parser.error("give --base or --seeds")
     here = str(Path(__file__).resolve().parent)
     dump_code = (f"sys.path.insert(0, {here!r}); import json, parity; "
-                 "print(json.dumps({'point': parity.dump(), 'kgroups': parity.kgroup_dump()}))")
+                 "runs = [json.dumps({'point': parity.dump(), 'kgroups': parity.kgroup_dump()}) "
+                 "for _ in range(int(sys.argv[1]))]; "
+                 "print(json.dumps({'repeats_identical': len(set(runs)) == 1, "
+                 "**json.loads(runs[0])}))")
     results = {}
-    for side in ("base", "head"):
-        proc = _run(getattr(args, side), dump_code)
+    for side, runs in (("base", "1"), ("head", "2")):
+        proc = _run(getattr(args, side), dump_code, runs)
         if proc.returncode:
             print(proc.stderr, file=sys.stderr)
             return 2
         results[side] = json.loads(proc.stdout)
+    warm_same = results["head"]["repeats_identical"]
+    print(f"head, warm memo: {'identical to' if warm_same else 'DIFFERS from'} the cold run")
     sys.path.insert(0, str(args.head))
     from twistdecomp.config import default_tolerances
 
     base, head = results["base"]["point"], results["head"]["point"]
     problems, regauged = compare_cases(base, head, default_tolerances().char)
+    if not warm_same:
+        problems.append("head dumps differ between a cold and a warm memo")
     n_ok = sum("error" not in c for c in head)
     print(f"configurations: {len(head)} ({n_ok} decomposed, "
           f"{len(head) - n_ok} raising alike); beta tables differ entry by "
