@@ -202,6 +202,8 @@ def validate_cocycle(alpha: Cocycle) -> CocycleReport:
 def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None) -> CocycleReport:
     """Check |values| = 1, normalization, and the cocycle identity within tolerance.
 
+    A non-finite entry (NaN or inf) is reported as a "unit" violation.
+
     The checks run once per content (group table, identity, values and
     tolerances): a content that passed before passes again without them. A
     report with violations is never remembered.
@@ -216,7 +218,7 @@ def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None
     key = _memo.key("numeric cocycle", G.mul, G.identity, t, tol)
     if _memo.get(key):
         return CocycleReport([])
-    off_unit = np.argwhere(np.abs(np.abs(t) - 1.0) > tol.unitary)
+    off_unit = np.argwhere(~(np.abs(np.abs(t) - 1.0) <= tol.unitary))
     for g, h in off_unit:
         violations.append(("unit", int(g), int(h)))
     e = G.identity

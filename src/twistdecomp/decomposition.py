@@ -61,7 +61,6 @@ from .reps import (
     character,
     intertwiner,
     irreducibles,
-    restrict_rep,
     validate_rep,
 )
 
@@ -351,6 +350,27 @@ def _hom_action(datum: OrbitDatum, w_lookup, q_list, tol: Tolerances
     return F, mats
 
 
+def _hom_weights(datum: OrbitDatum, alpha: Cocycle) -> tuple[np.ndarray, np.ndarray]:
+    """Elements s a^-1 and weights of the Hom-fiber character, both (|Q|, |A|).
+
+    For q in Q with s = sigma(q) and a in A (standalone-A order), the weight
+    is (1/|A|) alpha(s, a^-1) alpha(a, a^-1)^-1 tr(tau(a) M_q^H), so that a
+    representation W of a group containing A and every s has
+
+        chi_Hom(q) = sum_a weights[q, a] chi_W(elements[q, a]),
+
+    the character of q.f = W(s) f M_q^-1 on Hom_A(V_tau, W): the map
+    f -> (1/|A|) sum_a W(a)^-1 f tau(a) projects onto Hom_A, and the trace
+    of f -> X f Y is tr X tr Y. It is 0 where W has no tau component.
+    """
+    G, ctable = alpha.group, alpha.complex_table
+    a_inv = G.inv[np.asarray(_a_parent_order(datum))][None, :]
+    s = np.asarray([datum.section_in_g(q) for q in range(datum.q_group.order)])[:, None]
+    traces = np.einsum("aij,qij->qa", datum.tau.matrices, np.conj(datum.M))
+    scale = ctable[s, a_inv] * np.conj(ctable[G.inv[a_inv], a_inv])
+    return G.mul[s, a_inv], scale * traces / a_inv.size
+
+
 def hom_rep(W: ProjectiveRep, datum: OrbitDatum,
             tol: Tolerances | None = None) -> ProjectiveRep:
     """The multiplicity representation of the isotropy quotient on Hom_A(V_tau, W).
@@ -466,9 +486,16 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
     """Run the whole pipeline at a single point and verify the bijection.
 
     Each irreducible W of (G, alpha) restricts to A inside a single orbit
-    with uniform multiplicities, its Hom representation matches exactly one
-    beta-twisted class of the orbit's isotropy quotient, and the global
-    matching is a bijection whose counts give the rank identity.
+    with uniform multiplicities, and the character of its multiplicity
+    representation q.f = W(s) f M_q^-1 on Hom_A(V_tau, W), s = sigma(q),
+
+        chi_Hom(q) = (1/|A|) sum_a alpha(s, a^-1) alpha(a, a^-1)^-1 chi_W(s a^-1) tr(tau(a) M_q^H),
+
+    decomposes over the beta-twisted classes of the orbit's isotropy
+    quotient as exactly one class with multiplicity 1, whose dimension
+    chi_Hom(1) is the multiplicity of tau in W|_A (MatchFailure otherwise).
+    The global matching is a bijection whose counts give the rank identity.
+    hom_rep builds the same representation explicitly.
     """
     tol = tol or default_tolerances()
     if not is_normal(G, A):
@@ -483,11 +510,11 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
     for oi, datum in enumerate(orbits):
         for member in datum.members:
             orbit_of_irr[member] = oi
-    matching: list[tuple[int, int]] = []
     multiplicities: list[tuple[int, ...]] = []
     restricted = action.base.multiplicities(irr_g.character_values[:, list(action.a_map)],
                                             tol.char)
-    for wi, W in enumerate(irr_g.irreducibles):
+    over: list[list[int]] = [[] for _ in orbits]
+    for wi, dim in enumerate(irr_g.dims):
         mults = tuple(restricted[wi].tolist())
         multiplicities.append(mults)
         support = [i for i, m in enumerate(mults) if m > 0]
@@ -500,14 +527,20 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
         if len(orbit_mults) != 1 or 0 in orbit_mults:
             raise OrbitMixing(f"W_{wi} has uneven multiplicities across its orbit")
         dim_check = sum(mults[i] * action.base.irreducibles[i].dim for i in support)
-        if dim_check != W.dim:
+        if dim_check != dim:
             raise OrbitMixing(f"W_{wi}: restriction dimensions do not add up")
-        w_gt = restrict_rep(W, datum.isotropy, datum.alpha_gt, tol=tol)
-        hom = hom_rep(w_gt, datum, tol=tol)
-        j = beta_tables[oi].match_character(character(hom), tol.char)
-        if j is None:
-            raise MatchFailure(f"Hom representation of W_{wi} matches no beta-class")
-        matching.append((oi, j))
+        over[oi].append(wi)
+    matching: list[tuple[int, int]] = [(-1, -1)] * len(irr_g)
+    for oi, (datum, ws) in enumerate(zip(orbits, over)):
+        elements, weights = _hom_weights(datum, alpha)
+        chi_hom = np.sum(irr_g.character_values[ws][:, elements] * weights, axis=2)
+        for wi, found in zip(ws, beta_tables[oi].multiplicities(chi_hom, tol.char)):
+            j = int(np.argmax(found))
+            if found.sum() != 1:
+                raise MatchFailure(f"Hom representation of W_{wi} matches no single beta-class")
+            if beta_tables[oi].dims[j] != restricted[wi, datum.representative]:
+                raise MatchFailure(f"Hom dimension of W_{wi} is not its tau multiplicity")
+            matching[wi] = (oi, j)
     if len(set(matching)) != len(matching):
         raise MatchFailure("matching is not injective")
     total = sum(len(t) for t in beta_tables)

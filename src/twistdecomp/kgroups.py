@@ -13,8 +13,15 @@ source isotropy through the moved character
     chi_{g.w}(s) = alpha(g^-1 s, g) alpha(g, g^-1 s)^-1 chi_w(g^-1 s g),
 
 and IrrTable.multiplicities turns a stack of characters into one block of
-multiplicities. phi_matrix decomposes each Hom fiber over the beta-twisted
-classes from the traces of its quotient-isotropy matrices.
+multiplicities. phi_matrix decomposes each Hom fiber Hom_A(V_tau, W) over
+the beta-twisted classes by its character under q.f = W(s) f M_q^-1,
+s = sigma(q),
+
+    chi_Hom(q) = (1/|A|) sum_a alpha(s, a^-1) alpha(a, a^-1)^-1 chi_W(s a^-1) tr(tau(a) M_q^H),
+
+which holds because f -> (1/|A|) sum_a W(a)^-1 f tau(a) projects onto
+Hom_A and the trace of f -> X f Y is tr X tr Y. W is a moved isotropy
+irreducible, so no representation matrix is conjugated or restricted.
 """
 
 from __future__ import annotations
@@ -25,15 +32,8 @@ import numpy as np
 
 from .cocycles import Cocycle, NumericCocycle, restrict
 from .config import Tolerances, default_tolerances
-from .decomposition import (
-    OrbitDatum,
-    _conjugation,
-    _hom_action,
-    action_table,
-    conjugate_rep,
-    orbit_data,
-)
-from .errors import ANotTrivial, InputError, NotEquivariant, NotIsotypic, RankMismatch
+from .decomposition import OrbitDatum, _conjugation, _hom_weights, action_table, orbit_data
+from .errors import ANotTrivial, InputError, NotEquivariant, RankMismatch
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
@@ -42,7 +42,7 @@ from .groups import (
     all_subgroups,
     left_cosets,
 )
-from .reps import IrrTable, ProjectiveRep, irreducibles
+from .reps import IrrTable, irreducibles
 
 
 @dataclass(eq=False)
@@ -267,12 +267,20 @@ def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
     rows, cols = kx.offsets, ky.offsets
     for i, xp in enumerate(kx.orbit_basepoints):
         j, witness = ky.locate(fmap[xp])
-        back, scale = _conjugation(cocycle, witness, kx.isotropies[i].elements)
-        at_back = np.searchsorted(ky.isotropies[j].elements, back)
-        target = ky.summands[j].character_values[:, at_back]
+        moved = _moved_characters(cocycle, ky, j, witness, kx.isotropies[i].elements)
         out[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = kx.summands[i].multiplicities(
-            scale * target, tol.char).T
+            moved, tol.char).T
     return out
+
+
+def _moved_characters(cocycle, k: TwistedKGroup, i: int, g: int, elements) -> np.ndarray:
+    """chi_{g.w}(h) for every irreducible w of orbit i's isotropy and h in elements.
+
+    The result has shape (#w, *elements.shape).
+    """
+    back, scale = _conjugation(cocycle, g, elements)
+    at_back = np.searchsorted(k.isotropies[i].elements, back)
+    return scale * k.summands[i].character_values[:, at_back]
 
 
 def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
@@ -281,7 +289,15 @@ def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
 
     Columns run over the direct basis (G-orbit, isotropy irreducible); rows
     over the decomposed basis (orbit datum, quotient-set orbit, beta-twisted
-    class). Entries are multiplicities of Hom fibers at basepoints.
+    class). Entries are multiplicities of Hom fibers at basepoints. The
+    fiber of w at a quotient-set basepoint y = g . p is the moved w, so its
+    character on the quotient isotropy of y is, with s = sigma(q),
+
+        chi_Hom(q) = (1/|A|) sum_a alpha(s, a^-1) alpha(a, a^-1)^-1 chi_{g.w}(s a^-1) tr(tau(a) M_q^H),
+
+    with chi_{g.w} the moved character of pullback_matrix; one
+    IrrTable.multiplicities call per quotient-set orbit decomposes the
+    fibers of all isotropy irreducibles at once.
     """
     tol = tol or default_tolerances()
     kx, sides = _decomposed_side(G, A, alpha, x, seed, tol)
@@ -290,34 +306,16 @@ def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
     row_base = 0
     for datum, kq in sides:
         rows = row_base + kq.offsets
-        for qo_idx, y_point in enumerate(kq.orbit_basepoints):
+        elements, weights = _hom_weights(datum, alpha)
+        for qo, y_point in enumerate(kq.orbit_basepoints):
             i, witness = kx.locate(y_point)
-            for w_idx, w_rep in enumerate(kx.summands[i].irreducibles):
-                fiber_handle, fiber = conjugate_rep(
-                    alpha, kx.isotropies[i], witness, w_rep, tol=tol
-                )
-                out[rows[qo_idx]:rows[qo_idx + 1], cols[i] + w_idx] = _hom_fiber_multiplicities(
-                    datum, fiber_handle, fiber, kq.isotropies[qo_idx], kq.summands[qo_idx], tol
-                )
+            q_iso = list(kq.isotropies[qo].elements)
+            moved = _moved_characters(alpha, kx, i, witness, elements[q_iso])
+            chi_hom = np.sum(moved * weights[q_iso], axis=2)
+            out[rows[qo]:rows[qo + 1], cols[i]:cols[i + 1]] = kq.summands[qo].multiplicities(
+                chi_hom, tol.char).T
         row_base = rows[-1]
     return out
-
-
-def _hom_fiber_multiplicities(datum: OrbitDatum, fiber_handle: SubgroupHandle,
-                              fiber: ProjectiveRep, qiso: SubgroupHandle,
-                              beta_table: IrrTable, tol: Tolerances) -> np.ndarray:
-    """Decompose the Hom fiber at a point over the restricted beta classes."""
-    pos = {g: i for i, g in enumerate(fiber_handle.elements)}
-
-    def w_lookup(g_parent: int) -> np.ndarray:
-        return fiber.matrices[pos[g_parent]]
-
-    try:
-        _, mats = _hom_action(datum, w_lookup, qiso.elements, tol)
-    except NotIsotypic:
-        return np.zeros(len(beta_table), dtype=np.int64)
-    traces = np.array([np.trace(mats[q]) for q in qiso.elements])
-    return beta_table.multiplicities(traces[None], tol.char)[0]
 
 
 def random_gset(group: FiniteGroup, max_size: int, rng: np.random.Generator,

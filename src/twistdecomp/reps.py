@@ -306,8 +306,8 @@ class IrrTable:
 
         The rows must be characters on this table's group and cocycle. Entry
         (r, i) is round(values[r] . conj(chi_i) / |G|), the rule of
-        multiplicity: a value not within tol of a non-negative integer
-        raises NonIntegerMultiplicity.
+        multiplicity: a value not within tol of a non-negative integer, NaN
+        included, raises NonIntegerMultiplicity.
         """
         table = self.character_values
         values = np.asarray(values, dtype=np.complex128)
@@ -315,7 +315,7 @@ class IrrTable:
             raise InputError(f"characters of shape {values.shape} for order {table.shape[1]}")
         inner = values @ table.conj().T / table.shape[1]
         rounded = np.round(inner.real)
-        bad = np.argwhere((np.abs(inner - rounded) > tol) | (rounded < 0))
+        bad = np.argwhere(~(np.abs(inner - rounded) <= tol) | (rounded < 0))
         if bad.size:
             val = inner[tuple(bad[0])]
             raise NonIntegerMultiplicity(f"character inner product {val} is not a multiplicity")

@@ -245,6 +245,14 @@ class TestNumericValidation:
         with pytest.raises(InvalidCocycle):
             td.make_numeric_cocycle(Q, table)
 
+    def test_rejects_a_nan_entry(self, alpha4):
+        beta = numeric_from_exact(alpha4)
+        table = beta.table.copy()
+        table[2, 3] = np.nan
+        for _ in range(2):     # the failed report is not remembered
+            with pytest.raises(InvalidCocycle):
+                td.make_numeric_cocycle(beta.group, table)
+
     def test_restrict_numeric(self, d8, alpha4):
         beta = numeric_from_exact(alpha4)
         sub, _ = td.restrict(beta, td.subgroup_closure(d8, [1]))

@@ -4,8 +4,8 @@ import pytest
 import twistdecomp as td
 from twistdecomp.cocycles import is_coboundary_brute
 from twistdecomp import decomposition
-from twistdecomp.errors import DecompositionFailure, NotIsotypic
-from twistdecomp.groups import full_subgroup, trivial_subgroup
+from twistdecomp.errors import DecompositionFailure, MatchFailure, NotIsotypic
+from twistdecomp.groups import full_subgroup, normal_subgroups, trivial_subgroup
 from twistdecomp.report import decomposition_payload
 from twistdecomp.reps import _hom_space, _nullspace
 
@@ -329,6 +329,94 @@ class TestVerifyPointDecomposition:
             A = td.subgroup_closure(d8, gens)
             rep = td.verify_point_decomposition(d8, A, alpha, seed=0)
             assert rep.rank_ok
+
+
+def dihedral_configurations(ns):
+    """(G, A, alpha) for dihedral(n), n in ns, under the trivial cocycle and,
+    for even n, dihedral_alpha(n), with every normal A."""
+    for n in ns:
+        G = td.dihedral(n)
+        cocycles = [td.trivial_cocycle(G)] + ([td.dihedral_alpha(n)] if n % 2 == 0 else [])
+        for alpha in cocycles:
+            for A in normal_subgroups(G):
+                yield G, A, alpha
+
+
+def coboundary_twist(alpha, seed):
+    """alpha times the coboundary of a random normalized f: G -> mu_4K, a cocycle
+    of the same class whose values on A and on the section are no longer 1."""
+    G = alpha.group
+    f = np.random.default_rng(seed).integers(0, 4 * alpha.order, G.order)
+    f[G.identity] = 0
+    expo = 4 * alpha.exponents + f[:, None] + f[None, :] - f[G.mul]
+    return td.make_cocycle(G, 4 * alpha.order, expo)
+
+
+def hom_character_pairs(G, A, alpha):
+    """(chi_Hom from _hom_weights, character of hom_rep or None) per (W, orbit datum)."""
+    rep = td.verify_point_decomposition(G, A, alpha, seed=0)
+    for datum in rep.orbits:
+        elements, weights = decomposition._hom_weights(datum, alpha)
+        for wi, W in enumerate(rep.irr_g.irreducibles):
+            chi_hom = np.sum(rep.irr_g.character_values[wi][elements] * weights, axis=1)
+            if rep.multiplicities[wi][datum.representative] == 0:
+                yield chi_hom, None
+                continue
+            w_gt = td.restrict_rep(W, datum.isotropy, datum.alpha_gt)
+            yield chi_hom, td.character(td.hom_rep(w_gt, datum)).values
+
+
+class TestHomCharacters:
+    """The Hom-fiber character from orthogonality against the explicit hom_rep route;
+    where W does not touch the orbit, the character is 0."""
+
+    def test_equals_character_of_hom_rep(self):
+        tol = td.default_tolerances().char
+        touched = untouched = 0
+        for G, A, alpha in dihedral_configurations(range(1, 13)):
+            for chi_hom, want in hom_character_pairs(G, A, alpha):
+                if want is None:
+                    assert np.max(np.abs(chi_hom)) <= tol
+                    untouched += 1
+                else:
+                    assert np.max(np.abs(chi_hom - want)) <= tol
+                    touched += 1
+        assert (touched, untouched) == (518, 1167)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_equals_character_of_hom_rep_under_a_coboundary_twist(self, n):
+        tol = td.default_tolerances().char
+        for G, A, alpha in dihedral_configurations([n]):
+            for chi_hom, want in hom_character_pairs(G, A, coboundary_twist(alpha, n)):
+                assert np.max(np.abs(chi_hom - (0 if want is None else want))) <= tol
+
+    def test_a_fiber_matching_no_single_class_fails(self, d8, alpha4, a_center, monkeypatch):
+        """A Hom character with no class (here 0) is refused by the unit-vector check."""
+        real = decomposition._hom_weights
+
+        def no_fiber(datum, alpha):
+            elements, weights = real(datum, alpha)
+            return elements, np.zeros_like(weights)
+
+        monkeypatch.setattr(decomposition, "_hom_weights", no_fiber)
+        with pytest.raises(MatchFailure, match="no single beta-class"):
+            td.verify_point_decomposition(d8, a_center, alpha4, seed=0)
+
+    def test_hom_dimension_is_checked_against_the_representative(self, d8, alpha4, a_cyclic,
+                                                                monkeypatch):
+        """chi_Hom(1) must be the multiplicity of the orbit representative: a datum
+        naming the other orbit's representative is refused."""
+        real = decomposition.orbit_data
+
+        def swapped(*args, **kwargs):
+            data = real(*args, **kwargs)
+            data[0].representative, data[1].representative = (data[1].representative,
+                                                               data[0].representative)
+            return data
+
+        monkeypatch.setattr(decomposition, "orbit_data", swapped)
+        with pytest.raises(MatchFailure, match="Hom dimension"):
+            td.verify_point_decomposition(d8, a_cyclic, alpha4, seed=0)
 
 
 class TestPhaseRobustness:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp.decomposition import action_table, conjugate_rep, orbit_data
-from twistdecomp.errors import ANotTrivial, InputError, NotEquivariant
+from twistdecomp.decomposition import _hom_action, action_table, conjugate_rep, orbit_data
+from twistdecomp.errors import ANotTrivial, InputError, NotEquivariant, NotIsotypic
 from twistdecomp.groups import quotient_with_section
 from twistdecomp.kgroups import (
     all_subgroups,
@@ -23,6 +23,7 @@ from twistdecomp.kgroups import (
 )
 
 from test_action_table import bfs_orbits
+from test_decomposition import coboundary_twist
 from test_groups import loop_cosets
 
 
@@ -83,6 +84,35 @@ def loop_pullback(G, cocycle, f, x, y):
             for u_idx, u_rep in enumerate(kx.summands[i].irreducibles):
                 out[rows[i] + u_idx, cols[j] + w_idx] = td.multiplicity(pulled, u_rep)
     return out
+
+
+def loop_phi(G, A, alpha, x):
+    """Reference phi_matrix by the matrix route: conjugate each isotropy irreducible
+    by the witness, build its Hom fiber and q-action with _hom_action, and
+    decompose the traces over the beta classes, one entry block at a time."""
+    tol = td.default_tolerances()
+    kx = td.k0_of_gset(G, alpha, x)
+    cols = np.cumsum([0] + [len(t) for t in kx.summands])
+    blocks = []
+    for datum in orbit_data(action_table(G, A, alpha), alpha):
+        kq = td.k0_of_gset(datum.q_group, datum.beta, gset_as_quotient_action(x, datum))
+        rows = np.cumsum([0] + [len(t) for t in kq.summands])
+        block = np.zeros((kq.rank, kx.rank), dtype=np.int64)
+        for qo, y_point in enumerate(kq.orbit_basepoints):
+            i, witness = loop_locate(kx, y_point)
+            q_iso = kq.isotropies[qo].elements
+            for w_idx, w_rep in enumerate(kx.summands[i].irreducibles):
+                handle, fiber = conjugate_rep(alpha, kx.isotropies[i], witness, w_rep)
+                pos = {g: n for n, g in enumerate(handle.elements)}
+                try:
+                    _, mats = _hom_action(datum, lambda g: fiber.matrices[pos[g]], q_iso, tol)
+                except NotIsotypic:
+                    continue
+                traces = np.array([[np.trace(mats[q]) for q in q_iso]])
+                block[rows[qo]:rows[qo + 1], cols[i] + w_idx] = kq.summands[qo].multiplicities(
+                    traces, tol.char)[0]
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def loop_equivariance_error(f, x, y):
@@ -348,6 +378,19 @@ class TestPhiMatrix:
         P = phi_matrix(d8, a_center, alpha4, swap_gset(d8))
         assert P.shape[0] == P.shape[1]
         assert abs(round(np.linalg.det(P))) == 1
+
+    @pytest.mark.parametrize("cocycle", ["alpha4", "trivial", "alpha4 df"])
+    @pytest.mark.parametrize("gens", [[1], [2]], ids=["<a>", "<a^2>"])
+    def test_equals_the_matrix_route_on_random_gsets(self, d8, alpha4, gens, cocycle):
+        alpha = {"alpha4": alpha4, "trivial": td.trivial_cocycle(d8),
+                 "alpha4 df": coboundary_twist(alpha4, 7)}[cocycle]
+        A = td.subgroup_closure(d8, gens)
+        qs = quotient_with_section(d8, A)
+        subs = all_subgroups(qs.quotient)
+        for seed in range(10):
+            xq = random_gset(qs.quotient, 4, np.random.default_rng(seed), subs)
+            x = pullback_to_group(xq, d8, qs.projection)
+            assert np.array_equal(phi_matrix(d8, A, alpha, x), loop_phi(d8, A, alpha, x))
 
     @pytest.mark.parametrize("gens", [[1], [2]])
     def test_naturality_square_collapse(self, d8, alpha4, gens):

@@ -267,6 +267,13 @@ class TestMultiplicities:
         with pytest.raises(NonIntegerMultiplicity):
             table.multiplicities(other.character_values, td.default_tolerances().char)
 
+    def test_a_nan_entry_raises(self, d8, alpha4):
+        table = td.irreducibles(d8, alpha4)
+        values = table.character_values.copy()
+        values[0, 3] = np.nan
+        with pytest.raises(NonIntegerMultiplicity):
+            table.multiplicities(values, td.default_tolerances().char)
+
 
 class TestIntertwiner:
     def test_self_intertwiner_is_identity(self, explicit_taus):
