@@ -281,13 +281,18 @@ def restrict(cocycle: Cocycle | NumericCocycle, handle: SubgroupHandle,
     The restricted table is validated once per content (make_cocycle or
     make_numeric_cocycle), although a restriction of a cocycle is one.
     """
-    if handle.parent is not cocycle.group and not handle.parent.same_table(cocycle.group):
-        raise InputError("subgroup handle does not belong to the cocycle's group")
+    _require_on(cocycle, handle.parent)
     sub, to_parent = handle.as_group()
     block = np.ix_(to_parent, to_parent)
     if isinstance(cocycle, Cocycle):
         return make_cocycle(sub, cocycle.order, cocycle.exponents[block]), to_parent
     return make_numeric_cocycle(sub, cocycle.table[block], tol), to_parent
+
+
+def _require_on(cocycle: Cocycle | NumericCocycle, group: FiniteGroup) -> None:
+    """The InputError of restrict unless the cocycle lives on the group's table."""
+    if group is not cocycle.group and not group.same_table(cocycle.group):
+        raise InputError("subgroup handle does not belong to the cocycle's group")
 
 
 @dataclass(eq=False)

@@ -20,13 +20,15 @@ isotropy quotients, orbit by orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _memo
 from .cocycles import (
     Cocycle,
     NumericCocycle,
+    _require_on,
     make_numeric_cocycle,
     restrict,
     tau_scalar,
@@ -111,7 +113,11 @@ class IrrAction:
     base: IrrTable                      # irreducibles of (A, alpha|_A)
     alpha_a: Cocycle
     a_map: tuple[int, ...]              # A-standalone index -> G index
-    perm: np.ndarray                    # (|G|, #irr) int
+    perm: np.ndarray                    # (|G|, #irr) int, read-only
+
+    def __post_init__(self):
+        self.perm = np.ascontiguousarray(self.perm, dtype=np.int64)
+        self.perm.flags.writeable = False
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbits on irreducible indices, sorted by smallest member."""
@@ -138,10 +144,35 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
     perm(gh) = perm(g) o perm(h) are checked on the full table. A failed
     check raises DecompositionFailure (UnmatchedCharacter for a moved
     character with no table entry).
+
+    Without irr_a, an action that a K-group call has certified for the same
+    content (see _orbit_data) comes from the memo, rebound to the caller's
+    G, A and alpha. action_table stores nothing itself: a single point
+    decomposition rarely repeats its content, and its entries would evict
+    tables that do repeat. Normality and the cocycle's group are checked
+    before the lookup.
     """
     tol = tol or default_tolerances()
     if not is_normal(G, A):
         raise NotNormal("the action is defined for a normal subgroup")
+    if irr_a is None:
+        _require_on(alpha, G)
+        hit = _memo.get(_action_key(G, A, alpha, seed, tol))
+        if hit is not None:
+            return replace(hit, group=G, subgroup=A, alpha=alpha)
+    return _tabulate(G, A, alpha, irr_a, seed, tol)
+
+
+def _action_key(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
+                tol: Tolerances) -> bytes:
+    """Every input of _tabulate without irr_a; the labels of A's and the
+    isotropy groups come from G's."""
+    return _memo.key("action table", G.mul, G.inv, G.identity, G.labels, A.elements,
+                     alpha.order, alpha.exponents, seed, tol)
+
+
+def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, irr_a: IrrTable | None,
+              seed: int, tol: Tolerances) -> IrrAction:
     alpha_a, a_map = restrict(alpha, A)
     a_std, _ = A.as_group()
     if irr_a is None:
@@ -201,8 +232,12 @@ class OrbitDatum:
     a_in_gt: SubgroupHandle             # A inside gt_group
     quotient: QuotientWithSection       # A normal in G_[tau]
     tau: ProjectiveRep                  # representative irreducible of A
-    M: np.ndarray                       # (|Q_tau|, d, d) with M[0] = I
+    M: np.ndarray                       # (|Q_tau|, d, d) with M[0] = I, read-only
     beta: NumericCocycle | None
+
+    def __post_init__(self):
+        self.M = np.ascontiguousarray(self.M, dtype=np.complex128)
+        self.M.flags.writeable = False
 
     @property
     def q_group(self) -> FiniteGroup:
@@ -264,6 +299,40 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
         _check_m_family(datum, moved, tol)
         datum.beta = induced_cocycle(datum, alpha, tol)
         data.append(datum)
+    return data
+
+
+def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0,
+                phase_seed: int | None = None, tol: Tolerances | None = None
+                ) -> list[OrbitDatum]:
+    """orbit_data(action_table(G, A, alpha)), certified once per content.
+
+    The key is that of the action (G's table, inverses, identity and labels,
+    A's elements, alpha's order and exponents, seed, tolerances) and
+    phase_seed. A miss stores the action too, so later action_table calls on
+    the same content skip the rebuild. A hit is rebound to the caller: each
+    datum.isotropy is a new handle on G and datum.tau is the irreducible of
+    the action's base. No stored value holds G, A or alpha; the checks of
+    action_table run on every call, and a failure is never remembered.
+    """
+    tol = tol or default_tolerances()
+    action = action_table(G, A, alpha, seed=seed, tol=tol)
+    action_key = _action_key(G, A, alpha, seed, tol)
+    key = _memo.key("orbit data", action_key, phase_seed)
+    hit = _memo.get(key)
+    if hit is not None:
+        return [replace(datum, isotropy=SubgroupHandle(G, datum.gt_map),
+                        tau=action.base.irreducibles[datum.representative]) for datum in hit]
+    data = orbit_data(action, alpha, phase_seed=phase_seed, tol=tol)
+    # The base table's matrices and characters are counted by its irreducibles entry.
+    _memo.put(action_key, replace(action, group=None, subgroup=None, alpha=None),
+              sum(a.nbytes for a in (action.perm, action.alpha_a.exponents,
+                                     action.base.group.mul, action.base.group.inv)))
+    _memo.put(key, [replace(datum, isotropy=None, tau=None) for datum in data],
+              sum(a.nbytes for datum in data
+                  for a in (datum.M, datum.beta.table, datum.alpha_gt.exponents,
+                            datum.gt_group.mul, datum.gt_group.inv,
+                            datum.q_group.mul, datum.q_group.inv)))
     return data
 
 

@@ -88,6 +88,10 @@ class NonIntegerMultiplicity(NumericFailure):
     """
 
 
+class AmbiguousCharacter(NumericFailure):
+    """A character matched several table entries within tolerance."""
+
+
 class DecompositionFailure(TwistError):
     """An assertion inside the decomposition pipeline failed."""
 

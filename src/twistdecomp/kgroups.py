@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import Cocycle, NumericCocycle, restrict
+from . import _memo
+from .cocycles import Cocycle, NumericCocycle, _require_on, restrict
 from .config import Tolerances, default_tolerances
-from .decomposition import OrbitDatum, _conjugation, _hom_weights, action_table, orbit_data
+from .decomposition import OrbitDatum, _conjugation, _hom_weights, _orbit_data
 from .errors import ANotTrivial, InputError, NotEquivariant, RankMismatch
 from .groups import (
     FiniteGroup,
@@ -42,7 +43,7 @@ from .groups import (
     all_subgroups,
     left_cosets,
 )
-from .reps import IrrTable, irreducibles
+from .reps import IrrTable, _cocycle_content, _table, irreducibles
 
 
 @dataclass(eq=False)
@@ -168,25 +169,54 @@ class TwistedKGroup:
 
 def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
                seed: int = 0, tol: Tolerances | None = None) -> TwistedKGroup:
-    """Orbit-by-orbit twisted representation rings at the minimum-index points."""
+    """Orbit-by-orbit twisted representation rings at the minimum-index points.
+
+    The summand of an orbit, the isotropy re-indexed as a group, the cocycle
+    restricted to it and its irreducibles, is computed once per content: the
+    group's table, inverses, identity and labels, the cocycle, the isotropy's
+    elements, seed and tolerances. A hit is a new table over the stored
+    group, cocycle and read-only arrays; the isotropy handle is the one
+    found in this call. Whether the cocycle lives on G is checked on every
+    call, and a failure is never remembered.
+    """
     tol = tol or default_tolerances()
     if x.group is not G and not x.group.same_table(G):
         raise InputError("G-set belongs to a different group")
+    H = x.group
+    _require_on(cocycle, H)
+    content = _memo.key("gset content", H.mul, H.inv, H.identity, H.labels,
+                        *_cocycle_content(cocycle), seed, tol)
     basepoints = []
     isotropies = []
     summands = []
     for orbit in gset_orbits(x):
         p = orbit[0]
         handle = isotropy_subgroup(x, p)
-        sub_cocycle, _ = restrict(cocycle, handle, tol)
-        sub_group, _ = handle.as_group()
+        key = _memo.key("isotropy summand", content, handle.elements)
+        hit = _memo.get(key)
+        if hit is None:
+            sub_cocycle, _ = restrict(cocycle, handle, tol)
+            sub_group, _ = handle.as_group()
+            table = irreducibles(sub_group, sub_cocycle, seed=seed, tol=tol)
+            hit = (sub_group, sub_cocycle, [r.matrices for r in table.irreducibles],
+                   [c.values for c in table.characters])
+            _memo.put(key, hit, _summand_bytes(sub_group, sub_cocycle))
         basepoints.append(p)
         isotropies.append(handle)
-        summands.append(irreducibles(sub_group, sub_cocycle, seed=seed, tol=tol))
+        summands.append(_table(*hit))
     return TwistedKGroup(
         gset=x, cocycle=cocycle, orbit_basepoints=basepoints,
         isotropies=isotropies, summands=summands,
     )
+
+
+def _summand_bytes(sub_group: FiniteGroup, sub_cocycle) -> int:
+    """What a summand entry adds: its matrices and characters are the arrays
+    of the irreducibles entry of (sub_group, sub_cocycle)."""
+    arrays = [sub_group.mul, sub_group.inv, sub_cocycle.complex_table]
+    if isinstance(sub_cocycle, Cocycle):
+        arrays.append(sub_cocycle.exponents)
+    return sum(a.nbytes for a in arrays)
 
 
 def acts_trivially(x: FiniteGSet, A: SubgroupHandle) -> bool:
@@ -213,7 +243,7 @@ def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: Finit
     if not acts_trivially(x, A):
         raise ANotTrivial("the designated subgroup moves some point of the G-set")
     kx = k0_of_gset(G, alpha, x, seed=seed, tol=tol)
-    data = orbit_data(action_table(G, A, alpha, seed=seed, tol=tol), alpha, tol=tol)
+    data = _orbit_data(G, A, alpha, seed=seed, tol=tol)
     return kx, [(datum, k0_of_gset(datum.q_group, datum.beta, gset_as_quotient_action(x, datum),
                                    seed=seed, tol=tol))
                 for datum in data]

@@ -24,6 +24,7 @@ from . import _memo
 from .cocycles import Cocycle, NumericCocycle, restrict
 from .config import Tolerances, default_tolerances
 from .errors import (
+    AmbiguousCharacter,
     InputError,
     NonIntegerMultiplicity,
     NotIrreducible,
@@ -283,7 +284,7 @@ class IrrTable:
         """Index of the unique matching table entry for each row, -1 where none.
 
         A row matches an entry when their values differ by at most tol in
-        max-abs; a row matching several entries raises NonIntegerMultiplicity.
+        max-abs; a row matching several entries raises AmbiguousCharacter.
         """
         values = np.asarray(values, dtype=np.complex128)
         table = self.character_values
@@ -296,7 +297,7 @@ class IrrTable:
             close = np.max(np.abs(chunk[:, None, :] - table[None]), axis=2) <= tol
             hits = close.sum(axis=1)
             if np.any(hits > 1):
-                raise NonIntegerMultiplicity("character matched several table entries")
+                raise AmbiguousCharacter("character matched several table entries")
             found = np.flatnonzero(hits == 1)
             out[lo + found] = np.argmax(close[found], axis=1)
         return out
@@ -362,7 +363,12 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
     if hit is None:
         hit = _split_certified(G, cocycle, seed, tol)
         _memo.put(key, hit, sum(a.nbytes for arrays in hit for a in arrays))
-    matrices, values = hit
+    return _table(G, cocycle, *hit)
+
+
+def _table(G: FiniteGroup, cocycle, matrices: list[np.ndarray],
+           values: list[np.ndarray]) -> IrrTable:
+    """A new IrrTable on the caller's group and cocycle, over stored read-only arrays."""
     return IrrTable(group=G, cocycle=cocycle,
                     irreducibles=[ProjectiveRep(G, cocycle, m.shape[1], m) for m in matrices],
                     characters=[AlphaCharacter(v) for v in values])

@@ -1,19 +1,31 @@
 """The content-keyed memo behind irreducibles, cocycle validation and group validation."""
 
+import gc
 import json
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp import _memo, reps
+from twistdecomp import _memo, decomposition, reps
 from twistdecomp.cocycles import numeric_from_exact, validate_cocycle_table
-from twistdecomp.decomposition import action_table, orbit_data
-from twistdecomp.errors import InputError, InvalidCocycle
+from twistdecomp.decomposition import _orbit_data, action_table, orbit_data
+from twistdecomp.errors import ANotTrivial, DecompositionFailure, InputError, InvalidCocycle, NotNormal
+from twistdecomp.kgroups import (
+    k0_of_gset,
+    left_translation_gset,
+    point_gset,
+    pullback_to_group,
+    random_cover,
+    random_gset,
+)
+
+from test_decomposition import coboundary_twist
 
 
 @pytest.fixture
@@ -41,10 +53,10 @@ def induced_beta():
     return datum.q_group, datum.beta
 
 
-def same_content(G, cocycle):
-    """New group and cocycle objects with the same tables."""
+def same_content(G, cocycle, labels=None):
+    """New group and cocycle objects with the same tables (and the same labels, by default)."""
     H = td.FiniteGroup(order=G.order, mul=np.array(G.mul), inv=np.array(G.inv),
-                       labels=G.labels)
+                       labels=G.labels if labels is None else labels)
     if isinstance(cocycle, td.Cocycle):
         return H, td.Cocycle(H, cocycle.order, np.array(cocycle.exponents))
     return H, td.NumericCocycle(H, np.array(cocycle.table))
@@ -335,6 +347,290 @@ class TestLRU:
             sys.setswitchinterval(interval)
         sizes = [size for _, size in lru._entries.values()]
         assert lru._used == sum(sizes) <= 100
+
+
+@pytest.fixture
+def tabulated(monkeypatch):
+    """The A of every action table built (not served from the memo), in call order."""
+    calls = []
+    honest = decomposition._tabulate
+
+    def counted(G, A, alpha, *args, **kwargs):
+        calls.append(A.elements)
+        return honest(G, A, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "_tabulate", counted)
+    return calls
+
+
+def copy_inputs(G, A, alpha, *gsets):
+    """Same-content copies of G, A, alpha and of G-sets over G."""
+    H, beta = same_content(G, alpha)
+    return (H, td.SubgroupHandle(H, A.elements), beta,
+            *(td.make_gset(H, np.array(x.action)) for x in gsets))
+
+
+def kgroup_configurations():
+    """(name, G, A, alpha): D_8 with <a> and <a^2>, D_12 with <a>, each under
+    dihedral_alpha, the trivial cocycle and a coboundary twist of dihedral_alpha."""
+    for n, gen in ((4, 1), (4, 2), (6, 1)):
+        G = td.dihedral(n)
+        A = td.subgroup_closure(G, [gen])
+        alpha = td.dihedral_alpha(n)
+        for name, cocycle in (("dihedral_alpha", alpha), ("trivial", td.trivial_cocycle(G)),
+                              ("coboundary twist", coboundary_twist(alpha, n))):
+            yield f"D{2 * n} A={A.elements} {name}", G, A, cocycle
+
+
+def kgroup_cases(G, A, rng, count=3):
+    """(x, y, f): A-trivial G-sets, pulled back from G/A, with an equivariant f: x -> y."""
+    qs = td.quotient_with_section(G, A)
+    for _ in range(count):
+        yq = random_gset(qs.quotient, 4, rng)
+        xq, f = random_cover(yq, rng)
+        yield (*(pullback_to_group(s, G, qs.projection) for s in (xq, yq)), f)
+
+
+def kgroup_outputs(G, A, alpha, x, y, f):
+    report = td.verify_gset_decomposition(G, A, alpha, x)
+    return ([report.lhs_rank, report.rhs_ranks], td.phi_matrix(G, A, alpha, x).tolist(),
+            td.pullback_matrix(G, alpha, f, x, y).tolist())
+
+
+def decomposition_summary(G, A, alpha, seed=0, phase_seed=None, tol=None):
+    """Everything a K-group computation reads of an orbit decomposition, as lists."""
+    data = _orbit_data(G, A, alpha, seed, phase_seed, tol)
+    action = action_table(G, A, alpha, seed=seed, tol=tol)
+    return [action.perm.tolist(), action.base.character_values.tolist(),
+            [[d.members, d.gt_map, d.gt_group.labels, d.q_group.labels, d.tau.matrices.tolist(),
+              d.M.tolist(), d.beta.table.tolist()] for d in data]]
+
+
+def kgroup_summary(k):
+    return [[h.elements, t.group.labels, type(t.cocycle).__name__,
+             t.cocycle.complex_table.tolist(), [r.matrices.tolist() for r in t.irreducibles],
+             t.character_values.tolist()] for h, t in zip(k.isotropies, k.summands)]
+
+
+def relabelled(G, alpha):
+    return same_content(G, alpha, labels=tuple(f"x{i}" for i in range(G.order)))
+
+
+def with_4_and_5_swapped(G):
+    """G's table with the indices 4 and 5 exchanged: same inverses and labels when
+    both are involutions, as b and a b of D_8 are."""
+    p = np.arange(G.order)
+    p[[4, 5]] = p[[5, 4]]
+    H = td.FiniteGroup(order=G.order, mul=p[G.mul[np.ix_(p, p)]], inv=p[G.inv[p]],
+                       labels=G.labels)
+    assert np.array_equal(H.inv, G.inv) and not np.array_equal(H.mul, G.mul)
+    return H
+
+
+def carry_cocycles():
+    G = td.cyclic(4)
+    return [(G, td.make_cocycle(G, K, carry(4))) for K in (2, 4)]
+
+
+# Pairs of calls that differ in one part of a key, as argument tuples.
+ORBIT_KEY_PARTS = {
+    "A elements": lambda: [(G, td.subgroup_closure(G, [g]), alpha)
+                           for G, alpha in [(td.dihedral(4), td.dihedral_alpha(4))]
+                           for g in (1, 2)],
+    "seed": lambda: [(G, td.subgroup_closure(G, [1, 4]), alpha, s)
+                     for G, alpha in [(td.dihedral(4), td.dihedral_alpha(4))] for s in (0, 1)],
+    "phase_seed": lambda: [(G, td.subgroup_closure(G, [2]), td.trivial_cocycle(G), 0, p)
+                           for G in [td.dihedral(4)] for p in (None, 1)],
+    "cocycle order": lambda: [(G, td.subgroup_closure(G, [2]), c) for G, c in carry_cocycles()],
+    "group table": lambda: [(G, td.SubgroupHandle(G, (0, 2)), td.trivial_cocycle(G))
+                            for G in (td.dihedral(4), with_4_and_5_swapped(td.dihedral(4)))],
+    "labels": lambda: [(G, td.SubgroupHandle(G, (0, 2)), alpha)
+                       for G, alpha in [(td.dihedral(4), td.dihedral_alpha(4)),
+                                        relabelled(td.dihedral(4), td.dihedral_alpha(4))]],
+}
+
+SUMMAND_KEY_PARTS = {
+    "isotropy elements": lambda: [(G, alpha, td.coset_gset(G, td.subgroup_closure(G, [g])))
+                                  for G, alpha in [(td.dihedral(4), td.dihedral_alpha(4))]
+                                  for g in (1, 2)],
+    "group table": lambda: [(G, td.trivial_cocycle(G), point_gset(G))
+                            for G in (td.dihedral(4), with_4_and_5_swapped(td.dihedral(4)))],
+    "seed": lambda: [(G, alpha, point_gset(G), s)
+                     for G, alpha in [(td.dihedral(4), td.dihedral_alpha(4))] for s in (0, 1)],
+    "cocycle order": lambda: [(G, c, point_gset(G)) for G, c in carry_cocycles()],
+    "exact vs numeric": lambda: [(G, alpha, point_gset(G))
+                                 for G in [td.dihedral(4)]
+                                 for alpha in (td.dihedral_alpha(4),
+                                               numeric_from_exact(td.dihedral_alpha(4)))],
+    "labels": lambda: [(G, alpha, point_gset(G))
+                       for G, alpha in [(td.dihedral(4), td.dihedral_alpha(4)),
+                                        relabelled(td.dihedral(4), td.dihedral_alpha(4))]],
+}
+
+STRICT = td.Tolerances().scaled(1e-14)
+
+
+class TestOrbitDecomposition:
+    def test_warm_equals_cold_across_configurations(self, tabulated):
+        cases = []
+        for i, (name, G, A, alpha) in enumerate(kgroup_configurations()):
+            for x, y, f in kgroup_cases(G, A, np.random.default_rng(i)):
+                cases.append((name, (G, A, alpha, x, y), f))
+        first = [kgroup_outputs(*args, f) for _, args, f in cases]
+        configurations = len({name for name, _, _ in cases})
+        assert len(tabulated) == configurations == 9
+        warm = [kgroup_outputs(*copy_inputs(*args), f) for _, args, f in cases]
+        assert len(tabulated) == configurations
+        for (name, args, f), w1, w2 in zip(cases, first, warm):
+            _memo.clear()
+            assert kgroup_outputs(*args, f) == w1 == w2, name
+
+    @pytest.mark.parametrize("part", sorted(ORBIT_KEY_PARTS))
+    def test_key_part(self, part):
+        calls = ORBIT_KEY_PARTS[part]()
+        warm = [decomposition_summary(*args) for args in calls]
+        assert warm[0] != warm[1]
+        for args, summary in zip(calls, warm):
+            _memo.clear()
+            assert decomposition_summary(*args) == summary
+
+    def test_tolerances_are_part_of_the_key(self, d8, alpha4, a_center, tabulated, monkeypatch):
+        _orbit_data(d8, a_center, alpha4)
+        for _ in range(2):
+            with pytest.raises(td.errors.UnmatchedCharacter):
+                _orbit_data(d8, a_center, alpha4, tol=STRICT)
+        monkeypatch.setenv("TWISTDECOMP_TOL_SCALE", "2")
+        _orbit_data(d8, a_center, alpha4)
+        _orbit_data(d8, a_center, alpha4, tol=td.Tolerances().scaled(2.0))
+        assert len(tabulated) == 4
+
+    def test_a_hit_holds_the_callers_objects(self, d8, alpha4, a_center, tabulated):
+        _orbit_data(d8, a_center, alpha4)
+        G, A, alpha = copy_inputs(d8, a_center, alpha4)
+        hits = [(action_table(G, A, alpha), _orbit_data(G, A, alpha)) for _ in range(2)]
+        assert len(tabulated) == 1
+        for action, data in hits:
+            assert action.group is G and action.subgroup is A and action.alpha is alpha
+            assert all(d.isotropy.parent is G and d.isotropy.elements == d.gt_map for d in data)
+            assert all(d.tau is action.base.irreducibles[d.representative] for d in data)
+        assert hits[0][1][0].isotropy is not hits[1][1][0].isotropy
+
+    def test_action_table_reads_but_does_not_store(self, d8, alpha4, a_center, tabulated):
+        cold = [action_table(d8, a_center, alpha4).perm.tolist() for _ in range(2)]
+        assert len(tabulated) == 2
+        _orbit_data(d8, a_center, alpha4)
+        assert len(tabulated) == 3
+        warm = action_table(d8, a_center, alpha4)
+        assert len(tabulated) == 3
+        assert warm.perm.tolist() == cold[0] == cold[1]
+        a_std, _ = a_center.as_group()
+        irr_a = td.irreducibles(a_std, warm.alpha_a)
+        assert action_table(d8, a_center, alpha4, irr_a=irr_a).base is irr_a
+        assert len(tabulated) == 4
+
+    def test_the_memo_pins_no_callers_objects(self):
+        G, alpha = same_content(td.dihedral(4), td.dihedral_alpha(4))
+        A, x = td.SubgroupHandle(G, (0, 2)), point_gset(G)
+        td.verify_gset_decomposition(G, A, alpha, x)
+        td.phi_matrix(G, A, alpha, x)
+        refs = [weakref.ref(obj) for obj in (G, A, alpha, x)]
+        del G, A, alpha, x
+        gc.collect()
+        assert len(_memo._shared._entries) > 0
+        assert all(ref() is None for ref in refs)
+
+    def test_shared_arrays_are_read_only(self, d8, alpha4, a_center):
+        for _ in range(2):
+            data = _orbit_data(d8, a_center, alpha4)
+            with pytest.raises(ValueError):
+                action_table(d8, a_center, alpha4).perm[0, 0] = 1
+            with pytest.raises(ValueError):
+                data[0].M[0, 0, 0] = 2.0
+        assert _orbit_data(d8, a_center, alpha4)[0].M[0, 0, 0] == 1.0
+        _memo.clear()
+        assert action_table(d8, a_center, alpha4).perm.flags.writeable is False
+
+    def test_not_normal_raises_alike_when_warm(self, d8, alpha4, a_center):
+        td.verify_gset_decomposition(d8, a_center, alpha4, point_gset(d8))
+        b = td.subgroup_closure(d8, [4])
+        for call in (lambda: td.verify_gset_decomposition(d8, b, alpha4, point_gset(d8)),
+                     lambda: td.phi_matrix(d8, b, alpha4, point_gset(d8)),
+                     lambda: _orbit_data(d8, b, alpha4),
+                     lambda: action_table(d8, b, alpha4)):
+            for _ in range(2):
+                with pytest.raises(NotNormal):
+                    call()
+
+    def test_subgroup_of_another_group_raises_when_warm(self, d8, alpha4):
+        klein = td.SubgroupHandle(d8, (0, 2, 4, 6))          # {1, a^2, b, a^2 b}, normal
+        _orbit_data(d8, klein, alpha4)
+        z4_z2 = td.direct_product(td.cyclic(4), td.cyclic(2))
+        other = td.SubgroupHandle(z4_z2, (0, 2, 4, 6))       # Z_4 x 0
+        for call in (_orbit_data, action_table):
+            with pytest.raises(InputError, match="subgroup belongs to a different group"):
+                call(d8, other, alpha4)
+
+    def test_a_moving_points_raises_when_warm(self, d8, alpha4, a_center):
+        td.verify_gset_decomposition(d8, a_center, alpha4, point_gset(d8))
+        x = left_translation_gset(d8)
+        for call in (td.verify_gset_decomposition, td.phi_matrix):
+            with pytest.raises(ANotTrivial):
+                call(d8, a_center, alpha4, x)
+
+    def test_cocycle_on_another_group_raises_when_warm(self, d8, a_center):
+        td.verify_gset_decomposition(d8, a_center, td.trivial_cocycle(d8), point_gset(d8))
+        other = td.trivial_cocycle(td.cyclic(8))
+        for call in (lambda: _orbit_data(d8, a_center, other),
+                     lambda: action_table(d8, a_center, other),
+                     lambda: k0_of_gset(d8, other, point_gset(d8)),
+                     lambda: td.verify_gset_decomposition(d8, a_center, other, point_gset(d8))):
+            with pytest.raises(InputError, match="does not belong to the cocycle's group"):
+                call()
+
+    def test_failure_is_not_remembered(self, d8, alpha4, a_center, monkeypatch):
+        def broken(*args):
+            raise DecompositionFailure("M family fails")
+
+        honest = decomposition._check_m_family
+        monkeypatch.setattr(decomposition, "_check_m_family", broken)
+        for _ in range(2):
+            with pytest.raises(DecompositionFailure, match="M family fails"):
+                _orbit_data(d8, a_center, alpha4)
+        monkeypatch.setattr(decomposition, "_check_m_family", honest)
+        warm = decomposition_summary(d8, a_center, alpha4)
+        _memo.clear()
+        assert decomposition_summary(d8, a_center, alpha4) == warm
+
+
+class TestIsotropySummand:
+    @pytest.mark.parametrize("part", sorted(SUMMAND_KEY_PARTS))
+    def test_key_part(self, part):
+        calls = SUMMAND_KEY_PARTS[part]()
+        warm = [kgroup_summary(k0_of_gset(*args)) for args in calls]
+        assert warm[0] != warm[1]
+        for args, summary in zip(calls, warm):
+            _memo.clear()
+            assert kgroup_summary(k0_of_gset(*args)) == summary
+
+    def test_tolerances_are_part_of_the_key(self, d8, alpha4):
+        k0_of_gset(d8, alpha4, point_gset(d8))
+        for _ in range(2):
+            with pytest.raises(td.errors.SplitFailure):
+                k0_of_gset(d8, alpha4, point_gset(d8), tol=STRICT)
+
+    def test_a_hit_holds_the_callers_objects(self, d8, alpha4, splits):
+        x = td.coset_gset(d8, td.subgroup_closure(d8, [2]))
+        first = k0_of_gset(d8, alpha4, x)
+        G, _, alpha, x2 = copy_inputs(d8, td.subgroup_closure(d8, [2]), alpha4, x)
+        warm = k0_of_gset(G, alpha, x2)
+        assert len(splits) == 1
+        assert warm.gset is x2 and warm.cocycle is alpha
+        assert kgroup_summary(warm) == kgroup_summary(first)
+        for h1, h2, table in zip(first.isotropies, warm.isotropies, warm.summands):
+            assert h2.parent is G and h2 is not h1
+            assert all(r.group is table.group and r.cocycle is table.cocycle
+                       for r in table.irreducibles)
+        assert warm.summands[0] is not first.summands[0]
 
 
 def _memo_summary() -> list:

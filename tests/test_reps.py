@@ -3,7 +3,7 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp.decomposition import action_table, orbit_data
-from twistdecomp.errors import NonIntegerMultiplicity, NotIrreducible
+from twistdecomp.errors import AmbiguousCharacter, NonIntegerMultiplicity, NotIrreducible
 from twistdecomp.groups import trivial_subgroup
 from twistdecomp import reps
 from twistdecomp.reps import commutant_dimension, is_irreducible
@@ -188,7 +188,7 @@ class TestMatchCharacters:
 
     def test_ambiguous_match_raises(self):
         table = td.irreducibles(td.dihedral(8), td.dihedral_alpha(8), seed=0)
-        with pytest.raises(NonIntegerMultiplicity):
+        with pytest.raises(AmbiguousCharacter):
             table.match_characters(table.character_values, 10.0)
 
 
