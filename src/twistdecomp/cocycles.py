@@ -70,8 +70,8 @@ class CocycleReport:
 def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray) -> CocycleReport:
     """Check normalization and the 2-cocycle identity on an exponent table.
 
-    The checks run once per content (group table, identity, order and the
-    table mod order): a content that passed before passes again without
+    The checks run once per content (the group's content digest, order and
+    the table mod order): a content that passed before passes again without
     them. A report with violations is never remembered.
     """
     n = group.order
@@ -82,7 +82,7 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
     if order < 1:
         return CocycleReport([("order", order)])
     table = table % order
-    key = _memo.key("cocycle", group.mul, group.identity, order, table)
+    key = _memo.key("cocycle", group._content, order, table)
     if _memo.get(key):
         return CocycleReport([])
     e = group.identity
@@ -132,6 +132,11 @@ class Cocycle:
     def is_trivial(self) -> bool:
         return not self.exponents.any()
 
+    @cached_property
+    def _content(self) -> bytes:
+        """Memo digest of the order and exponents."""
+        return _memo.key("cocycle content", "exact", self.order, self.exponents)
+
     def same_as(self, other) -> bool:
         if isinstance(other, Cocycle):
             if not self.group.same_table(other.group):
@@ -161,6 +166,11 @@ class NumericCocycle:
     @property
     def complex_table(self) -> np.ndarray:
         return self.table
+
+    @cached_property
+    def _content(self) -> bytes:
+        """Memo digest of the values."""
+        return _memo.key("cocycle content", "numeric", self.table)
 
     @property
     def is_exact(self) -> bool:
@@ -204,9 +214,9 @@ def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None
 
     A non-finite entry (NaN or inf) is reported as a "unit" violation.
 
-    The checks run once per content (group table, identity, values and
-    tolerances): a content that passed before passes again without them. A
-    report with violations is never remembered.
+    The checks run once per content (the content digests of the group and
+    the cocycle, and the tolerances): a content that passed before passes
+    again without them. A report with violations is never remembered.
     """
     tol = tol or default_tolerances()
     G = beta.group
@@ -215,7 +225,7 @@ def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None
     violations: list = []
     if t.shape != (n, n):
         return CocycleReport([("shape", t.shape, (n, n))])
-    key = _memo.key("numeric cocycle", G.mul, G.identity, t, tol)
+    key = _memo.key("numeric cocycle", G._content, beta._content, tol)
     if _memo.get(key):
         return CocycleReport([])
     off_unit = np.argwhere(~(np.abs(np.abs(t) - 1.0) <= tol.unitary))

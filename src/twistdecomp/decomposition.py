@@ -124,8 +124,7 @@ class IrrAction:
         return _action_orbits(self.perm)
 
 
-def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
-                 irr_a: IrrTable | None = None, seed: int = 0,
+def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0,
                  tol: Tolerances | None = None) -> IrrAction:
     """Tabulate g . [tau_i] from characters, then check the action laws.
 
@@ -145,9 +144,9 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
     check raises DecompositionFailure (UnmatchedCharacter for a moved
     character with no table entry).
 
-    Without irr_a, an action that a K-group call has certified for the same
-    content (see _orbit_data) comes from the memo, rebound to the caller's
-    G, A and alpha. action_table stores nothing itself: a single point
+    An action that a K-group call has certified for the same content (see
+    _orbit_data) comes from the memo, rebound to the caller's G, A and
+    alpha. action_table stores nothing itself: a single point
     decomposition rarely repeats its content, and its entries would evict
     tables that do repeat. Normality and the cocycle's group are checked
     before the lookup.
@@ -155,28 +154,25 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
     tol = tol or default_tolerances()
     if not is_normal(G, A):
         raise NotNormal("the action is defined for a normal subgroup")
-    if irr_a is None:
-        _require_on(alpha, G)
-        hit = _memo.get(_action_key(G, A, alpha, seed, tol))
-        if hit is not None:
-            return replace(hit, group=G, subgroup=A, alpha=alpha)
-    return _tabulate(G, A, alpha, irr_a, seed, tol)
+    _require_on(alpha, G)
+    hit = _memo.get(_action_key(G, A, alpha, seed, tol))
+    if hit is not None:
+        return replace(hit, group=G, subgroup=A, alpha=alpha)
+    return _tabulate(G, A, alpha, seed, tol)
 
 
 def _action_key(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
                 tol: Tolerances) -> bytes:
-    """Every input of _tabulate without irr_a; the labels of A's and the
-    isotropy groups come from G's."""
-    return _memo.key("action table", G.mul, G.inv, G.identity, G.labels, A.elements,
-                     alpha.order, alpha.exponents, seed, tol)
+    """Every input of _tabulate; the labels of A's and the isotropy groups
+    come from G's, so the key adds them to G's content digest."""
+    return _memo.key("action table", G._content, G.labels, A.elements, alpha._content, seed, tol)
 
 
-def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, irr_a: IrrTable | None,
-              seed: int, tol: Tolerances) -> IrrAction:
+def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
+              tol: Tolerances) -> IrrAction:
     alpha_a, a_map = restrict(alpha, A)
     a_std, _ = A.as_group()
-    if irr_a is None:
-        irr_a = irreducibles(a_std, alpha_a, seed=seed, tol=tol)
+    irr_a = irreducibles(a_std, alpha_a, seed=seed, tol=tol)
     K = alpha.order
     a_elems = np.asarray(a_map)
     a_pos = np.full(G.order, -1, dtype=np.int64)
@@ -307,10 +303,10 @@ def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0
                 ) -> list[OrbitDatum]:
     """orbit_data(action_table(G, A, alpha)), certified once per content.
 
-    The key is that of the action (G's table, inverses, identity and labels,
-    A's elements, alpha's order and exponents, seed, tolerances) and
-    phase_seed. A miss stores the action too, so later action_table calls on
-    the same content skip the rebuild. A hit is rebound to the caller: each
+    The key is that of the action (the content digests of G and alpha, G's
+    labels, A's elements, seed, tolerances) and phase_seed. A miss stores
+    the action too, so later action_table calls on the same content skip
+    the rebuild. A hit is rebound to the caller: each
     datum.isotropy is a new handle on G and datum.tau is the irreducible of
     the action's base. No stored value holds G, A or alpha; the checks of
     action_table run on every call, and a failure is never remembered.

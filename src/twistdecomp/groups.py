@@ -80,6 +80,11 @@ class FiniteGroup:
         return self.order == other.order and np.array_equal(self.mul, other.mul)
 
     @cached_property
+    def _content(self) -> bytes:
+        """Memo digest of the table, inverses and identity; the labels are left out."""
+        return _memo.key("group content", self.mul, self.inv, self.identity)
+
+    @cached_property
     def _generating_set(self) -> tuple[int, ...]:
         gens: list[int] = []
         current = trivial_subgroup(self)

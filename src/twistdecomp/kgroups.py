@@ -27,6 +27,7 @@ irreducible, so no representation matrix is conjugated or restricted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .groups import (
     all_subgroups,
     left_cosets,
 )
-from .reps import IrrTable, _cocycle_content, _table, irreducibles
+from .reps import IrrTable, _table, irreducibles
 
 
 @dataclass(eq=False)
@@ -173,10 +174,10 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
 
     The summand of an orbit, the isotropy re-indexed as a group, the cocycle
     restricted to it and its irreducibles, is computed once per content: the
-    group's table, inverses, identity and labels, the cocycle, the isotropy's
-    elements, seed and tolerances. A hit is a new table over the stored
-    group, cocycle and read-only arrays; the isotropy handle is the one
-    found in this call. Whether the cocycle lives on G is checked on every
+    content digests of the group and the cocycle, the group's labels, the
+    isotropy's elements, seed and tolerances. A hit is a new table over the
+    stored group, cocycle and read-only arrays; the isotropy handle is the
+    one found in this call. Whether the cocycle lives on G is checked on every
     call, and a failure is never remembered.
     """
     tol = tol or default_tolerances()
@@ -184,8 +185,7 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
         raise InputError("G-set belongs to a different group")
     H = x.group
     _require_on(cocycle, H)
-    content = _memo.key("gset content", H.mul, H.inv, H.identity, H.labels,
-                        *_cocycle_content(cocycle), seed, tol)
+    content = _memo.key("gset content", H._content, H.labels, cocycle._content, seed, tol)
     basepoints = []
     isotropies = []
     summands = []
@@ -364,9 +364,9 @@ def random_gset(group: FiniteGroup, max_size: int, rng: np.random.Generator,
         h = candidates[int(rng.integers(len(candidates)))]
         pieces.append(coset_gset(group, h))
         budget -= group.order // h.order
-    x = pieces[0]
-    for p in pieces[1:]:
-        x = disjoint_union(x, p)
+    if not pieces:
+        raise InputError(f"no given subgroup has index at most {max_size}")
+    x = reduce(disjoint_union, pieces)
     perm = rng.permutation(x.size)
     return relabel_gset(x, perm)
 
@@ -386,19 +386,17 @@ def random_cover(base: FiniteGSet, rng: np.random.Generator,
     maps = []
     for orbit in gset_orbits(base):
         p = orbit[0]
-        stab = isotropy_subgroup(base, p)
-        stab_set = set(stab.elements)
+        stab_set = set(isotropy_subgroup(base, p).elements)
         inside = [h for h in subgroups if set(h.elements) <= stab_set]
+        if not inside:
+            raise InputError(f"no given subgroup lies in the stabilizer of point {p}")
         t = inside[int(rng.integers(len(inside)))]
         # the coset of g maps to g.p
         _, reps = left_cosets(G, t)
         maps.append(base.action[reps, p].tolist())
         pieces.append(coset_gset(G, t))
-    x = pieces[0]
-    fmap = list(maps[0])
-    for piece, piece_map in zip(pieces[1:], maps[1:]):
-        x = disjoint_union(x, piece)
-        fmap.extend(piece_map)
+    x = reduce(disjoint_union, pieces, empty_gset(G))
+    fmap = [v for piece_map in maps for v in piece_map]
     perm = rng.permutation(x.size)
     relabelled = relabel_gset(x, perm)
     out_map = [0] * x.size

@@ -163,14 +163,16 @@ def _hom_space(G: FiniteGroup, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     X and Y are (|G|, ., .) stacks. The equations are imposed on the
     generators of G only: when X and Y carry the same cocycle, the relation
-    for g and h gives it for gh.
+    for g and h gives it for gh. The rows of generator g are
+    kron(X(g), I) - kron(I, Y(g)^T), built for all generators at once.
     """
-    gens = generating_set(G)
+    gens = list(generating_set(G))
     dx, dy = X.shape[1], Y.shape[1]
     if not gens:
         return np.eye(dx * dy)
-    rows = [np.kron(X[g], np.eye(dy)) - np.kron(np.eye(dx), Y[g].T) for g in gens]
-    return _nullspace(np.vstack(rows))
+    rows = (np.einsum("gij,kl->gikjl", X[gens], np.eye(dy))
+            - np.einsum("ij,glk->gikjl", np.eye(dx), Y[gens]))
+    return _nullspace(rows.reshape(-1, dx * dy))
 
 
 def commutant_dimension(rep: ProjectiveRep) -> int:
@@ -346,8 +348,8 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
     (dimension, lexicographic character), so the result is deterministic
     per seed.
 
-    A certified table is split and certified once per content: group table,
-    inverses and identity, cocycle values, seed and tolerances. A later call
+    A certified table is split and certified once per content: the content
+    digests of the group and the cocycle, seed and tolerances. A later call
     with the same content gets the same matrices and characters back, in a
     table whose group and cocycle are the caller's objects. A failure is
     never remembered.
@@ -357,8 +359,7 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
         raise InputError(f"dense decomposition capped at order {MAX_DENSE_ORDER}")
     if cocycle.group is not G and not cocycle.group.same_table(G):
         raise InputError("cocycle is not defined on the given group")
-    key = _memo.key("irreducibles", G.mul, G.inv, G.identity,
-                    *_cocycle_content(cocycle), seed, tol)
+    key = _memo.key("irreducibles", G._content, cocycle._content, seed, tol)
     hit = _memo.get(key)
     if hit is None:
         hit = _split_certified(G, cocycle, seed, tol)
@@ -372,12 +373,6 @@ def _table(G: FiniteGroup, cocycle, matrices: list[np.ndarray],
     return IrrTable(group=G, cocycle=cocycle,
                     irreducibles=[ProjectiveRep(G, cocycle, m.shape[1], m) for m in matrices],
                     characters=[AlphaCharacter(v) for v in values])
-
-
-def _cocycle_content(cocycle) -> tuple:
-    if isinstance(cocycle, Cocycle):
-        return ("exact", cocycle.order, cocycle.exponents)
-    return ("numeric", cocycle.table)
 
 
 def _split_certified(G: FiniteGroup, cocycle, seed: int,

@@ -185,6 +185,20 @@ class TestGSetBasics:
             assert gset_orbits(x) == bfs_orbits(x.action)
             assert gset_orbits(base) == bfs_orbits(base.action)
 
+    def test_random_gset_without_a_small_enough_subgroup_is_an_input_error(self, d8):
+        a = td.subgroup_closure(d8, [1])                 # <a>, index 2
+        with pytest.raises(InputError, match="index at most 1"):
+            random_gset(d8, 1, np.random.default_rng(0), [a])
+
+    def test_random_cover_without_a_subgroup_in_a_stabilizer_is_an_input_error(self, d8):
+        a = td.subgroup_closure(d8, [1])                 # not in the trivial stabilizer
+        with pytest.raises(InputError, match="stabilizer of point 0"):
+            random_cover(left_translation_gset(d8), np.random.default_rng(0), subgroups=[a])
+
+    def test_random_cover_of_the_empty_gset_is_empty(self, d8):
+        x, f = random_cover(empty_gset(d8), np.random.default_rng(0))
+        assert x.size == 0 and x.action.shape == (8, 0) and f == ()
+
     def test_relabel_preserves_orbit_structure(self, d8):
         x = swap_gset(d8)
         y = relabel_gset(x, [1, 0])

@@ -291,6 +291,46 @@ class TestGroupValidation:
         assert messages[0] == messages[1]
 
 
+class TestContentDigests:
+    def test_equal_for_same_content_copies(self):
+        for make in (lambda: (td.dihedral(4), td.dihedral_alpha(4)), induced_beta):
+            G, cocycle = make()
+            H, copy = same_content(G, cocycle)
+            assert H._content == G._content and copy._content == cocycle._content
+
+    def test_each_group_field_changes_the_digest(self):
+        G = td.dihedral(4)
+        swapped = np.array(G.mul)
+        swapped[[1, 2]] = swapped[[2, 1]]
+        variants = [td.FiniteGroup(G.order, swapped, G.inv, G.labels),
+                    td.FiniteGroup(G.order, G.mul, np.roll(G.inv, 1), G.labels),
+                    td.FiniteGroup(G.order, G.mul, G.inv, G.labels, identity=1)]
+        assert len({G._content, *(H._content for H in variants)}) == 4
+
+    def test_labels_do_not_change_the_group_digest(self):
+        G = td.dihedral(4)
+        H, _ = same_content(G, td.dihedral_alpha(4), labels=tuple("abcdefgh"))
+        assert H.labels != G.labels and H._content == G._content
+
+    def test_each_cocycle_field_changes_the_digest(self):
+        alpha = td.dihedral_alpha(4)
+        G, K = alpha.group, alpha.order
+        changed = np.array(alpha.exponents)
+        changed[1, 1] = (changed[1, 1] + 1) % K
+        beta = numeric_from_exact(alpha)
+        moved = np.array(beta.table)
+        moved[1, 1] *= -1
+        assert td.Cocycle(G, 2 * K, alpha.exponents)._content != alpha._content
+        assert td.Cocycle(G, K, changed)._content != alpha._content
+        assert td.NumericCocycle(G, moved)._content != beta._content
+
+    def test_exact_and_numeric_cocycles_with_equal_values_differ(self):
+        alpha = td.dihedral_alpha(4)
+        beta = numeric_from_exact(alpha)
+        assert np.array_equal(beta.table, alpha.complex_table)
+        assert beta._content != alpha._content
+
+
 class TestLRU:
     def test_evicts_least_recently_used_first(self):
         lru = _memo.LRU(30)
@@ -523,10 +563,6 @@ class TestOrbitDecomposition:
         warm = action_table(d8, a_center, alpha4)
         assert len(tabulated) == 3
         assert warm.perm.tolist() == cold[0] == cold[1]
-        a_std, _ = a_center.as_group()
-        irr_a = td.irreducibles(a_std, warm.alpha_a)
-        assert action_table(d8, a_center, alpha4, irr_a=irr_a).base is irr_a
-        assert len(tabulated) == 4
 
     def test_the_memo_pins_no_callers_objects(self):
         G, alpha = same_content(td.dihedral(4), td.dihedral_alpha(4))

@@ -4,7 +4,7 @@ import pytest
 import twistdecomp as td
 from twistdecomp.decomposition import action_table, orbit_data
 from twistdecomp.errors import AmbiguousCharacter, NonIntegerMultiplicity, NotIrreducible
-from twistdecomp.groups import trivial_subgroup
+from twistdecomp.groups import generating_set, trivial_subgroup
 from twistdecomp import reps
 from twistdecomp.reps import commutant_dimension, is_irreducible
 
@@ -334,3 +334,46 @@ class TestCommutant:
         # two classes of dim 2 each: commutant dim = 2^2 + 2^2
         reg = td.regular_rep(d8, alpha4)
         assert commutant_dimension(reg) == 8
+
+
+def kron_equations(G, X, Y):
+    """The generator equations of _hom_space, one kron pair per generator."""
+    dx, dy = X.shape[1], Y.shape[1]
+    return np.vstack([np.kron(X[g], np.eye(dy)) - np.kron(np.eye(dx), Y[g].T)
+                      for g in generating_set(G)])
+
+
+class TestHomSpaceEquations:
+    @pytest.fixture
+    def equations(self, monkeypatch):
+        """The matrix of every nullspace _hom_space asks for, in call order."""
+        seen = []
+        honest = reps._nullspace
+
+        def recorded(A):
+            seen.append(A)
+            return honest(A)
+
+        monkeypatch.setattr(reps, "_nullspace", recorded)
+        return seen
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_equal_to_the_kron_loop(self, n, equations):
+        G = td.dihedral(n)
+        cocycles = [td.trivial_cocycle(G)] + ([td.dihedral_alpha(n)] if n % 2 == 0 else [])
+        for alpha in cocycles:
+            for rep in td.irreducibles(G, alpha).irreducibles:
+                equations.clear()
+                kernel = reps._hom_space(G, rep.matrices, rep.matrices)
+                want = kron_equations(G, rep.matrices, rep.matrices)
+                assert len(equations) == 1 and np.array_equal(equations[0], want)
+                assert np.array_equal(kernel, reps._nullspace(want))
+
+    def test_rectangular_pair(self, equations):
+        G = td.dihedral(5)
+        irr = td.irreducibles(G, td.trivial_cocycle(G)).irreducibles
+        X, Y = irr[-1].matrices, irr[0].matrices
+        assert X.shape[1] == 2 and Y.shape[1] == 1
+        equations.clear()
+        assert reps._hom_space(G, X, Y).shape == (2, 0)
+        assert len(equations) == 1 and np.array_equal(equations[0], kron_equations(G, X, Y))
