@@ -3,6 +3,8 @@
 These deliberately avoid the regular-representation splitting path: the
 character table oracle works through conjugacy-class-sum matrices, and the
 isomorphism oracle is a plain backtracking search over generator images.
+The table checks scan every triple, where the library checks only a
+generating set of middle arguments.
 """
 
 from __future__ import annotations
@@ -123,3 +125,27 @@ def brute_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:
         ):
             return True
     return False
+
+
+def associative(mul) -> bool:
+    """(x y) z == x (y z) for every triple of the table, by brute force over all n^3 at once."""
+    mul = np.asarray(mul)
+    n = mul.shape[0]
+    return np.array_equal(mul[mul], mul[np.arange(n)[:, None, None], mul[None]])
+
+
+def cocycle_violations(G: FiniteGroup, K: int, table) -> set:
+    """Every normalization and 2-cocycle violation of an exponent table mod K, by brute force.
+
+    In the report format: ("normalization", g, h) with g or h the identity,
+    and ("cocycle", g, h, k) when alpha(gh, k) + alpha(g, h) != alpha(g, hk) + alpha(h, k).
+    """
+    t = np.asarray(table, dtype=np.int64) % K
+    n, e, mul = G.order, G.identity, G.mul
+    found = {("normalization", g, e) for g in range(n) if t[g, e]}
+    found |= {("normalization", e, g) for g in range(n) if t[e, g]}
+    for g, h, k in itertools.product(range(n), repeat=3):
+        if (t[mul[g, h], k] + t[g, h] - t[g, mul[h, k]] - t[h, k]) % K:
+            found.add(("cocycle", g, h, k))
+    return found
+

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,11 @@ from twistdecomp.cocycles import (
     validate_cocycle_table,
 )
 from twistdecomp.errors import InputError, InvalidCocycle, OddN, SearchSpaceTooLarge
-from twistdecomp.groups import trivial_subgroup
+from twistdecomp.groups import generating_set, trivial_subgroup
+
+from oracles import cocycle_violations
+from test_memo import klein_bilinear
+from test_reps import symmetric
 
 
 class TestUnitScalar:
@@ -57,6 +63,84 @@ class TestValidateCocycle:
         expo[0, 0] = 1
         with pytest.raises(InvalidCocycle):
             make_cocycle(d8, 4, expo)
+
+
+def cocycle_case(kind, n, seed, perturbations):
+    """(group, order, exponent table) for one oracle case, with some cells moved by a random amount."""
+    rng = np.random.default_rng(seed)
+    if kind == "dihedral_alpha":
+        alpha = td.dihedral_alpha(n)
+        G, K, table = alpha.group, alpha.order, np.array(alpha.exponents)
+    elif kind == "coboundary twist":
+        alpha = td.dihedral_alpha(n)
+        G, K = alpha.group, 4 * n
+        f = rng.integers(0, K, G.order)
+        f[0] = 0
+        table = 4 * alpha.exponents + f[:, None] + f[None, :] - f[G.mul]
+    elif kind == "klein":
+        G, K, table = td.direct_product(td.cyclic(2), td.cyclic(2)), n, klein_bilinear()
+    else:
+        G, K = symmetric(4), n
+        f = rng.integers(0, K, G.order)
+        f[0] = 0
+        table = f[:, None] + f[None, :] - f[G.mul]
+    for _ in range(perturbations):
+        g, h = rng.integers(0, G.order, 2)
+        table[g, h] += rng.integers(1, K)
+    return G, K, table
+
+
+class TestValidateCocycleAgainstOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([("dihedral_alpha", 2), ("dihedral_alpha", 4), ("dihedral_alpha", 6),
+                            ("coboundary twist", 2), ("coboundary twist", 4), ("klein", 2),
+                            ("klein", 4), ("S4", 2), ("S4", 3)]),
+           st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
+    def test_same_decision_and_real_violations(self, case, seed, perturbations):
+        G, K, table = cocycle_case(*case, seed, perturbations)
+        report = validate_cocycle_table(G, K, table)
+        want = cocycle_violations(G, K, table)
+        assert report.ok == (not want)
+        assert set(report.violations) <= want
+        middles = {G.identity, *generating_set(G)}
+        assert all(v[2] in middles for v in report.violations if v[0] == "cocycle")
+
+    def test_every_normalized_table_mod_2_on_the_klein_group(self):
+        # 16 of these hold the identity with the first generator as middle and fail it with the second
+        V = td.direct_product(td.cyclic(2), td.cyclic(2))
+        for cells in itertools.product(range(2), repeat=9):
+            table = np.zeros((4, 4), dtype=np.int64)
+            table[1:, 1:] = np.reshape(cells, (3, 3))
+            report = validate_cocycle_table(V, 2, table)
+            want = cocycle_violations(V, 2, table)
+            assert report.ok == (not want)
+            assert set(report.violations) <= want
+
+    def test_products_mod_2_on_d8_with_a_wrong_identity_field(self, d8):
+        # T(g, h) = chi(g) lam(h), chi a homomorphism to Z/2, is normalized at 1 when
+        # lam(1) = 0, and h is a good middle exactly when lam(hk) = lam(h) + lam(k) for
+        # all k (chi not zero). Some hold at 0 and at the generators grown from 1, not at 1.
+        wrong = td.FiniteGroup(order=8, mul=d8.mul, inv=d8.inv, labels=d8.labels, identity=1)
+        functions = np.array(list(itertools.product(range(2), repeat=8)))
+        homs = [c for c in functions if not ((c[:, None] + c[None, :] - c[d8.mul]) % 2).any()]
+        for chi in homs:
+            for lam in functions[functions[:, 1] == 0]:
+                table = np.outer(chi, lam)
+                report = validate_cocycle_table(wrong, 2, table)
+                want = cocycle_violations(wrong, 2, table)
+                assert report.ok == (not want)
+                assert set(report.violations) <= want
+
+    def test_dihedral_alpha_at_order_512(self):
+        alpha = td.dihedral_alpha(256)
+        assert td.validate_cocycle(alpha).ok
+        table = np.array(alpha.exponents)
+        table[300, 7] += 1
+        report = validate_cocycle_table(alpha.group, alpha.order, table)
+        assert not report.ok
+        t, mul, K = table % alpha.order, alpha.group.mul, alpha.order
+        for _, g, h, k in report.violations:
+            assert (t[mul[g, h], k] + t[g, h] - t[g, mul[h, k]] - t[h, k]) % K
 
 
 class TestDihedralAlpha:

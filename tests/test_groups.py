@@ -1,3 +1,6 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from twistdecomp.errors import (
     InputError,
     NoIdentity,
     NotAPermutation,
+    NoInverse,
     NotAssociative,
     NotLatinSquare,
     NotNormal,
@@ -23,7 +27,8 @@ from twistdecomp.groups import (
     trivial_subgroup,
 )
 
-from oracles import brute_isomorphic
+from oracles import associative, brute_isomorphic
+from test_reps import alternating, c2_times_dihedral, quaternion, symmetric
 
 # order-5 loop: Latin square with identity and two-sided inverses, not associative
 NONASSOC_LOOP = [
@@ -367,3 +372,166 @@ class TestConjugacyClasses:
             G = td.dihedral(n)
             for cls in td.conjugacy_classes(G):
                 assert G.order % len(cls) == 0
+
+
+def loop_check_latin(mul):
+    """Reference Latin check: rows and columns in the order row 0, column 0, row 1, ..."""
+    n = mul.shape[0]
+    want = np.arange(n)
+    for g in range(n):
+        if not np.array_equal(np.sort(mul[g]), want):
+            raise NotLatinSquare(f"row {g} is not a permutation of 0..{n - 1}")
+        if not np.array_equal(np.sort(mul[:, g]), want):
+            raise NotLatinSquare(f"column {g} is not a permutation of 0..{n - 1}")
+
+
+def loop_find_inverses(mul, e):
+    """Reference inverses: the first element whose row has no single e, or whose e is one-sided."""
+    n = mul.shape[0]
+    inv = np.empty(n, dtype=np.int64)
+    for g in range(n):
+        right = np.flatnonzero(mul[g] == e)
+        if right.size != 1 or mul[right[0], g] != e:
+            raise NoInverse(f"element {g} has no two-sided inverse")
+        inv[g] = right[0]
+    return inv
+
+
+def outcome(check, *args):
+    """(error type, message) of a check, or ("ok", its result as a list)."""
+    try:
+        result = check(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return "ok", None if result is None else result.tolist()
+
+
+def is_group(mul) -> bool:
+    """Latin square, two-sided identity, two-sided inverses and associativity, by brute force."""
+    mul = np.asarray(mul)
+    n = mul.shape[0]
+    ids = [e for e in range(n) if all(mul[e, x] == x == mul[x, e] for x in range(n))]
+    return (outcome(loop_check_latin, mul)[0] == "ok" and len(ids) == 1
+            and all(any(mul[g, h] == ids[0] == mul[h, g] for h in range(n)) for g in range(n))
+            and associative(mul))
+
+
+TABLE_GROUPS = {
+    "C4": lambda: td.cyclic(4),         # one swap gives C2 x C2, a group again
+    "D8": lambda: td.dihedral(4),
+    "D12": lambda: td.dihedral(6),
+    "C12": lambda: td.cyclic(12),
+    "Q8": lambda: quaternion(8),
+    "C2xD8": lambda: c2_times_dihedral(4),
+    "S4": lambda: symmetric(4),
+}
+
+
+GREEDY_GROUPS = {
+    **{f"D{2 * n}": functools.partial(td.dihedral, n) for n in range(1, 31)},
+    "S4": lambda: symmetric(4),
+    "A4": lambda: alternating(4),
+    "Q8": lambda: quaternion(8),
+    "C2xD8": lambda: c2_times_dihedral(4),
+}
+
+
+@functools.cache
+def intercalates(name):
+    """Cells r1 < r2, c1 < c2, none of them the identity's, with mul[r1,c1] == mul[r2,c2]
+    and mul[r1,c2] == mul[r2,c1]: swapping the two values keeps a Latin square with identity 0."""
+    mul = TABLE_GROUPS[name]().mul
+    n = mul.shape[0]
+    found = []
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            same = ((mul[r1][:, None] == mul[r2][None, :])
+                    & (mul[r1][None, :] == mul[r2][:, None]))
+            found += [(r1, r2, c1, c2) for c1, c2 in np.argwhere(np.triu(same, 1)) if c1 > 0]
+    return found
+
+
+def intercalate_swap(mul, r1, r2, c1, c2):
+    table = np.array(mul)
+    table[[r1, r2], [c1, c2]], table[[r1, r2], [c2, c1]] = mul[r1, c2], mul[r1, c1]
+    return table
+
+
+def assert_real_triple(mul, message):
+    """The triple named by a NotAssociative message fails associativity in mul."""
+    x, a, y = map(int, re.fullmatch(r"\((\d+)\*(\d+)\)\*(\d+) != .*", message).groups())
+    assert message == f"({x}*{a})*{y} != {x}*({a}*{y})"
+    assert mul[mul[x, a], y] != mul[x, mul[a, y]]
+
+
+class TestTableChecksAgainstOracles:
+    @pytest.mark.parametrize("name", GREEDY_GROUPS)
+    def test_word_generators_equal_the_subgroup_closure_greedy(self, name):
+        G = GREEDY_GROUPS[name]()
+        assert groups._word_generators(G.mul, G.identity) == tuple(generating_set(G))
+
+    def test_first_of_a_bad_row_and_a_bad_column(self, d8):
+        for cell, message in (((5, 2), "column 2"), ((2, 5), "row 2"), ((3, 3), "row 3")):
+            table = np.array(d8.mul)
+            table[cell] = table[cell[0], (cell[1] + 1) % 8]     # a repeat in the row and the column
+            want = outcome(loop_check_latin, table)
+            assert want == (NotLatinSquare, f"{message} is not a permutation of 0..7")
+            assert outcome(groups._check_latin, table) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(TABLE_GROUPS)), st.lists(st.tuples(
+        st.integers(0, 23), st.integers(0, 23), st.integers(0, 23)), min_size=1, max_size=3))
+    def test_latin_and_inverse_checks_equal_the_loops(self, name, edits):
+        table = np.array(TABLE_GROUPS[name]().mul)
+        n = table.shape[0]
+        for r, c, v in edits:
+            table[r % n, c % n] = v % n
+        assert outcome(groups._check_latin, table) == outcome(loop_check_latin, table)
+        assert outcome(groups._find_inverses, table, 0) == outcome(loop_find_inverses, table, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(TABLE_GROUPS)), st.integers(0, 10 ** 6))
+    def test_intercalate_swaps(self, name, pick):
+        cells = intercalates(name)
+        table = intercalate_swap(TABLE_GROUPS[name]().mul, *cells[pick % len(cells)])
+        assert outcome(groups._check_latin, table) == ("ok", None)
+        assert outcome(groups._find_inverses, table, 0) == outcome(loop_find_inverses, table, 0)
+        got = outcome(groups._check_associative, table)
+        assert (got == ("ok", None)) == associative(table)
+        if got[0] is NotAssociative:
+            assert_real_triple(table, got[1])
+        try:
+            td.from_multiplication_table(table)
+        except InputError:
+            assert not is_group(table)
+        else:
+            assert is_group(table)
+
+    def test_every_intercalate_swap_of_s4(self):
+        # 121 of these pass at the first generator and fail at the second
+        mul = TABLE_GROUPS["S4"]().mul
+        for cells in intercalates("S4"):
+            table = intercalate_swap(mul, *cells)
+            got = outcome(groups._check_associative, table)
+            assert (got == ("ok", None)) == associative(table)
+            if got[0] is NotAssociative:
+                assert_real_triple(table, got[1])
+
+    def test_loop_and_row_swapped_d8(self, d8):
+        swapped = np.array(d8.mul)
+        swapped[[2, 5]] = swapped[[5, 2]]
+        for table in (np.array(NONASSOC_LOOP), swapped):
+            assert not is_group(table)
+            with pytest.raises(InputError):
+                td.from_multiplication_table(table)
+        with pytest.raises(NotAssociative) as err:
+            groups._check_associative(np.array(NONASSOC_LOOP))
+        assert_real_triple(np.array(NONASSOC_LOOP), str(err.value))
+
+    def test_every_triple_at_order_1024(self):
+        mul = td.cyclic(1024).mul
+        table = intercalate_swap(mul, 1, 513, 2, 514)     # a^1 a^2 = a^513 a^514 = a^3
+        with pytest.raises(NotAssociative) as err:
+            td.from_multiplication_table(table)
+        assert "sampled" not in str(err.value)
+        assert_real_triple(table, str(err.value))

@@ -169,6 +169,91 @@ def kgroup_dump() -> list:
     return out
 
 
+def _intercalates(mul, limit: int) -> list:
+    """Up to limit cells r1 < r2, c1 < c2 off the identity's row and column, with
+    mul[r1,c1] == mul[r2,c2] and mul[r1,c2] == mul[r2,c1]."""
+    n = len(mul)
+    found = []
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                for c2 in range(c1 + 1, n):
+                    if mul[r1][c1] == mul[r2][c2] and mul[r1][c2] == mul[r2][c1]:
+                        found.append((r1, r2, c1, c2))
+                        if len(found) == limit:
+                            return found
+    return found
+
+
+def validation_dump() -> list:
+    """Accept ("ok") or the error type, for every perturbed table of the fixed list."""
+    import numpy as np
+
+    import twistdecomp as td
+    from twistdecomp.errors import TwistError
+
+    out = []
+
+    def record(name, check):
+        try:
+            check()
+        except TwistError as exc:
+            out.append({"case": name, "result": type(exc).__name__})
+        else:
+            out.append({"case": name, "result": "ok"})
+
+    rng = np.random.default_rng(0)
+    groups = [("dihedral:4", td.dihedral(4)), ("dihedral:6", td.dihedral(6)),
+              ("cyclic:4", td.cyclic(4)), ("cyclic:12", td.cyclic(12)),
+              ("C2xD8", td.direct_product(td.cyclic(2), td.dihedral(4))),
+              ("S4", td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
+              ("dihedral:128", td.dihedral(128))]
+    for name, G in groups:
+        n = G.order
+        tables = {"as is": np.array(G.mul)}
+        perm = rng.permutation(n)
+        relabelled = np.empty_like(G.mul)
+        relabelled[np.ix_(perm, perm)] = perm[G.mul]
+        tables["relabelled"] = relabelled
+        for i in range(3):
+            edited = np.array(G.mul)
+            edited[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            tables[f"cell edit {i}"] = edited
+            a, b = rng.choice(n, 2, replace=False)
+            rows, cols = np.array(G.mul), np.array(G.mul)
+            rows[[a, b]] = rows[[b, a]]
+            cols[:, [a, b]] = cols[:, [b, a]]
+            tables[f"row swap {i}"], tables[f"column swap {i}"] = rows, cols
+        for r1, r2, c1, c2 in _intercalates(G.mul.tolist(), 3):
+            swapped = np.array(G.mul)
+            swapped[[r1, r2], [c1, c2]], swapped[[r1, r2], [c2, c1]] = G.mul[r1, c2], G.mul[r1, c1]
+            tables[f"intercalate {(r1, r2, c1, c2)}"] = swapped
+        for kind, table in tables.items():
+            record(f"group {name} {kind}", lambda: td.from_multiplication_table(table))
+
+    for n in (2, 4, 6, 8):
+        alpha = td.dihedral_alpha(n)
+        G, K = alpha.group, alpha.order
+        f = rng.integers(0, 4 * K, G.order)
+        f[0] = 0
+        twisted = 4 * alpha.exponents + f[:, None] + f[None, :] - f[G.mul]
+        cases = {"as is": (K, np.array(alpha.exponents)), "coboundary twist": (4 * K, twisted)}
+        for i in range(4):
+            for base, (order, table) in (("alpha", (K, alpha.exponents)), ("twist", (4 * K, twisted))):
+                edited = np.array(table)
+                for _ in range(1 + i % 2):
+                    edited[rng.integers(G.order), rng.integers(G.order)] += rng.integers(1, order)
+                cases[f"{base} edit {i}"] = (order, edited)
+        for kind, (order, table) in cases.items():
+            record(f"cocycle dihedral_alpha:{n} {kind}", lambda: td.make_cocycle(G, order, table))
+    klein = td.direct_product(td.cyclic(2), td.cyclic(2))
+    x, y = np.divmod(np.arange(4), 2)
+    for order in (2, 4):
+        record(f"cocycle klein bilinear mod {order}",
+               lambda: td.make_cocycle(klein, order, np.outer(x, y)))
+    return out
+
+
 def _decompose_json(args: list[str], seed: int) -> dict:
     from twistdecomp.cli import main as cli_main
 
@@ -289,7 +374,8 @@ def main() -> int:
         parser.error("give --base or --seeds")
     here = str(Path(__file__).resolve().parent)
     dump_code = (f"sys.path.insert(0, {here!r}); import json, parity; "
-                 "runs = [json.dumps({'point': parity.dump(), 'kgroups': parity.kgroup_dump()}) "
+                 "runs = [json.dumps({'point': parity.dump(), 'kgroups': parity.kgroup_dump(), "
+                 "'validation': parity.validation_dump()}) "
                  "for _ in range(int(sys.argv[1]))]; "
                  "print(json.dumps({'repeats_identical': len(set(runs)) == 1, "
                  "**json.loads(runs[0])}))")
@@ -320,6 +406,14 @@ def main() -> int:
     problems.extend(f"K-group outputs differ: {name}" for name in k_diff)
     print(f"K-group cases: {len(k_head)} ({sum('error' in c for c in k_head)} raising), "
           f"{len(k_head) - len(k_diff)} identical")
+    v_base, v_head = results["base"]["validation"], results["head"]["validation"]
+    v_diff = [h["case"] for b, h in zip(v_base, v_head) if b != h]
+    if [c["case"] for c in v_base] != [c["case"] for c in v_head]:
+        v_diff = ["validation case lists differ"]
+    problems.extend(f"validation decision differs: {name}" for name in v_diff)
+    print(f"validation decisions: {len(v_head)} tables "
+          f"({sum(c['result'] != 'ok' for c in v_head)} rejected), "
+          f"{len(v_head) - len(v_diff)} alike")
     cli_code = "from twistdecomp.cli import main; raise SystemExit(main(sys.argv[1:]))"
     for cmd in CLI_COMMANDS:
         outs = [_run(getattr(args, side), cli_code, *cmd) for side in ("base", "head")]
