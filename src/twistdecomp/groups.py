@@ -92,6 +92,28 @@ class FiniteGroup:
             current = subgroup_closure(self, gens)
         return tuple(gens)
 
+    @cached_property
+    def _product_plan(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Rounds of (targets, lefts, rights), target = left * right, reaching every element.
+
+        The identity and the generating set are known at the start; each
+        round takes, for every element not yet known, one product of two
+        known elements. Known words double in length each round, so the
+        rounds number about log2 of the longest word.
+        """
+        known = np.zeros(self.order, dtype=bool)
+        known[self.identity] = True
+        known[list(self._generating_set)] = True
+        rounds = []
+        while not known.all():
+            elems = np.flatnonzero(known)
+            products = self.mul[elems[:, None], elems]
+            li, ri = np.nonzero(~known[products])
+            targets, first = np.unique(products[li, ri], return_index=True)
+            rounds.append((targets, elems[li[first]], elems[ri[first]]))
+            known[targets] = True
+        return tuple(rounds)
+
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 

@@ -9,8 +9,9 @@ random Hermitian combination of them are its irreducible subspaces
 (Dixon's method). Irreducibility is certified structurally: the commutant
 (solutions M of M rho(g) = rho(g) M) must be one-dimensional, never
 inferred from eigenvalue multiplicities alone. The table is further
-certified by block multiplicities, the sum of squared dimensions and an
-exact integer count of alpha-regular conjugacy classes.
+certified by block multiplicities, the sum of squared dimensions, an
+exact integer count of alpha-regular conjugacy classes and the defining
+relation on the generators.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ from .groups import FiniteGroup, SubgroupHandle, generating_set
 MAX_DENSE_ORDER = 512
 _NULLSPACE_RTOL = 1e-8
 _CLUSTER_ATOL = 1e-7
+# The relation certificate of a split never asks for less than this: the
+# products themselves carry rounding errors of about 1e-16 per factor.
+_RELATION_FLOOR = 1e-12
 _FINGERPRINT_DIGITS = 9
 _MATCH_CHUNK = 1 << 16   # complex entries per broadcast in match_characters
+_PHI_CHUNK = 1 << 14     # (g, h) pairs per accumulation in _conjugation_weights
 
 
 @dataclass(eq=False)
@@ -73,20 +78,25 @@ class AlphaCharacter:
 
     def fingerprint(self, digits: int = _FINGERPRINT_DIGITS) -> tuple:
         """((re, im), ...) of the values, each as Python's round(x, digits)."""
-        parts = np.stack([self.values.real, self.values.imag])
-        rounded = np.round(parts, digits) + 0.0
-        # np.round rounds x * 10**digits after one float multiply, so it can
-        # pick the other neighbour only within an ulp of a half-integer.
-        scaled = parts * 10.0 ** digits
-        near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 4 * np.abs(np.spacing(scaled))
-        for i, j in np.argwhere(near_half):
-            rounded[i, j] = round(float(parts[i, j]), digits) + 0.0
+        rounded = _rounded(np.stack([self.values.real, self.values.imag]), digits)
         return tuple(zip(rounded[0].tolist(), rounded[1].tolist()))
 
     def close_to(self, other: "AlphaCharacter", tol: float) -> bool:
         return self.values.shape == other.values.shape and bool(
             np.max(np.abs(self.values - other.values)) <= tol
         )
+
+
+def _rounded(parts: np.ndarray, digits: int) -> np.ndarray:
+    """Every entry as Python's round(x, digits) + 0.0, so negative zero becomes zero."""
+    rounded = np.round(parts, digits) + 0.0
+    # np.round rounds x * 10**digits after one float multiply, so it can
+    # pick the other neighbour only within an ulp of a half-integer.
+    scaled = parts * 10.0 ** digits
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 4 * np.abs(np.spacing(scaled))
+    for idx in map(tuple, np.argwhere(near_half)):
+        rounded[idx] = round(float(parts[idx]), digits) + 0.0
+    return rounded
 
 
 def character(rep: ProjectiveRep) -> AlphaCharacter:
@@ -158,25 +168,49 @@ def _nullspace(A: np.ndarray) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _hom_equations(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The rows kron(X(g), I) - kron(I, Y(g)^T) of every g, stacked.
+
+    X and Y are (..., k, dx, dx) and (..., k, dy, dy) stacks; the result is
+    one (..., k * dx * dy, dx * dy) array.
+    """
+    dx, dy = X.shape[-1], Y.shape[-1]
+    rows = (np.einsum("...gij,kl->...gikjl", X, np.eye(dy))
+            - np.einsum("ij,...glk->...gikjl", np.eye(dx), Y))
+    return rows.reshape(*rows.shape[:-5], -1, dx * dy)
+
+
 def _hom_space(G: FiniteGroup, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {f : X(g) f = f Y(g)}, as columns of row-major vec f.
 
     X and Y are (|G|, ., .) stacks. The equations are imposed on the
     generators of G only: when X and Y carry the same cocycle, the relation
-    for g and h gives it for gh. The rows of generator g are
-    kron(X(g), I) - kron(I, Y(g)^T), built for all generators at once.
+    for g and h gives it for gh.
     """
     gens = list(generating_set(G))
-    dx, dy = X.shape[1], Y.shape[1]
     if not gens:
-        return np.eye(dx * dy)
-    rows = (np.einsum("gij,kl->gikjl", X[gens], np.eye(dy))
-            - np.einsum("ij,glk->gikjl", np.eye(dx), Y[gens]))
-    return _nullspace(rows.reshape(-1, dx * dy))
+        return np.eye(X.shape[1] * Y.shape[1])
+    return _nullspace(_hom_equations(X[gens], Y[gens]))
+
+
+def _commutant_dimensions(G: FiniteGroup, mats: np.ndarray) -> np.ndarray:
+    """Commutant dimension of each representation in an (m, |G|, d, d) stack.
+
+    The kernel dimensions of the generator equations of _hom_space, from
+    one batched singular-value decomposition with the cutoff of _nullspace.
+    """
+    gens = list(generating_set(G))
+    d = mats.shape[-1]
+    if not gens:
+        return np.full(len(mats), d * d)
+    X = mats[:, gens]
+    s = np.linalg.svd(_hom_equations(X, X), compute_uv=False)
+    cutoff = _NULLSPACE_RTOL * np.maximum(1.0, s[:, 0])
+    return d * d - np.count_nonzero(s > cutoff[:, None], axis=1)
 
 
 def commutant_dimension(rep: ProjectiveRep) -> int:
-    return _hom_space(rep.group, rep.matrices, rep.matrices).shape[1]
+    return int(_commutant_dimensions(rep.group, rep.matrices[None])[0])
 
 
 def is_irreducible(rep: ProjectiveRep) -> bool:
@@ -212,30 +246,99 @@ def _split_regular(G: FiniteGroup, cocycle, seed: int) -> tuple[np.ndarray, list
     return V, _cluster_sorted(w)
 
 
-def _block_characters(G: FiniteGroup, ctable: np.ndarray, V: np.ndarray,
-                      clusters: list[np.ndarray]) -> np.ndarray:
+def _conjugation_weights(G: FiniteGroup, ctable: np.ndarray) -> np.ndarray:
+    """(|G|, |G|) matrix Phi with Phi[k, g] = sum of alpha(g,h) / alpha(h,k) over h^-1 g h = k.
+
+    A projector P onto an invariant subspace of rho_reg commutes with it, so
+    P[h, gh] = P[e, k] / alpha(h, k) for k = h^-1 g h, and the character
+    sum_h alpha(g,h) P[h, gh] of the subspace is sum_k P[e, k] Phi[k, g].
+    Accumulated over chunks of h, to keep the (g, h) temporaries small.
+    """
+    n = G.order
+    phi = np.zeros(n * n, dtype=np.complex128)
+    g = np.arange(n)[:, None]
+    step = max(1, _PHI_CHUNK // n)
+    for lo in range(0, n, step):
+        h = np.arange(lo, min(n, lo + step))
+        k = G.mul[G.inv[h], G.mul[:, h]]
+        np.add.at(phi, (k * n + g).ravel(), (ctable[:, h] / ctable[h, k]).ravel())
+    return phi.reshape(n, n)
+
+
+def _block_characters(V: np.ndarray, clusters: list[np.ndarray], identity: int,
+                      phi: np.ndarray) -> np.ndarray:
     """(#clusters, |G|) characters of the blocks spanned by each cluster's columns.
 
-    Column j contributes sum_h conj(V[gh, j]) alpha(g,h) V[h, j] at g.
+    Row c is F_c @ phi, where F_c = V_c V_c^H e_identity is the identity's
+    row of the cluster's projector and phi is _conjugation_weights.
     """
-    Vc = V.conj()
-    cols = np.empty((G.order, V.shape[1]), dtype=np.complex128)
-    for g in range(G.order):
-        cols[g] = ctable[g] @ (Vc[G.mul[g]] * V)
-    return np.stack([cols[:, idx].sum(axis=1) for idx in clusters])
+    cols = np.concatenate(clusters)
+    starts = np.cumsum([0] + [idx.size for idx in clusters[:-1]])
+    terms = V[:, cols].conj()
+    terms *= V[identity, cols]
+    return np.add.reduceat(terms, starts, axis=1).T @ phi
 
 
-def _block_matrices(G: FiniteGroup, ctable: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """B^H rho_reg(g) B for every g, as one (|G|, d, d) array.
+def _block_matrices(G: FiniteGroup, cocycle, B: np.ndarray) -> np.ndarray:
+    """B_c^H rho_reg(g) B_c for every g and every basis of an (m, |G|, d) stack, as (m, |G|, d, d).
 
-    Row i of every matrix is sum_h conj(B[gh, i]) alpha(g,h) B[h], one GEMM.
+    Over an exact cocycle only the generators are compressed; every other
+    element is a product rho(l) rho(r) / alpha(l, r) along the group's
+    product plan, for all m bases at once. A numeric cocycle holds its
+    identity only within tol.cocycle, and products would add up its defects
+    along words, so there every element is compressed: row i of rho(g) is
+    sum_h conj(B[gh, i]) alpha(g,h) B[h].
     """
-    n, d = B.shape
-    Bc = B.conj()
-    mats = np.empty((n, d, d), dtype=np.complex128)
-    for i in range(d):
-        mats[:, i, :] = (Bc[G.mul, i] * ctable) @ B
+    m, n, d = B.shape
+    ctable = cocycle.complex_table
+    mats = np.empty((m, n, d, d), dtype=np.complex128)
+    if not cocycle.is_exact:
+        Bc = B.conj()
+        for c in range(m):
+            for i in range(d):
+                mats[c, :, i, :] = (Bc[c][G.mul, i] * ctable) @ B[c]
+        return mats
+    mats[:, G.identity] = np.eye(d)
+    for s in generating_set(G):
+        shifted = B[:, G.mul[s]].conj()
+        shifted *= ctable[s][:, None]
+        mats[:, s] = np.matmul(shifted.transpose(0, 2, 1), B)
+    for targets, lefts, rights in G._product_plan:
+        products = _products(mats, lefts, rights)
+        products /= ctable[lefts, rights][:, None, None]
+        mats[:, targets] = products
     return mats
+
+
+def _products(mats: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """mats[:, lefts] @ mats[:, rights] for an (m, |G|, d, d) stack, as d broadcast outer products.
+
+    matmul makes one BLAS call per pair, which costs more than this for the
+    small d of most blocks; gathering one column or row at a time keeps the
+    temporaries at the size of the result.
+    """
+    out = mats[:, lefts, :, :1] * mats[:, rights, :1, :]
+    for k in range(1, mats.shape[-1]):
+        out += mats[:, lefts, :, k:k + 1] * mats[:, rights, k:k + 1, :]
+    return out
+
+
+def _relation_residual(G: FiniteGroup, ctable: np.ndarray, mats: np.ndarray) -> float:
+    """Worst |rho(s) rho(h) - alpha(s,h) rho(sh)| over an (m, |G|, d, d) stack.
+
+    s runs over the generating set and h over every element. rho(s) rho(h)
+    for all h is one (d, d) @ (d, |G| d) product per representation.
+    """
+    m, n, d, _ = mats.shape
+    rows = np.ascontiguousarray(mats.transpose(0, 2, 1, 3))     # rows[c, i, h] = row i of rho(h)
+    worst = 0.0
+    for s in generating_set(G):
+        diff = (mats[:, s] @ rows.reshape(m, d, n * d)).reshape(m, d, n, d)
+        rhs = rows[:, :, G.mul[s]]
+        rhs *= ctable[s][:, None]
+        diff -= rhs
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
 
 
 def _regular_class_count(G: FiniteGroup, cocycle, tol: Tolerances) -> int:
@@ -330,8 +433,15 @@ class IrrTable:
         return j if j >= 0 else None
 
 
-def _sort_key(chi: AlphaCharacter):
-    return (chi.dim, chi.fingerprint())
+def _table_order(values: np.ndarray) -> np.ndarray:
+    """Indices that sort (#irr, |G|) characters by (dim, fingerprint()), stably.
+
+    One lexsort over the rounded values: the dimension is the primary key,
+    then Re and Im of each value in element order.
+    """
+    rounded = _rounded(np.stack([values.real, values.imag], axis=-1), _FINGERPRINT_DIGITS)
+    keys = rounded.reshape(len(values), -1).T[::-1]
+    return np.lexsort(np.vstack([keys, np.round(values[None, :, 0].real)]))
 
 
 def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
@@ -343,7 +453,8 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
     irreducible blocks; blocks are deduplicated by character. The table is
     certified (commutant dimension 1 per entry, as many blocks per class as
     its dimension, squared dimensions summing to |G|, as many classes as
-    alpha-regular conjugacy classes); on a failed certificate the split is
+    alpha-regular conjugacy classes, the defining relation of every entry
+    on the generators); on a failed certificate the split is
     redrawn with the next seed, up to 5 seeds. The table is sorted by
     (dimension, lexicographic character), so the result is deterministic
     per seed.
@@ -355,8 +466,12 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
     never remembered.
     """
     tol = tol or default_tolerances()
-    if G.order > MAX_DENSE_ORDER:
+    n = G.order
+    if n > MAX_DENSE_ORDER:
         raise InputError(f"dense decomposition capped at order {MAX_DENSE_ORDER}")
+    if not (0 <= G.identity < n and np.array_equal(G.mul[G.identity], np.arange(n))
+            and np.array_equal(G.mul[:, G.identity], np.arange(n))):
+        raise InputError(f"element {G.identity} is not the identity of the table")
     if cocycle.group is not G and not cocycle.group.same_table(G):
         raise InputError("cocycle is not defined on the given group")
     key = _memo.key("irreducibles", G._content, cocycle._content, seed, tol)
@@ -378,42 +493,55 @@ def _table(G: FiniteGroup, cocycle, matrices: list[np.ndarray],
 def _split_certified(G: FiniteGroup, cocycle, seed: int,
                      tol: Tolerances) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The sorted matrices and characters of a certified table, redrawing up to 5 seeds."""
+    phi = _conjugation_weights(G, cocycle.complex_table)
     last_error: Exception | None = None
     for attempt in range(5):
         try:
             V, clusters = _split_regular(G, cocycle, seed + attempt)
-            table = _assemble_table(G, cocycle, V, clusters, tol)
+            table = _assemble_table(G, cocycle, V, clusters, phi, tol)
             return [r.matrices for r in table.irreducibles], [c.values for c in table.characters]
         except SplitFailure as exc:
             last_error = exc
     raise SplitFailure(f"no clean split after 5 seeds starting at {seed}") from last_error
 
 
-def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.ndarray],
-                    tol: Tolerances) -> IrrTable:
-    """One certified table entry per character class of the split blocks.
+def _character_classes(chars: np.ndarray, tol: float) -> tuple[list[int], list[int]]:
+    """The first row of each class of rows within tol in max-abs, and the class sizes.
 
-    Blocks are deduplicated by character. Isomorphic blocks share a
-    character, so certifying one block per class certifies the others.
-    Certificates: every class has as many blocks as its dimension, the
-    squared dimensions sum to |G|, the class count equals the number of
-    alpha-regular conjugacy classes, and every entry has commutant dimension 1.
+    A row joins the earliest class whose first row it matches.
     """
-    n = G.order
-    ctable = cocycle.complex_table
-    chars = _block_characters(G, ctable, V, clusters)
     known = np.empty_like(chars)        # characters of firsts, in order
     firsts: list[int] = []
     counts: list[int] = []
     for c, values in enumerate(chars):
         k = len(firsts)
-        hit = np.flatnonzero(np.max(np.abs(known[:k] - values), axis=1) <= tol.char)
+        hit = np.flatnonzero(np.max(np.abs(known[:k] - values), axis=1) <= tol)
         if hit.size:
             counts[hit[0]] += 1
         else:
             known[k] = values
             firsts.append(c)
             counts.append(1)
+    return firsts, counts
+
+
+def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.ndarray],
+                    phi: np.ndarray, tol: Tolerances) -> IrrTable:
+    """One certified table entry per character class of the split blocks.
+
+    Blocks are deduplicated by character (phi is _conjugation_weights).
+    Isomorphic blocks share a character, so certifying one block per class
+    certifies the others. Certificates: every class has as many blocks as
+    its dimension, the squared dimensions sum to |G|, the class count equals
+    the number of alpha-regular conjugacy classes, every entry satisfies the
+    defining relation rho(s) rho(h) = alpha(s,h) rho(sh) for s in the
+    generating set and every h within _relation_tol, and every entry has
+    commutant dimension 1. The entries of one dimension are built and
+    certified together.
+    """
+    n = G.order
+    ctable = cocycle.complex_table
+    firsts, counts = _character_classes(_block_characters(V, clusters, G.identity, phi), tol.char)
     dims = [clusters[c].size for c in firsts]
     if counts != dims:
         raise SplitFailure(f"block multiplicities {counts} differ from dimensions {dims}")
@@ -422,16 +550,25 @@ def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.nd
     expected = _regular_class_count(G, cocycle, tol)
     if len(dims) != expected:
         raise SplitFailure(f"{len(dims)} classes, but {expected} alpha-regular conjugacy classes")
-    reps = []
-    for c in firsts:
-        rep = ProjectiveRep(G, cocycle, clusters[c].size, _block_matrices(G, ctable, V[:, clusters[c]]))
-        if _hom_space(G, rep.matrices, rep.matrices).shape[1] != 1:
-            raise SplitFailure(f"block of dimension {rep.dim} is not irreducible")
-        reps.append(rep)
-    table_chars = [character(r) for r in reps]
-    order = sorted(range(len(reps)), key=lambda i: _sort_key(table_chars[i]))
-    return IrrTable(group=G, cocycle=cocycle, irreducibles=[reps[i] for i in order],
-                    characters=[table_chars[i] for i in order])
+    rtol = max(_relation_tol(cocycle, tol), _RELATION_FLOOR)
+    matrices: list[np.ndarray] = []
+    traces: list[np.ndarray] = []
+    for d in sorted(set(dims)):
+        idx = np.array([clusters[c] for c in firsts if clusters[c].size == d])
+        mats = _block_matrices(G, cocycle, np.ascontiguousarray(np.moveaxis(V[:, idx], 0, 1)))
+        residual = _relation_residual(G, ctable, mats)
+        if not residual <= rtol:
+            raise SplitFailure(f"blocks of dimension {d} miss the defining relation by {residual:.2e}")
+        if np.any(_commutant_dimensions(G, mats) != 1):
+            raise SplitFailure(f"block of dimension {d} is not irreducible")
+        matrices.extend(mats)
+        traces.append(np.trace(mats, axis1=2, axis2=3))
+    values = np.concatenate(traces)
+    order = _table_order(values)
+    return IrrTable(group=G, cocycle=cocycle,
+                    irreducibles=[ProjectiveRep(G, cocycle, matrices[i].shape[1], matrices[i])
+                                  for i in order],
+                    characters=[AlphaCharacter(values[i]) for i in order])
 
 
 def _check_compatible(r1: ProjectiveRep, r2: ProjectiveRep) -> None:

@@ -14,6 +14,7 @@ import twistdecomp as td
 from twistdecomp import reps
 from twistdecomp.errors import (
     DecompositionFailure,
+    InputError,
     InvalidCocycle,
     NotIrreducible,
     NumericFailure,
@@ -21,6 +22,7 @@ from twistdecomp.errors import (
 )
 
 from test_action_table import c2_x_d8_alpha
+from test_reps import c2_times_dihedral, quaternion, symmetric
 
 PACKAGE_DIR = Path(reps.__file__).parent
 
@@ -71,11 +73,20 @@ class TestRegularClassCount:
             td.irreducibles(d8, alpha4, seed=0)
 
 
+def assemble(G, cocycle, V, clusters):
+    phi = reps._conjugation_weights(G, cocycle.complex_table)
+    return reps._assemble_table(G, cocycle, V, clusters, phi, td.default_tolerances())
+
+
+def numeric_copy(cocycle):
+    return td.make_numeric_cocycle(cocycle.group, cocycle.complex_table)
+
+
 class TestCertificates:
     def test_missing_block_fails_multiplicity(self, d8, alpha4):
         V, clusters = reps._split_regular(d8, alpha4, seed=0)
         with pytest.raises(SplitFailure, match="block multiplicities"):
-            reps._assemble_table(d8, alpha4, V, clusters[1:], td.default_tolerances())
+            assemble(d8, alpha4, V, clusters[1:])
 
     def test_missing_class_fails_sum_of_squares(self, d8):
         trivial = td.trivial_cocycle(d8)
@@ -83,13 +94,50 @@ class TestCertificates:
         one_dim = [i for i, c in enumerate(clusters) if c.size == 1]
         kept = [c for i, c in enumerate(clusters) if i != one_dim[0]]
         with pytest.raises(SplitFailure, match="sum of squared dimensions"):
-            reps._assemble_table(d8, trivial, V, kept, td.default_tolerances())
+            assemble(d8, trivial, V, kept)
 
-    def test_reducible_entry_fails_the_split(self, monkeypatch, d8, alpha4):
-        monkeypatch.setattr(reps, "_hom_space", lambda G, X, Y: np.zeros((X.shape[1] * Y.shape[1], 2)))
+    def test_reducible_entry_fails_the_split(self, monkeypatch, d8, alpha4, explicit_taus):
+        monkeypatch.setattr(reps, "_commutant_dimensions", lambda G, mats: np.full(len(mats), 2))
         with pytest.raises(SplitFailure, match="no clean split") as err:
             td.irreducibles(d8, alpha4, seed=0)
         assert "not irreducible" in str(err.value.__cause__)
+        assert reps.commutant_dimension(explicit_taus[1]) == 2
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_broken_relation_fails_the_split(self, monkeypatch, d8, alpha4, exact):
+        honest = reps._block_matrices
+
+        def broken(G, cocycle, B):
+            mats = honest(G, cocycle, B)
+            mats[:, G.order - 1] *= np.exp(1e-4j)   # neither the identity nor a generator
+            return mats
+
+        monkeypatch.setattr(reps, "_block_matrices", broken)
+        with pytest.raises(SplitFailure, match="no clean split") as err:
+            td.irreducibles(d8, alpha4 if exact else numeric_copy(alpha4), seed=0)
+        assert "miss the defining relation" in str(err.value.__cause__)
+
+    @pytest.mark.parametrize("identity", [1, 8])
+    def test_inconsistent_identity_fails_before_the_split(self, monkeypatch, d8, alpha4, identity):
+        def never(*args):
+            raise AssertionError("_split_regular ran")
+
+        monkeypatch.setattr(reps, "_split_regular", never)
+        wrong = td.FiniteGroup(order=8, mul=d8.mul, inv=d8.inv, labels=d8.labels, identity=identity)
+        with pytest.raises(InputError, match="is not the identity of the table"):
+            td.irreducibles(wrong, alpha4)
+
+
+class TestCommutantDimensions:
+    def test_equal_to_the_hom_space(self, d8, alpha4):
+        irr = td.irreducibles(d8, alpha4).irreducibles
+        t0, t1 = irr[0].matrices, irr[1].matrices
+        zero = np.zeros_like(t0)
+        stacks = [np.block([[x, zero], [zero, y]]) for x, y in [(t0, t0), (t0, t1), (t1, t1)]]
+        want = [reps._hom_space(d8, m, m).shape[1] for m in stacks]
+        assert want == [4, 2, 4]
+        assert reps._commutant_dimensions(d8, np.stack(stacks)).tolist() == want
+        assert reps.commutant_dimension(td.regular_rep(d8, alpha4)) == 8
 
 
 def merge_all(calls):
@@ -214,6 +262,31 @@ class TestIntertwinerFailures:
             td.intertwiner(explicit_taus[1], explicit_taus[1], tol)
 
 
+def heisenberg(n):
+    """C_n x C_n with alpha((a,b),(c,d)) = z^(b c), z = exp(2 pi i / n): one irreducible, of dimension n."""
+    G = td.direct_product(td.cyclic(n), td.cyclic(n))
+    x, y = np.divmod(np.arange(G.order), n)
+    return G, td.make_cocycle(G, n, np.outer(y, x) % n)
+
+
+def trivially(make):
+    def build():
+        G = make()
+        return G, td.trivial_cocycle(G)
+    return build
+
+
+SPLIT_CASES = {
+    **{f"D{2 * n}": trivially(lambda n=n: td.dihedral(n)) for n in range(1, 17)},
+    **{f"D{2 * n} alpha": lambda n=n: (td.dihedral(n), td.dihedral_alpha(n)) for n in range(2, 17, 2)},
+    "S4": trivially(lambda: symmetric(4)),
+    "Q8": trivially(lambda: quaternion(8)),
+    "C2xD8": trivially(lambda: c2_times_dihedral(4)),
+    "C2xD8 alpha": c2_x_d8_alpha,
+    **{f"C{n}xC{n} heisenberg": lambda n=n: heisenberg(n) for n in (2, 3, 5, 8)},
+}
+
+
 class TestSplit:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_eigenspaces_are_invariant(self, n):
@@ -227,12 +300,77 @@ class TestSplit:
                 moved = reg[g] @ B
                 assert np.allclose(B @ (B.conj().T @ moved), moved, atol=1e-10)
 
-    def test_block_characters_are_traces(self, d8, alpha4):
-        V, clusters = reps._split_regular(d8, alpha4, seed=0)
-        chars = reps._block_characters(d8, alpha4.complex_table, V, clusters)
+    @pytest.mark.parametrize("name", SPLIT_CASES)
+    def test_block_characters_are_traces(self, name):
+        G, alpha = SPLIT_CASES[name]()
+        V, clusters = reps._split_regular(G, alpha, seed=0)
+        phi = reps._conjugation_weights(G, alpha.complex_table)
+        chars = reps._block_characters(V, clusters, G.identity, phi)
+        reg = td.regular_rep(G, alpha).matrices
         for idx, chi in zip(clusters, chars):
-            mats = reps._block_matrices(d8, alpha4.complex_table, V[:, idx])
-            assert np.allclose(np.trace(mats, axis1=1, axis2=2), chi, atol=1e-12)
+            compressed = V[:, idx].conj().T @ reg @ V[:, idx]
+            assert np.allclose(np.trace(compressed, axis1=1, axis2=2), chi, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", SPLIT_CASES)
+    def test_block_matrices_are_compressions(self, name):
+        """The generator-product route (exact) and full compression (numeric) agree with B^H rho_reg B."""
+        G, alpha = SPLIT_CASES[name]()
+        V, clusters = reps._split_regular(G, alpha, seed=0)
+        reg = td.regular_rep(G, alpha).matrices
+        for d in {idx.size for idx in clusters}:
+            B = np.stack([V[:, idx] for idx in clusters if idx.size == d])
+            want = B.conj().transpose(0, 2, 1)[:, None] @ reg @ B[:, None]
+            for cocycle in (alpha, numeric_copy(alpha)):
+                got = reps._block_matrices(G, cocycle, B)
+                assert np.allclose(got, want, rtol=0, atol=1e-12), (d, cocycle.is_exact)
+
+    @pytest.mark.parametrize("name", SPLIT_CASES)
+    def test_every_entry_is_a_representation(self, name):
+        G, alpha = SPLIT_CASES[name]()
+        for cocycle in (alpha, numeric_copy(alpha)):
+            for rep in td.irreducibles(G, cocycle).irreducibles:
+                assert td.validate_rep(rep).ok
+
+
+def worst_relation_residual(rep):
+    """max |rho(g) rho(h) - alpha(g,h) rho(gh)| over every pair, from one GEMM."""
+    G, mats, ctable = rep.group, rep.matrices, rep.cocycle.complex_table
+    n, d, _ = mats.shape
+    products = (mats.reshape(n * d, d) @ mats.transpose(1, 0, 2).reshape(d, n * d)).reshape(n, d, n, d)
+    products -= (ctable[:, :, None, None] * mats[G.mul]).transpose(0, 2, 1, 3)
+    return float(np.max(np.abs(products)))
+
+
+def perturbed_numeric(n, scale, seed=0):
+    """dihedral_alpha(n) twisted by a random coboundary, each value moved by a phase of about scale."""
+    rng = np.random.default_rng(seed)
+    alpha = td.dihedral_alpha(n)
+    G = alpha.group
+    f = np.exp(2j * np.pi * rng.random(G.order))
+    f[G.identity] = 1.0
+    noise = np.exp(1j * scale * rng.standard_normal((G.order, G.order)))
+    noise[G.identity, :] = noise[:, G.identity] = 1.0
+    table = alpha.complex_table * np.outer(f, f) / f[G.mul] * noise
+    return G, td.make_numeric_cocycle(G, table, td.Tolerances())
+
+
+class TestAccuracy:
+    def test_order_512_relation_residual(self):
+        G, alpha = td.dihedral(256), td.dihedral_alpha(256)
+        table = td.irreducibles(G, alpha)
+        mats = np.stack([rep.matrices for rep in table.irreducibles])
+        assert reps._relation_residual(G, alpha.complex_table, mats) <= 1e-11
+        # every pair (g, h) on every eighth entry
+        assert max(worst_relation_residual(rep) for rep in table.irreducibles[::8]) <= 1e-11
+
+    def test_perturbed_numeric_cocycle_keeps_the_compression_residual(self):
+        """Products along words would add up the cocycle defects: 3.0e-9 here, against 4.2e-10.
+
+        The defects are about 1e-10, inside the unscaled tol.cocycle only.
+        """
+        G, beta = perturbed_numeric(64, 1e-10)
+        table = td.irreducibles(G, beta, tol=td.Tolerances())
+        assert max(worst_relation_residual(rep) for rep in table.irreducibles) <= 1e-9
 
 
 def python_fingerprint(values, digits):
@@ -256,3 +394,25 @@ def test_fingerprint_equals_python_round(digits):
     ]
     for values in samples:
         assert td.AlphaCharacter(values).fingerprint(digits) == python_fingerprint(values, digits)
+
+
+def tuple_order(values):
+    chars = [td.AlphaCharacter(v) for v in values]
+    return sorted(range(len(chars)), key=lambda i: (chars[i].dim, chars[i].fingerprint()))
+
+
+@pytest.mark.parametrize("factors", [(4, 4), (-4, 8), (-4, 16), (8, -4)])
+def test_table_order_is_the_tuple_order(factors):
+    """Tie-heavy products of dihedral (n) and cyclic (-n) groups, duplicated rows and
+    values within ulps of a rounding half."""
+    G = td.direct_product(*[td.dihedral(k) if k > 0 else td.cyclic(-k) for k in factors])
+    values = np.array(td.irreducibles(G, td.trivial_cocycle(G)).character_values)
+    rng = np.random.default_rng(0)
+    near_half = np.array(values[rng.integers(len(values), size=len(values))])
+    cols = rng.integers(1, G.order, size=len(values))
+    k = rng.integers(-10**9, 10**9, size=len(values))
+    halves = (k + 0.5) / 10**9
+    near_half[np.arange(len(values)), cols] = halves + rng.integers(-3, 4, len(values)) * np.spacing(halves)
+    rows = np.concatenate([values, values[::3], near_half])
+    rows = rows[rng.permutation(len(rows))]
+    assert reps._table_order(rows).tolist() == tuple_order(rows)
