@@ -1,5 +1,11 @@
 """One bounded memo of certified results, keyed by the content of their inputs.
 
+It holds irreducible tables, the action on Irr(A, alpha|_A) with its orbit
+data, and the isotropy summands of K^0. Validation is not remembered: it
+runs on tables from outside and on each induced beta, while subgroup,
+restriction and quotient tables are built without it (see
+SubgroupHandle.as_group, cocycles.restrict and groups.quotient_with_section).
+
 A key is a 16-byte blake2b digest of a kind tag and every input the
 computation reads: arrays by dtype, shape and buffer, other values by repr.
 Callers store only what passed every check, so a failure is recomputed and

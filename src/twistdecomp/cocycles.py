@@ -82,9 +82,8 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
     ("cocycle", g, h, k) violations with h among those middles; it is empty
     exactly when the table is a normalized 2-cocycle.
 
-    The checks run once per content (the group's content digest, order and
-    the table mod order): a content that passed before passes again without
-    them. A report with violations is never remembered.
+    Only tables from outside are checked here (make_cocycle, snap_to_lattice);
+    restrict builds the restriction of a cocycle without it.
     """
     n = group.order
     table = np.asarray(exponents, dtype=np.int64)
@@ -94,9 +93,6 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
     if order < 1:
         return CocycleReport([("order", order)])
     table = table % order
-    key = _memo.key("cocycle", group._content, order, table)
-    if _memo.get(key):
-        return CocycleReport([])
     e = group.identity
     for g in range(n):
         if table[g, e] % order:
@@ -109,8 +105,6 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
         rhs = table[:, mul[h]] + table[h]                   # [g, k] -> alpha(g, hk) + alpha(h, k)
         for g, k in np.argwhere((lhs - rhs) % order != 0):
             violations.append(("cocycle", int(g), h, int(k)))
-    if not violations:
-        _memo.put(key, True, len(key))
     return CocycleReport(violations)
 
 
@@ -227,10 +221,8 @@ def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None
     Unlike validate_cocycle_table, the identity is checked at every triple,
     in O(n^3): an error within tolerance at each generator can add up along
     a word, so passing on a generating set does not bound it elsewhere.
-
-    The checks run once per content (the content digests of the group and
-    the cocycle, and the tolerances): a content that passed before passes
-    again without them. A report with violations is never remembered.
+    make_numeric_cocycle runs it on every induced beta, which certifies the
+    M_q family; restrict builds restrictions without it.
     """
     tol = tol or default_tolerances()
     G = beta.group
@@ -239,9 +231,6 @@ def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None
     violations: list = []
     if t.shape != (n, n):
         return CocycleReport([("shape", t.shape, (n, n))])
-    key = _memo.key("numeric cocycle", G._content, beta._content, tol)
-    if _memo.get(key):
-        return CocycleReport([])
     off_unit = np.argwhere(~(np.abs(np.abs(t) - 1.0) <= tol.unitary))
     for g, h in off_unit:
         violations.append(("unit", int(g), int(h)))
@@ -258,8 +247,6 @@ def validate_numeric_cocycle(beta: NumericCocycle, tol: Tolerances | None = None
         bad = np.argwhere(np.abs(lhs - rhs) > tol.cocycle)
         for h, k in bad:
             violations.append(("cocycle", g, int(h), int(k)))
-    if not violations:
-        _memo.put(key, True, len(key))
     return CocycleReport(violations)
 
 
@@ -298,19 +285,19 @@ def dihedral_alpha(n: int) -> Cocycle:
     return make_cocycle(G, n, expo)
 
 
-def restrict(cocycle: Cocycle | NumericCocycle, handle: SubgroupHandle,
-             tol: Tolerances | None = None) -> tuple[Cocycle | NumericCocycle, tuple[int, ...]]:
-    """Restrict to a subgroup, re-indexed 0..m-1; returns the index map too.
+def restrict(cocycle: Cocycle | NumericCocycle,
+             handle: SubgroupHandle) -> tuple[Cocycle | NumericCocycle, tuple[int, ...]]:
+    """Restrict to a subgroup, re-indexed 0..m-1 by handle.as_group(); returns the index map too.
 
-    The restricted table is validated once per content (make_cocycle or
-    make_numeric_cocycle), although a restriction of a cocycle is one.
+    The restricted table is built, not re-checked: a restriction of a
+    normalized 2-cocycle to a subgroup is one.
     """
     _require_on(cocycle, handle.parent)
     sub, to_parent = handle.as_group()
     block = np.ix_(to_parent, to_parent)
     if isinstance(cocycle, Cocycle):
-        return make_cocycle(sub, cocycle.order, cocycle.exponents[block]), to_parent
-    return make_numeric_cocycle(sub, cocycle.table[block], tol), to_parent
+        return Cocycle(sub, cocycle.order, cocycle.exponents[block]), to_parent
+    return NumericCocycle(sub, cocycle.table[block]), to_parent
 
 
 def _require_on(cocycle: Cocycle | NumericCocycle, group: FiniteGroup) -> None:

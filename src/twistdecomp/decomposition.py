@@ -67,17 +67,16 @@ from .reps import (
 )
 
 
-def act(alpha: Cocycle, A: SubgroupHandle, g: int, tau: ProjectiveRep,
-        tol: Tolerances | None = None) -> ProjectiveRep:
+def act(alpha: Cocycle, A: SubgroupHandle, g: int, tau: ProjectiveRep) -> ProjectiveRep:
     """The twisted conjugation action of g in G on a representation of A."""
-    out_handle, rep = conjugate_rep(alpha, A, g, tau, tol=tol)
+    out_handle, rep = conjugate_rep(alpha, A, g, tau)
     if out_handle.elements != A.elements:
         raise NotNormal("act requires a normal subgroup")
     return rep
 
 
-def conjugate_rep(cocycle, H: SubgroupHandle, g: int, rho: ProjectiveRep,
-                  tol: Tolerances | None = None) -> tuple[SubgroupHandle, ProjectiveRep]:
+def conjugate_rep(cocycle, H: SubgroupHandle, g: int,
+                  rho: ProjectiveRep) -> tuple[SubgroupHandle, ProjectiveRep]:
     """Transport a representation of H to one of g H g^-1.
 
     (g . rho)(h) = alpha(g^-1 h, g) alpha(g, g^-1 h)^-1 rho(g^-1 h g); the
@@ -85,14 +84,12 @@ def conjugate_rep(cocycle, H: SubgroupHandle, g: int, rho: ProjectiveRep,
     exact representation for the cocycle restricted to the conjugate.
     """
     G = H.parent
-    h_elems = np.asarray(H.elements)
-    conj_elems = tuple(np.sort(G.mul[G.mul[g, h_elems], G.inv[g]]).tolist())
+    conj_elems = tuple(np.sort(G.mul[G.mul[g, list(H.elements)], G.inv[g]]).tolist())
     out_handle = H if conj_elems == H.elements else SubgroupHandle(G, conj_elems)
-    out_cocycle, out_map = restrict(cocycle, out_handle, tol)
+    out_cocycle, out_map = restrict(cocycle, out_handle)
     back, scale = _conjugation(cocycle, g, out_map)
-    mats = scale[:, None, None] * rho.matrices[np.searchsorted(h_elems, back)]
-    sub_group, _ = out_handle.as_group()
-    return out_handle, ProjectiveRep(sub_group, out_cocycle, rho.dim, mats)
+    mats = scale[:, None, None] * rho.matrices[H.position(back)]
+    return out_handle, ProjectiveRep(out_cocycle.group, out_cocycle, rho.dim, mats)
 
 
 def _conjugation(cocycle, g: int, elements) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +264,7 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
         isotropy = _stabilizer(G, action.perm, rep_idx)
         gt_group, gt_map = isotropy.as_group()
         alpha_gt, _ = restrict(alpha, isotropy)
-        a_in_gt = SubgroupHandle(gt_group, tuple(isotropy.position(a) for a in A.elements))
+        a_in_gt = SubgroupHandle(gt_group, tuple(isotropy.position(list(A.elements)).tolist()))
         qs = quotient_with_section(gt_group, a_in_gt)
         tau = action.base.irreducibles[rep_idx]
         d = tau.dim
@@ -278,7 +275,7 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
         M[0] = np.eye(d)
         for q in range(1, nq):
             g = gt_map[qs.section[q]]
-            moved_rep = act(alpha, A, g, tau, tol=tol)
+            moved_rep = act(alpha, A, g, tau)
             moved[q] = moved_rep.matrices
             w = intertwiner(tau, moved_rep, tol)
             if w is None:
@@ -380,7 +377,12 @@ def induced_cocycle(datum: OrbitDatum, alpha: Cocycle,
 
 
 def _a_parent_order(datum: OrbitDatum) -> tuple[int, ...]:
-    """A's elements in parent-G order, i.e. the standalone-A index order."""
+    """A's elements as parent-G indices, in the standalone-A numbering.
+
+    gt_group numbers G_[tau] from the identity, then ascending, and
+    A.as_group() numbers A the same way, so a_in_gt's sorted elements
+    map to A's numbering.
+    """
     return tuple(datum.gt_map[x] for x in datum.a_in_gt.elements)
 
 

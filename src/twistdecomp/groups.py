@@ -207,37 +207,26 @@ def _check_associative(mul: np.ndarray) -> None:
 def _validated_group(mul: np.ndarray, labels=None) -> FiniteGroup:
     """Check a table (Latin square, identity, inverses, associativity) and build the group.
 
-    The identity is moved to index 0, and the labels with it. The checks
-    run once per table content: a table that passed them before is rebuilt
-    from the memo, with the caller's labels permuted the same way. A table
-    that fails raises on every call.
+    The identity is moved to index 0, and the labels with it. Only tables
+    from outside are checked here: subgroup and quotient tables of a
+    FiniteGroup are built directly (see SubgroupHandle.as_group and
+    quotient_with_section).
     """
     n = mul.shape[0]
-    key = _memo.key("group", mul)
-    hit = _memo.get(key)
-    if hit is not None:
-        perm, mul, inv = hit
-    else:
-        _check_latin(mul)
-        e = _find_identity(mul)
-        perm = None
-        if e != 0:
-            # relabel so the identity sits at index 0
-            perm = np.arange(n)
-            perm[0], perm[e] = e, 0
-            inverse_perm = perm  # the swap is an involution
-            mul = inverse_perm[mul[np.ix_(perm, perm)]]
-        inv = _find_inverses(mul, 0)
-        _check_associative(mul)
+    _check_latin(mul)
+    e = _find_identity(mul)
+    if e != 0:
+        # relabel so the identity sits at index 0; the swap is an involution
+        perm = np.arange(n)
+        perm[0], perm[e] = e, 0
+        mul = perm[mul[np.ix_(perm, perm)]]
+        if labels is not None:
+            labels = [labels[i] for i in perm]
     if labels is None:
         labels = [str(i) for i in range(n)]
-    elif perm is not None:
-        labels = [labels[perm[i]] for i in range(n)]
-    group = FiniteGroup(order=n, mul=mul, inv=inv, labels=tuple(labels))
-    if hit is None:
-        stored = (perm, group.mul, group.inv)
-        _memo.put(key, stored, sum(a.nbytes for a in stored if a is not None))
-    return group
+    inv = _find_inverses(mul, 0)
+    _check_associative(mul)
+    return FiniteGroup(order=n, mul=mul, inv=inv, labels=tuple(labels))
 
 
 def from_multiplication_table(table, labels=None) -> FiniteGroup:
@@ -367,7 +356,10 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 @dataclass(eq=False)
 class SubgroupHandle:
-    """A subgroup of a parent group, stored as a sorted index sequence."""
+    """A subgroup of a parent group, stored as a sorted index sequence.
+
+    Its own numbering (as_group, position) starts at the parent's identity.
+    """
 
     parent: FiniteGroup
     elements: tuple[int, ...]
@@ -397,26 +389,45 @@ class SubgroupHandle:
         return len(self.elements)
 
     @cached_property
-    def _position(self) -> dict[int, int]:
-        return {g: i for i, g in enumerate(self.elements)}
+    def to_parent(self) -> tuple[int, ...]:
+        """The subgroup's own numbering as parent indices: the parent's identity
+        first, then the other elements ascending. as_group returns it as its map."""
+        e = self.parent.identity
+        return (e, *(g for g in self.elements if g != e))
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        """Parent element -> its position in to_parent, -1 off the subgroup."""
+        index = np.full(self.parent.order, -1, dtype=np.int64)
+        index[list(self.to_parent)] = np.arange(self.order)
+        return index
 
     def contains(self, g: int) -> bool:
-        return int(g) in self._position
+        g = int(g)
+        return 0 <= g < self.parent.order and bool(self._index[g] >= 0)
 
-    def position(self, g: int) -> int:
-        """Index of a parent element inside this subgroup's own numbering."""
-        return self._position[int(g)]
+    def position(self, g):
+        """Index of a parent element, or of each in an array, in this subgroup's own
+        numbering; -1 for an element outside the subgroup."""
+        return self._index[g]
 
     @cached_property
     def _as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
+        # closed under the parent's product with the identity first (checked
+        # in __post_init__): a group by construction, so nothing is re-checked
         G = self.parent
-        elems = self.elements
-        mul = np.searchsorted(elems, G.mul[np.ix_(elems, elems)])
-        labels = [G.labels[a] for a in elems]
-        return _validated_group(mul, labels), elems
+        elems = np.asarray(self.to_parent)
+        group = FiniteGroup(order=self.order, mul=self._index[G.mul[np.ix_(elems, elems)]],
+                            inv=self._index[G.inv[elems]],
+                            labels=tuple(G.labels[a] for a in self.to_parent))
+        return group, self.to_parent
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        """The subgroup re-indexed 0..m-1, plus the map back to parent indices."""
+        """The subgroup re-indexed 0..m-1, plus the map back to parent indices.
+
+        The map is to_parent: it starts at the parent's identity, so it is a
+        homomorphism whatever index that has, and equals elements when it is 0.
+        """
         return self._as_group
 
     def __repr__(self):
@@ -581,10 +592,13 @@ def quotient_with_section(G: FiniteGroup, A: SubgroupHandle) -> QuotientWithSect
         raise NotNormal("quotient requires a normal subgroup")
     coset_id, section = left_cosets(G, A)
     qmul = coset_id[G.mul[np.ix_(section, section)]]
-    quotient = _validated_group(qmul, [f"[{G.labels[s]}]" for s in section])
     homomorphism = np.array_equal(coset_id[G.mul], qmul[np.ix_(coset_id, coset_id)])
     if not homomorphism or not np.array_equal(np.flatnonzero(coset_id == 0), A.elements):
         raise DecompositionFailure("projection is not a homomorphism with kernel the subgroup")
+    # the image of a group under a homomorphism is a group; its identity is
+    # the kernel's coset 0 and the inverse of a coset is the coset of an inverse
+    quotient = FiniteGroup(order=section.size, mul=qmul, inv=coset_id[G.inv[section]],
+                           labels=tuple(f"[{G.labels[s]}]" for s in section))
     return QuotientWithSection(
         parent=G,
         subgroup=A,

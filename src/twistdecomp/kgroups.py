@@ -195,7 +195,7 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
         key = _memo.key("isotropy summand", content, handle.elements)
         hit = _memo.get(key)
         if hit is None:
-            sub_cocycle, _ = restrict(cocycle, handle, tol)
+            sub_cocycle, _ = restrict(cocycle, handle)
             sub_group, _ = handle.as_group()
             table = irreducibles(sub_group, sub_cocycle, seed=seed, tol=tol)
             hit = (sub_group, sub_cocycle, [r.matrices for r in table.irreducibles],
@@ -297,7 +297,7 @@ def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
     rows, cols = kx.offsets, ky.offsets
     for i, xp in enumerate(kx.orbit_basepoints):
         j, witness = ky.locate(fmap[xp])
-        moved = _moved_characters(cocycle, ky, j, witness, kx.isotropies[i].elements)
+        moved = _moved_characters(cocycle, ky, j, witness, kx.isotropies[i].to_parent)
         out[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = kx.summands[i].multiplicities(
             moved, tol.char).T
     return out
@@ -309,7 +309,7 @@ def _moved_characters(cocycle, k: TwistedKGroup, i: int, g: int, elements) -> np
     The result has shape (#w, *elements.shape).
     """
     back, scale = _conjugation(cocycle, g, elements)
-    at_back = np.searchsorted(k.isotropies[i].elements, back)
+    at_back = k.isotropies[i].position(back)
     return scale * k.summands[i].character_values[:, at_back]
 
 

@@ -641,13 +641,12 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
 
 
 def restrict_rep(rho: ProjectiveRep, handle: SubgroupHandle,
-                 sub_cocycle: Cocycle | NumericCocycle | None = None,
-                 tol: Tolerances | None = None) -> ProjectiveRep:
+                 sub_cocycle: Cocycle | NumericCocycle | None = None) -> ProjectiveRep:
     """Matrices re-indexed to the subgroup's own numbering."""
     if handle.parent is not rho.group and not handle.parent.same_table(rho.group):
         raise InputError("handle does not belong to the representation's group")
     sub, to_parent = handle.as_group()
     if sub_cocycle is None:
-        sub_cocycle, _ = restrict(rho.cocycle, handle, tol)
+        sub_cocycle, _ = restrict(rho.cocycle, handle)
     mats = rho.matrices[list(to_parent)]
     return ProjectiveRep(sub, sub_cocycle, rho.dim, mats)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -13,10 +14,9 @@ from twistdecomp.cocycles import (
     validate_cocycle_table,
 )
 from twistdecomp.errors import InputError, InvalidCocycle, OddN, SearchSpaceTooLarge
-from twistdecomp.groups import generating_set, trivial_subgroup
+from twistdecomp.groups import all_subgroups, generating_set, trivial_subgroup
 
 from oracles import cocycle_violations
-from test_memo import klein_bilinear
 from test_reps import symmetric
 
 
@@ -63,6 +63,68 @@ class TestValidateCocycle:
         expo[0, 0] = 1
         with pytest.raises(InvalidCocycle):
             make_cocycle(d8, 4, expo)
+
+
+def corrupted_alpha4():
+    expo = np.array(td.dihedral_alpha(4).exponents)
+    expo[1, 3] += 1
+    return expo
+
+
+def klein_bilinear():
+    """(x1, y1), (x2, y2) -> x1 y2 on Z_2 x Z_2: a cocycle mod 2, not mod 4."""
+    x, y = np.divmod(np.arange(4), 2)
+    return np.outer(x, y)
+
+
+class TestCocycleValidation:
+    def test_failure_raises_alike_every_time(self, d8):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidCocycle) as err:
+                td.make_cocycle(d8, 4, corrupted_alpha4())
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("not a normalized 2-cocycle")
+
+    def test_failure_after_a_pass_of_other_content(self, d8, alpha4):
+        assert validate_cocycle_table(d8, 4, alpha4.exponents).ok
+        assert not validate_cocycle_table(d8, 4, corrupted_alpha4()).ok
+
+    def test_order_decides(self):
+        V = td.direct_product(td.cyclic(2), td.cyclic(2))
+        table = klein_bilinear()
+        assert validate_cocycle_table(V, 2, table).ok
+        assert not validate_cocycle_table(V, 4, table).ok
+        assert validate_cocycle_table(V, 2, table).ok
+
+    def test_identity_field_decides(self, d8, alpha4):
+        assert validate_cocycle_table(d8, 4, alpha4.exponents).ok
+        wrong = td.FiniteGroup(order=8, mul=d8.mul, inv=d8.inv, labels=d8.labels, identity=1)
+        assert not validate_cocycle_table(wrong, 4, alpha4.exponents).ok
+        assert td.validate_numeric_cocycle(numeric_from_exact(alpha4)).ok
+        wrong_beta = td.NumericCocycle(wrong, alpha4.complex_table)
+        assert not td.validate_numeric_cocycle(wrong_beta).ok
+
+    def test_numeric_tolerance_decides(self, alpha4):
+        table = np.array(alpha4.complex_table)
+        table[5, 6] *= np.exp(1e-7j)
+        beta = td.NumericCocycle(alpha4.group, table)
+        loose = td.Tolerances().scaled(100.0)
+        assert td.validate_numeric_cocycle(beta, loose).ok
+        assert not td.validate_numeric_cocycle(beta).ok
+        with pytest.raises(InvalidCocycle):
+            td.make_numeric_cocycle(alpha4.group, table)
+
+    def test_numeric_failure_raises_alike_every_time(self, alpha4):
+        table = np.array(alpha4.complex_table)
+        table[5, 6] *= -1
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidCocycle) as err:
+                td.make_numeric_cocycle(alpha4.group, table)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 def cocycle_case(kind, n, seed, perturbations):
@@ -163,6 +225,19 @@ class TestDihedralAlpha:
             td.dihedral_alpha(n)
 
 
+def pulled_back_product_cocycle():
+    """dihedral_alpha(4) on C_2 x D_8, pulled back along the projection to D_8."""
+    G = td.direct_product(td.cyclic(2), td.dihedral(4))
+    to_d8 = np.arange(G.order) % 8
+    return make_cocycle(G, 4, td.dihedral_alpha(4).exponents[np.ix_(to_d8, to_d8)])
+
+
+RESTRICTED_COCYCLES = {
+    **{f"D{2 * n}": functools.partial(td.dihedral_alpha, n) for n in range(2, 13, 2)},
+    "C2xD8": pulled_back_product_cocycle,
+}
+
+
 class TestRestrict:
     def test_to_rotations_trivial(self, alpha4, a_cyclic):
         restricted, to_parent = td.restrict(alpha4, a_cyclic)
@@ -184,6 +259,23 @@ class TestRestrict:
         restricted, _ = td.restrict(alpha4, H)
         assert not restricted.is_trivial()
         assert td.validate_cocycle(restricted).ok
+
+    @pytest.mark.parametrize("name", RESTRICTED_COCYCLES)
+    def test_every_restriction_passes_validation(self, name):
+        """restrict builds its tables without the checks; a restriction of a
+        2-cocycle must pass them anyway, exact and numeric alike."""
+        alpha = RESTRICTED_COCYCLES[name]()
+        G = alpha.group
+        for H in all_subgroups(G):
+            exact, to_parent = td.restrict(alpha, H)
+            numeric, numeric_map = td.restrict(numeric_from_exact(alpha), H)
+            block = np.ix_(to_parent, to_parent)
+            assert numeric_map == to_parent
+            assert exact.group is numeric.group is H.as_group()[0]
+            assert np.array_equal(exact.exponents, alpha.exponents[block])
+            assert np.array_equal(numeric.table, alpha.complex_table[block])
+            assert validate_cocycle_table(exact.group, exact.order, exact.exponents).ok
+            assert td.validate_numeric_cocycle(numeric).ok
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "numeric"])
     def test_rejects_a_handle_of_another_group(self, alpha4, exact):

@@ -331,6 +331,39 @@ class TestVerifyPointDecomposition:
             assert rep.rank_ok
 
 
+IDENTITY_AT_3 = np.array([3, 5, 0, 7, 1, 6, 2, 4])     # D_8 index k -> index IDENTITY_AT_3[k]
+
+
+def d8_identity_at_3():
+    """D_8 and dihedral_alpha(4) renumbered so the identity sits at index 3:
+    a valid hand-built FiniteGroup(identity=3) and its cocycle."""
+    G, alpha = td.dihedral(4), td.dihedral_alpha(4)
+    p = IDENTITY_AT_3
+    mul, inv, expo = np.empty_like(G.mul), np.empty_like(G.inv), np.empty_like(alpha.exponents)
+    mul[np.ix_(p, p)], inv[p], expo[np.ix_(p, p)] = p[G.mul], p[G.inv], alpha.exponents
+    labels = np.empty(8, dtype=object)
+    labels[p] = G.labels
+    H = td.FiniteGroup(order=8, mul=mul, inv=inv, labels=tuple(labels), identity=3)
+    return H, td.Cocycle(H, alpha.order, expo)
+
+
+class TestParentIdentityNotAtZero:
+    """Subgroups of a group whose identity is not index 0 number their
+    elements from the parent's identity, so the pipeline gives what it
+    gives on the canonical copy."""
+
+    @pytest.mark.parametrize("gens", [[1], [2]], ids=["A=<a>", "A=<a^2>"])
+    def test_point_decomposition_equals_canonical(self, d8, alpha4, gens):
+        H, alpha = d8_identity_at_3()
+        A = td.subgroup_closure(d8, gens)
+        canonical = td.verify_point_decomposition(d8, A, alpha4, seed=0)
+        moved = td.SubgroupHandle(H, tuple(IDENTITY_AT_3[list(A.elements)].tolist()))
+        rep = td.verify_point_decomposition(H, moved, alpha, seed=0)
+        assert rep.rank_lhs == canonical.rank_lhs
+        assert rep.rank_rhs == canonical.rank_rhs
+        assert rep.matching == canonical.matching
+
+
 def dihedral_configurations(ns):
     """(G, A, alpha) for dihedral(n), n in ns, under the trivial cocycle and,
     for even n, dihedral_alpha(n), with every normal A."""

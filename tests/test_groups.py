@@ -28,6 +28,7 @@ from twistdecomp.groups import (
 )
 
 from oracles import associative, brute_isomorphic
+from test_decomposition import d8_identity_at_3
 from test_reps import alternating, c2_times_dihedral, quaternion, symmetric
 
 # order-5 loop: Latin square with identity and two-sided inverses, not associative
@@ -76,6 +77,56 @@ class TestFromMultiplicationTable:
     def test_rejects_bad_entries(self):
         with pytest.raises(InputError):
             td.from_multiplication_table([[0, 2], [2, 0]])
+
+
+def identity_at_3():
+    """Z_5 relabelled so the identity sits at index 3, with labels."""
+    perm = np.array([3, 0, 4, 1, 2])          # element k of Z_5 -> index perm[k]
+    ks = np.arange(5)
+    table = np.empty((5, 5), dtype=np.int64)
+    table[np.ix_(perm, perm)] = perm[(ks[:, None] + ks[None, :]) % 5]
+    labels = [""] * 5
+    for k in range(5):
+        labels[perm[k]] = f"g^{k}"
+    return table, labels
+
+
+class TestGroupValidation:
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_identity_not_at_zero_builds_alike_every_time(self, with_labels):
+        table, labels = identity_at_3()
+        labels = labels if with_labels else None
+        first = td.from_multiplication_table(np.array(table), labels)
+        second = td.from_multiplication_table(np.array(table), labels)
+        assert first.labels[0] == ("g^0" if with_labels else "0")
+        for G in (first, second):
+            assert G.identity == 0
+        assert np.array_equal(first.mul, second.mul) and np.array_equal(first.inv, second.inv)
+        assert first.labels == second.labels
+        again = td.from_multiplication_table(np.array(table), labels)
+        assert again.labels == second.labels and np.array_equal(again.mul, second.mul)
+
+    def test_each_call_takes_its_own_labels(self):
+        table, labels = identity_at_3()
+        td.from_multiplication_table(np.array(table), labels)
+        other = [s.upper() for s in labels]
+        second = td.from_multiplication_table(np.array(table), other)
+        third = td.from_multiplication_table(np.array(table), other)
+        assert second.labels == third.labels == tuple(s.upper() for s in
+                                                   [labels[3], labels[1], labels[2],
+                                                    labels[0], labels[4]])
+
+    def test_failure_raises_alike_every_time(self):
+        table = np.array(td.dihedral(4).mul)
+        table[[2, 5]] = table[[5, 2]]             # still a Latin square, no longer a group
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InputError) as err:
+                td.from_multiplication_table(table)
+            messages.append((type(err.value), str(err.value)))
+        assert messages[0] == messages[1]
+
+
 
 
 class TestFromPermutationGenerators:
@@ -287,6 +338,56 @@ class TestSubgroupsAgainstLoops:
                 assert qs.projection == tuple(coset_id.tolist())
                 assert qs.quotient.mul.tolist() == [[coset_id[G.mul[s, t]] for t in reps]
                                                     for s in reps]
+
+
+DERIVED_GROUPS = {
+    "S4": lambda: symmetric(4),
+    "A4": lambda: alternating(4),
+    "Q8": lambda: quaternion(8),
+    "C2xD8": lambda: c2_times_dihedral(4),
+    **{f"D{2 * n}": functools.partial(td.dihedral, n) for n in range(1, 13)},
+}
+
+
+# as_group's map starts at the parent's identity wherever that sits
+AS_GROUP_PARENTS = {**DERIVED_GROUPS, "D8 identity at 3": lambda: d8_identity_at_3()[0]}
+
+
+class TestDerivedTablesEqualValidated:
+    """Subgroup and quotient tables are built without the input checks; they
+    must equal what the checks build from the same tables."""
+
+    @pytest.mark.parametrize("name", AS_GROUP_PARENTS)
+    def test_as_group(self, name):
+        G = AS_GROUP_PARENTS[name]()
+        for H in all_subgroups(G):
+            sub, to_parent = H.as_group()
+            pos = {g: i for i, g in enumerate(to_parent)}
+            table = np.array([[pos[int(G.mul[a, b])] for b in to_parent] for a in to_parent])
+            checked = groups._validated_group(table, [G.labels[a] for a in to_parent])
+            assert np.array_equal(sub.mul, checked.mul)
+            assert np.array_equal(sub.inv, checked.inv)
+            assert sub.identity == checked.identity == 0
+            assert sub.labels == checked.labels
+            assert sorted(to_parent) == list(H.elements) and to_parent[0] == G.identity
+            assert all(H.position(g) == i for i, g in enumerate(to_parent))
+            # to_parent is a homomorphism
+            parent = np.asarray(to_parent)
+            assert np.array_equal(parent[sub.mul], G.mul[np.ix_(parent, parent)])
+            assert np.array_equal(parent[sub.inv], G.inv[parent])
+
+    @pytest.mark.parametrize("name", DERIVED_GROUPS)
+    def test_quotient(self, name):
+        G = DERIVED_GROUPS[name]()
+        for A in td.normal_subgroups(G):
+            coset_id, reps = loop_cosets(G, A)
+            qmul = np.array([[coset_id[G.mul[s, t]] for t in reps] for s in reps])
+            checked = groups._validated_group(qmul, [f"[{G.labels[s]}]" for s in reps])
+            Q = td.quotient_with_section(G, A).quotient
+            assert np.array_equal(Q.mul, checked.mul)
+            assert np.array_equal(Q.inv, checked.inv)
+            assert Q.identity == checked.identity == 0
+            assert Q.labels == checked.labels
 
 
 class TestQuotientWithSection:

@@ -23,7 +23,7 @@ from twistdecomp.kgroups import (
 )
 
 from test_action_table import bfs_orbits
-from test_decomposition import coboundary_twist
+from test_decomposition import coboundary_twist, d8_identity_at_3
 from test_groups import loop_cosets
 
 
@@ -296,6 +296,17 @@ class TestVerifyGSet:
 
 
 class TestPullback:
+    def test_parent_identity_not_at_zero(self):
+        """Isotropy characters are read in the isotropy's own numbering, which
+        starts at the parent's identity, not in ascending element order."""
+        H, alpha = d8_identity_at_3()
+        y = point_gset(H)
+        for S in all_subgroups(H):
+            x = coset_gset(H, S)
+            f = [0] * x.size
+            assert np.array_equal(td.pullback_matrix(H, alpha, f, x, y),
+                                  loop_pullback(H, alpha, f, x, y))
+
     def test_identity_map(self, d8, alpha4):
         x = swap_gset(d8)
         M = td.pullback_matrix(d8, alpha4, [0, 1], x, x)

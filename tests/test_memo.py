@@ -1,4 +1,5 @@
-"""The content-keyed memo behind irreducibles, cocycle validation and group validation."""
+"""The content-keyed memo behind irreducibles, the orbit decomposition and the isotropy
+summands of K^0; group and cocycle validation are not remembered."""
 
 import gc
 import json
@@ -13,9 +14,9 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp import _memo, decomposition, reps
-from twistdecomp.cocycles import numeric_from_exact, validate_cocycle_table
+from twistdecomp.cocycles import numeric_from_exact
 from twistdecomp.decomposition import _orbit_data, action_table, orbit_data
-from twistdecomp.errors import ANotTrivial, DecompositionFailure, InputError, InvalidCocycle, NotNormal
+from twistdecomp.errors import ANotTrivial, DecompositionFailure, InputError, NotNormal
 from twistdecomp.kgroups import (
     k0_of_gset,
     left_translation_gset,
@@ -25,6 +26,7 @@ from twistdecomp.kgroups import (
     random_gset,
 )
 
+from test_cocycles import corrupted_alpha4
 from test_decomposition import coboundary_twist
 
 
@@ -179,116 +181,17 @@ def irreducibles_copy(G, cocycle):
                        [td.AlphaCharacter(np.array(c.values)) for c in table.characters])
 
 
-def corrupted_alpha4():
-    expo = np.array(td.dihedral_alpha(4).exponents)
-    expo[1, 3] += 1
-    return expo
-
-
-def klein_bilinear():
-    """(x1, y1), (x2, y2) -> x1 y2 on Z_2 x Z_2: a cocycle mod 2, not mod 4."""
-    x, y = np.divmod(np.arange(4), 2)
-    return np.outer(x, y)
-
-
-class TestCocycleValidation:
-    def test_failure_raises_alike_every_time(self, d8):
-        messages = []
-        for _ in range(2):
-            with pytest.raises(InvalidCocycle) as err:
-                td.make_cocycle(d8, 4, corrupted_alpha4())
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("not a normalized 2-cocycle")
-
-    def test_failure_after_a_pass_of_other_content(self, d8, alpha4):
-        assert validate_cocycle_table(d8, 4, alpha4.exponents).ok
-        assert not validate_cocycle_table(d8, 4, corrupted_alpha4()).ok
-
-    def test_order_is_part_of_the_key(self):
-        V = td.direct_product(td.cyclic(2), td.cyclic(2))
-        table = klein_bilinear()
-        assert validate_cocycle_table(V, 2, table).ok
-        assert not validate_cocycle_table(V, 4, table).ok
-        assert validate_cocycle_table(V, 2, table).ok
-
-    def test_identity_is_part_of_the_key(self, d8, alpha4):
-        assert validate_cocycle_table(d8, 4, alpha4.exponents).ok
-        wrong = td.FiniteGroup(order=8, mul=d8.mul, inv=d8.inv, labels=d8.labels, identity=1)
-        assert not validate_cocycle_table(wrong, 4, alpha4.exponents).ok
-        assert td.validate_numeric_cocycle(numeric_from_exact(alpha4)).ok
-        wrong_beta = td.NumericCocycle(wrong, alpha4.complex_table)
-        assert not td.validate_numeric_cocycle(wrong_beta).ok
-
-    def test_numeric_tolerance_is_part_of_the_key(self, alpha4):
-        table = np.array(alpha4.complex_table)
-        table[5, 6] *= np.exp(1e-7j)
-        beta = td.NumericCocycle(alpha4.group, table)
-        loose = td.Tolerances().scaled(100.0)
-        assert td.validate_numeric_cocycle(beta, loose).ok
-        assert not td.validate_numeric_cocycle(beta).ok
-        with pytest.raises(InvalidCocycle):
-            td.make_numeric_cocycle(alpha4.group, table)
-
-    def test_numeric_failure_raises_alike_every_time(self, alpha4):
-        table = np.array(alpha4.complex_table)
-        table[5, 6] *= -1
-        messages = []
-        for _ in range(2):
-            with pytest.raises(InvalidCocycle) as err:
-                td.make_numeric_cocycle(alpha4.group, table)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-
-
-def identity_at_3():
-    """Z_5 relabelled so the identity sits at index 3, with labels."""
-    perm = np.array([3, 0, 4, 1, 2])          # element k of Z_5 -> index perm[k]
-    ks = np.arange(5)
-    table = np.empty((5, 5), dtype=np.int64)
-    table[np.ix_(perm, perm)] = perm[(ks[:, None] + ks[None, :]) % 5]
-    labels = [""] * 5
-    for k in range(5):
-        labels[perm[k]] = f"g^{k}"
-    return table, labels
-
-
-class TestGroupValidation:
-    @pytest.mark.parametrize("with_labels", [True, False])
-    def test_identity_not_at_zero_warm_equals_cold(self, with_labels):
-        table, labels = identity_at_3()
-        labels = labels if with_labels else None
-        cold = td.from_multiplication_table(np.array(table), labels)
-        warm = td.from_multiplication_table(np.array(table), labels)
-        assert cold.labels[0] == ("g^0" if with_labels else "0")
-        for G in (cold, warm):
-            assert G.identity == 0
-        assert np.array_equal(cold.mul, warm.mul) and np.array_equal(cold.inv, warm.inv)
-        assert cold.labels == warm.labels
-        _memo.clear()
-        again = td.from_multiplication_table(np.array(table), labels)
-        assert again.labels == warm.labels and np.array_equal(again.mul, warm.mul)
-
-    def test_hit_takes_the_callers_labels(self):
-        table, labels = identity_at_3()
-        td.from_multiplication_table(np.array(table), labels)
-        other = [s.upper() for s in labels]
-        warm = td.from_multiplication_table(np.array(table), other)
-        _memo.clear()
-        cold = td.from_multiplication_table(np.array(table), other)
-        assert warm.labels == cold.labels == tuple(s.upper() for s in
-                                                   [labels[3], labels[1], labels[2],
-                                                    labels[0], labels[4]])
-
-    def test_failure_raises_alike_every_time(self):
-        table = np.array(td.dihedral(4).mul)
-        table[[2, 5]] = table[[5, 2]]             # still a Latin square, no longer a group
-        messages = []
-        for _ in range(2):
-            with pytest.raises(InputError) as err:
-                td.from_multiplication_table(table)
-            messages.append((type(err.value), str(err.value)))
-        assert messages[0] == messages[1]
+def test_validation_and_derived_tables_store_nothing():
+    """Checked inputs and the subgroup, restriction and quotient tables built
+    from them are not remembered."""
+    alpha = td.dihedral_alpha(4)
+    G = alpha.group
+    for A in td.normal_subgroups(G):
+        td.restrict(alpha, A)
+        td.restrict(numeric_from_exact(alpha), A)
+        A.as_group()
+        td.quotient_with_section(G, A)
+    assert not _memo._shared._entries
 
 
 class TestContentDigests:

@@ -9,8 +9,10 @@ time with the memo of certified tables warm from the first; the two dumps
 must be identical. The script then checks, between the trees:
 
 - for dihedral(n), n = 1..12, under the trivial cocycle and, for even n,
-  dihedral_alpha(n), and every normal subgroup A, running
-  verify_point_decomposition(seed=0): the dimensions and characters
+  dihedral_alpha(n), for S_4 under the trivial cocycle, and for C_2 x D_8
+  under dihedral_alpha(4) pulled back from the D_8 factor, and every normal
+  subgroup A, running verify_point_decomposition(seed=0): the dimensions
+  and characters
   (within tol.char, entry by entry in table order) of the irreducibles of
   (G, alpha) and of (A, alpha|A), and the action perm and multiplicities
   exactly. A configuration that raises must raise the same error type in
@@ -35,8 +37,9 @@ With --seeds, only the head tree runs, in this process. The phase of each
 M_q is fixed by traces, which do not depend on the basis of tau, so beta
 must not depend on the seed. For every configuration above the script
 checks that the seeds give equal beta tables (within tol.cocycle) and
-identical matchings, and that the JSON of `twistdecomp decompose` differs
-only in "seed".
+identical matchings, and, for the dihedral configurations, which have a
+CLI group spec, that the JSON of `twistdecomp decompose` differs only in
+"seed".
 
 Exit status 0 when everything agrees.
 """
@@ -72,7 +75,11 @@ def _table(table) -> dict:
 
 
 def configurations():
-    """(name, CLI arguments, G, A, alpha) for dihedral(n), n = 1..12, and every normal A."""
+    """(name, CLI arguments or None, G, A, alpha) for every normal A of: dihedral(n),
+    n = 1..12; S_4 under the trivial cocycle; and C_2 x D_8 under dihedral_alpha(4)
+    pulled back from the D_8 factor. The last two have no CLI group spec."""
+    import numpy as np
+
     import twistdecomp as td
     from twistdecomp.groups import normal_subgroups
 
@@ -85,6 +92,14 @@ def configurations():
             for A in normal_subgroups(G):
                 args = [f"dihedral:{n}", spec, "--A=" + ",".join(map(str, A.elements))]
                 yield f"dihedral:{n} {name} A={list(A.elements)}", args, G, A, alpha
+    s4 = td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    c2_d8 = td.direct_product(td.cyclic(2), td.dihedral(4))
+    to_d8 = np.arange(c2_d8.order) % 8
+    pulled_back = td.make_cocycle(c2_d8, 4, td.dihedral_alpha(4).exponents[np.ix_(to_d8, to_d8)])
+    for name, alpha in (("S4 trivial", td.trivial_cocycle(s4)),
+                        ("C2xD8 dihedral_alpha:4 pulled back", pulled_back)):
+        for A in normal_subgroups(alpha.group):
+            yield f"{name} A={list(A.elements)}", None, alpha.group, A, alpha
 
 
 def dump() -> list:
@@ -282,6 +297,8 @@ def seed_dependence(seeds: list[int]) -> tuple[int, dict[str, list[str]]]:
             found["beta"].append(name)
         if any(r.matching != reports[0].matching for r in reports[1:]):
             found["matching"].append(name)
+        if args is None:
+            continue
         payloads = [_decompose_json(args, s) for s in seeds]
         for p in payloads:
             p.pop("seed")
