@@ -11,7 +11,10 @@ so action_table reads the permutation of Irr(A, alpha|_A) off
     chi_{g.tau}(a) = alpha(g^-1 a, g) alpha(g, g^-1 a)^-1 chi_tau(g^-1 a g),
 
 with no matrices, after an exact integer certificate mod K shows that
-every g.tau is an alpha|_A-representation. Each orbit carries an isotropy
+every g.tau is an alpha|_A-representation. Schur orthogonality decides
+which class g.tau is: its multiplicities over the table must form a unit
+vector. The action law is checked on a generating set of G, which decides
+it for all of G by induction on word length. Each orbit carries an isotropy
 group, a family of Schur intertwiners M_q, and an induced 2-cocycle beta on
 the isotropy quotient. verify_point_decomposition checks that the
 irreducibles of (G, alpha) biject with the beta-twisted irreducibles of the
@@ -35,9 +38,11 @@ from .cocycles import (
 )
 from .config import Tolerances, default_tolerances
 from .errors import (
+    AmbiguousCharacter,
     DecompositionFailure,
     InputError,
     MatchFailure,
+    NonIntegerMultiplicity,
     NotIsotypic,
     NotNormal,
     NotScalar,
@@ -53,6 +58,7 @@ from .groups import (
     _action_orbits,
     _stabilizer,
     chi,
+    generating_set,
     is_normal,
     quotient_with_section,
 )
@@ -128,18 +134,32 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 
     With c_g(a) = g^-1 a g and s_g(a) = alpha(g^-1 a, g) - alpha(g, g^-1 a)
     in exponents mod K, the moved character is
 
-        chi_{g.tau}(a) = exp(2 pi i s_g(a) / K) chi_tau(c_g a),
+        chi_{g.tau}(a) = exp(2 pi i s_g(a) / K) chi_tau(c_g a).
 
-    matched against the table under tol.char. Before matching, the exact
-    integer certificate
+    First the exact integer certificate
 
         s_g(a) + s_g(b) + alpha_A(c_g a, c_g b) == alpha_A(a, b) + s_g(ab)  (mod K)
 
-    for all a, b in A shows that every g.tau is an alpha|_A-representation.
-    All |G| rows are kept, so perm(1) = id, the trivial action of A and
-    perm(gh) = perm(g) o perm(h) are checked on the full table. A failed
-    check raises DecompositionFailure (UnmatchedCharacter for a moved
-    character with no table entry).
+    for all a, b in A shows that every g.tau is an alpha|_A-representation;
+    it runs for every g. Then IrrTable.multiplicities decomposes the moved
+    characters of each g over the table in one product, under tol.char.
+    Each row must be a unit vector: the class of g.tau_i is its one entry,
+    which also certifies that g.tau_i is irreducible. A row that is not a
+    multiplicity vector, or has no entry, raises UnmatchedCharacter; a row
+    with several entries raises AmbiguousCharacter.
+
+    The laws are perm(1) = id, the trivial action of A, and
+
+        perm(s h) = perm(s) o perm(h)  for s in generating_set(G), all h.
+
+    This decides perm(gh) = perm(g) o perm(h) for all g: every g is a word
+    s_1 ... s_k in the generators (inverses are positive powers), and by
+    induction on k,
+
+        perm(g h) = perm(s_1) o perm(s_2 ... s_k h)
+                  = perm(s_1) o perm(s_2 ... s_k) o perm(h) = perm(g) o perm(h),
+
+    where k = 0 is perm(1) = id. A failed law raises DecompositionFailure.
 
     An action that a K-group call has certified for the same content (see
     _orbit_data) comes from the memo, rebound to the caller's G, A and
@@ -192,20 +212,27 @@ def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
                 f"g.tau is not an alpha|_A-representation at g={g}: "
                 f"certificate fails at (a, b) = ({a_map[a]}, {a_map[b]})"
             )
-        perm[g] = irr_a.match_characters(roots[sg] * chars[:, cg], tol.char)
-        unmatched = np.flatnonzero(perm[g] < 0)
-        if unmatched.size:
-            raise UnmatchedCharacter(f"act({g}, tau_{unmatched[0]}) matches no table entry")
+        try:
+            mult = irr_a.multiplicities(roots[sg] * chars[:, cg], tol.char)
+        except NonIntegerMultiplicity as exc:
+            raise UnmatchedCharacter(f"act({g}, tau) matches no table entry: {exc}") from exc
+        weight = mult.sum(axis=1)
+        if np.any(weight == 0):
+            raise UnmatchedCharacter(f"act({g}, tau_{np.argmin(weight)}) matches no table entry")
+        if np.any(weight > 1):
+            raise AmbiguousCharacter(f"act({g}, tau_{np.argmax(weight)}) decomposes over "
+                                     "several table entries")
+        perm[g] = np.argmax(mult, axis=1)
     ident = np.arange(len(irr_a))
     if not np.array_equal(perm[G.identity], ident):
         raise DecompositionFailure("perm(1) is not the identity")
     moving = np.flatnonzero(np.any(perm[a_elems] != ident, axis=1))
     if moving.size:
         raise DecompositionFailure(f"perm({a_map[moving[0]]}) moves classes inside A")
-    for g in range(G.order):
-        bad = np.flatnonzero(np.any(perm[g][perm] != perm[G.mul[g]], axis=1))
+    for gen in generating_set(G):
+        bad = np.flatnonzero(np.any(perm[gen][perm] != perm[G.mul[gen]], axis=1))
         if bad.size:
-            raise DecompositionFailure(f"action law fails at ({g},{bad[0]})")
+            raise DecompositionFailure(f"action law fails at ({gen},{bad[0]})")
     return IrrAction(
         group=G, subgroup=A, alpha=alpha, base=irr_a, alpha_a=alpha_a,
         a_map=tuple(a_map), perm=perm,

@@ -89,7 +89,7 @@ class NonIntegerMultiplicity(NumericFailure):
 
 
 class AmbiguousCharacter(NumericFailure):
-    """A character matched several table entries within tolerance."""
+    """A character decomposed over several table entries where one was expected."""
 
 
 class DecompositionFailure(TwistError):

@@ -566,7 +566,8 @@ def all_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
 class QuotientWithSection:
     """The quotient G/A with a fixed set-theoretic section sigma: Q -> G.
 
-    sigma picks the smallest element index in each coset, so sigma(1) = 1.
+    Coset 0 is A, and sigma(1) = 1. The other cosets are numbered by their
+    smallest element index, which sigma picks.
     """
 
     parent: FiniteGroup
@@ -591,6 +592,11 @@ def quotient_with_section(G: FiniteGroup, A: SubgroupHandle) -> QuotientWithSect
     if not is_normal(G, A):
         raise NotNormal("quotient requires a normal subgroup")
     coset_id, section = left_cosets(G, A)
+    # the identity's coset first, represented by the identity
+    order = np.argsort(np.arange(section.size) != coset_id[G.identity], kind="stable")
+    coset_id = np.argsort(order)[coset_id]
+    section = section[order]
+    section[0] = G.identity
     qmul = coset_id[G.mul[np.ix_(section, section)]]
     homomorphism = np.array_equal(coset_id[G.mul], qmul[np.ix_(coset_id, coset_id)])
     if not homomorphism or not np.array_equal(np.flatnonzero(coset_id == 0), A.elements):

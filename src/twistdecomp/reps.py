@@ -25,7 +25,6 @@ from . import _memo
 from .cocycles import Cocycle, NumericCocycle, restrict
 from .config import Tolerances, default_tolerances
 from .errors import (
-    AmbiguousCharacter,
     InputError,
     NonIntegerMultiplicity,
     NotIrreducible,
@@ -41,7 +40,6 @@ _CLUSTER_ATOL = 1e-7
 # products themselves carry rounding errors of about 1e-16 per factor.
 _RELATION_FLOOR = 1e-12
 _FINGERPRINT_DIGITS = 9
-_MATCH_CHUNK = 1 << 16   # complex entries per broadcast in match_characters
 _PHI_CHUNK = 1 << 14     # (g, h) pairs per accumulation in _conjugation_weights
 
 
@@ -80,11 +78,6 @@ class AlphaCharacter:
         """((re, im), ...) of the values, each as Python's round(x, digits)."""
         rounded = _rounded(np.stack([self.values.real, self.values.imag]), digits)
         return tuple(zip(rounded[0].tolist(), rounded[1].tolist()))
-
-    def close_to(self, other: "AlphaCharacter", tol: float) -> bool:
-        return self.values.shape == other.values.shape and bool(
-            np.max(np.abs(self.values - other.values)) <= tol
-        )
 
 
 def _rounded(parts: np.ndarray, digits: int) -> np.ndarray:
@@ -385,28 +378,6 @@ class IrrTable:
         values.flags.writeable = False
         return values
 
-    def match_characters(self, values: np.ndarray, tol: float) -> np.ndarray:
-        """Index of the unique matching table entry for each row, -1 where none.
-
-        A row matches an entry when their values differ by at most tol in
-        max-abs; a row matching several entries raises AmbiguousCharacter.
-        """
-        values = np.asarray(values, dtype=np.complex128)
-        table = self.character_values
-        out = np.full(len(values), -1, dtype=np.int64)
-        if values.shape[1:] != table.shape[1:]:
-            return out
-        step = max(1, _MATCH_CHUNK // table.size)
-        for lo in range(0, len(values), step):
-            chunk = values[lo:lo + step]
-            close = np.max(np.abs(chunk[:, None, :] - table[None]), axis=2) <= tol
-            hits = close.sum(axis=1)
-            if np.any(hits > 1):
-                raise AmbiguousCharacter("character matched several table entries")
-            found = np.flatnonzero(hits == 1)
-            out[lo + found] = np.argmax(close[found], axis=1)
-        return out
-
     def multiplicities(self, values: np.ndarray, tol: float) -> np.ndarray:
         """(rows, #irr) multiplicities of a (rows, |G|) stack of characters.
 
@@ -426,11 +397,6 @@ class IrrTable:
             val = inner[tuple(bad[0])]
             raise NonIntegerMultiplicity(f"character inner product {val} is not a multiplicity")
         return rounded.astype(np.int64)
-
-    def match_character(self, chi: AlphaCharacter, tol: float) -> int | None:
-        """Index of the unique table entry whose character matches, if any."""
-        j = int(self.match_characters(chi.values[None], tol)[0])
-        return j if j >= 0 else None
 
 
 def _table_order(values: np.ndarray) -> np.ndarray:
@@ -582,16 +548,17 @@ def multiplicity(W: ProjectiveRep, tau: ProjectiveRep,
                  tol: Tolerances | None = None) -> int:
     """dim Hom(V_tau, W) via the character inner product, rounded to an integer.
 
-    Fails loudly when the inner product is not close to an integer, which
-    usually means the two representations carry different cocycle tables.
+    Fails loudly when the inner product is not within tol.char of a
+    non-negative integer (a NaN never is), which usually means the two
+    representations carry different cocycle tables.
     """
     tol = tol or default_tolerances()
     _check_compatible(W, tau)
     val = character_inner(character(W), character(tau))
-    r = int(round(val.real))
-    if abs(val - r) > tol.char or r < 0:
+    r = np.round(val.real)
+    if not abs(val - r) <= tol.char or r < 0:
         raise NonIntegerMultiplicity(f"character inner product {val} is not a multiplicity")
-    return r
+    return int(r)
 
 
 def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
@@ -609,8 +576,8 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
     if rho1.dim != rho2.dim:
         return None
     pairing = character_inner(character(rho1), character(rho2))
-    mult = int(round(pairing.real))
-    if abs(pairing - mult) > tol.char or mult not in (0, 1):
+    mult = np.round(pairing.real)
+    if not abs(pairing - mult) <= tol.char or mult not in (0, 1):
         raise NotIrreducible(f"character pairing {pairing} is not 0 or 1")
     if mult == 0:
         return None

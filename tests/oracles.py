@@ -3,6 +3,8 @@
 These deliberately avoid the regular-representation splitting path: the
 character table oracle works through conjugacy-class-sum matrices, and the
 isomorphism oracle is a plain backtracking search over generator images.
+The character matcher compares values entry by entry, where the library
+decomposes characters by orthogonality.
 The table checks scan every triple, where the library checks only a
 generating set of middle arguments.
 """
@@ -13,6 +15,7 @@ import itertools
 
 import numpy as np
 
+from twistdecomp.cocycles import central_extension
 from twistdecomp.groups import FiniteGroup, conjugacy_classes, generating_set, subgroup_closure
 
 
@@ -65,6 +68,29 @@ def classical_character_table(G: FiniteGroup, tol: float = 1e-8):
         key=lambda i: (round(chars[i, 0].real), tuple(np.round(chars[i], 6).view(float))),
     )
     return classes, chars[order]
+
+
+def twisted_character_table(G: FiniteGroup, alpha, sign: int = 1) -> np.ndarray:
+    """(#irr, |G|) characters of (G, alpha), from class sums on the central extension.
+
+    E = central_extension(G, alpha) holds (g, k) for g in G and k mod K. Its
+    irreducible characters on which the central (1, k) acts by
+    exp(sign 2 pi i k / K) restrict, on the elements (g, 0), to characters
+    of (G, alpha) for one of the two signs. Needs G's identity at index 0.
+    """
+    ext = central_extension(G, alpha)
+    E, K = ext.group, ext.order_k
+    classes, table = classical_character_table(E)
+    rows = np.array([character_values_by_element(E, classes, row) for row in table])
+    z = np.exp(sign * 2j * np.pi / K)
+    scalar = np.abs(rows[:, ext.central[1]] - z * rows[:, ext.central[0]]) <= 1e-8
+    lifts = np.flatnonzero(np.asarray(ext.scalar_exponent) == 0)   # (g, 0), g ascending
+    return rows[scalar][:, lifts]
+
+
+def max_abs_matches(table, values, tol: float) -> list[int]:
+    """Indices of the rows of a (#irr, |G|) character table within tol of values in max-abs."""
+    return [j for j, row in enumerate(table) if np.max(np.abs(row - values)) <= tol]
 
 
 def classical_dims(G: FiniteGroup) -> list[int]:

@@ -9,8 +9,18 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp.errors import DecompositionFailure
-from twistdecomp.groups import full_subgroup
+from twistdecomp import reps
+from twistdecomp.cli import main
+from twistdecomp.errors import (
+    AmbiguousCharacter,
+    DecompositionFailure,
+    NonIntegerMultiplicity,
+    UnmatchedCharacter,
+)
+from twistdecomp.groups import full_subgroup, generating_set, normal_subgroups
+
+from oracles import max_abs_matches
+from test_decomposition import coboundary_twist
 
 
 def corrupted_alpha4():
@@ -31,6 +41,13 @@ def c2_x_d8_alpha():
     return G, td.make_cocycle(G, 4, td.dihedral_alpha(4).exponents[np.ix_(d8_index, d8_index)])
 
 
+def s4_normal(order):
+    """S_4 with its normal subgroup of the given order, under the trivial cocycle."""
+    G = td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    A = next(h for h in normal_subgroups(G) if h.order == order)
+    return G, A, td.trivial_cocycle(G)
+
+
 def _cases():
     d8, alpha4 = td.dihedral(4), td.dihedral_alpha(4)
     yield "D8 <a>", d8, td.subgroup_closure(d8, [1]), alpha4
@@ -47,6 +64,9 @@ def _cases():
     yield "C2xD8 C2x<a^2>", G, td.subgroup_closure(G, [8, 2]), alpha
     d6 = td.dihedral(3)
     yield "D6 trivial <a>", d6, td.subgroup_closure(d6, [1]), td.trivial_cocycle(d6)
+    yield ("S4 A4", *s4_normal(12))       # a 3-dimensional tau
+    yield ("S4 V4", *s4_normal(4))
+    yield "D8 <a> alpha4 df", d8, td.subgroup_closure(d8, [1]), coboundary_twist(alpha4, 3)
 
 
 CASES = list(_cases())
@@ -57,14 +77,75 @@ def test_perm_equals_per_pair_route(case):
     _, G, A, alpha = case
     tol = td.default_tolerances()
     action = td.action_table(G, A, alpha, seed=0)
-    chars = action.base.characters
     for g in range(G.order):
         for i, tau in enumerate(action.base.irreducibles):
             moved = td.act(alpha, A, g, tau)
             assert td.validate_rep(moved, tol).ok
-            chi = td.character(moved)
-            hits = [j for j, c in enumerate(chars) if c.close_to(chi, tol.char)]
+            hits = max_abs_matches(action.base.character_values, td.character(moved).values,
+                                   tol.char)
             assert hits == [action.perm[g, i]]
+
+
+def tamper(monkeypatch, change):
+    """Pass every result of IrrTable.multiplicities, as action_table calls it, through change."""
+    honest = reps.IrrTable.multiplicities
+    monkeypatch.setattr(reps.IrrTable, "multiplicities",
+                        lambda self, values, tol: change(honest(self, values, tol)))
+
+
+def no_entry(mult):
+    return np.vstack([np.zeros_like(mult[:1]), mult[1:]])
+
+
+def two_entries(mult):
+    return np.vstack([mult[:1] + mult[1:2], mult[1:]])
+
+
+def not_integer(mult):
+    raise NonIntegerMultiplicity("character inner product 0.5 is not a multiplicity")
+
+
+# change of the multiplicities -> error of action_table, exit code of `verify action-laws`
+TAMPERED = {
+    "weight 0": (no_entry, UnmatchedCharacter, 3),
+    "weight 2": (two_entries, AmbiguousCharacter, 5),
+    "not an integer": (not_integer, UnmatchedCharacter, 3),
+}
+
+
+@pytest.mark.parametrize("name", TAMPERED)
+def test_a_row_that_is_not_a_unit_vector_raises(name, monkeypatch, d8, alpha4, a_cyclic):
+    change, error, _ = TAMPERED[name]
+    tamper(monkeypatch, change)
+    with pytest.raises(error) as info:
+        td.action_table(d8, a_cyclic, alpha4, seed=0)
+    if change is not_integer:
+        assert isinstance(info.value.__cause__, NonIntegerMultiplicity)
+
+
+@pytest.mark.parametrize("name", TAMPERED)
+def test_a_row_that_is_not_a_unit_vector_sets_the_exit_code(name, monkeypatch, capsys):
+    change, error, code = TAMPERED[name]
+    tamper(monkeypatch, change)
+    assert main(["verify", "action-laws", "--group=dihedral:4", "--A=a",
+                 "--cocycle=dihedral_alpha:4"]) == code
+    assert error.__name__ in capsys.readouterr().err
+
+
+def test_the_law_on_generators_sees_a_swap_elsewhere(monkeypatch, d8, alpha4, a_cyclic):
+    """perm(g) with two entries swapped, for a g that is neither a generator,
+    nor the identity, nor in A, breaks perm(s h) = perm(s) o perm(h) for
+    the generator s and the h with s h = g."""
+    g = 5                                    # a b
+    assert g not in generating_set(d8) and g != d8.identity and g not in a_cyclic.elements
+    calls = iter(range(d8.order))           # action_table decomposes g = 0, 1, ... in turn
+
+    def swap_at_g(mult):
+        return mult[[1, 0, *range(2, len(mult))]] if next(calls) == g else mult
+
+    tamper(monkeypatch, swap_at_g)
+    with pytest.raises(DecompositionFailure, match="action law"):
+        td.action_table(d8, a_cyclic, alpha4, seed=0)
 
 
 def bfs_orbits(table):

@@ -28,7 +28,7 @@ from twistdecomp.groups import (
 )
 
 from oracles import associative, brute_isomorphic
-from test_decomposition import d8_identity_at_3
+from test_decomposition import IDENTITY_AT_3, d8_identity_at_3
 from test_reps import alternating, c2_times_dihedral, quaternion, symmetric
 
 # order-5 loop: Latin square with identity and two-sided inverses, not associative
@@ -421,6 +421,21 @@ class TestQuotientWithSection:
         for A in td.normal_subgroups(d8):
             qs = td.quotient_with_section(d8, A)
             assert qs.quotient.order * A.order == d8.order
+
+    def test_identity_not_at_zero(self, d8):
+        """On D_8 renumbered with the identity at 3, coset 0 is the kernel with
+        the identity as its representative, and the quotient table is the
+        canonical D_8's up to the numbering of cosets."""
+        H, _ = d8_identity_at_3()
+        for A in td.normal_subgroups(d8):
+            qs = td.quotient_with_section(H, td.SubgroupHandle(H, IDENTITY_AT_3[list(A.elements)]))
+            assert qs.section[0] == H.identity
+            canonical = td.quotient_with_section(d8, A)
+            # canonical coset q holds the elements that renumbering sends into coset m[q]
+            m = np.asarray(qs.projection)[IDENTITY_AT_3[list(canonical.section)]]
+            assert m[0] == 0 and sorted(m) == list(range(len(m)))
+            assert np.array_equal(qs.quotient.mul[np.ix_(m, m)], m[canonical.quotient.mul])
+            assert np.array_equal(qs.quotient.inv[m], m[canonical.quotient.inv])
 
 
 class TestChi:

@@ -3,16 +3,19 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp.decomposition import action_table, orbit_data
-from twistdecomp.errors import AmbiguousCharacter, NonIntegerMultiplicity, NotIrreducible
+from twistdecomp.errors import NonIntegerMultiplicity, NotIrreducible
 from twistdecomp.groups import generating_set, trivial_subgroup
 from twistdecomp import reps
 from twistdecomp.reps import commutant_dimension, is_irreducible
 
 from test_action_table import c2_x_d8_alpha
+from test_decomposition import coboundary_twist
 from oracles import (
     character_values_by_element,
     classical_character_table,
     classical_dims,
+    max_abs_matches,
+    twisted_character_table,
 )
 
 
@@ -162,6 +165,32 @@ class TestIrreducibles:
         assert got == oracle_prints
 
 
+class TestTwistedOracle:
+    """Characters of (G, alpha) against class sums on the central extension,
+    a route that never runs the split."""
+
+    CASES = {
+        "D8": lambda: (td.dihedral(4), td.dihedral_alpha(4)),
+        "D12": lambda: (td.dihedral(6), td.dihedral_alpha(6)),
+        "C2xD8": c2_x_d8_alpha,
+        "D8 df": lambda: (td.dihedral(4), coboundary_twist(td.dihedral_alpha(4), 5)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equal_to_the_central_extension(self, name):
+        G, alpha = self.CASES[name]()
+        got = td.irreducibles(G, alpha, seed=0).character_values
+        tol = td.default_tolerances().char
+
+        def matches(sign):
+            return [max_abs_matches(got, row, tol)
+                    for row in twisted_character_table(G, alpha, sign)]
+
+        # (1, k) acts by exp(+2 pi i k / K); the other sign gives alpha^-1's characters
+        assert sorted(matches(1)) == [[j] for j in range(len(got))]
+        assert not any(matches(-1))
+
+
 class TestCharacter:
     def test_trivial_rep(self, d8):
         assert np.allclose(td.character(trivial_rep(d8)).values, 1)
@@ -171,25 +200,6 @@ class TestCharacter:
 
     def test_tau2_at_a2(self, explicit_taus):
         assert td.character(explicit_taus[2]).values[2] == pytest.approx(0)
-
-
-class TestMatchCharacters:
-    @pytest.mark.parametrize("chunk", [1, reps._MATCH_CHUNK])
-    def test_rows_match_like_single_calls(self, monkeypatch, chunk):
-        monkeypatch.setattr(reps, "_MATCH_CHUNK", chunk)
-        table = td.irreducibles(td.dihedral(8), td.dihedral_alpha(8), seed=0)
-        values = table.character_values[::-1].copy()
-        values[0] += 1.0
-        rows = table.match_characters(values, 1e-6)
-        assert list(rows) == [-1] + list(range(len(table) - 2, -1, -1))
-        for row, chi in zip(rows, values):
-            found = table.match_character(td.AlphaCharacter(chi), 1e-6)
-            assert found == (None if row < 0 else row)
-
-    def test_ambiguous_match_raises(self):
-        table = td.irreducibles(td.dihedral(8), td.dihedral_alpha(8), seed=0)
-        with pytest.raises(AmbiguousCharacter):
-            table.match_characters(table.character_values, 10.0)
 
 
 class TestMultiplicity:
@@ -215,6 +225,17 @@ class TestMultiplicity:
                                  np.ones((8, 1, 1), dtype=complex))
         with pytest.raises((NonIntegerMultiplicity, Exception)):
             td.multiplicity(explicit_taus[1], other)
+
+    def test_a_nan_entry_raises(self, explicit_taus):
+        with pytest.raises(NonIntegerMultiplicity):
+            td.multiplicity(with_nan(explicit_taus[1]), explicit_taus[1])
+
+
+def with_nan(rep):
+    """rep with one matrix entry replaced by NaN."""
+    mats = rep.matrices.copy()
+    mats[3, 0, 0] = np.nan
+    return td.ProjectiveRep(rep.group, rep.cocycle, rep.dim, mats)
 
 
 def direct_sum(*parts):
@@ -301,6 +322,10 @@ class TestIntertwiner:
         reg = td.regular_rep(d8, alpha4)
         with pytest.raises(NotIrreducible):
             td.intertwiner(reg, reg)
+
+    def test_a_nan_entry_raises(self, explicit_taus):
+        with pytest.raises(NotIrreducible, match="pairing"):
+            td.intertwiner(with_nan(explicit_taus[1]), explicit_taus[1])
 
 
 class TestRestrictRep:

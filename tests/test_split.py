@@ -16,13 +16,14 @@ from twistdecomp.errors import (
     DecompositionFailure,
     InputError,
     InvalidCocycle,
+    NonIntegerMultiplicity,
     NotIrreducible,
     NumericFailure,
     SplitFailure,
 )
 
 from test_action_table import c2_x_d8_alpha
-from test_reps import c2_times_dihedral, quaternion, symmetric
+from test_reps import c2_times_dihedral, quaternion, symmetric, with_nan
 
 PACKAGE_DIR = Path(reps.__file__).parent
 
@@ -207,11 +208,12 @@ def test_src_has_no_assert_statement():
 
 
 def _typed_failures() -> list[str]:
-    """Error types raised by two invariant checks fed broken inputs.
+    """Error types raised by four invariant checks fed broken inputs.
 
-    chi on a section that mixes cosets of <a^2> in D_8, and tau_scalar on a
+    chi on a section that mixes cosets of <a^2> in D_8, tau_scalar on a
     table (built directly, bypassing validation) whose two tau formulas
-    disagree.
+    disagree, and multiplicity and intertwiner on a D_8 irreducible with
+    one NaN matrix entry.
     """
     G = td.dihedral(4)
     qs = td.quotient_with_section(G, td.subgroup_closure(G, [2]))
@@ -230,6 +232,16 @@ def _typed_failures() -> list[str]:
                 td.tau_scalar(corrupted, qs, q1, q2)
     except InvalidCocycle as exc:
         out.append(type(exc).__name__)
+    tau = td.irreducibles(G, td.dihedral_alpha(4)).irreducibles[0]
+    broken = with_nan(tau)
+    try:
+        td.multiplicity(broken, tau)
+    except NonIntegerMultiplicity as exc:
+        out.append(type(exc).__name__)
+    try:
+        td.intertwiner(broken, tau)
+    except NotIrreducible as exc:
+        out.append(type(exc).__name__)
     return out
 
 
@@ -245,7 +257,8 @@ def test_typed_failures_under_python_O():
                          text=True, timeout=120, check=True)
     optimize, errors = json.loads(out.stdout.splitlines()[-1])
     assert optimize == 1
-    assert errors == ["DecompositionFailure", "InvalidCocycle"] == _typed_failures()
+    assert errors == ["DecompositionFailure", "InvalidCocycle", "NonIntegerMultiplicity",
+                      "NotIrreducible"] == _typed_failures()
 
 
 class TestIntertwinerFailures:
