@@ -23,7 +23,6 @@ from .groups import (
     QuotientWithSection,
     SubgroupHandle,
     _word_generators,
-    chi,
     dihedral,
     from_multiplication_table,
 )
@@ -350,29 +349,38 @@ def central_extension(G: FiniteGroup, alpha: Cocycle) -> CentralExtension:
 def tau_scalar(alpha: Cocycle, qs: QuotientWithSection, q1: int, q2: int) -> UnitScalar:
     """The correction scalar attached to a section, as an exact root of unity.
 
-    Computed through both of its defining expressions, which must agree
-    (they are related by the cocycle identity); disagreement signals a
-    corrupted cocycle.
+    One entry of _tau_exponents, which builds and checks the table of every
+    pair: a corrupted cocycle raises InvalidCocycle at every pair. The table
+    depends on alpha, so nothing is cached and a call costs O(|Q|^2).
+    """
+    return UnitScalar(int(_tau_exponents(alpha, qs)[q1, q2]), alpha.order)
+
+
+def _tau_exponents(alpha: Cocycle, qs: QuotientWithSection) -> np.ndarray:
+    """The exponent mod K of tau_scalar at every pair (q1, q2), one (|Q|, |Q|) array.
+
+    With s = sigma, x = sigma(q1 q2) and c = chi(q1, q2) from qs._chi_table,
+    both defining expressions
+
+        alpha(s1, s2) - alpha(x, c)
+        alpha(x^-1, s1 s2) - alpha(x, x^-1) + alpha(s1, s2)
+
+    are computed over all pairs. They are related by the cocycle identity,
+    so a disagreement anywhere signals a corrupted cocycle.
     """
     G = qs.parent
     if alpha.group is not G and not alpha.group.same_table(G):
         raise InputError("tau_scalar needs the cocycle on the quotient's parent group")
-    s = qs.section
-    q12 = int(qs.quotient.mul[q1, q2])
-    x = s[q12]
-    xinv = int(G.inv[x])
-    prod = int(G.mul[s[q1], s[q2]])
-    c = chi(qs, q1, q2)
-    K = alpha.order
-    direct = (-int(alpha.exponents[x, c]) + int(alpha.exponents[s[q1], s[q2]])) % K
-    expanded = (
-        int(alpha.exponents[xinv, prod])
-        - int(alpha.exponents[x, xinv])
-        + int(alpha.exponents[s[q1], s[q2]])
-    ) % K
-    if direct != expanded:
+    E, K = alpha.exponents, alpha.order
+    s = np.asarray(qs.section)
+    x = s[qs.quotient.mul]
+    xinv = G.inv[x]
+    both = E[s[:, None], s]
+    direct = (both - E[x, qs._chi_table]) % K
+    expanded = (E[xinv, G.mul[s[:, None], s]] - E[x, xinv] + both) % K
+    if not np.array_equal(direct, expanded):
         raise InvalidCocycle("tau formulas disagree: cocycle table is corrupted")
-    return UnitScalar(direct, K)
+    return direct
 
 
 _COBOUNDARY_SPACE_CAP = 24 ** 5

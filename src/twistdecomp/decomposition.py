@@ -32,9 +32,9 @@ from .cocycles import (
     Cocycle,
     NumericCocycle,
     _require_on,
+    _tau_exponents,
     make_numeric_cocycle,
     restrict,
-    tau_scalar,
 )
 from .config import Tolerances, default_tolerances
 from .errors import (
@@ -57,7 +57,6 @@ from .groups import (
     SubgroupHandle,
     _action_orbits,
     _stabilizer,
-    chi,
     generating_set,
     is_normal,
     quotient_with_section,
@@ -251,13 +250,16 @@ class OrbitDatum:
     alpha_gt: Cocycle
     a_in_gt: SubgroupHandle             # A inside gt_group
     quotient: QuotientWithSection       # A normal in G_[tau]
+    sections: np.ndarray                # (|Q_tau|,) sigma(q) as G indices, read-only
     tau: ProjectiveRep                  # representative irreducible of A
     M: np.ndarray                       # (|Q_tau|, d, d) with M[0] = I, read-only
     beta: NumericCocycle | None
 
     def __post_init__(self):
+        self.sections = np.ascontiguousarray(self.sections, dtype=np.int64)
         self.M = np.ascontiguousarray(self.M, dtype=np.complex128)
-        self.M.flags.writeable = False
+        for a in (self.sections, self.M):
+            a.flags.writeable = False
 
     @property
     def q_group(self) -> FiniteGroup:
@@ -265,7 +267,7 @@ class OrbitDatum:
 
     def section_in_g(self, q: int) -> int:
         """sigma(q) as an element index of the parent group G."""
-        return self.gt_map[self.quotient.section[q]]
+        return int(self.sections[q])
 
 
 def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
@@ -280,6 +282,9 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
     phase_seed, when given, multiplies each M(q), q != 1, by a fixed random
     unit scalar: a convention change that moves beta by a coboundary and
     must leave all cohomology-level outputs unchanged.
+
+    sigma(q).tau is gathered for every q at once, as act computes it for one
+    g: the scalars and conjugates of _conjugation index tau's matrices.
     """
     tol = tol or default_tolerances()
     G = action.group
@@ -293,20 +298,16 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
         alpha_gt, _ = restrict(alpha, isotropy)
         a_in_gt = SubgroupHandle(gt_group, tuple(isotropy.position(list(A.elements)).tolist()))
         qs = quotient_with_section(gt_group, a_in_gt)
+        sections = np.asarray(gt_map)[list(qs.section)]
         tau = action.base.irreducibles[rep_idx]
-        d = tau.dim
-        nq = qs.quotient.order
-        moved = np.empty((nq, *tau.matrices.shape), dtype=np.complex128)
-        moved[0] = tau.matrices
-        M = np.empty((nq, d, d), dtype=np.complex128)
-        M[0] = np.eye(d)
-        for q in range(1, nq):
-            g = gt_map[qs.section[q]]
-            moved_rep = act(alpha, A, g, tau)
-            moved[q] = moved_rep.matrices
-            w = intertwiner(tau, moved_rep, tol)
+        back, scale = _conjugation(alpha, sections[:, None], A.to_parent)
+        moved = scale[..., None, None] * tau.matrices[A.position(back)]   # sigma(q).tau
+        M = np.empty((len(sections), tau.dim, tau.dim), dtype=np.complex128)
+        M[0] = np.eye(tau.dim)
+        for q in range(1, len(sections)):
+            w = intertwiner(tau, ProjectiveRep(tau.group, tau.cocycle, tau.dim, moved[q]), tol)
             if w is None:
-                raise UnmatchedCharacter(f"section element {g} does not fix the class")
+                raise UnmatchedCharacter(f"section element {sections[q]} does not fix the class")
             if rng is not None:
                 z = np.exp(2j * np.pi * rng.random())
                 w = z * w
@@ -314,7 +315,7 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
         datum = OrbitDatum(
             representative=rep_idx, members=members, isotropy=isotropy,
             gt_group=gt_group, gt_map=tuple(gt_map), alpha_gt=alpha_gt,
-            a_in_gt=a_in_gt, quotient=qs, tau=tau, M=M, beta=None,
+            a_in_gt=a_in_gt, quotient=qs, sections=sections, tau=tau, M=M, beta=None,
         )
         _check_m_family(datum, moved, tol)
         datum.beta = induced_cocycle(datum, alpha, tol)
@@ -351,8 +352,8 @@ def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0
     _memo.put(key, [replace(datum, isotropy=None, tau=None) for datum in data],
               sum(a.nbytes for datum in data
                   for a in (datum.M, datum.beta.table, datum.alpha_gt.exponents,
-                            datum.gt_group.mul, datum.gt_group.inv,
-                            datum.q_group.mul, datum.q_group.inv)))
+                            datum.gt_group.mul, datum.gt_group.inv, datum.sections,
+                            datum.q_group.mul, datum.q_group.inv, datum.quotient._chi_table)))
     return data
 
 
@@ -376,30 +377,29 @@ def induced_cocycle(datum: OrbitDatum, alpha: Cocycle,
         tau_scalar(q1,q2) * tau(chi(q1,q2)) * M(q2)^-1 M(q1)^-1 M(q1 q2)
 
     must be a unit scalar matrix; the scalars assemble into a normalized
-    2-cocycle on Q_[tau].
+    2-cocycle on Q_[tau]. All pairs are one broadcast product over the
+    tables qs._chi_table and _tau_exponents. beta(q1, q2) is the mean of
+    the diagonal; NotScalar (max |T - mean I| > tol.scalar) and then
+    NotUnimodular name the first failing pair in row-major order.
     """
     tol = tol or default_tolerances()
     qs = datum.quotient
     Q = qs.quotient
-    tau = datum.tau
-    apos = {g: i for i, g in enumerate(_a_parent_order(datum))}
-    Minv = np.conj(np.transpose(datum.M, (0, 2, 1)))
-    table = np.empty((Q.order, Q.order), dtype=np.complex128)
-    for q1 in range(Q.order):
-        for q2 in range(Q.order):
-            c_gt = chi(qs, q1, q2)
-            a_idx = apos[datum.gt_map[c_gt]]
-            scal = tau_scalar(datum.alpha_gt, qs, q1, q2).value()
-            q12 = int(Q.mul[q1, q2])
-            T = scal * tau.matrices[a_idx] @ Minv[q2] @ Minv[q1] @ datum.M[q12]
-            diag = np.diagonal(T)
-            off = T - np.diag(diag)
-            mean = complex(np.mean(diag))
-            if np.max(np.abs(off)) > tol.scalar or np.max(np.abs(diag - mean)) > tol.scalar:
-                raise NotScalar(f"induced matrix at ({q1},{q2}) is not scalar")
-            if abs(abs(mean) - 1.0) > tol.unitary:
-                raise NotUnimodular(f"induced scalar at ({q1},{q2}) has modulus {abs(mean)}")
-            table[q1, q2] = mean
+    K = datum.alpha_gt.order
+    scal = np.exp(2j * np.pi * np.arange(K) / K)[_tau_exponents(datum.alpha_gt, qs)]
+    M = datum.M
+    Minv = np.conj(np.swapaxes(M, 1, 2))
+    taus = datum.tau.matrices[datum.a_in_gt.position(qs._chi_table)]
+    T = scal[..., None, None] * taus @ Minv[None, :] @ Minv[:, None] @ M[Q.mul]
+    table = np.trace(T, axis1=2, axis2=3) / M.shape[1]     # the mean of the diagonal
+    dev = np.where(np.eye(M.shape[1], dtype=bool), T - table[..., None, None], T)
+    not_scalar = np.max(np.abs(dev), axis=(2, 3)) > tol.scalar
+    bad = np.argwhere(not_scalar | (np.abs(np.abs(table) - 1.0) > tol.unitary))
+    if bad.size:
+        q1, q2 = bad[0]
+        if not_scalar[q1, q2]:
+            raise NotScalar(f"induced matrix at ({q1},{q2}) is not scalar")
+        raise NotUnimodular(f"induced scalar at ({q1},{q2}) has modulus {abs(table[q1, q2])}")
     return make_numeric_cocycle(Q, table, tol)  # re-checks: normalized 2-cocycle
 
 
@@ -459,7 +459,7 @@ def _hom_weights(datum: OrbitDatum, alpha: Cocycle) -> tuple[np.ndarray, np.ndar
     """
     G, ctable = alpha.group, alpha.complex_table
     a_inv = G.inv[np.asarray(_a_parent_order(datum))][None, :]
-    s = np.asarray([datum.section_in_g(q) for q in range(datum.q_group.order)])[:, None]
+    s = datum.sections[:, None]
     traces = np.einsum("aij,qij->qa", datum.tau.matrices, np.conj(datum.M))
     scale = ctable[s, a_inv] * np.conj(ctable[G.inv[a_inv], a_inv])
     return G.mul[s, a_inv], scale * traces / a_inv.size
@@ -521,25 +521,23 @@ def reconstruct_rep(datum: OrbitDatum, hom: ProjectiveRep,
     h acts by [M_q * scalar * tau(sigma(q)^-1 h)] (x) hom(q) with
     q = pi(h); the result is a representation for the restricted cocycle
     whose character equals that of the tau-isotypic part of the input to
-    hom_rep. Specializes the bundle reconstruction action to a point.
+    hom_rep. Specializes the bundle reconstruction action to a point. Every
+    h is gathered at once, and the Kronecker product is a broadcast outer
+    product.
     """
     tol = tol or default_tolerances()
-    qs = datum.quotient
     gt = datum.gt_group
     ctable = datum.alpha_gt.complex_table
-    apos = {g: i for i, g in enumerate(_a_parent_order(datum))}
+    h = np.arange(gt.order)
+    q = np.asarray(datum.quotient.projection)
+    s = np.asarray(datum.quotient.section)[q]
+    sinv = gt.inv[s]
+    x = gt.mul[sinv, h]                      # sigma(q)^-1 h, lies in A
+    scale = np.conj(ctable[s, sinv]) * ctable[sinv, h]
+    left = datum.M[q] @ (scale[:, None, None] * datum.tau.matrices[datum.a_in_gt.position(x)])
     d = datum.tau.dim * hom.dim
-    mats = np.empty((gt.order, d, d), dtype=np.complex128)
-    for h in range(gt.order):
-        q = qs.projection[h]
-        s = qs.section[q]
-        sinv = int(gt.inv[s])
-        x = int(gt.mul[sinv, h])            # sigma(q)^-1 h, lies in A
-        scale = np.conj(ctable[s, sinv]) * ctable[sinv, h]
-        a_idx = apos[datum.gt_map[x]]
-        left = datum.M[q] @ (scale * datum.tau.matrices[a_idx])
-        mats[h] = np.kron(left, hom.matrices[q])
-    rep = ProjectiveRep(gt, datum.alpha_gt, d, mats)
+    kron = left[:, :, None, :, None] * hom.matrices[q][:, None, :, None, :]
+    rep = ProjectiveRep(gt, datum.alpha_gt, d, kron.reshape(gt.order, d, d))
     report = validate_rep(rep, tol)
     if not report.ok:
         raise DecompositionFailure(f"reconstruction is not a representation: {report.violations[:3]}")

@@ -567,7 +567,8 @@ class QuotientWithSection:
     """The quotient G/A with a fixed set-theoretic section sigma: Q -> G.
 
     Coset 0 is A, and sigma(1) = 1. The other cosets are numbered by their
-    smallest element index, which sigma picks.
+    smallest element index, which sigma picks. The chi values of every pair
+    are gathered into one table on first use and checked once, whole.
     """
 
     parent: FiniteGroup
@@ -575,6 +576,21 @@ class QuotientWithSection:
     quotient: FiniteGroup
     projection: tuple[int, ...]     # G index -> Q index
     section: tuple[int, ...]        # Q index -> G index
+
+    @cached_property
+    def _chi_table(self) -> np.ndarray:
+        """chi(q1, q2) for every pair: a read-only (|Q|, |Q|) array of parent indices.
+
+        One gather; a value outside the subgroup anywhere means the section is
+        broken, and then no pair has a table.
+        """
+        G = self.parent
+        s = np.asarray(self.section)
+        table = G.mul[G.inv[s[self.quotient.mul]], G.mul[s[:, None], s]]
+        if np.any(self.subgroup.position(table) < 0):
+            raise DecompositionFailure("section is broken: chi value left the subgroup")
+        table.flags.writeable = False
+        return table
 
 
 def left_cosets(G: FiniteGroup, H: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
@@ -615,11 +631,9 @@ def quotient_with_section(G: FiniteGroup, A: SubgroupHandle) -> QuotientWithSect
 
 
 def chi(qs: QuotientWithSection, q1: int, q2: int) -> int:
-    """sigma(q1 q2)^-1 sigma(q1) sigma(q2); always lies in the subgroup."""
-    G = qs.parent
-    s = qs.section
-    q12 = int(qs.quotient.mul[q1, q2])
-    out = int(G.mul[G.inv[s[q12]], G.mul[s[q1], s[q2]]])
-    if not qs.subgroup.contains(out):
-        raise DecompositionFailure("section is broken: chi value left the subgroup")
-    return out
+    """sigma(q1 q2)^-1 sigma(q1) sigma(q2), which lies in the subgroup.
+
+    Read off qs._chi_table, which is checked whole on first use: a broken
+    section raises DecompositionFailure at every pair.
+    """
+    return int(qs._chi_table[q1, q2])

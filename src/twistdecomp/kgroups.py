@@ -225,8 +225,7 @@ def acts_trivially(x: FiniteGSet, A: SubgroupHandle) -> bool:
 
 def gset_as_quotient_action(x: FiniteGSet, datum: OrbitDatum) -> FiniteGSet:
     """View an A-trivial G-set as a Q_[tau]-set through the section."""
-    section = np.asarray(datum.gt_map)[list(datum.quotient.section)]
-    return make_gset(datum.q_group, x.action[section])
+    return make_gset(datum.q_group, x.action[datum.sections])
 
 
 @dataclass(eq=False)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .decomposition import DecompositionReport
 from .kgroups import GSetDecompositionReport
-from .reps import AlphaCharacter, IrrTable
+from .reps import AlphaCharacter, IrrTable, _rounded
 
 SCHEMA_VERSION = 1
 _DIGITS = 9
@@ -22,17 +22,15 @@ def _num(x: float) -> float:
     return round(float(x), _DIGITS) + 0.0
 
 
-def complex_pair(z: complex) -> list[float]:
-    return [_num(z.real), _num(z.imag)]
-
-
 def character_fingerprint(chi: AlphaCharacter) -> str:
-    parts = [f"{_num(v.real):.9f},{_num(v.imag):.9f}" for v in chi.values]
+    parts = [f"{re:.9f},{im:.9f}" for re, im in chi.fingerprint(_DIGITS)]
     return f"d{chi.dim}|" + ";".join(parts)
 
 
 def matrix_pairs(m: np.ndarray) -> list:
-    return [[complex_pair(v) for v in row] for row in np.asarray(m)]
+    """[re, im] of every entry, nested as the array is, each rounded as _num rounds."""
+    m = np.asarray(m)
+    return _rounded(np.stack([m.real, m.imag], axis=-1), _DIGITS).tolist()
 
 
 def to_json(payload: dict) -> str:
@@ -44,11 +42,11 @@ def irr_table_payload(table: IrrTable, include_matrices: bool = False) -> dict:
     for rep, chi in zip(table.irreducibles, table.characters):
         entry = {
             "dim": rep.dim,
-            "character": [complex_pair(v) for v in chi.values],
+            "character": matrix_pairs(chi.values),
             "fingerprint": character_fingerprint(chi),
         }
         if include_matrices:
-            entry["matrices"] = [matrix_pairs(rep.matrices[g]) for g in table.group.elements()]
+            entry["matrices"] = matrix_pairs(rep.matrices)
         entries.append(entry)
     return {
         "labels": list(table.group.labels),

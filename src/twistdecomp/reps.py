@@ -378,6 +378,13 @@ class IrrTable:
         values.flags.writeable = False
         return values
 
+    @cached_property
+    def _conj_values(self) -> np.ndarray:
+        """The complex conjugate of character_values, read-only, for multiplicities."""
+        values = np.conj(self.character_values)
+        values.flags.writeable = False
+        return values
+
     def multiplicities(self, values: np.ndarray, tol: float) -> np.ndarray:
         """(rows, #irr) multiplicities of a (rows, |G|) stack of characters.
 
@@ -386,11 +393,11 @@ class IrrTable:
         multiplicity: a value not within tol of a non-negative integer, NaN
         included, raises NonIntegerMultiplicity.
         """
-        table = self.character_values
+        table = self._conj_values
         values = np.asarray(values, dtype=np.complex128)
         if values.ndim != 2 or values.shape[1] != table.shape[1]:
             raise InputError(f"characters of shape {values.shape} for order {table.shape[1]}")
-        inner = values @ table.conj().T / table.shape[1]
+        inner = values @ table.T / table.shape[1]
         rounded = np.round(inner.real)
         bad = np.argwhere(~(np.abs(inner - rounded) <= tol) | (rounded < 0))
         if bad.size:

@@ -7,6 +7,9 @@ The character matcher compares values entry by entry, where the library
 decomposes characters by orthogonality.
 The table checks scan every triple, where the library checks only a
 generating set of middle arguments.
+The section quantities of an orbit datum (chi, the tau_scalar exponent, the
+induced cocycle and the reconstructed representation) are evaluated one
+pair or one element at a time, where the library gathers whole arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import itertools
 import numpy as np
 
 from twistdecomp.cocycles import central_extension
+from twistdecomp.errors import NotScalar, NotUnimodular
 from twistdecomp.groups import FiniteGroup, conjugacy_classes, generating_set, subgroup_closure
 
 
@@ -175,3 +179,76 @@ def cocycle_violations(G: FiniteGroup, K: int, table) -> set:
             found.add(("cocycle", g, h, k))
     return found
 
+
+
+def chi_by_pair(qs, q1: int, q2: int) -> int:
+    """sigma(q1 q2)^-1 sigma(q1) sigma(q2), for one pair of the quotient."""
+    G, s = qs.parent, qs.section
+    q12 = int(qs.quotient.mul[q1, q2])
+    return int(G.mul[G.inv[s[q12]], G.mul[s[q1], s[q2]]])
+
+
+def tau_exponents_by_pair(alpha, qs, q1: int, q2: int) -> tuple[int, int]:
+    """Both defining expressions of the tau_scalar exponent mod K, for one pair.
+
+    With s1 = sigma(q1), s2 = sigma(q2), x = sigma(q1 q2) and c = chi(q1, q2):
+    alpha(s1, s2) - alpha(x, c), and alpha(x^-1, s1 s2) - alpha(x, x^-1) + alpha(s1, s2).
+    """
+    G, s, E, K = qs.parent, qs.section, alpha.exponents, alpha.order
+    x = s[int(qs.quotient.mul[q1, q2])]
+    xinv = int(G.inv[x])
+    prod = int(G.mul[s[q1], s[q2]])
+    direct = (int(E[s[q1], s[q2]]) - int(E[x, chi_by_pair(qs, q1, q2)])) % K
+    expanded = (int(E[xinv, prod]) - int(E[x, xinv]) + int(E[s[q1], s[q2]])) % K
+    return direct, expanded
+
+
+def induced_table_by_pair(datum, tol) -> np.ndarray:
+    """The induced cocycle table of an orbit datum, one pair (q1, q2) at a time.
+
+    tau_scalar(q1,q2) tau(chi(q1,q2)) M(q2)^-1 M(q1)^-1 M(q1 q2) must be a unit
+    scalar matrix; raises NotScalar or NotUnimodular at the first pair in
+    row-major order that is not, NotScalar first.
+    """
+    qs, tau = datum.quotient, datum.tau
+    Q = qs.quotient
+    K = datum.alpha_gt.order
+    apos = {g: i for i, g in enumerate(datum.a_in_gt.elements)}
+    Minv = np.conj(np.transpose(datum.M, (0, 2, 1)))
+    table = np.empty((Q.order, Q.order), dtype=np.complex128)
+    for q1 in range(Q.order):
+        for q2 in range(Q.order):
+            direct, expanded = tau_exponents_by_pair(datum.alpha_gt, qs, q1, q2)
+            assert direct == expanded
+            scal = complex(np.exp(2j * np.pi * direct / K))
+            q12 = int(Q.mul[q1, q2])
+            c = apos[chi_by_pair(qs, q1, q2)]
+            T = scal * tau.matrices[c] @ Minv[q2] @ Minv[q1] @ datum.M[q12]
+            diag = np.diagonal(T)
+            off = T - np.diag(diag)
+            mean = complex(np.mean(diag))
+            if np.max(np.abs(off)) > tol.scalar or np.max(np.abs(diag - mean)) > tol.scalar:
+                raise NotScalar(f"induced matrix at ({q1},{q2}) is not scalar")
+            if abs(abs(mean) - 1.0) > tol.unitary:
+                raise NotUnimodular(f"induced scalar at ({q1},{q2}) has modulus {abs(mean)}")
+            table[q1, q2] = mean
+    return table
+
+
+def reconstructed_by_element(datum, hom) -> np.ndarray:
+    """The matrices of reconstruct_rep, one element h of the isotropy group at a time:
+    [M_q scale tau(sigma(q)^-1 h)] (x) hom(q) with q = pi(h)."""
+    qs, gt = datum.quotient, datum.gt_group
+    ctable = datum.alpha_gt.complex_table
+    apos = {g: i for i, g in enumerate(datum.a_in_gt.elements)}
+    d = datum.tau.dim * hom.dim
+    mats = np.empty((gt.order, d, d), dtype=np.complex128)
+    for h in range(gt.order):
+        q = qs.projection[h]
+        s = qs.section[q]
+        sinv = int(gt.inv[s])
+        x = int(gt.mul[sinv, h])
+        scale = np.conj(ctable[s, sinv]) * ctable[sinv, h]
+        left = datum.M[q] @ (scale * datum.tau.matrices[apos[x]])
+        mats[h] = np.kron(left, hom.matrices[q])
+    return mats

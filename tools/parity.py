@@ -9,11 +9,12 @@ time with the memo of certified tables warm from the first; the two dumps
 must be identical. The script then checks, between the trees:
 
 - for dihedral(n), n = 1..12, under the trivial cocycle and, for even n,
-  dihedral_alpha(n), for S_4 under the trivial cocycle, and for C_2 x D_8
-  under dihedral_alpha(4) pulled back from the D_8 factor, and every normal
-  subgroup A, running verify_point_decomposition(seed=0): the dimensions
-  and characters
-  (within tol.char, entry by entry in table order) of the irreducibles of
+  dihedral_alpha(n), for S_4 under the trivial cocycle, for C_2 x D_8 and
+  S_4 x D_8 under dihedral_alpha(4) pulled back from the D_8 factor, and
+  every normal subgroup A, running verify_point_decomposition(seed=0)
+  (the 31 normal subgroups of S_4 x D_8 give quotients of order up to 192
+  and tau of dimension 1 to 6): the dimensions and characters (within
+  tol.char, entry by entry in table order) of the irreducibles of
   (G, alpha) and of (A, alpha|A), and the action perm and multiplicities
   exactly. A configuration that raises must raise the same error type in
   both trees;
@@ -76,8 +77,9 @@ def _table(table) -> dict:
 
 def configurations():
     """(name, CLI arguments or None, G, A, alpha) for every normal A of: dihedral(n),
-    n = 1..12; S_4 under the trivial cocycle; and C_2 x D_8 under dihedral_alpha(4)
-    pulled back from the D_8 factor. The last two have no CLI group spec."""
+    n = 1..12; S_4 under the trivial cocycle; and C_2 x D_8 and S_4 x D_8 under
+    dihedral_alpha(4) pulled back from the D_8 factor. The last three have no CLI
+    group spec."""
     import numpy as np
 
     import twistdecomp as td
@@ -93,11 +95,17 @@ def configurations():
                 args = [f"dihedral:{n}", spec, "--A=" + ",".join(map(str, A.elements))]
                 yield f"dihedral:{n} {name} A={list(A.elements)}", args, G, A, alpha
     s4 = td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
-    c2_d8 = td.direct_product(td.cyclic(2), td.dihedral(4))
-    to_d8 = np.arange(c2_d8.order) % 8
-    pulled_back = td.make_cocycle(c2_d8, 4, td.dihedral_alpha(4).exponents[np.ix_(to_d8, to_d8)])
-    for name, alpha in (("S4 trivial", td.trivial_cocycle(s4)),
-                        ("C2xD8 dihedral_alpha:4 pulled back", pulled_back)):
+
+    def pulled_back(G):
+        to_d8 = np.arange(G.order) % 8
+        return td.make_cocycle(G, 4, td.dihedral_alpha(4).exponents[np.ix_(to_d8, to_d8)])
+
+    for name, alpha in (
+            ("S4 trivial", td.trivial_cocycle(s4)),
+            ("C2xD8 dihedral_alpha:4 pulled back",
+             pulled_back(td.direct_product(td.cyclic(2), td.dihedral(4)))),
+            ("S4xD8 dihedral_alpha:4 pulled back",
+             pulled_back(td.direct_product(s4, td.dihedral(4))))):
         for A in normal_subgroups(alpha.group):
             yield f"{name} A={list(A.elements)}", None, alpha.group, A, alpha
 
