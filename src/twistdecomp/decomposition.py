@@ -64,7 +64,10 @@ from .groups import (
 from .reps import (
     IrrTable,
     ProjectiveRep,
+    _conjugation_residuals,
     _hom_space,
+    _multiplicities,
+    _relation_residuals,
     character,
     intertwiner,
     irreducibles,
@@ -358,11 +361,13 @@ def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0
 
 
 def _check_m_family(datum: OrbitDatum, moved: np.ndarray, tol: Tolerances) -> None:
-    """moved[q] = sigma(q).tau must equal M(q)^-1 tau M(q), for every q and a."""
-    M = datum.M
-    conjugated = np.conj(np.swapaxes(M, 1, 2))[:, None] @ datum.tau.matrices[None] @ M[:, None]
-    err = np.max(np.abs(moved - conjugated), axis=(1, 2, 3))
-    bad = np.flatnonzero(err > 10 * tol.rep)
+    """moved[q] = sigma(q).tau must equal M(q)^-1 tau M(q), for every q and a.
+
+    The residual of each q comes from _conjugation_residuals; the first q
+    over 10 tol.rep, NaN included, raises DecompositionFailure.
+    """
+    err = _conjugation_residuals(datum.tau.matrices, moved, datum.M)
+    bad = np.flatnonzero(~(err <= 10 * tol.rep))
     if bad.size:
         q = int(bad[0])
         raise DecompositionFailure(f"M family fails conjugation check at q={q} ({err[q]:.2e})")
@@ -418,7 +423,10 @@ def _hom_action(datum: OrbitDatum, w_lookup, q_list, tol: Tolerances
     """Basis of Hom_A(V_tau, W) and the matrices of q . f = W(sigma(q)) f M_q^-1.
 
     w_lookup maps a parent-G element index to the matrix acting on W; it
-    must cover A and sigma(q) for the requested q_list.
+    must cover A and sigma(q) for the requested q_list. Every q . f_i is one
+    stacked product; the first (q, i), in q_list order and then by basis
+    vector, whose image leaves the Hom space by more than tol.rep_numeric
+    (NaN included) raises NumericFailure.
     """
     tau = datum.tau
     w_a = np.stack([w_lookup(g) for g in _a_parent_order(datum)])
@@ -426,22 +434,17 @@ def _hom_action(datum: OrbitDatum, w_lookup, q_list, tol: Tolerances
     m = F.shape[1]
     if m == 0:
         raise NotIsotypic("input has no component on the orbit representative")
-    d_w = w_a.shape[1]
-    mats: dict[int, np.ndarray] = {}
-    for q in q_list:
-        S = w_lookup(datum.section_in_g(q))
-        Minv = datum.M[q].conj().T
-        R = np.empty((m, m), dtype=np.complex128)
-        for i in range(m):
-            f = F[:, i].reshape(d_w, tau.dim)
-            moved = (S @ f @ Minv).reshape(-1)
-            coords = F.conj().T @ moved
-            resid = float(np.linalg.norm(moved - F @ coords))
-            if resid > tol.rep_numeric:
-                raise NumericFailure(f"q.f left the Hom space (residual {resid:.2e})")
-            R[:, i] = coords
-        mats[q] = R
-    return F, mats
+    q_list = list(q_list)
+    S = np.stack([w_lookup(datum.section_in_g(q)) for q in q_list])
+    f = F.T.reshape(m, w_a.shape[1], tau.dim)
+    Minv = np.conj(np.swapaxes(datum.M[q_list], 1, 2))
+    moved = (S[:, None] @ f @ Minv[:, None]).reshape(len(q_list), m, -1)
+    coords = moved @ F.conj()                       # coords[q, i] = F^H (q . f_i)
+    resid = np.linalg.norm(moved - coords @ F.T, axis=2)
+    bad = np.argwhere(~(resid <= tol.rep_numeric))
+    if bad.size:
+        raise NumericFailure(f"q.f left the Hom space (residual {resid[tuple(bad[0])]:.2e})")
+    return F, dict(zip(q_list, np.swapaxes(coords, 1, 2)))
 
 
 def _hom_weights(datum: OrbitDatum, alpha: Cocycle) -> tuple[np.ndarray, np.ndarray]:
@@ -473,7 +476,8 @@ def hom_rep(W: ProjectiveRep, datum: OrbitDatum,
     indexing). The input is implicitly projected onto its tau-isotypic
     part: the Hom space only sees that component. Errors if the component
     is zero; the result satisfies the beta-twisted relation, which is
-    checked.
+    checked by _relation_residuals: the first q1 with a residual over
+    10 tol.rep, NaN included, raises DecompositionFailure.
     """
     tol = tol or default_tolerances()
     if W.group is not datum.gt_group and not W.group.same_table(datum.gt_group):
@@ -488,7 +492,11 @@ def hom_rep(W: ProjectiveRep, datum: OrbitDatum,
     m = mats[0].shape[0]
     stacked = np.stack([mats[q] for q in range(Q.order)])
     rep = ProjectiveRep(Q, datum.beta, m, stacked)
-    _check_twisted_relation(rep, tol)
+    err = _relation_residuals(Q, datum.beta.complex_table, stacked[None], range(Q.order))[0]
+    bad = np.flatnonzero(~(err.max(axis=1) <= 10 * tol.rep))
+    if bad.size:
+        q1 = int(bad[0])
+        raise DecompositionFailure(f"beta-twisted relation fails at q1={q1} ({err[q1].max():.2e})")
     # m * dim(tau) is the dimension of the tau-isotypic component
     tau_mult = _isotypic_multiplicity(W, datum, tol)
     if m != tau_mult:
@@ -498,20 +506,8 @@ def hom_rep(W: ProjectiveRep, datum: OrbitDatum,
 
 def _isotypic_multiplicity(W: ProjectiveRep, datum: OrbitDatum, tol: Tolerances) -> int:
     # a_in_gt ordering matches the standalone-A ordering used by tau
-    tau = IrrTable(datum.tau.group, datum.tau.cocycle, [datum.tau], [character(datum.tau)])
     w_a = character(W).values[list(datum.a_in_gt.elements)]
-    return int(tau.multiplicities(w_a[None], tol.char)[0, 0])
-
-
-def _check_twisted_relation(rep: ProjectiveRep, tol: Tolerances) -> None:
-    Q = rep.group
-    beta = rep.cocycle.complex_table
-    for q1 in range(Q.order):
-        lhs = rep.matrices[q1] @ rep.matrices
-        rhs = beta[q1][:, None, None] * rep.matrices[Q.mul[q1]]
-        err = float(np.max(np.abs(lhs - rhs)))
-        if err > 10 * tol.rep:
-            raise DecompositionFailure(f"beta-twisted relation fails at q1={q1} ({err:.2e})")
+    return int(_multiplicities(w_a[None], np.conj(character(datum.tau).values)[None], tol.char)[0, 0])
 
 
 def reconstruct_rep(datum: OrbitDatum, hom: ProjectiveRep,

@@ -85,7 +85,12 @@ class NonIntegerMultiplicity(NumericFailure):
     """A character inner product was not close to an integer.
 
     Usually signals mismatched cocycle tables or broken representations.
+    value holds the offending inner product, when the raiser knows it.
     """
+
+    def __init__(self, message, value=None):
+        super().__init__(message)
+        self.value = value
 
 
 class AmbiguousCharacter(NumericFailure):

@@ -120,6 +120,8 @@ def load_cocycle_file(path: str | Path) -> tuple[FiniteGroup, Cocycle]:
     if not m:
         raise ParseError(f"{path}: line {lineno}: expected 'order K=<K> group=<spec>' header")
     order = int(m.group(1))
+    if order < 1:
+        raise ParseError(f"{path}: line {lineno}: the cocycle order K must be at least 1")
     group_spec = m.group(2)
     if re.fullmatch(r"(?:table|perm|file):(.+)", group_spec):
         kind, _, rel = group_spec.partition(":")

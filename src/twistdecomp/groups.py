@@ -64,10 +64,9 @@ class FiniteGroup:
         return k
 
     def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(int(self.inv[g]), -k)
+        """g^k for any integer k, in at most |G| products: k is reduced mod the order of g."""
         x = self.identity
-        for _ in range(k):
+        for _ in range(k % self.element_order(g)):
             x = int(self.mul[x, g])
         return x
 

@@ -12,6 +12,11 @@ inferred from eigenvalue multiplicities alone. The table is further
 certified by block multiplicities, the sum of squared dimensions, an
 exact integer count of alpha-regular conjugacy classes and the defining
 relation on the generators.
+
+Each kind of certificate has one whole-array kernel: _relation_residuals
+(the defining relation), _conjugation_residuals (Schur conjugation) and
+_multiplicities (the rule of multiplicity). Every caller compares their
+output against its own tolerance as ~(residual <= tol), so a NaN fails.
 """
 
 from __future__ import annotations
@@ -115,29 +120,27 @@ def _relation_tol(cocycle, tol: Tolerances) -> float:
 
 
 def validate_rep(rep: ProjectiveRep, tol: Tolerances | None = None) -> RepReport:
-    """Report every violated pair of the defining relation and non-unitary element."""
+    """Report every violated pair of the defining relation and non-unitary element.
+
+    The violations come in order: ("identity",) when rho(1) is not within
+    tol.rep of Id, ("unitary", g) for each g with |rho(g)^H rho(g) - I| over
+    tol.unitary, then ("relation", g, h) for each pair, in row-major order,
+    whose _relation_residuals entry is over _relation_tol. A NaN entry fails
+    every check it enters.
+    """
     tol = tol or default_tolerances()
     G = rep.group
     mats = rep.matrices
-    violations: list = []
     d = rep.dim
     if mats.shape != (G.order, d, d):
         return RepReport([("shape", mats.shape)])
     eye = np.eye(d)
-    if np.max(np.abs(mats[G.identity] - eye)) > tol.rep:
-        violations.append(("identity",))
-    for g in range(G.order):
-        if np.max(np.abs(mats[g].conj().T @ mats[g] - eye)) > tol.unitary:
-            violations.append(("unitary", g))
-    ctable = rep.cocycle.complex_table
-    rtol = _relation_tol(rep.cocycle, tol)
-    for g in range(G.order):
-        lhs = mats[g] @ mats
-        rhs = ctable[g][:, None, None] * mats[G.mul[g]]
-        bad = np.flatnonzero(np.max(np.abs(lhs - rhs), axis=(1, 2)) > rtol)
-        for h in bad:
-            violations.append(("relation", g, int(h)))
-    return RepReport(violations)
+    violations: list = [] if np.max(np.abs(mats[G.identity] - eye)) <= tol.rep else [("identity",)]
+    unitary = np.max(np.abs(np.conj(np.swapaxes(mats, 1, 2)) @ mats - eye), axis=(1, 2))
+    violations += [("unitary", g) for g in np.flatnonzero(~(unitary <= tol.unitary)).tolist()]
+    residuals = _relation_residuals(G, rep.cocycle.complex_table, mats[None], range(G.order))[0]
+    bad = np.argwhere(~(residuals <= _relation_tol(rep.cocycle, tol)))
+    return RepReport(violations + [("relation", g, h) for g, h in bad.tolist()])
 
 
 def regular_rep(G: FiniteGroup, cocycle: Cocycle | NumericCocycle) -> ProjectiveRep:
@@ -213,13 +216,7 @@ def is_irreducible(rep: ProjectiveRep) -> bool:
 def _cluster_sorted(w: np.ndarray) -> list[np.ndarray]:
     """Group ascending eigenvalues into clusters separated by a real gap."""
     atol = _CLUSTER_ATOL * max(1.0, float(np.max(np.abs(w))))
-    clusters = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > atol:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
-    return [np.array(c) for c in clusters]
+    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > atol) + 1)
 
 
 def _split_regular(G: FiniteGroup, cocycle, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -316,22 +313,53 @@ def _products(mats: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.nda
     return out
 
 
-def _relation_residual(G: FiniteGroup, ctable: np.ndarray, mats: np.ndarray) -> float:
-    """Worst |rho(s) rho(h) - alpha(s,h) rho(sh)| over an (m, |G|, d, d) stack.
+def _relation_residuals(G: FiniteGroup, ctable: np.ndarray, mats: np.ndarray,
+                        lefts) -> np.ndarray:
+    """(m, len(lefts), |G|) max-abs of rho(s) rho(h) - alpha(s,h) rho(sh) for an (m, |G|, d, d) stack.
 
-    s runs over the generating set and h over every element. rho(s) rho(h)
-    for all h is one (d, d) @ (d, |G| d) product per representation.
+    Entry (c, j, h) is the relation residual of representation c at
+    s = lefts[j] and h; a NaN matrix entry makes the entries it reaches NaN.
+    rho(s) rho(h) for all h is one (d, d) @ (d, |G| d) product per
+    representation and left element.
     """
     m, n, d, _ = mats.shape
     rows = np.ascontiguousarray(mats.transpose(0, 2, 1, 3))     # rows[c, i, h] = row i of rho(h)
-    worst = 0.0
-    for s in generating_set(G):
+    out = np.empty((m, len(lefts), n))
+    for j, s in enumerate(lefts):
         diff = (mats[:, s] @ rows.reshape(m, d, n * d)).reshape(m, d, n, d)
         rhs = rows[:, :, G.mul[s]]
         rhs *= ctable[s][:, None]
         diff -= rhs
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+        out[:, j] = np.max(np.abs(diff), axis=(1, 3))
+    return out
+
+
+def _conjugation_residuals(X: np.ndarray, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """(k,) worst |Y[k](g) - M[k]^H X(g) M[k]| over g and entries, NaN where one enters.
+
+    X is one (|G|, d, d) stack, Y a (k, |G|, d, d) stack and M (k, d, d).
+    """
+    conjugated = np.conj(np.swapaxes(M, 1, 2))[:, None] @ X[None] @ M[:, None]
+    return np.max(np.abs(Y - conjugated), axis=(1, 2, 3))
+
+
+def _multiplicities(values: np.ndarray, conj_table: np.ndarray, tol: float) -> np.ndarray:
+    """(rows, #irr) multiplicities of a (rows, |G|) stack of characters, by the rule of multiplicity.
+
+    conj_table holds the complex conjugates of the (#irr, |G|) characters.
+    Entry (r, i) is round(values[r] . conj_table[i] / |G|): a value not within
+    tol of a non-negative integer, NaN included, raises NonIntegerMultiplicity.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 2 or values.shape[1] != conj_table.shape[1]:
+        raise InputError(f"characters of shape {values.shape} for order {conj_table.shape[1]}")
+    inner = values @ conj_table.T / conj_table.shape[1]
+    rounded = np.round(inner.real)
+    bad = np.argwhere(~(np.abs(inner - rounded) <= tol) | (rounded < 0))
+    if bad.size:
+        val = inner[tuple(bad[0])]
+        raise NonIntegerMultiplicity(f"character inner product {val} is not a multiplicity", val)
+    return rounded.astype(np.int64)
 
 
 def _regular_class_count(G: FiniteGroup, cocycle, tol: Tolerances) -> int:
@@ -388,22 +416,10 @@ class IrrTable:
     def multiplicities(self, values: np.ndarray, tol: float) -> np.ndarray:
         """(rows, #irr) multiplicities of a (rows, |G|) stack of characters.
 
-        The rows must be characters on this table's group and cocycle. Entry
-        (r, i) is round(values[r] . conj(chi_i) / |G|), the rule of
-        multiplicity: a value not within tol of a non-negative integer, NaN
-        included, raises NonIntegerMultiplicity.
+        The rows must be characters on this table's group and cocycle; see
+        _multiplicities for the rule.
         """
-        table = self._conj_values
-        values = np.asarray(values, dtype=np.complex128)
-        if values.ndim != 2 or values.shape[1] != table.shape[1]:
-            raise InputError(f"characters of shape {values.shape} for order {table.shape[1]}")
-        inner = values @ table.T / table.shape[1]
-        rounded = np.round(inner.real)
-        bad = np.argwhere(~(np.abs(inner - rounded) <= tol) | (rounded < 0))
-        if bad.size:
-            val = inner[tuple(bad[0])]
-            raise NonIntegerMultiplicity(f"character inner product {val} is not a multiplicity")
-        return rounded.astype(np.int64)
+        return _multiplicities(values, self._conj_values, tol)
 
 
 def _table_order(values: np.ndarray) -> np.ndarray:
@@ -423,7 +439,8 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
 
     One eigendecomposition of a seeded random Hermitian element of the
     right-regular commutant splits the regular representation into
-    irreducible blocks; blocks are deduplicated by character. The table is
+    irreducible blocks; blocks are deduplicated by the multiplicity rule
+    on the Gram matrix of their characters. The table is
     certified (commutant dimension 1 per entry, as many blocks per class as
     its dimension, squared dimensions summing to |G|, as many classes as
     alpha-regular conjugacy classes, the defining relation of every entry
@@ -479,30 +496,32 @@ def _split_certified(G: FiniteGroup, cocycle, seed: int,
 
 
 def _character_classes(chars: np.ndarray, tol: float) -> tuple[list[int], list[int]]:
-    """The first row of each class of rows within tol in max-abs, and the class sizes.
+    """The first block of each class of (#blocks, |G|) block characters, and the class sizes.
 
-    A row joins the earliest class whose first row it matches.
+    The classes are read off the Gram matrix of the characters under the
+    rule of multiplicity: blocks are irreducible exactly when its diagonal
+    is 1, and then two blocks are isomorphic when their entry is 1, else 0.
+    A block's class is its first column equal to 1. A Gram entry that is
+    not a multiplicity, a diagonal entry other than 1 or an entry above 1
+    raises SplitFailure.
     """
-    known = np.empty_like(chars)        # characters of firsts, in order
-    firsts: list[int] = []
-    counts: list[int] = []
-    for c, values in enumerate(chars):
-        k = len(firsts)
-        hit = np.flatnonzero(np.max(np.abs(known[:k] - values), axis=1) <= tol)
-        if hit.size:
-            counts[hit[0]] += 1
-        else:
-            known[k] = values
-            firsts.append(c)
-            counts.append(1)
-    return firsts, counts
+    try:
+        gram = _multiplicities(chars, np.conj(chars), tol)
+    except NonIntegerMultiplicity as exc:
+        raise SplitFailure(f"block characters are not orthogonal: {exc}") from exc
+    if np.any(np.diagonal(gram) != 1) or np.any(gram > 1):
+        raise SplitFailure("block characters are not irreducible and orthogonal")
+    classes = np.argmax(gram == 1, axis=1)
+    firsts = np.flatnonzero(classes == np.arange(len(chars)))
+    return firsts.tolist(), np.bincount(classes)[firsts].tolist()
 
 
 def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.ndarray],
                     phi: np.ndarray, tol: Tolerances) -> IrrTable:
     """One certified table entry per character class of the split blocks.
 
-    Blocks are deduplicated by character (phi is _conjugation_weights).
+    Blocks are deduplicated by _character_classes, the rule of multiplicity
+    on the Gram matrix of their characters (phi is _conjugation_weights).
     Isomorphic blocks share a character, so certifying one block per class
     certifies the others. Certificates: every class has as many blocks as
     its dimension, the squared dimensions sum to |G|, the class count equals
@@ -529,7 +548,7 @@ def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.nd
     for d in sorted(set(dims)):
         idx = np.array([clusters[c] for c in firsts if clusters[c].size == d])
         mats = _block_matrices(G, cocycle, np.ascontiguousarray(np.moveaxis(V[:, idx], 0, 1)))
-        residual = _relation_residual(G, ctable, mats)
+        residual = _relation_residuals(G, ctable, mats, generating_set(G)).max(initial=0.0)
         if not residual <= rtol:
             raise SplitFailure(f"blocks of dimension {d} miss the defining relation by {residual:.2e}")
         if np.any(_commutant_dimensions(G, mats) != 1):
@@ -553,7 +572,7 @@ def _check_compatible(r1: ProjectiveRep, r2: ProjectiveRep) -> None:
 
 def multiplicity(W: ProjectiveRep, tau: ProjectiveRep,
                  tol: Tolerances | None = None) -> int:
-    """dim Hom(V_tau, W) via the character inner product, rounded to an integer.
+    """dim Hom(V_tau, W) via the character inner product, rounded by _multiplicities.
 
     Fails loudly when the inner product is not within tol.char of a
     non-negative integer (a NaN never is), which usually means the two
@@ -561,11 +580,8 @@ def multiplicity(W: ProjectiveRep, tau: ProjectiveRep,
     """
     tol = tol or default_tolerances()
     _check_compatible(W, tau)
-    val = character_inner(character(W), character(tau))
-    r = np.round(val.real)
-    if not abs(val - r) <= tol.char or r < 0:
-        raise NonIntegerMultiplicity(f"character inner product {val} is not a multiplicity")
-    return int(r)
+    return int(_multiplicities(character(W).values[None], np.conj(character(tau).values)[None],
+                               tol.char)[0, 0])
 
 
 def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
@@ -573,19 +589,25 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
     """Unitary M with rho2(g) = M^-1 rho1(g) M, or None if not isomorphic.
 
     Both inputs must be irreducible; Schur's lemma then makes M unique up
-    to phase. The phase makes tr(rho1(g) M) real positive at the first g
-    whose |tr(rho1(g) M)| is within tol.char of the maximum. These traces do
-    not change when rho1 and rho2 change basis together, so neither does
-    the phase.
+    to phase. A character pairing (by _multiplicities, under tol.char)
+    other than 0 or 1 raises NotIrreducible. The phase makes
+    tr(rho1(g) M) real positive at the first g whose |tr(rho1(g) M)| is
+    within tol.char of the maximum. These traces do not change when rho1
+    and rho2 change basis together, so neither does the phase. M is
+    verified on every g by _conjugation_residuals within 10 times
+    _relation_tol; a NaN fails it.
     """
     tol = tol or default_tolerances()
     _check_compatible(rho1, rho2)
     if rho1.dim != rho2.dim:
         return None
-    pairing = character_inner(character(rho1), character(rho2))
-    mult = np.round(pairing.real)
-    if not abs(pairing - mult) <= tol.char or mult not in (0, 1):
-        raise NotIrreducible(f"character pairing {pairing} is not 0 or 1")
+    try:
+        mult = _multiplicities(character(rho1).values[None],
+                               np.conj(character(rho2).values)[None], tol.char)[0, 0]
+    except NonIntegerMultiplicity as exc:
+        raise NotIrreducible(f"character pairing {exc.value} is not 0 or 1") from exc
+    if mult > 1:
+        raise NotIrreducible(f"character pairing {mult} is not 0 or 1")
     if mult == 0:
         return None
     if commutant_dimension(rho1) != 1:
@@ -602,14 +624,10 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
     M = M / np.sqrt(c)
     traces = np.einsum("gij,ji->g", rho1.matrices, M)
     size = np.abs(traces)
-    z = traces[np.flatnonzero(size >= size.max() - tol.char)[0]]
+    z = traces[np.argmax(size >= size.max() - tol.char)]       # element 0 when size holds a NaN
     M = M * (np.conj(z) / np.abs(z))
-    rtol = _relation_tol(rho1.cocycle, tol)
-    err = max(
-        float(np.max(np.abs(rho2.matrices[g] - M.conj().T @ rho1.matrices[g] @ M)))
-        for g in range(rho1.group.order)
-    )
-    if err > 10 * rtol:
+    err = _conjugation_residuals(rho1.matrices, rho2.matrices[None], M[None])[0]
+    if not err <= 10 * _relation_tol(rho1.cocycle, tol):
         raise NumericFailure(f"intertwiner verification failed (residual {err:.2e})")
     return M
 

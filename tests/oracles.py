@@ -10,6 +10,9 @@ generating set of middle arguments.
 The section quantities of an orbit datum (chi, the tau_scalar exponent, the
 induced cocycle and the reconstructed representation) are evaluated one
 pair or one element at a time, where the library gathers whole arrays.
+The certificates (block dedup, representation checks, conjugation and
+twisted relation residuals, the Hom action) are the per-element loops the
+library's whole-array kernels replaced; a NaN fails each of their checks.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 import numpy as np
 
 from twistdecomp.cocycles import central_extension
-from twistdecomp.errors import NotScalar, NotUnimodular
+from twistdecomp.errors import DecompositionFailure, NotScalar, NotUnimodular, NumericFailure
 from twistdecomp.groups import FiniteGroup, conjugacy_classes, generating_set, subgroup_closure
 
 
@@ -252,3 +255,81 @@ def reconstructed_by_element(datum, hom) -> np.ndarray:
         left = datum.M[q] @ (scale * datum.tau.matrices[apos[x]])
         mats[h] = np.kron(left, hom.matrices[q])
     return mats
+
+
+def character_classes_by_max_abs(chars, tol: float) -> tuple[list[int], list[int]]:
+    """The first row of each class of rows within tol in max-abs, and the class sizes.
+
+    A row joins the earliest class whose first row it matches.
+    """
+    firsts: list[int] = []
+    counts: list[int] = []
+    for c, values in enumerate(chars):
+        hit = [k for k, f in enumerate(firsts) if np.max(np.abs(chars[f] - values)) <= tol]
+        if hit:
+            counts[hit[0]] += 1
+        else:
+            firsts.append(c)
+            counts.append(1)
+    return firsts, counts
+
+
+def rep_violations_by_element(rep, rtol: float, tol) -> list:
+    """validate_rep's violations, one element or one pair at a time, in the same order."""
+    G, mats, d = rep.group, rep.matrices, rep.dim
+    ctable = rep.cocycle.complex_table
+    eye = np.eye(d)
+    found = [] if np.max(np.abs(mats[G.identity] - eye)) <= tol.rep else [("identity",)]
+    for g in range(G.order):
+        if not np.max(np.abs(mats[g].conj().T @ mats[g] - eye)) <= tol.unitary:
+            found.append(("unitary", g))
+    for g in range(G.order):
+        for h in range(G.order):
+            diff = mats[g] @ mats[h] - ctable[g, h] * mats[G.mul[g, h]]
+            if not np.max(np.abs(diff)) <= rtol:
+                found.append(("relation", g, h))
+    return found
+
+
+def conjugation_residual_by_element(X, Y, M) -> float:
+    """max over g of |Y(g) - M^H X(g) M|, one element at a time."""
+    return float(np.max([np.max(np.abs(y - M.conj().T @ x @ M)) for x, y in zip(X, Y)]))
+
+
+def check_twisted_relation_by_row(rep, bound: float) -> None:
+    """Raise DecompositionFailure at the first q1 whose row of the relation misses bound."""
+    Q, mats = rep.group, rep.matrices
+    beta = rep.cocycle.complex_table
+    for q1 in range(Q.order):
+        err = float(np.max([np.abs(mats[q1] @ mats[q2] - beta[q1, q2] * mats[Q.mul[q1, q2]])
+                            for q2 in range(Q.order)]))
+        if not err <= bound:
+            raise DecompositionFailure(f"beta-twisted relation fails at q1={q1} ({err:.2e})")
+
+
+def hom_action_by_vector(datum, w_lookup, q_list, tol):
+    """The Hom basis and q . f = W(sigma(q)) f M_q^-1 matrices, one (q, basis vector) at a time.
+
+    Raises NumericFailure at the first (q, i) whose image leaves the Hom space.
+    """
+    from twistdecomp.reps import _hom_space
+
+    tau = datum.tau
+    a_order = [datum.gt_map[x] for x in datum.a_in_gt.elements]
+    w_a = np.stack([w_lookup(g) for g in a_order])
+    F = _hom_space(tau.group, w_a, tau.matrices)
+    m, d_w = F.shape[1], w_a.shape[1]
+    mats = {}
+    for q in q_list:
+        S = w_lookup(datum.section_in_g(q))
+        Minv = datum.M[q].conj().T
+        R = np.empty((m, m), dtype=np.complex128)
+        for i in range(m):
+            moved = (S @ F[:, i].reshape(d_w, tau.dim) @ Minv).reshape(-1)
+            coords = F.conj().T @ moved
+            resid = float(np.linalg.norm(moved - F @ coords))
+            if not resid <= tol.rep_numeric:
+                raise NumericFailure(f"q.f left the Hom space (residual {resid:.2e})")
+            R[:, i] = coords
+        mats[q] = R
+    return F, mats

@@ -1,0 +1,283 @@
+"""The certificate kernels of reps against the per-element routes they replaced,
+and a NaN at one element failing every check site."""
+
+import numpy as np
+import pytest
+
+import twistdecomp as td
+from twistdecomp import decomposition, reps
+from twistdecomp.decomposition import _hom_action
+from twistdecomp.errors import (
+    DecompositionFailure,
+    NonIntegerMultiplicity,
+    NotIrreducible,
+    NumericFailure,
+    SplitFailure,
+)
+
+from oracles import (
+    character_classes_by_max_abs,
+    check_twisted_relation_by_row,
+    conjugation_residual_by_element,
+    hom_action_by_vector,
+    rep_violations_by_element,
+)
+from test_reps import direct_sum, symmetric, with_nan
+from test_split import SPLIT_CASES, assemble
+
+TOL = td.default_tolerances()
+
+
+def block_characters(G, alpha, seed=0):
+    V, clusters = reps._split_regular(G, alpha, seed)
+    phi = reps._conjugation_weights(G, alpha.complex_table)
+    return V, clusters, reps._block_characters(V, clusters, G.identity, phi)
+
+
+def random_unitaries(rng, k, d):
+    z = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    return np.linalg.qr(z)[0]
+
+
+class TestCharacterClasses:
+    @pytest.mark.parametrize("name", [*SPLIT_CASES, "D256 alpha"])
+    def test_same_classes_as_max_abs(self, name):
+        G, alpha = (td.dihedral(128), td.dihedral_alpha(128)) if name == "D256 alpha" \
+            else SPLIT_CASES[name]()
+        _, _, chars = block_characters(G, alpha)
+        want = character_classes_by_max_abs(chars, TOL.char)
+        assert reps._character_classes(chars, TOL.char) == want
+
+    @pytest.mark.parametrize("same_class", [False, True])
+    def test_a_cluster_merging_two_blocks_fails(self, d8, alpha4, same_class):
+        """Two blocks of different classes, or two blocks of one class, in one cluster."""
+        cocycle = alpha4 if same_class else td.trivial_cocycle(d8)
+        V, clusters, chars = block_characters(d8, cocycle)
+        firsts, _ = reps._character_classes(chars, TOL.char)
+        if same_class:
+            pair = [i for i in range(len(clusters)) if i != firsts[0]
+                    and np.allclose(chars[i], chars[firsts[0]])][:1] + [firsts[0]]
+        else:
+            pair = firsts[:2]
+        merged = [np.concatenate([clusters[i] for i in pair])]
+        merged += [c for i, c in enumerate(clusters) if i not in pair]
+        with pytest.raises(SplitFailure, match="not irreducible"):
+            assemble(d8, cocycle, V, merged)
+
+    def test_no_multiplicity_rule_error_escapes(self, d8, alpha4):
+        _, _, chars = block_characters(d8, alpha4)
+        for broken in (chars + 0.25, np.where(np.arange(d8.order) == 3, np.nan, chars)):
+            with pytest.raises(SplitFailure, match="not orthogonal") as err:
+                reps._character_classes(broken, TOL.char)
+            assert isinstance(err.value.__cause__, NonIntegerMultiplicity)
+
+    def test_trivial_group_splits(self):
+        G = td.trivial_group()
+        table = td.irreducibles(G, td.trivial_cocycle(G))
+        assert table.dims == (1,)
+        assert table.character_values.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_nan_fails_the_split(self, monkeypatch, d8, alpha4, exact):
+        honest = reps._block_matrices
+
+        def with_nan_entry(G, cocycle, B):
+            mats = honest(G, cocycle, B)
+            mats[:, 3, 0, 1] = np.nan
+            return mats
+
+        monkeypatch.setattr(reps, "_block_matrices", with_nan_entry)
+        cocycle = alpha4 if exact else td.make_numeric_cocycle(d8, alpha4.complex_table)
+        with pytest.raises(SplitFailure, match="no clean split after 5 seeds") as err:
+            td.irreducibles(d8, cocycle, seed=0)
+        assert "miss the defining relation by nan" in str(err.value.__cause__)
+
+
+class TestRelationResiduals:
+    @pytest.mark.parametrize("name", ["S4", "C2xD8 alpha", "C3xC3 heisenberg"])
+    def test_every_pair_as_one_product_each(self, name):
+        G, alpha = SPLIT_CASES[name]()
+        table = td.irreducibles(G, alpha)
+        ctable = alpha.complex_table
+        for d in set(table.dims):
+            mats = np.stack([r.matrices for r in table.irreducibles if r.dim == d])
+            got = reps._relation_residuals(G, ctable, mats, range(G.order))
+            want = np.max(np.abs(mats[:, :, None] @ mats[:, None]
+                                 - ctable[None, :, :, None, None] * mats[:, G.mul]), axis=(3, 4))
+            assert np.allclose(got, want, rtol=0, atol=1e-14)
+            gens = reps.generating_set(G)
+            assert np.array_equal(reps._relation_residuals(G, ctable, mats, gens), got[:, gens])
+
+    def test_no_left_elements(self):
+        G = td.trivial_group()
+        mats = np.ones((3, 1, 1, 1), dtype=complex)
+        got = reps._relation_residuals(G, td.trivial_cocycle(G).complex_table, mats, [])
+        assert got.shape == (3, 0, 1) and got.max(initial=0.0) == 0.0
+
+
+def corrupted(rep, kind):
+    mats = np.array(rep.matrices)
+    if kind == "identity":
+        mats[rep.group.identity] *= -1
+    elif kind == "unitary":
+        mats[3] *= 2.0
+    elif kind == "relation":
+        mats[5] *= np.exp(0.1j)
+    else:
+        mats[3, 0, 1] = np.nan
+    return td.ProjectiveRep(rep.group, rep.cocycle, rep.dim, mats)
+
+
+class TestValidateRep:
+    @pytest.mark.parametrize("kind", ["identity", "unitary", "relation", "nan"])
+    def test_same_violations_as_per_element(self, kind, explicit_taus):
+        for rep in (explicit_taus[1], td.irreducibles(symmetric(4), td.trivial_cocycle(
+                symmetric(4))).irreducibles[-1]):
+            broken = corrupted(rep, kind)
+            report = td.validate_rep(broken)
+            assert not report.ok
+            assert report.violations == rep_violations_by_element(broken, TOL.rep, TOL)
+
+    def test_nan_is_reported(self, explicit_taus):
+        report = td.validate_rep(corrupted(explicit_taus[1], "nan"))
+        assert report.violations[0] == ("unitary", 3)
+        assert ("relation", 3, 0) in report.violations
+        assert ("identity",) in td.validate_rep(corrupted(explicit_taus[1], "identity")).violations
+
+    def test_valid_reps_stay_valid(self, explicit_taus):
+        assert td.validate_rep(explicit_taus[1]).ok
+        assert td.validate_rep(td.regular_rep(symmetric(4), td.trivial_cocycle(symmetric(4)))).ok
+
+
+class TestConjugationResiduals:
+    def test_each_family_member_as_per_element(self):
+        rng = np.random.default_rng(0)
+        X = random_unitaries(rng, 6, 3)
+        M = random_unitaries(rng, 4, 3)
+        Y = np.conj(np.swapaxes(M, 1, 2))[:, None] @ X[None] @ M[:, None]
+        Y = Y + 1e-6 * rng.standard_normal(Y.shape)
+        got = reps._conjugation_residuals(X, Y, M)
+        want = [conjugation_residual_by_element(X, Y[k], M[k]) for k in range(4)]
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_intertwiner_residual_as_per_element(self, explicit_taus):
+        rho1 = explicit_taus[1]
+        U = random_unitaries(np.random.default_rng(1), 1, 2)[0]
+        rho2 = td.ProjectiveRep(rho1.group, rho1.cocycle, 2, U.conj().T @ rho1.matrices @ U)
+        M = td.intertwiner(rho1, rho2)
+        got = reps._conjugation_residuals(rho1.matrices, rho2.matrices[None], M[None])[0]
+        assert got == pytest.approx(conjugation_residual_by_element(rho1.matrices,
+                                                                    rho2.matrices, M), abs=1e-15)
+        assert got <= 1e-14
+
+    def test_nan_off_the_generators_fails_the_intertwiner(self, explicit_taus):
+        """The character, the commutant and the Schur kernel never see element 3."""
+        rho1 = explicit_taus[1]
+        assert 3 not in reps.generating_set(rho1.group)
+        for rhos in [(rho1, corrupted(rho1, "nan")), (corrupted(rho1, "nan"), rho1)]:
+            with pytest.raises(NumericFailure, match=r"verification failed \(residual nan\)"):
+                td.intertwiner(*rhos)
+
+    def test_pairing_errors_are_not_irreducible(self, explicit_taus):
+        tau = explicit_taus[1]
+        with pytest.raises(NotIrreducible, match="character pairing") as err:
+            td.intertwiner(with_nan(tau), tau)
+        assert isinstance(err.value.__cause__, NonIntegerMultiplicity)
+        double = direct_sum(tau, tau)
+        with pytest.raises(NotIrreducible, match="character pairing 4 is not 0 or 1"):
+            td.intertwiner(double, double)
+
+    def test_nan_in_m_fails_the_m_family(self, monkeypatch, d8, alpha4, a_center):
+        honest = decomposition.intertwiner
+
+        def with_nan_entry(rho1, rho2, tol):
+            M = np.array(honest(rho1, rho2, tol))
+            M[0, -1] = np.nan
+            return M
+
+        monkeypatch.setattr(decomposition, "intertwiner", with_nan_entry)
+        action = td.action_table(d8, a_center, alpha4)
+        with pytest.raises(DecompositionFailure, match=r"conjugation check at q=1 \(nan\)"):
+            td.orbit_data(action, alpha4)
+
+
+@pytest.fixture
+def z_datum(d8, alpha4, a_center):
+    return td.orbit_data(td.action_table(d8, a_center, alpha4), alpha4)[0]
+
+
+def isotropy_rep(datum, rep):
+    return td.restrict_rep(rep, datum.isotropy, datum.alpha_gt)
+
+
+def lookup(datum, W, corrupt_at=None, corruption=None):
+    pos = {g: i for i, g in enumerate(datum.gt_map)}
+
+    def w_lookup(g):
+        mat = W.matrices[pos[g]]
+        return corruption(mat) if g == corrupt_at else mat
+    return w_lookup
+
+
+class TestHomRep:
+    @pytest.mark.parametrize("which", [1, 2, "sum"])
+    def test_same_action_as_per_vector(self, z_datum, explicit_taus, which):
+        rep = direct_sum(explicit_taus[1], explicit_taus[2]) if which == "sum" \
+            else explicit_taus[which]
+        w_lookup = lookup(z_datum, isotropy_rep(z_datum, rep))
+        q_list = range(z_datum.q_group.order)
+        F, mats = _hom_action(z_datum, w_lookup, q_list, TOL)
+        F_want, want = hom_action_by_vector(z_datum, w_lookup, q_list, TOL)
+        assert np.array_equal(F, F_want)
+        assert list(mats) == list(want)
+        for q in want:
+            assert np.allclose(mats[q], want[q], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("corruption", [
+        lambda m: m @ random_unitaries(np.random.default_rng(2), 1, len(m))[0],
+        lambda m: np.where(np.eye(len(m)) > 0, np.nan, m)])
+    def test_first_failing_pair_as_per_vector(self, z_datum, explicit_taus, corruption):
+        W = isotropy_rep(z_datum, direct_sum(explicit_taus[1], explicit_taus[1]))
+        w_lookup = lookup(z_datum, W, z_datum.section_in_g(1), corruption)
+        q_list = range(z_datum.q_group.order)
+        with pytest.raises(NumericFailure, match="left the Hom space") as want:
+            hom_action_by_vector(z_datum, w_lookup, q_list, TOL)
+        with pytest.raises(NumericFailure) as got:
+            _hom_action(z_datum, w_lookup, q_list, TOL)
+        assert str(got.value) == str(want.value)
+
+    def test_nan_in_w_fails_hom_rep(self, z_datum, explicit_taus):
+        W = isotropy_rep(z_datum, explicit_taus[1])
+        mats = np.array(W.matrices)
+        mats[z_datum.gt_map.index(z_datum.section_in_g(1)), 0, 1] = np.nan
+        broken = td.ProjectiveRep(W.group, W.cocycle, W.dim, mats)
+        with pytest.raises(NumericFailure, match=r"left the Hom space \(residual nan\)"):
+            td.hom_rep(broken, z_datum)
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_relation_failure_as_per_row(self, monkeypatch, z_datum, explicit_taus, nan):
+        W = isotropy_rep(z_datum, explicit_taus[1])
+        honest = decomposition._hom_action
+        hom = td.hom_rep(W, z_datum)
+        tol = TOL if nan else TOL.replace(rep=1e-30)
+
+        def with_nan_entry(*args):
+            F, mats = honest(*args)
+            mats[1] = np.full_like(mats[1], np.nan)
+            return F, mats
+
+        if nan:
+            monkeypatch.setattr(decomposition, "_hom_action", with_nan_entry)
+            hom = td.ProjectiveRep(hom.group, hom.cocycle, hom.dim,
+                                   np.where(np.arange(hom.group.order)[:, None, None] == 1,
+                                            np.nan, hom.matrices))
+        with pytest.raises(DecompositionFailure, match="beta-twisted relation fails") as want:
+            check_twisted_relation_by_row(hom, 10 * tol.rep)
+        with pytest.raises(DecompositionFailure) as got:
+            td.hom_rep(W, z_datum, tol)
+        assert str(got.value) == str(want.value)
+
+    def test_isotypic_multiplicity(self, z_datum, explicit_taus):
+        W = isotropy_rep(z_datum, direct_sum(explicit_taus[1], explicit_taus[1]))
+        assert decomposition._isotypic_multiplicity(W, z_datum, TOL) == td.multiplicity(
+            td.restrict_rep(W, z_datum.a_in_gt, z_datum.tau.cocycle), z_datum.tau)

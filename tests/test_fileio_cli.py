@@ -90,6 +90,13 @@ class TestCocycleFiles:
         with pytest.raises(InvalidCocycle):
             load_cocycle_file(path)  # breaks normalization
 
+    def test_order_zero_rejected_at_the_header(self, tmp_path, capsys):
+        path = write(tmp_path, "zero.coc", "order K=0 group=dihedral:4\n1 4 1\n")
+        with pytest.raises(ParseError, match="line 1: the cocycle order K must be at least 1"):
+            load_cocycle_file(path)
+        assert main(["irr", "dihedral:4", path]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_group_file_reference_relative(self, tmp_path, d8):
         rows = "\n".join(" ".join(str(x) for x in row) for row in np.array(d8.mul))
         write(tmp_path, "dd.grp", f"table:\n{rows}\n")
@@ -113,6 +120,10 @@ class TestWordsAndSubgroups:
         assert parse_subgroup_spec("a2,b", d8).elements == (0, 2, 4, 6)
         assert parse_subgroup_spec("trivial", d8).order == 1
         assert parse_subgroup_spec("all", d8).order == 8
+
+    def test_huge_exponents_reduce_mod_the_element_order(self, d8):
+        assert parse_element_word("a^1000000000", d8) == 0
+        assert parse_element_word("a^1000000001 b", d8) == 5
 
     def test_bad_word(self, d8):
         with pytest.raises(ParseError):

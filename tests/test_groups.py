@@ -188,6 +188,17 @@ class TestDihedral:
         with pytest.raises(InputError):
             td.dihedral(0)
 
+    @pytest.mark.parametrize("k", [10**18 + 1, -(10**18) - 3, -1, 0, 5])
+    def test_power_reduces_mod_the_element_order(self, k):
+        G = td.dihedral(6)
+        for g in range(G.order):
+            want = G.identity
+            for _ in range(k % G.element_order(g)):
+                want = G.multiply(want, g)
+            assert G.power(g, k) == want
+        assert G.power(1, -1) == G.inverse(1) == 5
+        assert G.power(1, 0) == G.identity
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_defining_relations(self, n):
         G = td.dihedral(n)

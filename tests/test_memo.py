@@ -440,7 +440,7 @@ class TestOrbitDecomposition:
     def test_tolerances_are_part_of_the_key(self, d8, alpha4, a_center, tabulated, monkeypatch):
         _orbit_data(d8, a_center, alpha4)
         for _ in range(2):
-            with pytest.raises(td.errors.UnmatchedCharacter):
+            with pytest.raises(td.errors.SplitFailure):
                 _orbit_data(d8, a_center, alpha4, tol=STRICT)
         monkeypatch.setenv("TWISTDECOMP_TOL_SCALE", "2")
         _orbit_data(d8, a_center, alpha4)

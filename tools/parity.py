@@ -18,6 +18,10 @@ must be identical. The script then checks, between the trees:
   (G, alpha) and of (A, alpha|A), and the action perm and multiplicities
   exactly. A configuration that raises must raise the same error type in
   both trees;
+- for dihedral(32), dihedral(64) and dihedral(128) under the trivial cocycle
+  and dihedral_alpha, and for D_8 x D_16 and C_4 x D_32 under the trivial
+  cocycle, the dimensions and characters (within tol.char) of irreducibles
+  alone, at seed 0: the orders at which the split is benchmarked, up to 256;
 - the beta tables up to a coboundary. A new convention for the phase of
   the M_q intertwiners may multiply beta by a coboundary df, each
   beta-character by f and so reorder a beta table. The check compares
@@ -108,6 +112,32 @@ def configurations():
              pulled_back(td.direct_product(s4, td.dihedral(4))))):
         for A in normal_subgroups(alpha.group):
             yield f"{name} A={list(A.elements)}", None, alpha.group, A, alpha
+
+
+def irr_configurations():
+    """(name, alpha) of the irreducibles-only configurations; alpha.group is G."""
+    import twistdecomp as td
+
+    for n in (32, 64, 128):
+        yield f"dihedral:{n} trivial", td.trivial_cocycle(td.dihedral(n))
+        yield f"dihedral:{n} dihedral_alpha", td.dihedral_alpha(n)
+    for name, G in (("D8xD16", td.direct_product(td.dihedral(4), td.dihedral(8))),
+                    ("C4xD32", td.direct_product(td.cyclic(4), td.dihedral(16)))):
+        yield f"{name} trivial", td.trivial_cocycle(G)
+
+
+def irr_dump() -> list:
+    """The irreducibles of every irreducibles-only configuration, or the error type."""
+    import twistdecomp as td
+    from twistdecomp.errors import TwistError
+
+    out = []
+    for name, alpha in irr_configurations():
+        try:
+            out.append({"case": name, "irr": _table(td.irreducibles(alpha.group, alpha, seed=0))})
+        except TwistError as exc:
+            out.append({"case": name, "error": type(exc).__name__})
+    return out
 
 
 def dump() -> list:
@@ -399,8 +429,8 @@ def main() -> int:
         parser.error("give --base or --seeds")
     here = str(Path(__file__).resolve().parent)
     dump_code = (f"sys.path.insert(0, {here!r}); import json, parity; "
-                 "runs = [json.dumps({'point': parity.dump(), 'kgroups': parity.kgroup_dump(), "
-                 "'validation': parity.validation_dump()}) "
+                 "runs = [json.dumps({'point': parity.dump(), 'irr': parity.irr_dump(), "
+                 "'kgroups': parity.kgroup_dump(), 'validation': parity.validation_dump()}) "
                  "for _ in range(int(sys.argv[1]))]; "
                  "print(json.dumps({'repeats_identical': len(set(runs)) == 1, "
                  "**json.loads(runs[0])}))")
@@ -424,6 +454,14 @@ def main() -> int:
     print(f"configurations: {len(head)} ({n_ok} decomposed, "
           f"{len(head) - n_ok} raising alike); beta tables differ entry by "
           f"entry but agree in dims and |chi| in {regauged}")
+    i_base, i_head = results["base"]["irr"], results["head"]["irr"]
+    i_diff = [h["case"] for b, h in zip(i_base, i_head)
+              if b["case"] != h["case"] or b.get("error") != h.get("error")
+              or ("irr" in h and not _tables_agree(b["irr"], h["irr"], default_tolerances().char))]
+    if len(i_base) != len(i_head):
+        i_diff.append("number of irreducibles-only cases")
+    problems.extend(f"irreducibles differ: {name}" for name in i_diff)
+    print(f"irreducibles-only configurations: {len(i_head)}, {len(i_head) - len(i_diff)} alike")
     k_base, k_head = results["base"]["kgroups"], results["head"]["kgroups"]
     k_diff = [h["case"] for b, h in zip(k_base, k_head) if b != h]
     if len(k_base) != len(k_head):
