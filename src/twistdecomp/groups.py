@@ -113,6 +113,35 @@ class FiniteGroup:
             known[targets] = True
         return tuple(rounds)
 
+    @cached_property
+    def _cyclic_cosets(self) -> tuple[int, np.ndarray]:
+        """An element c of maximal order m and the (|G|/m, m) table P[r, j] = c^j P[r, 0].
+
+        Row r is the right coset <c> P[r, 0], an orbit of h -> c h; rows start
+        at each coset's smallest member, ascending. The orders come from one
+        vectorized power per exponent, over the elements whose order is not
+        reached yet. The cosets' minima and their walks come by pointer
+        jumping, which doubles the span of c-steps each round.
+        """
+        e, elems = self.identity, np.arange(self.order)
+        alive = elems[elems != e]
+        power, c, m = alive, e, 1
+        while alive.size:
+            c, m = int(alive[0]), m + 1
+            power = self.mul[power, alive]
+            keep = power != e
+            alive, power = alive[keep], power[keep]
+        step = self.mul[c]
+        first, jump, span = elems, step, 1
+        while span < m:         # first[h] = min of c^j h over j < span; jump = h -> c^span h
+            first = np.minimum(first, first[jump])
+            jump, span = jump[jump], 2 * span
+        table, jump = np.flatnonzero(first == elems)[:, None], step
+        while table.shape[1] < m:
+            table = np.concatenate([table, jump[table]], axis=1)
+            jump = jump[jump]
+        return c, table[:, :m]
+
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 

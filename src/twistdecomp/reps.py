@@ -5,8 +5,13 @@ An alpha-representation satisfies rho(g) rho(h) = alpha(g,h) rho(gh) with
 rho(1) = Id and all matrices unitary. Irreducibles are split off the
 twisted regular representation in one step: the right operators
 R(k) e_h = alpha(h,k) e_{hk} commute with it, and the eigenspaces of one
-random Hermitian combination of them are its irreducible subspaces
-(Dixon's method). Irreducibility is certified structurally: the commutant
+random Hermitian combination T of them are its irreducible subspaces
+(Dixon's method). T also commutes with the left operator L(c) of an
+element c of maximal order m. L(c) shifts each right coset <c>r with
+phases of alpha, so its eigenvectors are those phases times the columns of
+the m x m DFT matrix; in that basis T is block diagonal, and one batched
+eigh of m blocks of order |G|/m diagonalizes it in O(|G|^3 / m^2) in place
+of O(|G|^3). Irreducibility is certified structurally: the commutant
 (solutions M of M rho(g) = rho(g) M) must be one-dimensional, never
 inferred from eigenvalue multiplicities alone. The table is further
 certified by block multiplicities, the sum of squared dimensions, an
@@ -31,6 +36,7 @@ from .cocycles import Cocycle, NumericCocycle, restrict
 from .config import Tolerances, default_tolerances
 from .errors import (
     InputError,
+    InvalidCocycle,
     NonIntegerMultiplicity,
     NotIrreducible,
     NumericFailure,
@@ -92,8 +98,9 @@ def _rounded(parts: np.ndarray, digits: int) -> np.ndarray:
     # pick the other neighbour only within an ulp of a half-integer.
     scaled = parts * 10.0 ** digits
     near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 4 * np.abs(np.spacing(scaled))
-    for idx in map(tuple, np.argwhere(near_half)):
-        rounded[idx] = round(float(parts[idx]), digits) + 0.0
+    if near_half.any():
+        for idx in map(tuple, np.argwhere(near_half)):
+            rounded[idx] = round(float(parts[idx]), digits) + 0.0
     return rounded
 
 
@@ -226,14 +233,83 @@ def _split_regular(G: FiniteGroup, cocycle, seed: int) -> tuple[np.ndarray, list
     rho_reg(g) by the 2-cocycle identity, so T = X + X^H with
     X = sum_k c_k R(k) does too. For generic c each eigenspace of T is one
     irreducible invariant subspace; a class of dimension d owns d of them.
+    T is diagonalized by _commutant_eigh, block by block; its eigenvalues
+    are then sorted globally and clustered, and each cluster holds the
+    indices of its columns of V.
+    """
+    w, V = _commutant_eigh(G, cocycle, seed)
+    order = np.argsort(w, kind="stable")
+    return V, [order[idx] for idx in _cluster_sorted(w[order])]
+
+
+def _commutant_eigh(G: FiniteGroup, cocycle, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unitary eigenvectors of T = X + X^H, from m blocks of order |G|/m.
+
+    c_k is drawn from default_rng(seed), X = sum_k c_k R(k). T commutes with
+    the left operator L(c) of the element c of maximal order m from
+    G._cyclic_cosets, which shifts each right coset <c>r:
+    L(c) e_{c^j r} = alpha(c, c^j r) e_{c^(j+1) r}. With the unit phases u of
+    _coset_phases, L(c) (u[r, j] e_{c^j r}) = theta u[r, j+1] e_{c^(j+1) r},
+    so its eigenvectors are f_{r,k} = m^-1/2 sum_j u[r, j] w^(-jk) e_{c^j r},
+    w = exp(2 pi i / m), of eigenvalue theta w^k. T keeps each eigenspace of
+    L(c), so in the basis f it is block diagonal. In the u-scaled basis T
+    commutes with the plain shift, so it is circulant in j, and block k is
+    B_k[r, r'] = sum_j T[r, c^j r'] u[r', j] w^(-jk): only T's rows at the
+    coset starts are gathered, and one product by the m x m DFT matrix gives
+    all blocks. One batched eigh of the (m, |G|/m, |G|/m) stack costs
+    O(|G|^3 / m^2) in place of O(|G|^3), at least 4 times less for |G| > 1.
+    Its eigenvectors W give V[c^j r, k |G|/m + i] = f_{r,k}[c^j r] W_k[r, i],
+    one broadcast product and a scatter; w and the columns of V come in
+    that (k, i) order, ascending within each block.
     """
     n = G.order
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    X = np.zeros((n, n), dtype=np.complex128)
-    X[G.mul, np.arange(n)[:, None]] = c * cocycle.complex_table   # X[hk, h] = c_k alpha(h,k)
-    w, V = np.linalg.eigh(X + X.conj().T)
-    return V, _cluster_sorted(w)
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c, P = G._cyclic_cosets
+    s, m = P.shape
+    ctable = cocycle.complex_table
+    phases = _coset_phases(cocycle, c, P)
+    starts = P[:, :1, None]
+    k_in = G.mul[G.inv[P], starts]       # X[r, h] = c_k alpha(h, k) for k = h^-1 r
+    k_out = G.inv[k_in]                  # X[h, r] = c_k alpha(r, k) for k = r^-1 h
+    rows = coeffs[k_in] * ctable[P, k_in] + np.conj(coeffs[k_out] * ctable[starts, k_out])
+    rows *= phases                       # rows[r, r', j] = T[r, c^j r'] u[r', j]
+    steps = np.arange(m)
+    dft = np.exp(-2j * np.pi / m * steps)[np.outer(steps, steps) % m]
+    w, W = np.linalg.eigh((rows.reshape(s * s, m) @ dft).T.reshape(m, s, s))
+    vecs = W.transpose(1, 0, 2)[:, None] * dft[:, :, None]
+    vecs *= (phases / np.sqrt(m))[:, :, None, None]    # vecs[r, j, k, i] = f_{r,k}[c^j r] W_k[r, i]
+    V = np.empty((n, n), dtype=np.complex128)
+    V[P.ravel()] = vecs.reshape(n, n)
+    return w.ravel(), V
+
+
+def _coset_phases(cocycle, c: int, P: np.ndarray) -> np.ndarray:
+    """(|G|/m, m) unit phases u[r, j] = mu[r, j] theta^-j that make L(c) theta times a shift.
+
+    mu[r, j] is the product of alpha(c, c^i r) over i < j, and the wrap phase
+    mu[r, m] of each coset is theta^m: L(c)^m is the scalar alpha-product of
+    c's powers, so every coset wraps alike. Over an exact cocycle the phases
+    are exponents mod K m, and a coset whose wrap exponent differs from the
+    first's raises InvalidCocycle. Over a numeric cocycle they are angles,
+    and each coset takes the m-th root of its own wrap phase on the branch
+    next to the first coset's.
+    """
+    m = P.shape[1]
+    steps = np.arange(m)
+    if cocycle.is_exact:
+        K = cocycle.order
+        expo = cocycle.exponents[c, P]
+        cum = np.cumsum(expo, axis=1)
+        wrap = cum[:, -1] % K
+        if (wrap != wrap[0]).any():
+            raise InvalidCocycle(f"cosets of <{c}> wrap with exponents {np.unique(wrap).tolist()} "
+                                 f"mod {K}, so L({c})^{m} is not a scalar")
+        return np.exp(2j * np.pi / (K * m) * ((m * (cum - expo) - steps * wrap[0]) % (K * m)))
+    angle = np.angle(cocycle.complex_table[c, P])
+    cum = np.cumsum(angle, axis=1)
+    wrap = cum[0, -1] + np.angle(np.exp(1j * (cum[:, -1] - cum[0, -1])))
+    return np.exp(1j * (cum - angle - steps * (wrap / m)[:, None]))
 
 
 def _conjugation_weights(G: FiniteGroup, ctable: np.ndarray) -> np.ndarray:
@@ -320,7 +396,9 @@ def _relation_residuals(G: FiniteGroup, ctable: np.ndarray, mats: np.ndarray,
     Entry (c, j, h) is the relation residual of representation c at
     s = lefts[j] and h; a NaN matrix entry makes the entries it reaches NaN.
     rho(s) rho(h) for all h is one (d, d) @ (d, |G| d) product per
-    representation and left element.
+    representation and left element. The max over the two entry axes is
+    taken as one reduction over a leading axis, which numpy does several
+    times faster than over the two separate length-d axes.
     """
     m, n, d, _ = mats.shape
     rows = np.ascontiguousarray(mats.transpose(0, 2, 1, 3))     # rows[c, i, h] = row i of rho(h)
@@ -330,7 +408,7 @@ def _relation_residuals(G: FiniteGroup, ctable: np.ndarray, mats: np.ndarray,
         rhs = rows[:, :, G.mul[s]]
         rhs *= ctable[s][:, None]
         diff -= rhs
-        out[:, j] = np.max(np.abs(diff), axis=(1, 3))
+        out[:, j] = np.abs(diff).transpose(1, 3, 0, 2).reshape(d * d, m, n).max(axis=0)
     return out
 
 
@@ -355,9 +433,9 @@ def _multiplicities(values: np.ndarray, conj_table: np.ndarray, tol: float) -> n
         raise InputError(f"characters of shape {values.shape} for order {conj_table.shape[1]}")
     inner = values @ conj_table.T / conj_table.shape[1]
     rounded = np.round(inner.real)
-    bad = np.argwhere(~(np.abs(inner - rounded) <= tol) | (rounded < 0))
-    if bad.size:
-        val = inner[tuple(bad[0])]
+    bad = ~(np.abs(inner - rounded) <= tol) | (rounded < 0)
+    if bad.any():
+        val = inner[tuple(np.argwhere(bad)[0])]
         raise NonIntegerMultiplicity(f"character inner product {val} is not a multiplicity", val)
     return rounded.astype(np.int64)
 
@@ -437,10 +515,12 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
                  seed: int = 0, tol: Tolerances | None = None) -> IrrTable:
     """Decompose the twisted regular representation into irreducibles.
 
-    One eigendecomposition of a seeded random Hermitian element of the
-    right-regular commutant splits the regular representation into
-    irreducible blocks; blocks are deduplicated by the multiplicity rule
-    on the Gram matrix of their characters. The table is
+    A seeded random Hermitian element of the right-regular commutant splits
+    the regular representation into irreducible blocks. It is diagonalized
+    in the eigenbasis of the left operator of an element c of maximal order
+    m, where it falls into m blocks of order |G|/m: one batched eigh of
+    cost O(|G|^3 / m^2) (see _commutant_eigh). Blocks are deduplicated by
+    the multiplicity rule on the Gram matrix of their characters. The table is
     certified (commutant dimension 1 per entry, as many blocks per class as
     its dimension, squared dimensions summing to |G|, as many classes as
     alpha-regular conjugacy classes, the defining relation of every entry

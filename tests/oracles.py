@@ -13,6 +13,9 @@ pair or one element at a time, where the library gathers whole arrays.
 The certificates (block dedup, representation checks, conjugation and
 twisted relation residuals, the Hom action) are the per-element loops the
 library's whole-array kernels replaced; a NaN fails each of their checks.
+The split of the regular representation is one dense eigh of the whole
+|G| x |G| commutant element, where the library diagonalizes it block by
+block in the eigenbasis of a cyclic subgroup's left operator.
 """
 
 from __future__ import annotations
@@ -333,3 +336,21 @@ def hom_action_by_vector(datum, w_lookup, q_list, tol):
             R[:, i] = coords
         mats[q] = R
     return F, mats
+
+
+def dense_split(G: FiniteGroup, cocycle, seed: int):
+    """(T, w, V): the commutant element of the seeded split, its eigenvalues and eigenvectors.
+
+    T = X + X^H with X = sum_k c_k R(k), R(k) e_h = alpha(h,k) e_{hk}, for the
+    c_k the library draws from default_rng(seed); X is scattered into one
+    |G| x |G| matrix through the multiplication table, and w, V come from one
+    dense eigh.
+    """
+    n = G.order
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    X = np.zeros((n, n), dtype=np.complex128)
+    X[G.mul, np.arange(n)[:, None]] = c * cocycle.complex_table     # X[hk, h] = c_k alpha(h,k)
+    T = X + X.conj().T
+    w, V = np.linalg.eigh(T)
+    return T, w, V

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp import reps
+from twistdecomp.fileio import parse_group_spec
 from twistdecomp.errors import (
     DecompositionFailure,
     InputError,
@@ -22,6 +24,7 @@ from twistdecomp.errors import (
     SplitFailure,
 )
 
+import oracles
 from test_action_table import c2_x_d8_alpha
 from test_reps import c2_times_dihedral, quaternion, symmetric, with_nan
 
@@ -343,6 +346,147 @@ class TestSplit:
         for cocycle in (alpha, numeric_copy(alpha)):
             for rep in td.irreducibles(G, cocycle).irreducibles:
                 assert td.validate_rep(rep).ok
+
+
+def pulled_back_alpha(G, n):
+    """dihedral_alpha(n) pulled back to G = H x D_2n along the projection on the second factor."""
+    alpha = td.dihedral_alpha(n)
+    to_d = np.arange(G.order) % alpha.group.order
+    return G, td.make_cocycle(G, alpha.order, alpha.exponents[np.ix_(to_d, to_d)])
+
+
+def s4_from_perm_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s4.perm"
+        path.write_text("perm: degree=4\n(0 1)\n(0 1 2 3)\n")
+        G = parse_group_spec(f"perm:{path}")
+    return G, td.trivial_cocycle(G)
+
+
+def orbit_beta():
+    """The numeric beta on D_8 of C_2 x D_8 under the pulled-back dihedral_alpha(4), with A = C_2."""
+    G, alpha = c2_x_d8_alpha()
+    A = td.subgroup_closure(G, [8])
+    datum = td.orbit_data(td.action_table(G, A, alpha), alpha)[0]
+    return datum.beta.group, datum.beta
+
+
+def coboundary_twist(n, seed=0):
+    """dihedral_alpha(n) times the coboundary of a random f: D_2n -> Z/K, an exact cocycle."""
+    alpha = td.dihedral_alpha(n)
+    G, K = alpha.group, alpha.order * 3
+    f = np.random.default_rng(seed).integers(K, size=G.order)
+    f[G.identity] = 0
+    return G, td.make_cocycle(G, K, 3 * alpha.exponents + f[:, None] + f[None, :] - f[G.mul])
+
+
+def numeric_wrap_at_minus_one(n=6, seed=0):
+    """A numeric coboundary on D_2n whose cosets of <c> wrap at -1, one moved by +1e-12 rad, one by -1e-12.
+
+    The two wrap phases then lie on either side of the branch cut of the
+    angle, and both must still take the same m-th root.
+    """
+    G = td.dihedral(n)
+    c, P = G._cyclic_cosets
+    f = np.exp(2j * np.pi * np.random.default_rng(seed).random(G.order))
+    f[G.identity] = 1.0
+    f[c] = np.exp(1j * np.pi / P.shape[1])
+    table = np.outer(f, f) / f[G.mul]
+    table[c, P[0, 1]] *= np.exp(-1e-12j)
+    table[c, P[1, 0]] *= np.exp(1e-12j)
+    return G, td.make_numeric_cocycle(G, table)
+
+
+def relabelled(n=6, seed=0):
+    """dihedral_alpha(n) on D_2n renumbered by a random permutation, so the identity is not index 0."""
+    alpha = td.dihedral_alpha(n)
+    G = alpha.group
+    perm = np.random.default_rng(seed).permutation(G.order)
+    mul, inv, expo = np.empty_like(G.mul), np.empty_like(G.inv), np.empty_like(alpha.exponents)
+    mul[np.ix_(perm, perm)] = perm[G.mul]
+    inv[perm] = perm[G.inv]
+    expo[np.ix_(perm, perm)] = alpha.exponents
+    labels = tuple(G.labels[g] for g in np.argsort(perm))
+    H = td.FiniteGroup(order=G.order, mul=mul, inv=inv, labels=labels, identity=int(perm[G.identity]))
+    return H, td.make_cocycle(H, alpha.order, expo)
+
+
+BLOCKED_CASES = {
+    **{f"D{2 * n}": trivially(lambda n=n: td.dihedral(n)) for n in range(1, 13)},
+    **{f"D{2 * n} alpha": lambda n=n: (td.dihedral(n), td.dihedral_alpha(n)) for n in range(2, 13, 2)},
+    "trivial group": trivially(td.trivial_group),
+    "C12": trivially(lambda: td.cyclic(12)),
+    "C2^3": trivially(lambda: td.direct_product(td.cyclic(2), td.direct_product(td.cyclic(2), td.cyclic(2)))),
+    "S4 perm": s4_from_perm_file,
+    "C8xD16 1 x alpha": lambda: pulled_back_alpha(td.direct_product(td.cyclic(8), td.dihedral(8)), 8),
+    "numeric beta": orbit_beta,
+    "D12 alpha coboundary": lambda: coboundary_twist(6),
+    "D12 numeric wrap -1": numeric_wrap_at_minus_one,
+    "D12 alpha relabelled": relabelled,
+}
+
+
+class TestBlockedSplit:
+    """The blocked eigh against one dense eigh of the same commutant element (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("name", BLOCKED_CASES)
+    def test_eigenpairs_of_the_commutant_element(self, name):
+        G, cocycle = BLOCKED_CASES[name]()
+        T, dense_w, _ = oracles.dense_split(G, cocycle, seed=0)
+        w, V = reps._commutant_eigh(G, cocycle, seed=0)
+        scale = np.max(np.abs(dense_w))
+        assert np.max(np.abs(np.sort(w) - dense_w)) <= 1e-10 * scale
+        assert np.max(np.abs(V.conj().T @ V - np.eye(G.order))) <= 1e-12
+        assert np.max(np.abs(T @ V - V * w)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("name", BLOCKED_CASES)
+    def test_characters_equal_the_dense_route(self, name):
+        G, cocycle = BLOCKED_CASES[name]()
+        _, w, V = oracles.dense_split(G, cocycle, seed=0)
+        want = assemble(G, cocycle, V, reps._cluster_sorted(w))
+        got = td.irreducibles(G, cocycle, seed=0)
+        assert got.dims == want.dims
+        diff = np.max(np.abs(got.character_values - want.character_values))
+        assert diff <= td.default_tolerances().char
+
+    def test_wraps_straddle_the_branch_cut(self):
+        G, beta = numeric_wrap_at_minus_one()
+        c, P = G._cyclic_cosets
+        wraps = np.prod(beta.complex_table[c, P], axis=1)
+        assert np.allclose(wraps, -1, rtol=0, atol=1e-10)
+        assert np.any(wraps.imag > 0) and np.any(wraps.imag < 0)
+
+    def test_relabelled_identity_is_not_index_0(self):
+        G, _ = relabelled(6)
+        assert G.identity != 0 and G._cyclic_cosets[1].shape == (2, 6)
+
+    def test_cases_cover_one_coset_and_many(self):
+        shapes = {name: BLOCKED_CASES[name]()[0]._cyclic_cosets[1].shape
+                  for name in ("trivial group", "C12", "C2^3", "S4 perm", "C8xD16 1 x alpha")}
+        assert shapes == {"trivial group": (1, 1), "C12": (1, 12), "C2^3": (4, 2),
+                          "S4 perm": (6, 4), "C8xD16 1 x alpha": (16, 8)}
+
+
+def wrap_corrupted(G):
+    """dihedral_alpha(4) on G, built without validation, with alpha(c, x) moved for one x off <c>."""
+    alpha = td.dihedral_alpha(4)
+    c, P = G._cyclic_cosets
+    expo = np.array(alpha.exponents)
+    expo[c, P[1, 0]] += 1
+    return td.Cocycle(group=G, order=alpha.order, exponents=expo)
+
+
+class TestWrapExponent:
+    def test_corrupted_wrap_raises_invalid_cocycle(self, d8):
+        with pytest.raises(InvalidCocycle, match="wrap with exponents"):
+            td.irreducibles(d8, wrap_corrupted(d8))
+
+    def test_corrupted_wrap_exit_code(self, monkeypatch, capsys):
+        import twistdecomp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.fileio, "parse_cocycle_spec", lambda spec, G: wrap_corrupted(G))
+        assert cli_mod.main(["irr", "dihedral:4", "dihedral_alpha:4"]) == cli_mod.EXIT_INPUT == 2
+        assert "wrap with exponents" in capsys.readouterr().err
 
 
 def worst_relation_residual(rep):

@@ -18,10 +18,12 @@ must be identical. The script then checks, between the trees:
   (G, alpha) and of (A, alpha|A), and the action perm and multiplicities
   exactly. A configuration that raises must raise the same error type in
   both trees;
-- for dihedral(32), dihedral(64) and dihedral(128) under the trivial cocycle
-  and dihedral_alpha, and for D_8 x D_16 and C_4 x D_32 under the trivial
-  cocycle, the dimensions and characters (within tol.char) of irreducibles
-  alone, at seed 0: the orders at which the split is benchmarked, up to 256;
+- for dihedral(32), dihedral(64), dihedral(128) and dihedral(256) under the
+  trivial cocycle and dihedral_alpha, for D_8 x D_16 and C_4 x D_32 under the
+  trivial cocycle, and for C_8 x D_16 under dihedral_alpha(8) pulled back from
+  the D_16 factor, the dimensions and characters (within tol.char) of
+  irreducibles alone, at seed 0: the orders at which the split is
+  benchmarked, up to 256, and order 512, the dense cap;
 - the beta tables up to a coboundary. A new convention for the phase of
   the M_q intertwiners may multiply beta by a coboundary df, each
   beta-character by f and so reorder a beta table. The check compares
@@ -116,14 +118,20 @@ def configurations():
 
 def irr_configurations():
     """(name, alpha) of the irreducibles-only configurations; alpha.group is G."""
+    import numpy as np
+
     import twistdecomp as td
 
-    for n in (32, 64, 128):
+    for n in (32, 64, 128, 256):
         yield f"dihedral:{n} trivial", td.trivial_cocycle(td.dihedral(n))
         yield f"dihedral:{n} dihedral_alpha", td.dihedral_alpha(n)
     for name, G in (("D8xD16", td.direct_product(td.dihedral(4), td.dihedral(8))),
                     ("C4xD32", td.direct_product(td.cyclic(4), td.dihedral(16)))):
         yield f"{name} trivial", td.trivial_cocycle(G)
+    G, alpha = td.direct_product(td.cyclic(8), td.dihedral(8)), td.dihedral_alpha(8)
+    to_d16 = np.arange(G.order) % 16
+    yield ("C8xD16 dihedral_alpha:8 pulled back",
+           td.make_cocycle(G, alpha.order, alpha.exponents[np.ix_(to_d16, to_d16)]))
 
 
 def irr_dump() -> list:
