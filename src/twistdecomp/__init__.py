@@ -7,7 +7,6 @@ from .cocycles import (
     UnitScalar,
     central_extension,
     dihedral_alpha,
-    is_coboundary_brute,
     make_cocycle,
     make_numeric_cocycle,
     restrict,
@@ -68,6 +67,7 @@ from .reps import (
     ProjectiveRep,
     character,
     character_inner,
+    coboundary_cochain,
     intertwiner,
     irreducibles,
     multiplicity,

@@ -8,7 +8,6 @@ NumericCocycle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import _memo
 from .config import Tolerances, default_tolerances
-from .errors import InputError, InvalidCocycle, OddN, SearchSpaceTooLarge
+from .errors import InputError, InvalidCocycle, OddN
 from .groups import (
     FiniteGroup,
     QuotientWithSection,
@@ -81,8 +80,8 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
     ("cocycle", g, h, k) violations with h among those middles; it is empty
     exactly when the table is a normalized 2-cocycle.
 
-    Only tables from outside are checked here (make_cocycle, snap_to_lattice);
-    restrict builds the restriction of a cocycle without it.
+    Only tables from outside are checked here (make_cocycle, validate_cocycle,
+    snap_to_lattice); restrict builds the restriction of a cocycle without it.
     """
     n = group.order
     table = np.asarray(exponents, dtype=np.int64)
@@ -383,76 +382,6 @@ def _tau_exponents(alpha: Cocycle, qs: QuotientWithSection) -> np.ndarray:
     return direct
 
 
-_COBOUNDARY_SPACE_CAP = 24 ** 5
-
-
-def is_coboundary_brute(beta: NumericCocycle, lattice_order: int,
-                        tol: Tolerances | None = None) -> tuple[UnitScalar, ...] | None:
-    """Search mu_{K'}-valued 1-cochains c with c(1)=1 and delta(c) = beta.
-
-    Returns the first match in lexicographic exponent order, or None when
-    no cochain on this lattice reproduces beta within tolerance. The search
-    space (K')^(|Q|-1) is capped at 24^5; larger requests fail fast.
-    """
-    tol = tol or default_tolerances()
-    Q = beta.group
-    m = Q.order
-    K = lattice_order
-    if K < 1:
-        raise SearchSpaceTooLarge("lattice order must be positive")
-    if K ** max(m - 1, 0) > _COBOUNDARY_SPACE_CAP:
-        raise SearchSpaceTooLarge(
-            f"search space {K}^{m - 1} exceeds the 24^5 cap"
-        )
-    if m == 1:
-        if abs(beta.table[0, 0] - 1.0) <= tol.cocycle:
-            return (UnitScalar(0, K),)
-        return None
-    e = Q.identity
-    # pairs touching the identity constrain beta alone, not the cochain
-    for q in range(m):
-        if abs(beta.table[e, q] - 1.0) > tol.cocycle or abs(beta.table[q, e] - 1.0) > tol.cocycle:
-            return None
-    pairs = [
-        (q1, q2, int(Q.mul[q1, q2]), complex(beta.table[q1, q2]))
-        for q1 in range(m) if q1 != e
-        for q2 in range(m) if q2 != e
-    ]
-    roots = np.exp(2j * np.pi * np.arange(K) / K)
-    # vectorize the last few exponent coordinates, keeping lexicographic order
-    tail = 1
-    while tail < m - 1 and K ** (tail + 1) <= 16384:
-        tail += 1
-    head = m - 1 - tail
-    block = K ** tail
-    digits = np.empty((block, tail), dtype=np.int64)
-    rem = np.arange(block)
-    for t in range(tail - 1, -1, -1):
-        rem, digits[:, t] = np.divmod(rem, K)
-    c = np.ones((block, m), dtype=np.complex128)
-    c[:, 1 + head:] = roots[digits]
-    for prefix in itertools.product(range(K), repeat=head):
-        if head:
-            c[:, 1:1 + head] = roots[list(prefix)]
-        # |c1*c2/c12 - t| = |c1*c2 - t*c12| since |c12| = 1
-        alive = np.arange(block)
-        for q1, q2, q12, target in pairs:
-            bad = (
-                np.abs(c[alive, q1] * c[alive, q2] - target * c[alive, q12])
-                > tol.cocycle
-            )
-            alive = alive[~bad]
-            if not alive.size:
-                break
-        if alive.size:
-            first = int(alive[0])
-            expos = list(prefix) + [int(d) for d in digits[first]]
-            return tuple(
-                UnitScalar(0 if q == 0 else expos[q - 1], K) for q in range(m)
-            )
-    return None
-
-
 def snap_to_lattice(beta: NumericCocycle, lattice_order: int,
                     tol: Tolerances | None = None) -> Cocycle | None:
     """Round a numeric cocycle onto mu_{K'} when every entry is near a lattice point.
@@ -461,8 +390,7 @@ def snap_to_lattice(beta: NumericCocycle, lattice_order: int,
     when the rounded table is not an exact cocycle.
     """
     tol = tol or default_tolerances()
-    angles = np.angle(beta.table) / (2 * np.pi) * lattice_order
-    expo = np.round(angles).astype(np.int64) % lattice_order
+    expo = _lattice_exponents(beta.table, lattice_order)
     snapped = np.exp(2j * np.pi * expo / lattice_order)
     if np.max(np.abs(snapped - beta.table)) > tol.snap:
         return None
@@ -470,3 +398,9 @@ def snap_to_lattice(beta: NumericCocycle, lattice_order: int,
     if not report.ok:
         return None
     return Cocycle(group=beta.group, order=lattice_order, exponents=expo)
+
+
+def _lattice_exponents(values: np.ndarray, order: int) -> np.ndarray:
+    """The exponents e mod order of the points exp(2*pi*i * e / order) of mu_order
+    nearest in phase to each of values, as an int64 array of their shape."""
+    return np.round(np.angle(values) / (2 * np.pi) * order).astype(np.int64) % order

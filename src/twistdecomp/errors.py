@@ -57,10 +57,6 @@ class ANotTrivial(InputError):
     """The designated normal subgroup does not act trivially on the G-set."""
 
 
-class SearchSpaceTooLarge(InputError):
-    """Brute-force coboundary search bounds exceeded (|Q| <= 6, K' <= 24)."""
-
-
 class UnknownSuite(InputError):
     """verify was asked for a suite name that does not exist."""
 

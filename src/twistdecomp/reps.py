@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _memo
-from .cocycles import Cocycle, NumericCocycle, restrict
+from .cocycles import Cocycle, NumericCocycle, UnitScalar, _lattice_exponents, restrict
 from .config import Tolerances, default_tolerances
 from .errors import (
     InputError,
@@ -641,6 +641,36 @@ def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.nd
                     irreducibles=[ProjectiveRep(G, cocycle, matrices[i].shape[1], matrices[i])
                                   for i in order],
                     characters=[AlphaCharacter(values[i]) for i in order])
+
+
+def coboundary_cochain(beta: Cocycle | NumericCocycle, lattice_order: int,
+                       tol: Tolerances | None = None) -> tuple[UnitScalar, ...] | None:
+    """The lexicographically first 1-cochain c: Q -> mu_k with delta(c) = beta, or None.
+
+    Here k = lattice_order and delta(c)(q1, q2) = c(q1) c(q2) / c(q1 q2). A
+    1-dimensional beta-representation is exactly such a cochain with values
+    anywhere on the unit circle, so beta is a coboundary if and only if
+    irreducibles(Q, beta) has an entry of dimension 1 (ask
+    `1 in irreducibles(Q, beta).dims`), and the cochains are exactly those
+    entries: at most |Q^ab| of them. Each entry is rounded onto mu_k and
+    kept when |c(q1) c(q2) - beta(q1, q2) c(q1 q2)| <= tol.cocycle at every
+    pair; the result is the kept exponent tuple (in element order) that
+    comes first, as UnitScalars of order k. beta must be a 2-cocycle on Q,
+    which irreducibles needs; a lattice order below 1 raises InputError.
+    """
+    tol = tol or default_tolerances()
+    if lattice_order < 1:
+        raise InputError("lattice order must be positive")
+    Q = beta.group
+    table = irreducibles(Q, beta, tol=tol)
+    values = [rep.matrices[:, 0, 0] for rep in table.irreducibles if rep.dim == 1]
+    expo = _lattice_exponents(np.array(values).reshape(-1, Q.order), lattice_order)
+    c = np.exp(2j * np.pi * expo / lattice_order)
+    residual = np.abs(c[:, :, None] * c[:, None, :] - beta.complex_table * c[:, Q.mul])
+    kept = expo[np.all(residual <= tol.cocycle, axis=(1, 2))]
+    if not len(kept):
+        return None
+    return tuple(UnitScalar(int(e), lattice_order) for e in min(map(tuple, kept.tolist())))
 
 
 def _check_compatible(r1: ProjectiveRep, r2: ProjectiveRep) -> None:

@@ -16,6 +16,8 @@ library's whole-array kernels replaced; a NaN fails each of their checks.
 The split of the regular representation is one dense eigh of the whole
 |G| x |G| commutant element, where the library diagonalizes it block by
 block in the eigenbasis of a cyclic subgroup's left operator.
+The coboundary oracle searches every mu_K-valued cochain, where the library
+reads the cochains off the 1-dimensional entries of the beta table.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import itertools
 
 import numpy as np
 
-from twistdecomp.cocycles import central_extension
+from twistdecomp.cocycles import UnitScalar, central_extension
+from twistdecomp.config import default_tolerances
 from twistdecomp.errors import DecompositionFailure, NotScalar, NotUnimodular, NumericFailure
 from twistdecomp.groups import FiniteGroup, conjugacy_classes, generating_set, subgroup_closure
 
@@ -185,6 +188,76 @@ def cocycle_violations(G: FiniteGroup, K: int, table) -> set:
             found.add(("cocycle", g, h, k))
     return found
 
+
+COBOUNDARY_SPACE_CAP = 24 ** 5
+
+
+def coboundary_cochain_brute(beta, lattice_order: int, tol=None):
+    """Search mu_{K'}-valued 1-cochains c with c(1)=1 and delta(c) = beta, exhaustively.
+
+    Returns the first match in lexicographic exponent order as a tuple of
+    UnitScalar, or None when no cochain on this lattice reproduces beta
+    within tol.cocycle. The reference for reps.coboundary_cochain, which
+    reads the cochains off the 1-dimensional entries of irreducibles(Q, beta).
+    The search space (K')^(|Q|-1) is capped at 24^5; larger requests raise
+    ValueError.
+    """
+    tol = tol or default_tolerances()
+    Q = beta.group
+    t = beta.complex_table
+    m = Q.order
+    K = lattice_order
+    if K < 1:
+        raise ValueError("lattice order must be positive")
+    if K ** max(m - 1, 0) > COBOUNDARY_SPACE_CAP:
+        raise ValueError(f"search space {K}^{m - 1} exceeds the 24^5 cap")
+    if m == 1:
+        if abs(t[0, 0] - 1.0) <= tol.cocycle:
+            return (UnitScalar(0, K),)
+        return None
+    e = Q.identity
+    # pairs touching the identity constrain beta alone, not the cochain
+    for q in range(m):
+        if abs(t[e, q] - 1.0) > tol.cocycle or abs(t[q, e] - 1.0) > tol.cocycle:
+            return None
+    pairs = [
+        (q1, q2, int(Q.mul[q1, q2]), complex(t[q1, q2]))
+        for q1 in range(m) if q1 != e
+        for q2 in range(m) if q2 != e
+    ]
+    roots = np.exp(2j * np.pi * np.arange(K) / K)
+    # vectorize the last few exponent coordinates, keeping lexicographic order
+    tail = 1
+    while tail < m - 1 and K ** (tail + 1) <= 16384:
+        tail += 1
+    head = m - 1 - tail
+    block = K ** tail
+    digits = np.empty((block, tail), dtype=np.int64)
+    rem = np.arange(block)
+    for i in range(tail - 1, -1, -1):
+        rem, digits[:, i] = np.divmod(rem, K)
+    c = np.ones((block, m), dtype=np.complex128)
+    c[:, 1 + head:] = roots[digits]
+    for prefix in itertools.product(range(K), repeat=head):
+        if head:
+            c[:, 1:1 + head] = roots[list(prefix)]
+        # |c1*c2/c12 - t| = |c1*c2 - t*c12| since |c12| = 1
+        alive = np.arange(block)
+        for q1, q2, q12, target in pairs:
+            bad = (
+                np.abs(c[alive, q1] * c[alive, q2] - target * c[alive, q12])
+                > tol.cocycle
+            )
+            alive = alive[~bad]
+            if not alive.size:
+                break
+        if alive.size:
+            first = int(alive[0])
+            expos = list(prefix) + [int(d) for d in digits[first]]
+            return tuple(
+                UnitScalar(0 if q == 0 else expos[q - 1], K) for q in range(m)
+            )
+    return None
 
 
 def chi_by_pair(qs, q1: int, q2: int) -> int:

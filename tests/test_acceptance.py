@@ -7,7 +7,6 @@ import numpy as np
 
 import twistdecomp as td
 from twistdecomp.cli import main
-from twistdecomp.cocycles import is_coboundary_brute
 from twistdecomp.decomposition import action_table
 from twistdecomp.groups import normal_subgroups, quotient_with_section
 from twistdecomp.kgroups import (
@@ -17,7 +16,7 @@ from twistdecomp.kgroups import (
     random_gset,
 )
 
-from oracles import classical_dims
+from oracles import classical_dims, coboundary_cochain_brute
 
 CHAR_TOL = 1e-6
 COCYCLE_TOL = 1e-8
@@ -119,7 +118,7 @@ def test_criterion_3_d8_center():
     assert td.validate_numeric_cocycle(datum.beta).ok
     found = None
     for k in range(1, 9):
-        found = is_coboundary_brute(datum.beta, k)
+        found = coboundary_cochain_brute(datum.beta, k)
         if found is not None:
             break
     assert found is not None, "beta must split on a lattice with K' <= 8"

@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 import twistdecomp as td
 from twistdecomp.cocycles import (
-    is_coboundary_brute,
     make_cocycle,
     numeric_from_exact,
     snap_to_lattice,
     validate_cocycle_table,
 )
-from twistdecomp.errors import InputError, InvalidCocycle, OddN, SearchSpaceTooLarge
+from twistdecomp.errors import InputError, InvalidCocycle, OddN
 from twistdecomp.groups import all_subgroups, generating_set, trivial_subgroup
 
-from oracles import cocycle_violations
+from oracles import COBOUNDARY_SPACE_CAP, coboundary_cochain_brute, cocycle_violations
+from test_decomposition import dihedral_configurations
 from test_reps import symmetric
 
 
@@ -347,25 +347,26 @@ class TestTauScalar:
 class TestCoboundaryBrute:
     def test_trivial_found(self):
         beta = numeric_from_exact(td.trivial_cocycle(td.cyclic(3)))
-        result = is_coboundary_brute(beta, 4)
+        result = coboundary_cochain_brute(beta, 4)
         assert result is not None
         assert all(u.exponent == 0 for u in result)
 
     def test_z2_minus_one(self):
         Q = td.cyclic(2)
         beta = td.make_numeric_cocycle(Q, [[1, 1], [1, -1]])
-        result = is_coboundary_brute(beta, 4)
+        result = coboundary_cochain_brute(beta, 4)
         assert [u.exponent for u in result] == [0, 1]  # c(q) = i, first in lex order
 
     def test_d8_alpha_not_a_coboundary(self, alpha4):
         beta = numeric_from_exact(alpha4)
         for k in range(1, 9):
-            assert is_coboundary_brute(beta, k) is None
+            assert coboundary_cochain_brute(beta, k) is None
 
     def test_search_space_cap(self, alpha4):
         beta = numeric_from_exact(alpha4)
-        with pytest.raises(SearchSpaceTooLarge):
-            is_coboundary_brute(beta, 24)
+        with pytest.raises(ValueError):
+            coboundary_cochain_brute(beta, 24)
+        assert td.coboundary_cochain(beta, 24) is None
 
     def test_verifies_delta(self):
         # random coboundary on Z/4 is recovered
@@ -379,7 +380,7 @@ class TestCoboundaryBrute:
             for q1 in range(4)
         ])
         beta = td.make_numeric_cocycle(Q, table)
-        result = is_coboundary_brute(beta, 8)
+        result = coboundary_cochain_brute(beta, 8)
         assert result is not None
         got = np.array([u.value() for u in result])
         delta = np.array([
@@ -387,6 +388,114 @@ class TestCoboundaryBrute:
             for q1 in range(4)
         ])
         assert np.allclose(delta, table, atol=1e-8)
+
+
+DIHEDRAL_NS = (2, 3, 4, 5, 6, 8, 12)
+
+
+def delta(Q, c):
+    """The coboundary table c(q1) c(q2) / c(q1 q2) of a cochain given by its values."""
+    return c[:, None] * c[None, :] / c[Q.mul]
+
+
+def cochain_values(cochain):
+    return np.array([u.value() for u in cochain])
+
+
+@functools.cache
+def small_orbit_data():
+    """(name, datum) for every orbit datum with |Q| <= 6 of dihedral(n), n in
+    DIHEDRAL_NS, under both cocycles and every normal A."""
+    found = []
+    for G, A, alpha in dihedral_configurations(DIHEDRAL_NS):
+        for datum in td.orbit_data(td.action_table(G, A, alpha, seed=0), alpha):
+            if datum.q_group.order <= 6:
+                found.append((f"D{G.order} K={alpha.order} A={A.elements}", datum))
+    return tuple(found)
+
+
+SMALL_GROUPS = {
+    **{f"C{n}": (lambda n=n: td.cyclic(n)) for n in range(1, 9)},
+    **{f"D{2 * n}": (lambda n=n: td.dihedral(n)) for n in range(1, 5)},
+    "C2xC2": lambda: td.direct_product(td.cyclic(2), td.cyclic(2)),
+    "C2xC4": lambda: td.direct_product(td.cyclic(2), td.cyclic(4)),
+    "C2xC2xC2": lambda: td.direct_product(td.direct_product(td.cyclic(2), td.cyclic(2)),
+                                          td.cyclic(2)),
+}
+
+
+class TestCoboundaryCochain:
+    """reps.coboundary_cochain reads the cochains off the 1-dimensional entries
+    of the beta table; the exhaustive search of tests/oracles.py is its reference."""
+
+    def test_z2_minus_one(self):
+        beta = td.make_numeric_cocycle(td.cyclic(2), [[1, 1], [1, -1]])
+        result = td.coboundary_cochain(beta, 4)
+        assert [u.exponent for u in result] == [0, 1]  # c(q) = i, first in lex order
+
+    def test_lattice_order_must_be_positive(self):
+        beta = numeric_from_exact(td.trivial_cocycle(td.cyclic(2)))
+        with pytest.raises(InputError):
+            td.coboundary_cochain(beta, 0)
+
+    def test_agrees_with_the_oracle_on_dihedral_orbit_data(self):
+        data = small_orbit_data()
+        assert len(data) == 182
+        for name, datum in data:
+            for k in range(1, 9):
+                got = td.coboundary_cochain(datum.beta, k)
+                assert got == coboundary_cochain_brute(datum.beta, k), (name, k)
+
+    def test_order_two_quotients_are_coboundaries(self):
+        # H^2(C_2, C^x) = 0, but beta(q, q) may need a lattice finer than mu_8:
+        # 14 such data, where the search over k <= 8 finds nothing.
+        missed = [(name, d) for name, d in small_orbit_data() if d.q_group.order == 2
+                  and all(coboundary_cochain_brute(d.beta, k) is None for k in range(1, 9))]
+        assert len(missed) == 14
+        for name, datum in missed:
+            Q = datum.q_group
+            assert 1 in td.irreducibles(Q, datum.beta).dims, name
+            c = td.coboundary_cochain(datum.beta, 48)
+            assert c is not None, name
+            assert np.all(np.abs(delta(Q, cochain_values(c)) - datum.beta.table)
+                          <= td.default_tolerances().cocycle), name
+
+    def test_d12_over_a2_b_needs_mu_12(self):
+        G, alpha = td.dihedral(6), td.dihedral_alpha(6)
+        A = td.subgroup_closure(G, [2, 6])             # <a^2, b>
+        data = td.orbit_data(td.action_table(G, A, alpha, seed=0), alpha)
+        (datum,) = [d for d in data if d.q_group.order == 2]
+        Q, beta = datum.q_group, datum.beta
+        assert np.isclose(beta.table[1, 1], np.exp(1j * np.pi / 3))
+        assert 1 in td.irreducibles(Q, beta).dims
+        c = td.coboundary_cochain(beta, 12)
+        assert c is not None
+        assert np.all(np.abs(delta(Q, cochain_values(c)) - beta.table)
+                      <= td.default_tolerances().cocycle)
+        for k in range(1, 9):
+            assert coboundary_cochain_brute(beta, k) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_GROUPS)), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    def test_recovers_a_drawn_coboundary(self, group, k, seed):
+        Q = SMALL_GROUPS[group]()
+        expo = np.random.default_rng(seed).integers(0, k, Q.order)
+        expo[Q.identity] = 0
+        table = delta(Q, np.exp(2j * np.pi * expo / k))
+        beta = td.make_numeric_cocycle(Q, table)
+        got = td.coboundary_cochain(beta, k)
+        assert got is not None
+        assert all(u.order == k for u in got)
+        assert np.all(np.abs(delta(Q, cochain_values(got)) - table)
+                      <= td.default_tolerances().cocycle)
+        if k ** (Q.order - 1) <= COBOUNDARY_SPACE_CAP:
+            assert got == coboundary_cochain_brute(beta, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 4]), st.integers(1, 64))
+    def test_dihedral_alpha_is_never_a_coboundary(self, n, k):
+        beta = numeric_from_exact(td.dihedral_alpha(n))
+        assert td.coboundary_cochain(beta, k) is None
 
 
 class TestSnapToLattice:

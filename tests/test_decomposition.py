@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp.cocycles import is_coboundary_brute
 from twistdecomp import decomposition
 from twistdecomp.errors import DecompositionFailure, MatchFailure, NotIsotypic
 from twistdecomp.groups import full_subgroup, normal_subgroups, trivial_subgroup
 from twistdecomp.report import decomposition_payload
 from twistdecomp.reps import _hom_space, _nullspace
+
+from oracles import coboundary_cochain_brute
 
 
 def char_tuple(values, digits=6):
@@ -148,7 +149,7 @@ class TestInducedCocycle:
     def test_d8_center_beta_is_coboundary(self, d8_z_action, alpha4):
         beta = td.orbit_data(d8_z_action, alpha4)[0].beta
         assert td.validate_numeric_cocycle(beta).ok
-        assert is_coboundary_brute(beta, 8) is not None
+        assert coboundary_cochain_brute(beta, 8) is not None
 
     def test_trivial_alpha_index_two_beta_coboundary(self, d8):
         # cyclic quotient: every obstruction class dies, so beta must split
@@ -156,7 +157,7 @@ class TestInducedCocycle:
         A = td.subgroup_closure(d8, [1])
         action = td.action_table(d8, A, alpha, seed=0)
         for datum in td.orbit_data(action, alpha):
-            assert is_coboundary_brute(datum.beta, 8) is not None
+            assert coboundary_cochain_brute(datum.beta, 8) is not None
 
     def test_trivial_alpha_center_obstruction(self, d8):
         # the classical non-split case: over the sign character of the center
@@ -172,8 +173,8 @@ class TestInducedCocycle:
         }
         trivial_orbit = by_char[(1, 1)]
         sign_orbit = by_char[(1, -1)]
-        assert is_coboundary_brute(trivial_orbit.beta, 8) is not None
-        assert is_coboundary_brute(sign_orbit.beta, 8) is None
+        assert coboundary_cochain_brute(trivial_orbit.beta, 8) is not None
+        assert coboundary_cochain_brute(sign_orbit.beta, 8) is None
         # the nontrivial class carries a single 2-dim irreducible: 2^2 = |Q|
         table = td.irreducibles(sign_orbit.q_group, sign_orbit.beta, seed=0)
         assert table.dims == (2,)
