@@ -5,20 +5,23 @@ irreducible alpha-projective representations of A by
 
     (g . tau)(a) = alpha(g^-1 a, g) alpha(g, g^-1 a)^-1 tau(g^-1 a g),
 
-and the action factors through Q = G/A. A class is fixed by its character,
-so action_table reads the permutation of Irr(A, alpha|_A) off
+and the action factors through Q = G/A. It is a group action, so the
+generators of G fix it: action_table moves the classes of Irr(A, alpha|_A)
+by the generators s alone, reading each off
 
-    chi_{g.tau}(a) = alpha(g^-1 a, g) alpha(g, g^-1 a)^-1 chi_tau(g^-1 a g),
+    chi_{s.tau}(a) = alpha(s^-1 a, s) alpha(s, s^-1 a)^-1 chi_tau(s^-1 a s)
 
 with no matrices, after an exact integer certificate mod K shows that
-every g.tau is an alpha|_A-representation. Schur orthogonality decides
-which class g.tau is: its multiplicities over the table must form a unit
-vector. The action law is checked on a generating set of G, which decides
-it for all of G by induction on word length. Each orbit carries an isotropy
-group, a family of Schur intertwiners M_q, and an induced 2-cocycle beta on
-the isotropy quotient. verify_point_decomposition checks that the
-irreducibles of (G, alpha) biject with the beta-twisted irreducibles of the
-isotropy quotients, orbit by orbit.
+every s.tau is an alpha|_A-representation. Schur orthogonality decides
+which class s.tau is: its multiplicities over the table must form a unit
+vector. Every other row is a product of known rows, and the action law on
+the generators certifies that the table is a homomorphism. Each orbit
+carries an isotropy group, a family of Schur intertwiners M_q, and an
+induced 2-cocycle beta on the isotropy quotient; orbits with the same
+isotropy group share it, its quotient and the restricted cocycle.
+verify_point_decomposition checks that the irreducibles of (G, alpha)
+biject with the beta-twisted irreducibles of the isotropy quotients, orbit
+by orbit.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .groups import (
     QuotientWithSection,
     SubgroupHandle,
     _action_orbits,
-    _stabilizer,
     generating_set,
     is_normal,
     quotient_with_section,
@@ -131,37 +133,56 @@ class IrrAction:
 
 def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0,
                  tol: Tolerances | None = None) -> IrrAction:
-    """Tabulate g . [tau_i] from characters, then check the action laws.
+    """Tabulate s . [tau_i] for the generators s, fill the rest by products, check the laws.
 
     With c_g(a) = g^-1 a g and s_g(a) = alpha(g^-1 a, g) - alpha(g, g^-1 a)
     in exponents mod K, the moved character is
 
         chi_{g.tau}(a) = exp(2 pi i s_g(a) / K) chi_tau(c_g a).
 
-    First the exact integer certificate
+    Only the generators S = generating_set(G) are moved. First the exact
+    integer certificate
 
         s_g(a) + s_g(b) + alpha_A(c_g a, c_g b) == alpha_A(a, b) + s_g(ab)  (mod K)
 
-    for all a, b in A shows that every g.tau is an alpha|_A-representation;
-    it runs for every g. Then IrrTable.multiplicities decomposes the moved
-    characters of each g over the table in one product, under tol.char.
-    Each row must be a unit vector: the class of g.tau_i is its one entry,
-    which also certifies that g.tau_i is irreducible. A row that is not a
+    for all a, b in A, one (|S|, |A|, |A|) array, shows that every s.tau is
+    an alpha|_A-representation. Then one IrrTable.multiplicities call
+    decomposes all |S| #irr moved characters over the table, under tol.char.
+    Each row must be a unit vector: the class of s.tau_i is its one entry,
+    which also certifies that s.tau_i is irreducible. A row that is not a
     multiplicity vector, or has no entry, raises UnmatchedCharacter; a row
-    with several entries raises AmbiguousCharacter.
+    with several entries raises AmbiguousCharacter. The table P has
+    P(1) = id, the rows P(s), and P(l r) = P(l) o P(r) for the products
+    (l, r) of G._product_plan, which reach every element.
 
-    The laws are perm(1) = id, the trivial action of A, and
+    The laws are the trivial action of A and
 
-        perm(s h) = perm(s) o perm(h)  for s in generating_set(G), all h.
+        P(s h) = P(s) o P(h)  for s in S, all h;
 
-    This decides perm(gh) = perm(g) o perm(h) for all g: every g is a word
-    s_1 ... s_k in the generators (inverses are positive powers), and by
-    induction on k,
+    a failed law raises DecompositionFailure. Two proofs make P the action.
 
-        perm(g h) = perm(s_1) o perm(s_2 ... s_k h)
-                  = perm(s_1) o perm(s_2 ... s_k) o perm(h) = perm(g) o perm(h),
+    The certificate holds for every g once alpha is a 2-cocycle, which
+    make_cocycle checks on input. In the twisted group algebra, where
+    e_u e_v = alpha(u, v) e_uv is associative by the cocycle identity,
+    e_a = alpha(g, x)^-1 e_g e_x for x = g^-1 a, so
 
-    where k = 0 is perm(1) = id. A failed law raises DecompositionFailure.
+        phi_g(e_a) = e_g^-1 e_a e_g = exp(2 pi i s_g(a) / K) e_{c_g a}.
+
+    The certificate is phi_g(e_a) phi_g(e_b) = alpha_A(a, b) phi_g(e_ab),
+    true for an algebra automorphism; on S it still catches an exponent
+    table that bypassed make_cocycle.
+
+    Two homomorphisms that agree on generators are equal. g.tau is
+    tau o phi_g, and phi_gh = phi_h o phi_g since e_gh is e_g e_h up to a
+    scalar, so (gh).tau = g.(h.tau) and g -> [g.tau] is a homomorphism. P is
+    one too: every g is a word s_1 ... s_k in S (inverses are positive
+    powers), and by induction on k,
+
+        P(g h) = P(s_1) o P(s_2 ... s_k h)
+               = P(s_1) o P(s_2 ... s_k) o P(h) = P(g) o P(h),
+
+    where k = 0 is P(1) = id, true by construction. Both agree on S, so P(g)
+    is [g.tau] for every g.
 
     An action that a K-group call has certified for the same content (see
     _orbit_data) comes from the memo, rebound to the caller's G, A and
@@ -192,49 +213,45 @@ def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
     alpha_a, a_map = restrict(alpha, A)
     a_std, _ = A.as_group()
     irr_a = irreducibles(a_std, alpha_a, seed=seed, tol=tol)
-    K = alpha.order
-    a_elems = np.asarray(a_map)
-    a_pos = np.full(G.order, -1, dtype=np.int64)
-    a_pos[a_elems] = np.arange(len(a_elems))
-    gs = np.arange(G.order)[:, None]
-    x = G.mul[G.inv[gs], a_elems[None, :]]               # g^-1 a
-    back = a_pos[G.mul[x, gs]]                           # g^-1 a g, as an A position
-    s = (alpha.exponents[x, gs] - alpha.exponents[gs, x]) % K
-    roots = np.exp(2j * np.pi * np.arange(K) / K)
+    K, n = alpha.order, len(irr_a)
+    gens = np.asarray(generating_set(G), dtype=np.int64)
+    S = gens[:, None]
+    x = G.mul[G.inv[S], np.asarray(a_map)[None, :]]     # s^-1 a
+    back = A.position(G.mul[x, S])                       # s^-1 a s, as an A position
+    s = (alpha.exponents[x, S] - alpha.exponents[S, x]) % K
     expo_a = alpha_a.exponents
-    chars = irr_a.character_values
-    perm = np.empty((G.order, len(irr_a)), dtype=np.int64)
-    for g in range(G.order):
-        sg, cg = s[g], back[g]
-        defect = (sg[:, None] + sg[None, :] + expo_a[np.ix_(cg, cg)]
-                  - expo_a - sg[a_std.mul]) % K
-        if defect.any():
-            a, b = np.argwhere(defect)[0]
-            raise DecompositionFailure(
-                f"g.tau is not an alpha|_A-representation at g={g}: "
-                f"certificate fails at (a, b) = ({a_map[a]}, {a_map[b]})"
-            )
-        try:
-            mult = irr_a.multiplicities(roots[sg] * chars[:, cg], tol.char)
-        except NonIntegerMultiplicity as exc:
-            raise UnmatchedCharacter(f"act({g}, tau) matches no table entry: {exc}") from exc
-        weight = mult.sum(axis=1)
-        if np.any(weight == 0):
-            raise UnmatchedCharacter(f"act({g}, tau_{np.argmin(weight)}) matches no table entry")
-        if np.any(weight > 1):
-            raise AmbiguousCharacter(f"act({g}, tau_{np.argmax(weight)}) decomposes over "
-                                     "several table entries")
-        perm[g] = np.argmax(mult, axis=1)
-    ident = np.arange(len(irr_a))
-    if not np.array_equal(perm[G.identity], ident):
-        raise DecompositionFailure("perm(1) is not the identity")
-    moving = np.flatnonzero(np.any(perm[a_elems] != ident, axis=1))
+    defect = (s[:, :, None] + s[:, None, :] + expo_a[back[:, :, None], back[:, None, :]]
+              - expo_a - s[:, a_std.mul]) % K
+    if defect.any():
+        i, a, b = np.argwhere(defect)[0]
+        raise DecompositionFailure(f"g.tau is not an alpha|_A-representation at g={gens[i]}: "
+                                   f"certificate fails at (a, b) = ({a_map[a]}, {a_map[b]})")
+    roots = np.exp(2j * np.pi * np.arange(K) / K)
+    moved = roots[s][:, None] * irr_a.character_values[:, back].swapaxes(0, 1)   # (|S|, n, |A|)
+    try:
+        mult = irr_a.multiplicities(moved.reshape(-1, len(a_map)), tol.char)
+    except NonIntegerMultiplicity as exc:
+        raise UnmatchedCharacter(f"act(s, tau) for s in {gens.tolist()} matches no table "
+                                 f"entry: {exc}") from exc
+    weight = mult.sum(axis=1)         # row i is act(gens[i // n], tau_{i % n})
+    if np.any(weight == 0):
+        i = np.argmin(weight)
+        raise UnmatchedCharacter(f"act({gens[i // n]}, tau_{i % n}) matches no table entry")
+    if np.any(weight > 1):
+        i = np.argmax(weight)
+        raise AmbiguousCharacter(f"act({gens[i // n]}, tau_{i % n}) decomposes over "
+                                 "several table entries")
+    perm = np.empty((G.order, n), dtype=np.int64)
+    perm[G.identity] = np.arange(n)
+    perm[gens] = np.argmax(mult, axis=1).reshape(len(gens), n)
+    for targets, lefts, rights in G._product_plan:
+        perm[targets] = np.take_along_axis(perm[lefts], perm[rights], axis=1)
+    moving = np.flatnonzero(np.any(perm[list(a_map)] != np.arange(n), axis=1))
     if moving.size:
         raise DecompositionFailure(f"perm({a_map[moving[0]]}) moves classes inside A")
-    for gen in generating_set(G):
-        bad = np.flatnonzero(np.any(perm[gen][perm] != perm[G.mul[gen]], axis=1))
-        if bad.size:
-            raise DecompositionFailure(f"action law fails at ({gen},{bad[0]})")
+    bad = np.argwhere(np.any(perm[gens][:, perm] != perm[G.mul[gens]], axis=2))
+    if bad.size:                      # bad[0] = (generator position, h)
+        raise DecompositionFailure(f"action law fails at ({gens[bad[0, 0]]},{bad[0, 1]})")
     return IrrAction(
         group=G, subgroup=A, alpha=alpha, base=irr_a, alpha_a=alpha_a,
         a_map=tuple(a_map), perm=perm,
@@ -277,31 +294,42 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
                tol: Tolerances | None = None) -> list[OrbitDatum]:
     """Isotropy groups, intertwiner families, and induced cocycles per orbit.
 
+    Orbits with the same isotropy group G_[tau] share its apparatus, built
+    once per distinct stabilizer: the handle, the group re-indexed, alpha
+    restricted to it, A inside it, the quotient Q_[tau] with its section,
+    and the sections as G indices. Only tau, sigma(q).tau, M and beta are
+    built per orbit.
+
     M(q) = intertwiner(tau, sigma(q).tau), whose phase makes tr(tau(a) M(q))
     real positive at the first a where |tr(tau(a) M(q))| is within tol.char
     of its maximum. These traces do not depend on the basis of tau, so
     neither does beta: it is the same for every seed.
 
     phase_seed, when given, multiplies each M(q), q != 1, by a fixed random
-    unit scalar: a convention change that moves beta by a coboundary and
-    must leave all cohomology-level outputs unchanged.
+    unit scalar, drawn orbit by orbit and then q by q: a convention change
+    that moves beta by a coboundary and must leave all cohomology-level
+    outputs unchanged.
 
     sigma(q).tau is gathered for every q at once, as act computes it for one
     g: the scalars and conjugates of _conjugation index tau's matrices.
     """
     tol = tol or default_tolerances()
-    G = action.group
-    A = action.subgroup
+    G, A = action.group, action.subgroup
     rng = np.random.default_rng(phase_seed) if phase_seed is not None else None
+    shared: dict[tuple[int, ...], dict] = {}
     data = []
     for members in action.orbits():
         rep_idx = members[0]
-        isotropy = _stabilizer(G, action.perm, rep_idx)
-        gt_group, gt_map = isotropy.as_group()
-        alpha_gt, _ = restrict(alpha, isotropy)
-        a_in_gt = SubgroupHandle(gt_group, tuple(isotropy.position(list(A.elements)).tolist()))
-        qs = quotient_with_section(gt_group, a_in_gt)
-        sections = np.asarray(gt_map)[list(qs.section)]
+        fixing = tuple(np.flatnonzero(action.perm[:, rep_idx] == rep_idx).tolist())
+        if fixing not in shared:        # the apparatus of one isotropy group G_[tau]
+            isotropy = SubgroupHandle(G, fixing)
+            gt_group, gt_map = isotropy.as_group()
+            a_in_gt = SubgroupHandle(gt_group, tuple(isotropy.position(list(A.elements)).tolist()))
+            qs = quotient_with_section(gt_group, a_in_gt)
+            shared[fixing] = dict(isotropy=isotropy, gt_group=gt_group, gt_map=tuple(gt_map),
+                                  alpha_gt=restrict(alpha, isotropy)[0], a_in_gt=a_in_gt,
+                                  quotient=qs, sections=np.asarray(gt_map)[list(qs.section)])
+        sections = shared[fixing]["sections"]
         tau = action.base.irreducibles[rep_idx]
         back, scale = _conjugation(alpha, sections[:, None], A.to_parent)
         moved = scale[..., None, None] * tau.matrices[A.position(back)]   # sigma(q).tau
@@ -312,14 +340,10 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
             if w is None:
                 raise UnmatchedCharacter(f"section element {sections[q]} does not fix the class")
             if rng is not None:
-                z = np.exp(2j * np.pi * rng.random())
-                w = z * w
+                w = np.exp(2j * np.pi * rng.random()) * w
             M[q] = w
-        datum = OrbitDatum(
-            representative=rep_idx, members=members, isotropy=isotropy,
-            gt_group=gt_group, gt_map=tuple(gt_map), alpha_gt=alpha_gt,
-            a_in_gt=a_in_gt, quotient=qs, sections=sections, tau=tau, M=M, beta=None,
-        )
+        datum = OrbitDatum(representative=rep_idx, members=members, **shared[fixing],
+                           tau=tau, M=M, beta=None)
         _check_m_family(datum, moved, tol)
         datum.beta = induced_cocycle(datum, alpha, tol)
         data.append(datum)
@@ -334,10 +358,12 @@ def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0
     The key is that of the action (the content digests of G and alpha, G's
     labels, A's elements, seed, tolerances) and phase_seed. A miss stores
     the action too, so later action_table calls on the same content skip
-    the rebuild. A hit is rebound to the caller: each
-    datum.isotropy is a new handle on G and datum.tau is the irreducible of
-    the action's base. No stored value holds G, A or alpha; the checks of
-    action_table run on every call, and a failure is never remembered.
+    the rebuild; an array that several data share, such as the tables of
+    one isotropy group, counts once toward the entry's size. A hit is
+    rebound to the caller: the data that share an isotropy group get one
+    new handle on G, and datum.tau is the irreducible of the action's base.
+    No stored value holds G, A or alpha; the checks of action_table run on
+    every call, and a failure is never remembered.
     """
     tol = tol or default_tolerances()
     action = action_table(G, A, alpha, seed=seed, tol=tol)
@@ -345,18 +371,20 @@ def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0
     key = _memo.key("orbit data", action_key, phase_seed)
     hit = _memo.get(key)
     if hit is not None:
-        return [replace(datum, isotropy=SubgroupHandle(G, datum.gt_map),
+        handles = {m: SubgroupHandle(G, m) for m in {datum.gt_map for datum in hit}}
+        return [replace(datum, isotropy=handles[datum.gt_map],
                         tau=action.base.irreducibles[datum.representative]) for datum in hit]
     data = orbit_data(action, alpha, phase_seed=phase_seed, tol=tol)
     # The base table's matrices and characters are counted by its irreducibles entry.
     _memo.put(action_key, replace(action, group=None, subgroup=None, alpha=None),
               sum(a.nbytes for a in (action.perm, action.alpha_a.exponents,
                                      action.base.group.mul, action.base.group.inv)))
+    arrays = {id(a): a for datum in data
+              for a in (datum.M, datum.beta.table, datum.alpha_gt.exponents,
+                        datum.gt_group.mul, datum.gt_group.inv, datum.sections,
+                        datum.q_group.mul, datum.q_group.inv, datum.quotient._chi_table)}
     _memo.put(key, [replace(datum, isotropy=None, tau=None) for datum in data],
-              sum(a.nbytes for datum in data
-                  for a in (datum.M, datum.beta.table, datum.alpha_gt.exponents,
-                            datum.gt_group.mul, datum.gt_group.inv, datum.sections,
-                            datum.q_group.mul, datum.q_group.inv, datum.quotient._chi_table)))
+              sum(a.nbytes for a in arrays.values()))
     return data
 
 

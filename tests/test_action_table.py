@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp import reps
+from twistdecomp import decomposition, reps
 from twistdecomp.cli import main
 from twistdecomp.errors import (
     AmbiguousCharacter,
@@ -34,18 +34,34 @@ def corrupted_alpha4():
     return td.Cocycle(group=td.dihedral(4), order=4, exponents=expo)
 
 
-def c2_x_d8_alpha():
-    """The trivial cocycle on C_2 times dihedral_alpha(4) on D_8."""
-    G = td.direct_product(td.cyclic(2), td.dihedral(4))
+def times_d8_alpha(H):
+    """H x D_8 under the trivial cocycle on H times dihedral_alpha(4) on D_8."""
+    G = td.direct_product(H, td.dihedral(4))
     d8_index = np.arange(G.order) % 8
     return G, td.make_cocycle(G, 4, td.dihedral_alpha(4).exponents[np.ix_(d8_index, d8_index)])
 
 
+def c2_x_d8_alpha():
+    return times_d8_alpha(td.cyclic(2))
+
+
+def s4():
+    return td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+
+
 def s4_normal(order):
     """S_4 with its normal subgroup of the given order, under the trivial cocycle."""
-    G = td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    G = s4()
     A = next(h for h in normal_subgroups(G) if h.order == order)
     return G, A, td.trivial_cocycle(G)
+
+
+def s4_x_d8_a4():
+    """S_4 x D_8 under times_d8_alpha with A = A_4 x 1: four generators, four
+    rounds of the product plan, and a 3-dimensional tau."""
+    G, alpha = times_d8_alpha(s4())
+    _, a4, _ = s4_normal(12)
+    return G, td.SubgroupHandle(G, [8 * x for x in a4.elements]), alpha
 
 
 def _cases():
@@ -67,6 +83,9 @@ def _cases():
     yield ("S4 A4", *s4_normal(12))       # a 3-dimensional tau
     yield ("S4 V4", *s4_normal(4))
     yield "D8 <a> alpha4 df", d8, td.subgroup_closure(d8, [1]), coboundary_twist(alpha4, 3)
+    yield ("S4xD8 A4x1", *s4_x_d8_a4())
+    d48 = td.dihedral(24)
+    yield "D48 <a>", d48, td.subgroup_closure(d48, [1]), td.dihedral_alpha(24)
 
 
 CASES = list(_cases())
@@ -132,20 +151,61 @@ def test_a_row_that_is_not_a_unit_vector_sets_the_exit_code(name, monkeypatch, c
     assert error.__name__ in capsys.readouterr().err
 
 
-def test_the_law_on_generators_sees_a_swap_elsewhere(monkeypatch, d8, alpha4, a_cyclic):
-    """perm(g) with two entries swapped, for a g that is neither a generator,
-    nor the identity, nor in A, breaks perm(s h) = perm(s) o perm(h) for
-    the generator s and the h with s h = g."""
-    g = 5                                    # a b
-    assert g not in generating_set(d8) and g != d8.identity and g not in a_cyclic.elements
-    calls = iter(range(d8.order))           # action_table decomposes g = 0, 1, ... in turn
+def on_generator(k, change):
+    """A change for tamper that passes the rows act(s_k, tau_i), i = 0..n-1, of the
+    k-th generator s_k through change: action_table stacks them generator by generator."""
+    def apply(mult):
+        rows = slice(k * mult.shape[1], (k + 1) * mult.shape[1])
+        mult = mult.copy()
+        mult[rows] = change(mult[rows])
+        return mult
+    return apply
 
-    def swap_at_g(mult):
-        return mult[[1, 0, *range(2, len(mult))]] if next(calls) == g else mult
 
-    tamper(monkeypatch, swap_at_g)
-    with pytest.raises(DecompositionFailure, match="action law"):
+def test_a_swap_in_perm_of_a_moves_classes_inside_a(monkeypatch, d8, alpha4, a_cyclic):
+    assert generating_set(d8) == [1, 4]                  # a, b
+    tamper(monkeypatch, on_generator(0, lambda rows: rows[[1, 0, *range(2, len(rows))]]))
+    with pytest.raises(DecompositionFailure, match="moves classes inside A"):
         td.action_table(d8, a_cyclic, alpha4, seed=0)
+
+
+def test_perm_of_b_the_identity_passes_the_laws_but_fails_the_sections(
+        monkeypatch, d8, alpha4, a_cyclic):
+    """perm(b) = id obeys every relation of D_8, so the table is a homomorphism
+    and action_table accepts it; the section element b of an orbit's isotropy
+    quotient then does not fix the class."""
+    assert generating_set(d8) == [1, 4]
+    tamper(monkeypatch, on_generator(1, lambda rows: np.eye(len(rows), dtype=rows.dtype)))
+    action = td.action_table(d8, a_cyclic, alpha4, seed=0)
+    monkeypatch.undo()
+    assert np.array_equal(action.perm[4], np.arange(len(action.base)))
+    with pytest.raises(UnmatchedCharacter, match="section element 4 does not fix the class"):
+        td.orbit_data(action, alpha4)
+
+
+def test_one_decomposition_per_table_and_one_quotient_per_isotropy_group(monkeypatch):
+    """dihedral(24) with A = <a>: 12 orbits share one isotropy group. The
+    action table decomposes all its moved characters in one call, and
+    orbit_data builds the isotropy quotient once."""
+    G = td.dihedral(24)
+    A, alpha = td.subgroup_closure(G, [1]), td.dihedral_alpha(24)
+    calls = {"multiplicities": 0, "quotient_with_section": 0}
+
+    def counted(owner, name):
+        honest = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return honest(*args)
+        monkeypatch.setattr(owner, name, call)
+
+    counted(reps.IrrTable, "multiplicities")
+    counted(decomposition, "quotient_with_section")
+    action = td.action_table(G, A, alpha, seed=0)
+    assert calls == {"multiplicities": 1, "quotient_with_section": 0}
+    data = td.orbit_data(action, alpha)
+    assert len(data) == 12 and len({datum.isotropy.elements for datum in data}) == 1
+    assert calls == {"multiplicities": 1, "quotient_with_section": 1}
 
 
 def bfs_orbits(table):

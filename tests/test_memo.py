@@ -540,6 +540,24 @@ class TestOrbitDecomposition:
         _memo.clear()
         assert decomposition_summary(d8, a_center, alpha4) == warm
 
+    def test_tables_shared_by_orbits_count_once(self):
+        """dihedral(64) with A = <a>: 32 orbits share one isotropy group. Its
+        tables count once toward the entry, which then fits the budget; counted
+        once per orbit they would exceed it."""
+        G = td.dihedral(64)
+        A, alpha = td.subgroup_closure(G, [1]), td.dihedral_alpha(64)
+        data = _orbit_data(G, A, alpha)
+        key = _memo.key("orbit data",
+                        decomposition._action_key(G, A, alpha, 0, td.default_tolerances()), None)
+        _, nbytes = _memo._shared._entries[key]
+        first = data[0]
+        shared = (first.alpha_gt.exponents, first.gt_group.mul, first.gt_group.inv,
+                  first.sections, first.q_group.mul, first.q_group.inv, first.quotient._chi_table)
+        assert len(data) == 32 and all(d.gt_group is first.gt_group for d in data)
+        assert nbytes == (sum(a.nbytes for a in shared) +
+                          sum(d.M.nbytes + d.beta.table.nbytes for d in data))
+        assert len(data) * sum(a.nbytes for a in shared) > _memo.BUDGET_BYTES
+
 
 class TestIsotropySummand:
     @pytest.mark.parametrize("part", sorted(SUMMAND_KEY_PARTS))

@@ -11,7 +11,9 @@ must be identical. The script then checks, between the trees:
 - for dihedral(n), n = 1..12, under the trivial cocycle and, for even n,
   dihedral_alpha(n), for S_4 under the trivial cocycle, for C_2 x D_8 and
   S_4 x D_8 under dihedral_alpha(4) pulled back from the D_8 factor, and
-  every normal subgroup A, running verify_point_decomposition(seed=0)
+  every normal subgroup A, and for dihedral(24) and dihedral(64) under
+  dihedral_alpha with A = <a> and <a^2>, where many orbits share one
+  isotropy group, running verify_point_decomposition(seed=0)
   (the 31 normal subgroups of S_4 x D_8 give quotients of order up to 192
   and tau of dimension 1 to 6): the dimensions and characters (within
   tol.char, entry by entry in table order) of the irreducibles of
@@ -85,11 +87,16 @@ def configurations():
     """(name, CLI arguments or None, G, A, alpha) for every normal A of: dihedral(n),
     n = 1..12; S_4 under the trivial cocycle; and C_2 x D_8 and S_4 x D_8 under
     dihedral_alpha(4) pulled back from the D_8 factor. The last three have no CLI
-    group spec."""
+    group spec. Then A = <a> and <a^2> of dihedral(24) and dihedral(64) under
+    dihedral_alpha."""
     import numpy as np
 
     import twistdecomp as td
     from twistdecomp.groups import normal_subgroups
+
+    def dihedral_case(n, name, spec, alpha, A):
+        args = [f"dihedral:{n}", spec, "--A=" + ",".join(map(str, A.elements))]
+        return f"dihedral:{n} {name} A={list(A.elements)}", args, alpha.group, A, alpha
 
     for n in range(1, 13):
         G = td.dihedral(n)
@@ -98,8 +105,7 @@ def configurations():
             cocycles.append(("dihedral_alpha", f"dihedral_alpha:{n}", td.dihedral_alpha(n)))
         for name, spec, alpha in cocycles:
             for A in normal_subgroups(G):
-                args = [f"dihedral:{n}", spec, "--A=" + ",".join(map(str, A.elements))]
-                yield f"dihedral:{n} {name} A={list(A.elements)}", args, G, A, alpha
+                yield dihedral_case(n, name, spec, alpha, A)
     s4 = td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
 
     def pulled_back(G):
@@ -114,6 +120,11 @@ def configurations():
              pulled_back(td.direct_product(s4, td.dihedral(4))))):
         for A in normal_subgroups(alpha.group):
             yield f"{name} A={list(A.elements)}", None, alpha.group, A, alpha
+    for n in (24, 64):
+        alpha = td.dihedral_alpha(n)
+        for generator in (1, 2):                # a, a^2
+            A = td.subgroup_closure(alpha.group, [generator])
+            yield dihedral_case(n, "dihedral_alpha", f"dihedral_alpha:{n}", alpha, A)
 
 
 def irr_configurations():
