@@ -122,8 +122,43 @@ class Cocycle:
         return UnitScalar(int(self.exponents[g, h]), self.order)
 
     @cached_property
+    def _roots(self) -> np.ndarray | None:
+        """The K roots exp(2*pi*i * k / K), k = 0..K-1, read-only, or None
+        where they would take more bytes than the exponents (K > |G|^2 / 2).
+        The one float array a cocycle keeps; only roots_of reads it."""
+        if 2 * self.order > self.exponents.size:
+            return None
+        roots = np.exp(2j * np.pi * np.arange(self.order) / self.order)
+        roots.flags.writeable = False
+        return roots
+
+    def roots_of(self, exponents) -> np.ndarray:
+        """exp(2*pi*i * e / K) for an integer array e of exponents in [0, K), as a new array.
+
+        A gather from the cached roots, or where K is too large to cache
+        them, the exponential of e itself: the bits are those of
+        np.exp(2j * np.pi * e / K) either way, and the memory is e's, not K's.
+        """
+        roots = self._roots
+        if roots is None:
+            return np.exp(2j * np.pi * np.asarray(exponents) / self.order)
+        return roots[exponents]
+
+    def values(self, g, h) -> np.ndarray:
+        """alpha(g, h) as complex values, for index arrays g and h broadcast together."""
+        return self.roots_of(self.exponents[g, h])
+
+    @property
     def complex_table(self) -> np.ndarray:
-        table = np.exp(2j * np.pi * self.exponents / self.order)
+        """Every alpha(g, h) as a new read-only (|G|, |G|) complex array.
+
+        Made by roots_of on each access and never cached, so a cocycle
+        holds no |G|^2 float array. The values are bit-identical to
+        np.exp(2j * np.pi * exponents / order). A caller that reads the whole
+        table several times, such as a split, gathers it once and passes it
+        on; a caller that reads a few entries asks values for them.
+        """
+        table = self.roots_of(self.exponents)
         table.flags.writeable = False
         return table
 
@@ -164,6 +199,10 @@ class NumericCocycle:
     def __post_init__(self):
         self.table = np.ascontiguousarray(self.table, dtype=np.complex128)
         self.table.flags.writeable = False
+
+    def values(self, g, h) -> np.ndarray:
+        """beta(g, h) for index arrays g and h broadcast together."""
+        return self.table[g, h]
 
     @property
     def complex_table(self) -> np.ndarray:
@@ -265,7 +304,7 @@ def trivial_cocycle(group: FiniteGroup, order: int = 1) -> Cocycle:
 
 
 def numeric_from_exact(alpha: Cocycle) -> NumericCocycle:
-    return NumericCocycle(group=alpha.group, table=np.array(alpha.complex_table))
+    return NumericCocycle(group=alpha.group, table=alpha.complex_table)
 
 
 def dihedral_alpha(n: int) -> Cocycle:

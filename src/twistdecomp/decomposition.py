@@ -105,9 +105,8 @@ def conjugate_rep(cocycle, H: SubgroupHandle, g: int,
 def _conjugation(cocycle, g: int, elements) -> tuple[np.ndarray, np.ndarray]:
     """back = g^-1 h g and scale = alpha(g^-1 h, g) alpha(g, g^-1 h)^-1 for every h."""
     G = cocycle.group
-    ctable = cocycle.complex_table
     x = G.mul[G.inv[g], np.asarray(elements, dtype=np.int64)]    # g^-1 h
-    return G.mul[x, g], ctable[x, g] * np.conj(ctable[g, x])
+    return G.mul[x, g], cocycle.values(x, g) * np.conj(cocycle.values(g, x))
 
 
 @dataclass(eq=False)
@@ -226,8 +225,7 @@ def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
         i, a, b = np.argwhere(defect)[0]
         raise DecompositionFailure(f"g.tau is not an alpha|_A-representation at g={gens[i]}: "
                                    f"certificate fails at (a, b) = ({a_map[a]}, {a_map[b]})")
-    roots = np.exp(2j * np.pi * np.arange(K) / K)
-    moved = roots[s][:, None] * irr_a.character_values[:, back].swapaxes(0, 1)   # (|S|, n, |A|)
+    moved = alpha.roots_of(s)[:, None] * irr_a.character_values[:, back].swapaxes(0, 1)   # (|S|, n, |A|)
     try:
         mult = irr_a.multiplicities(moved.reshape(-1, len(a_map)), tol.char)
     except NonIntegerMultiplicity as exc:
@@ -418,8 +416,7 @@ def induced_cocycle(datum: OrbitDatum, alpha: Cocycle,
     tol = tol or default_tolerances()
     qs = datum.quotient
     Q = qs.quotient
-    K = datum.alpha_gt.order
-    scal = np.exp(2j * np.pi * np.arange(K) / K)[_tau_exponents(datum.alpha_gt, qs)]
+    scal = datum.alpha_gt.roots_of(_tau_exponents(datum.alpha_gt, qs))
     M = datum.M
     Minv = np.conj(np.swapaxes(M, 1, 2))
     taus = datum.tau.matrices[datum.a_in_gt.position(qs._chi_table)]
@@ -488,11 +485,11 @@ def _hom_weights(datum: OrbitDatum, alpha: Cocycle) -> tuple[np.ndarray, np.ndar
     f -> (1/|A|) sum_a W(a)^-1 f tau(a) projects onto Hom_A, and the trace
     of f -> X f Y is tr X tr Y. It is 0 where W has no tau component.
     """
-    G, ctable = alpha.group, alpha.complex_table
+    G = alpha.group
     a_inv = G.inv[np.asarray(_a_parent_order(datum))][None, :]
     s = datum.sections[:, None]
     traces = np.einsum("aij,qij->qa", datum.tau.matrices, np.conj(datum.M))
-    scale = ctable[s, a_inv] * np.conj(ctable[G.inv[a_inv], a_inv])
+    scale = alpha.values(s, a_inv) * np.conj(alpha.values(G.inv[a_inv], a_inv))
     return G.mul[s, a_inv], scale * traces / a_inv.size
 
 
@@ -551,17 +548,17 @@ def reconstruct_rep(datum: OrbitDatum, hom: ProjectiveRep,
     """
     tol = tol or default_tolerances()
     gt = datum.gt_group
-    ctable = datum.alpha_gt.complex_table
+    alpha_gt = datum.alpha_gt
     h = np.arange(gt.order)
     q = np.asarray(datum.quotient.projection)
     s = np.asarray(datum.quotient.section)[q]
     sinv = gt.inv[s]
     x = gt.mul[sinv, h]                      # sigma(q)^-1 h, lies in A
-    scale = np.conj(ctable[s, sinv]) * ctable[sinv, h]
+    scale = np.conj(alpha_gt.values(s, sinv)) * alpha_gt.values(sinv, h)
     left = datum.M[q] @ (scale[:, None, None] * datum.tau.matrices[datum.a_in_gt.position(x)])
     d = datum.tau.dim * hom.dim
     kron = left[:, :, None, :, None] * hom.matrices[q][:, None, :, None, :]
-    rep = ProjectiveRep(gt, datum.alpha_gt, d, kron.reshape(gt.order, d, d))
+    rep = ProjectiveRep(gt, alpha_gt, d, kron.reshape(gt.order, d, d))
     report = validate_rep(rep, tol)
     if not report.ok:
         raise DecompositionFailure(f"reconstruction is not a representation: {report.violations[:3]}")
@@ -611,13 +608,13 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
     quotient as exactly one class with multiplicity 1, whose dimension
     chi_Hom(1) is the multiplicity of tau in W|_A (MatchFailure otherwise).
     The global matching is a bijection whose counts give the rank identity.
-    hom_rep builds the same representation explicitly.
+    hom_rep builds the same representation explicitly. action_table runs
+    first, so a subgroup that is not normal raises NotNormal, from its one
+    check, before any split.
     """
     tol = tol or default_tolerances()
-    if not is_normal(G, A):
-        raise NotNormal("decomposition requires a normal subgroup")
+    action = action_table(G, A, alpha, seed=seed, tol=tol)    # checks that A is normal, first
     irr_g = irreducibles(G, alpha, seed=seed, tol=tol)
-    action = action_table(G, A, alpha, seed=seed, tol=tol)
     orbits = orbit_data(action, alpha, phase_seed=phase_seed, tol=tol)
     beta_tables = [
         irreducibles(datum.q_group, datum.beta, seed=seed, tol=tol) for datum in orbits

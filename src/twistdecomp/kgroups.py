@@ -212,11 +212,10 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
 
 def _summand_bytes(sub_group: FiniteGroup, sub_cocycle) -> int:
     """What a summand entry adds: its matrices and characters are the arrays
-    of the irreducibles entry of (sub_group, sub_cocycle)."""
-    arrays = [sub_group.mul, sub_group.inv, sub_cocycle.complex_table]
-    if isinstance(sub_cocycle, Cocycle):
-        arrays.append(sub_cocycle.exponents)
-    return sum(a.nbytes for a in arrays)
+    of the irreducibles entry of (sub_group, sub_cocycle). An exact cocycle
+    stores its exponents, a numeric one its values."""
+    table = sub_cocycle.exponents if isinstance(sub_cocycle, Cocycle) else sub_cocycle.table
+    return sub_group.mul.nbytes + sub_group.inv.nbytes + table.nbytes
 
 
 def acts_trivially(x: FiniteGSet, A: SubgroupHandle) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .decomposition import DecompositionReport
 from .kgroups import GSetDecompositionReport
-from .reps import AlphaCharacter, IrrTable, _rounded
+from .reps import IrrTable, _rounded
 
 SCHEMA_VERSION = 1
 _DIGITS = 9
@@ -22,9 +22,16 @@ def _num(x: float) -> float:
     return round(float(x), _DIGITS) + 0.0
 
 
-def character_fingerprint(chi: AlphaCharacter) -> str:
-    parts = [f"{re:.9f},{im:.9f}" for re, im in chi.fingerprint(_DIGITS)]
-    return f"d{chi.dim}|" + ";".join(parts)
+def _fingerprints(values: np.ndarray) -> list[str]:
+    """The fingerprint string of each row of a (#chars, |G|) stack of characters.
+
+    "d<dim>|" and then "re,im" of every value, rounded as
+    AlphaCharacter.fingerprint rounds it, joined by ";". One _rounded pass
+    covers the whole stack.
+    """
+    rounded = _rounded(np.stack([values.real, values.imag], axis=-1), _DIGITS).tolist()
+    return [f"d{int(round(first.real))}|" + ";".join(f"{re:.9f},{im:.9f}" for re, im in row)
+            for first, row in zip(values[:, 0], rounded)]
 
 
 def matrix_pairs(m: np.ndarray) -> list:
@@ -39,11 +46,12 @@ def to_json(payload: dict) -> str:
 
 def irr_table_payload(table: IrrTable, include_matrices: bool = False) -> dict:
     entries = []
-    for rep, chi in zip(table.irreducibles, table.characters):
+    for rep, chi, fingerprint in zip(table.irreducibles, table.characters,
+                                     _fingerprints(table.character_values)):
         entry = {
             "dim": rep.dim,
             "character": matrix_pairs(chi.values),
-            "fingerprint": character_fingerprint(chi),
+            "fingerprint": fingerprint,
         }
         if include_matrices:
             entry["matrices"] = matrix_pairs(rep.matrices)
@@ -79,13 +87,14 @@ def _fmt_complex(z: complex) -> str:
 
 
 def decomposition_payload(report: DecompositionReport) -> dict:
+    """The JSON payload of a point decomposition; each table's fingerprints are made once."""
+    irr_g = _fingerprints(report.irr_g.character_values)
+    irr_a = _fingerprints(report.action.base.character_values)
+    beta = [_fingerprints(table.character_values) for table in report.beta_tables]
     orbits = []
-    for datum, table in zip(report.orbits, report.beta_tables):
+    for datum, table, beta_fingerprints in zip(report.orbits, report.beta_tables, beta):
         orbits.append({
-            "members": [
-                character_fingerprint(report.action.base.characters[i])
-                for i in datum.members
-            ],
+            "members": [irr_a[i] for i in datum.members],
             "member_indices": list(datum.members),
             "isotropy": {
                 "order": datum.isotropy.order,
@@ -95,18 +104,16 @@ def decomposition_payload(report: DecompositionReport) -> dict:
             "quotient_order": datum.q_group.order,
             "beta": matrix_pairs(datum.beta.table),
             "beta_irr_dims": list(table.dims),
-            "beta_irr_fingerprints": [
-                character_fingerprint(c) for c in table.characters
-            ],
+            "beta_irr_fingerprints": beta_fingerprints,
         })
     matching = []
     for wi, (oi, ci) in enumerate(report.matching):
         matching.append({
             "g_irr_index": wi,
-            "g_irr": character_fingerprint(report.irr_g.characters[wi]),
+            "g_irr": irr_g[wi],
             "orbit": oi,
             "class_index": ci,
-            "class": character_fingerprint(report.beta_tables[oi].characters[ci]),
+            "class": beta[oi][ci],
         })
     return {
         "schema": SCHEMA_VERSION,
@@ -120,14 +127,12 @@ def decomposition_payload(report: DecompositionReport) -> dict:
         "irr_g": {
             "count": len(report.irr_g),
             "dims": list(report.irr_g.dims),
-            "fingerprints": [character_fingerprint(c) for c in report.irr_g.characters],
+            "fingerprints": irr_g,
         },
         "irr_a": {
             "count": len(report.action.base),
             "dims": list(report.action.base.dims),
-            "fingerprints": [
-                character_fingerprint(c) for c in report.action.base.characters
-            ],
+            "fingerprints": irr_a,
         },
         "orbits": orbits,
         "matching": matching,

@@ -51,7 +51,9 @@ _CLUSTER_ATOL = 1e-7
 # products themselves carry rounding errors of about 1e-16 per factor.
 _RELATION_FLOOR = 1e-12
 _FINGERPRINT_DIGITS = 9
-_PHI_CHUNK = 1 << 14     # (g, h) pairs per accumulation in _conjugation_weights
+# Entries per temporary in the chunked loops of a split: (g, h) pairs in
+# _conjugation_weights, matrix entries in _block_matrices and _relation_residuals.
+_CHUNK = 1 << 14
 
 
 @dataclass(eq=False)
@@ -226,7 +228,8 @@ def _cluster_sorted(w: np.ndarray) -> list[np.ndarray]:
     return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > atol) + 1)
 
 
-def _split_regular(G: FiniteGroup, cocycle, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _split_regular(G: FiniteGroup, cocycle, ctable: np.ndarray,
+                   seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Eigenvectors and eigenvalue clusters of a random element of the commutant.
 
     The right operators R(k) e_h = alpha(h,k) e_{hk} commute with every
@@ -235,14 +238,15 @@ def _split_regular(G: FiniteGroup, cocycle, seed: int) -> tuple[np.ndarray, list
     irreducible invariant subspace; a class of dimension d owns d of them.
     T is diagonalized by _commutant_eigh, block by block; its eigenvalues
     are then sorted globally and clustered, and each cluster holds the
-    indices of its columns of V.
+    indices of its columns of V. ctable is cocycle.complex_table.
     """
-    w, V = _commutant_eigh(G, cocycle, seed)
+    w, V = _commutant_eigh(G, cocycle, ctable, seed)
     order = np.argsort(w, kind="stable")
     return V, [order[idx] for idx in _cluster_sorted(w[order])]
 
 
-def _commutant_eigh(G: FiniteGroup, cocycle, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _commutant_eigh(G: FiniteGroup, cocycle, ctable: np.ndarray,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unitary eigenvectors of T = X + X^H, from m blocks of order |G|/m.
 
     c_k is drawn from default_rng(seed), X = sum_k c_k R(k). T commutes with
@@ -260,14 +264,14 @@ def _commutant_eigh(G: FiniteGroup, cocycle, seed: int) -> tuple[np.ndarray, np.
     O(|G|^3 / m^2) in place of O(|G|^3), at least 4 times less for |G| > 1.
     Its eigenvectors W give V[c^j r, k |G|/m + i] = f_{r,k}[c^j r] W_k[r, i],
     one broadcast product and a scatter; w and the columns of V come in
-    that (k, i) order, ascending within each block.
+    that (k, i) order, ascending within each block. ctable is
+    cocycle.complex_table.
     """
     n = G.order
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     c, P = G._cyclic_cosets
     s, m = P.shape
-    ctable = cocycle.complex_table
     phases = _coset_phases(cocycle, c, P)
     starts = P[:, :1, None]
     k_in = G.mul[G.inv[P], starts]       # X[r, h] = c_k alpha(h, k) for k = h^-1 r
@@ -306,7 +310,7 @@ def _coset_phases(cocycle, c: int, P: np.ndarray) -> np.ndarray:
             raise InvalidCocycle(f"cosets of <{c}> wrap with exponents {np.unique(wrap).tolist()} "
                                  f"mod {K}, so L({c})^{m} is not a scalar")
         return np.exp(2j * np.pi / (K * m) * ((m * (cum - expo) - steps * wrap[0]) % (K * m)))
-    angle = np.angle(cocycle.complex_table[c, P])
+    angle = np.angle(cocycle.values(c, P))
     cum = np.cumsum(angle, axis=1)
     wrap = cum[0, -1] + np.angle(np.exp(1j * (cum[:, -1] - cum[0, -1])))
     return np.exp(1j * (cum - angle - steps * (wrap / m)[:, None]))
@@ -323,7 +327,7 @@ def _conjugation_weights(G: FiniteGroup, ctable: np.ndarray) -> np.ndarray:
     n = G.order
     phi = np.zeros(n * n, dtype=np.complex128)
     g = np.arange(n)[:, None]
-    step = max(1, _PHI_CHUNK // n)
+    step = max(1, _CHUNK // n)
     for lo in range(0, n, step):
         h = np.arange(lo, min(n, lo + step))
         k = G.mul[G.inv[h], G.mul[:, h]]
@@ -345,18 +349,18 @@ def _block_characters(V: np.ndarray, clusters: list[np.ndarray], identity: int,
     return np.add.reduceat(terms, starts, axis=1).T @ phi
 
 
-def _block_matrices(G: FiniteGroup, cocycle, B: np.ndarray) -> np.ndarray:
+def _block_matrices(G: FiniteGroup, cocycle, ctable: np.ndarray, B: np.ndarray) -> np.ndarray:
     """B_c^H rho_reg(g) B_c for every g and every basis of an (m, |G|, d) stack, as (m, |G|, d, d).
 
     Over an exact cocycle only the generators are compressed; every other
     element is a product rho(l) rho(r) / alpha(l, r) along the group's
-    product plan, for all m bases at once. A numeric cocycle holds its
+    product plan, for all m bases at once, in chunks of targets that keep
+    each temporary within _CHUNK entries. A numeric cocycle holds its
     identity only within tol.cocycle, and products would add up its defects
     along words, so there every element is compressed: row i of rho(g) is
-    sum_h conj(B[gh, i]) alpha(g,h) B[h].
+    sum_h conj(B[gh, i]) alpha(g,h) B[h]. ctable is cocycle.complex_table.
     """
     m, n, d = B.shape
-    ctable = cocycle.complex_table
     mats = np.empty((m, n, d, d), dtype=np.complex128)
     if not cocycle.is_exact:
         Bc = B.conj()
@@ -369,10 +373,13 @@ def _block_matrices(G: FiniteGroup, cocycle, B: np.ndarray) -> np.ndarray:
         shifted = B[:, G.mul[s]].conj()
         shifted *= ctable[s][:, None]
         mats[:, s] = np.matmul(shifted.transpose(0, 2, 1), B)
+    step = max(1, _CHUNK // (m * d * d))
     for targets, lefts, rights in G._product_plan:
-        products = _products(mats, lefts, rights)
-        products /= ctable[lefts, rights][:, None, None]
-        mats[:, targets] = products
+        for lo in range(0, len(targets), step):
+            left, right = lefts[lo:lo + step], rights[lo:lo + step]
+            products = _products(mats, left, right)
+            products /= ctable[left, right][:, None, None]
+            mats[:, targets[lo:lo + step]] = products
     return mats
 
 
@@ -394,21 +401,28 @@ def _relation_residuals(G: FiniteGroup, ctable: np.ndarray, mats: np.ndarray,
     """(m, len(lefts), |G|) max-abs of rho(s) rho(h) - alpha(s,h) rho(sh) for an (m, |G|, d, d) stack.
 
     Entry (c, j, h) is the relation residual of representation c at
-    s = lefts[j] and h; a NaN matrix entry makes the entries it reaches NaN.
-    rho(s) rho(h) for all h is one (d, d) @ (d, |G| d) product per
-    representation and left element. The max over the two entry axes is
-    taken as one reduction over a leading axis, which numpy does several
-    times faster than over the two separate length-d axes.
+    s = lefts[j] and h; a NaN matrix entry makes the entries it reaches NaN,
+    all within representation c. rho(s) rho(h) for all h is one
+    (d, d) @ (d, |G| d) product per representation and left element. The
+    max over the two entry axes is taken as one reduction over a leading
+    axis, which numpy does several times faster than over the two separate
+    length-d axes. The representations are taken in chunks of k, so that
+    each of the four (k, d, |G|, d) temporaries holds at most _CHUNK
+    entries (or one representation).
     """
     m, n, d, _ = mats.shape
-    rows = np.ascontiguousarray(mats.transpose(0, 2, 1, 3))     # rows[c, i, h] = row i of rho(h)
     out = np.empty((m, len(lefts), n))
-    for j, s in enumerate(lefts):
-        diff = (mats[:, s] @ rows.reshape(m, d, n * d)).reshape(m, d, n, d)
-        rhs = rows[:, :, G.mul[s]]
-        rhs *= ctable[s][:, None]
-        diff -= rhs
-        out[:, j] = np.abs(diff).transpose(1, 3, 0, 2).reshape(d * d, m, n).max(axis=0)
+    step = max(1, _CHUNK // (d * n * d))
+    for lo in range(0, m, step):
+        chunk = mats[lo:lo + step]
+        k = len(chunk)
+        rows = np.ascontiguousarray(chunk.transpose(0, 2, 1, 3))    # rows[c, i, h] = row i of rho(h)
+        for j, s in enumerate(lefts):
+            diff = (chunk[:, s] @ rows.reshape(k, d, n * d)).reshape(k, d, n, d)
+            rhs = rows[:, :, G.mul[s]]
+            rhs *= ctable[s][:, None]
+            diff -= rhs
+            out[lo:lo + k, j] = np.abs(diff).transpose(1, 3, 0, 2).reshape(d * d, k, n).max(axis=0)
     return out
 
 
@@ -562,17 +576,41 @@ def _table(G: FiniteGroup, cocycle, matrices: list[np.ndarray],
 
 def _split_certified(G: FiniteGroup, cocycle, seed: int,
                      tol: Tolerances) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The sorted matrices and characters of a certified table, redrawing up to 5 seeds."""
-    phi = _conjugation_weights(G, cocycle.complex_table)
+    """The sorted matrices and characters of a certified table, redrawing up to 5 seeds.
+
+    The cocycle's complex table is gathered once here, and every stage
+    reads that copy. The eigenvectors of an attempt are passed straight on
+    and never bound here, and a failed attempt's error is kept without its
+    traceback, whose frames would hold them: so the next seed starts
+    without the failed attempt's arrays, and the sort runs after the
+    eigenvectors are freed.
+    """
+    ctable = cocycle.complex_table
+    phi = _conjugation_weights(G, ctable)
     last_error: Exception | None = None
     for attempt in range(5):
         try:
-            V, clusters = _split_regular(G, cocycle, seed + attempt)
-            table = _assemble_table(G, cocycle, V, clusters, phi, tol)
-            return [r.matrices for r in table.irreducibles], [c.values for c in table.characters]
+            matrices, values = _assemble_table(
+                G, cocycle, ctable, *_split_regular(G, cocycle, ctable, seed + attempt), phi, tol)
         except SplitFailure as exc:
-            last_error = exc
+            last_error = _without_frames(exc)
+            continue
+        order = _table_order(values)
+        return [matrices[i] for i in order], [values[i] for i in order]
     raise SplitFailure(f"no clean split after 5 seeds starting at {seed}") from last_error
+
+
+def _without_frames(exc: BaseException) -> BaseException:
+    """exc after dropping its traceback and those of the exceptions chained to it.
+
+    The messages and the chain stay; the frames, with the locals they hold,
+    are freed as soon as nothing else refers to them.
+    """
+    link = exc
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return exc
 
 
 def _character_classes(chars: np.ndarray, tol: float) -> tuple[list[int], list[int]]:
@@ -596,9 +634,11 @@ def _character_classes(chars: np.ndarray, tol: float) -> tuple[list[int], list[i
     return firsts.tolist(), np.bincount(classes)[firsts].tolist()
 
 
-def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.ndarray],
-                    phi: np.ndarray, tol: Tolerances) -> IrrTable:
-    """One certified table entry per character class of the split blocks.
+def _assemble_table(G: FiniteGroup, cocycle, ctable: np.ndarray, V: np.ndarray,
+                    clusters: list[np.ndarray], phi: np.ndarray,
+                    tol: Tolerances) -> tuple[list[np.ndarray], np.ndarray]:
+    """The matrices and the (#irr, |G|) characters of one certified entry per
+    character class of the split blocks, by ascending dimension.
 
     Blocks are deduplicated by _character_classes, the rule of multiplicity
     on the Gram matrix of their characters (phi is _conjugation_weights).
@@ -609,10 +649,9 @@ def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.nd
     defining relation rho(s) rho(h) = alpha(s,h) rho(sh) for s in the
     generating set and every h within _relation_tol, and every entry has
     commutant dimension 1. The entries of one dimension are built and
-    certified together.
+    certified together. ctable is cocycle.complex_table.
     """
     n = G.order
-    ctable = cocycle.complex_table
     firsts, counts = _character_classes(_block_characters(V, clusters, G.identity, phi), tol.char)
     dims = [clusters[c].size for c in firsts]
     if counts != dims:
@@ -627,7 +666,7 @@ def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.nd
     traces: list[np.ndarray] = []
     for d in sorted(set(dims)):
         idx = np.array([clusters[c] for c in firsts if clusters[c].size == d])
-        mats = _block_matrices(G, cocycle, np.ascontiguousarray(np.moveaxis(V[:, idx], 0, 1)))
+        mats = _block_matrices(G, cocycle, ctable, np.ascontiguousarray(np.moveaxis(V[:, idx], 0, 1)))
         residual = _relation_residuals(G, ctable, mats, generating_set(G)).max(initial=0.0)
         if not residual <= rtol:
             raise SplitFailure(f"blocks of dimension {d} miss the defining relation by {residual:.2e}")
@@ -635,12 +674,7 @@ def _assemble_table(G: FiniteGroup, cocycle, V: np.ndarray, clusters: list[np.nd
             raise SplitFailure(f"block of dimension {d} is not irreducible")
         matrices.extend(mats)
         traces.append(np.trace(mats, axis1=2, axis2=3))
-    values = np.concatenate(traces)
-    order = _table_order(values)
-    return IrrTable(group=G, cocycle=cocycle,
-                    irreducibles=[ProjectiveRep(G, cocycle, matrices[i].shape[1], matrices[i])
-                                  for i in order],
-                    characters=[AlphaCharacter(values[i]) for i in order])
+    return matrices, np.concatenate(traces)
 
 
 def coboundary_cochain(beta: Cocycle | NumericCocycle, lattice_order: int,

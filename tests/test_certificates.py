@@ -29,7 +29,7 @@ TOL = td.default_tolerances()
 
 
 def block_characters(G, alpha, seed=0):
-    V, clusters = reps._split_regular(G, alpha, seed)
+    V, clusters = reps._split_regular(G, alpha, alpha.complex_table, seed)
     phi = reps._conjugation_weights(G, alpha.complex_table)
     return V, clusters, reps._block_characters(V, clusters, G.identity, phi)
 
@@ -81,8 +81,8 @@ class TestCharacterClasses:
     def test_nan_fails_the_split(self, monkeypatch, d8, alpha4, exact):
         honest = reps._block_matrices
 
-        def with_nan_entry(G, cocycle, B):
-            mats = honest(G, cocycle, B)
+        def with_nan_entry(G, cocycle, ctable, B):
+            mats = honest(G, cocycle, ctable, B)
             mats[:, 3, 0, 1] = np.nan
             return mats
 

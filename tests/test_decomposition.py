@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp import decomposition
-from twistdecomp.errors import DecompositionFailure, MatchFailure, NotIsotypic
+from twistdecomp import decomposition, report, reps
+from twistdecomp.errors import DecompositionFailure, MatchFailure, NotIsotypic, NotNormal
 from twistdecomp.groups import full_subgroup, normal_subgroups, trivial_subgroup
 from twistdecomp.report import decomposition_payload
 from twistdecomp.reps import _hom_space, _nullspace
@@ -331,6 +331,26 @@ class TestVerifyPointDecomposition:
             rep = td.verify_point_decomposition(d8, A, alpha, seed=0)
             assert rep.rank_ok
 
+    def test_normality_is_checked_once(self, monkeypatch, d8, alpha4, a_cyclic):
+        calls = []
+        honest = decomposition.is_normal
+
+        def counted(G, A):
+            calls.append(A.elements)
+            return honest(G, A)
+
+        monkeypatch.setattr(decomposition, "is_normal", counted)
+        td.verify_point_decomposition(d8, a_cyclic, alpha4, seed=0)
+        assert calls == [a_cyclic.elements]
+
+    def test_a_subgroup_that_is_not_normal_fails_before_any_split(self, monkeypatch, d8, alpha4):
+        def never(*args):
+            raise AssertionError("a split ran")
+
+        monkeypatch.setattr(reps, "_split_regular", never)
+        with pytest.raises(NotNormal):
+            td.verify_point_decomposition(d8, td.subgroup_closure(d8, [4]), alpha4, seed=0)
+
 
 IDENTITY_AT_3 = np.array([3, 5, 0, 7, 1, 6, 2, 4])     # D_8 index k -> index IDENTITY_AT_3[k]
 
@@ -523,3 +543,35 @@ class TestPhaseRobustness:
                     cb = base.beta_tables[oi].characters[base.matching[wi][1]].values
                     co = other.beta_tables[oi].characters[other.matching[wi][1]].values
                     assert np.allclose(co, cb / u, atol=1e-8)
+
+
+def reference_fingerprint(chi):
+    """The fingerprint string of one character, built from AlphaCharacter.fingerprint."""
+    return f"d{chi.dim}|" + ";".join(f"{re:.9f},{im:.9f}" for re, im in chi.fingerprint(9))
+
+
+class TestReportFingerprints:
+    def test_each_row_as_one_character_would_give(self, d8, alpha4, a_center):
+        rep = td.verify_point_decomposition(d8, a_center, alpha4, seed=0)
+        rng = np.random.default_rng(0)
+        awkward = np.array([[2.0, -0.0, -1e-12 + 0.5e-9j, 0.1234567885, -0.0000000005 - 0.0j,
+                             1 / 3, rng.standard_normal() + 1j * rng.standard_normal(), -1.0]])
+        for values in (rep.irr_g.character_values, rep.action.base.character_values,
+                       *(t.character_values for t in rep.beta_tables), awkward):
+            want = [reference_fingerprint(td.AlphaCharacter(v)) for v in values]
+            assert report._fingerprints(values) == want
+
+    def test_one_rounding_pass_per_table(self, monkeypatch, d8, alpha4, a_cyclic):
+        rep = td.verify_point_decomposition(d8, a_cyclic, alpha4, seed=0)
+        want = decomposition_payload(rep)
+        calls = []
+        honest = report._rounded
+
+        def counted(parts, digits):
+            calls.append(parts.shape)
+            return honest(parts, digits)
+
+        monkeypatch.setattr(report, "_rounded", counted)
+        assert decomposition_payload(rep) == want
+        # irr_g, irr_a and each beta table once, and each beta by matrix_pairs
+        assert len(calls) == 2 + 2 * len(rep.beta_tables)

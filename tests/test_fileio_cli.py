@@ -97,6 +97,21 @@ class TestCocycleFiles:
         assert main(["irr", "dihedral:4", path]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_huge_order_needs_no_memory_of_its_size(self, tmp_path, capsys):
+        base = td.dihedral_alpha(4)
+        K = 10**12
+        entries = "".join(f"{g} {h} {base.exponents[g, h] * (K // base.order)}\n"
+                          for g, h in np.argwhere(base.exponents))
+        path = write(tmp_path, "huge.coc", f"order K={K} group=dihedral:4\n{entries}")
+        G, alpha = load_cocycle_file(path)
+        assert alpha.order == K and alpha._roots is None
+        table = td.irreducibles(G, alpha)
+        expected = td.irreducibles(base.group, base)
+        assert np.allclose(table.character_values, expected.character_values)
+        for argv in (["irr", "dihedral:4", path], ["decompose", "dihedral:4", path, "--A", "a"]):
+            assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_group_file_reference_relative(self, tmp_path, d8):
         rows = "\n".join(" ".join(str(x) for x in row) for row in np.array(d8.mul))
         write(tmp_path, "dd.grp", f"table:\n{rows}\n")

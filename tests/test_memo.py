@@ -36,9 +36,9 @@ def splits(monkeypatch):
     calls = []
     honest = reps._split_regular
 
-    def counted(G, cocycle, seed):
+    def counted(G, cocycle, ctable, seed):
         calls.append(seed)
-        return honest(G, cocycle, seed)
+        return honest(G, cocycle, ctable, seed)
 
     monkeypatch.setattr(reps, "_split_regular", counted)
     return calls

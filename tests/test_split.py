@@ -78,8 +78,12 @@ class TestRegularClassCount:
 
 
 def assemble(G, cocycle, V, clusters):
+    """The certified table of a split, in table order."""
     phi = reps._conjugation_weights(G, cocycle.complex_table)
-    return reps._assemble_table(G, cocycle, V, clusters, phi, td.default_tolerances())
+    matrices, values = reps._assemble_table(G, cocycle, cocycle.complex_table, V, clusters, phi,
+                                            td.default_tolerances())
+    order = reps._table_order(values)
+    return reps._table(G, cocycle, [matrices[i] for i in order], [values[i] for i in order])
 
 
 def numeric_copy(cocycle):
@@ -88,13 +92,13 @@ def numeric_copy(cocycle):
 
 class TestCertificates:
     def test_missing_block_fails_multiplicity(self, d8, alpha4):
-        V, clusters = reps._split_regular(d8, alpha4, seed=0)
+        V, clusters = reps._split_regular(d8, alpha4, alpha4.complex_table, seed=0)
         with pytest.raises(SplitFailure, match="block multiplicities"):
             assemble(d8, alpha4, V, clusters[1:])
 
     def test_missing_class_fails_sum_of_squares(self, d8):
         trivial = td.trivial_cocycle(d8)
-        V, clusters = reps._split_regular(d8, trivial, seed=0)
+        V, clusters = reps._split_regular(d8, trivial, trivial.complex_table, seed=0)
         one_dim = [i for i, c in enumerate(clusters) if c.size == 1]
         kept = [c for i, c in enumerate(clusters) if i != one_dim[0]]
         with pytest.raises(SplitFailure, match="sum of squared dimensions"):
@@ -111,8 +115,8 @@ class TestCertificates:
     def test_broken_relation_fails_the_split(self, monkeypatch, d8, alpha4, exact):
         honest = reps._block_matrices
 
-        def broken(G, cocycle, B):
-            mats = honest(G, cocycle, B)
+        def broken(G, cocycle, ctable, B):
+            mats = honest(G, cocycle, ctable, B)
             mats[:, G.order - 1] *= np.exp(1e-4j)   # neither the identity nor a generator
             return mats
 
@@ -307,7 +311,7 @@ class TestSplit:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_eigenspaces_are_invariant(self, n):
         G, alpha = td.dihedral(n), td.dihedral_alpha(n)
-        V, clusters = reps._split_regular(G, alpha, seed=0)
+        V, clusters = reps._split_regular(G, alpha, alpha.complex_table, seed=0)
         reg = td.regular_rep(G, alpha).matrices
         assert sorted(c.size for c in clusters) == [2] * n
         for idx in clusters:
@@ -319,7 +323,7 @@ class TestSplit:
     @pytest.mark.parametrize("name", SPLIT_CASES)
     def test_block_characters_are_traces(self, name):
         G, alpha = SPLIT_CASES[name]()
-        V, clusters = reps._split_regular(G, alpha, seed=0)
+        V, clusters = reps._split_regular(G, alpha, alpha.complex_table, seed=0)
         phi = reps._conjugation_weights(G, alpha.complex_table)
         chars = reps._block_characters(V, clusters, G.identity, phi)
         reg = td.regular_rep(G, alpha).matrices
@@ -331,13 +335,13 @@ class TestSplit:
     def test_block_matrices_are_compressions(self, name):
         """The generator-product route (exact) and full compression (numeric) agree with B^H rho_reg B."""
         G, alpha = SPLIT_CASES[name]()
-        V, clusters = reps._split_regular(G, alpha, seed=0)
+        V, clusters = reps._split_regular(G, alpha, alpha.complex_table, seed=0)
         reg = td.regular_rep(G, alpha).matrices
         for d in {idx.size for idx in clusters}:
             B = np.stack([V[:, idx] for idx in clusters if idx.size == d])
             want = B.conj().transpose(0, 2, 1)[:, None] @ reg @ B[:, None]
             for cocycle in (alpha, numeric_copy(alpha)):
-                got = reps._block_matrices(G, cocycle, B)
+                got = reps._block_matrices(G, cocycle, cocycle.complex_table, B)
                 assert np.allclose(got, want, rtol=0, atol=1e-12), (d, cocycle.is_exact)
 
     @pytest.mark.parametrize("name", SPLIT_CASES)
@@ -433,7 +437,7 @@ class TestBlockedSplit:
     def test_eigenpairs_of_the_commutant_element(self, name):
         G, cocycle = BLOCKED_CASES[name]()
         T, dense_w, _ = oracles.dense_split(G, cocycle, seed=0)
-        w, V = reps._commutant_eigh(G, cocycle, seed=0)
+        w, V = reps._commutant_eigh(G, cocycle, cocycle.complex_table, seed=0)
         scale = np.max(np.abs(dense_w))
         assert np.max(np.abs(np.sort(w) - dense_w)) <= 1e-10 * scale
         assert np.max(np.abs(V.conj().T @ V - np.eye(G.order))) <= 1e-12
