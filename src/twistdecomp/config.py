@@ -10,6 +10,9 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+from . import _memo
 
 ENV_TOL_SCALE = "TWISTDECOMP_TOL_SCALE"
 
@@ -39,11 +42,23 @@ class Tolerances:
     def replace(self, **overrides) -> "Tolerances":
         return dataclasses.replace(self, **overrides)
 
+    @cached_property
+    def _content(self) -> bytes:
+        """Memo digest of every field, computed once per instance."""
+        return _memo.key("tolerances", repr(self))
+
 
 def default_tolerances() -> Tolerances:
-    """Default tolerances, scaled by TWISTDECOMP_TOL_SCALE if set."""
+    """Default tolerances, scaled by TWISTDECOMP_TOL_SCALE if set.
+
+    The variable is read on every call; each value it takes gets one
+    validated instance, so repeated calls share that instance and its
+    memo digest.
+    """
+    return _scaled_defaults(os.environ.get(ENV_TOL_SCALE))
+
+
+@lru_cache(maxsize=16)
+def _scaled_defaults(raw: str | None) -> Tolerances:
     base = Tolerances()
-    raw = os.environ.get(ENV_TOL_SCALE)
-    if raw is None:
-        return base
-    return base.scaled(float(raw))
+    return base if raw is None else base.scaled(float(raw))

@@ -204,7 +204,8 @@ def _action_key(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
                 tol: Tolerances) -> bytes:
     """Every input of _tabulate; the labels of A's and the isotropy groups
     come from G's, so the key adds them to G's content digest."""
-    return _memo.key("action table", G._content, G.labels, A.elements, alpha._content, seed, tol)
+    return _memo.key("action table", G._content, G.labels, A.elements, alpha._content, seed,
+                     tol._content)
 
 
 def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
@@ -359,7 +360,9 @@ def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0
     the rebuild; an array that several data share, such as the tables of
     one isotropy group, counts once toward the entry's size. A hit is
     rebound to the caller: the data that share an isotropy group get one
-    new handle on G, and datum.tau is the irreducible of the action's base.
+    new handle on G, built without a closure check since the stored
+    isotropy was checked on a table of G's content, and datum.tau is the
+    irreducible of the action's base.
     No stored value holds G, A or alpha; the checks of action_table run on
     every call, and a failure is never remembered.
     """
@@ -369,7 +372,8 @@ def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0
     key = _memo.key("orbit data", action_key, phase_seed)
     hit = _memo.get(key)
     if hit is not None:
-        handles = {m: SubgroupHandle(G, m) for m in {datum.gt_map for datum in hit}}
+        handles = {m: SubgroupHandle._closed(G, tuple(sorted(m)))
+                   for m in {datum.gt_map for datum in hit}}
         return [replace(datum, isotropy=handles[datum.gt_map],
                         tau=action.base.irreducibles[datum.representative]) for datum in hit]
     data = orbit_data(action, alpha, phase_seed=phase_seed, tol=tol)

@@ -412,6 +412,18 @@ class SubgroupHandle:
         b = self.elements[int(np.argmax(bad_mul[i]))]
         raise InputError(f"subgroup not closed under product at ({a},{b})")
 
+    @classmethod
+    def _closed(cls, parent: FiniteGroup, elements: tuple[int, ...]) -> "SubgroupHandle":
+        """A handle on ascending elements that are known to form a subgroup of parent.
+
+        Nothing is checked: for a stabilizer of a certified action, or a
+        subgroup stored after its handle was checked on a table of the same
+        content.
+        """
+        handle = cls.__new__(cls)
+        handle.parent, handle.elements = parent, elements
+        return handle
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -622,25 +634,25 @@ class QuotientWithSection:
 
 
 def left_cosets(G: FiniteGroup, H: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
-    """Left cosets gH: the coset index of every g, and each coset's smallest member.
+    """Left cosets gH: the coset index of every g, and a representative of each coset.
 
-    Cosets are numbered by ascending smallest member, the order in which an
-    ascending scan of G meets them.
+    Coset 0 is H itself, represented by the identity. The other cosets
+    follow by ascending smallest member, which represents them. When the
+    identity is index 0 this is the order in which an ascending scan of G
+    meets the cosets.
     """
     minima = G.mul[:, list(H.elements)].min(axis=1)
-    reps = np.flatnonzero(minima == np.arange(G.order))
-    return np.searchsorted(reps, minima), reps
+    minima[minima == minima[G.identity]] = -1           # H sorts first
+    reps = np.flatnonzero(np.bincount(minima + 1)) - 1  # the distinct minima, ascending
+    coset_id = np.searchsorted(reps, minima)
+    reps[0] = G.identity
+    return coset_id, reps
 
 
 def quotient_with_section(G: FiniteGroup, A: SubgroupHandle) -> QuotientWithSection:
     if not is_normal(G, A):
         raise NotNormal("quotient requires a normal subgroup")
     coset_id, section = left_cosets(G, A)
-    # the identity's coset first, represented by the identity
-    order = np.argsort(np.arange(section.size) != coset_id[G.identity], kind="stable")
-    coset_id = np.argsort(order)[coset_id]
-    section = section[order]
-    section[0] = G.identity
     qmul = coset_id[G.mul[np.ix_(section, section)]]
     homomorphism = np.array_equal(coset_id[G.mul], qmul[np.ix_(coset_id, coset_id)])
     if not homomorphism or not np.array_equal(np.flatnonzero(coset_id == 0), A.elements):

@@ -26,7 +26,7 @@ irreducible, so no representation matrix is conjugated or restricted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -49,11 +49,21 @@ from .reps import IrrTable, _table, irreducibles
 
 @dataclass(eq=False)
 class FiniteGSet:
-    """A finite set with a left action of a finite group."""
+    """A finite set with a left action of a finite group: action[g, x] = g.x.
+
+    Invariant, the action law: the identity fixes every point and
+    g.(h.x) = (gh).x. Under it column x of the table is the orbit of x, and
+    the stabilizer of a point p is a subgroup (e.p = p, and g.p = h.p = p
+    gives (gh).p = g.(h.p) = p), which k0_of_gset relies on. make_gset
+    certifies the law and marks the G-set it builds; any other G-set is
+    certified on its first use in k0_of_gset. The table is read-only, so a
+    certified G-set stays certified.
+    """
 
     group: FiniteGroup
     size: int
     action: np.ndarray              # (|G|, size) int
+    _lawful: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         self.action = np.ascontiguousarray(self.action, dtype=np.int64)
@@ -65,10 +75,18 @@ class FiniteGSet:
     def points(self) -> range:
         return range(self.size)
 
+    def _require_lawful(self) -> None:
+        """Certify the action law once per G-set; InputError names the first failure."""
+        if not self._lawful:
+            _check_action(self.group, self.action)
+            if self.size != self.action.shape[1]:
+                raise InputError(f"size {self.size} differs from the table's "
+                                 f"{self.action.shape[1]} points")
+            self._lawful = True
 
-def make_gset(group: FiniteGroup, action) -> FiniteGSet:
-    """Validate the action laws exhaustively and build the G-set."""
-    action = np.asarray(action, dtype=np.int64)
+
+def _check_action(group: FiniteGroup, action: np.ndarray) -> None:
+    """Raise InputError unless the (|G|, size) int table is a left action, checked exhaustively."""
     n = group.order
     if action.ndim != 2 or action.shape[0] != n:
         raise InputError(f"action table must have shape (|G|, size), got {action.shape}")
@@ -83,7 +101,18 @@ def make_gset(group: FiniteGroup, action) -> FiniteGSet:
         if not np.array_equal(composed, direct):
             g, h, x = map(int, np.argwhere(composed != direct)[0])
             raise InputError(f"action law fails at g={g}, h={h}, x={x}")
-    return FiniteGSet(group=group, size=size, action=action)
+
+
+def make_gset(group: FiniteGroup, action) -> FiniteGSet:
+    """Certify the action law exhaustively and build the G-set, marked as lawful.
+
+    See FiniteGSet for the law and what relies on it.
+    """
+    action = np.asarray(action, dtype=np.int64)
+    _check_action(group, action)
+    x = FiniteGSet(group=group, size=action.shape[1], action=action)
+    x._lawful = True
+    return x
 
 
 def point_gset(group: FiniteGroup) -> FiniteGSet:
@@ -172,42 +201,61 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
                seed: int = 0, tol: Tolerances | None = None) -> TwistedKGroup:
     """Orbit-by-orbit twisted representation rings at the minimum-index points.
 
-    The summand of an orbit, the isotropy re-indexed as a group, the cocycle
-    restricted to it and its irreducibles, is computed once per content: the
-    content digests of the group and the cocycle, the group's labels, the
-    isotropy's elements, seed and tolerances. A hit is a new table over the
-    stored group, cocycle and read-only arrays; the isotropy handle is the
-    one found in this call. Whether the cocycle lives on G is checked on every
-    call, and a failure is never remembered.
+    The action law (see FiniteGSet) is certified once per G-set: by
+    make_gset, or here on the G-set's first use, where a table that is not
+    an action raises InputError. Under the law column p of the table is the
+    orbit of p, so the basepoints are the points that are the minimum of
+    their column, and the stabilizers of all basepoints come from one
+    comparison, action[:, basepoints] == basepoints. A stabilizer of a
+    lawful action is a subgroup, so its handle is built without a closure
+    check. Orbits with the same isotropy group share its handle and summand.
+
+    The summand of an isotropy group, re-indexed as a group, with the
+    cocycle restricted to it and its irreducibles, is computed once per
+    content: the content digests of the group and the cocycle, the group's
+    labels, the isotropy's elements, seed and tolerances. A hit is a new
+    table over the stored group, cocycle and read-only arrays; the
+    isotropy handle is the one found in this call. Whether the cocycle
+    lives on G is checked on every call, and a failure is never remembered.
     """
     tol = tol or default_tolerances()
     if x.group is not G and not x.group.same_table(G):
         raise InputError("G-set belongs to a different group")
     H = x.group
     _require_on(cocycle, H)
-    content = _memo.key("gset content", H._content, H.labels, cocycle._content, seed, tol)
-    basepoints = []
-    isotropies = []
-    summands = []
-    for orbit in gset_orbits(x):
-        p = orbit[0]
-        handle = isotropy_subgroup(x, p)
-        key = _memo.key("isotropy summand", content, handle.elements)
-        hit = _memo.get(key)
-        if hit is None:
-            sub_cocycle, _ = restrict(cocycle, handle)
-            sub_group, _ = handle.as_group()
-            table = irreducibles(sub_group, sub_cocycle, seed=seed, tol=tol)
-            hit = (sub_group, sub_cocycle, [r.matrices for r in table.irreducibles],
-                   [c.values for c in table.characters])
-            _memo.put(key, hit, _summand_bytes(sub_group, sub_cocycle))
-        basepoints.append(p)
-        isotropies.append(handle)
-        summands.append(_table(*hit))
+    x._require_lawful()
+    content = _memo.key("gset content", H._content, H.labels, cocycle._content, seed,
+                        tol._content)
+    basepoints = np.flatnonzero(x.action.min(axis=0) == np.arange(x.size))
+    fixes = x.action.T[basepoints] == basepoints[:, None]     # (#orbits, |G|), one row per orbit
+    found: dict[bytes, tuple[SubgroupHandle, IrrTable]] = {}
+    shared = []
+    for row in fixes:
+        stabilizer = row.tobytes()
+        if stabilizer not in found:
+            handle = SubgroupHandle._closed(H, tuple(np.flatnonzero(row).tolist()))
+            found[stabilizer] = handle, _isotropy_summand(content, handle, cocycle, seed, tol)
+        shared.append(found[stabilizer])
     return TwistedKGroup(
-        gset=x, cocycle=cocycle, orbit_basepoints=basepoints,
-        isotropies=isotropies, summands=summands,
+        gset=x, cocycle=cocycle, orbit_basepoints=basepoints.tolist(),
+        isotropies=[handle for handle, _ in shared], summands=[table for _, table in shared],
     )
+
+
+def _isotropy_summand(content: bytes, handle: SubgroupHandle, cocycle, seed: int,
+                      tol: Tolerances) -> IrrTable:
+    """The irreducibles of an isotropy group under the restricted cocycle: a
+    stored summand of k0_of_gset, or a new one stored."""
+    key = _memo.key("isotropy summand", content, handle.elements)
+    hit = _memo.get(key)
+    if hit is None:
+        sub_cocycle, _ = restrict(cocycle, handle)
+        sub_group, _ = handle.as_group()
+        table = irreducibles(sub_group, sub_cocycle, seed=seed, tol=tol)
+        hit = (sub_group, sub_cocycle, [r.matrices for r in table.irreducibles],
+               table.character_values)
+        _memo.put(key, hit, _summand_bytes(sub_group, sub_cocycle))
+    return _table(*hit)
 
 
 def _summand_bytes(sub_group: FiniteGroup, sub_cocycle) -> int:

@@ -493,7 +493,8 @@ class IrrTable:
 
     @cached_property
     def character_values(self) -> np.ndarray:
-        """The characters stacked into one read-only (#irr, |G|) array."""
+        """The characters as one read-only (#irr, |G|) array: for a table from
+        irreducibles the stored stack its characters view, else stacked once."""
         values = np.stack([c.values for c in self.characters])
         values.flags.writeable = False
         return values
@@ -558,25 +559,33 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
         raise InputError(f"element {G.identity} is not the identity of the table")
     if cocycle.group is not G and not cocycle.group.same_table(G):
         raise InputError("cocycle is not defined on the given group")
-    key = _memo.key("irreducibles", G._content, cocycle._content, seed, tol)
+    key = _memo.key("irreducibles", G._content, cocycle._content, seed, tol._content)
     hit = _memo.get(key)
     if hit is None:
         hit = _split_certified(G, cocycle, seed, tol)
-        _memo.put(key, hit, sum(a.nbytes for arrays in hit for a in arrays))
+        matrices, values = hit
+        _memo.put(key, hit, sum(m.nbytes for m in matrices) + values.nbytes)
     return _table(G, cocycle, *hit)
 
 
 def _table(G: FiniteGroup, cocycle, matrices: list[np.ndarray],
-           values: list[np.ndarray]) -> IrrTable:
-    """A new IrrTable on the caller's group and cocycle, over stored read-only arrays."""
-    return IrrTable(group=G, cocycle=cocycle,
-                    irreducibles=[ProjectiveRep(G, cocycle, m.shape[1], m) for m in matrices],
-                    characters=[AlphaCharacter(v) for v in values])
+           values: np.ndarray) -> IrrTable:
+    """A new IrrTable on the caller's group and cocycle, over stored read-only arrays.
+
+    values is the read-only (#irr, |G|) character stack: it becomes the
+    table's character_values, and each character is a row view of it.
+    """
+    table = IrrTable(group=G, cocycle=cocycle,
+                     irreducibles=[ProjectiveRep(G, cocycle, m.shape[1], m) for m in matrices],
+                     characters=[AlphaCharacter(v) for v in values])
+    table.character_values = values
+    return table
 
 
 def _split_certified(G: FiniteGroup, cocycle, seed: int,
-                     tol: Tolerances) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The sorted matrices and characters of a certified table, redrawing up to 5 seeds.
+                     tol: Tolerances) -> tuple[list[np.ndarray], np.ndarray]:
+    """The sorted matrices and the read-only (#irr, |G|) character stack of a
+    certified table, redrawing up to 5 seeds.
 
     The cocycle's complex table is gathered once here, and every stage
     reads that copy. The eigenvectors of an attempt are passed straight on
@@ -596,7 +605,9 @@ def _split_certified(G: FiniteGroup, cocycle, seed: int,
             last_error = _without_frames(exc)
             continue
         order = _table_order(values)
-        return [matrices[i] for i in order], [values[i] for i in order]
+        values[:] = values[order]   # in place: a new sorted array raised irr_split's peak RSS
+        values.flags.writeable = False
+        return [matrices[i] for i in order], values
     raise SplitFailure(f"no clean split after 5 seeds starting at {seed}") from last_error
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
+from twistdecomp import kgroups
 from twistdecomp.decomposition import _hom_action, action_table, conjugate_rep, orbit_data
 from twistdecomp.errors import ANotTrivial, InputError, NotEquivariant, NotIsotypic
-from twistdecomp.groups import quotient_with_section
+from twistdecomp.groups import left_cosets, normal_subgroups, quotient_with_section
 from twistdecomp.kgroups import (
     all_subgroups,
     check_equivariant,
@@ -235,6 +236,76 @@ class TestK0:
 
     def test_empty_gset_rank0(self, d8, alpha4):
         assert td.k0_of_gset(d8, alpha4, empty_gset(d8)).rank == 0
+
+
+class TestActionLaw:
+    """k0_of_gset reads orbits and stabilizers off the table, which is sound only
+    for an action: the law is certified once per G-set object."""
+
+    def test_hand_built_table_that_is_no_action_is_refused(self):
+        G = td.cyclic(2)
+        table = [[0, 1], [0, 0]]          # g sends both points to 0
+        with pytest.raises(InputError, match="action law fails at"):
+            td.make_gset(G, table)
+        x = td.FiniteGSet(G, 2, np.array(table))
+        for _ in range(2):                # a failure is not remembered
+            with pytest.raises(InputError, match="action law fails at"):
+                td.k0_of_gset(G, td.trivial_cocycle(G), x)
+
+    def test_hand_built_sizes_and_identity_rows_are_checked(self, d8, alpha4):
+        with pytest.raises(InputError, match="size 3"):
+            td.k0_of_gset(d8, alpha4, td.FiniteGSet(d8, 3, np.zeros((8, 1), dtype=int)))
+        moved = np.zeros((8, 2), dtype=int)
+        with pytest.raises(InputError, match="identity"):
+            td.k0_of_gset(d8, alpha4, td.FiniteGSet(d8, 2, moved))
+
+    def test_certified_once_per_object(self, d8, alpha4, monkeypatch):
+        checks = []
+        honest = kgroups._check_action
+        monkeypatch.setattr(kgroups, "_check_action",
+                            lambda G, action: checks.append(action.shape) or honest(G, action))
+        built = swap_gset(d8)
+        hand = td.FiniteGSet(d8, 2, np.array(built.action))
+        assert len(checks) == 1           # make_gset's own check
+        for _ in range(3):
+            assert td.k0_of_gset(d8, alpha4, built).rank == 4
+            assert td.k0_of_gset(d8, alpha4, hand).rank == 4
+        assert len(checks) == 2           # hand's, on its first use only
+
+    def test_orbits_share_the_handle_and_summand_of_one_isotropy(self, d8, alpha4):
+        x = td.disjoint_union(swap_gset(d8), point_gset(d8))
+        k = td.k0_of_gset(d8, alpha4, x)
+        assert k.orbit_basepoints == [0, 2]
+        assert [h.elements for h in k.isotropies] == [(0, 1, 2, 3), tuple(range(8))]
+        y = td.disjoint_union(point_gset(d8), point_gset(d8))
+        k = td.k0_of_gset(d8, alpha4, y)
+        assert k.isotropies[0] is k.isotropies[1] and k.summands[0] is k.summands[1]
+        for h in k.isotropies + td.k0_of_gset(d8, alpha4, left_translation_gset(d8)).isotropies:
+            assert h.elements == td.SubgroupHandle(d8, h.elements).elements
+
+
+class TestIdentityCosetFirst:
+    """Coset 0 of left_cosets is the subgroup itself, represented by the
+    identity, wherever the identity sits; quotient_with_section uses the
+    same numbering."""
+
+    def test_trivial_subgroup_with_identity_at_3(self):
+        H, _ = d8_identity_at_3()
+        trivial = td.SubgroupHandle(H, (3,))
+        coset_id, reps = left_cosets(H, trivial)
+        assert coset_id.tolist() == [1, 2, 3, 0, 4, 5, 6, 7]
+        assert reps.tolist() == [3, 0, 1, 2, 4, 5, 6, 7]
+        x = coset_gset(H, trivial)
+        assert x.action[:, 0].tolist() == coset_id.tolist()     # g . (eH) = gH
+
+    def test_quotients_number_cosets_as_left_cosets(self):
+        H, _ = d8_identity_at_3()
+        for N in normal_subgroups(H):
+            coset_id, reps = left_cosets(H, N)
+            assert coset_id[H.identity] == 0 and reps[0] == H.identity
+            qs = quotient_with_section(H, N)
+            assert qs.projection == tuple(coset_id.tolist())
+            assert qs.section == tuple(reps.tolist())
 
 
 class TestVerifyGSet:

@@ -590,6 +590,59 @@ class TestIsotropySummand:
         assert warm.summands[0] is not first.summands[0]
 
 
+class TestHitPath:
+    """A hit on a stored certified result is a lookup: the stored character
+    stack is handed out as it is, and nothing is stacked or re-checked."""
+
+    def test_irreducibles_hits_share_the_stored_stack(self, d8, alpha4):
+        miss = td.irreducibles(d8, alpha4)
+        stack = miss.character_values
+        hits = [td.irreducibles(*same_content(d8, alpha4)) for _ in range(2)]
+        assert all(t.character_values is stack for t in hits)
+        assert not stack.flags.writeable and stack.shape == (len(miss), d8.order)
+        for t in hits:
+            for row, chi in zip(stack, t.characters):
+                assert np.shares_memory(chi.values, stack)
+                assert chi.values.tobytes() == row.tobytes()
+        _memo.clear()
+        assert td.irreducibles(d8, alpha4).character_values.tobytes() == stack.tobytes()
+
+    def test_warm_k0_of_gset_summands_share_the_stored_stack(self, d8, alpha4):
+        x = td.disjoint_union(td.coset_gset(d8, td.subgroup_closure(d8, [2])), point_gset(d8))
+        miss = k0_of_gset(d8, alpha4, x)
+        miss_bits = [t.character_values.tobytes() for t in miss.summands]
+        warm = [k0_of_gset(d8, alpha4, x) for _ in range(2)]
+        for i, table in enumerate(miss.summands):
+            stack = table.character_values
+            assert not stack.flags.writeable
+            assert all(k.summands[i].character_values is stack for k in warm)
+            assert all(k.summands[i].character_values.tobytes() == miss_bits[i] for k in warm)
+
+    def test_warm_k0_of_gset_builds_no_handle_and_stacks_nothing(self, d8, alpha4, monkeypatch):
+        x = random_gset(d8, 12, np.random.default_rng(3))
+        cold = k0_of_gset(d8, alpha4, x)
+        calls = []
+        checked, stack = td.SubgroupHandle.__post_init__, np.stack
+        monkeypatch.setattr(td.SubgroupHandle, "__post_init__",
+                            lambda self: calls.append("handle") or checked(self))
+        monkeypatch.setattr(np, "stack", lambda *a, **k: calls.append("stack") or stack(*a, **k))
+        warm = k0_of_gset(d8, alpha4, x)
+        assert calls == []
+        assert kgroup_summary(warm) == kgroup_summary(cold)
+
+
+def test_default_tolerances_follow_the_scale_set_after_a_first_call(monkeypatch):
+    monkeypatch.delenv(td.config.ENV_TOL_SCALE, raising=False)
+    base = td.default_tolerances()
+    assert base == td.Tolerances() and td.default_tolerances() is base
+    monkeypatch.setenv(td.config.ENV_TOL_SCALE, "0.5")
+    scaled = td.default_tolerances()
+    assert scaled == td.Tolerances().scaled(0.5) and td.default_tolerances() is scaled
+    assert scaled._content != base._content
+    monkeypatch.delenv(td.config.ENV_TOL_SCALE)
+    assert td.default_tolerances() is base
+
+
 def _memo_summary() -> list:
     """Fingerprints of cold and warm tables and repeated error messages, as JSON values."""
     out = []
