@@ -21,13 +21,9 @@ from .decomposition import (
     DecompositionReport,
     IrrAction,
     OrbitDatum,
-    act,
     action_table,
-    conjugate_rep,
-    hom_rep,
     induced_cocycle,
     orbit_data,
-    reconstruct_rep,
     verify_point_decomposition,
 )
 from .groups import (
@@ -66,14 +62,9 @@ from .reps import (
     IrrTable,
     ProjectiveRep,
     character,
-    character_inner,
     coboundary_cochain,
     intertwiner,
     irreducibles,
-    multiplicity,
-    regular_rep,
-    restrict_rep,
-    validate_rep,
 )
 
 __version__ = "0.1.0"

@@ -54,10 +54,7 @@ def _tolerances(args) -> Tolerances:
         name, sep, value = item.partition("=")
         if not sep or name not in names:
             raise InputError(f"bad tolerance override {item!r}; known: {sorted(names)}")
-        v = float(value)
-        if v <= 0:
-            raise InputError(f"tolerance {name} must be positive")
-        tol = tol.replace(**{name: v})
+        tol = tol.replace(**{name: float(value)})
     return tol
 
 

@@ -1,13 +1,14 @@
 """Numerical tolerances used throughout the pipeline.
 
 All tolerances can be scaled at once through the TWISTDECOMP_TOL_SCALE
-environment variable (a positive float multiplier), or overridden per
+environment variable (a finite positive float multiplier), or overridden per
 field via the CLI.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,11 +30,12 @@ class Tolerances:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) <= 0:
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):    # NaN or inf would pass every check
                 raise ValueError(f"tolerance {f.name} must be positive")
 
     def scaled(self, factor: float) -> "Tolerances":
-        if factor <= 0:
+        if not (math.isfinite(factor) and factor > 0):
             raise ValueError("tolerance scale must be positive")
         return Tolerances(
             **{f.name: getattr(self, f.name) * factor for f in dataclasses.fields(self)}

@@ -43,14 +43,11 @@ from .config import Tolerances, default_tolerances
 from .errors import (
     AmbiguousCharacter,
     DecompositionFailure,
-    InputError,
     MatchFailure,
     NonIntegerMultiplicity,
-    NotIsotypic,
     NotNormal,
     NotScalar,
     NotUnimodular,
-    NumericFailure,
     OrbitMixing,
     UnmatchedCharacter,
 )
@@ -67,39 +64,9 @@ from .reps import (
     IrrTable,
     ProjectiveRep,
     _conjugation_residuals,
-    _hom_space,
-    _multiplicities,
-    _relation_residuals,
-    character,
     intertwiner,
     irreducibles,
-    validate_rep,
 )
-
-
-def act(alpha: Cocycle, A: SubgroupHandle, g: int, tau: ProjectiveRep) -> ProjectiveRep:
-    """The twisted conjugation action of g in G on a representation of A."""
-    out_handle, rep = conjugate_rep(alpha, A, g, tau)
-    if out_handle.elements != A.elements:
-        raise NotNormal("act requires a normal subgroup")
-    return rep
-
-
-def conjugate_rep(cocycle, H: SubgroupHandle, g: int,
-                  rho: ProjectiveRep) -> tuple[SubgroupHandle, ProjectiveRep]:
-    """Transport a representation of H to one of g H g^-1.
-
-    (g . rho)(h) = alpha(g^-1 h, g) alpha(g, g^-1 h)^-1 rho(g^-1 h g); the
-    scalars use the full cocycle on the parent group, and the result is an
-    exact representation for the cocycle restricted to the conjugate.
-    """
-    G = H.parent
-    conj_elems = tuple(np.sort(G.mul[G.mul[g, list(H.elements)], G.inv[g]]).tolist())
-    out_handle = H if conj_elems == H.elements else SubgroupHandle(G, conj_elems)
-    out_cocycle, out_map = restrict(cocycle, out_handle)
-    back, scale = _conjugation(cocycle, g, out_map)
-    mats = scale[:, None, None] * rho.matrices[H.position(back)]
-    return out_handle, ProjectiveRep(out_cocycle.group, out_cocycle, rho.dim, mats)
 
 
 def _conjugation(cocycle, g: int, elements) -> tuple[np.ndarray, np.ndarray]:
@@ -284,10 +251,6 @@ class OrbitDatum:
     def q_group(self) -> FiniteGroup:
         return self.quotient.quotient
 
-    def section_in_g(self, q: int) -> int:
-        """sigma(q) as an element index of the parent group G."""
-        return int(self.sections[q])
-
 
 def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
                tol: Tolerances | None = None) -> list[OrbitDatum]:
@@ -309,8 +272,9 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
     that moves beta by a coboundary and must leave all cohomology-level
     outputs unchanged.
 
-    sigma(q).tau is gathered for every q at once, as act computes it for one
-    g: the scalars and conjugates of _conjugation index tau's matrices.
+    sigma(q).tau is gathered for every q at once, as act in tests/oracles.py
+    computes it for one g: the scalars and conjugates of _conjugation index
+    tau's matrices.
     """
     tol = tol or default_tolerances()
     G, A = action.group, action.subgroup
@@ -447,35 +411,6 @@ def _a_parent_order(datum: OrbitDatum) -> tuple[int, ...]:
     return tuple(datum.gt_map[x] for x in datum.a_in_gt.elements)
 
 
-def _hom_action(datum: OrbitDatum, w_lookup, q_list, tol: Tolerances
-                ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Basis of Hom_A(V_tau, W) and the matrices of q . f = W(sigma(q)) f M_q^-1.
-
-    w_lookup maps a parent-G element index to the matrix acting on W; it
-    must cover A and sigma(q) for the requested q_list. Every q . f_i is one
-    stacked product; the first (q, i), in q_list order and then by basis
-    vector, whose image leaves the Hom space by more than tol.rep_numeric
-    (NaN included) raises NumericFailure.
-    """
-    tau = datum.tau
-    w_a = np.stack([w_lookup(g) for g in _a_parent_order(datum)])
-    F = _hom_space(tau.group, w_a, tau.matrices)
-    m = F.shape[1]
-    if m == 0:
-        raise NotIsotypic("input has no component on the orbit representative")
-    q_list = list(q_list)
-    S = np.stack([w_lookup(datum.section_in_g(q)) for q in q_list])
-    f = F.T.reshape(m, w_a.shape[1], tau.dim)
-    Minv = np.conj(np.swapaxes(datum.M[q_list], 1, 2))
-    moved = (S[:, None] @ f @ Minv[:, None]).reshape(len(q_list), m, -1)
-    coords = moved @ F.conj()                       # coords[q, i] = F^H (q . f_i)
-    resid = np.linalg.norm(moved - coords @ F.T, axis=2)
-    bad = np.argwhere(~(resid <= tol.rep_numeric))
-    if bad.size:
-        raise NumericFailure(f"q.f left the Hom space (residual {resid[tuple(bad[0])]:.2e})")
-    return F, dict(zip(q_list, np.swapaxes(coords, 1, 2)))
-
-
 def _hom_weights(datum: OrbitDatum, alpha: Cocycle) -> tuple[np.ndarray, np.ndarray]:
     """Elements s a^-1 and weights of the Hom-fiber character, both (|Q|, |A|).
 
@@ -495,78 +430,6 @@ def _hom_weights(datum: OrbitDatum, alpha: Cocycle) -> tuple[np.ndarray, np.ndar
     traces = np.einsum("aij,qij->qa", datum.tau.matrices, np.conj(datum.M))
     scale = alpha.values(s, a_inv) * np.conj(alpha.values(G.inv[a_inv], a_inv))
     return G.mul[s, a_inv], scale * traces / a_inv.size
-
-
-def hom_rep(W: ProjectiveRep, datum: OrbitDatum,
-            tol: Tolerances | None = None) -> ProjectiveRep:
-    """The multiplicity representation of the isotropy quotient on Hom_A(V_tau, W).
-
-    W is a representation of the isotropy group (in its standalone
-    indexing). The input is implicitly projected onto its tau-isotypic
-    part: the Hom space only sees that component. Errors if the component
-    is zero; the result satisfies the beta-twisted relation, which is
-    checked by _relation_residuals: the first q1 with a residual over
-    10 tol.rep, NaN included, raises DecompositionFailure.
-    """
-    tol = tol or default_tolerances()
-    if W.group is not datum.gt_group and not W.group.same_table(datum.gt_group):
-        raise InputError("hom_rep expects a representation of the isotropy group")
-    gt_pos = {g: i for i, g in enumerate(datum.gt_map)}
-
-    def w_lookup(g_parent: int) -> np.ndarray:
-        return W.matrices[gt_pos[g_parent]]
-
-    Q = datum.q_group
-    _, mats = _hom_action(datum, w_lookup, range(Q.order), tol)
-    m = mats[0].shape[0]
-    stacked = np.stack([mats[q] for q in range(Q.order)])
-    rep = ProjectiveRep(Q, datum.beta, m, stacked)
-    err = _relation_residuals(Q, datum.beta.complex_table, stacked[None], range(Q.order))[0]
-    bad = np.flatnonzero(~(err.max(axis=1) <= 10 * tol.rep))
-    if bad.size:
-        q1 = int(bad[0])
-        raise DecompositionFailure(f"beta-twisted relation fails at q1={q1} ({err[q1].max():.2e})")
-    # m * dim(tau) is the dimension of the tau-isotypic component
-    tau_mult = _isotypic_multiplicity(W, datum, tol)
-    if m != tau_mult:
-        raise DecompositionFailure(f"Hom dimension {m} != character multiplicity {tau_mult}")
-    return rep
-
-
-def _isotypic_multiplicity(W: ProjectiveRep, datum: OrbitDatum, tol: Tolerances) -> int:
-    # a_in_gt ordering matches the standalone-A ordering used by tau
-    w_a = character(W).values[list(datum.a_in_gt.elements)]
-    return int(_multiplicities(w_a[None], np.conj(character(datum.tau).values)[None], tol.char)[0, 0])
-
-
-def reconstruct_rep(datum: OrbitDatum, hom: ProjectiveRep,
-                    tol: Tolerances | None = None) -> ProjectiveRep:
-    """Rebuild the isotropy-group representation on V_tau (x) Hom.
-
-    h acts by [M_q * scalar * tau(sigma(q)^-1 h)] (x) hom(q) with
-    q = pi(h); the result is a representation for the restricted cocycle
-    whose character equals that of the tau-isotypic part of the input to
-    hom_rep. Specializes the bundle reconstruction action to a point. Every
-    h is gathered at once, and the Kronecker product is a broadcast outer
-    product.
-    """
-    tol = tol or default_tolerances()
-    gt = datum.gt_group
-    alpha_gt = datum.alpha_gt
-    h = np.arange(gt.order)
-    q = np.asarray(datum.quotient.projection)
-    s = np.asarray(datum.quotient.section)[q]
-    sinv = gt.inv[s]
-    x = gt.mul[sinv, h]                      # sigma(q)^-1 h, lies in A
-    scale = np.conj(alpha_gt.values(s, sinv)) * alpha_gt.values(sinv, h)
-    left = datum.M[q] @ (scale[:, None, None] * datum.tau.matrices[datum.a_in_gt.position(x)])
-    d = datum.tau.dim * hom.dim
-    kron = left[:, :, None, :, None] * hom.matrices[q][:, None, :, None, :]
-    rep = ProjectiveRep(gt, alpha_gt, d, kron.reshape(gt.order, d, d))
-    report = validate_rep(rep, tol)
-    if not report.ok:
-        raise DecompositionFailure(f"reconstruction is not a representation: {report.violations[:3]}")
-    return rep
 
 
 @dataclass(eq=False)
@@ -612,9 +475,9 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
     quotient as exactly one class with multiplicity 1, whose dimension
     chi_Hom(1) is the multiplicity of tau in W|_A (MatchFailure otherwise).
     The global matching is a bijection whose counts give the rank identity.
-    hom_rep builds the same representation explicitly. action_table runs
-    first, so a subgroup that is not normal raises NotNormal, from its one
-    check, before any split.
+    The tests build the same representation with matrices (hom_rep in
+    tests/oracles.py). action_table runs first, so a subgroup that is not
+    normal raises NotNormal, from its one check, before any split.
     """
     tol = tol or default_tolerances()
     action = action_table(G, A, alpha, seed=seed, tol=tol)    # checks that A is normal, first

@@ -109,10 +109,6 @@ class NotUnimodular(DecompositionFailure):
     """An extracted cocycle scalar is not on the unit circle."""
 
 
-class NotIsotypic(DecompositionFailure):
-    """hom_rep input has zero component on the orbit representative."""
-
-
 class OrbitMixing(DecompositionFailure):
     """Some irreducible restricts across more than one orbit, or unevenly."""
 

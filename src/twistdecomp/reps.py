@@ -1,5 +1,5 @@
-"""Projective representations: validation, regular representation,
-splitting into irreducibles, characters, intertwiners.
+"""Projective representations: splitting the twisted regular representation
+into irreducibles, characters, intertwiners.
 
 An alpha-representation satisfies rho(g) rho(h) = alpha(g,h) rho(gh) with
 rho(1) = Id and all matrices unitary. Irreducibles are split off the
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _memo
-from .cocycles import Cocycle, NumericCocycle, UnitScalar, _lattice_exponents, restrict
+from .cocycles import Cocycle, NumericCocycle, UnitScalar, _lattice_exponents
 from .config import Tolerances, default_tolerances
 from .errors import (
     InputError,
@@ -42,7 +42,7 @@ from .errors import (
     NumericFailure,
     SplitFailure,
 )
-from .groups import FiniteGroup, SubgroupHandle, generating_set
+from .groups import FiniteGroup, generating_set
 
 MAX_DENSE_ORDER = 512
 _NULLSPACE_RTOL = 1e-8
@@ -68,9 +68,6 @@ class ProjectiveRep:
     def __post_init__(self):
         self.matrices = np.ascontiguousarray(self.matrices, dtype=np.complex128)
         self.matrices.flags.writeable = False
-
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
 
 
 @dataclass(eq=False)
@@ -110,59 +107,8 @@ def character(rep: ProjectiveRep) -> AlphaCharacter:
     return AlphaCharacter(np.trace(rep.matrices, axis1=1, axis2=2))
 
 
-def character_inner(chi: AlphaCharacter, psi: AlphaCharacter) -> complex:
-    """(1/|G|) sum_g chi(g) conj(psi(g))."""
-    return complex(np.mean(chi.values * np.conj(psi.values)))
-
-
-@dataclass(eq=False)
-class RepReport:
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _relation_tol(cocycle, tol: Tolerances) -> float:
     return tol.rep if cocycle.is_exact else tol.rep_numeric
-
-
-def validate_rep(rep: ProjectiveRep, tol: Tolerances | None = None) -> RepReport:
-    """Report every violated pair of the defining relation and non-unitary element.
-
-    The violations come in order: ("identity",) when rho(1) is not within
-    tol.rep of Id, ("unitary", g) for each g with |rho(g)^H rho(g) - I| over
-    tol.unitary, then ("relation", g, h) for each pair, in row-major order,
-    whose _relation_residuals entry is over _relation_tol. A NaN entry fails
-    every check it enters.
-    """
-    tol = tol or default_tolerances()
-    G = rep.group
-    mats = rep.matrices
-    d = rep.dim
-    if mats.shape != (G.order, d, d):
-        return RepReport([("shape", mats.shape)])
-    eye = np.eye(d)
-    violations: list = [] if np.max(np.abs(mats[G.identity] - eye)) <= tol.rep else [("identity",)]
-    unitary = np.max(np.abs(np.conj(np.swapaxes(mats, 1, 2)) @ mats - eye), axis=(1, 2))
-    violations += [("unitary", g) for g in np.flatnonzero(~(unitary <= tol.unitary)).tolist()]
-    residuals = _relation_residuals(G, rep.cocycle.complex_table, mats[None], range(G.order))[0]
-    bad = np.argwhere(~(residuals <= _relation_tol(rep.cocycle, tol)))
-    return RepReport(violations + [("relation", g, h) for g, h in bad.tolist()])
-
-
-def regular_rep(G: FiniteGroup, cocycle: Cocycle | NumericCocycle) -> ProjectiveRep:
-    """Twisted regular representation: rho(g) e_h = alpha(g,h) e_{gh}."""
-    if cocycle.group is not G and not cocycle.group.same_table(G):
-        raise InputError("cocycle is not defined on the given group")
-    n = G.order
-    ctable = cocycle.complex_table
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    cols = np.arange(n)
-    for g in range(n):
-        mats[g, G.mul[g, cols], cols] = ctable[g, cols]
-    return ProjectiveRep(G, cocycle, n, mats)
 
 
 def _nullspace(A: np.ndarray) -> np.ndarray:
@@ -216,10 +162,6 @@ def _commutant_dimensions(G: FiniteGroup, mats: np.ndarray) -> np.ndarray:
 
 def commutant_dimension(rep: ProjectiveRep) -> int:
     return int(_commutant_dimensions(rep.group, rep.matrices[None])[0])
-
-
-def is_irreducible(rep: ProjectiveRep) -> bool:
-    return commutant_dimension(rep) == 1
 
 
 def _cluster_sorted(w: np.ndarray) -> list[np.ndarray]:
@@ -725,20 +667,6 @@ def _check_compatible(r1: ProjectiveRep, r2: ProjectiveRep) -> None:
         raise InputError("representations use different cocycle tables")
 
 
-def multiplicity(W: ProjectiveRep, tau: ProjectiveRep,
-                 tol: Tolerances | None = None) -> int:
-    """dim Hom(V_tau, W) via the character inner product, rounded by _multiplicities.
-
-    Fails loudly when the inner product is not within tol.char of a
-    non-negative integer (a NaN never is), which usually means the two
-    representations carry different cocycle tables.
-    """
-    tol = tol or default_tolerances()
-    _check_compatible(W, tau)
-    return int(_multiplicities(character(W).values[None], np.conj(character(tau).values)[None],
-                               tol.char)[0, 0])
-
-
 def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
                 tol: Tolerances | None = None) -> np.ndarray | None:
     """Unitary M with rho2(g) = M^-1 rho1(g) M, or None if not isomorphic.
@@ -785,15 +713,3 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
     if not err <= 10 * _relation_tol(rho1.cocycle, tol):
         raise NumericFailure(f"intertwiner verification failed (residual {err:.2e})")
     return M
-
-
-def restrict_rep(rho: ProjectiveRep, handle: SubgroupHandle,
-                 sub_cocycle: Cocycle | NumericCocycle | None = None) -> ProjectiveRep:
-    """Matrices re-indexed to the subgroup's own numbering."""
-    if handle.parent is not rho.group and not handle.parent.same_table(rho.group):
-        raise InputError("handle does not belong to the representation's group")
-    sub, to_parent = handle.as_group()
-    if sub_cocycle is None:
-        sub_cocycle, _ = restrict(rho.cocycle, handle)
-    mats = rho.matrices[list(to_parent)]
-    return ProjectiveRep(sub, sub_cocycle, rho.dim, mats)

@@ -1,4 +1,5 @@
-"""Independent oracles used to cross-check the main pipeline.
+"""Independent oracles used to cross-check the main pipeline, and the matrix
+route of the decomposition.
 
 These deliberately avoid the regular-representation splitting path: the
 character table oracle works through conjugacy-class-sum matrices, and the
@@ -7,9 +8,9 @@ The character matcher compares values entry by entry, where the library
 decomposes characters by orthogonality.
 The table checks scan every triple, where the library checks only a
 generating set of middle arguments.
-The section quantities of an orbit datum (chi, the tau_scalar exponent, the
-induced cocycle and the reconstructed representation) are evaluated one
-pair or one element at a time, where the library gathers whole arrays.
+The section quantities of an orbit datum (chi, the tau_scalar exponent and
+the induced cocycle) are evaluated one pair at a time, where the library
+gathers whole arrays.
 The certificates (block dedup, representation checks, conjugation and
 twisted relation residuals, the Hom action) are the per-element loops the
 library's whole-array kernels replaced; a NaN fails each of their checks.
@@ -18,6 +19,15 @@ The split of the regular representation is one dense eigh of the whole
 block in the eigenbasis of a cyclic subgroup's left operator.
 The coboundary oracle searches every mu_K-valued cochain, where the library
 reads the cochains off the 1-dimensional entries of the beta table.
+
+This module is the only home of the matrix route, which the library no
+longer carries: the twisted regular representation, restriction and
+conjugation of representations, multiplicities from single characters, the
+Hom space Hom_A(V_tau, W) as a beta-representation of the isotropy quotient
+(hom_rep) and W rebuilt as V_tau (x) Hom (reconstructed_by_element). The
+library reaches the same results from characters alone (_hom_weights,
+IrrTable.multiplicities), and the tests check the two routes against each
+other.
 """
 
 from __future__ import annotations
@@ -26,10 +36,37 @@ import itertools
 
 import numpy as np
 
-from twistdecomp.cocycles import UnitScalar, central_extension
+from twistdecomp.cocycles import UnitScalar, central_extension, restrict
 from twistdecomp.config import default_tolerances
-from twistdecomp.errors import DecompositionFailure, NotScalar, NotUnimodular, NumericFailure
-from twistdecomp.groups import FiniteGroup, conjugacy_classes, generating_set, subgroup_closure
+from twistdecomp.decomposition import _conjugation
+from twistdecomp.errors import (
+    DecompositionFailure,
+    InputError,
+    NotNormal,
+    NotScalar,
+    NotUnimodular,
+    NumericFailure,
+)
+from twistdecomp.groups import (
+    FiniteGroup,
+    SubgroupHandle,
+    conjugacy_classes,
+    generating_set,
+    subgroup_closure,
+)
+from twistdecomp.reps import (
+    ProjectiveRep,
+    _check_compatible,
+    _hom_space,
+    _multiplicities,
+    _relation_tol,
+    character,
+    commutant_dimension,
+)
+
+
+class NotIsotypic(DecompositionFailure):
+    """hom_rep's input has no component on the orbit representative."""
 
 
 def classical_character_table(G: FiniteGroup, tol: float = 1e-8):
@@ -314,9 +351,14 @@ def induced_table_by_pair(datum, tol) -> np.ndarray:
     return table
 
 
-def reconstructed_by_element(datum, hom) -> np.ndarray:
-    """The matrices of reconstruct_rep, one element h of the isotropy group at a time:
-    [M_q scale tau(sigma(q)^-1 h)] (x) hom(q) with q = pi(h)."""
+def reconstructed_by_element(datum, hom) -> ProjectiveRep:
+    """The isotropy-group representation on V_tau (x) Hom, one element h at a time.
+
+    h acts by [M_q scale tau(sigma(q)^-1 h)] (x) hom(q) with q = pi(h), for
+    the restricted cocycle; its character is that of the tau-isotypic part
+    of the input to hom_rep. A result with a rep_violations_by_element entry
+    raises DecompositionFailure.
+    """
     qs, gt = datum.quotient, datum.gt_group
     ctable = datum.alpha_gt.complex_table
     apos = {g: i for i, g in enumerate(datum.a_in_gt.elements)}
@@ -330,7 +372,11 @@ def reconstructed_by_element(datum, hom) -> np.ndarray:
         scale = np.conj(ctable[s, sinv]) * ctable[sinv, h]
         left = datum.M[q] @ (scale * datum.tau.matrices[apos[x]])
         mats[h] = np.kron(left, hom.matrices[q])
-    return mats
+    rep = ProjectiveRep(gt, datum.alpha_gt, d, mats)
+    violations = rep_violations_by_element(rep)
+    if violations:
+        raise DecompositionFailure(f"reconstruction is not a representation: {violations[:3]}")
+    return rep
 
 
 def character_classes_by_max_abs(chars, tol: float) -> tuple[list[int], list[int]]:
@@ -350,8 +396,17 @@ def character_classes_by_max_abs(chars, tol: float) -> tuple[list[int], list[int
     return firsts, counts
 
 
-def rep_violations_by_element(rep, rtol: float, tol) -> list:
-    """validate_rep's violations, one element or one pair at a time, in the same order."""
+def rep_violations_by_element(rep, tol=None) -> list:
+    """Every violated pair of the defining relation and non-unitary element, element by element.
+
+    In order: ("identity",) when rho(1) is not within tol.rep of Id,
+    ("unitary", g) for each g with |rho(g)^H rho(g) - I| over tol.unitary,
+    then ("relation", g, h) for each pair, in row-major order, whose
+    residual |rho(g) rho(h) - alpha(g,h) rho(gh)| is over the library's
+    _relation_tol. A NaN fails every check it enters; a representation has none.
+    """
+    tol = tol or default_tolerances()
+    rtol = _relation_tol(rep.cocycle, tol)
     G, mats, d = rep.group, rep.matrices, rep.dim
     ctable = rep.cocycle.complex_table
     eye = np.eye(d)
@@ -359,11 +414,10 @@ def rep_violations_by_element(rep, rtol: float, tol) -> list:
     for g in range(G.order):
         if not np.max(np.abs(mats[g].conj().T @ mats[g] - eye)) <= tol.unitary:
             found.append(("unitary", g))
-    for g in range(G.order):
-        for h in range(G.order):
-            diff = mats[g] @ mats[h] - ctable[g, h] * mats[G.mul[g, h]]
-            if not np.max(np.abs(diff)) <= rtol:
-                found.append(("relation", g, h))
+    for g in range(G.order):        # one row of pairs (g, h) at a time
+        diff = mats[g] @ mats - ctable[g][:, None, None] * mats[G.mul[g]]
+        bad = ~(np.max(np.abs(diff), axis=(1, 2)) <= rtol)
+        found += [("relation", g, h) for h in np.flatnonzero(bad).tolist()]
     return found
 
 
@@ -386,18 +440,21 @@ def check_twisted_relation_by_row(rep, bound: float) -> None:
 def hom_action_by_vector(datum, w_lookup, q_list, tol):
     """The Hom basis and q . f = W(sigma(q)) f M_q^-1 matrices, one (q, basis vector) at a time.
 
-    Raises NumericFailure at the first (q, i) whose image leaves the Hom space.
+    w_lookup maps a parent-G element index to the matrix acting on W; it
+    must cover A and sigma(q) for the q in q_list. Raises NotIsotypic when
+    Hom_A(V_tau, W) is 0, and NumericFailure at the first (q, i) whose
+    image leaves the Hom space by more than tol.rep_numeric.
     """
-    from twistdecomp.reps import _hom_space
-
     tau = datum.tau
     a_order = [datum.gt_map[x] for x in datum.a_in_gt.elements]
     w_a = np.stack([w_lookup(g) for g in a_order])
     F = _hom_space(tau.group, w_a, tau.matrices)
     m, d_w = F.shape[1], w_a.shape[1]
+    if m == 0:
+        raise NotIsotypic("input has no component on the orbit representative")
     mats = {}
     for q in q_list:
-        S = w_lookup(datum.section_in_g(q))
+        S = w_lookup(int(datum.sections[q]))
         Minv = datum.M[q].conj().T
         R = np.empty((m, m), dtype=np.complex128)
         for i in range(m):
@@ -409,6 +466,95 @@ def hom_action_by_vector(datum, w_lookup, q_list, tol):
             R[:, i] = coords
         mats[q] = R
     return F, mats
+
+
+def hom_rep(W, datum, tol=None) -> ProjectiveRep:
+    """The multiplicity representation of the isotropy quotient on Hom_A(V_tau, W).
+
+    W is a representation of the isotropy group, in its standalone
+    indexing; the Hom space sees only its tau-isotypic part (NotIsotypic
+    when that is 0). The result must satisfy the beta-twisted relation
+    within 10 tol.rep (check_twisted_relation_by_row), and its dimension
+    must be the multiplicity of tau in W|_A; DecompositionFailure otherwise.
+    """
+    tol = tol or default_tolerances()
+    pos = {g: i for i, g in enumerate(datum.gt_map)}
+    Q = datum.q_group
+    _, mats = hom_action_by_vector(datum, lambda g: W.matrices[pos[g]], range(Q.order), tol)
+    rep = ProjectiveRep(Q, datum.beta, len(mats[0]), np.stack([mats[q] for q in range(Q.order)]))
+    check_twisted_relation_by_row(rep, 10 * tol.rep)
+    tau_mult = multiplicity(restrict_rep(W, datum.a_in_gt, datum.tau.cocycle), datum.tau, tol)
+    if rep.dim != tau_mult:
+        raise DecompositionFailure(f"Hom dimension {rep.dim} != character multiplicity {tau_mult}")
+    return rep
+
+
+def regular_rep(G: FiniteGroup, cocycle) -> ProjectiveRep:
+    """Twisted regular representation: rho(g) e_h = alpha(g,h) e_{gh}."""
+    if cocycle.group is not G and not cocycle.group.same_table(G):
+        raise InputError("cocycle is not defined on the given group")
+    n = G.order
+    ctable = cocycle.complex_table
+    mats = np.zeros((n, n, n), dtype=np.complex128)
+    cols = np.arange(n)
+    for g in range(n):
+        mats[g, G.mul[g, cols], cols] = ctable[g, cols]
+    return ProjectiveRep(G, cocycle, n, mats)
+
+
+def restrict_rep(rho, handle, sub_cocycle=None) -> ProjectiveRep:
+    """Matrices re-indexed to the subgroup's own numbering."""
+    if handle.parent is not rho.group and not handle.parent.same_table(rho.group):
+        raise InputError("handle does not belong to the representation's group")
+    sub, to_parent = handle.as_group()
+    if sub_cocycle is None:
+        sub_cocycle, _ = restrict(rho.cocycle, handle)
+    return ProjectiveRep(sub, sub_cocycle, rho.dim, rho.matrices[list(to_parent)])
+
+
+def conjugate_rep(cocycle, H, g: int, rho) -> tuple:
+    """(handle of g H g^-1, the representation of H transported to it).
+
+    (g . rho)(h) = alpha(g^-1 h, g) alpha(g, g^-1 h)^-1 rho(g^-1 h g); the
+    scalars use the full cocycle on the parent group, and the result is an
+    exact representation for the cocycle restricted to the conjugate.
+    """
+    G = H.parent
+    conj_elems = tuple(np.sort(G.mul[G.mul[g, list(H.elements)], G.inv[g]]).tolist())
+    out_handle = H if conj_elems == H.elements else SubgroupHandle(G, conj_elems)
+    out_cocycle, out_map = restrict(cocycle, out_handle)
+    back, scale = _conjugation(cocycle, g, out_map)
+    mats = scale[:, None, None] * rho.matrices[H.position(back)]
+    return out_handle, ProjectiveRep(out_cocycle.group, out_cocycle, rho.dim, mats)
+
+
+def act(alpha, A, g: int, tau) -> ProjectiveRep:
+    """The twisted conjugation action of g in G on a representation of a normal A."""
+    out_handle, rep = conjugate_rep(alpha, A, g, tau)
+    if out_handle.elements != A.elements:
+        raise NotNormal("act requires a normal subgroup")
+    return rep
+
+
+def multiplicity(W, tau, tol=None) -> int:
+    """dim Hom(V_tau, W) from one character inner product, rounded by the library's rule.
+
+    Raises NonIntegerMultiplicity when the inner product is not within
+    tol.char of a non-negative integer (a NaN never is).
+    """
+    tol = tol or default_tolerances()
+    _check_compatible(W, tau)
+    return int(_multiplicities(character(W).values[None], np.conj(character(tau).values)[None],
+                               tol.char)[0, 0])
+
+
+def character_inner(chi, psi) -> complex:
+    """(1/|G|) sum_g chi(g) conj(psi(g))."""
+    return complex(np.mean(chi.values * np.conj(psi.values)))
+
+
+def is_irreducible(rep) -> bool:
+    return commutant_dimension(rep) == 1
 
 
 def dense_split(G: FiniteGroup, cocycle, seed: int):

@@ -16,7 +16,7 @@ from twistdecomp.kgroups import (
     random_gset,
 )
 
-from oracles import classical_dims, coboundary_cochain_brute
+from oracles import act, classical_dims, coboundary_cochain_brute, multiplicity, restrict_rep
 
 CHAR_TOL = 1e-6
 COCYCLE_TOL = 1e-8
@@ -73,9 +73,9 @@ def test_criterion_2_d8_rotations():
     base = rep.action.base
     rho = base.irreducibles[char_index(base, np.array([1, 1j, -1, -1j]))]
     rho2 = base.irreducibles[char_index(base, np.array([1, -1, 1, -1]))]
-    moved = td.act(alpha, A, 4, rho)  # g = b
+    moved = act(alpha, A, 4, rho)  # g = b
     assert np.max(np.abs(td.character(moved).values - 1)) <= CHAR_TOL
-    moved2 = td.act(alpha, A, 4, rho2)
+    moved2 = act(alpha, A, 4, rho2)
     assert np.max(np.abs(td.character(moved2).values - np.array([1, -1j, -1, 1j]))) <= CHAR_TOL
     orbit_chars = [
         frozenset(tuple(np.round(base.characters[i].values, 6)) for i in d.members)
@@ -98,8 +98,8 @@ def test_criterion_2_d8_rotations():
     assert rep.matching[tau2][0] != trivial_orbit
     # via the restrictions: tau_1|_A = 1 + rho, tau_2|_A = rho^2 + rho^3
     alpha_a = rep.action.alpha_a
-    w1 = td.restrict_rep(rep.irr_g.irreducibles[tau1], A, alpha_a)
-    mults1 = [td.multiplicity(w1, t) for t in base.irreducibles]
+    w1 = restrict_rep(rep.irr_g.irreducibles[tau1], A, alpha_a)
+    mults1 = [multiplicity(w1, t) for t in base.irreducibles]
     assert {i for i, m in enumerate(mults1) if m} == set(rep.orbits[trivial_orbit].members)
     _ok("2 (D8 over the rotation subgroup)")
 
@@ -219,8 +219,8 @@ def test_criterion_7_clifford_single_orbit():
                 for m in orbit:
                     orbit_of[m] = oi
             for W in irr_g.irreducibles:
-                w_a = td.restrict_rep(W, A, action.alpha_a)
-                mults = [td.multiplicity(w_a, t) for t in action.base.irreducibles]
+                w_a = restrict_rep(W, A, action.alpha_a)
+                mults = [multiplicity(w_a, t) for t in action.base.irreducibles]
                 support = {orbit_of[i] for i, m in enumerate(mults) if m > 0}
                 assert len(support) == 1
                 orbit = action.orbits()[support.pop()]

@@ -6,7 +6,6 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp import decomposition, reps
-from twistdecomp.decomposition import _hom_action
 from twistdecomp.errors import (
     DecompositionFailure,
     NonIntegerMultiplicity,
@@ -15,12 +14,15 @@ from twistdecomp.errors import (
     SplitFailure,
 )
 
+import oracles
 from oracles import (
     character_classes_by_max_abs,
-    check_twisted_relation_by_row,
     conjugation_residual_by_element,
     hom_action_by_vector,
+    hom_rep,
+    regular_rep,
     rep_violations_by_element,
+    restrict_rep,
 )
 from test_reps import direct_sum, symmetric, with_nan
 from test_split import SPLIT_CASES, assemble
@@ -128,25 +130,33 @@ def corrupted(rep, kind):
     return td.ProjectiveRep(rep.group, rep.cocycle, rep.dim, mats)
 
 
-class TestValidateRep:
+class TestRepViolations:
     @pytest.mark.parametrize("kind", ["identity", "unitary", "relation", "nan"])
-    def test_same_violations_as_per_element(self, kind, explicit_taus):
-        for rep in (explicit_taus[1], td.irreducibles(symmetric(4), td.trivial_cocycle(
-                symmetric(4))).irreducibles[-1]):
+    def test_relation_pairs_as_relation_residuals(self, kind, explicit_taus):
+        """The pairs it names are where the split's kernel misses _relation_tol."""
+        s4 = symmetric(4)
+        for rep in (explicit_taus[1],
+                    td.irreducibles(s4, td.trivial_cocycle(s4)).irreducibles[-1]):
             broken = corrupted(rep, kind)
-            report = td.validate_rep(broken)
-            assert not report.ok
-            assert report.violations == rep_violations_by_element(broken, TOL.rep, TOL)
+            violations = rep_violations_by_element(broken, TOL)
+            assert violations
+            G, cocycle = broken.group, broken.cocycle
+            resid = reps._relation_residuals(G, cocycle.complex_table, broken.matrices[None],
+                                             range(G.order))[0]
+            bad = ~(resid <= reps._relation_tol(cocycle, TOL))
+            assert [v[1:] for v in violations if v[0] == "relation"] == \
+                [tuple(pair) for pair in np.argwhere(bad).tolist()]
 
     def test_nan_is_reported(self, explicit_taus):
-        report = td.validate_rep(corrupted(explicit_taus[1], "nan"))
-        assert report.violations[0] == ("unitary", 3)
-        assert ("relation", 3, 0) in report.violations
-        assert ("identity",) in td.validate_rep(corrupted(explicit_taus[1], "identity")).violations
+        violations = rep_violations_by_element(corrupted(explicit_taus[1], "nan"))
+        assert violations[0] == ("unitary", 3)
+        assert ("relation", 3, 0) in violations
+        assert ("identity",) in rep_violations_by_element(corrupted(explicit_taus[1], "identity"))
 
     def test_valid_reps_stay_valid(self, explicit_taus):
-        assert td.validate_rep(explicit_taus[1]).ok
-        assert td.validate_rep(td.regular_rep(symmetric(4), td.trivial_cocycle(symmetric(4)))).ok
+        assert not rep_violations_by_element(explicit_taus[1])
+        assert not rep_violations_by_element(regular_rep(symmetric(4),
+                                                         td.trivial_cocycle(symmetric(4))))
 
 
 class TestConjugationResiduals:
@@ -207,7 +217,7 @@ def z_datum(d8, alpha4, a_center):
 
 
 def isotropy_rep(datum, rep):
-    return td.restrict_rep(rep, datum.isotropy, datum.alpha_gt)
+    return restrict_rep(rep, datum.isotropy, datum.alpha_gt)
 
 
 def lookup(datum, W, corrupt_at=None, corruption=None):
@@ -221,45 +231,46 @@ def lookup(datum, W, corrupt_at=None, corruption=None):
 
 class TestHomRep:
     @pytest.mark.parametrize("which", [1, 2, "sum"])
-    def test_same_action_as_per_vector(self, z_datum, explicit_taus, which):
+    def test_character_as_hom_weights(self, z_datum, alpha4, explicit_taus, which):
+        """The character of hom_rep is the Hom-fiber character the pipeline reads."""
         rep = direct_sum(explicit_taus[1], explicit_taus[2]) if which == "sum" \
             else explicit_taus[which]
-        w_lookup = lookup(z_datum, isotropy_rep(z_datum, rep))
-        q_list = range(z_datum.q_group.order)
-        F, mats = _hom_action(z_datum, w_lookup, q_list, TOL)
-        F_want, want = hom_action_by_vector(z_datum, w_lookup, q_list, TOL)
-        assert np.array_equal(F, F_want)
-        assert list(mats) == list(want)
-        for q in want:
-            assert np.allclose(mats[q], want[q], rtol=0, atol=1e-14)
+        elements, weights = decomposition._hom_weights(z_datum, alpha4)
+        want = np.sum(td.character(rep).values[elements] * weights, axis=1)
+        got = td.character(hom_rep(isotropy_rep(z_datum, rep), z_datum)).values
+        assert np.max(np.abs(got - want)) <= TOL.char
+
+    def test_dimension_is_the_multiplicity_of_tau(self, d8, alpha4, a_center, z_datum,
+                                                  explicit_taus):
+        """dim Hom_A(V_tau, W) is the multiplicity the character route reads."""
+        action = td.action_table(d8, a_center, alpha4)
+        W = direct_sum(explicit_taus[1], explicit_taus[1])
+        chi_a = td.character(W).values[list(action.a_map)]
+        want = action.base.multiplicities(chi_a[None], TOL.char)[0, z_datum.representative]
+        assert hom_rep(isotropy_rep(z_datum, W), z_datum).dim == want == 2
 
     @pytest.mark.parametrize("corruption", [
         lambda m: m @ random_unitaries(np.random.default_rng(2), 1, len(m))[0],
         lambda m: np.where(np.eye(len(m)) > 0, np.nan, m)])
-    def test_first_failing_pair_as_per_vector(self, z_datum, explicit_taus, corruption):
+    def test_first_failing_pair_leaves_the_hom_space(self, z_datum, explicit_taus, corruption):
         W = isotropy_rep(z_datum, direct_sum(explicit_taus[1], explicit_taus[1]))
-        w_lookup = lookup(z_datum, W, z_datum.section_in_g(1), corruption)
+        w_lookup = lookup(z_datum, W, int(z_datum.sections[1]), corruption)
         q_list = range(z_datum.q_group.order)
-        with pytest.raises(NumericFailure, match="left the Hom space") as want:
+        with pytest.raises(NumericFailure, match="left the Hom space"):
             hom_action_by_vector(z_datum, w_lookup, q_list, TOL)
-        with pytest.raises(NumericFailure) as got:
-            _hom_action(z_datum, w_lookup, q_list, TOL)
-        assert str(got.value) == str(want.value)
 
     def test_nan_in_w_fails_hom_rep(self, z_datum, explicit_taus):
         W = isotropy_rep(z_datum, explicit_taus[1])
         mats = np.array(W.matrices)
-        mats[z_datum.gt_map.index(z_datum.section_in_g(1)), 0, 1] = np.nan
+        mats[z_datum.gt_map.index(int(z_datum.sections[1])), 0, 1] = np.nan
         broken = td.ProjectiveRep(W.group, W.cocycle, W.dim, mats)
         with pytest.raises(NumericFailure, match=r"left the Hom space \(residual nan\)"):
-            td.hom_rep(broken, z_datum)
+            hom_rep(broken, z_datum)
 
     @pytest.mark.parametrize("nan", [False, True])
-    def test_relation_failure_as_per_row(self, monkeypatch, z_datum, explicit_taus, nan):
+    def test_relation_failure_raises(self, monkeypatch, z_datum, explicit_taus, nan):
         W = isotropy_rep(z_datum, explicit_taus[1])
-        honest = decomposition._hom_action
-        hom = td.hom_rep(W, z_datum)
-        tol = TOL if nan else TOL.replace(rep=1e-30)
+        honest = oracles.hom_action_by_vector
 
         def with_nan_entry(*args):
             F, mats = honest(*args)
@@ -267,17 +278,7 @@ class TestHomRep:
             return F, mats
 
         if nan:
-            monkeypatch.setattr(decomposition, "_hom_action", with_nan_entry)
-            hom = td.ProjectiveRep(hom.group, hom.cocycle, hom.dim,
-                                   np.where(np.arange(hom.group.order)[:, None, None] == 1,
-                                            np.nan, hom.matrices))
-        with pytest.raises(DecompositionFailure, match="beta-twisted relation fails") as want:
-            check_twisted_relation_by_row(hom, 10 * tol.rep)
-        with pytest.raises(DecompositionFailure) as got:
-            td.hom_rep(W, z_datum, tol)
-        assert str(got.value) == str(want.value)
-
-    def test_isotypic_multiplicity(self, z_datum, explicit_taus):
-        W = isotropy_rep(z_datum, direct_sum(explicit_taus[1], explicit_taus[1]))
-        assert decomposition._isotypic_multiplicity(W, z_datum, TOL) == td.multiplicity(
-            td.restrict_rep(W, z_datum.a_in_gt, z_datum.tau.cocycle), z_datum.tau)
+            monkeypatch.setattr(oracles, "hom_action_by_vector", with_nan_entry)
+        tol, where = (TOL, r"q1=0 \(nan\)") if nan else (TOL.replace(rep=1e-30), "q1=")
+        with pytest.raises(DecompositionFailure, match="beta-twisted relation fails at " + where):
+            hom_rep(W, z_datum, tol)

@@ -3,12 +3,20 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp import decomposition, report, reps
-from twistdecomp.errors import DecompositionFailure, MatchFailure, NotIsotypic, NotNormal
+from twistdecomp.errors import DecompositionFailure, MatchFailure, NotNormal
 from twistdecomp.groups import full_subgroup, normal_subgroups, trivial_subgroup
 from twistdecomp.report import decomposition_payload
 from twistdecomp.reps import _hom_space, _nullspace
 
-from oracles import coboundary_cochain_brute
+from oracles import (
+    NotIsotypic,
+    act,
+    coboundary_cochain_brute,
+    hom_rep,
+    reconstructed_by_element,
+    rep_violations_by_element,
+    restrict_rep,
+)
 
 
 def char_tuple(values, digits=6):
@@ -37,26 +45,26 @@ def d8_z_action(d8, alpha4, a_center):
 class TestAct:
     def test_identity_acts_trivially(self, d8, alpha4, a_cyclic, d8_a_action):
         for tau in d8_a_action.base.irreducibles:
-            moved = td.act(alpha4, a_cyclic, 0, tau)
+            moved = act(alpha4, a_cyclic, 0, tau)
             assert np.array_equal(moved.matrices, tau.matrices)
 
     def test_b_sends_rho_to_trivial(self, d8, alpha4, a_cyclic, d8_a_action):
         table = d8_a_action.base
         rho = table.irreducibles[find_irr(table, [1, 1j, -1, -1j])]
-        moved = td.act(alpha4, a_cyclic, 4, rho)  # g = b
+        moved = act(alpha4, a_cyclic, 4, rho)  # g = b
         assert char_tuple(td.character(moved).values) == (1, 1, 1, 1)
 
     def test_b_sends_rho2_to_rho3(self, d8, alpha4, a_cyclic, d8_a_action):
         table = d8_a_action.base
         rho2 = table.irreducibles[find_irr(table, [1, -1, 1, -1])]
-        moved = td.act(alpha4, a_cyclic, 4, rho2)
+        moved = act(alpha4, a_cyclic, 4, rho2)
         assert char_tuple(td.character(moved).values) == (1, -1j, -1, 1j)
 
     def test_validity_for_all_g(self, d8, alpha4, a_center, d8_z_action):
         for g in range(8):
             for tau in d8_z_action.base.irreducibles:
-                moved = td.act(alpha4, a_center, g, tau)
-                assert td.validate_rep(moved).ok
+                moved = act(alpha4, a_center, g, tau)
+                assert not rep_violations_by_element(moved)
 
 
 class TestActionTable:
@@ -88,14 +96,14 @@ class TestActionTable:
             A = action.subgroup
             for datum in td.orbit_data(action, alpha4):
                 for q in range(datum.q_group.order):
-                    moved = td.act(alpha4, A, datum.section_in_g(q), datum.tau)
+                    moved = act(alpha4, A, int(datum.sections[q]), datum.tau)
                     Mq = datum.M[q]
                     assert np.allclose(
                         moved.matrices, Mq.conj().T @ datum.tau.matrices @ Mq, atol=1e-8
                     )
             for g in range(8):
                 for i, tau in enumerate(action.base.irreducibles):
-                    moved = td.act(alpha4, A, g, tau)
+                    moved = act(alpha4, A, g, tau)
                     target = action.base.characters[int(action.perm[g, i])]
                     assert np.allclose(td.character(moved).values, target.values, atol=1e-8)
 
@@ -194,7 +202,7 @@ class TestHomRep:
         # isotropy = A itself, so W = tau gives a 1-dim rep of the trivial group
         data = td.orbit_data(d8_a_action, alpha4)
         datum = data[0]
-        hom = td.hom_rep(datum.tau, datum)
+        hom = hom_rep(datum.tau, datum)
         assert hom.dim == 1
         assert hom.group.order == 1
         assert np.allclose(hom.matrices[0], np.eye(1))
@@ -205,8 +213,8 @@ class TestHomRep:
         datum = data[0]
         results = {}
         for name, tau_rep in explicit_taus.items():
-            w_gt = td.restrict_rep(tau_rep, datum.isotropy, datum.alpha_gt)
-            hom = td.hom_rep(w_gt, datum)
+            w_gt = restrict_rep(tau_rep, datum.isotropy, datum.alpha_gt)
+            hom = hom_rep(w_gt, datum)
             assert hom.dim == 1
             results[name] = complex(hom.matrices[1][0, 0])
         # the two irreducibles map to the two distinct beta-classes
@@ -217,7 +225,7 @@ class TestHomRep:
         # representative of orbit 0 has no component of orbit 1's representative
         datum0, datum1 = data
         with pytest.raises(NotIsotypic):
-            td.hom_rep(datum1.tau, datum0)
+            hom_rep(datum1.tau, datum0)
 
     def test_generator_equations_give_the_all_of_a_kernel(self, d8, alpha4, d8_a_action,
                                                          d8_z_action, explicit_taus):
@@ -235,8 +243,8 @@ class TestHomRep:
 
     def test_beta_relation_holds(self, d8, alpha4, a_center, d8_z_action, explicit_taus):
         datum = td.orbit_data(d8_z_action, alpha4)[0]
-        w_gt = td.restrict_rep(explicit_taus[1], datum.isotropy, datum.alpha_gt)
-        hom = td.hom_rep(w_gt, datum)
+        w_gt = restrict_rep(explicit_taus[1], datum.isotropy, datum.alpha_gt)
+        hom = hom_rep(w_gt, datum)
         Q = datum.q_group
         for q1 in range(Q.order):
             for q2 in range(Q.order):
@@ -245,26 +253,27 @@ class TestHomRep:
                 assert np.allclose(lhs, rhs, atol=1e-8)
 
 
+def isotypic_character(datum, W):
+    """The character of the tau-isotypic part of W, a representation of the isotropy
+    group: h -> tr W(h) P, with P the projector built independently from the Hom basis."""
+    w_a = W.matrices[list(datum.a_in_gt.elements)]
+    F = _hom_space(datum.tau.group, w_a, datum.tau.matrices)
+    fs = [F[:, i].reshape(W.dim, datum.tau.dim) for i in range(F.shape[1])]
+    P = datum.tau.dim * sum(f @ f.conj().T for f in fs)
+    assert np.allclose(P @ P, P, atol=1e-9)
+    return np.array([np.trace(W.matrices[h] @ P) for h in range(datum.gt_group.order)])
+
+
 class TestReconstruction:
     @pytest.mark.parametrize("which", [1, 2])
     def test_character_matches_isotypic_projection(self, d8, alpha4, a_center,
                                                    d8_z_action, explicit_taus, which):
         datum = td.orbit_data(d8_z_action, alpha4)[0]
-        W = td.restrict_rep(explicit_taus[which], datum.isotropy, datum.alpha_gt)
-        hom = td.hom_rep(W, datum)
-        rec = td.reconstruct_rep(datum, hom)
-        # independent projector onto the isotypic subspace from the Hom basis
-        gt_pos = {g: i for i, g in enumerate(datum.gt_map)}
-        a_order = [datum.gt_map[x] for x in datum.a_in_gt.elements]
-        w_a = np.stack([W.matrices[gt_pos[g]] for g in a_order])
-        F = _hom_space(datum.tau.group, w_a, datum.tau.matrices)
-        d_w = W.dim
-        fs = [F[:, i].reshape(d_w, datum.tau.dim) for i in range(F.shape[1])]
-        P = datum.tau.dim * sum(f @ f.conj().T for f in fs)
-        assert np.allclose(P @ P, P, atol=1e-9)
+        W = restrict_rep(explicit_taus[which], datum.isotropy, datum.alpha_gt)
+        rec = reconstructed_by_element(datum, hom_rep(W, datum))
+        expected = isotypic_character(datum, W)
         for h in range(datum.gt_group.order):
-            expected = np.trace(W.matrices[gt_pos[datum.gt_map[h]]] @ P)
-            assert td.character(rec).values[h] == pytest.approx(expected, abs=1e-8)
+            assert td.character(rec).values[h] == pytest.approx(expected[h], abs=1e-8)
 
     def test_fully_isotypic_reconstruction_equals_w(self, d8, alpha4, a_cyclic,
                                                     d8_a_action, explicit_taus):
@@ -274,8 +283,8 @@ class TestReconstruction:
         rho_idx = find_irr(table, [1, 1j, -1, -1j])
         datum = next(d for d in data if rho_idx in d.members)
         # take W = the representative itself: fully isotypic by construction
-        hom = td.hom_rep(datum.tau, datum)
-        rec = td.reconstruct_rep(datum, hom)
+        hom = hom_rep(datum.tau, datum)
+        rec = reconstructed_by_element(datum, hom)
         assert np.allclose(
             td.character(rec).values, td.character(datum.tau).values, atol=1e-8
         )
@@ -416,8 +425,8 @@ def hom_character_pairs(G, A, alpha):
             if rep.multiplicities[wi][datum.representative] == 0:
                 yield chi_hom, None
                 continue
-            w_gt = td.restrict_rep(W, datum.isotropy, datum.alpha_gt)
-            yield chi_hom, td.character(td.hom_rep(w_gt, datum)).values
+            w_gt = restrict_rep(W, datum.isotropy, datum.alpha_gt)
+            yield chi_hom, td.character(hom_rep(w_gt, datum)).values
 
 
 class TestHomCharacters:

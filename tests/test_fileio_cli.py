@@ -245,6 +245,10 @@ class TestCli:
         assert main(["--tol", "char=1e-5", "irr", "cyclic:2", "trivial"]) == 0
         assert main(["--tol", "bogus=1", "irr", "cyclic:2", "trivial"]) == 2
         assert main(["--tol", "char=-1", "irr", "cyclic:2", "trivial"]) == 2
+        # a NaN or infinite tolerance would pass every check it enters
+        for bad in ("char=nan", "scalar=inf"):
+            assert main(["--tol", bad, "decompose", "dihedral:4", "dihedral_alpha:4",
+                         "--A", "a"]) == 2
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -259,8 +263,9 @@ class TestCli:
     def test_env_tol_scale(self, monkeypatch, capsys):
         monkeypatch.setenv("TWISTDECOMP_TOL_SCALE", "10")
         assert main(["irr", "dihedral:4", "dihedral_alpha:4"]) == 0
-        monkeypatch.setenv("TWISTDECOMP_TOL_SCALE", "oops")
-        assert main(["irr", "dihedral:4", "dihedral_alpha:4"]) == 2
+        for bad in ("oops", "inf", "nan"):
+            monkeypatch.setenv("TWISTDECOMP_TOL_SCALE", bad)
+            assert main(["decompose", "dihedral:4", "dihedral_alpha:4", "--A", "a"]) == 2
 
     def test_flags_accepted_after_subcommand(self, capsys):
         assert main(["irr", "cyclic:3", "trivial", "--format=json", "--seed=1"]) == 0

@@ -3,8 +3,8 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp import kgroups
-from twistdecomp.decomposition import _hom_action, action_table, conjugate_rep, orbit_data
-from twistdecomp.errors import ANotTrivial, InputError, NotEquivariant, NotIsotypic
+from twistdecomp.decomposition import action_table, orbit_data
+from twistdecomp.errors import ANotTrivial, InputError, NotEquivariant
 from twistdecomp.groups import left_cosets, normal_subgroups, quotient_with_section
 from twistdecomp.kgroups import (
     all_subgroups,
@@ -23,6 +23,13 @@ from twistdecomp.kgroups import (
     relabel_gset,
 )
 
+from oracles import (
+    NotIsotypic,
+    conjugate_rep,
+    hom_action_by_vector,
+    multiplicity,
+    restrict_rep,
+)
 from test_action_table import bfs_orbits
 from test_decomposition import coboundary_twist, d8_identity_at_3
 from test_groups import loop_cosets
@@ -81,15 +88,15 @@ def loop_pullback(G, cocycle, f, x, y):
             big, moved = conjugate_rep(cocycle, ky.isotropies[j], witness, w_rep)
             inner = td.SubgroupHandle(big.as_group()[0],
                                       tuple(big.position(g) for g in kx.isotropies[i].elements))
-            pulled = td.restrict_rep(moved, inner)
+            pulled = restrict_rep(moved, inner)
             for u_idx, u_rep in enumerate(kx.summands[i].irreducibles):
-                out[rows[i] + u_idx, cols[j] + w_idx] = td.multiplicity(pulled, u_rep)
+                out[rows[i] + u_idx, cols[j] + w_idx] = multiplicity(pulled, u_rep)
     return out
 
 
 def loop_phi(G, A, alpha, x):
     """Reference phi_matrix by the matrix route: conjugate each isotropy irreducible
-    by the witness, build its Hom fiber and q-action with _hom_action, and
+    by the witness, build its Hom fiber and q-action with hom_action_by_vector, and
     decompose the traces over the beta classes, one entry block at a time."""
     tol = td.default_tolerances()
     kx = td.k0_of_gset(G, alpha, x)
@@ -106,7 +113,8 @@ def loop_phi(G, A, alpha, x):
                 handle, fiber = conjugate_rep(alpha, kx.isotropies[i], witness, w_rep)
                 pos = {g: n for n, g in enumerate(handle.elements)}
                 try:
-                    _, mats = _hom_action(datum, lambda g: fiber.matrices[pos[g]], q_iso, tol)
+                    _, mats = hom_action_by_vector(datum, lambda g: fiber.matrices[pos[g]],
+                                                   q_iso, tol)
                 except NotIsotypic:
                     continue
                 traces = np.array([[np.trace(mats[q]) for q in q_iso]])

@@ -6,15 +6,22 @@ from twistdecomp.decomposition import action_table, orbit_data
 from twistdecomp.errors import NonIntegerMultiplicity, NotIrreducible
 from twistdecomp.groups import generating_set, trivial_subgroup
 from twistdecomp import reps
-from twistdecomp.reps import commutant_dimension, is_irreducible
+from twistdecomp.reps import commutant_dimension
 
 from test_action_table import c2_x_d8_alpha
 from test_decomposition import coboundary_twist
 from oracles import (
+    act,
+    character_inner,
     character_values_by_element,
     classical_character_table,
     classical_dims,
+    is_irreducible,
     max_abs_matches,
+    multiplicity,
+    regular_rep,
+    rep_violations_by_element,
+    restrict_rep,
     twisted_character_table,
 )
 
@@ -53,41 +60,38 @@ def trivial_rep(G):
     return td.ProjectiveRep(G, td.trivial_cocycle(G), 1, mats)
 
 
-class TestValidateRep:
+class TestRepViolations:
     def test_trivial_rep_valid(self, d8):
-        assert td.validate_rep(trivial_rep(d8)).ok
+        assert not rep_violations_by_element(trivial_rep(d8))
 
     def test_explicit_tau1_valid(self, explicit_taus):
-        assert td.validate_rep(explicit_taus[1]).ok
+        assert not rep_violations_by_element(explicit_taus[1])
 
     def test_tau1_with_trivial_cocycle_invalid(self, d8, explicit_taus):
         rep = td.ProjectiveRep(d8, td.trivial_cocycle(d8), 2, np.array(explicit_taus[1].matrices))
-        report = td.validate_rep(rep)
-        assert not report.ok
-        assert ("relation", 4, 1) in report.violations  # fails at (b, a)
+        assert ("relation", 4, 1) in rep_violations_by_element(rep)  # fails at (b, a)
 
     def test_non_unitary_flagged(self, d8, alpha4):
-        mats = np.array(td.regular_rep(d8, alpha4).matrices)
+        mats = np.array(regular_rep(d8, alpha4).matrices)
         mats[3] *= 2.0
-        report = td.validate_rep(td.ProjectiveRep(d8, alpha4, 8, mats))
-        assert ("unitary", 3) in report.violations
+        assert ("unitary", 3) in rep_violations_by_element(td.ProjectiveRep(d8, alpha4, 8, mats))
 
 
 class TestRegularRep:
     def test_trivial_group(self):
         G = td.trivial_group()
-        reg = td.regular_rep(G, td.trivial_cocycle(G))
+        reg = regular_rep(G, td.trivial_cocycle(G))
         assert reg.dim == 1
         assert np.allclose(reg.matrices[0], np.eye(1))
 
     def test_z2_character(self):
         G = td.cyclic(2)
-        reg = td.regular_rep(G, td.trivial_cocycle(G))
+        reg = regular_rep(G, td.trivial_cocycle(G))
         assert np.allclose(td.character(reg).values, [2, 0])
 
     def test_d8_twisted_character(self, d8, alpha4):
-        reg = td.regular_rep(d8, alpha4)
-        assert td.validate_rep(reg).ok
+        reg = regular_rep(d8, alpha4)
+        assert not rep_violations_by_element(reg)
         want = np.zeros(8)
         want[0] = 8
         assert np.allclose(td.character(reg).values, want)
@@ -121,7 +125,7 @@ class TestIrreducibles:
     def test_character_gram_is_identity(self, d8, alpha4):
         table = td.irreducibles(d8, alpha4, seed=0)
         gram = np.array([
-            [td.character_inner(c1, c2) for c2 in table.characters]
+            [character_inner(c1, c2) for c2 in table.characters]
             for c1 in table.characters
         ])
         assert np.allclose(gram, np.eye(len(table)), atol=1e-6)
@@ -204,31 +208,31 @@ class TestCharacter:
 
 class TestMultiplicity:
     def test_self_multiplicity_one(self, explicit_taus):
-        assert td.multiplicity(explicit_taus[1], explicit_taus[1]) == 1
+        assert multiplicity(explicit_taus[1], explicit_taus[1]) == 1
 
     def test_regular_contains_each_dim_times(self, d8, alpha4, explicit_taus):
-        reg = td.regular_rep(d8, alpha4)
-        assert td.multiplicity(reg, explicit_taus[1]) == 2
-        assert td.multiplicity(reg, explicit_taus[2]) == 2
+        reg = regular_rep(d8, alpha4)
+        assert multiplicity(reg, explicit_taus[1]) == 2
+        assert multiplicity(reg, explicit_taus[2]) == 2
 
     def test_tau1_restricted_contains_rho_once(self, d8, alpha4, explicit_taus, a_cyclic):
-        w_a = td.restrict_rep(explicit_taus[1], a_cyclic)
+        w_a = restrict_rep(explicit_taus[1], a_cyclic)
         sub, _ = a_cyclic.as_group()
         rho = td.ProjectiveRep(
             sub, td.trivial_cocycle(sub), 1,
             np.array([[[1j ** k]] for k in range(4)], dtype=complex),
         )
-        assert td.multiplicity(w_a, rho) == 1
+        assert multiplicity(w_a, rho) == 1
 
     def test_mismatched_cocycles_rejected(self, d8, alpha4, explicit_taus):
         other = td.ProjectiveRep(d8, td.trivial_cocycle(d8), 1,
                                  np.ones((8, 1, 1), dtype=complex))
         with pytest.raises((NonIntegerMultiplicity, Exception)):
-            td.multiplicity(explicit_taus[1], other)
+            multiplicity(explicit_taus[1], other)
 
     def test_a_nan_entry_raises(self, explicit_taus):
         with pytest.raises(NonIntegerMultiplicity):
-            td.multiplicity(with_nan(explicit_taus[1]), explicit_taus[1])
+            multiplicity(with_nan(explicit_taus[1]), explicit_taus[1])
 
 
 def with_nan(rep):
@@ -269,11 +273,11 @@ class TestMultiplicities:
     def test_equal_per_entry_multiplicity(self, name):
         table = self.TABLES[name]()
         irr = table.irreducibles
-        samples = [td.regular_rep(table.group, table.cocycle), *irr,
+        samples = [regular_rep(table.group, table.cocycle), *irr,
                    direct_sum(irr[0], irr[-1], irr[-1]), direct_sum(*irr)]
         got = table.multiplicities(np.stack([td.character(w).values for w in samples]),
                                    td.default_tolerances().char)
-        want = [[td.multiplicity(w, u) for u in irr] for w in samples]
+        want = [[multiplicity(w, u) for u in irr] for w in samples]
         assert got.dtype == np.int64
         assert got.tolist() == want
 
@@ -305,8 +309,8 @@ class TestIntertwiner:
         from twistdecomp.groups import full_subgroup
 
         whole = full_subgroup(d8)
-        tau1_std = td.restrict_rep(explicit_taus[1], whole)
-        moved = td.act(alpha4, whole, 4, tau1_std)  # g = b
+        tau1_std = restrict_rep(explicit_taus[1], whole)
+        moved = act(alpha4, whole, 4, tau1_std)  # g = b
         M = td.intertwiner(tau1_std, moved)
         assert M is not None
         assert np.allclose(M.conj().T @ M, np.eye(2), atol=1e-9)
@@ -319,7 +323,7 @@ class TestIntertwiner:
         assert td.intertwiner(explicit_taus[1], explicit_taus[2]) is None
 
     def test_reducible_rejected(self, d8, alpha4):
-        reg = td.regular_rep(d8, alpha4)
+        reg = regular_rep(d8, alpha4)
         with pytest.raises(NotIrreducible):
             td.intertwiner(reg, reg)
 
@@ -330,24 +334,24 @@ class TestIntertwiner:
 
 class TestRestrictRep:
     def test_to_trivial_subgroup(self, d8, explicit_taus):
-        sub_rep = td.restrict_rep(explicit_taus[1], trivial_subgroup(d8))
+        sub_rep = restrict_rep(explicit_taus[1], trivial_subgroup(d8))
         assert sub_rep.group.order == 1
         assert np.allclose(sub_rep.matrices[0], np.eye(2))
 
     def test_tau1_to_rotations_splits_one_plus_rho(self, alpha4, explicit_taus, a_cyclic):
-        w_a = td.restrict_rep(explicit_taus[1], a_cyclic)
-        assert td.validate_rep(w_a).ok
+        w_a = restrict_rep(explicit_taus[1], a_cyclic)
+        assert not rep_violations_by_element(w_a)
         table = td.irreducibles(w_a.group, w_a.cocycle, seed=0)
-        mults = [td.multiplicity(w_a, t) for t in table.irreducibles]
+        mults = [multiplicity(w_a, t) for t in table.irreducibles]
         chars = [tuple(np.round(c.values, 6)) for c in table.characters]
         trivial = chars.index((1, 1, 1, 1))
         rho = chars.index((1, 1j, -1, -1j))
         assert mults[trivial] == 1 and mults[rho] == 1 and sum(mults) == 2
 
     def test_tau2_to_center_splits_one_plus_sigma(self, explicit_taus, a_center):
-        w_a = td.restrict_rep(explicit_taus[2], a_center)
+        w_a = restrict_rep(explicit_taus[2], a_center)
         table = td.irreducibles(w_a.group, w_a.cocycle, seed=0)
-        mults = sorted(td.multiplicity(w_a, t) for t in table.irreducibles)
+        mults = sorted(multiplicity(w_a, t) for t in table.irreducibles)
         assert mults == [1, 1]
 
 
@@ -357,7 +361,7 @@ class TestCommutant:
 
     def test_regular_rep_commutant(self, d8, alpha4):
         # two classes of dim 2 each: commutant dim = 2^2 + 2^2
-        reg = td.regular_rep(d8, alpha4)
+        reg = regular_rep(d8, alpha4)
         assert commutant_dimension(reg) == 8
 
 

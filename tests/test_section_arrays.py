@@ -20,13 +20,16 @@ from twistdecomp.errors import (
 from twistdecomp.groups import normal_subgroups
 
 from oracles import (
+    act,
     chi_by_pair,
+    hom_rep,
     induced_table_by_pair,
     reconstructed_by_element,
+    restrict_rep,
     tau_exponents_by_pair,
 )
 from test_action_table import c2_x_d8_alpha
-from test_decomposition import coboundary_twist, dihedral_configurations
+from test_decomposition import coboundary_twist, dihedral_configurations, isotypic_character
 from test_reps import alternating, quaternion, symmetric
 
 BETA_ATOL = 1e-14
@@ -76,7 +79,7 @@ def m_by_section(datum, alpha, A, tol):
     """M(q) = intertwiner(tau, sigma(q).tau) from act, one q at a time."""
     out = [np.eye(datum.tau.dim, dtype=np.complex128)]
     for q in range(1, datum.q_group.order):
-        moved = td.act(alpha, A, datum.section_in_g(q), datum.tau)
+        moved = act(alpha, A, int(datum.sections[q]), datum.tau)
         out.append(td.intertwiner(datum.tau, moved, tol))
     return np.stack(out)
 
@@ -149,7 +152,9 @@ class TestOrbitDataArrays:
         assert dims == {1, 2, 3, 4, 6}
 
     @pytest.mark.parametrize("phase_seed", [None, 3])
-    def test_reconstruct_rep_against_the_element_route(self, phase_seed):
+    def test_reconstruction_is_the_isotypic_part(self, phase_seed):
+        """V_tau (x) Hom, rebuilt on the sections and M of orbit_data, has the character
+        of W's tau-isotypic part on every orbit that W touches."""
         configs = [(G, A, alpha) for G, A, alpha in dihedral_configurations([4, 6, 8])]
         s4 = symmetric(4)
         configs += [(s4, A, td.trivial_cocycle(s4)) for A in normal_subgroups(s4)]
@@ -160,10 +165,11 @@ class TestOrbitDataArrays:
                 for wi, W in enumerate(rep.irr_g.irreducibles):
                     if rep.multiplicities[wi][datum.representative] == 0:
                         continue
-                    hom = td.hom_rep(td.restrict_rep(W, datum.isotropy, datum.alpha_gt), datum)
-                    rec = td.reconstruct_rep(datum, hom)
-                    err = np.max(np.abs(rec.matrices - reconstructed_by_element(datum, hom)))
-                    assert err <= BETA_ATOL, err
+                    w_gt = restrict_rep(W, datum.isotropy, datum.alpha_gt)
+                    rec = reconstructed_by_element(datum, hom_rep(w_gt, datum))
+                    err = np.max(np.abs(td.character(rec).values
+                                        - isotypic_character(datum, w_gt)))
+                    assert err <= 1e-8, err
                     checked += 1
         assert checked > 50
 
