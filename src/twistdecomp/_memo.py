@@ -9,9 +9,10 @@ SubgroupHandle.as_group, cocycles.restrict and groups.quotient_with_section).
 A key is a 16-byte blake2b digest of a kind tag and every input the
 computation reads: arrays by dtype, shape and buffer, other values by repr.
 Callers store only what passed every check, so a failure is recomputed and
-raised again on each call. Entries are evicted least recently used first,
-once the stored arrays exceed BUDGET_BYTES; an entry larger than the budget
-is not kept.
+raised again on each call; an irreducibles entry whose deferred matrix
+certificate later fails is no longer a hit (see reps._Split). Entries are
+evicted least recently used first, once the stored arrays exceed
+BUDGET_BYTES; an entry larger than the budget is not kept.
 """
 
 from __future__ import annotations

@@ -506,7 +506,7 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
         orbit_mults = {mults[i] for i in datum.members}
         if len(orbit_mults) != 1 or 0 in orbit_mults:
             raise OrbitMixing(f"W_{wi} has uneven multiplicities across its orbit")
-        dim_check = sum(mults[i] * action.base.irreducibles[i].dim for i in support)
+        dim_check = sum(mults[i] * action.base.dims[i] for i in support)
         if dim_check != dim:
             raise OrbitMixing(f"W_{wi}: restriction dimensions do not add up")
         over[oi].append(wi)
@@ -524,10 +524,8 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
     if len(set(matching)) != len(matching):
         raise MatchFailure("matching is not injective")
     total = sum(len(t) for t in beta_tables)
-    if total != len(irr_g.irreducibles):
-        raise MatchFailure(
-            f"rank mismatch: {len(irr_g.irreducibles)} irreducibles vs {total} classes"
-        )
+    if total != len(irr_g):
+        raise MatchFailure(f"rank mismatch: {len(irr_g)} irreducibles vs {total} classes")
     return DecompositionReport(
         group=G, subgroup=A, alpha=alpha, seed=seed, irr_g=irr_g, action=action,
         orbits=orbits, beta_tables=beta_tables, matching=matching,

@@ -42,18 +42,26 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_cycles(text: str, degree: int, lineno: int = 0) -> tuple[int, ...]:
-    """Parse `(0 1 2)(3 4)` into a permutation tuple of the given degree."""
+    """Parse `(0 1 2)(3 4)` into a permutation tuple of the given degree.
+
+    The cycles must be disjoint: a point in two cycles raises ParseError.
+    """
     body = text.replace(",", " ")
     consumed = _CYCLE_RE.sub("", body).strip()
     if consumed:
         raise ParseError(f"line {lineno}: unexpected text {consumed!r} in cycle notation")
     perm = list(range(degree))
+    seen: set[int] = set()
     for cyc in _CYCLE_RE.findall(body):
         entries = [int(tok) for tok in cyc.split()]
         if not entries:
             continue
         if any(not 0 <= e < degree for e in entries) or len(set(entries)) != len(entries):
             raise ParseError(f"line {lineno}: bad cycle ({cyc})")
+        repeated = seen.intersection(entries)
+        if repeated:
+            raise ParseError(f"line {lineno}: point {min(repeated)} appears in more than one cycle")
+        seen.update(entries)
         for a, b in zip(entries, entries[1:]):
             perm[a] = b
         perm[entries[-1]] = entries[0]

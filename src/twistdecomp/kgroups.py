@@ -214,7 +214,7 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
     cocycle restricted to it and its irreducibles, is computed once per
     content: the content digests of the group and the cocycle, the group's
     labels, the isotropy's elements, seed and tolerances. A hit is a new
-    table over the stored group, cocycle and read-only arrays; the
+    table over the stored group, cocycle and split; the
     isotropy handle is the one found in this call. Whether the cocycle
     lives on G is checked on every call, and a failure is never remembered.
     """
@@ -248,20 +248,18 @@ def _isotropy_summand(content: bytes, handle: SubgroupHandle, cocycle, seed: int
     stored summand of k0_of_gset, or a new one stored."""
     key = _memo.key("isotropy summand", content, handle.elements)
     hit = _memo.get(key)
-    if hit is None:
+    if hit is None or hit[2].failed:
         sub_cocycle, _ = restrict(cocycle, handle)
         sub_group, _ = handle.as_group()
-        table = irreducibles(sub_group, sub_cocycle, seed=seed, tol=tol)
-        hit = (sub_group, sub_cocycle, [r.matrices for r in table.irreducibles],
-               table.character_values)
+        hit = (sub_group, sub_cocycle, irreducibles(sub_group, sub_cocycle, seed=seed, tol=tol)._split)
         _memo.put(key, hit, _summand_bytes(sub_group, sub_cocycle))
     return _table(*hit)
 
 
 def _summand_bytes(sub_group: FiniteGroup, sub_cocycle) -> int:
-    """What a summand entry adds: its matrices and characters are the arrays
-    of the irreducibles entry of (sub_group, sub_cocycle). An exact cocycle
-    stores its exponents, a numeric one its values."""
+    """What a summand entry adds: its split, with the characters and the
+    matrices once read, is the irreducibles entry of (sub_group, sub_cocycle).
+    An exact cocycle stores its exponents, a numeric one its values."""
     table = sub_cocycle.exponents if isinstance(sub_cocycle, Cocycle) else sub_cocycle.table
     return sub_group.mul.nbytes + sub_group.inv.nbytes + table.nbytes
 

@@ -22,16 +22,16 @@ def _num(x: float) -> float:
     return round(float(x), _DIGITS) + 0.0
 
 
-def _fingerprints(values: np.ndarray) -> list[str]:
+def _fingerprints(values: np.ndarray, identity: int) -> list[str]:
     """The fingerprint string of each row of a (#chars, |G|) stack of characters.
 
-    "d<dim>|" and then "re,im" of every value, rounded as
-    AlphaCharacter.fingerprint rounds it, joined by ";". One _rounded pass
-    covers the whole stack.
+    "d<dim>|", the dimension read at the identity's index, and then "re,im"
+    of every value, rounded as AlphaCharacter.fingerprint rounds it, joined
+    by ";". One _rounded pass covers the whole stack.
     """
     rounded = _rounded(np.stack([values.real, values.imag], axis=-1), _DIGITS).tolist()
     return [f"d{int(round(first.real))}|" + ";".join(f"{re:.9f},{im:.9f}" for re, im in row)
-            for first, row in zip(values[:, 0], rounded)]
+            for first, row in zip(values[:, identity], rounded)]
 
 
 def matrix_pairs(m: np.ndarray) -> list:
@@ -46,15 +46,15 @@ def to_json(payload: dict) -> str:
 
 def irr_table_payload(table: IrrTable, include_matrices: bool = False) -> dict:
     entries = []
-    for rep, chi, fingerprint in zip(table.irreducibles, table.characters,
-                                     _fingerprints(table.character_values)):
+    fingerprints = _fingerprints(table.character_values, table.group.identity)
+    for i, (dim, chi, fingerprint) in enumerate(zip(table.dims, table.characters, fingerprints)):
         entry = {
-            "dim": rep.dim,
+            "dim": dim,
             "character": matrix_pairs(chi.values),
             "fingerprint": fingerprint,
         }
         if include_matrices:
-            entry["matrices"] = matrix_pairs(rep.matrices)
+            entry["matrices"] = matrix_pairs(table.irreducibles[i].matrices)
         entries.append(entry)
     return {
         "labels": list(table.group.labels),
@@ -71,8 +71,8 @@ def irr_table_text(table: IrrTable) -> str:
         f"sum of squares = {sum(d * d for d in table.dims)})"
     ]
     labels = table.group.labels
-    for i, (rep, chi) in enumerate(zip(table.irreducibles, table.characters)):
-        lines.append(f"#{i}: dim {rep.dim}")
+    for i, (dim, chi) in enumerate(zip(table.dims, table.characters)):
+        lines.append(f"#{i}: dim {dim}")
         for g, v in enumerate(chi.values):
             lines.append(f"    chi({labels[g]}) = {_fmt_complex(v)}")
     return "\n".join(lines) + "\n"
@@ -88,9 +88,9 @@ def _fmt_complex(z: complex) -> str:
 
 def decomposition_payload(report: DecompositionReport) -> dict:
     """The JSON payload of a point decomposition; each table's fingerprints are made once."""
-    irr_g = _fingerprints(report.irr_g.character_values)
-    irr_a = _fingerprints(report.action.base.character_values)
-    beta = [_fingerprints(table.character_values) for table in report.beta_tables]
+    irr_g = _fingerprints(report.irr_g.character_values, report.group.identity)
+    irr_a = _fingerprints(report.action.base.character_values, report.action.base.group.identity)
+    beta = [_fingerprints(t.character_values, t.group.identity) for t in report.beta_tables]
     orbits = []
     for datum, table, beta_fingerprints in zip(report.orbits, report.beta_tables, beta):
         orbits.append({

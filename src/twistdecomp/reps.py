@@ -11,22 +11,28 @@ element c of maximal order m. L(c) shifts each right coset <c>r with
 phases of alpha, so its eigenvectors are those phases times the columns of
 the m x m DFT matrix; in that basis T is block diagonal, and one batched
 eigh of m blocks of order |G|/m diagonalizes it in O(|G|^3 / m^2) in place
-of O(|G|^3). Irreducibility is certified structurally: the commutant
-(solutions M of M rho(g) = rho(g) M) must be one-dimensional, never
+of O(|G|^3). A split is certified on characters and on the generators
+alone: each entry's basis must span a subspace that the left operators of
+the generators keep, and the compressions there must have a
+one-dimensional commutant (solutions M of M rho(s) = rho(s) M), never
 inferred from eigenvalue multiplicities alone. The table is further
-certified by block multiplicities, the sum of squared dimensions, an
-exact integer count of alpha-regular conjugacy classes and the defining
-relation on the generators.
+certified by block multiplicities, the sum of squared dimensions and an
+exact integer count of alpha-regular conjugacy classes. A table holds
+characters and bases; the matrices of every element are built, and
+certified by the defining relation on the generators, when a caller first
+reads them.
 
-Each kind of certificate has one whole-array kernel: _relation_residuals
-(the defining relation), _conjugation_residuals (Schur conjugation) and
-_multiplicities (the rule of multiplicity). Every caller compares their
-output against its own tolerance as ~(residual <= tol), so a NaN fails.
+Each kind of certificate has one whole-array kernel: _invariance (the
+invariant subspace), _relation_residuals (the defining relation),
+_conjugation_residuals (Schur conjugation) and _multiplicities (the rule
+of multiplicity). Every caller compares their output against its own
+tolerance as ~(residual <= tol), so a NaN fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,7 +58,8 @@ _CLUSTER_ATOL = 1e-7
 _RELATION_FLOOR = 1e-12
 _FINGERPRINT_DIGITS = 9
 # Entries per temporary in the chunked loops of a split: (g, h) pairs in
-# _conjugation_weights, matrix entries in _block_matrices and _relation_residuals.
+# _conjugation_weights, basis or matrix entries in _invariance, _block_matrices
+# and _relation_residuals.
 _CHUNK = 1 << 14
 
 
@@ -72,9 +79,11 @@ class ProjectiveRep:
 
 @dataclass(eq=False)
 class AlphaCharacter:
-    """Traces of a projective representation, one value per group element."""
+    """Traces of a projective representation, one value per group element;
+    identity is the index of the group's identity, where the trace is the dimension."""
 
     values: np.ndarray
+    identity: int
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
@@ -82,7 +91,7 @@ class AlphaCharacter:
 
     @property
     def dim(self) -> int:
-        return int(round(self.values[0].real))
+        return int(round(self.values[self.identity].real))
 
     def fingerprint(self, digits: int = _FINGERPRINT_DIGITS) -> tuple:
         """((re, im), ...) of the values, each as Python's round(x, digits)."""
@@ -104,7 +113,7 @@ def _rounded(parts: np.ndarray, digits: int) -> np.ndarray:
 
 
 def character(rep: ProjectiveRep) -> AlphaCharacter:
-    return AlphaCharacter(np.trace(rep.matrices, axis1=1, axis2=2))
+    return AlphaCharacter(np.trace(rep.matrices, axis1=1, axis2=2), rep.group.identity)
 
 
 def _relation_tol(cocycle, tol: Tolerances) -> float:
@@ -144,24 +153,22 @@ def _hom_space(G: FiniteGroup, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _nullspace(_hom_equations(X[gens], Y[gens]))
 
 
-def _commutant_dimensions(G: FiniteGroup, mats: np.ndarray) -> np.ndarray:
-    """Commutant dimension of each representation in an (m, |G|, d, d) stack.
+def _commutant_dimensions(G: FiniteGroup, X: np.ndarray) -> np.ndarray:
+    """Commutant dimension of each representation in an (m, |S|, d, d) stack
+    of its matrices at the generators S = generating_set(G).
 
     The kernel dimensions of the generator equations of _hom_space, from
     one batched singular-value decomposition with the cutoff of _nullspace.
     """
-    gens = list(generating_set(G))
-    d = mats.shape[-1]
-    if not gens:
-        return np.full(len(mats), d * d)
-    X = mats[:, gens]
+    if not generating_set(G):
+        return np.full(len(X), X.shape[-1] ** 2)
     s = np.linalg.svd(_hom_equations(X, X), compute_uv=False)
     cutoff = _NULLSPACE_RTOL * np.maximum(1.0, s[:, 0])
-    return d * d - np.count_nonzero(s > cutoff[:, None], axis=1)
+    return X.shape[-1] ** 2 - np.count_nonzero(s > cutoff[:, None], axis=1)
 
 
 def commutant_dimension(rep: ProjectiveRep) -> int:
-    return int(_commutant_dimensions(rep.group, rep.matrices[None])[0])
+    return int(_commutant_dimensions(rep.group, rep.matrices[None, generating_set(rep.group)])[0])
 
 
 def _cluster_sorted(w: np.ndarray) -> list[np.ndarray]:
@@ -291,6 +298,35 @@ def _block_characters(V: np.ndarray, clusters: list[np.ndarray], identity: int,
     return np.add.reduceat(terms, starts, axis=1).T @ phi
 
 
+def _invariance(G: FiniteGroup, ctable: np.ndarray, rows: np.ndarray,
+                gens: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Compressions B^H L(s) B of m orthonormal bases B, and how far each is from invariant.
+
+    rows is the (m, d, |G|) stack of the bases' vectors, rows[c, i] the
+    column i of B_c. L(s) e_h = alpha(s,h) e_{sh} is the left operator of the
+    twisted regular representation, so (L(s) b)[x] = alpha(s, s^-1 x) b[s^-1 x].
+    Returns the (m, len(gens), d, d) compressions at the elements s of gens
+    and the (m,) worst |L(s) B - B B^H L(s) B| over s and entries, NaN where
+    one enters. The bases are taken in chunks whose temporaries hold at most
+    _CHUNK entries (or one basis). ctable is cocycle.complex_table.
+    """
+    m, d, n = rows.shape
+    compressed = np.empty((m, len(gens), d, d), dtype=np.complex128)
+    worst = np.empty((m, len(gens)))
+    step = max(1, _CHUNK // (n * d))
+    for j, s in enumerate(gens):
+        back = G.mul[G.inv[s]]              # s^-1 x for every x
+        for lo in range(0, m, step):
+            chunk = rows[lo:lo + step]
+            moved = chunk[:, :, back] * ctable[s, back]
+            transposed = moved @ chunk.conj().transpose(0, 2, 1)     # (B^H L(s) B)^T
+            compressed[lo:lo + step, j] = transposed.transpose(0, 2, 1)
+            moved -= transposed @ chunk
+            # one reduction over a flat axis: numpy's max over two axes is several times slower
+            worst[lo:lo + step, j] = np.abs(moved).reshape(len(chunk), -1).max(axis=1)
+    return compressed, worst.max(axis=1, initial=0.0)
+
+
 def _block_matrices(G: FiniteGroup, cocycle, ctable: np.ndarray, B: np.ndarray) -> np.ndarray:
     """B_c^H rho_reg(g) B_c for every g and every basis of an (m, |G|, d) stack, as (m, |G|, d, d).
 
@@ -418,18 +454,84 @@ def _regular_class_count(G: FiniteGroup, cocycle, tol: Tolerances) -> int:
 
 
 @dataclass(eq=False)
-class IrrTable:
-    """All irreducible projective representations for one (group, cocycle)."""
+class _Split:
+    """A certified split as the memo stores it; it holds no group or cocycle.
 
-    group: FiniteGroup
-    cocycle: Cocycle | NumericCocycle
-    irreducibles: list[ProjectiveRep]
-    characters: list[AlphaCharacter]
+    values is the read-only (#irr, |G|) character stack and dims the
+    dimensions, both in table order. Until the matrices are first read,
+    bases holds per dimension, ascending, the (m, d, |G|) stack of the
+    vectors of its entries' orthonormal bases in split order (see
+    _invariance), and order maps each table position to a position in
+    those stacks, concatenated. failed marks a split whose matrices missed
+    the defining relation: no memo hit returns it.
+    """
+
+    values: np.ndarray
+    dims: tuple[int, ...]
+    bases: list[np.ndarray] | None
+    order: np.ndarray
+    rtol: float                             # of the relation certificate
+    built: list[np.ndarray] | None = None
+    failed: bool = False
+    _lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def matrices(self, G: FiniteGroup, cocycle) -> list[np.ndarray]:
+        """The read-only (|G|, d, d) matrices in table order, for a group and
+        cocycle of the stored content.
+
+        The first call builds all entries of one dimension at once by
+        _block_matrices on the stored bases, certifies them by the defining
+        relation rho(s) rho(h) = alpha(s,h) rho(sh) for s in the generating
+        set and every h within rtol, and then drops the bases. On a failed
+        relation it marks the split failed and raises SplitFailure, and every
+        later read raises it again. Tables in several threads may share the
+        split, so the build runs under its lock.
+        """
+        with self._lock:
+            if self.built is None:
+                ctable, built = cocycle.complex_table, []
+                for rows in self.bases:
+                    mats = _block_matrices(G, cocycle, ctable,
+                                           np.ascontiguousarray(rows.transpose(0, 2, 1)))
+                    residual = _relation_residuals(G, ctable, mats, generating_set(G)).max(initial=0.0)
+                    if not residual <= self.rtol:
+                        self.failed = True
+                        raise SplitFailure(f"blocks of dimension {rows.shape[1]} miss the defining "
+                                           f"relation by {residual:.2e}")
+                    mats.flags.writeable = False
+                    built.extend(mats)
+                self.built, self.bases = [built[i] for i in self.order], None
+        return self.built
+
+
+class IrrTable:
+    """All irreducible projective representations for one (group, cocycle).
+
+    A table from irreducibles reads its stored split: len, dims,
+    character_values, characters and multiplicities come from the stored
+    characters, and the matrices are built on the first read of
+    irreducibles (see _Split.matrices). Each ProjectiveRep and
+    AlphaCharacter is made on first access.
+    """
+
+    def __init__(self, group: FiniteGroup, cocycle: Cocycle | NumericCocycle,
+                 irreducibles: list[ProjectiveRep], characters: list[AlphaCharacter]):
+        self.group, self.cocycle = group, cocycle
+        self.irreducibles, self.characters = irreducibles, characters
 
     def __len__(self) -> int:
-        return len(self.irreducibles)
+        return len(self.dims)
 
-    @property
+    @cached_property
+    def irreducibles(self) -> list[ProjectiveRep]:
+        return [ProjectiveRep(self.group, self.cocycle, m.shape[1], m)
+                for m in self._split.matrices(self.group, self.cocycle)]
+
+    @cached_property
+    def characters(self) -> list[AlphaCharacter]:
+        return [AlphaCharacter(v, self.group.identity) for v in self.character_values]
+
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(rep.dim for rep in self.irreducibles)
 
@@ -457,15 +559,16 @@ class IrrTable:
         return _multiplicities(values, self._conj_values, tol)
 
 
-def _table_order(values: np.ndarray) -> np.ndarray:
+def _table_order(values: np.ndarray, identity: int) -> np.ndarray:
     """Indices that sort (#irr, |G|) characters by (dim, fingerprint()), stably.
 
-    One lexsort over the rounded values: the dimension is the primary key,
-    then Re and Im of each value in element order.
+    One lexsort over the rounded values: the dimension, the value at the
+    identity, is the primary key, then Re and Im of each value in element
+    order.
     """
     rounded = _rounded(np.stack([values.real, values.imag], axis=-1), _FINGERPRINT_DIGITS)
     keys = rounded.reshape(len(values), -1).T[::-1]
-    return np.lexsort(np.vstack([keys, np.round(values[None, :, 0].real)]))
+    return np.lexsort(np.vstack([keys, np.round(values[None, :, identity].real)]))
 
 
 def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
@@ -478,19 +581,21 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
     m, where it falls into m blocks of order |G|/m: one batched eigh of
     cost O(|G|^3 / m^2) (see _commutant_eigh). Blocks are deduplicated by
     the multiplicity rule on the Gram matrix of their characters. The table is
-    certified (commutant dimension 1 per entry, as many blocks per class as
-    its dimension, squared dimensions summing to |G|, as many classes as
-    alpha-regular conjugacy classes, the defining relation of every entry
-    on the generators); on a failed certificate the split is
-    redrawn with the next seed, up to 5 seeds. The table is sorted by
-    (dimension, lexicographic character), so the result is deterministic
-    per seed.
+    certified on characters and generators (see _assemble_table); on a
+    failed certificate the split is redrawn with the next seed, up to 5
+    seeds. The table is sorted by (dimension, lexicographic character), so
+    the result is deterministic per seed. Its characters are those of the
+    split; the matrices are built, and certified by the defining relation,
+    on the first read of table.irreducibles, where a failure raises
+    SplitFailure.
 
     A certified table is split and certified once per content: the content
-    digests of the group and the cocycle, seed and tolerances. A later call
-    with the same content gets the same matrices and characters back, in a
-    table whose group and cocycle are the caller's objects. A failure is
-    never remembered.
+    digests of the group and the cocycle, seed and tolerances. The stored
+    entry holds the characters and the bases, or once read the matrices,
+    and every table of that content shares it, so its matrices are built
+    once. A later call gets them back in a table whose group and cocycle are
+    the caller's objects. A failure is never remembered: a split whose
+    matrices missed the relation is not a hit, so the next call splits again.
     """
     tol = tol or default_tolerances()
     n = G.order
@@ -503,31 +608,28 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
         raise InputError("cocycle is not defined on the given group")
     key = _memo.key("irreducibles", G._content, cocycle._content, seed, tol._content)
     hit = _memo.get(key)
-    if hit is None:
+    if hit is None or hit.failed:
         hit = _split_certified(G, cocycle, seed, tol)
-        matrices, values = hit
-        _memo.put(key, hit, sum(m.nbytes for m in matrices) + values.nbytes)
-    return _table(G, cocycle, *hit)
+        # counted as the matrices it holds once read, and its characters
+        _memo.put(key, hit, 16 * n * sum(d * d for d in hit.dims) + hit.values.nbytes)
+    return _table(G, cocycle, hit)
 
 
-def _table(G: FiniteGroup, cocycle, matrices: list[np.ndarray],
-           values: np.ndarray) -> IrrTable:
-    """A new IrrTable on the caller's group and cocycle, over stored read-only arrays.
+def _table(G: FiniteGroup, cocycle, split: _Split) -> IrrTable:
+    """A new IrrTable on the caller's group and cocycle, over a stored split.
 
-    values is the read-only (#irr, |G|) character stack: it becomes the
-    table's character_values, and each character is a row view of it.
+    The split's read-only character stack becomes the table's
+    character_values, and each character is a row view of it.
     """
-    table = IrrTable(group=G, cocycle=cocycle,
-                     irreducibles=[ProjectiveRep(G, cocycle, m.shape[1], m) for m in matrices],
-                     characters=[AlphaCharacter(v) for v in values])
-    table.character_values = values
+    table = IrrTable.__new__(IrrTable)
+    table.group, table.cocycle, table._split = G, cocycle, split
+    table.character_values, table.dims = split.values, split.dims
     return table
 
 
-def _split_certified(G: FiniteGroup, cocycle, seed: int,
-                     tol: Tolerances) -> tuple[list[np.ndarray], np.ndarray]:
-    """The sorted matrices and the read-only (#irr, |G|) character stack of a
-    certified table, redrawing up to 5 seeds.
+def _split_certified(G: FiniteGroup, cocycle, seed: int, tol: Tolerances) -> _Split:
+    """The sorted, certified split of the twisted regular representation,
+    redrawing up to 5 seeds.
 
     The cocycle's complex table is gathered once here, and every stage
     reads that copy. The eigenvectors of an attempt are passed straight on
@@ -541,16 +643,24 @@ def _split_certified(G: FiniteGroup, cocycle, seed: int,
     last_error: Exception | None = None
     for attempt in range(5):
         try:
-            matrices, values = _assemble_table(
+            bases, values = _assemble_table(
                 G, cocycle, ctable, *_split_regular(G, cocycle, ctable, seed + attempt), phi, tol)
         except SplitFailure as exc:
             last_error = _without_frames(exc)
             continue
-        order = _table_order(values)
-        values[:] = values[order]   # in place: a new sorted array raised irr_split's peak RSS
-        values.flags.writeable = False
-        return [matrices[i] for i in order], values
+        return _sorted_split(G, cocycle, bases, values, tol)
     raise SplitFailure(f"no clean split after 5 seeds starting at {seed}") from last_error
+
+
+def _sorted_split(G: FiniteGroup, cocycle, bases: list[np.ndarray], values: np.ndarray,
+                  tol: Tolerances) -> _Split:
+    """The split of _assemble_table's bases and characters, in table order."""
+    order = _table_order(values, G.identity)
+    values[:] = values[order]   # in place: a new sorted array raised irr_split's peak RSS
+    values.flags.writeable = False
+    dims = [rows.shape[1] for rows in bases for _ in rows]
+    return _Split(values, tuple(dims[i] for i in order), bases, order,
+                  max(_relation_tol(cocycle, tol), _RELATION_FLOOR))
 
 
 def _without_frames(exc: BaseException) -> BaseException:
@@ -590,22 +700,32 @@ def _character_classes(chars: np.ndarray, tol: float) -> tuple[list[int], list[i
 def _assemble_table(G: FiniteGroup, cocycle, ctable: np.ndarray, V: np.ndarray,
                     clusters: list[np.ndarray], phi: np.ndarray,
                     tol: Tolerances) -> tuple[list[np.ndarray], np.ndarray]:
-    """The matrices and the (#irr, |G|) characters of one certified entry per
-    character class of the split blocks, by ascending dimension.
+    """The basis rows of _invariance, one (m, d, |G|) stack per dimension,
+    and the (#irr, |G|) characters of one certified entry per character
+    class of the split blocks, by ascending dimension.
 
     Blocks are deduplicated by _character_classes, the rule of multiplicity
     on the Gram matrix of their characters (phi is _conjugation_weights).
     Isomorphic blocks share a character, so certifying one block per class
     certifies the others. Certificates: every class has as many blocks as
     its dimension, the squared dimensions sum to |G|, the class count equals
-    the number of alpha-regular conjugacy classes, every entry satisfies the
-    defining relation rho(s) rho(h) = alpha(s,h) rho(sh) for s in the
-    generating set and every h within _relation_tol, and every entry has
-    commutant dimension 1. The entries of one dimension are built and
-    certified together. ctable is cocycle.complex_table.
+    the number of alpha-regular conjugacy classes, and on the generators s
+    only, every entry's basis B spans a subspace that L(s) keeps within the
+    relation tolerance (_invariance) and the compressions B^H L(s) B have
+    commutant dimension 1.
+
+    The certificate is complete. Inverses are positive powers, so a
+    subspace that the generators keep is one that all of G keeps, and its
+    projector P = B B^H commutes with the regular representation; the
+    projector-row character of _block_characters is then the character of
+    that subrepresentation, whose matrices are products of the
+    compressions. The vectors of the entries of one dimension are gathered
+    with one copy, as rows, and certified together. ctable is
+    cocycle.complex_table.
     """
     n = G.order
-    firsts, counts = _character_classes(_block_characters(V, clusters, G.identity, phi), tol.char)
+    chars = _block_characters(V, clusters, G.identity, phi)
+    firsts, counts = _character_classes(chars, tol.char)
     dims = [clusters[c].size for c in firsts]
     if counts != dims:
         raise SplitFailure(f"block multiplicities {counts} differ from dimensions {dims}")
@@ -615,19 +735,18 @@ def _assemble_table(G: FiniteGroup, cocycle, ctable: np.ndarray, V: np.ndarray,
     if len(dims) != expected:
         raise SplitFailure(f"{len(dims)} classes, but {expected} alpha-regular conjugacy classes")
     rtol = max(_relation_tol(cocycle, tol), _RELATION_FLOOR)
-    matrices: list[np.ndarray] = []
-    traces: list[np.ndarray] = []
+    bases, entries = [], []
     for d in sorted(set(dims)):
-        idx = np.array([clusters[c] for c in firsts if clusters[c].size == d])
-        mats = _block_matrices(G, cocycle, ctable, np.ascontiguousarray(np.moveaxis(V[:, idx], 0, 1)))
-        residual = _relation_residuals(G, ctable, mats, generating_set(G)).max(initial=0.0)
-        if not residual <= rtol:
-            raise SplitFailure(f"blocks of dimension {d} miss the defining relation by {residual:.2e}")
-        if np.any(_commutant_dimensions(G, mats) != 1):
+        of_d = [c for c in firsts if clusters[c].size == d]
+        rows = V.T[np.array([clusters[c] for c in of_d])]
+        compressed, residual = _invariance(G, ctable, rows, generating_set(G))
+        if np.any(~(residual <= rtol)):
+            raise SplitFailure(f"blocks of dimension {d} are not invariant ({residual.max():.2e})")
+        if np.any(_commutant_dimensions(G, compressed) != 1):
             raise SplitFailure(f"block of dimension {d} is not irreducible")
-        matrices.extend(mats)
-        traces.append(np.trace(mats, axis1=2, axis2=3))
-    return matrices, np.concatenate(traces)
+        bases.append(rows)
+        entries.extend(of_d)
+    return bases, chars[entries]
 
 
 def coboundary_cochain(beta: Cocycle | NumericCocycle, lattice_order: int,
@@ -650,8 +769,7 @@ def coboundary_cochain(beta: Cocycle | NumericCocycle, lattice_order: int,
         raise InputError("lattice order must be positive")
     Q = beta.group
     table = irreducibles(Q, beta, tol=tol)
-    values = [rep.matrices[:, 0, 0] for rep in table.irreducibles if rep.dim == 1]
-    expo = _lattice_exponents(np.array(values).reshape(-1, Q.order), lattice_order)
+    expo = _lattice_exponents(table.character_values[np.array(table.dims) == 1], lattice_order)
     c = np.exp(2j * np.pi * expo / lattice_order)
     residual = np.abs(c[:, :, None] * c[:, None, :] - beta.complex_table * c[:, Q.mul])
     kept = expo[np.all(residual <= tol.cocycle, axis=(1, 2))]

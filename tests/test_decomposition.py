@@ -393,6 +393,18 @@ class TestParentIdentityNotAtZero:
         assert rep.rank_rhs == canonical.rank_rhs
         assert rep.matching == canonical.matching
 
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_dimensions_are_read_at_the_identity(self, twisted):
+        """The sort key, AlphaCharacter.dim and the fingerprint prefix read index 3."""
+        H, alpha = d8_identity_at_3()
+        dims = (2, 2) if twisted else (1, 1, 1, 1, 2)
+        table = td.irreducibles(H, alpha if twisted else td.trivial_cocycle(H))
+        assert table.dims == dims
+        assert [c.dim for c in table.characters] == list(dims)
+        entries = report.irr_table_payload(table)["irreducibles"]
+        assert [e["fingerprint"].split("|")[0] for e in entries] == [f"d{d}" for d in dims]
+        assert [e["dim"] for e in entries] == list(dims)
+
 
 def dihedral_configurations(ns):
     """(G, A, alpha) for dihedral(n), n in ns, under the trivial cocycle and,
@@ -567,8 +579,8 @@ class TestReportFingerprints:
                              1 / 3, rng.standard_normal() + 1j * rng.standard_normal(), -1.0]])
         for values in (rep.irr_g.character_values, rep.action.base.character_values,
                        *(t.character_values for t in rep.beta_tables), awkward):
-            want = [reference_fingerprint(td.AlphaCharacter(v)) for v in values]
-            assert report._fingerprints(values) == want
+            want = [reference_fingerprint(td.AlphaCharacter(v, d8.identity)) for v in values]
+            assert report._fingerprints(values, d8.identity) == want
 
     def test_one_rounding_pass_per_table(self, monkeypatch, d8, alpha4, a_cyclic):
         rep = td.verify_point_decomposition(d8, a_cyclic, alpha4, seed=0)

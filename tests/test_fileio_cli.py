@@ -57,6 +57,9 @@ class TestGroupFiles:
         assert parse_cycles("()", 3) == (0, 1, 2)
         with pytest.raises(ParseError):
             parse_cycles("(0 7)", 3)
+        for text, point in (("(0 1 2)(0 1 2)", 0), ("(0 1)(1 2)", 1)):
+            with pytest.raises(ParseError, match=f"point {point} appears in more than one cycle"):
+                parse_cycles(text, 3)
 
     def test_group_specs(self):
         assert parse_group_spec("dihedral:3").order == 6

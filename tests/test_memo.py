@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -178,7 +179,7 @@ def irreducibles_copy(G, cocycle):
     return td.IrrTable(G, cocycle,
                        [td.ProjectiveRep(G, cocycle, r.dim, np.array(r.matrices))
                         for r in table.irreducibles],
-                       [td.AlphaCharacter(np.array(c.values)) for c in table.characters])
+                       [td.AlphaCharacter(np.array(c.values), G.identity) for c in table.characters])
 
 
 def test_validation_and_derived_tables_store_nothing():
@@ -629,6 +630,61 @@ class TestHitPath:
         warm = k0_of_gset(d8, alpha4, x)
         assert calls == []
         assert kgroup_summary(warm) == kgroup_summary(cold)
+
+
+    def test_warm_gset_pass_builds_no_projective_rep(self, d8, alpha4, a_center, monkeypatch):
+        """Every table of a warm pass comes from a stored split, and a stored
+        action's base table keeps the representations it built."""
+        x = td.disjoint_union(td.coset_gset(d8, a_center), point_gset(d8))
+        y = point_gset(d8)
+
+        def gset_pass():
+            report = td.verify_gset_decomposition(d8, a_center, alpha4, x)
+            return (report.lhs_rank, list(report.rhs_ranks),
+                    td.phi_matrix(d8, a_center, alpha4, x).tolist(),
+                    td.pullback_matrix(d8, alpha4, [0] * x.size, x, y).tolist())
+
+        made = []
+        honest = td.ProjectiveRep.__post_init__
+        monkeypatch.setattr(td.ProjectiveRep, "__post_init__",
+                            lambda self: made.append(self) or honest(self))
+        cold = gset_pass()
+        assert made
+        made.clear()
+        assert gset_pass() == cold
+        assert made == []
+
+
+    def test_threads_share_one_matrix_build(self, monkeypatch):
+        """Threads reading the stored split at once (a slowed build) build it once."""
+        G, alpha = td.dihedral(8), td.dihedral_alpha(8)
+        td.irreducibles(G, alpha)
+        builds, honest = [], reps._block_matrices
+
+        def slow(*args):
+            builds.append(1)
+            time.sleep(0.05)
+            return honest(*args)
+
+        monkeypatch.setattr(reps, "_block_matrices", slow)
+        read = [None] * 8
+
+        def first_read(i):
+            read[i] = td.irreducibles(G, alpha)._split.matrices(G, alpha)
+
+        threads = [threading.Thread(target=first_read, args=(i,)) for i in range(len(read))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert builds == [1]
+        assert all(m is n for mats in read for m, n in zip(mats, read[0]))
 
 
 def test_default_tolerances_follow_the_scale_set_after_a_first_call(monkeypatch):

@@ -80,10 +80,9 @@ class TestRegularClassCount:
 def assemble(G, cocycle, V, clusters):
     """The certified table of a split, in table order."""
     phi = reps._conjugation_weights(G, cocycle.complex_table)
-    matrices, values = reps._assemble_table(G, cocycle, cocycle.complex_table, V, clusters, phi,
-                                            td.default_tolerances())
-    order = reps._table_order(values)
-    return reps._table(G, cocycle, [matrices[i] for i in order], [values[i] for i in order])
+    tol = td.default_tolerances()
+    bases, values = reps._assemble_table(G, cocycle, cocycle.complex_table, V, clusters, phi, tol)
+    return reps._table(G, cocycle, reps._sorted_split(G, cocycle, bases, values, tol))
 
 
 def numeric_copy(cocycle):
@@ -113,6 +112,7 @@ class TestCertificates:
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_broken_relation_fails_the_split(self, monkeypatch, d8, alpha4, exact):
+        """The matrices are built and certified on the first read of irreducibles."""
         honest = reps._block_matrices
 
         def broken(G, cocycle, ctable, B):
@@ -121,9 +121,40 @@ class TestCertificates:
             return mats
 
         monkeypatch.setattr(reps, "_block_matrices", broken)
-        with pytest.raises(SplitFailure, match="no clean split") as err:
-            td.irreducibles(d8, alpha4 if exact else numeric_copy(alpha4), seed=0)
-        assert "miss the defining relation" in str(err.value.__cause__)
+        table = td.irreducibles(d8, alpha4 if exact else numeric_copy(alpha4), seed=0)
+        with pytest.raises(SplitFailure, match="miss the defining relation"):
+            table.irreducibles
+
+    def test_failed_matrix_read_is_not_remembered(self, monkeypatch, d8, alpha4):
+        """A split whose matrices missed the relation is no hit of irreducibles
+        or of a K^0 summand: once the fault is gone, both split again and build."""
+        honest = reps._block_matrices
+
+        def broken(G, cocycle, ctable, B):
+            mats = honest(G, cocycle, ctable, B)
+            mats[:, G.order - 1] *= np.exp(1e-4j)
+            return mats
+
+        monkeypatch.setattr(reps, "_block_matrices", broken)
+        failed = td.irreducibles(d8, alpha4, seed=0)
+        summand = td.k0_of_gset(d8, alpha4, td.point_gset(d8)).summands[0]
+        assert summand._split is failed._split
+        for table in (failed, failed, summand):
+            with pytest.raises(SplitFailure, match="miss the defining relation"):
+                table.irreducibles
+        monkeypatch.setattr(reps, "_block_matrices", honest)
+        for table in (td.irreducibles(d8, alpha4, seed=0),
+                      td.k0_of_gset(d8, alpha4, td.point_gset(d8)).summands[0]):
+            assert table._split is not failed._split
+            assert [rep.dim for rep in table.irreducibles] == [2, 2]
+        assert np.array_equal(td.irreducibles(d8, alpha4, seed=0).character_values,
+                              failed.character_values)
+
+    def test_basis_off_its_invariant_subspace_fails_the_split(self, monkeypatch, d8, alpha4):
+        rotate_first_block(monkeypatch.setattr)
+        with pytest.raises(SplitFailure, match="no clean split after 5 seeds") as err:
+            td.irreducibles(d8, alpha4, seed=0)
+        assert "not invariant" in str(err.value.__cause__)
 
     @pytest.mark.parametrize("identity", [1, 8])
     def test_inconsistent_identity_fails_before_the_split(self, monkeypatch, d8, alpha4, identity):
@@ -144,7 +175,8 @@ class TestCommutantDimensions:
         stacks = [np.block([[x, zero], [zero, y]]) for x, y in [(t0, t0), (t0, t1), (t1, t1)]]
         want = [reps._hom_space(d8, m, m).shape[1] for m in stacks]
         assert want == [4, 2, 4]
-        assert reps._commutant_dimensions(d8, np.stack(stacks)).tolist() == want
+        at_generators = np.stack(stacks)[:, reps.generating_set(d8)]
+        assert reps._commutant_dimensions(d8, at_generators).tolist() == want
         assert reps.commutant_dimension(oracles.regular_rep(d8, alpha4)) == 8
 
 
@@ -177,6 +209,42 @@ class TestRetry:
             td.irreducibles(d8, alpha4, seed=0)
 
 
+def rotate_first_block(set_attribute):
+    """Make every split rotate one basis vector of its first block towards the
+    second block's, by 1e-3 rad, while the block characters still come from
+    the unrotated eigenvectors: only the invariance certificate sees it.
+
+    set_attribute is monkeypatch.setattr, or setattr in a fresh interpreter.
+    """
+    honest_split, honest_characters = reps._split_regular, reps._block_characters
+    unrotated = []
+
+    def split(*args):
+        V, clusters = honest_split(*args)
+        unrotated[:] = [V]
+        pair = [clusters[0][0], clusters[1][0]]
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        rotated = np.array(V)
+        rotated[:, pair] = V[:, pair] @ np.array([[c, -s], [s, c]])
+        return rotated, clusters
+
+    def characters(V, *args):
+        return honest_characters(unrotated[0], *args)
+
+    set_attribute(reps, "_split_regular", split)
+    set_attribute(reps, "_block_characters", characters)
+
+
+def _rotated_block_error() -> str | None:
+    """The error of a D_8 split with rotate_first_block installed for good, or None."""
+    rotate_first_block(setattr)
+    try:
+        td.irreducibles(td.dihedral(4), td.dihedral_alpha(4), seed=0)
+    except SplitFailure as exc:
+        return f"{exc} | {exc.__cause__}"
+    return None
+
+
 def _always_merged_error() -> str | None:
     """The error of a D_8 split whose clusters are always merged, or None.
 
@@ -203,6 +271,22 @@ def test_retry_failure_raises_under_python_O():
     optimize, error = json.loads(out.stdout.splitlines()[-1])
     assert optimize == 1
     assert error is not None and error.startswith("no clean split after 5 seeds")
+
+
+def test_invariance_failure_raises_under_python_O():
+    here = Path(__file__).resolve().parent
+    src = Path(td.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path[:0] = [{str(src)!r}, {str(here)!r}]; import json; "
+        "import test_split as t; "
+        "print(json.dumps([sys.flags.optimize, t._rotated_block_error()]))"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    optimize, error = json.loads(out.stdout.splitlines()[-1])
+    assert optimize == 1
+    assert error is not None and error.startswith("no clean split after 5 seeds")
+    assert "not invariant" in error
 
 
 def test_src_has_no_assert_statement():
@@ -345,11 +429,74 @@ class TestSplit:
                 assert np.allclose(got, want, rtol=0, atol=1e-12), (d, cocycle.is_exact)
 
     @pytest.mark.parametrize("name", SPLIT_CASES)
+    def test_characters_are_traces_of_the_built_matrices(self, name):
+        G, alpha = SPLIT_CASES[name]()
+        for cocycle in (alpha, numeric_copy(alpha)):
+            table = td.irreducibles(G, cocycle)
+            traces = [np.trace(rep.matrices, axis1=1, axis2=2) for rep in table.irreducibles]
+            assert np.max(np.abs(table.character_values - traces)) <= 1e-12
+
+    @pytest.mark.parametrize("name", SPLIT_CASES)
     def test_every_entry_is_a_representation(self, name):
         G, alpha = SPLIT_CASES[name]()
         for cocycle in (alpha, numeric_copy(alpha)):
             for rep in td.irreducibles(G, cocycle).irreducibles:
                 assert not oracles.rep_violations_by_element(rep)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(name, group order) of every _block_matrices and _relation_residuals call."""
+    calls = []
+    for name in ("_block_matrices", "_relation_residuals"):
+        def counted(G, *args, name=name, honest=getattr(reps, name)):
+            calls.append((name, G.order))
+            return honest(G, *args)
+
+        monkeypatch.setattr(reps, name, counted)
+    return calls
+
+
+class TestDeferredMatrices:
+    """A table's characters need no matrices: they are built on the first read of irreducibles."""
+
+    def test_irreducibles_builds_none(self, builds):
+        G, alpha = td.dihedral(8), td.dihedral_alpha(8)
+        table = td.irreducibles(G, alpha)
+        table.multiplicities(table.character_values, td.default_tolerances().char)
+        assert (len(table), table.dims) == (4, (2, 2, 2, 2))
+        assert [c.dim for c in table.characters] == [2, 2, 2, 2]
+        assert builds == [] and "_product_plan" not in vars(G)
+        mats = [rep.matrices for rep in table.irreducibles]
+        assert builds == [("_block_matrices", 16), ("_relation_residuals", 16)]
+        assert "_product_plan" in vars(G)
+        again = td.irreducibles(G, alpha).irreducibles
+        assert len(builds) == 2
+        assert all(r.matrices is m for r, m in zip(again, mats))
+
+    def test_point_decomposition_builds_none_for_g(self, builds):
+        G, alpha = td.dihedral(8), td.dihedral_alpha(8)
+        td.verify_point_decomposition(G, td.subgroup_closure(G, [2]), alpha)
+        assert builds and all(order < G.order for _, order in builds)
+
+    @pytest.mark.parametrize("name", ["D8 alpha", "S4", "C2xD8 alpha", "C3xC3 heisenberg"])
+    def test_matrices_equal_an_eager_build(self, name):
+        """Bit for bit: one _block_matrices call per dimension on the split's bases."""
+        G, alpha = SPLIT_CASES[name]()
+        for cocycle in (alpha, numeric_copy(alpha)):
+            V, clusters = reps._split_regular(G, cocycle, cocycle.complex_table, seed=0)
+            table = assemble(G, cocycle, V, clusters)
+            phi = reps._conjugation_weights(G, cocycle.complex_table)
+            firsts, _ = reps._character_classes(
+                reps._block_characters(V, clusters, G.identity, phi), td.default_tolerances().char)
+            eager = []
+            for d in sorted({clusters[c].size for c in firsts}):
+                B = np.stack([V[:, clusters[c]] for c in firsts if clusters[c].size == d])
+                eager.extend(reps._block_matrices(G, cocycle, cocycle.complex_table, B))
+            order = reps._table_order(
+                np.array([np.trace(m, axis1=1, axis2=2) for m in eager]), G.identity)
+            for rep, i in zip(table.irreducibles, order):
+                assert rep.matrices.tobytes() == eager[i].tobytes()
 
 
 def pulled_back_alpha(G, n):
@@ -555,11 +702,11 @@ def test_fingerprint_equals_python_round(digits):
         np.array([0.0, -0.0, 1e-17, -1e-17, 2.0, -2.0]) * (1 - 2e-16) - 1e-17j,
     ]
     for values in samples:
-        assert td.AlphaCharacter(values).fingerprint(digits) == python_fingerprint(values, digits)
+        assert td.AlphaCharacter(values, 0).fingerprint(digits) == python_fingerprint(values, digits)
 
 
-def tuple_order(values):
-    chars = [td.AlphaCharacter(v) for v in values]
+def tuple_order(values, identity):
+    chars = [td.AlphaCharacter(v, identity) for v in values]
     return sorted(range(len(chars)), key=lambda i: (chars[i].dim, chars[i].fingerprint()))
 
 
@@ -577,4 +724,4 @@ def test_table_order_is_the_tuple_order(factors):
     near_half[np.arange(len(values)), cols] = halves + rng.integers(-3, 4, len(values)) * np.spacing(halves)
     rows = np.concatenate([values, values[::3], near_half])
     rows = rows[rng.permutation(len(rows))]
-    assert reps._table_order(rows).tolist() == tuple_order(rows)
+    assert reps._table_order(rows, G.identity).tolist() == tuple_order(rows, G.identity)

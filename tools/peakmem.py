@@ -2,13 +2,17 @@
 
     python tools/peakmem.py [--order N ...] [--src SRC]     (default: orders 256 and 512, src)
 
-For each order 2n, builds dihedral(n) with dihedral_alpha(n) and calls
-irreducibles on it once, under tracemalloc. Prints, in MB of 10^6 bytes:
+For each order 2n, builds dihedral(n) with dihedral_alpha(n), calls
+irreducibles on it once and then reads table.irreducibles once, which
+builds the matrices, all under tracemalloc. Prints, in MB of 10^6 bytes:
 
-- for each split stage of twistdecomp.reps, the largest traced peak of one
-  call above the traced memory at its entry;
+- for each stage of twistdecomp.reps that the source tree has, the largest
+  traced peak of one call above the traced memory at its entry: the
+  split's stages, then the two that run at the first read
+  (_block_matrices and _relation_residuals);
 - the traced peak of the whole irreducibles call above the memory at its
-  entry, and its wall time (tracing slows it);
+  entry, and its wall time (tracing slows it); then the same for the first
+  read of table.irreducibles;
 - the peak resident set size of this process so far (maxrss), which
   includes the tables of every order run before.
 
@@ -27,8 +31,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
-STAGES = ("_conjugation_weights", "_split_regular", "_block_characters",
-          "_block_matrices", "_relation_residuals", "_commutant_dimensions")
+STAGES = ("_conjugation_weights", "_split_regular", "_block_characters", "_invariance",
+          "_commutant_dimensions", "_block_matrices", "_relation_residuals")
 MB = 1e6
 
 
@@ -76,22 +80,30 @@ def measure(order: int) -> list[str]:
     reps.MAX_DENSE_ORDER = max(reps.MAX_DENSE_ORDER, order)
     G, alpha = td.dihedral(order // 2), td.dihedral_alpha(order // 2)
     peaks = Peaks()
-    honest = {name: getattr(reps, name) for name in STAGES}
+    honest = {name: getattr(reps, name) for name in STAGES if hasattr(reps, name)}
     for name, fn in honest.items():
         setattr(reps, name, peaks.wrap(name, fn))
-    try:
+    calls = []
+
+    def traced(label, call):
         entry = peaks.start()
         began = time.perf_counter()
-        table = reps.irreducibles(G, alpha)
+        result = call()
         seconds = time.perf_counter() - began
         peaks.fold()
+        calls.append(f"  {label:<24}{(peaks.high - entry) / MB:9.1f} MB  ({seconds:.2f} s)")
+        return result
+
+    try:
+        table = traced("irreducibles call", lambda: reps.irreducibles(G, alpha))
+        traced("first matrix read", lambda: table.irreducibles)
     finally:
         for name, fn in honest.items():
             setattr(reps, name, fn)
     lines = [f"order {order}: dihedral_alpha({order // 2}), {len(table)} irreducibles"]
-    for name in STAGES:
+    for name in honest:
         lines.append(f"  {name:<24}{peaks.stages.get(name, 0) / MB:9.1f} MB")
-    lines.append(f"  {'irreducibles call':<24}{(peaks.high - entry) / MB:9.1f} MB  ({seconds:.2f} s)")
+    lines.extend(calls)
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     lines.append(f"  {'maxrss':<24}{maxrss / MB:9.1f} MB")
     return lines
