@@ -13,6 +13,11 @@ raised again on each call; an irreducibles entry whose deferred matrix
 certificate later fails is no longer a hit (see reps._Split). Entries are
 evicted least recently used first, once the stored arrays exceed
 BUDGET_BYTES; an entry larger than the budget is not kept.
+
+parts(owner) holds values derived from certified results that an object
+keeps for itself, such as the K-group parts of a group: it lives in the
+owner's __dict__, dies with it, is empty again after each clear(), and
+keeps at most PARTS_PER_OWNER values, dropping the oldest first.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from collections import OrderedDict
 import numpy as np
 
 BUDGET_BYTES = 1 << 18
+PARTS_PER_OWNER = 32
 
 
 def key(kind: str, *parts) -> bytes:
@@ -46,6 +52,7 @@ class LRU:
         self._entries: OrderedDict[bytes, tuple[object, int]] = OrderedDict()
         self._used = 0
         self._lock = threading.Lock()
+        self.generation = 0             # bumped by clear(), which empties every parts dict
 
     def get(self, k: bytes):
         """The stored value, or None."""
@@ -73,7 +80,36 @@ class LRU:
         with self._lock:
             self._entries.clear()
             self._used = 0
+            self.generation += 1
 
 
 _shared = LRU(BUDGET_BYTES)
 get, put, clear = _shared.get, _shared.put, _shared.clear
+
+
+class Parts(dict):
+    """An owner's parts by key, the oldest dropped past PARTS_PER_OWNER.
+
+    A read takes no lock: only put changes the dict, under the lock, so a
+    race builds a part twice at worst.
+    """
+
+    def __init__(self, generation: int):
+        super().__init__()
+        self.generation = generation
+        self._lock = threading.Lock()
+
+    def put(self, k, value):
+        with self._lock:
+            self[k] = value
+            while len(self) > PARTS_PER_OWNER:
+                del self[next(iter(self))]
+        return value
+
+
+def parts(owner) -> Parts:
+    """owner's own parts, new since the last clear()."""
+    held = owner.__dict__.get("_memo_parts")
+    if held is None or held.generation != _shared.generation:
+        held = owner.__dict__["_memo_parts"] = Parts(_shared.generation)
+    return held

@@ -150,6 +150,9 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 
     where k = 0 is P(1) = id, true by construction. Both agree on S, so P(g)
     is [g.tau] for every g.
 
+    The same induction shows that a table of points is a G-action once the
+    laws hold on the generators; kgroups._check_action relies on it.
+
     An action that a K-group call has certified for the same content (see
     _orbit_data) comes from the memo, rebound to the caller's G, A and
     alpha. action_table stores nothing itself: a single point
@@ -328,7 +331,9 @@ def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0
     isotropy was checked on a table of G's content, and datum.tau is the
     irreducible of the action's base.
     No stored value holds G, A or alpha; the checks of action_table run on
-    every call, and a failure is never remembered.
+    every call, and a failure is never remembered. The K-group path keeps
+    the rebound data on G itself (see the kgroups module docstring), so it
+    reaches this function only when G has no such part yet.
     """
     tol = tol or default_tolerances()
     action = action_table(G, A, alpha, seed=seed, tol=tol)

@@ -22,6 +22,19 @@ s = sigma(q),
 which holds because f -> (1/|A|) sum_a W(a)^-1 f tau(a) projects onto
 Hom_A and the trace of f -> X f Y is tr X tr Y. W is a moved isotropy
 irreducible, so no representation matrix is conjugated or restricted.
+Blocks over the same isotropy table are decomposed by one multiplicities
+call.
+
+The parts of this path that depend only on a group and on content are
+built once per FiniteGroup object and kept in its _memo.parts, so they
+live as long as the group (at most _memo.PARTS_PER_OWNER of them, the
+oldest dropped first) and _memo.clear() drops them: per content and
+stabilizer, the isotropy handle and its summand table (k0_of_gset), and
+per (A, alpha, seed, tol) the orbit data rebound to the group, with their
+Hom weights once phi_matrix has read them (_decomposed_side). No part
+holds a caller's cocycle, subgroup handle or G-set, and the checks on
+the caller's objects run on every call. The saving needs the same group
+object across calls; a new group builds its parts again.
 """
 
 from __future__ import annotations
@@ -34,7 +47,8 @@ import numpy as np
 from . import _memo
 from .cocycles import Cocycle, NumericCocycle, _require_on, restrict
 from .config import Tolerances, default_tolerances
-from .decomposition import OrbitDatum, _conjugation, _hom_weights, _orbit_data
+from .decomposition import (OrbitDatum, _a_parent_order, _conjugation, _hom_weights, _orbit_data,
+                            action_table)
 from .errors import ANotTrivial, InputError, NotEquivariant, RankMismatch
 from .groups import (
     FiniteGroup,
@@ -42,6 +56,7 @@ from .groups import (
     _action_orbits,
     _stabilizer,
     all_subgroups,
+    generating_set,
     left_cosets,
 )
 from .reps import IrrTable, _table, irreducibles
@@ -55,9 +70,10 @@ class FiniteGSet:
     g.(h.x) = (gh).x. Under it column x of the table is the orbit of x, and
     the stabilizer of a point p is a subgroup (e.p = p, and g.p = h.p = p
     gives (gh).p = g.(h.p) = p), which k0_of_gset relies on. make_gset
-    certifies the law and marks the G-set it builds; any other G-set is
-    certified on its first use in k0_of_gset. The table is read-only, so a
-    certified G-set stays certified.
+    certifies the law (see _check_action) and marks the G-set it builds,
+    gset_as_quotient_action marks a view that is lawful by proof, and any
+    other G-set is certified on its first use in k0_of_gset. The table is
+    read-only, so a certified G-set stays certified.
     """
 
     group: FiniteGroup
@@ -86,25 +102,32 @@ class FiniteGSet:
 
 
 def _check_action(group: FiniteGroup, action: np.ndarray) -> None:
-    """Raise InputError unless the (|G|, size) int table is a left action, checked exhaustively."""
-    n = group.order
-    if action.ndim != 2 or action.shape[0] != n:
+    """Raise InputError unless the (|G|, size) int table is a left action.
+
+    With P(g) the map x -> action[g, x], the law is checked on the
+    generators S = generating_set(group): P(1) = id and P(s) o P(h) = P(s h)
+    for s in S and every h, one (|S|, |G|, size) comparison. That
+    is the whole law, by the proof in decomposition.action_table's
+    docstring: every g is a word s_1 ... s_k in S, and by induction on k,
+    P(g h) = P(s_1) o P(s_2 ... s_k h) = P(g) o P(h).
+    """
+    if action.ndim != 2 or action.shape[0] != group.order:
         raise InputError(f"action table must have shape (|G|, size), got {action.shape}")
     size = action.shape[1]
     if size and (action.min() < 0 or action.max() >= size):
         raise InputError("action entries out of range")
     if not np.array_equal(action[group.identity], np.arange(size)):
         raise InputError("identity does not act trivially")
-    if size:
-        composed = action[:, action]                  # [g, h, x] = g.(h.x)
-        direct = action[group.mul.reshape(-1)].reshape(n, n, size)
-        if not np.array_equal(composed, direct):
-            g, h, x = map(int, np.argwhere(composed != direct)[0])
-            raise InputError(f"action law fails at g={g}, h={h}, x={x}")
+    gens = np.asarray(generating_set(group), dtype=np.int64)
+    # [s, h, x]: s.(h.x) against (sh).x
+    bad = action[gens[:, None, None], action] != action[group.mul[gens]]
+    if bad.any():
+        i, h, x = map(int, np.argwhere(bad)[0])
+        raise InputError(f"action law fails at g={gens[i]}, h={h}, x={x}")
 
 
 def make_gset(group: FiniteGroup, action) -> FiniteGSet:
-    """Certify the action law exhaustively and build the G-set, marked as lawful.
+    """Certify the action law and build the G-set, marked as lawful.
 
     See FiniteGSet for the law and what relies on it.
     """
@@ -208,38 +231,47 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
     their column, and the stabilizers of all basepoints come from one
     comparison, action[:, basepoints] == basepoints. A stabilizer of a
     lawful action is a subgroup, so its handle is built without a closure
-    check. Orbits with the same isotropy group share its handle and summand.
+    check.
 
     The summand of an isotropy group, re-indexed as a group, with the
     cocycle restricted to it and its irreducibles, is computed once per
     content: the content digests of the group and the cocycle, the group's
-    labels, the isotropy's elements, seed and tolerances. A hit is a new
-    table over the stored group, cocycle and split; the
-    isotropy handle is the one found in this call. Whether the cocycle
-    lives on G is checked on every call, and a failure is never remembered.
+    labels, the isotropy's elements, seed and tolerances; a memo hit is a
+    new table over the stored group, cocycle and split. The handle and the
+    table are then kept in the group's parts under the same content, so
+    every call on the group, over any G-set, shares them: kx.isotropies[i]
+    and kx.summands[i] are the group's, and orbits with the same isotropy
+    group share one of each. A part whose split has failed is built again.
+    Whether the G-set and the cocycle live on G is checked on every call,
+    and a failure is never remembered.
     """
     tol = tol or default_tolerances()
-    if x.group is not G and not x.group.same_table(G):
-        raise InputError("G-set belongs to a different group")
+    _require_gset_on(x, G)
     H = x.group
     _require_on(cocycle, H)
     x._require_lawful()
     content = _memo.key("gset content", H._content, H.labels, cocycle._content, seed,
                         tol._content)
+    parts = _memo.parts(H)
     basepoints = np.flatnonzero(x.action.min(axis=0) == np.arange(x.size))
     fixes = x.action.T[basepoints] == basepoints[:, None]     # (#orbits, |G|), one row per orbit
-    found: dict[bytes, tuple[SubgroupHandle, IrrTable]] = {}
     shared = []
     for row in fixes:
-        stabilizer = row.tobytes()
-        if stabilizer not in found:
+        key = (content, row.tobytes())
+        part = parts.get(key)
+        if part is None or part[1]._split.failed:
             handle = SubgroupHandle._closed(H, tuple(np.flatnonzero(row).tolist()))
-            found[stabilizer] = handle, _isotropy_summand(content, handle, cocycle, seed, tol)
-        shared.append(found[stabilizer])
+            part = parts.put(key, (handle, _isotropy_summand(content, handle, cocycle, seed, tol)))
+        shared.append(part)
     return TwistedKGroup(
         gset=x, cocycle=cocycle, orbit_basepoints=basepoints.tolist(),
         isotropies=[handle for handle, _ in shared], summands=[table for _, table in shared],
     )
+
+
+def _require_gset_on(x: FiniteGSet, G: FiniteGroup) -> None:
+    if x.group is not G and not x.group.same_table(G):
+        raise InputError("G-set belongs to a different group")
 
 
 def _isotropy_summand(content: bytes, handle: SubgroupHandle, cocycle, seed: int,
@@ -269,8 +301,24 @@ def acts_trivially(x: FiniteGSet, A: SubgroupHandle) -> bool:
 
 
 def gset_as_quotient_action(x: FiniteGSet, datum: OrbitDatum) -> FiniteGSet:
-    """View an A-trivial G-set as a Q_[tau]-set through the section."""
-    return make_gset(datum.q_group, x.action[datum.sections])
+    """View an A-trivial G-set as a Q_[tau]-set through the section: q.p = sigma(q).p.
+
+    The view is lawful by proof, so make_gset's check is not run. x is
+    certified (see FiniteGSet), sigma(1) = 1, and
+    sigma(q1) sigma(q2) = sigma(q1 q2) chi(q1, q2) with chi(q1, q2) in A,
+    as qs._chi_table certifies; A fixes every point, so
+
+        sigma(q1).(sigma(q2).p) = sigma(q1 q2).(chi(q1, q2).p) = sigma(q1 q2).p.
+
+    A G-set of another group raises InputError, one that A moves ANotTrivial.
+    """
+    _require_gset_on(x, datum.isotropy.parent)
+    x._require_lawful()
+    if np.any(x.action[list(_a_parent_order(datum))] != np.arange(x.size)):
+        raise ANotTrivial("the designated subgroup moves some point of the G-set")
+    view = FiniteGSet(group=datum.q_group, size=x.size, action=x.action[datum.sections])
+    view._lawful = True
+    return view
 
 
 @dataclass(eq=False)
@@ -282,15 +330,36 @@ class GSetDecompositionReport:
 
 def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
                      seed: int, tol: Tolerances
-                     ) -> tuple[TwistedKGroup, list[tuple[OrbitDatum, TwistedKGroup]]]:
-    """K^0_G(X), and per orbit datum K^0 of X as a Q_[tau]-set twisted by beta."""
+                     ) -> tuple[TwistedKGroup, list[tuple[list, TwistedKGroup]]]:
+    """K^0_G(X), and per orbit datum its part [datum, Hom weights or None]
+    and K^0 of X as a Q_[tau]-set twisted by beta.
+
+    The G-set's group (InputError), the trivial action of A (ANotTrivial),
+    k0_of_gset's checks, and action_table's checks of the normality of A
+    (NotNormal) and the cocycle's group run on every call, in that order.
+    The orbit data rebound to G are kept in G's parts (see the module
+    docstring) under A's elements, alpha's content digest, seed and
+    tolerances: a miss reads _orbit_data, which runs action_table, and a
+    hit runs action_table alone, whose action _orbit_data stored and each
+    call keeps recent in the memo. A datum's Hom weights (elements,
+    weights; see decomposition._hom_weights) are filled in by the first
+    phi_matrix that reads them.
+    """
+    _require_gset_on(x, G)
     if not acts_trivially(x, A):
         raise ANotTrivial("the designated subgroup moves some point of the G-set")
     kx = k0_of_gset(G, alpha, x, seed=seed, tol=tol)
-    data = _orbit_data(G, A, alpha, seed=seed, tol=tol)
-    return kx, [(datum, k0_of_gset(datum.q_group, datum.beta, gset_as_quotient_action(x, datum),
-                                   seed=seed, tol=tol))
-                for datum in data]
+    parts = _memo.parts(G)
+    key = ("orbit data", A.elements, alpha._content, seed, tol._content)
+    data = parts.get(key)
+    if data is None:
+        data = parts.put(key, [[datum, None]
+                               for datum in _orbit_data(G, A, alpha, seed=seed, tol=tol)])
+    else:
+        action_table(G, A, alpha, seed=seed, tol=tol)   # its checks; _orbit_data stored the action
+    return kx, [(part, k0_of_gset(part[0].q_group, part[0].beta,
+                                  gset_as_quotient_action(x, part[0]), seed=seed, tol=tol))
+                for part in data]
 
 
 def verify_gset_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
@@ -332,19 +401,38 @@ def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
         chi_{g.w}(s) = alpha(g^-1 s, g) alpha(g, g^-1 s)^-1 chi_w(g^-1 s g)
 
     on the source isotropy, one block of the matrix per source orbit.
+    Both G-sets must belong to G (InputError) before the map is checked.
     """
     tol = tol or default_tolerances()
+    _require_gset_on(x, G)
+    _require_gset_on(y, G)
     fmap = check_equivariant(f, x, y)
     kx = k0_of_gset(G, cocycle, x, seed=seed, tol=tol)
     ky = k0_of_gset(G, cocycle, y, seed=seed, tol=tol)
     out = np.zeros((kx.rank, ky.rank), dtype=np.int64)
     rows, cols = kx.offsets, ky.offsets
+    blocks = []
     for i, xp in enumerate(kx.orbit_basepoints):
         j, witness = ky.locate(fmap[xp])
         moved = _moved_characters(cocycle, ky, j, witness, kx.isotropies[i].to_parent)
-        out[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = kx.summands[i].multiplicities(
-            moved, tol.char).T
+        blocks.append((kx.summands[i], moved, slice(rows[i], rows[i + 1]),
+                       slice(cols[j], cols[j + 1])))
+    _fill_blocks(out, blocks, tol.char)
     return out
+
+
+def _fill_blocks(out: np.ndarray, blocks, tol: float) -> None:
+    """out[r, c] = table.multiplicities(chars).T for each (table, chars, r, c)
+    in blocks, with one multiplicities call per table."""
+    by_table: dict[int, tuple[IrrTable, list]] = {}
+    for table, chars, r, c in blocks:
+        by_table.setdefault(id(table), (table, []))[1].append((chars, r, c))
+    for table, items in by_table.values():
+        mult = table.multiplicities(np.concatenate([chars for chars, _, _ in items]), tol)
+        start = 0
+        for chars, r, c in items:
+            out[r, c] = mult[start:start + len(chars)].T
+            start += len(chars)
 
 
 def _moved_characters(cocycle, k: TwistedKGroup, i: int, g: int, elements) -> np.ndarray:
@@ -369,26 +457,30 @@ def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
 
         chi_Hom(q) = (1/|A|) sum_a alpha(s, a^-1) alpha(a, a^-1)^-1 chi_{g.w}(s a^-1) tr(tau(a) M_q^H),
 
-    with chi_{g.w} the moved character of pullback_matrix; one
-    IrrTable.multiplicities call per quotient-set orbit decomposes the
-    fibers of all isotropy irreducibles at once.
+    with chi_{g.w} the moved character of pullback_matrix. The fibers of
+    all isotropy irreducibles at a quotient-set basepoint form one block,
+    and one IrrTable.multiplicities call decomposes all blocks over the
+    same quotient isotropy table.
     """
     tol = tol or default_tolerances()
     kx, sides = _decomposed_side(G, A, alpha, x, seed, tol)
     out = np.zeros((sum(kq.rank for _, kq in sides), kx.rank), dtype=np.int64)
     cols = kx.offsets
     row_base = 0
-    for datum, kq in sides:
+    blocks = []
+    for part, kq in sides:
+        if part[1] is None:
+            part[1] = _hom_weights(part[0], alpha)
+        elements, weights = part[1]
         rows = row_base + kq.offsets
-        elements, weights = _hom_weights(datum, alpha)
         for qo, y_point in enumerate(kq.orbit_basepoints):
             i, witness = kx.locate(y_point)
             q_iso = list(kq.isotropies[qo].elements)
             moved = _moved_characters(alpha, kx, i, witness, elements[q_iso])
-            chi_hom = np.sum(moved * weights[q_iso], axis=2)
-            out[rows[qo]:rows[qo + 1], cols[i]:cols[i + 1]] = kq.summands[qo].multiplicities(
-                chi_hom, tol.char).T
+            blocks.append((kq.summands[qo], np.sum(moved * weights[q_iso], axis=2),
+                           slice(rows[qo], rows[qo + 1]), slice(cols[i], cols[i + 1])))
         row_base = rows[-1]
+    _fill_blocks(out, blocks, tol.char)
     return out
 
 

@@ -19,6 +19,10 @@ The split of the regular representation is one dense eigh of the whole
 block in the eigenbasis of a cyclic subgroup's left operator.
 The coboundary oracle searches every mu_K-valued cochain, where the library
 reads the cochains off the 1-dimensional entries of the beta table.
+The action-law oracle composes every pair of group elements, where the
+library composes generators with every element. The K-group matrices are
+filled one orbit at a time, each block by its own multiplicities call, where
+the library makes one call per isotropy table.
 
 This module is the only home of the matrix route, which the library no
 longer carries: the twisted regular representation, restriction and
@@ -38,7 +42,7 @@ import numpy as np
 
 from twistdecomp.cocycles import UnitScalar, central_extension, restrict
 from twistdecomp.config import default_tolerances
-from twistdecomp.decomposition import _conjugation
+from twistdecomp.decomposition import _conjugation, _hom_weights, _orbit_data
 from twistdecomp.errors import (
     DecompositionFailure,
     InputError,
@@ -573,3 +577,51 @@ def dense_split(G: FiniteGroup, cocycle, seed: int):
     T = X + X.conj().T
     w, V = np.linalg.eigh(T)
     return T, w, V
+
+
+def action_law_failure(group: FiniteGroup, action: np.ndarray):
+    """The first (g, h, x), row-major, with g.(h.x) != (gh).x over all pairs, or None."""
+    n, size = action.shape
+    composed = action[:, action]                  # [g, h, x] = g.(h.x)
+    direct = action[group.mul.reshape(-1)].reshape(n, n, size)
+    bad = np.argwhere(composed != direct)
+    return tuple(map(int, bad[0])) if bad.size else None
+
+
+def pullback_matrix_by_orbit(G, cocycle, f, x, y) -> np.ndarray:
+    """pullback_matrix with one multiplicities call per source orbit."""
+    from twistdecomp.kgroups import _moved_characters, k0_of_gset
+
+    tol = default_tolerances()
+    kx, ky = k0_of_gset(G, cocycle, x), k0_of_gset(G, cocycle, y)
+    out = np.zeros((kx.rank, ky.rank), dtype=np.int64)
+    rows, cols = kx.offsets, ky.offsets
+    for i, xp in enumerate(kx.orbit_basepoints):
+        j, witness = ky.locate(f[xp])
+        moved = _moved_characters(cocycle, ky, j, witness, kx.isotropies[i].to_parent)
+        out[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = kx.summands[i].multiplicities(
+            moved, tol.char).T
+    return out
+
+
+def phi_matrix_by_orbit(G, A, alpha, x) -> np.ndarray:
+    """phi_matrix with one multiplicities call per quotient-set orbit."""
+    from twistdecomp.kgroups import _moved_characters, gset_as_quotient_action, k0_of_gset
+
+    tol = default_tolerances()
+    kx = k0_of_gset(G, alpha, x)
+    blocks = []
+    for datum in _orbit_data(G, A, alpha):
+        kq = k0_of_gset(datum.q_group, datum.beta, gset_as_quotient_action(x, datum))
+        block = np.zeros((kq.rank, kx.rank), dtype=np.int64)
+        rows, cols = kq.offsets, kx.offsets
+        elements, weights = _hom_weights(datum, alpha)
+        for qo, y_point in enumerate(kq.orbit_basepoints):
+            i, witness = kx.locate(y_point)
+            q_iso = list(kq.isotropies[qo].elements)
+            moved = _moved_characters(alpha, kx, i, witness, elements[q_iso])
+            chi_hom = np.sum(moved * weights[q_iso], axis=2)
+            block[rows[qo]:rows[qo + 1], cols[i]:cols[i + 1]] = kq.summands[qo].multiplicities(
+                chi_hom, tol.char).T
+        blocks.append(block)
+    return np.concatenate(blocks)

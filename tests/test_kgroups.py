@@ -1,11 +1,19 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import twistdecomp as td
 from twistdecomp import kgroups
-from twistdecomp.decomposition import action_table, orbit_data
+from twistdecomp.decomposition import _orbit_data, action_table, orbit_data
 from twistdecomp.errors import ANotTrivial, InputError, NotEquivariant
-from twistdecomp.groups import left_cosets, normal_subgroups, quotient_with_section
+from twistdecomp.groups import (
+    generating_set,
+    left_cosets,
+    normal_subgroups,
+    quotient_with_section,
+)
 from twistdecomp.kgroups import (
     all_subgroups,
     check_equivariant,
@@ -25,9 +33,12 @@ from twistdecomp.kgroups import (
 
 from oracles import (
     NotIsotypic,
+    action_law_failure,
     conjugate_rep,
     hom_action_by_vector,
     multiplicity,
+    phi_matrix_by_orbit,
+    pullback_matrix_by_orbit,
     restrict_rep,
 )
 from test_action_table import bfs_orbits
@@ -280,6 +291,63 @@ class TestActionLaw:
             assert td.k0_of_gset(d8, alpha4, hand).rank == 4
         assert len(checks) == 2           # hand's, on its first use only
 
+    @pytest.mark.parametrize("group", ["D8", "S4", "C12", "C2xD8"])
+    def test_generators_reject_exactly_what_all_pairs_reject(self, group):
+        """Seeded corruptions of lawful tables, identity row kept and entries in
+        range: make_gset refuses a table exactly when some pair (g, h) breaks the
+        law, and the (g, h, x) it names does break it."""
+        G = {"D8": lambda: td.dihedral(4), "C12": lambda: td.cyclic(12),
+             "S4": lambda: td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+             "C2xD8": lambda: td.direct_product(td.cyclic(2), td.dihedral(4))}[group]()
+        rng = np.random.default_rng(11)
+        subs = all_subgroups(G)
+        c_powers = td.subgroup_closure(G, generating_set(G)[:1]).elements
+        outcomes = []
+        for _ in range(60):
+            table = np.array(random_gset(G, 12, rng, subs).action)
+            g, h = 1 + rng.choice(G.order - 1, 2, replace=False)
+            kind = rng.integers(6)
+            if kind == 0:                                   # one entry
+                table[g, rng.integers(table.shape[1])] = rng.integers(table.shape[1])
+            elif kind == 1:                                 # two rows swapped
+                table[[g, h]] = table[[h, g]]
+            elif kind == 2:                                 # one row permuted
+                table[g] = rng.permutation(table[g])
+            elif kind == 3:                                 # one row copied
+                table[g] = table[h]
+            elif kind == 4:                                 # points relabelled: lawful
+                perm = rng.permutation(table.shape[1])
+                table = perm[table[:, np.argsort(perm)]]
+            elif len(c_powers) < G.order:
+                # rows P(c^k h) o Q on a coset <c> h: the law holds for c, the first generator
+                h = rng.choice(np.setdiff1d(np.arange(G.order), c_powers))
+                coset = G.mul[list(c_powers), h]
+                table[coset] = table[coset][:, rng.permutation(table.shape[1])]
+            want = action_law_failure(G, table)
+            outcomes.append(want is None)
+            if want is None:
+                td.make_gset(G, table)
+                continue
+            with pytest.raises(InputError, match="action law fails at") as err:
+                td.make_gset(G, table)
+            a, b, p = map(int, re.search(r"g=(\d+), h=(\d+), x=(\d+)", str(err.value)).groups())
+            assert table[a, table[b, p]] != table[G.mul[a, b], p]
+        assert True in outcomes and False in outcomes
+
+    def test_make_gset_at_order_48_stays_small(self):
+        """The law is checked one generator at a time: at |G| = 48 and
+        |X| = 2592 all pairs at once would take two 48 MB arrays."""
+        G = td.dihedral(24)
+        action = np.concatenate([G.mul + G.order * k for k in range(54)], axis=1)
+        generating_set(G)
+        tracemalloc.start()
+        try:
+            x = td.make_gset(G, action)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.size == 2592 and peak < 10_000_000
+
     def test_orbits_share_the_handle_and_summand_of_one_isotropy(self, d8, alpha4):
         x = td.disjoint_union(swap_gset(d8), point_gset(d8))
         k = td.k0_of_gset(d8, alpha4, x)
@@ -514,3 +582,92 @@ class TestPhiMatrix:
             blocks.append(td.pullback_matrix(datum.q_group, datum.beta, f, xq, yq, seed=0))
         decomposed = block_diag(blocks)
         assert np.array_equal(phi_x @ direct, decomposed @ phi_y)
+
+
+class TestOneGroupChecks:
+    def test_pullback_between_groups_of_different_orders_is_an_input_error(self):
+        d8, d6 = td.dihedral(4), td.dihedral(3)
+        for x, y in ((point_gset(d8), point_gset(d6)), (point_gset(d6), point_gset(d8))):
+            with pytest.raises(InputError, match="G-set belongs to a different group") as err:
+                td.pullback_matrix(d8, td.dihedral_alpha(4), [0], x, y)
+            assert type(err.value) is InputError
+
+    def test_decomposition_over_another_group_of_the_same_order_is_an_input_error(self):
+        G, c8 = td.dihedral(4), td.cyclic(8)
+        A, alpha = td.subgroup_closure(G, [2]), td.dihedral_alpha(4)
+        x = coset_gset(c8, td.subgroup_closure(c8, [4]))
+        for call in (td.verify_gset_decomposition, td.phi_matrix):
+            with pytest.raises(InputError, match="G-set belongs to a different group") as err:
+                call(G, A, alpha, x)
+            assert type(err.value) is InputError
+
+
+CONFIGS = [(4, [1]), (4, [2]), (6, [1])]
+
+
+class TestSharedTableBlocks:
+    """phi_matrix and pullback_matrix decompose all blocks over one isotropy
+    table in one call; a loop with one call per orbit gives the same matrix."""
+
+    @pytest.mark.parametrize("n,gens", CONFIGS)
+    def test_pullback_equals_the_per_orbit_loop(self, n, gens):
+        G, alpha = td.dihedral(n), td.dihedral_alpha(n)
+        shared = 0
+        for x, y, z, f1, f2 in random_chains(G, td.subgroup_closure(G, gens), 6, 31):
+            xx = td.disjoint_union(x, x)                  # every table twice
+            composite = tuple(f2[p] for p in f1)
+            for f, s, t in ((f1, x, y), (f2, y, z), (composite, x, z), (f1 + f1, xx, y)):
+                assert np.array_equal(td.pullback_matrix(G, alpha, f, s, t),
+                                      pullback_matrix_by_orbit(G, alpha, f, s, t))
+            k = td.k0_of_gset(G, alpha, xx)
+            shared += len({id(t) for t in k.summands}) < len(k.summands)
+        assert shared == 6
+
+    @pytest.mark.parametrize("cocycle", ["alpha", "trivial"])
+    @pytest.mark.parametrize("n,gens", CONFIGS)
+    def test_phi_equals_the_per_orbit_loop(self, n, gens, cocycle):
+        G = td.dihedral(n)
+        alpha = td.dihedral_alpha(n) if cocycle == "alpha" else td.trivial_cocycle(G)
+        A = td.subgroup_closure(G, gens)
+        qs = quotient_with_section(G, A)
+        rng = np.random.default_rng(37)
+        subs = all_subgroups(qs.quotient)
+        for _ in range(6):
+            x = pullback_to_group(random_gset(qs.quotient, 6, rng, subs), G, qs.projection)
+            for s in (x, td.disjoint_union(x, x)):
+                assert np.array_equal(phi_matrix(G, A, alpha, s),
+                                      phi_matrix_by_orbit(G, A, alpha, s))
+
+
+class TestQuotientView:
+    @pytest.mark.parametrize("n,gens", CONFIGS)
+    def test_equals_the_certified_view_on_random_a_trivial_gsets(self, n, gens):
+        G, alpha = td.dihedral(n), td.dihedral_alpha(n)
+        A = td.subgroup_closure(G, gens)
+        qs = quotient_with_section(G, A)
+        rng = np.random.default_rng(41)
+        subs = all_subgroups(qs.quotient)
+        data = _orbit_data(G, A, alpha)
+        for _ in range(8):
+            x = pullback_to_group(random_gset(qs.quotient, 8, rng, subs), G, qs.projection)
+            hand = td.FiniteGSet(G, x.size, np.array(x.action))
+            for datum in data:
+                want = td.make_gset(datum.q_group, x.action[datum.sections])
+                for source in (x, hand):
+                    view = gset_as_quotient_action(source, datum)
+                    assert view.group is datum.q_group and view.size == want.size
+                    assert np.array_equal(view.action, want.action) and view._lawful
+            assert hand._lawful
+
+    def test_a_moved_point_an_unlawful_table_or_another_group_is_refused(self, d8, alpha4,
+                                                                         a_center):
+        datum = _orbit_data(d8, a_center, alpha4)[0]
+        with pytest.raises(ANotTrivial):
+            gset_as_quotient_action(left_translation_gset(d8), datum)
+        table = np.array(swap_gset(d8).action)
+        table[1] = [1, 0]                                   # a swaps, a^2 = a a does not
+        with pytest.raises(InputError, match="action law fails at"):
+            gset_as_quotient_action(td.FiniteGSet(d8, 2, table), datum)
+        c8 = td.cyclic(8)
+        with pytest.raises(InputError, match="G-set belongs to a different group"):
+            gset_as_quotient_action(point_gset(c8), datum)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp import _memo, decomposition, reps
+from twistdecomp import _memo, decomposition, kgroups, reps
 from twistdecomp.cocycles import numeric_from_exact
 from twistdecomp.decomposition import _orbit_data, action_table, orbit_data
 from twistdecomp.errors import ANotTrivial, DecompositionFailure, InputError, NotNormal
@@ -356,6 +356,29 @@ def kgroup_summary(k):
              t.character_values.tolist()] for h, t in zip(k.isotropies, k.summands)]
 
 
+def gset_pass(G, A, alpha, x, y):
+    """Ranks, phi and the pullback to the point y of one K-group pass over x."""
+    report = td.verify_gset_decomposition(G, A, alpha, x)
+    return (report.lhs_rank, list(report.rhs_ranks), td.phi_matrix(G, A, alpha, x).tolist(),
+            td.pullback_matrix(G, alpha, [0] * x.size, x, y).tolist())
+
+
+def count_builds(monkeypatch) -> list:
+    """Record "handle" for each SubgroupHandle and "table" for each table over
+    a stored split built from now on."""
+    calls = []
+    checked, closed = td.SubgroupHandle.__post_init__, td.SubgroupHandle._closed.__func__
+    monkeypatch.setattr(td.SubgroupHandle, "__post_init__",
+                        lambda self: calls.append("handle") or checked(self))
+    monkeypatch.setattr(td.SubgroupHandle, "_closed",
+                        classmethod(lambda cls, *a: calls.append("handle") or closed(cls, *a)))
+    for module in (kgroups, reps):
+        table = module._table
+        monkeypatch.setattr(module, "_table",
+                            lambda *a, table=table: calls.append("table") or table(*a))
+    return calls
+
+
 def relabelled(G, alpha):
     return same_content(G, alpha, labels=tuple(f"x{i}" for i in range(G.order)))
 
@@ -504,11 +527,34 @@ class TestOrbitDecomposition:
     def test_subgroup_of_another_group_raises_when_warm(self, d8, alpha4):
         klein = td.SubgroupHandle(d8, (0, 2, 4, 6))          # {1, a^2, b, a^2 b}, normal
         _orbit_data(d8, klein, alpha4)
+        td.phi_matrix(d8, klein, alpha4, point_gset(d8))
         z4_z2 = td.direct_product(td.cyclic(4), td.cyclic(2))
         other = td.SubgroupHandle(z4_z2, (0, 2, 4, 6))       # Z_4 x 0
-        for call in (_orbit_data, action_table):
+        for call in (_orbit_data, action_table,
+                     lambda *args: td.verify_gset_decomposition(*args, point_gset(d8)),
+                     lambda *args: td.phi_matrix(*args, point_gset(d8))):
             with pytest.raises(InputError, match="subgroup belongs to a different group"):
                 call(d8, other, alpha4)
+
+    def test_kgroup_orbit_parts_are_kept_per_seed_and_tolerances(self, d8, alpha4):
+        """The group keeps one orbit-data part per (A, alpha, seed, tol): a
+        repeated call hits it, and another seed or tolerance gets the data a
+        cold call computes for it."""
+        klein = td.SubgroupHandle(d8, (0, 2, 4, 6))          # tau of dimension 2
+        tol = td.default_tolerances()
+
+        def data(seed, t):
+            _, sides = kgroups._decomposed_side(d8, klein, alpha4, point_gset(d8), seed, t)
+            return [part[0] for part, _ in sides]
+
+        base = data(0, tol)
+        assert data(0, tol)[0] is base[0]
+        for seed, t in ((1, tol), (0, tol.scaled(2))):
+            other = data(seed, t)
+            assert other[0] is not base[0]
+            H, alpha = same_content(d8, alpha4)
+            cold = _orbit_data(H, td.SubgroupHandle(H, klein.elements), alpha, seed=seed, tol=t)
+            assert [d.M.tobytes() for d in other] == [d.M.tobytes() for d in cold]
 
     def test_a_moving_points_raises_when_warm(self, d8, alpha4, a_center):
         td.verify_gset_decomposition(d8, a_center, alpha4, point_gset(d8))
@@ -620,16 +666,88 @@ class TestHitPath:
             assert all(k.summands[i].character_values.tobytes() == miss_bits[i] for k in warm)
 
     def test_warm_k0_of_gset_builds_no_handle_and_stacks_nothing(self, d8, alpha4, monkeypatch):
+        """Nor does it build a table, also over a new G-set of the same group:
+        the group keeps each stabilizer's handle and summand table."""
         x = random_gset(d8, 12, np.random.default_rng(3))
         cold = k0_of_gset(d8, alpha4, x)
-        calls = []
-        checked, stack = td.SubgroupHandle.__post_init__, np.stack
-        monkeypatch.setattr(td.SubgroupHandle, "__post_init__",
-                            lambda self: calls.append("handle") or checked(self))
+        y = td.make_gset(d8, np.array(x.action))
+        calls = count_builds(monkeypatch)
+        stack = np.stack
         monkeypatch.setattr(np, "stack", lambda *a, **k: calls.append("stack") or stack(*a, **k))
-        warm = k0_of_gset(d8, alpha4, x)
+        warm, other = k0_of_gset(d8, alpha4, x), k0_of_gset(d8, alpha4, y)
         assert calls == []
-        assert kgroup_summary(warm) == kgroup_summary(cold)
+        assert kgroup_summary(warm) == kgroup_summary(cold) == kgroup_summary(other)
+        for k in (warm, other):
+            assert all(h is c for h, c in zip(k.isotropies, cold.isotropies))
+            assert all(t is c for t, c in zip(k.summands, cold.summands))
+
+    def test_warm_pass_over_a_new_gset_builds_no_handle_and_no_table(self, d8, alpha4, a_center,
+                                                                     monkeypatch):
+        x = td.disjoint_union(td.coset_gset(d8, a_center), point_gset(d8))
+        cold = gset_pass(d8, a_center, alpha4, x, point_gset(d8))
+        x2, y2 = td.make_gset(d8, np.array(x.action)), point_gset(d8)
+        calls = count_builds(monkeypatch)
+        assert gset_pass(d8, a_center, alpha4, x2, y2) == cold
+        assert calls == []
+
+    def test_clearing_the_memo_makes_the_next_pass_cold(self, d8, alpha4, a_center, monkeypatch):
+        """The group's parts go with the memo: after clear() a pass on the same
+        objects builds its tables, handles and representations again."""
+        x, y = td.disjoint_union(td.coset_gset(d8, a_center), point_gset(d8)), point_gset(d8)
+        warm = gset_pass(d8, a_center, alpha4, x, y)
+        before = k0_of_gset(d8, alpha4, x)
+        _memo.clear()
+        calls = count_builds(monkeypatch)
+        honest = td.ProjectiveRep.__post_init__
+        monkeypatch.setattr(td.ProjectiveRep, "__post_init__",
+                            lambda self: calls.append("rep") or honest(self))
+        assert gset_pass(d8, a_center, alpha4, x, y) == warm
+        assert {"handle", "table", "rep"} <= set(calls)
+        after = k0_of_gset(d8, alpha4, x)
+        assert all(h is not b for h, b in zip(after.isotropies, before.isotropies))
+
+    def test_parts_hold_no_callers_objects(self, d8, alpha4):
+        """A pass leaves parts on the group, and the caller's cocycle, subgroup
+        and G-sets are freed while the group lives."""
+        alpha = td.make_cocycle(d8, alpha4.order, np.array(alpha4.exponents))
+        A = td.subgroup_closure(d8, [2])
+        x, y = td.disjoint_union(td.coset_gset(d8, A), point_gset(d8)), point_gset(d8)
+        gset_pass(d8, A, alpha, x, y)
+        parts = _memo.parts(d8)
+        assert len(parts) >= 3                 # two stabilizers and the orbit data
+        refs = [weakref.ref(obj) for obj in (alpha, A, x, y)]
+        del alpha, A, x, y
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert _memo.parts(d8) is parts
+
+    def test_parts_per_group_are_bounded(self, d8, alpha4, a_center, monkeypatch):
+        """Each seed adds parts to the group; past PARTS_PER_OWNER the oldest
+        are dropped, and a dropped part is built again with the same result."""
+        monkeypatch.setattr(_memo, "PARTS_PER_OWNER", 5)
+        x = td.disjoint_union(td.coset_gset(d8, a_center), point_gset(d8))
+        first = td.phi_matrix(d8, a_center, alpha4, x, seed=0)
+        sizes = []
+        for seed in range(1, 10):
+            td.verify_gset_decomposition(d8, a_center, alpha4, x, seed=seed)
+            sizes.append(len(_memo.parts(d8)))
+        assert max(sizes) == 5
+        assert np.array_equal(td.phi_matrix(d8, a_center, alpha4, x, seed=0), first)
+
+    def test_hom_weights_are_computed_by_the_first_phi_matrix(self, d8, alpha4, a_center,
+                                                                monkeypatch):
+        """verify_gset_decomposition computes no Hom weights; the first
+        phi_matrix computes each datum's once, and later calls read the group's."""
+        calls = []
+        honest = kgroups._hom_weights
+        monkeypatch.setattr(kgroups, "_hom_weights", lambda *a: calls.append(a) or honest(*a))
+        x = td.disjoint_union(td.coset_gset(d8, a_center), point_gset(d8))
+        td.verify_gset_decomposition(d8, a_center, alpha4, x)
+        assert calls == []
+        first = td.phi_matrix(d8, a_center, alpha4, x)
+        assert len(calls) == len(_orbit_data(d8, a_center, alpha4))
+        assert np.array_equal(td.phi_matrix(d8, a_center, alpha4, x), first)
+        assert len(calls) == len(_orbit_data(d8, a_center, alpha4))
 
 
     def test_warm_gset_pass_builds_no_projective_rep(self, d8, alpha4, a_center, monkeypatch):
@@ -637,21 +755,14 @@ class TestHitPath:
         action's base table keeps the representations it built."""
         x = td.disjoint_union(td.coset_gset(d8, a_center), point_gset(d8))
         y = point_gset(d8)
-
-        def gset_pass():
-            report = td.verify_gset_decomposition(d8, a_center, alpha4, x)
-            return (report.lhs_rank, list(report.rhs_ranks),
-                    td.phi_matrix(d8, a_center, alpha4, x).tolist(),
-                    td.pullback_matrix(d8, alpha4, [0] * x.size, x, y).tolist())
-
         made = []
         honest = td.ProjectiveRep.__post_init__
         monkeypatch.setattr(td.ProjectiveRep, "__post_init__",
                             lambda self: made.append(self) or honest(self))
-        cold = gset_pass()
+        cold = gset_pass(d8, a_center, alpha4, x, y)
         assert made
         made.clear()
-        assert gset_pass() == cold
+        assert gset_pass(d8, a_center, alpha4, x, y) == cold
         assert made == []
 
 
@@ -685,6 +796,35 @@ class TestHitPath:
         assert not any(t.is_alive() for t in threads)
         assert builds == [1]
         assert all(m is n for mats in read for m, n in zip(mats, read[0]))
+
+
+def test_threads_sharing_a_groups_parts_agree_with_one_thread(d8, alpha4, a_center):
+    """Threads that build and read one group's K-group parts at once, from a
+    cold memo, give the results of a single thread (a race builds a part twice
+    at worst)."""
+    rng = np.random.default_rng(5)
+    qs = td.quotient_with_section(d8, a_center)
+    gsets = [pullback_to_group(random_gset(qs.quotient, 6, rng), d8, qs.projection)
+             for _ in range(8)]
+    want = [gset_pass(d8, a_center, alpha4, x, point_gset(d8)) for x in gsets]
+    got = [None] * len(gsets)
+
+    def run(i):
+        got[i] = gset_pass(d8, a_center, alpha4, gsets[i], point_gset(d8))
+
+    _memo.clear()
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(gsets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 def test_default_tolerances_follow_the_scale_set_after_a_first_call(monkeypatch):

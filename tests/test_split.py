@@ -150,6 +150,34 @@ class TestCertificates:
         assert np.array_equal(td.irreducibles(d8, alpha4, seed=0).character_values,
                               failed.character_values)
 
+    def test_failed_isotropy_split_is_split_again(self, monkeypatch, d8, alpha4):
+        """The group keeps each stabilizer's summand table for later K^0 calls,
+        but not once its matrices missed the relation: the next call splits the
+        stabilizer again, and once the fault is gone the new table builds."""
+        honest = reps._block_matrices
+
+        def broken(G, cocycle, ctable, B):
+            mats = honest(G, cocycle, ctable, B)
+            mats[:, G.order - 1] *= np.exp(1e-4j)
+            return mats
+
+        monkeypatch.setattr(reps, "_block_matrices", broken)
+        x = td.coset_gset(d8, td.subgroup_closure(d8, [2]))       # stabilizer <a^2>
+        failed = td.k0_of_gset(d8, alpha4, x).summands[0]
+        assert td.k0_of_gset(d8, alpha4, x).summands[0] is failed
+        with pytest.raises(SplitFailure, match="miss the defining relation"):
+            failed.irreducibles
+        again = td.k0_of_gset(d8, alpha4, td.make_gset(d8, np.array(x.action))).summands[0]
+        assert again is not failed and again._split is not failed._split
+        with pytest.raises(SplitFailure, match="miss the defining relation"):
+            again.irreducibles
+        monkeypatch.setattr(reps, "_block_matrices", honest)
+        table = td.k0_of_gset(d8, alpha4, x).summands[0]
+        assert table._split not in (failed._split, again._split)
+        assert [rep.dim for rep in table.irreducibles] == [1, 1]
+        assert td.k0_of_gset(d8, alpha4, x).summands[0] is table
+        assert np.array_equal(table.character_values, failed.character_values)
+
     def test_basis_off_its_invariant_subspace_fails_the_split(self, monkeypatch, d8, alpha4):
         rotate_first_block(monkeypatch.setattr)
         with pytest.raises(SplitFailure, match="no clean split after 5 seeds") as err:

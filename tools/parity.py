@@ -5,7 +5,9 @@
 
 With --base, each tree is imported in its own subprocess. The head tree
 computes its point and K-group dumps twice in that subprocess, the second
-time with the memo of certified tables warm from the first; the two dumps
+time with the memo of certified tables warm from the first, and then its
+K-group dump a third time on the second run's group and G-set objects, so
+that the parts each group keeps for K-group calls are hit; the three dumps
 must be identical. The script then checks, between the trees:
 
 - for dihedral(n), n = 1..12, under the trivial cocycle and, for even n,
@@ -182,43 +184,22 @@ def dump() -> list:
     return out
 
 
-def kgroup_dump() -> list:
-    """Integer K-group outputs of the importable twistdecomp (see the module docstring)."""
+def kgroup_inputs() -> list:
+    """(name, kind, arguments) of every K-group case, on new group and G-set objects."""
     import numpy as np
 
-    import twistdecomp as td
     from twistdecomp.cli import _standard_configs
-    from twistdecomp.decomposition import action_table, orbit_data
-    from twistdecomp.errors import TwistError
     from twistdecomp.groups import quotient_with_section
-    from twistdecomp.kgroups import (
-        all_subgroups,
-        gset_as_quotient_action,
-        pullback_to_group,
-        random_cover,
-        random_gset,
-    )
+    from twistdecomp.kgroups import all_subgroups, pullback_to_group, random_cover, random_gset
 
     configs = list(_standard_configs())
     out = []
-
-    def record(name, compute):
-        try:
-            out.append({"case": name, **compute()})
-        except TwistError as exc:
-            out.append({"case": name, "error": type(exc).__name__})
-
     rng = np.random.default_rng(0)
     for case in range(50):
         G, A, alpha = configs[case % len(configs)]
         qs = quotient_with_section(G, A)
         x = pullback_to_group(random_gset(qs.quotient, 6, rng), G, qs.projection)
-
-        def gset_case():
-            rep = td.verify_gset_decomposition(G, A, alpha, x)
-            return {"ranks": [rep.lhs_rank, rep.rhs_ranks],
-                    "phi": td.phi_matrix(G, A, alpha, x).tolist()}
-        record(f"gset {case}", gset_case)
+        out.append((f"gset {case}", "gset", (G, A, alpha, x)))
     for seed in range(10):
         G, A, alpha = configs[seed % len(configs)]
         qs = quotient_with_section(G, A)
@@ -228,17 +209,56 @@ def kgroup_dump() -> list:
         yq, f2 = random_cover(zq, chain_rng, subs)
         xq, f1 = random_cover(yq, chain_rng, subs)
         x, y, z = (pullback_to_group(s, G, qs.projection) for s in (xq, yq, zq))
-        composite = [f2[f1[p]] for p in range(x.size)]
-
-        def chain_case():
-            pulled = [td.pullback_matrix(G, alpha, f, s, t).tolist()
-                      for f, s, t in ((f1, x, y), (f2, y, z), (composite, x, z))]
-            beta = [td.pullback_matrix(d.q_group, d.beta, f1, gset_as_quotient_action(x, d),
-                                       gset_as_quotient_action(y, d)).tolist()
-                    for d in orbit_data(action_table(G, A, alpha), alpha)]
-            return {"pullbacks": pulled, "beta_pullbacks": beta}
-        record(f"chain {seed}", chain_case)
+        out.append((f"chain {seed}", "chain", (G, A, alpha, x, y, z, f1, f2)))
     return out
+
+
+def kgroup_dump(inputs: list) -> list:
+    """Integer K-group outputs of the importable twistdecomp (see the module docstring)."""
+    import twistdecomp as td
+    from twistdecomp.decomposition import action_table, orbit_data
+    from twistdecomp.errors import TwistError
+    from twistdecomp.kgroups import gset_as_quotient_action
+
+    def gset_case(G, A, alpha, x):
+        rep = td.verify_gset_decomposition(G, A, alpha, x)
+        return {"ranks": [rep.lhs_rank, rep.rhs_ranks],
+                "phi": td.phi_matrix(G, A, alpha, x).tolist()}
+
+    def chain_case(G, A, alpha, x, y, z, f1, f2):
+        composite = [f2[f1[p]] for p in range(x.size)]
+        pulled = [td.pullback_matrix(G, alpha, f, s, t).tolist()
+                  for f, s, t in ((f1, x, y), (f2, y, z), (composite, x, z))]
+        beta = [td.pullback_matrix(d.q_group, d.beta, f1, gset_as_quotient_action(x, d),
+                                   gset_as_quotient_action(y, d)).tolist()
+                for d in orbit_data(action_table(G, A, alpha), alpha)]
+        return {"pullbacks": pulled, "beta_pullbacks": beta}
+
+    out = []
+    for name, kind, args in inputs:
+        try:
+            out.append({"case": name, **(gset_case if kind == "gset" else chain_case)(*args)})
+        except TwistError as exc:
+            out.append({"case": name, "error": type(exc).__name__})
+    return out
+
+
+def repeated_dumps(runs: int) -> dict:
+    """Every dump, computed runs times in this process, and whether all agree.
+
+    From the second run on the memo is warm. After the last of several
+    runs the K-group dump is computed once more on that run's inputs, whose
+    groups then hold their K-group parts, and must agree too.
+    """
+    texts = []
+    for _ in range(runs):
+        inputs = kgroup_inputs()
+        result = {"point": dump(), "irr": irr_dump(), "kgroups": kgroup_dump(inputs),
+                  "validation": validation_dump()}
+        texts.append(json.dumps(result))
+    if runs > 1:
+        texts.append(json.dumps({**result, "kgroups": kgroup_dump(inputs)}))
+    return {"repeats_identical": len(set(texts)) == 1, **json.loads(texts[0])}
 
 
 def _intercalates(mul, limit: int) -> list:
@@ -448,11 +468,7 @@ def main() -> int:
         parser.error("give --base or --seeds")
     here = str(Path(__file__).resolve().parent)
     dump_code = (f"sys.path.insert(0, {here!r}); import json, parity; "
-                 "runs = [json.dumps({'point': parity.dump(), 'irr': parity.irr_dump(), "
-                 "'kgroups': parity.kgroup_dump(), 'validation': parity.validation_dump()}) "
-                 "for _ in range(int(sys.argv[1]))]; "
-                 "print(json.dumps({'repeats_identical': len(set(runs)) == 1, "
-                 "**json.loads(runs[0])}))")
+                 "print(json.dumps(parity.repeated_dumps(int(sys.argv[1]))))")
     results = {}
     for side, runs in (("base", "1"), ("head", "2")):
         proc = _run(getattr(args, side), dump_code, runs)
@@ -461,14 +477,15 @@ def main() -> int:
             return 2
         results[side] = json.loads(proc.stdout)
     warm_same = results["head"]["repeats_identical"]
-    print(f"head, warm memo: {'identical to' if warm_same else 'DIFFERS from'} the cold run")
+    print(f"head, warm memo and K-group repeat on the same groups: "
+          f"{'identical to' if warm_same else 'DIFFERS from'} the cold run")
     sys.path.insert(0, str(args.head))
     from twistdecomp.config import default_tolerances
 
     base, head = results["base"]["point"], results["head"]["point"]
     problems, regauged = compare_cases(base, head, default_tolerances().char)
     if not warm_same:
-        problems.append("head dumps differ between a cold and a warm memo")
+        problems.append("head dumps differ between a cold and a warm run")
     n_ok = sum("error" not in c for c in head)
     print(f"configurations: {len(head)} ({n_ok} decomposed, "
           f"{len(head) - n_ok} raising alike); beta tables differ entry by "
