@@ -97,13 +97,21 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
             violations.append(("normalization", g, e))
         if table[e, g] % order:
             violations.append(("normalization", e, g))
-    mul = group.mul
-    for h in (e, *_word_generators(mul, e)):
-        lhs = table[mul[:, h], :] + table[:, h][:, None]    # [g, k] -> alpha(gh, k) + alpha(g, h)
-        rhs = table[:, mul[h]] + table[h]                   # [g, k] -> alpha(g, hk) + alpha(h, k)
-        for g, k in np.argwhere((lhs - rhs) % order != 0):
+    middles = (e, *_word_generators(group.mul, e))
+    for h, defect in _identity_defects(group.mul, order, table, middles):
+        for g, k in np.argwhere(defect):
             violations.append(("cocycle", int(g), h, int(k)))
     return CocycleReport(violations)
+
+
+def _identity_defects(mul: np.ndarray, order: int, table: np.ndarray, middles):
+    """For each middle h, h and the boolean (..., n, n) array of the (g, k)
+    where the 2-cocycle identity fails mod order, for a (..., n, n) stack of
+    exponent tables."""
+    for h in middles:
+        lhs = table[..., mul[:, h], :] + table[..., :, h, None]  # alpha(gh, k) + alpha(g, h)
+        rhs = table[..., :, mul[h]] + table[..., h, None, :]     # alpha(g, hk) + alpha(h, k)
+        yield h, (lhs - rhs) % order != 0
 
 
 @dataclass(eq=False)
@@ -297,6 +305,48 @@ def make_numeric_cocycle(group: FiniteGroup, table, tol: Tolerances | None = Non
             report=report,
         )
     return beta
+
+
+def _certified_tables(group: FiniteGroup, tables: np.ndarray, order: int,
+                      tol: Tolerances) -> list[NumericCocycle]:
+    """The NumericCocycle of each table of a (k, n, n) stack, each certified
+    on the lattice mu_order where it lies there, and by make_numeric_cocycle
+    otherwise.
+
+    With eps = min(tol.unitary, tol.cocycle / 5), a table t is accepted on
+    the lattice when every entry is within eps of z = exp(2 pi i e / order),
+    e = _lattice_exponents(t, order), and e is an exact normalized
+    2-cocycle: e(1, 1) = 0 and the identity holds at every middle h in the
+    generating set S that validate_cocycle_table grows from the identity,
+    one whole-stack pass in O(|S| n^2) per table. As in
+    validate_cocycle_table, the good middles are closed under products, so
+    every h is one, 1 included; at h = 1 the identity reads
+    e(g, 1) = e(1, k) for all g, k, which with e(1, 1) = 0 is normalization.
+
+    Acceptance implies validate_numeric_cocycle's check. z is an exact
+    normalized 2-cocycle, so each side of the identity, t(gh, k) t(g, h)
+    and t(g, hk) t(h, k), is within
+    |t1 t2 - z1 z2| <= |t1 - z1| |t2| + |z1| |t2 - z2| <= 2 eps + eps^2 of
+    the same unit product, and the residual is at most
+    4 eps + 2 eps^2 < tol.cocycle. The normalization entries are within
+    eps < tol.cocycle of 1, and every modulus within eps <= tol.unitary of 1.
+
+    An accepted table is stored as z itself, an elementwise exp of e / order
+    and so bit-identical for equal (e, order): equal cocycles share one memo
+    digest. A table off the lattice, such as one moved by phase_seed, or
+    one holding a NaN, takes make_numeric_cocycle and its O(n^3) check.
+    """
+    eps = min(tol.unitary, tol.cocycle / 5)
+    with np.errstate(invalid="ignore"):       # a NaN entry rounds to garbage and fails the distance
+        e = _lattice_exponents(tables, order)
+    z = np.exp(2j * np.pi * e / order)
+    ok = np.max(np.abs(tables - z), axis=(1, 2)) <= eps
+    ok &= e[:, group.identity, group.identity] == 0
+    for _, defect in _identity_defects(group.mul, order, e,
+                                       _word_generators(group.mul, group.identity)):
+        ok &= ~defect.any(axis=(1, 2))
+    return [NumericCocycle(group, z[i]) if ok[i] else make_numeric_cocycle(group, tables[i], tol)
+            for i in range(len(tables))]
 
 
 def trivial_cocycle(group: FiniteGroup, order: int = 1) -> Cocycle:

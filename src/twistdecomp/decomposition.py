@@ -18,7 +18,10 @@ vector. Every other row is a product of known rows, and the action law on
 the generators certifies that the table is a homomorphism. Each orbit
 carries an isotropy group, a family of Schur intertwiners M_q, and an
 induced 2-cocycle beta on the isotropy quotient; orbits with the same
-isotropy group share it, its quotient and the restricted cocycle.
+isotropy group share it, its quotient and the restricted cocycle, and
+those that also share tau's dimension are built as one batch: one Schur
+solve, one residual check, one induced product and one lattice
+certificate of beta for all of them (see orbit_data).
 verify_point_decomposition checks that the irreducibles of (G, alpha)
 biject with the beta-twisted irreducibles of the isotropy quotients, orbit
 by orbit.
@@ -26,6 +29,7 @@ by orbit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,15 +38,16 @@ from . import _memo
 from .cocycles import (
     Cocycle,
     NumericCocycle,
+    _certified_tables,
     _require_on,
     _tau_exponents,
-    make_numeric_cocycle,
     restrict,
 )
 from .config import Tolerances, default_tolerances
 from .errors import (
     AmbiguousCharacter,
     DecompositionFailure,
+    InputError,
     MatchFailure,
     NonIntegerMultiplicity,
     NotNormal,
@@ -64,7 +69,7 @@ from .reps import (
     IrrTable,
     ProjectiveRep,
     _conjugation_residuals,
-    intertwiner,
+    _intertwiners,
     irreducibles,
 )
 
@@ -262,57 +267,84 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
     Orbits with the same isotropy group G_[tau] share its apparatus, built
     once per distinct stabilizer: the handle, the group re-indexed, alpha
     restricted to it, A inside it, the quotient Q_[tau] with its section,
-    and the sections as G indices. Only tau, sigma(q).tau, M and beta are
-    built per orbit.
+    and the sections as G indices. The rest is built once per batch of the
+    k orbits that share an isotropy group and a tau dimension d:
 
-    M(q) = intertwiner(tau, sigma(q).tau), whose phase makes tr(tau(a) M(q))
-    real positive at the first a where |tr(tau(a) M(q))| is within tol.char
-    of its maximum. These traces do not depend on the basis of tau, so
-    neither does beta: it is the same for every seed.
+    - one gather of every sigma(q).tau, (k, |Q|, |A|, d, d), from the
+      scalars and conjugates of _conjugation, as act in tests/oracles.py
+      computes it for one g;
+    - one _intertwiners call for all k (|Q| - 1) pairs (tau, sigma(q).tau),
+      q != 1, with M(1) = I; a pairing of 0 raises UnmatchedCharacter;
+    - one residual check of the whole M family, sigma(q).tau against
+      M(q)^-1 tau M(q) for every q and a: the first (orbit, q) over
+      10 tol.rep, NaN included, raises DecompositionFailure;
+    - one induced product and one lattice certificate for the k betas
+      (see _induced_betas).
+
+    M(q) is phased so that tr(tau(a) M(q)) is real positive at the first a
+    where |tr(tau(a) M(q))| is within tol.char of its maximum. These traces
+    do not depend on the basis of tau, so neither does beta: it is the same
+    for every seed.
 
     phase_seed, when given, multiplies each M(q), q != 1, by a fixed random
     unit scalar, drawn orbit by orbit and then q by q: a convention change
     that moves beta by a coboundary and must leave all cohomology-level
-    outputs unchanged.
-
-    sigma(q).tau is gathered for every q at once, as act in tests/oracles.py
-    computes it for one g: the scalars and conjugates of _conjugation index
-    tau's matrices.
+    outputs unchanged. A negative phase_seed raises InputError.
     """
     tol = tol or default_tolerances()
+    if phase_seed is not None and phase_seed < 0:
+        raise InputError(f"phase_seed must be a non-negative integer, got {phase_seed}")
     G, A = action.group, action.subgroup
-    rng = np.random.default_rng(phase_seed) if phase_seed is not None else None
+    orbits = action.orbits()
+    fixing = [tuple(np.flatnonzero(action.perm[:, m[0]] == m[0]).tolist()) for m in orbits]
+    batches: dict[tuple, list[int]] = {}
+    for i, members in enumerate(orbits):
+        batches.setdefault((fixing[i], action.base.dims[members[0]]), []).append(i)
+    if phase_seed is not None:
+        rng = np.random.default_rng(phase_seed)
+        phases = [[1] + [np.exp(2j * np.pi * rng.random()) for _ in range(len(f) // A.order - 1)]
+                  for f in fixing]
     shared: dict[tuple[int, ...], dict] = {}
-    data = []
-    for members in action.orbits():
-        rep_idx = members[0]
-        fixing = tuple(np.flatnonzero(action.perm[:, rep_idx] == rep_idx).tolist())
-        if fixing not in shared:        # the apparatus of one isotropy group G_[tau]
-            isotropy = SubgroupHandle(G, fixing)
+    data: list = [None] * len(orbits)
+    for (stabilizer, d), idx in batches.items():
+        if stabilizer not in shared:        # the apparatus of one isotropy group G_[tau]
+            isotropy = SubgroupHandle(G, stabilizer)
             gt_group, gt_map = isotropy.as_group()
             a_in_gt = SubgroupHandle(gt_group, tuple(isotropy.position(list(A.elements)).tolist()))
             qs = quotient_with_section(gt_group, a_in_gt)
-            shared[fixing] = dict(isotropy=isotropy, gt_group=gt_group, gt_map=tuple(gt_map),
-                                  alpha_gt=restrict(alpha, isotropy)[0], a_in_gt=a_in_gt,
-                                  quotient=qs, sections=np.asarray(gt_map)[list(qs.section)])
-        sections = shared[fixing]["sections"]
-        tau = action.base.irreducibles[rep_idx]
+            shared[stabilizer] = dict(isotropy=isotropy, gt_group=gt_group, gt_map=tuple(gt_map),
+                                      alpha_gt=restrict(alpha, isotropy)[0], a_in_gt=a_in_gt,
+                                      quotient=qs, sections=np.asarray(gt_map)[list(qs.section)])
+        sections = shared[stabilizer]["sections"]
+        k, nq = len(idx), len(sections)
+        taus = [action.base.irreducibles[orbits[i][0]] for i in idx]
+        X = np.stack([tau.matrices for tau in taus])                    # (k, |A|, d, d)
         back, scale = _conjugation(alpha, sections[:, None], A.to_parent)
-        moved = scale[..., None, None] * tau.matrices[A.position(back)]   # sigma(q).tau
-        M = np.empty((len(sections), tau.dim, tau.dim), dtype=np.complex128)
-        M[0] = np.eye(tau.dim)
-        for q in range(1, len(sections)):
-            w = intertwiner(tau, ProjectiveRep(tau.group, tau.cocycle, tau.dim, moved[q]), tol)
-            if w is None:
+        moved = scale[..., None, None] * X[:, A.position(back)]        # sigma(q).tau
+        M = np.empty((k, nq, d, d), dtype=np.complex128)
+        M[:, 0] = np.eye(d)
+        if nq > 1:
+            pairing, solved = _intertwiners(action.base.group, X,
+                                            moved[:, 1:].reshape(-1, *X.shape[1:]),
+                                            np.repeat(np.arange(k), nq - 1), tol)
+            if solved is None:
+                q = int(np.argmin(pairing)) % (nq - 1) + 1
                 raise UnmatchedCharacter(f"section element {sections[q]} does not fix the class")
-            if rng is not None:
-                w = np.exp(2j * np.pi * rng.random()) * w
-            M[q] = w
-        datum = OrbitDatum(representative=rep_idx, members=members, **shared[fixing],
-                           tau=tau, M=M, beta=None)
-        _check_m_family(datum, moved, tol)
-        datum.beta = induced_cocycle(datum, alpha, tol)
-        data.append(datum)
+            M[:, 1:] = solved.reshape(k, nq - 1, d, d)
+        if phase_seed is not None:
+            M = np.array([phases[i] for i in idx])[..., None, None] * M
+        err = _conjugation_residuals(X[:, None], moved, M)              # (k, |Q|)
+        bad = np.argwhere(~(err <= 10 * tol.rep))
+        if bad.size:
+            j, q = bad[0]
+            raise DecompositionFailure(f"M family fails conjugation check at q={q} "
+                                       f"({err[j, q]:.2e})")
+        batch = [OrbitDatum(representative=orbits[i][0], members=orbits[i], **shared[stabilizer],
+                            tau=tau, M=M[j], beta=None)
+                 for j, (i, tau) in enumerate(zip(idx, taus))]
+        for i, datum, beta in zip(idx, batch, _induced_betas(batch[0], X, M, alpha.order, tol)):
+            datum.beta = beta
+            data[i] = datum
     return data
 
 
@@ -359,51 +391,51 @@ def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0
     return data
 
 
-def _check_m_family(datum: OrbitDatum, moved: np.ndarray, tol: Tolerances) -> None:
-    """moved[q] = sigma(q).tau must equal M(q)^-1 tau M(q), for every q and a.
-
-    The residual of each q comes from _conjugation_residuals; the first q
-    over 10 tol.rep, NaN included, raises DecompositionFailure.
-    """
-    err = _conjugation_residuals(datum.tau.matrices, moved, datum.M)
-    bad = np.flatnonzero(~(err <= 10 * tol.rep))
-    if bad.size:
-        q = int(bad[0])
-        raise DecompositionFailure(f"M family fails conjugation check at q={q} ({err[q]:.2e})")
-
-
 def induced_cocycle(datum: OrbitDatum, alpha: Cocycle,
                     tol: Tolerances | None = None) -> NumericCocycle:
-    """The induced 2-cocycle beta on the isotropy quotient.
+    """The induced 2-cocycle beta on the isotropy quotient: the one-orbit case
+    of _induced_betas."""
+    tol = tol or default_tolerances()
+    return _induced_betas(datum, datum.tau.matrices[None], datum.M[None], alpha.order, tol)[0]
 
-    For each pair (q1, q2) the matrix
+
+def _induced_betas(datum: OrbitDatum, taus: np.ndarray, M: np.ndarray, K: int,
+                   tol: Tolerances) -> list[NumericCocycle]:
+    """The induced 2-cocycles of k orbits that share datum's isotropy group and
+    tau dimension d, from the (k, |A|, d, d) stack of their taus and the
+    (k, |Q|, d, d) stack of their M families, for alpha of order K.
+
+    For each orbit and pair (q1, q2) the matrix
 
         tau_scalar(q1,q2) * tau(chi(q1,q2)) * M(q2)^-1 M(q1)^-1 M(q1 q2)
 
     must be a unit scalar matrix; the scalars assemble into a normalized
-    2-cocycle on Q_[tau]. All pairs are one broadcast product over the
-    tables qs._chi_table and _tau_exponents. beta(q1, q2) is the mean of
-    the diagonal; NotScalar (max |T - mean I| > tol.scalar) and then
-    NotUnimodular name the first failing pair in row-major order.
+    2-cocycle on Q_[tau]. All of them are one broadcast (k, |Q|, |Q|, d, d)
+    product over the tables qs._chi_table and _tau_exponents. beta(q1, q2)
+    is the mean of the diagonal; NotScalar (max |T - mean I| > tol.scalar)
+    and then NotUnimodular name the first failing pair of the first failing
+    orbit, in row-major order. The tables are then certified by
+    cocycles._certified_tables on the lattice mu_N, N = lcm(K, 2 d |A|),
+    where the beta of an unphased family lies; any other table is checked
+    in full by make_numeric_cocycle.
     """
-    tol = tol or default_tolerances()
     qs = datum.quotient
     Q = qs.quotient
     scal = datum.alpha_gt.roots_of(_tau_exponents(datum.alpha_gt, qs))
-    M = datum.M
-    Minv = np.conj(np.swapaxes(M, 1, 2))
-    taus = datum.tau.matrices[datum.a_in_gt.position(qs._chi_table)]
-    T = scal[..., None, None] * taus @ Minv[None, :] @ Minv[:, None] @ M[Q.mul]
-    table = np.trace(T, axis1=2, axis2=3) / M.shape[1]     # the mean of the diagonal
-    dev = np.where(np.eye(M.shape[1], dtype=bool), T - table[..., None, None], T)
-    not_scalar = np.max(np.abs(dev), axis=(2, 3)) > tol.scalar
+    Minv = np.conj(np.swapaxes(M, -1, -2))
+    T = (scal[..., None, None] * taus[:, datum.a_in_gt.position(qs._chi_table)]
+         @ Minv[:, None] @ Minv[:, :, None] @ M[:, Q.mul])
+    d = M.shape[-1]
+    table = np.trace(T, axis1=-2, axis2=-1) / d     # the mean of the diagonal
+    dev = np.where(np.eye(d, dtype=bool), T - table[..., None, None], T)
+    not_scalar = np.max(np.abs(dev), axis=(-2, -1)) > tol.scalar
     bad = np.argwhere(not_scalar | (np.abs(np.abs(table) - 1.0) > tol.unitary))
     if bad.size:
-        q1, q2 = bad[0]
-        if not_scalar[q1, q2]:
+        o, q1, q2 = bad[0]
+        if not_scalar[o, q1, q2]:
             raise NotScalar(f"induced matrix at ({q1},{q2}) is not scalar")
-        raise NotUnimodular(f"induced scalar at ({q1},{q2}) has modulus {abs(table[q1, q2])}")
-    return make_numeric_cocycle(Q, table, tol)  # re-checks: normalized 2-cocycle
+        raise NotUnimodular(f"induced scalar at ({q1},{q2}) has modulus {abs(table[o, q1, q2])}")
+    return _certified_tables(Q, table, math.lcm(K, 2 * d * datum.a_in_gt.order), tol)
 
 
 def _a_parent_order(datum: OrbitDatum) -> tuple[int, ...]:

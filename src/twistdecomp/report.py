@@ -27,11 +27,13 @@ def _fingerprints(values: np.ndarray, identity: int) -> list[str]:
 
     "d<dim>|", the dimension read at the identity's index, and then "re,im"
     of every value, rounded as AlphaCharacter.fingerprint rounds it, joined
-    by ";". One _rounded pass covers the whole stack.
+    by ";". One _rounded pass covers the whole stack, and one format string,
+    built once, renders each row with a single % call.
     """
-    rounded = _rounded(np.stack([values.real, values.imag], axis=-1), _DIGITS).tolist()
-    return [f"d{int(round(first.real))}|" + ";".join(f"{re:.9f},{im:.9f}" for re, im in row)
-            for first, row in zip(values[:, identity], rounded)]
+    rounded = _rounded(np.stack([values.real, values.imag], axis=-1), _DIGITS)
+    row_format = ";".join(["%.9f,%.9f"] * values.shape[1])
+    return [f"d{int(round(first.real))}|" + row_format % tuple(row)
+            for first, row in zip(values[:, identity], rounded.reshape(len(values), -1).tolist())]
 
 
 def matrix_pairs(m: np.ndarray) -> list:

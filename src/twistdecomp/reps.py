@@ -135,8 +135,8 @@ def _hom_equations(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     one (..., k * dx * dy, dx * dy) array.
     """
     dx, dy = X.shape[-1], Y.shape[-1]
-    rows = (np.einsum("...gij,kl->...gikjl", X, np.eye(dy))
-            - np.einsum("ij,...glk->...gikjl", np.eye(dx), Y))
+    rows = (X[..., :, None, :, None] * np.eye(dy)[:, None, :]               # [g, i, k, j, l]
+            - np.eye(dx)[:, None, :, None] * np.swapaxes(Y, -1, -2)[..., None, :, None, :])
     return rows.reshape(*rows.shape[:-5], -1, dx * dy)
 
 
@@ -405,12 +405,15 @@ def _relation_residuals(G: FiniteGroup, ctable: np.ndarray, mats: np.ndarray,
 
 
 def _conjugation_residuals(X: np.ndarray, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """(k,) worst |Y[k](g) - M[k]^H X(g) M[k]| over g and entries, NaN where one enters.
+    """(...,) worst |Y(g) - M^H X(g) M| over g and entries, NaN where one enters.
 
-    X is one (|G|, d, d) stack, Y a (k, |G|, d, d) stack and M (k, d, d).
+    X and Y are (..., |G|, d, d) stacks and M a (..., d, d) stack, all three
+    broadcast together over the leading axes: one X against k pairs (Y[k], M[k]),
+    or one X per row of a (k, |Q|) family.
     """
-    conjugated = np.conj(np.swapaxes(M, 1, 2))[:, None] @ X[None] @ M[:, None]
-    return np.max(np.abs(Y - conjugated), axis=(1, 2, 3))
+    M = M[..., None, :, :]
+    conjugated = np.conj(np.swapaxes(M, -1, -2)) @ X @ M
+    return np.max(np.abs(Y - conjugated), axis=(-3, -2, -1))
 
 
 def _multiplicities(values: np.ndarray, conj_table: np.ndarray, tol: float) -> np.ndarray:
@@ -423,7 +426,12 @@ def _multiplicities(values: np.ndarray, conj_table: np.ndarray, tol: float) -> n
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 2 or values.shape[1] != conj_table.shape[1]:
         raise InputError(f"characters of shape {values.shape} for order {conj_table.shape[1]}")
-    inner = values @ conj_table.T / conj_table.shape[1]
+    return _rounded_multiplicities(values @ conj_table.T / conj_table.shape[1], tol)
+
+
+def _rounded_multiplicities(inner: np.ndarray, tol: float) -> np.ndarray:
+    """The inner products as int64 multiplicities; NonIntegerMultiplicity at the
+    first one, NaN included, that is not within tol of a non-negative integer."""
     rounded = np.round(inner.real)
     bad = ~(np.abs(inner - rounded) <= tol) | (rounded < 0)
     if bad.any():
@@ -596,8 +604,11 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
     once. A later call gets them back in a table whose group and cocycle are
     the caller's objects. A failure is never remembered: a split whose
     matrices missed the relation is not a hit, so the next call splits again.
+    A negative seed raises InputError before any work.
     """
     tol = tol or default_tolerances()
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
     n = G.order
     if n > MAX_DENSE_ORDER:
         raise InputError(f"dense decomposition capped at order {MAX_DENSE_ORDER}")
@@ -789,45 +800,79 @@ def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
                 tol: Tolerances | None = None) -> np.ndarray | None:
     """Unitary M with rho2(g) = M^-1 rho1(g) M, or None if not isomorphic.
 
-    Both inputs must be irreducible; Schur's lemma then makes M unique up
-    to phase. A character pairing (by _multiplicities, under tol.char)
-    other than 0 or 1 raises NotIrreducible. The phase makes
-    tr(rho1(g) M) real positive at the first g whose |tr(rho1(g) M)| is
-    within tol.char of the maximum. These traces do not change when rho1
-    and rho2 change basis together, so neither does the phase. M is
-    verified on every g by _conjugation_residuals within 10 times
-    _relation_tol; a NaN fails it.
+    The one-pair case of _intertwiners, which holds the checks and the phase
+    rule. M is then verified on every g by _conjugation_residuals within 10
+    times _relation_tol; a NaN fails it.
     """
     tol = tol or default_tolerances()
     _check_compatible(rho1, rho2)
     if rho1.dim != rho2.dim:
         return None
-    try:
-        mult = _multiplicities(character(rho1).values[None],
-                               np.conj(character(rho2).values)[None], tol.char)[0, 0]
-    except NonIntegerMultiplicity as exc:
-        raise NotIrreducible(f"character pairing {exc.value} is not 0 or 1") from exc
-    if mult > 1:
-        raise NotIrreducible(f"character pairing {mult} is not 0 or 1")
-    if mult == 0:
+    _, M = _intertwiners(rho1.group, rho1.matrices[None], rho2.matrices[None],
+                         np.zeros(1, dtype=np.int64), tol)
+    if M is None:
         return None
-    if commutant_dimension(rho1) != 1:
-        raise NotIrreducible("first representation has commutant dimension > 1")
-    if commutant_dimension(rho2) != 1:
-        raise NotIrreducible("second representation has commutant dimension > 1")
-    d = rho1.dim
-    kernel = _hom_space(rho1.group, rho1.matrices, rho2.matrices)
-    if kernel.shape[1] != 1:
-        raise NotIrreducible(f"Schur solution space has dimension {kernel.shape[1]}, not 1")
-    M = kernel[:, 0].reshape(d, d)
-    # scale to unitary: M^H M = c I for an intertwiner between unitary irreps
-    c = np.trace(M.conj().T @ M).real / d
-    M = M / np.sqrt(c)
-    traces = np.einsum("gij,ji->g", rho1.matrices, M)
-    size = np.abs(traces)
-    z = traces[np.argmax(size >= size.max() - tol.char)]       # element 0 when size holds a NaN
-    M = M * (np.conj(z) / np.abs(z))
-    err = _conjugation_residuals(rho1.matrices, rho2.matrices[None], M[None])[0]
+    err = _conjugation_residuals(rho1.matrices, rho2.matrices, M[0])
     if not err <= 10 * _relation_tol(rho1.cocycle, tol):
         raise NumericFailure(f"intertwiner verification failed (residual {err:.2e})")
-    return M
+    return M[0]
+
+
+def _intertwiners(G: FiniteGroup, X: np.ndarray, Y: np.ndarray, source: np.ndarray,
+                  tol: Tolerances) -> tuple[np.ndarray, np.ndarray | None]:
+    """Schur intertwiners M[p] with Y[p](g) = M[p]^-1 X[source[p]](g) M[p], for every pair p.
+
+    X is an (m, |G|, d, d) stack of representations and Y a (P, |G|, d, d)
+    stack, all over one cocycle; source maps each pair to its X. Returns the
+    (P,) character pairings and the (P, d, d) unitary M, or None in place of
+    M when some pairing is 0. Both inputs of a pair must be irreducible;
+    Schur's lemma then makes M unique up to phase. Over the whole stack:
+
+    - a character pairing (rounded as _multiplicities rounds, under
+      tol.char) other than 0 or 1 raises NotIrreducible;
+    - every X and every Y must have commutant dimension 1 (NotIrreducible);
+    - the Schur space, the kernel of _hom_space's generator equations, must
+      have dimension 1 for every pair (NotIrreducible). A trivial group
+      has no generators and imposes its identity, where both sides are I.
+
+    M is the kernel vector scaled to unitary (M^H M = c I for an intertwiner
+    between unitary irreducibles) and phased so that tr(X(g) M) is real
+    positive at the first g whose |tr(X(g) M)| is within tol.char of the
+    maximum (element 0 when a trace is NaN). These traces do not change
+    when X and Y change basis together, so neither does the phase. Every
+    step on M is a gufunc (svd, matmul) or an elementwise operation, so
+    M[p] has the same bits whatever the other pairs are. The caller checks
+    the conjugation residual.
+    """
+    n, d = X.shape[1], X.shape[-1]
+    chi_x, chi_y = np.trace(X, axis1=2, axis2=3), np.trace(Y, axis1=2, axis2=3)
+    try:
+        pairing = _rounded_multiplicities(np.sum(chi_x[source] * np.conj(chi_y), axis=1) / n,
+                                          tol.char)
+    except NonIntegerMultiplicity as exc:
+        raise NotIrreducible(f"character pairing {exc.value} is not 0 or 1") from exc
+    if np.any(pairing > 1):
+        raise NotIrreducible(f"character pairing {pairing[np.argmax(pairing > 1)]} is not 0 or 1")
+    if not pairing.all():
+        return pairing, None
+    gens = list(generating_set(G))
+    if d > 1:           # a 1-dimensional representation has commutant dimension 1
+        if np.any(_commutant_dimensions(G, X[:, gens]) != 1):
+            raise NotIrreducible("first representation has commutant dimension > 1")
+        if np.any(_commutant_dimensions(G, Y[:, gens]) != 1):
+            raise NotIrreducible("second representation has commutant dimension > 1")
+    gens = gens or [G.identity]
+    _, s, vh = np.linalg.svd(_hom_equations(X[source][:, gens], Y[:, gens]), full_matrices=True)
+    kernel = d * d - np.count_nonzero(s > _NULLSPACE_RTOL * np.maximum(1.0, s[:, :1]), axis=1)
+    if np.any(kernel != 1):
+        dim = kernel[np.argmax(kernel != 1)]
+        raise NotIrreducible(f"Schur solution space has dimension {dim}, not 1")
+    M = np.conj(vh[:, -1]).reshape(-1, d, d)
+    c = np.trace(np.conj(np.swapaxes(M, 1, 2)) @ M, axis1=1, axis2=2).real / d
+    M = M / np.sqrt(c)[:, None, None]
+    traces = (X.reshape(len(X), n, d * d)[source]
+              @ np.swapaxes(M, 1, 2).reshape(-1, d * d, 1))[..., 0]      # tr(X(g) M)
+    size = np.abs(traces)
+    first = np.argmax(size >= size.max(axis=1, keepdims=True) - tol.char, axis=1)
+    z = traces[np.arange(len(M)), first]
+    return pairing, M * (np.conj(z) / np.abs(z))[:, None, None]

@@ -1,6 +1,8 @@
 """The certificate kernels of reps against the per-element routes they replaced,
 and a NaN at one element failing every check site."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,14 +201,15 @@ class TestConjugationResiduals:
             td.intertwiner(double, double)
 
     def test_nan_in_m_fails_the_m_family(self, monkeypatch, d8, alpha4, a_center):
-        honest = decomposition.intertwiner
+        honest = decomposition._intertwiners
 
-        def with_nan_entry(rho1, rho2, tol):
-            M = np.array(honest(rho1, rho2, tol))
-            M[0, -1] = np.nan
-            return M
+        def with_nan_entry(*args):
+            pairing, M = honest(*args)
+            M = np.array(M)
+            M[:, 0, -1] = np.nan
+            return pairing, M
 
-        monkeypatch.setattr(decomposition, "intertwiner", with_nan_entry)
+        monkeypatch.setattr(decomposition, "_intertwiners", with_nan_entry)
         action = td.action_table(d8, a_center, alpha4)
         with pytest.raises(DecompositionFailure, match=r"conjugation check at q=1 \(nan\)"):
             td.orbit_data(action, alpha4)
@@ -270,6 +273,8 @@ class TestHomRep:
 
     @pytest.mark.parametrize("nan", [False, True])
     def test_relation_failure_raises(self, monkeypatch, z_datum, explicit_taus, nan):
+        """A NaN in the Hom matrices fails the relation at its first row; a beta
+        whose (1, 1) entry is turned by 1e-6 rad fails it at row 1 by 1e-6."""
         W = isotropy_rep(z_datum, explicit_taus[1])
         honest = oracles.hom_action_by_vector
 
@@ -280,6 +285,11 @@ class TestHomRep:
 
         if nan:
             monkeypatch.setattr(oracles, "hom_action_by_vector", with_nan_entry)
-        tol, where = (TOL, r"q1=0 \(nan\)") if nan else (TOL.replace(rep=1e-30), "q1=")
+            datum, where = z_datum, r"q1=0 \(nan\)"
+        else:
+            table = np.array(z_datum.beta.table)
+            table[1, 1] *= np.exp(1e-6j)
+            datum = dataclasses.replace(z_datum, beta=td.NumericCocycle(z_datum.q_group, table))
+            where = r"q1=1 \(1\.00e-06\)"
         with pytest.raises(DecompositionFailure, match="beta-twisted relation fails at " + where):
-            hom_rep(W, z_datum, tol)
+            hom_rep(W, datum, TOL)

@@ -141,9 +141,13 @@ class TestOrbitData:
         action = td.action_table(d8, td.subgroup_closure(d8, [2, 4]), alpha4)
         c, s = np.cos(0.3), np.sin(0.3)
         rotate = np.array([[c, -s], [s, c]])
-        schur = decomposition.intertwiner
-        monkeypatch.setattr(decomposition, "intertwiner",
-                            lambda rho1, rho2, tol: schur(rho1, rho2, tol) @ rotate)
+        schur = decomposition._intertwiners
+
+        def rotated(*args):
+            pairing, M = schur(*args)
+            return pairing, M @ rotate
+
+        monkeypatch.setattr(decomposition, "_intertwiners", rotated)
         with pytest.raises(DecompositionFailure, match="conjugation check at q=1 "):
             td.orbit_data(action, alpha4)
 

@@ -192,6 +192,10 @@ class TestCli:
         assert main(["irr", "dihedral:4", "trivial"]) == 0
         assert "dims: 1, 1, 1, 1, 2" in capsys.readouterr().out
 
+    def test_negative_seed_is_an_input_error(self, capsys):
+        assert main(["irr", "dihedral:4", "dihedral_alpha:4", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_irr_json_matrices(self, capsys):
         assert main(["--format=json", "irr", "cyclic:3", "trivial", "--matrices"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -577,12 +577,12 @@ class TestOrbitDecomposition:
         def broken(*args):
             raise DecompositionFailure("M family fails")
 
-        honest = decomposition._check_m_family
-        monkeypatch.setattr(decomposition, "_check_m_family", broken)
+        honest = decomposition._intertwiners
+        monkeypatch.setattr(decomposition, "_intertwiners", broken)
         for _ in range(2):
             with pytest.raises(DecompositionFailure, match="M family fails"):
                 _orbit_data(d8, a_center, alpha4)
-        monkeypatch.setattr(decomposition, "_check_m_family", honest)
+        monkeypatch.setattr(decomposition, "_intertwiners", honest)
         warm = decomposition_summary(d8, a_center, alpha4)
         _memo.clear()
         assert decomposition_summary(d8, a_center, alpha4) == warm

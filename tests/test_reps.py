@@ -3,7 +3,7 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp.decomposition import action_table, orbit_data
-from twistdecomp.errors import NonIntegerMultiplicity, NotIrreducible
+from twistdecomp.errors import InputError, NonIntegerMultiplicity, NotIrreducible
 from twistdecomp.groups import generating_set, trivial_subgroup
 from twistdecomp import reps
 from twistdecomp.reps import commutant_dimension
@@ -105,6 +105,13 @@ class TestIrreducibles:
         want = {tuple(np.round([1j ** (k * g) for g in range(4)], 6)) for k in range(4)}
         got = {tuple(np.round(c.values, 6)) for c in table.characters}
         assert got == want
+
+    def test_negative_seeds_are_input_errors(self, d8, alpha4):
+        with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+            td.irreducibles(d8, alpha4, seed=-1)
+        action = action_table(d8, td.subgroup_closure(d8, [2]), alpha4)
+        with pytest.raises(InputError, match="phase_seed must be a non-negative integer, got -2"):
+            orbit_data(action, alpha4, phase_seed=-2)
 
     def test_d8_twisted_two_classes(self, d8, alpha4):
         table = td.irreducibles(d8, alpha4, seed=0)

@@ -3,13 +3,15 @@ the per-pair and per-element formulas of tests/oracles.py."""
 
 import dataclasses
 import itertools
+import math
 import re
 
 import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp.cocycles import _tau_exponents
+from twistdecomp import cocycles, reps
+from twistdecomp.cocycles import _certified_tables, _lattice_exponents, _tau_exponents
 from twistdecomp.errors import (
     DecompositionFailure,
     InputError,
@@ -73,6 +75,24 @@ def beta_configurations():
     for A in normal_subgroups(G):
         if A.order >= 4:
             yield f"S4xD8 |A|={A.order} A={A.elements[:6]}", G, A, alpha
+
+
+def point_configurations():
+    """beta_configurations and the further point configurations of tools/parity.py:
+    C_2 x D_8, every normal subgroup of S_4 x D_8, and dihedral(24) and dihedral(64)
+    under dihedral_alpha with A = <a> and <a^2>."""
+    yield from beta_configurations()
+    G, alpha = c2_x_d8_alpha()
+    for A in normal_subgroups(G):
+        yield f"C2xD8 A={A.elements}", G, A, alpha
+    G, alpha = s4_x_d8_alpha()
+    for A in normal_subgroups(G):
+        if A.order < 4:
+            yield f"S4xD8 |A|={A.order} A={A.elements}", G, A, alpha
+    for n in (24, 64):
+        for gen in (1, 2):
+            G = td.dihedral(n)
+            yield f"D{2 * n} A=<a^{gen}>", G, td.subgroup_closure(G, [gen]), td.dihedral_alpha(n)
 
 
 def m_by_section(datum, alpha, A, tol):
@@ -218,3 +238,118 @@ class TestInducedCocycleFailures:
         # at (0, 4) the product M(4)^-1 M(4) becomes diag(4, 1): neither scalar nor unit
         breaks = [(4, np.diag([2.0, 1.0])), (9, 2 * np.eye(2))]
         assert self.first_failure(orbit, NotScalar, breaks) == (0, 4)
+
+
+def basis_changed(rep, rng):
+    """U^H rep U for a random unitary U: an isomorphic copy of rep."""
+    d = rep.dim
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return td.ProjectiveRep(rep.group, rep.cocycle, d, np.conj(U.T) @ rep.matrices @ U)
+
+
+@pytest.fixture
+def numeric_checks(monkeypatch):
+    """The order of the group of every table that takes make_numeric_cocycle."""
+    calls = []
+    honest = cocycles.make_numeric_cocycle
+
+    def counted(group, table, tol=None):
+        calls.append(group.order)
+        return honest(group, table, tol)
+
+    monkeypatch.setattr(cocycles, "make_numeric_cocycle", counted)
+    return calls
+
+
+class TestLatticeCertificate:
+    def test_every_point_configuration_is_certified_on_the_lattice(self, numeric_checks):
+        """Without phase_seed every beta is exp(2 pi i e / N) exactly, N = lcm(K, 2 d |A|);
+        with it, every beta of a nontrivial quotient takes the numeric check."""
+        orbits = phased = 0
+        for name, G, A, alpha in point_configurations():
+            action = td.action_table(G, A, alpha)
+            for datum in td.orbit_data(action, alpha):
+                N = math.lcm(alpha.order, 2 * datum.tau.dim * A.order)
+                lattice = np.exp(2j * np.pi * _lattice_exponents(datum.beta.table, N) / N)
+                assert np.array_equal(datum.beta.table, lattice), name
+                orbits += 1
+            assert len(numeric_checks) == phased, name
+            data = td.orbit_data(action, alpha, phase_seed=5)
+            phased += sum(datum.q_group.order > 1 for datum in data)
+            assert len(numeric_checks) == phased, name
+        assert (orbits, phased) == (517, 283)
+
+    def test_betas_have_the_same_bits_at_every_seed(self):
+        """The seed changes tau's basis and so the rounding of the induced product,
+        but not the lattice point: equal betas share one memo digest."""
+        orbits = 0
+        for n in (4, 6, 8, 12, 24):
+            G, alpha = td.dihedral(n), td.dihedral_alpha(n)
+            for A in normal_subgroups(G):
+                pairs = zip(*(td.orbit_data(td.action_table(G, A, alpha, seed=seed), alpha)
+                              for seed in (0, 1)))
+                for one, other in pairs:
+                    assert one.beta._content == other.beta._content, (n, A.elements)
+                    orbits += 1
+        assert orbits == 120
+
+    @pytest.fixture
+    def d8_beta(self, d8, alpha4):
+        """The beta of D_8 over A = 1 (Q = D_8), its lattice order and tolerances."""
+        datum = td.orbit_data(td.action_table(d8, td.subgroup_closure(d8, []), alpha4), alpha4)[0]
+        return datum.beta, math.lcm(alpha4.order, 2), td.default_tolerances()
+
+    def test_off_the_lattice_within_tolerance_takes_the_numeric_check(self, d8_beta,
+                                                                        numeric_checks):
+        beta, N, tol = d8_beta
+        eps = min(tol.unitary, tol.cocycle / 5)
+        table = np.array(beta.table)
+        table[1, 1] *= np.exp(2j * eps)
+        [certified] = _certified_tables(beta.group, table[None], N, tol)
+        assert numeric_checks == [8]
+        assert np.array_equal(certified.table, table)
+        assert not np.array_equal(_certified_tables(beta.group, beta.table[None], N, tol)[0].table,
+                                  table)
+        assert numeric_checks == [8]
+
+    def test_off_the_lattice_beyond_tolerance_raises(self, d8_beta, numeric_checks):
+        beta, N, tol = d8_beta
+        table = np.array(beta.table)
+        table[1, 1] *= np.exp(2j * tol.cocycle)
+        with pytest.raises(InvalidCocycle, match="not a 2-cocycle within tolerance"):
+            _certified_tables(beta.group, table[None], N, tol)
+        assert numeric_checks == [8]
+
+
+class TestBatchedIntertwiners:
+    def test_one_call_equals_intertwiner_pair_by_pair(self):
+        """For each configuration and tau dimension d, one _intertwiners call over
+        every pair (tau, act(sigma(q), tau)), q != 1, of every orbit of that d, and
+        of a copy of the first tau in another basis, gives, bit for bit, the M of
+        intertwiner on each pair. Only S_4 x D_8 has a 4-dimensional tau, in one
+        orbit; the basis-changed copy stacks a second one beside it."""
+        tol = td.default_tolerances()
+        rng = np.random.default_rng(0)
+        dims, several = set(), set()
+        for name, G, A, alpha in beta_configurations():
+            by_dim = {}
+            for datum in td.orbit_data(td.action_table(G, A, alpha), alpha):
+                by_dim.setdefault(datum.tau.dim, []).append(datum)
+            for d, data in by_dim.items():
+                pairs = [(j, act(alpha, A, int(datum.sections[q]), datum.tau))
+                         for j, datum in enumerate(data) for q in range(1, datum.q_group.order)]
+                if not pairs:
+                    continue
+                taus = [datum.tau for datum in data] + [basis_changed(data[0].tau, rng)]
+                pairs += [(len(data), moved) for j, moved in pairs if j == 0]
+                X = np.stack([tau.matrices for tau in taus])
+                Y = np.stack([moved.matrices for _, moved in pairs])
+                source = np.array([j for j, _ in pairs])
+                pairing, M = reps._intertwiners(taus[0].group, X, Y, source, tol)
+                assert np.array_equal(pairing, np.ones(len(pairs))), name
+                for p, (j, moved) in enumerate(pairs):
+                    assert np.array_equal(M[p], td.intertwiner(taus[j], moved, tol)), name
+                if len(data) > 1:
+                    several.add(d)
+                dims.add(d)
+        assert dims == {1, 2, 3, 4, 6} and several == {1, 2, 3, 6}

@@ -382,10 +382,11 @@ def test_typed_failures_under_python_O():
 
 class TestIntertwinerFailures:
     def test_schur_kernel_not_one_dimensional(self, monkeypatch, explicit_taus):
-        honest = reps._nullspace
-        monkeypatch.setattr(reps, "commutant_dimension", lambda rep: 1)
-        monkeypatch.setattr(reps, "_nullspace", lambda A: np.hstack([honest(A)] * 2))
-        with pytest.raises(NotIrreducible, match="Schur solution space"):
+        """With every singular value under the cutoff, the Schur space of a
+        2-dimensional pair reads dimension 4 (the commutant check bypassed)."""
+        monkeypatch.setattr(reps, "_commutant_dimensions", lambda G, X: np.ones(len(X), int))
+        monkeypatch.setattr(reps, "_NULLSPACE_RTOL", 10.0)
+        with pytest.raises(NotIrreducible, match="Schur solution space has dimension 4, not 1"):
             td.intertwiner(explicit_taus[1], explicit_taus[1])
 
     def test_verification_residual(self, explicit_taus):
