@@ -8,6 +8,12 @@ SubgroupHandle.as_group, cocycles.restrict and groups.quotient_with_section).
 
 A key is a 16-byte blake2b digest of a kind tag and every input the
 computation reads: arrays by dtype, shape and buffer, other values by repr.
+An integer array of at least NARROW_MIN entries whose values all lie in
+[0, 256) or [0, 65536), such as a group or exponent table, is hashed as
+uint8 or uint16, converted NARROW_BLOCK entries at a time so no narrowed
+copy of the whole array is made; its header names the narrow type after
+the stored one, so the key stays injective. Any other array is hashed as
+stored.
 Callers store only what passed every check, so a failure is recomputed and
 raised again on each call; an irreducibles entry whose deferred matrix
 certificate later fails is no longer a hit (see reps._Split). Entries are
@@ -30,18 +36,36 @@ import numpy as np
 
 BUDGET_BYTES = 1 << 18
 PARTS_PER_OWNER = 32
+# Smaller tables are hashed as stored: for them the range check costs more
+# than the bytes it saves.
+NARROW_MIN = 1 << 12
+NARROW_BLOCK = 1 << 14
 
 
 def key(kind: str, *parts) -> bytes:
     h = hashlib.blake2b(kind.encode(), digest_size=16)
     for part in parts:
         if isinstance(part, np.ndarray):
-            part = np.ascontiguousarray(part)
-            h.update(f"|{part.dtype.str}{part.shape}|".encode())
-            h.update(part)
+            _update_array(h, np.ascontiguousarray(part))
         else:
             h.update(f"|{part!r}|".encode())
     return h.digest()
+
+
+def _update_array(h, part: np.ndarray) -> None:
+    """Hash the header and the values of an array, narrowed where they fit (see above)."""
+    narrow = None
+    if part.dtype.kind in "iu" and part.size >= NARROW_MIN and part.min() >= 0:
+        top = part.max()
+        narrow = np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16 else None
+    if narrow is None:
+        h.update(f"|{part.dtype.str}{part.shape}|".encode())
+        h.update(part)
+        return
+    h.update(f"|{part.dtype.str}{part.shape}>{np.dtype(narrow).str}|".encode())
+    flat = part.reshape(-1)
+    for lo in range(0, flat.size, NARROW_BLOCK):
+        h.update(flat[lo:lo + NARROW_BLOCK].astype(narrow))
 
 
 class LRU:

@@ -246,6 +246,8 @@ def _standard_configs():
 def _suite_random_gsets(args, tol):
     from .groups import quotient_with_section
 
+    if args.seed < 0:       # numpy's generator would reject it first, with its own message
+        raise InputError(f"seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     configs = list(_standard_configs())
     for case in range(args.cases):

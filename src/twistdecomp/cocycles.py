@@ -21,9 +21,9 @@ from .groups import (
     FiniteGroup,
     QuotientWithSection,
     SubgroupHandle,
-    _word_generators,
     dihedral,
     from_multiplication_table,
+    generating_set,
 )
 
 
@@ -73,12 +73,13 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
     (mod order) is associativity of the twisted group algebra, e_g e_h =
     alpha(g, h) e_gh, and the middle elements h for which it holds at every
     g, k are closed under products (see groups._check_associative). So the
-    identity is checked for h = group.identity and h in a generating set
-    grown from it, which decides every triple whatever element the identity
-    field names: one vectorized (n, n) pass per middle, O(|S| n^2) in place
-    of O(n^3). A report lists the normalization failures and the
-    ("cocycle", g, h, k) violations with h among those middles; it is empty
-    exactly when the table is a normalized 2-cocycle.
+    identity is checked for h = group.identity and h in generating_set(group),
+    grown greedily from it and cached on the group, which decides every
+    triple whatever element the identity field names: one vectorized (n, n)
+    pass per middle, O(|S| n^2) in place of O(n^3). A report lists the
+    normalization failures and the ("cocycle", g, h, k) violations with h
+    among those middles; it is empty exactly when the table is a
+    normalized 2-cocycle.
 
     Only tables from outside are checked here (make_cocycle, validate_cocycle,
     snap_to_lattice); restrict builds the restriction of a cocycle without it.
@@ -92,12 +93,13 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
         return CocycleReport([("order", order)])
     table = table % order
     e = group.identity
-    for g in range(n):
-        if table[g, e] % order:
+    right, left = table[:, e] != 0, table[e] != 0
+    for g in np.flatnonzero(right | left).tolist():
+        if right[g]:
             violations.append(("normalization", g, e))
-        if table[e, g] % order:
+        if left[g]:
             violations.append(("normalization", e, g))
-    middles = (e, *_word_generators(group.mul, e))
+    middles = (e, *generating_set(group))
     for h, defect in _identity_defects(group.mul, order, table, middles):
         for g, k in np.argwhere(defect):
             violations.append(("cocycle", int(g), h, int(k)))
@@ -316,9 +318,9 @@ def _certified_tables(group: FiniteGroup, tables: np.ndarray, order: int,
     With eps = min(tol.unitary, tol.cocycle / 5), a table t is accepted on
     the lattice when every entry is within eps of z = exp(2 pi i e / order),
     e = _lattice_exponents(t, order), and e is an exact normalized
-    2-cocycle: e(1, 1) = 0 and the identity holds at every middle h in the
-    generating set S that validate_cocycle_table grows from the identity,
-    one whole-stack pass in O(|S| n^2) per table. As in
+    2-cocycle: e(1, 1) = 0 and the identity holds at every middle h in
+    S = generating_set(group), as in validate_cocycle_table, one
+    whole-stack pass in O(|S| n^2) per table. As in
     validate_cocycle_table, the good middles are closed under products, so
     every h is one, 1 included; at h = 1 the identity reads
     e(g, 1) = e(1, k) for all g, k, which with e(1, 1) = 0 is normalization.
@@ -342,8 +344,7 @@ def _certified_tables(group: FiniteGroup, tables: np.ndarray, order: int,
     z = np.exp(2j * np.pi * e / order)
     ok = np.max(np.abs(tables - z), axis=(1, 2)) <= eps
     ok &= e[:, group.identity, group.identity] == 0
-    for _, defect in _identity_defects(group.mul, order, e,
-                                       _word_generators(group.mul, group.identity)):
+    for _, defect in _identity_defects(group.mul, order, e, generating_set(group)):
         ok &= ~defect.any(axis=(1, 2))
     return [NumericCocycle(group, z[i]) if ok[i] else make_numeric_cocycle(group, tables[i], tol)
             for i in range(len(tables))]

@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .cocycles import Cocycle, dihedral_alpha, make_cocycle, trivial_cocycle
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
     FiniteGroup,
     SubgroupHandle,
     cyclic,
@@ -97,13 +98,18 @@ def load_group_file(path: str | Path) -> FiniteGroup:
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
+    """The group a spec names. A dihedral:<n> or cyclic:<n> spec whose order
+    exceeds DEFAULT_CLOSURE_CAP, the cap that permutation groups obey, raises
+    InputError before any table is allocated."""
     spec = spec.strip()
-    m = re.fullmatch(r"dihedral:(\d+)", spec)
+    m = re.fullmatch(r"(dihedral|cyclic):(\d+)", spec)
     if m:
-        return dihedral(int(m.group(1)))
-    m = re.fullmatch(r"cyclic:(\d+)", spec)
-    if m:
-        return cyclic(int(m.group(1)))
+        kind, n = m.group(1), int(m.group(2))
+        order = 2 * n if kind == "dihedral" else n
+        if order > DEFAULT_CLOSURE_CAP:
+            raise InputError(f"group {spec} has order {order}, above the cap of "
+                             f"{DEFAULT_CLOSURE_CAP} elements")
+        return dihedral(n) if kind == "dihedral" else cyclic(n)
     m = re.fullmatch(r"(?:table|perm|file):(.+)", spec)
     if m:
         return load_group_file(m.group(1))
@@ -161,8 +167,10 @@ def parse_cocycle_spec(spec: str, group: FiniteGroup) -> Cocycle:
         return trivial_cocycle(group)
     m = re.fullmatch(r"dihedral_alpha:(\d+)", spec)
     if m:
-        alpha = dihedral_alpha(int(m.group(1)))
-        if not alpha.group.same_table(group):
+        # an order that differs is rejected before dihedral_alpha builds a table of that order
+        n = int(m.group(1))
+        alpha = dihedral_alpha(n) if 2 * n == group.order else None
+        if alpha is None or not alpha.group.same_table(group):
             raise ParseError(
                 f"{spec} is defined on dihedral:{m.group(1)}, which differs from the given group"
             )

@@ -83,11 +83,17 @@ class FiniteGroup:
 
     @cached_property
     def _generating_set(self) -> tuple[int, ...]:
+        """Greedy by smallest missing element from the identity field: the
+        generators of _word_generators(mul, identity), grown by subgroup_closure.
+
+        Where the identity field names no identity of the table, {identity}
+        is no subgroup, and the greedy starts from its closure instead.
+        """
+        e = self.identity
         gens: list[int] = []
-        current = trivial_subgroup(self)
+        current = trivial_subgroup(self) if self.mul[e, e] == e else subgroup_closure(self, ())
         while current.order < self.order:
-            g = next(i for i in range(self.order) if not current.contains(i))
-            gens.append(g)
+            gens.append(int(np.argmin(current._index)))     # the first -1: the smallest non-member
             current = subgroup_closure(self, gens)
         return tuple(gens)
 
@@ -146,34 +152,45 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _product_closure(mul: np.ndarray, members: np.ndarray) -> None:
-    """Grow the boolean mask members, in place, until it is closed under the table's product."""
+def _closure(mul: np.ndarray, members: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Grow the boolean mask members, in place, by all products of its elements
+    until right products by the seeds add nothing; its elements, ascending.
+
+    Every element added is a product of earlier ones. In a group table, with
+    the seeds among the starting members and each starting member a product
+    of seeds, the result S is the subgroup <T> the seeds T generate: S lies
+    in <T>, and S t = S for each t in T, since right multiplication
+    permutes the finite group, so S = S <T> = <T>. A check costs |S| |T|
+    products, where one that S is closed under all its products would cost
+    |S|^2.
+    """
     elems = np.flatnonzero(members)
-    while True:
+    while not members[mul[elems[:, None], seeds]].all():
         members[mul[elems[:, None], elems]] = True
-        grown = np.flatnonzero(members)
-        if grown.size == elems.size:
-            return
-        elems = grown
+        elems = np.flatnonzero(members)
+    return elems
 
 
 def _word_generators(mul: np.ndarray, e: int) -> tuple[int, ...]:
     """A generating set of a table with identity e, greedy by smallest missing element.
 
     Each step adds the smallest element not yet reached from e and the
-    generators so far by products, and closes again. Works on the raw
-    table, before a FiniteGroup exists; the closure of the result is the
-    whole table.
+    generators so far by products, and closes again (see _closure); the
+    first closure is {e} itself when e is the identity. Works on the raw
+    table, before a FiniteGroup exists: every element reached is a product
+    of e and generators, so products of the result reach the whole table,
+    and on a group table the result is generating_set's.
     """
     members = np.zeros(mul.shape[0], dtype=bool)
     members[e] = True
     gens: list[int] = []
-    while not members.all():
+    while True:
+        _closure(mul, members, np.array([e, *gens]))
+        if members.all():
+            return tuple(gens)
         g = int(np.argmin(members))
         gens.append(g)
         members[g] = True
-        _product_closure(mul, members)
-    return tuple(gens)
 
 
 def _check_latin(mul: np.ndarray) -> None:
@@ -416,9 +433,9 @@ class SubgroupHandle:
     def _closed(cls, parent: FiniteGroup, elements: tuple[int, ...]) -> "SubgroupHandle":
         """A handle on ascending elements that are known to form a subgroup of parent.
 
-        Nothing is checked: for a stabilizer of a certified action, or a
+        Nothing is checked: for a stabilizer of a certified action, a
         subgroup stored after its handle was checked on a table of the same
-        content.
+        content, or the closure that subgroup_closure has just grown.
         """
         handle = cls.__new__(cls)
         handle.parent, handle.elements = parent, elements
@@ -477,8 +494,11 @@ class SubgroupHandle:
 def subgroup_closure(G: FiniteGroup, seeds) -> SubgroupHandle:
     """Smallest subgroup of G containing the seed elements.
 
-    Adds all products of the elements found so far until nothing new
-    appears; in a finite group the products already contain the inverses.
+    Adds all products of the elements found so far until right products by
+    the identity and the seeds add nothing new (see _closure); in a finite
+    group the products already contain the inverses. The result holds the
+    identity and is closed under products, exactly what SubgroupHandle
+    checks, so the handle is built unchecked.
     """
     members = np.zeros(G.order, dtype=bool)
     members[G.identity] = True
@@ -487,8 +507,8 @@ def subgroup_closure(G: FiniteGroup, seeds) -> SubgroupHandle:
         if not 0 <= s < G.order:
             raise InputError(f"seed {s} out of range")
         members[s] = True
-    _product_closure(G.mul, members)
-    return SubgroupHandle(G, tuple(np.flatnonzero(members).tolist()))
+    elems = _closure(G.mul, members, np.flatnonzero(members))
+    return SubgroupHandle._closed(G, tuple(elems.tolist()))
 
 
 def trivial_subgroup(G: FiniteGroup) -> SubgroupHandle:

@@ -120,14 +120,6 @@ def _relation_tol(cocycle, tol: Tolerances) -> float:
     return tol.rep if cocycle.is_exact else tol.rep_numeric
 
 
-def _nullspace(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the kernel, columns; rows(A) >= cols(A) assumed."""
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    cutoff = _NULLSPACE_RTOL * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
-
-
 def _hom_equations(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The rows kron(X(g), I) - kron(I, Y(g)^T) of every g, stacked.
 
@@ -140,25 +132,13 @@ def _hom_equations(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return rows.reshape(*rows.shape[:-5], -1, dx * dy)
 
 
-def _hom_space(G: FiniteGroup, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {f : X(g) f = f Y(g)}, as columns of row-major vec f.
-
-    X and Y are (|G|, ., .) stacks. The equations are imposed on the
-    generators of G only: when X and Y carry the same cocycle, the relation
-    for g and h gives it for gh.
-    """
-    gens = list(generating_set(G))
-    if not gens:
-        return np.eye(X.shape[1] * Y.shape[1])
-    return _nullspace(_hom_equations(X[gens], Y[gens]))
-
-
 def _commutant_dimensions(G: FiniteGroup, X: np.ndarray) -> np.ndarray:
     """Commutant dimension of each representation in an (m, |S|, d, d) stack
     of its matrices at the generators S = generating_set(G).
 
-    The kernel dimensions of the generator equations of _hom_space, from
-    one batched singular-value decomposition with the cutoff of _nullspace.
+    The kernel dimensions of the equations X(s) f = f X(s) of _hom_equations,
+    from one batched singular-value decomposition: singular values up to
+    _NULLSPACE_RTOL times the largest (or 1) count as zero.
     """
     if not generating_set(G):
         return np.full(len(X), X.shape[-1] ** 2)
@@ -753,7 +733,8 @@ def _assemble_table(G: FiniteGroup, cocycle, ctable: np.ndarray, V: np.ndarray,
         compressed, residual = _invariance(G, ctable, rows, generating_set(G))
         if np.any(~(residual <= rtol)):
             raise SplitFailure(f"blocks of dimension {d} are not invariant ({residual.max():.2e})")
-        if np.any(_commutant_dimensions(G, compressed) != 1):
+        # a 1-dimensional block's Hom equations are identically zero: commutant dimension 1
+        if d > 1 and np.any(_commutant_dimensions(G, compressed) != 1):
             raise SplitFailure(f"block of dimension {d} is not irreducible")
         bases.append(rows)
         entries.extend(of_d)
@@ -831,9 +812,11 @@ def _intertwiners(G: FiniteGroup, X: np.ndarray, Y: np.ndarray, source: np.ndarr
     - a character pairing (rounded as _multiplicities rounds, under
       tol.char) other than 0 or 1 raises NotIrreducible;
     - every X and every Y must have commutant dimension 1 (NotIrreducible);
-    - the Schur space, the kernel of _hom_space's generator equations, must
-      have dimension 1 for every pair (NotIrreducible). A trivial group
-      has no generators and imposes its identity, where both sides are I.
+    - the Schur space, the kernel of the equations X(s) M = M Y(s) of
+      _hom_equations at the generators s, under the cutoff of
+      _commutant_dimensions, must have dimension 1 for every pair
+      (NotIrreducible). A trivial group has no generators and imposes its
+      identity, where both sides are I.
 
     M is the kernel vector scaled to unitary (M^H M = c I for an intertwiner
     between unitary irreducibles) and phased so that tr(X(g) M) is real

@@ -26,8 +26,9 @@ the library makes one call per isotropy table.
 
 This module is the only home of the matrix route, which the library no
 longer carries: the twisted regular representation, restriction and
-conjugation of representations, multiplicities from single characters, the
-Hom space Hom_A(V_tau, W) as a beta-representation of the isotropy quotient
+conjugation of representations, multiplicities from single characters, a
+Hom space's basis as one SVD nullspace (hom_space), the Hom space
+Hom_A(V_tau, W) as a beta-representation of the isotropy quotient
 (hom_rep) and W rebuilt as V_tau (x) Hom (reconstructed_by_element). The
 library reaches the same results from characters alone (_hom_weights,
 IrrTable.multiplicities), and the tests check the two routes against each
@@ -60,8 +61,9 @@ from twistdecomp.groups import (
 )
 from twistdecomp.reps import (
     ProjectiveRep,
+    _NULLSPACE_RTOL,
     _check_compatible,
-    _hom_space,
+    _hom_equations,
     _multiplicities,
     _relation_tol,
     character,
@@ -441,6 +443,27 @@ def check_twisted_relation_by_row(rep, bound: float) -> None:
             raise DecompositionFailure(f"beta-twisted relation fails at q1={q1} ({err:.2e})")
 
 
+def nullspace(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the kernel, columns; rows(A) >= cols(A) assumed."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    cutoff = _NULLSPACE_RTOL * max(1.0, s[0] if s.size else 0.0)
+    rank = int(np.sum(s > cutoff))
+    return vh[rank:].conj().T
+
+
+def hom_space(G: FiniteGroup, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {f : X(g) f = f Y(g)}, as columns of row-major vec f.
+
+    X and Y are (|G|, ., .) stacks. The equations are imposed on the
+    generators of G only: when X and Y carry the same cocycle, the relation
+    for g and h gives it for gh.
+    """
+    gens = list(generating_set(G))
+    if not gens:
+        return np.eye(X.shape[1] * Y.shape[1])
+    return nullspace(_hom_equations(X[gens], Y[gens]))
+
+
 def hom_action_by_vector(datum, w_lookup, q_list, tol):
     """The Hom basis and q . f = W(sigma(q)) f M_q^-1 matrices, one (q, basis vector) at a time.
 
@@ -452,7 +475,7 @@ def hom_action_by_vector(datum, w_lookup, q_list, tol):
     tau = datum.tau
     a_order = [datum.gt_map[x] for x in datum.a_in_gt.elements]
     w_a = np.stack([w_lookup(g) for g in a_order])
-    F = _hom_space(tau.group, w_a, tau.matrices)
+    F = hom_space(tau.group, w_a, tau.matrices)
     m, d_w = F.shape[1], w_a.shape[1]
     if m == 0:
         raise NotIsotypic("input has no component on the orbit representative")

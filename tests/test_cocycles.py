@@ -166,6 +166,10 @@ class TestValidateCocycleAgainstOracle:
         assert set(report.violations) <= want
         middles = {G.identity, *generating_set(G)}
         assert all(v[2] in middles for v in report.violations if v[0] == "cocycle")
+        e = G.identity       # every normalization failure, in the order of a scan over g
+        scan = [v for g in range(G.order)
+                for v in (("normalization", g, e), ("normalization", e, g)) if v in want]
+        assert [v for v in report.violations if v[0] == "normalization"] == scan
 
     def test_every_normalized_table_mod_2_on_the_klein_group(self):
         # 16 of these hold the identity with the first generator as middle and fail it with the second

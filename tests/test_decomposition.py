@@ -6,13 +6,14 @@ from twistdecomp import decomposition, report, reps
 from twistdecomp.errors import DecompositionFailure, MatchFailure, NotNormal
 from twistdecomp.groups import full_subgroup, normal_subgroups, trivial_subgroup
 from twistdecomp.report import decomposition_payload
-from twistdecomp.reps import _hom_space, _nullspace
 
 from oracles import (
     NotIsotypic,
     act,
     coboundary_cochain_brute,
     hom_rep,
+    hom_space,
+    nullspace,
     reconstructed_by_element,
     rep_violations_by_element,
     restrict_rep,
@@ -242,8 +243,8 @@ class TestHomRep:
                     w_a = W.matrices[a_order]
                     rows = [np.kron(w, np.eye(tau.dim)) - np.kron(np.eye(W.dim), t.T)
                             for w, t in zip(w_a, tau.matrices)]
-                    want = _nullspace(np.vstack(rows)).shape[1]
-                    assert _hom_space(tau.group, w_a, tau.matrices).shape[1] == want
+                    want = nullspace(np.vstack(rows)).shape[1]
+                    assert hom_space(tau.group, w_a, tau.matrices).shape[1] == want
 
     def test_beta_relation_holds(self, d8, alpha4, a_center, d8_z_action, explicit_taus):
         datum = td.orbit_data(d8_z_action, alpha4)[0]
@@ -261,7 +262,7 @@ def isotypic_character(datum, W):
     """The character of the tau-isotypic part of W, a representation of the isotropy
     group: h -> tr W(h) P, with P the projector built independently from the Hom basis."""
     w_a = W.matrices[list(datum.a_in_gt.elements)]
-    F = _hom_space(datum.tau.group, w_a, datum.tau.matrices)
+    F = hom_space(datum.tau.group, w_a, datum.tau.matrices)
     fs = [F[:, i].reshape(W.dim, datum.tau.dim) for i in range(F.shape[1])]
     P = datum.tau.dim * sum(f @ f.conj().T for f in fs)
     assert np.allclose(P @ P, P, atol=1e-9)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
+from twistdecomp import fileio
 from twistdecomp.cli import main
-from twistdecomp.errors import ParseError
+from twistdecomp.errors import InputError, ParseError
 from twistdecomp.fileio import (
     load_cocycle_file,
     load_group_file,
@@ -296,6 +297,35 @@ class TestCli:
         assert main(["verify", "random-gsets", "--cases=4"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
+
+    def test_verify_random_gsets_negative_seed(self, capsys):
+        assert main(["verify", "random-gsets", "--cases=1", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+    def test_group_spec_above_the_cap_fails_before_the_build(self, monkeypatch, capsys):
+        def never(n):
+            raise AssertionError(f"built a group for n={n}")
+
+        for module in (td.groups, fileio):
+            monkeypatch.setattr(module, "dihedral", never)
+            monkeypatch.setattr(module, "cyclic", never)
+        assert main(["irr", "dihedral:50000", "trivial"]) == 2
+        assert capsys.readouterr().err == ("error: group dihedral:50000 has order 100000, "
+                                           "above the cap of 10000 elements\n")
+        with pytest.raises(InputError, match="order 10001, above the cap"):
+            parse_group_spec("cyclic:10001")
+        with pytest.raises(InputError, match="order 10002, above the cap"):
+            parse_group_spec("dihedral:5001")
+        monkeypatch.setattr(fileio, "cyclic", lambda n: ("cyclic", n))
+        assert parse_group_spec("cyclic:10000") == ("cyclic", 10000)    # the cap itself is allowed
+
+    def test_dihedral_alpha_of_another_order_fails_before_the_build(self, monkeypatch, capsys):
+        def never(n):
+            raise AssertionError(f"built dihedral_alpha({n})")
+
+        monkeypatch.setattr(fileio, "dihedral_alpha", never)
+        assert main(["irr", "dihedral:4", "dihedral_alpha:50000"]) == 2
+        assert "dihedral_alpha:50000 is defined on dihedral:50000" in capsys.readouterr().err
 
     def test_order_cap_for_irreducibles(self):
         from twistdecomp.errors import InputError

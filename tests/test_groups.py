@@ -320,6 +320,18 @@ class TestSubgroupsAgainstLoops:
                     td.SubgroupHandle(G, tuple(elements))
                 assert str(err.value) == want
 
+    @pytest.mark.parametrize("name", ["D8", "D12", "C2xD8"])
+    def test_closures_pass_the_check_they_skip(self, name):
+        # subgroup_closure builds its handles unchecked; all_subgroups grows every one of them
+        G = self.GROUPS[name]()
+        for h in all_subgroups(G):
+            assert td.SubgroupHandle(G, h.elements).elements == h.elements
+
+    def test_closure_in_a_group_whose_identity_is_not_0(self):
+        H, _ = d8_identity_at_3()
+        for seeds in ([], [0], [1, 4], [5], [3, 6], list(range(8))):
+            assert td.subgroup_closure(H, seeds).elements == loop_closure(H, seeds)
+
     @pytest.mark.parametrize("name", GROUPS)
     def test_as_group_and_normality(self, name):
         G = self.GROUPS[name]()
@@ -560,6 +572,11 @@ GREEDY_GROUPS = {
     "A4": lambda: alternating(4),
     "Q8": lambda: quaternion(8),
     "C2xD8": lambda: c2_times_dihedral(4),
+    "D8 identity at 3": lambda: d8_identity_at_3()[0],
+    # an identity field that names no identity: {1} is no subgroup, so the
+    # greedy starts from the closure of 1, as _word_generators does
+    "D8 identity field 1": lambda: td.FiniteGroup(8, td.dihedral(4).mul, td.dihedral(4).inv,
+                                                  td.dihedral(4).labels, identity=1),
 }
 
 
@@ -595,7 +612,7 @@ class TestTableChecksAgainstOracles:
     @pytest.mark.parametrize("name", GREEDY_GROUPS)
     def test_word_generators_equal_the_subgroup_closure_greedy(self, name):
         G = GREEDY_GROUPS[name]()
-        assert groups._word_generators(G.mul, G.identity) == tuple(generating_set(G))
+        assert generating_set(G) == list(groups._word_generators(G.mul, G.identity))
 
     def test_first_of_a_bad_row_and_a_bad_column(self, d8):
         for cell, message in (((5, 2), "column 2"), ((2, 5), "row 2"), ((3, 3), "row 3")):

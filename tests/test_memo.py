@@ -228,6 +228,30 @@ class TestContentDigests:
         assert td.Cocycle(G, K, changed)._content != alpha._content
         assert td.NumericCocycle(G, moved)._content != beta._content
 
+    def test_large_tables_that_narrow_differently_differ(self):
+        # tables of at least _memo.NARROW_MIN entries are hashed as uint8 or uint16 when
+        # every value fits, so a value that wraps in the narrow type must still count
+        G = td.dihedral(32)
+        assert G.mul.size >= _memo.NARROW_MIN
+        rng = np.random.default_rng(0)
+        expo = rng.integers(0, 1000, G.mul.shape)
+        low = expo % 256
+        for table in (expo, low):
+            twin = np.array(table)
+            twin[3, 5] += 256
+            assert (td.Cocycle(G, 1000, table)._content
+                    != td.Cocycle(G, 1000, twin)._content)
+        for entry, wrapped in ((-1, 255), (256, 0), (1 << 16, 0), (-1, (1 << 16) - 1)):
+            bad, twin = np.array(G.mul), np.array(G.mul)
+            bad[3, 5], twin[3, 5] = entry, wrapped
+            assert (td.FiniteGroup(G.order, bad, G.inv, G.labels)._content
+                    != td.FiniteGroup(G.order, twin, G.inv, G.labels)._content)
+
+    def test_large_same_content_copies_share_a_digest(self):
+        G, alpha = td.dihedral(64), td.dihedral_alpha(64)
+        H, copy = same_content(G, alpha)
+        assert H._content == G._content and copy._content == alpha._content
+
     def test_exact_and_numeric_cocycles_with_equal_values_differ(self):
         alpha = td.dihedral_alpha(4)
         beta = numeric_from_exact(alpha)

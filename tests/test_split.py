@@ -201,7 +201,7 @@ class TestCommutantDimensions:
         t0, t1 = irr[0].matrices, irr[1].matrices
         zero = np.zeros_like(t0)
         stacks = [np.block([[x, zero], [zero, y]]) for x, y in [(t0, t0), (t0, t1), (t1, t1)]]
-        want = [reps._hom_space(d8, m, m).shape[1] for m in stacks]
+        want = [oracles.hom_space(d8, m, m).shape[1] for m in stacks]
         assert want == [4, 2, 4]
         at_generators = np.stack(stacks)[:, reps.generating_set(d8)]
         assert reps._commutant_dimensions(d8, at_generators).tolist() == want
