@@ -10,7 +10,6 @@ from .cocycles import (
     make_cocycle,
     make_numeric_cocycle,
     restrict,
-    snap_to_lattice,
     tau_scalar,
     trivial_cocycle,
     validate_cocycle,

@@ -24,13 +24,13 @@ from .errors import (
     TwistError,
     UnknownSuite,
 )
-from .groups import center, normal_subgroups
+from .groups import FiniteGroup, center, normal_subgroups
 from .kgroups import (
     pullback_to_group,
     random_gset,
     verify_gset_decomposition,
 )
-from .reps import irreducibles
+from .reps import _require_dense, irreducibles
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,8 +153,18 @@ def cmd_group(args, tol) -> int:
     return EXIT_OK
 
 
+def _dense_group(spec: str) -> FiniteGroup:
+    """The group of a command that splits it densely: a dihedral:<n> or
+    cyclic:<n> spec above MAX_DENSE_ORDER raises irreducibles' InputError
+    before any table is built."""
+    order = fileio._builtin_order(spec)
+    if order is not None:
+        _require_dense(order)
+    return fileio.parse_group_spec(spec)
+
+
 def cmd_irr(args, tol) -> int:
-    G = fileio.parse_group_spec(args.group)
+    G = _dense_group(args.group)
     alpha = fileio.parse_cocycle_spec(args.cocycle, G)
     table = irreducibles(G, alpha, seed=args.seed, tol=tol)
     if args.format == "json":
@@ -167,7 +177,7 @@ def cmd_irr(args, tol) -> int:
 
 
 def cmd_decompose(args, tol) -> int:
-    G = fileio.parse_group_spec(args.group)
+    G = _dense_group(args.group)
     alpha = fileio.parse_cocycle_spec(args.cocycle, G)
     A = fileio.parse_subgroup_spec(args.subgroup, G)
     rep = verify_point_decomposition(G, A, alpha, seed=args.seed, tol=tol)
@@ -212,7 +222,7 @@ def _suite_dihedral_family(args, tol):
 def _suite_sum_of_squares(args, tol):
     if not args.group or not args.cocycle:
         raise InputError("sum-of-squares needs --group and --cocycle")
-    G = fileio.parse_group_spec(args.group)
+    G = _dense_group(args.group)
     alpha = fileio.parse_cocycle_spec(args.cocycle, G)
     table = irreducibles(G, alpha, seed=args.seed, tol=tol)
     total = sum(d * d for d in table.dims)

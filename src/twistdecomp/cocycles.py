@@ -81,8 +81,8 @@ def validate_cocycle_table(group: FiniteGroup, order: int, exponents: np.ndarray
     among those middles; it is empty exactly when the table is a
     normalized 2-cocycle.
 
-    Only tables from outside are checked here (make_cocycle, validate_cocycle,
-    snap_to_lattice); restrict builds the restriction of a cocycle without it.
+    Only tables from outside are checked here (make_cocycle, validate_cocycle);
+    restrict builds the restriction of a cocycle without it.
     """
     n = group.order
     table = np.asarray(exponents, dtype=np.int64)
@@ -470,24 +470,6 @@ def _tau_exponents(alpha: Cocycle, qs: QuotientWithSection) -> np.ndarray:
     if not np.array_equal(direct, expanded):
         raise InvalidCocycle("tau formulas disagree: cocycle table is corrupted")
     return direct
-
-
-def snap_to_lattice(beta: NumericCocycle, lattice_order: int,
-                    tol: Tolerances | None = None) -> Cocycle | None:
-    """Round a numeric cocycle onto mu_{K'} when every entry is near a lattice point.
-
-    Opportunistic: returns None when an entry is too far off the lattice or
-    when the rounded table is not an exact cocycle.
-    """
-    tol = tol or default_tolerances()
-    expo = _lattice_exponents(beta.table, lattice_order)
-    snapped = np.exp(2j * np.pi * expo / lattice_order)
-    if np.max(np.abs(snapped - beta.table)) > tol.snap:
-        return None
-    report = validate_cocycle_table(beta.group, lattice_order, expo)
-    if not report.ok:
-        return None
-    return Cocycle(group=beta.group, order=lattice_order, exponents=expo)
 
 
 def _lattice_exponents(values: np.ndarray, order: int) -> np.ndarray:

@@ -102,14 +102,9 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     exceeds DEFAULT_CLOSURE_CAP, the cap that permutation groups obey, raises
     InputError before any table is allocated."""
     spec = spec.strip()
-    m = re.fullmatch(r"(dihedral|cyclic):(\d+)", spec)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        order = 2 * n if kind == "dihedral" else n
-        if order > DEFAULT_CLOSURE_CAP:
-            raise InputError(f"group {spec} has order {order}, above the cap of "
-                             f"{DEFAULT_CLOSURE_CAP} elements")
-        return dihedral(n) if kind == "dihedral" else cyclic(n)
+    order = _builtin_order(spec)
+    if order is not None:
+        return dihedral(order // 2) if spec.startswith("dihedral") else cyclic(order)
     m = re.fullmatch(r"(?:table|perm|file):(.+)", spec)
     if m:
         return load_group_file(m.group(1))
@@ -118,6 +113,20 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     raise ParseError(
         f"unknown group spec {spec!r} (use dihedral:<n>, cyclic:<n>, or a file path)"
     )
+
+
+def _builtin_order(spec: str) -> int | None:
+    """The order of the group of a dihedral:<n> or cyclic:<n> spec, None for
+    any other spec; InputError above DEFAULT_CLOSURE_CAP. Nothing is built."""
+    spec = spec.strip()
+    m = re.fullmatch(r"(dihedral|cyclic):(\d+)", spec)
+    if not m:
+        return None
+    order = 2 * int(m.group(2)) if m.group(1) == "dihedral" else int(m.group(2))
+    if order > DEFAULT_CLOSURE_CAP:
+        raise InputError(f"group {spec} has order {order}, above the cap of "
+                         f"{DEFAULT_CLOSURE_CAP} elements")
+    return order
 
 
 def load_cocycle_file(path: str | Path) -> tuple[FiniteGroup, Cocycle]:

@@ -35,6 +35,22 @@ Hom weights once phi_matrix has read them (_decomposed_side). No part
 holds a caller's cocycle, subgroup handle or G-set, and the checks on
 the caller's objects run on every call. The saving needs the same group
 object across calls; a new group builds its parts again.
+
+The decomposition is natural in X, so each block of the two matrices
+depends on orbit types, not on the G-set it came from, and lives in a
+part that already exists. A pullback_matrix block is kept with the
+source isotropy's summand part, keyed by the target isotropy H_j and the
+witness g, the first element of its left coset of H_j; the part's key
+holds the cocycle content, seed and tolerances. A phi_matrix block is
+kept with its orbit datum, keyed by the G-orbit isotropy H_i and the
+witness g: the quotient isotropy of y = g.b is {q : sigma(q) in g H_i g^-1}.
+So a part holds at most one block per isotropy group and left coset of
+it, and a block dies with its part. A block also holds the summand
+tables it was read from and is a hit only while they are the group's
+current parts: a table whose split is marked failed, or whose part was
+dropped, is built again, and its blocks are computed again. A call still
+runs every check and locates every basepoint; misses go through
+_fill_blocks.
 """
 
 from __future__ import annotations
@@ -192,6 +208,7 @@ class TwistedKGroup:
     orbit_basepoints: list[int]
     isotropies: list[SubgroupHandle]
     summands: list[IrrTable]
+    _blocks: list[dict] = field(default_factory=list, repr=False)    # per orbit, from its part
 
     @property
     def rank(self) -> int:
@@ -210,14 +227,22 @@ class TwistedKGroup:
         return np.cumsum([0] + [len(t) for t in self.summands])
 
     def locate(self, point: int) -> tuple[int, int]:
-        """(orbit index, first g with g . basepoint = point) for a point of the G-set.
+        """(orbit index, first g with g . basepoint = point) for a point of the G-set."""
+        orbits, witnesses = self._locate_all([point])
+        return orbits[0], witnesses[0]
+
+    def _locate_all(self, points) -> tuple[list[int], list[int]]:
+        """locate for each of the points, in two gathers: the orbit indices and
+        the witnesses.
 
         The basepoint of an orbit is its smallest point, and column `point`
-        of the action table is the orbit of `point`.
+        of the action table is the orbit of `point`; the basepoints ascend.
         """
         action = self.gset.action
-        base = int(action[:, point].min())
-        return self.orbit_basepoints.index(base), int(np.argmax(action[:, base] == point))
+        points = np.asarray(points, dtype=np.int64)
+        bases = action[:, points].min(axis=0)
+        return (np.searchsorted(self.orbit_basepoints, bases).tolist(),
+                np.argmax(action[:, bases] == points, axis=0).tolist())
 
 
 def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
@@ -241,7 +266,9 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
     table are then kept in the group's parts under the same content, so
     every call on the group, over any G-set, shares them: kx.isotropies[i]
     and kx.summands[i] are the group's, and orbits with the same isotropy
-    group share one of each. A part whose split has failed is built again.
+    group share one of each, with the store of pullback_matrix blocks
+    kept in the same part (kx._blocks[i]). A part whose split has failed
+    is built again.
     Whether the G-set and the cocycle live on G is checked on every call,
     and a failure is never remembered.
     """
@@ -261,11 +288,13 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
         part = parts.get(key)
         if part is None or part[1]._split.failed:
             handle = SubgroupHandle._closed(H, tuple(np.flatnonzero(row).tolist()))
-            part = parts.put(key, (handle, _isotropy_summand(content, handle, cocycle, seed, tol)))
+            part = parts.put(key, (handle, _isotropy_summand(content, handle, cocycle, seed, tol),
+                                   {}))
         shared.append(part)
     return TwistedKGroup(
         gset=x, cocycle=cocycle, orbit_basepoints=basepoints.tolist(),
-        isotropies=[handle for handle, _ in shared], summands=[table for _, table in shared],
+        isotropies=[part[0] for part in shared], summands=[part[1] for part in shared],
+        _blocks=[part[2] for part in shared],
     )
 
 
@@ -343,7 +372,8 @@ def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: Finit
     hit runs action_table alone, whose action _orbit_data stored and each
     call keeps recent in the memo. A datum's Hom weights (elements,
     weights; see decomposition._hom_weights) are filled in by the first
-    phi_matrix that reads them.
+    phi_matrix that reads them, and its third entry holds phi_matrix's
+    blocks.
     """
     _require_gset_on(x, G)
     if not acts_trivially(x, A):
@@ -353,7 +383,7 @@ def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: Finit
     key = ("orbit data", A.elements, alpha._content, seed, tol._content)
     data = parts.get(key)
     if data is None:
-        data = parts.put(key, [[datum, None]
+        data = parts.put(key, [[datum, None, {}]
                                for datum in _orbit_data(G, A, alpha, seed=seed, tol=tol)])
     else:
         action_table(G, A, alpha, seed=seed, tol=tol)   # its checks; _orbit_data stored the action
@@ -400,7 +430,9 @@ def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
 
         chi_{g.w}(s) = alpha(g^-1 s, g) alpha(g, g^-1 s)^-1 chi_w(g^-1 s g)
 
-    on the source isotropy, one block of the matrix per source orbit.
+    on the source isotropy, one block of the matrix per source orbit, or
+    copied from the block the group keeps for the same source isotropy,
+    target isotropy and witness (see the module docstring).
     Both G-sets must belong to G (InputError) before the map is checked.
     """
     tol = tol or default_tolerances()
@@ -411,14 +443,38 @@ def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
     ky = k0_of_gset(G, cocycle, y, seed=seed, tol=tol)
     out = np.zeros((kx.rank, ky.rank), dtype=np.int64)
     rows, cols = kx.offsets, ky.offsets
-    blocks = []
-    for i, xp in enumerate(kx.orbit_basepoints):
-        j, witness = ky.locate(fmap[xp])
+    blocks, misses = [], []
+    located = ky._locate_all([fmap[xp] for xp in kx.orbit_basepoints])
+    for i, (j, witness) in enumerate(zip(*located)):
+        r, c = slice(rows[i], rows[i + 1]), slice(cols[j], cols[j + 1])
+        key, made_from = (ky.isotropies[j].elements, witness), (ky.summands[j],)
+        if _read_block(out, kx._blocks[i], key, made_from, r, c):
+            continue
         moved = _moved_characters(cocycle, ky, j, witness, kx.isotropies[i].to_parent)
-        blocks.append((kx.summands[i], moved, slice(rows[i], rows[i + 1]),
-                       slice(cols[j], cols[j + 1])))
+        blocks.append((kx.summands[i], moved, r, c))
+        misses.append((kx._blocks[i], key, made_from, r, c))
     _fill_blocks(out, blocks, tol.char)
+    _store_blocks(out, misses)
     return out
+
+
+def _read_block(out: np.ndarray, stored: dict, key, made_from: tuple, r: slice, c: slice) -> bool:
+    """Whether stored holds a block under key computed from the tables in
+    made_from, the current parts; if so it is copied into out[r, c]."""
+    hit = stored.get(key)
+    if hit is None or any(a is not b for a, b in zip(hit[0], made_from)):
+        return False
+    out[r, c] = hit[1]
+    return True
+
+
+def _store_blocks(out: np.ndarray, misses) -> None:
+    """Keep out[r, c] under key in stored, with the tables it was computed from,
+    for each (stored, key, made_from, r, c) in misses."""
+    for stored, key, made_from, r, c in misses:
+        block = out[r, c].copy()
+        block.flags.writeable = False
+        stored[key] = (made_from, block)
 
 
 def _fill_blocks(out: np.ndarray, blocks, tol: float) -> None:
@@ -459,28 +515,34 @@ def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
 
     with chi_{g.w} the moved character of pullback_matrix. The fibers of
     all isotropy irreducibles at a quotient-set basepoint form one block,
-    and one IrrTable.multiplicities call decomposes all blocks over the
-    same quotient isotropy table.
+    kept with the orbit datum under the G-orbit isotropy and the witness g
+    (see the module docstring), and one IrrTable.multiplicities call
+    decomposes all blocks that miss over the same quotient isotropy table.
     """
     tol = tol or default_tolerances()
     kx, sides = _decomposed_side(G, A, alpha, x, seed, tol)
     out = np.zeros((sum(kq.rank for _, kq in sides), kx.rank), dtype=np.int64)
     cols = kx.offsets
     row_base = 0
-    blocks = []
+    blocks, misses = [], []
     for part, kq in sides:
         if part[1] is None:
             part[1] = _hom_weights(part[0], alpha)
         elements, weights = part[1]
         rows = row_base + kq.offsets
-        for qo, y_point in enumerate(kq.orbit_basepoints):
-            i, witness = kx.locate(y_point)
+        for qo, (i, witness) in enumerate(zip(*kx._locate_all(kq.orbit_basepoints))):
+            r, c = slice(rows[qo], rows[qo + 1]), slice(cols[i], cols[i + 1])
+            key = (kx.isotropies[i].elements, witness)
+            made_from = (kx.summands[i], kq.summands[qo])
+            if _read_block(out, part[2], key, made_from, r, c):
+                continue
             q_iso = list(kq.isotropies[qo].elements)
             moved = _moved_characters(alpha, kx, i, witness, elements[q_iso])
-            blocks.append((kq.summands[qo], np.sum(moved * weights[q_iso], axis=2),
-                           slice(rows[qo], rows[qo + 1]), slice(cols[i], cols[i + 1])))
+            blocks.append((kq.summands[qo], np.sum(moved * weights[q_iso], axis=2), r, c))
+            misses.append((part[2], key, made_from, r, c))
         row_base = rows[-1]
     _fill_blocks(out, blocks, tol.char)
+    _store_blocks(out, misses)
     return out
 
 

@@ -559,6 +559,12 @@ def _table_order(values: np.ndarray, identity: int) -> np.ndarray:
     return np.lexsort(np.vstack([keys, np.round(values[None, :, identity].real)]))
 
 
+def _require_dense(order: int) -> None:
+    """InputError for a group above MAX_DENSE_ORDER, the largest the dense split takes."""
+    if order > MAX_DENSE_ORDER:
+        raise InputError(f"dense decomposition capped at order {MAX_DENSE_ORDER}")
+
+
 def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
                  seed: int = 0, tol: Tolerances | None = None) -> IrrTable:
     """Decompose the twisted regular representation into irreducibles.
@@ -590,8 +596,7 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
     if seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed}")
     n = G.order
-    if n > MAX_DENSE_ORDER:
-        raise InputError(f"dense decomposition capped at order {MAX_DENSE_ORDER}")
+    _require_dense(n)
     if not (0 <= G.identity < n and np.array_equal(G.mul[G.identity], np.arange(n))
             and np.array_equal(G.mul[:, G.identity], np.arange(n))):
         raise InputError(f"element {G.identity} is not the identity of the table")

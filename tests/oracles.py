@@ -18,7 +18,9 @@ The split of the regular representation is one dense eigh of the whole
 |G| x |G| commutant element, where the library diagonalizes it block by
 block in the eigenbasis of a cyclic subgroup's left operator.
 The coboundary oracle searches every mu_K-valued cochain, where the library
-reads the cochains off the 1-dimensional entries of the beta table.
+reads the cochains off the 1-dimensional entries of the beta table;
+snap_to_lattice, which rounds a numeric cocycle onto a root-of-unity
+lattice, is kept here because only the tests call it.
 The action-law oracle composes every pair of group elements, where the
 library composes generators with every element. The K-group matrices are
 filled one orbit at a time, each block by its own multiplicities call, where
@@ -41,8 +43,16 @@ import itertools
 
 import numpy as np
 
-from twistdecomp.cocycles import UnitScalar, central_extension, restrict
-from twistdecomp.config import default_tolerances
+from twistdecomp.cocycles import (
+    Cocycle,
+    NumericCocycle,
+    UnitScalar,
+    _lattice_exponents,
+    central_extension,
+    restrict,
+    validate_cocycle_table,
+)
+from twistdecomp.config import Tolerances, default_tolerances
 from twistdecomp.decomposition import _conjugation, _hom_weights, _orbit_data
 from twistdecomp.errors import (
     DecompositionFailure,
@@ -301,6 +311,24 @@ def coboundary_cochain_brute(beta, lattice_order: int, tol=None):
                 UnitScalar(0 if q == 0 else expos[q - 1], K) for q in range(m)
             )
     return None
+
+
+def snap_to_lattice(beta: NumericCocycle, lattice_order: int,
+                    tol: Tolerances | None = None) -> Cocycle | None:
+    """Round a numeric cocycle onto mu_{K'} when every entry is near a lattice point.
+
+    Opportunistic: returns None when an entry is too far off the lattice or
+    when the rounded table is not an exact cocycle.
+    """
+    tol = tol or default_tolerances()
+    expo = _lattice_exponents(beta.table, lattice_order)
+    snapped = np.exp(2j * np.pi * expo / lattice_order)
+    if np.max(np.abs(snapped - beta.table)) > tol.snap:
+        return None
+    report = validate_cocycle_table(beta.group, lattice_order, expo)
+    if not report.ok:
+        return None
+    return Cocycle(group=beta.group, order=lattice_order, exponents=expo)
 
 
 def chi_by_pair(qs, q1: int, q2: int) -> int:

@@ -9,13 +9,17 @@ import twistdecomp as td
 from twistdecomp.cocycles import (
     make_cocycle,
     numeric_from_exact,
-    snap_to_lattice,
     validate_cocycle_table,
 )
 from twistdecomp.errors import InputError, InvalidCocycle, OddN
 from twistdecomp.groups import all_subgroups, generating_set, trivial_subgroup
 
-from oracles import COBOUNDARY_SPACE_CAP, coboundary_cochain_brute, cocycle_violations
+from oracles import (
+    COBOUNDARY_SPACE_CAP,
+    coboundary_cochain_brute,
+    cocycle_violations,
+    snap_to_lattice,
+)
 from test_decomposition import dihedral_configurations
 from test_reps import symmetric
 

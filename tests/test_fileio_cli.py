@@ -327,6 +327,32 @@ class TestCli:
         assert main(["irr", "dihedral:4", "dihedral_alpha:50000"]) == 2
         assert "dihedral_alpha:50000 is defined on dihedral:50000" in capsys.readouterr().err
 
+    def test_dense_commands_above_the_dense_cap_fail_before_the_build(self, monkeypatch,
+                                                                      capsys):
+        """irr, decompose and verify sum-of-squares split the whole group, so a
+        built-in spec above MAX_DENSE_ORDER fails with irreducibles' message
+        before a group or cocycle is built; kgset splits only isotropy
+        groups and builds its group."""
+        def never(*args):
+            pytest.fail(f"built {args}")
+
+        for module in (td.groups, td.cocycles, fileio):
+            for builder in ("dihedral", "cyclic", "dihedral_alpha", "trivial_cocycle"):
+                if hasattr(module, builder):
+                    monkeypatch.setattr(module, builder, never)
+        cap = td.reps.MAX_DENSE_ORDER
+        message = f"error: dense decomposition capped at order {cap}\n"
+        for argv in (["irr", "dihedral:1000", "trivial"],
+                     ["irr", f"cyclic:{cap + 1}", "dihedral_alpha:1000"],
+                     ["decompose", f"dihedral:{cap // 2 + 1}", "trivial", "--A=a"],
+                     ["verify", "sum-of-squares", "--group=dihedral:1000", "--cocycle=trivial"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message
+        with pytest.raises(pytest.fail.Exception, match=rf"built \({cap // 2},\)"):
+            main(["irr", f"dihedral:{cap // 2}", "trivial"])       # the cap itself is allowed
+        with pytest.raises(pytest.fail.Exception, match=r"built \(1000,\)"):
+            main(["kgset", "dihedral:1000", "trivial", "points.gset", "--A=a"])
+
     def test_order_cap_for_irreducibles(self):
         from twistdecomp.errors import InputError
         from twistdecomp.reps import irreducibles

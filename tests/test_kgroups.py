@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp import kgroups
+from twistdecomp import _memo, kgroups
 from twistdecomp.decomposition import _orbit_data, action_table, orbit_data
 from twistdecomp.errors import ANotTrivial, InputError, NotEquivariant
 from twistdecomp.groups import (
@@ -671,3 +671,132 @@ class TestQuotientView:
         c8 = td.cyclic(8)
         with pytest.raises(InputError, match="G-set belongs to a different group"):
             gset_as_quotient_action(point_gset(c8), datum)
+
+
+def count_moved(monkeypatch) -> list:
+    """Record (orbit index, witness) for each block computed from now on."""
+    calls = []
+    honest = kgroups._moved_characters
+    monkeypatch.setattr(kgroups, "_moved_characters",
+                        lambda *args: calls.append(args[2:4]) or honest(*args))
+    return calls
+
+
+def matrices(G, A, alpha, f, x, y) -> tuple:
+    """The pullback along f: x -> y and phi on x, as lists."""
+    return (td.pullback_matrix(G, alpha, f, x, y).tolist(),
+            td.phi_matrix(G, A, alpha, x).tolist())
+
+
+class TestMatrixBlocks:
+    """pullback_matrix and phi_matrix keep each block in the group's parts,
+    keyed by orbit types and witness: a repeated call computes no block, and
+    warm, cold and the matrix route give the same matrix."""
+
+    @pytest.mark.parametrize("n,gens,cocycle", [(4, [1], "alpha"), (4, [2], "alpha df"),
+                                                (4, [2], "trivial"), (6, [1], "alpha")])
+    def test_warm_equals_cold_equals_the_matrix_route(self, n, gens, cocycle, monkeypatch):
+        G, alpha = td.dihedral(n), td.dihedral_alpha(n)
+        alpha = {"alpha": alpha, "trivial": td.trivial_cocycle(G),
+                 "alpha df": coboundary_twist(alpha, 7)}[cocycle]
+        A = td.subgroup_closure(G, gens)
+        calls = count_moved(monkeypatch)
+        runs = []
+        for x, y, z, f1, f2 in random_chains(G, A, 4, 43):
+            composite = [f2[p] for p in f1]
+            for f, s, t in ((f1, x, y), (f2, y, z), (composite, x, z)):
+                runs.append((lambda f=f, s=s, t=t: td.pullback_matrix(G, alpha, f, s, t),
+                             loop_pullback(G, alpha, f, s, t)))
+            runs.append((lambda x=x: td.phi_matrix(G, A, alpha, x), loop_phi(G, A, alpha, x)))
+        for call, want in runs:
+            first = call()
+            made = len(calls)
+            assert np.array_equal(call(), first)
+            assert len(calls) == made                   # every block was a hit
+            assert np.array_equal(first, want)
+        assert calls
+        for call, want in runs:
+            _memo.clear()
+            assert np.array_equal(call(), want)
+
+    @pytest.mark.parametrize("gens", [[1], [2]], ids=["<a>", "<a^2>"])
+    def test_per_datum_pullbacks_under_beta(self, d8, alpha4, gens, monkeypatch):
+        A = td.subgroup_closure(d8, gens)
+        maps = [(swap_gset(d8), point_gset(d8), [0, 0])]
+        maps += [(x, y, f1) for x, y, _, f1, _ in random_chains(d8, A, 3, 47)]
+        calls = count_moved(monkeypatch)
+        for datum in orbit_data(action_table(d8, A, alpha4), alpha4):
+            Q = datum.q_group
+            for x, y, f in maps:
+                xq = gset_as_quotient_action(x, datum)
+                yq = gset_as_quotient_action(y, datum)
+                first = td.pullback_matrix(Q, datum.beta, f, xq, yq)
+                made = len(calls)
+                assert np.array_equal(td.pullback_matrix(Q, datum.beta, f, xq, yq), first)
+                assert len(calls) == made
+                assert np.array_equal(first, loop_pullback(Q, datum.beta, f, xq, yq))
+
+    def test_cocycles_seeds_and_tolerances_get_their_own_blocks(self, d8, alpha4, a_center,
+                                                                monkeypatch):
+        """Each configuration's first call computes its blocks, none read from
+        another's, and the G-set's orbits get a block store per configuration."""
+        x, y, _, f, _ = next(random_chains(d8, a_center, 1, 53))
+        tol = td.default_tolerances()
+        configs = [(alpha4, 0, tol), (td.trivial_cocycle(d8), 0, tol),
+                   (coboundary_twist(alpha4, 3), 0, tol), (alpha4, 1, tol),
+                   (alpha4, 0, tol.scaled(2))]
+        calls = count_moved(monkeypatch)
+        stores, per_config = set(), 0
+        for cocycle, seed, t in configs:
+            runs = ((lambda: td.pullback_matrix(d8, cocycle, f, x, y, seed=seed, tol=t),
+                     loop_pullback(d8, cocycle, f, x, y)),
+                    (lambda: td.phi_matrix(d8, a_center, cocycle, x, seed=seed, tol=t),
+                     loop_phi(d8, a_center, cocycle, x)))
+            for call, want in runs:
+                made = len(calls)
+                assert np.array_equal(call(), want)
+                assert len(calls) > made
+                made = len(calls)
+                assert np.array_equal(call(), want)
+                assert len(calls) == made
+            held = {id(b) for b in td.k0_of_gset(d8, cocycle, x, seed=seed, tol=t)._blocks}
+            stores |= held
+            per_config += len(held)
+        assert len(stores) == per_config
+
+    def test_clearing_the_memo_drops_the_blocks(self, d8, alpha4, a_center, monkeypatch):
+        x, y, _, f, _ = next(random_chains(d8, a_center, 1, 59))
+        calls = count_moved(monkeypatch)
+        first = matrices(d8, a_center, alpha4, f, x, y)
+        cold = len(calls)
+        assert matrices(d8, a_center, alpha4, f, x, y) == first and len(calls) == cold
+        _memo.clear()
+        assert matrices(d8, a_center, alpha4, f, x, y) == first and len(calls) == 2 * cold
+
+    @pytest.mark.parametrize("table", ["source", "target", "quotient"])
+    def test_a_block_over_a_failed_split_is_not_a_hit(self, d8, alpha4, a_center, table,
+                                                      monkeypatch):
+        """Marking the splits of one side's tables failed makes the next call
+        build those tables again and compute the blocks read from them. The
+        source and target tables marked are those the other side does not
+        share, so the blocks of the marked side's parts are the only ones
+        that can go stale."""
+        x, y, _, f, _ = next(random_chains(d8, a_center, 1, 66))
+        first = matrices(d8, a_center, alpha4, f, x, y)
+        if table == "quotient":
+            _, sides = kgroups._decomposed_side(d8, a_center, alpha4, x, 0,
+                                                td.default_tolerances())
+            tables = [t for _, kq in sides for t in kq.summands]
+        else:
+            mine, other = (td.k0_of_gset(d8, alpha4, s).summands
+                           for s in ((x, y) if table == "source" else (y, x)))
+            tables = [t for t in mine if all(t is not o for o in other)]
+        assert tables
+        for t in tables:
+            t._split.failed = True
+        calls = count_moved(monkeypatch)
+        assert matrices(d8, a_center, alpha4, f, x, y) == first
+        assert calls
+        made = len(calls)
+        assert matrices(d8, a_center, alpha4, f, x, y) == first and len(calls) == made
+
