@@ -1,9 +1,13 @@
-"""One bounded memo of certified results, keyed by the content of their inputs.
+"""One bounded memo of irreducible tables, keyed by the content of their inputs,
+and the parts that each object keeps for itself.
 
-It holds irreducible tables, the action on Irr(A, alpha|_A) with its orbit
-data, and the isotropy summands of K^0. Validation is not remembered: it
-runs on tables from outside and on each induced beta, while subgroup,
-restriction and quotient tables are built without it (see
+The memo holds only the splits of reps.irreducibles: they are the one
+certified result that group objects of the same content share, and every
+subgroup, isotropy or quotient table is a new group object. What is derived
+from them for one group, such as its action tables, orbit data and K-group
+summands, is kept once, in that group's parts (below). Validation is not
+remembered: it runs on tables from outside and on each induced beta, while
+subgroup, restriction and quotient tables are built without it (see
 SubgroupHandle.as_group, cocycles.restrict and groups.quotient_with_section).
 
 A key is a 16-byte blake2b digest of a kind tag and every input the
@@ -21,9 +25,11 @@ evicted least recently used first, once the stored arrays exceed
 BUDGET_BYTES; an entry larger than the budget is not kept.
 
 parts(owner) holds values derived from certified results that an object
-keeps for itself, such as the K-group parts of a group: it lives in the
+keeps for itself, such as the action tables and K-group parts of a group
+(see decomposition.action_table and the kgroups module): it lives in the
 owner's __dict__, dies with it, is empty again after each clear(), and
-keeps at most PARTS_PER_OWNER values, dropping the oldest first.
+keeps at most PARTS_PER_OWNER values, dropping the oldest first. Its keys
+are plain tuples: the owner's own content needs no digest.
 """
 
 from __future__ import annotations

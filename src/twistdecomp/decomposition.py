@@ -158,29 +158,25 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 
     The same induction shows that a table of points is a G-action once the
     laws hold on the generators; kgroups._check_action relies on it.
 
-    An action that a K-group call has certified for the same content (see
-    _orbit_data) comes from the memo, rebound to the caller's G, A and
-    alpha. action_table stores nothing itself: a single point
-    decomposition rarely repeats its content, and its entries would evict
-    tables that do repeat. Normality and the cocycle's group are checked
-    before the lookup.
+    The action is tabulated once per group object and kept in G's parts
+    (see _memo.parts) under A's elements, alpha's content digest, seed and
+    tolerances. The kept copy holds neither G, A nor alpha, so it forms no
+    reference cycle with G: each call returns it rebound to the caller's
+    G, A and alpha. An action whose base split has since failed its matrix
+    certificate is tabulated again. Normality and the cocycle's group are
+    checked on every call, before the lookup.
     """
     tol = tol or default_tolerances()
     if not is_normal(G, A):
         raise NotNormal("the action is defined for a normal subgroup")
     _require_on(alpha, G)
-    hit = _memo.get(_action_key(G, A, alpha, seed, tol))
-    if hit is not None:
-        return replace(hit, group=G, subgroup=A, alpha=alpha)
-    return _tabulate(G, A, alpha, seed, tol)
-
-
-def _action_key(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
-                tol: Tolerances) -> bytes:
-    """Every input of _tabulate; the labels of A's and the isotropy groups
-    come from G's, so the key adds them to G's content digest."""
-    return _memo.key("action table", G._content, G.labels, A.elements, alpha._content, seed,
-                     tol._content)
+    parts = _memo.parts(G)
+    key = ("action table", A.elements, alpha._content, seed, tol._content)
+    held = parts.get(key)
+    if held is None or held.base._split.failed:
+        held = parts.put(key, replace(_tabulate(G, A, alpha, seed, tol),
+                                      group=None, subgroup=None, alpha=None))
+    return replace(held, group=G, subgroup=A, alpha=alpha)
 
 
 def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
@@ -345,49 +341,6 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
         for i, datum, beta in zip(idx, batch, _induced_betas(batch[0], X, M, alpha.order, tol)):
             datum.beta = beta
             data[i] = datum
-    return data
-
-
-def _orbit_data(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 0,
-                phase_seed: int | None = None, tol: Tolerances | None = None
-                ) -> list[OrbitDatum]:
-    """orbit_data(action_table(G, A, alpha)), certified once per content.
-
-    The key is that of the action (the content digests of G and alpha, G's
-    labels, A's elements, seed, tolerances) and phase_seed. A miss stores
-    the action too, so later action_table calls on the same content skip
-    the rebuild; an array that several data share, such as the tables of
-    one isotropy group, counts once toward the entry's size. A hit is
-    rebound to the caller: the data that share an isotropy group get one
-    new handle on G, built without a closure check since the stored
-    isotropy was checked on a table of G's content, and datum.tau is the
-    irreducible of the action's base.
-    No stored value holds G, A or alpha; the checks of action_table run on
-    every call, and a failure is never remembered. The K-group path keeps
-    the rebound data on G itself (see the kgroups module docstring), so it
-    reaches this function only when G has no such part yet.
-    """
-    tol = tol or default_tolerances()
-    action = action_table(G, A, alpha, seed=seed, tol=tol)
-    action_key = _action_key(G, A, alpha, seed, tol)
-    key = _memo.key("orbit data", action_key, phase_seed)
-    hit = _memo.get(key)
-    if hit is not None:
-        handles = {m: SubgroupHandle._closed(G, tuple(sorted(m)))
-                   for m in {datum.gt_map for datum in hit}}
-        return [replace(datum, isotropy=handles[datum.gt_map],
-                        tau=action.base.irreducibles[datum.representative]) for datum in hit]
-    data = orbit_data(action, alpha, phase_seed=phase_seed, tol=tol)
-    # The base table's matrices and characters are counted by its irreducibles entry.
-    _memo.put(action_key, replace(action, group=None, subgroup=None, alpha=None),
-              sum(a.nbytes for a in (action.perm, action.alpha_a.exponents,
-                                     action.base.group.mul, action.base.group.inv)))
-    arrays = {id(a): a for datum in data
-              for a in (datum.M, datum.beta.table, datum.alpha_gt.exponents,
-                        datum.gt_group.mul, datum.gt_group.inv, datum.sections,
-                        datum.q_group.mul, datum.q_group.inv, datum.quotient._chi_table)}
-    _memo.put(key, [replace(datum, isotropy=None, tau=None) for datum in data],
-              sum(a.nbytes for a in arrays.values()))
     return data
 
 

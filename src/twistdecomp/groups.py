@@ -433,9 +433,8 @@ class SubgroupHandle:
     def _closed(cls, parent: FiniteGroup, elements: tuple[int, ...]) -> "SubgroupHandle":
         """A handle on ascending elements that are known to form a subgroup of parent.
 
-        Nothing is checked: for a stabilizer of a certified action, a
-        subgroup stored after its handle was checked on a table of the same
-        content, or the closure that subgroup_closure has just grown.
+        Nothing is checked: for a stabilizer of a certified action, or the
+        closure that subgroup_closure has just grown.
         """
         handle = cls.__new__(cls)
         handle.parent, handle.elements = parent, elements

@@ -25,16 +25,18 @@ irreducible, so no representation matrix is conjugated or restricted.
 Blocks over the same isotropy table are decomposed by one multiplicities
 call.
 
-The parts of this path that depend only on a group and on content are
-built once per FiniteGroup object and kept in its _memo.parts, so they
-live as long as the group (at most _memo.PARTS_PER_OWNER of them, the
-oldest dropped first) and _memo.clear() drops them: per content and
-stabilizer, the isotropy handle and its summand table (k0_of_gset), and
-per (A, alpha, seed, tol) the orbit data rebound to the group, with their
-Hom weights once phi_matrix has read them (_decomposed_side). No part
-holds a caller's cocycle, subgroup handle or G-set, and the checks on
-the caller's objects run on every call. The saving needs the same group
-object across calls; a new group builds its parts again.
+Everything this path derives from irreducible tables is kept once, in
+the _memo.parts of the FiniteGroup it belongs to, so it lives as long as
+the group (at most _memo.PARTS_PER_OWNER parts, the oldest dropped first)
+and _memo.clear() drops it: per (cocycle content, seed, tol) and
+stabilizer, the isotropy handle and its summand table (k0_of_gset); per
+(A, alpha, seed, tol), the action table (decomposition.action_table) and
+the orbit data built on it, with their Hom weights once phi_matrix has
+read them (_decomposed_side). The memo's shared store holds only the
+irreducible tables themselves, which a new group object of the same
+content finds there while it builds its own parts. No part holds a
+caller's cocycle, subgroup handle or G-set, and the checks on the
+caller's objects run on every call.
 
 The decomposition is natural in X, so each block of the two matrices
 depends on orbit types, not on the G-set it came from, and lives in a
@@ -56,15 +58,15 @@ _fill_blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import _memo
 from .cocycles import Cocycle, NumericCocycle, _require_on, restrict
 from .config import Tolerances, default_tolerances
-from .decomposition import (OrbitDatum, _a_parent_order, _conjugation, _hom_weights, _orbit_data,
-                            action_table)
+from .decomposition import (OrbitDatum, _a_parent_order, _conjugation, _hom_weights,
+                            action_table, orbit_data)
 from .errors import ANotTrivial, InputError, NotEquivariant, RankMismatch
 from .groups import (
     FiniteGroup,
@@ -75,7 +77,7 @@ from .groups import (
     generating_set,
     left_cosets,
 )
-from .reps import IrrTable, _table, irreducibles
+from .reps import IrrTable, irreducibles
 
 
 @dataclass(eq=False)
@@ -221,10 +223,13 @@ class TwistedKGroup:
             out.extend((i, j) for j in range(len(table)))
         return out
 
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
-        """Matrix row of each orbit's first class, then the rank: (#orbits + 1,)."""
-        return np.cumsum([0] + [len(t) for t in self.summands])
+        """Matrix row of each orbit's first class, then the rank: (#orbits + 1,),
+        read-only; computed on the first read, as the summands never change."""
+        offsets = np.cumsum([0] + [len(t) for t in self.summands])
+        offsets.flags.writeable = False
+        return offsets
 
     def locate(self, point: int) -> tuple[int, int]:
         """(orbit index, first g with g . basepoint = point) for a point of the G-set."""
@@ -258,17 +263,15 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
     lawful action is a subgroup, so its handle is built without a closure
     check.
 
-    The summand of an isotropy group, re-indexed as a group, with the
-    cocycle restricted to it and its irreducibles, is computed once per
-    content: the content digests of the group and the cocycle, the group's
-    labels, the isotropy's elements, seed and tolerances; a memo hit is a
-    new table over the stored group, cocycle and split. The handle and the
-    table are then kept in the group's parts under the same content, so
-    every call on the group, over any G-set, shares them: kx.isotropies[i]
-    and kx.summands[i] are the group's, and orbits with the same isotropy
-    group share one of each, with the store of pullback_matrix blocks
-    kept in the same part (kx._blocks[i]). A part whose split has failed
-    is built again.
+    The summand of an isotropy group is the irreducibles of the isotropy,
+    re-indexed as a group, under the cocycle restricted to it. It is kept
+    with the isotropy's handle in the parts of the G-set's group, keyed by
+    the cocycle's content digest, seed, tolerances and the isotropy as a
+    row of G, so every call on the group, over any G-set, shares them:
+    kx.isotropies[i] and kx.summands[i] are the group's, and orbits with
+    the same isotropy group share one of each, with the store of
+    pullback_matrix blocks kept in the same part (kx._blocks[i]). A part
+    whose split has failed is built again.
     Whether the G-set and the cocycle live on G is checked on every call,
     and a failure is never remembered.
     """
@@ -277,19 +280,18 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
     H = x.group
     _require_on(cocycle, H)
     x._require_lawful()
-    content = _memo.key("gset content", H._content, H.labels, cocycle._content, seed,
-                        tol._content)
     parts = _memo.parts(H)
     basepoints = np.flatnonzero(x.action.min(axis=0) == np.arange(x.size))
     fixes = x.action.T[basepoints] == basepoints[:, None]     # (#orbits, |G|), one row per orbit
     shared = []
     for row in fixes:
-        key = (content, row.tobytes())
+        key = (cocycle._content, seed, tol._content, row.tobytes())
         part = parts.get(key)
         if part is None or part[1]._split.failed:
             handle = SubgroupHandle._closed(H, tuple(np.flatnonzero(row).tolist()))
-            part = parts.put(key, (handle, _isotropy_summand(content, handle, cocycle, seed, tol),
-                                   {}))
+            summand = irreducibles(handle.as_group()[0], restrict(cocycle, handle)[0],
+                                   seed=seed, tol=tol)
+            part = parts.put(key, (handle, summand, {}))
         shared.append(part)
     return TwistedKGroup(
         gset=x, cocycle=cocycle, orbit_basepoints=basepoints.tolist(),
@@ -301,28 +303,6 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
 def _require_gset_on(x: FiniteGSet, G: FiniteGroup) -> None:
     if x.group is not G and not x.group.same_table(G):
         raise InputError("G-set belongs to a different group")
-
-
-def _isotropy_summand(content: bytes, handle: SubgroupHandle, cocycle, seed: int,
-                      tol: Tolerances) -> IrrTable:
-    """The irreducibles of an isotropy group under the restricted cocycle: a
-    stored summand of k0_of_gset, or a new one stored."""
-    key = _memo.key("isotropy summand", content, handle.elements)
-    hit = _memo.get(key)
-    if hit is None or hit[2].failed:
-        sub_cocycle, _ = restrict(cocycle, handle)
-        sub_group, _ = handle.as_group()
-        hit = (sub_group, sub_cocycle, irreducibles(sub_group, sub_cocycle, seed=seed, tol=tol)._split)
-        _memo.put(key, hit, _summand_bytes(sub_group, sub_cocycle))
-    return _table(*hit)
-
-
-def _summand_bytes(sub_group: FiniteGroup, sub_cocycle) -> int:
-    """What a summand entry adds: its split, with the characters and the
-    matrices once read, is the irreducibles entry of (sub_group, sub_cocycle).
-    An exact cocycle stores its exponents, a numeric one its values."""
-    table = sub_cocycle.exponents if isinstance(sub_cocycle, Cocycle) else sub_cocycle.table
-    return sub_group.mul.nbytes + sub_group.inv.nbytes + table.nbytes
 
 
 def acts_trivially(x: FiniteGSet, A: SubgroupHandle) -> bool:
@@ -366,27 +346,23 @@ def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: Finit
     The G-set's group (InputError), the trivial action of A (ANotTrivial),
     k0_of_gset's checks, and action_table's checks of the normality of A
     (NotNormal) and the cocycle's group run on every call, in that order.
-    The orbit data rebound to G are kept in G's parts (see the module
-    docstring) under A's elements, alpha's content digest, seed and
-    tolerances: a miss reads _orbit_data, which runs action_table, and a
-    hit runs action_table alone, whose action _orbit_data stored and each
-    call keeps recent in the memo. A datum's Hom weights (elements,
-    weights; see decomposition._hom_weights) are filled in by the first
-    phi_matrix that reads them, and its third entry holds phi_matrix's
-    blocks.
+    The orbit data of the action are kept in G's parts next to it (see the
+    module docstring), under A's elements, alpha's content digest, seed
+    and tolerances; a miss builds them with orbit_data. A datum's Hom
+    weights (elements, weights; see decomposition._hom_weights) are filled
+    in by the first phi_matrix that reads them, and its third entry holds
+    phi_matrix's blocks.
     """
     _require_gset_on(x, G)
     if not acts_trivially(x, A):
         raise ANotTrivial("the designated subgroup moves some point of the G-set")
     kx = k0_of_gset(G, alpha, x, seed=seed, tol=tol)
+    action = action_table(G, A, alpha, seed=seed, tol=tol)
     parts = _memo.parts(G)
     key = ("orbit data", A.elements, alpha._content, seed, tol._content)
     data = parts.get(key)
     if data is None:
-        data = parts.put(key, [[datum, None, {}]
-                               for datum in _orbit_data(G, A, alpha, seed=seed, tol=tol)])
-    else:
-        action_table(G, A, alpha, seed=seed, tol=tol)   # its checks; _orbit_data stored the action
+        data = parts.put(key, [[datum, None, {}] for datum in orbit_data(action, alpha, tol=tol)])
     return kx, [(part, k0_of_gset(part[0].q_group, part[0].beta,
                                   gset_as_quotient_action(x, part[0]), seed=seed, tol=tol))
                 for part in data]

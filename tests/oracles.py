@@ -53,7 +53,7 @@ from twistdecomp.cocycles import (
     validate_cocycle_table,
 )
 from twistdecomp.config import Tolerances, default_tolerances
-from twistdecomp.decomposition import _conjugation, _hom_weights, _orbit_data
+from twistdecomp.decomposition import _conjugation, _hom_weights, action_table, orbit_data
 from twistdecomp.errors import (
     DecompositionFailure,
     InputError,
@@ -637,6 +637,12 @@ def action_law_failure(group: FiniteGroup, action: np.ndarray):
     direct = action[group.mul.reshape(-1)].reshape(n, n, size)
     bad = np.argwhere(composed != direct)
     return tuple(map(int, bad[0])) if bad.size else None
+
+
+def _orbit_data(G, A, alpha, seed=0, phase_seed=None, tol=None) -> list:
+    """orbit_data over action_table(G, A, alpha), as a K-group call reads it."""
+    return orbit_data(action_table(G, A, alpha, seed=seed, tol=tol), alpha,
+                      phase_seed=phase_seed, tol=tol)
 
 
 def pullback_matrix_by_orbit(G, cocycle, f, x, y) -> np.ndarray:

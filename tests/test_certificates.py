@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp import decomposition, reps
+from twistdecomp import decomposition, kgroups, reps
 from twistdecomp.errors import (
     DecompositionFailure,
     NonIntegerMultiplicity,
     NotIrreducible,
     NumericFailure,
+    RankMismatch,
     SplitFailure,
 )
 
@@ -293,3 +294,25 @@ class TestHomRep:
             where = r"q1=1 \(1\.00e-06\)"
         with pytest.raises(DecompositionFailure, match="beta-twisted relation fails at " + where):
             hom_rep(W, datum, TOL)
+
+
+class TestRankCertificate:
+    @pytest.mark.parametrize("side", ["direct", "decomposed"])
+    def test_a_side_missing_an_orbit_raises(self, monkeypatch, d8, alpha4, a_center, side):
+        """verify_gset_decomposition compares the ranks of its two sides: a
+        direct side without its last G-orbit, or a decomposed side without its
+        last orbit datum, raises RankMismatch."""
+        honest = kgroups._decomposed_side
+
+        def tampered(*args):
+            kx, sides = honest(*args)
+            if side == "direct":
+                return dataclasses.replace(kx, summands=kx.summands[:-1]), sides
+            return kx, sides[:-1]
+
+        x = td.disjoint_union(td.coset_gset(d8, a_center), td.point_gset(d8))
+        report = td.verify_gset_decomposition(d8, a_center, alpha4, x)
+        monkeypatch.setattr(kgroups, "_decomposed_side", tampered)
+        with pytest.raises(RankMismatch, match=r"direct rank \d+ != decomposed rank \d+"):
+            td.verify_gset_decomposition(d8, a_center, alpha4, x)
+        assert report.ok and report.lhs_rank == sum(report.rhs_ranks) > 0

@@ -6,7 +6,7 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp import _memo, kgroups
-from twistdecomp.decomposition import _orbit_data, action_table, orbit_data
+from twistdecomp.decomposition import action_table, orbit_data
 from twistdecomp.errors import ANotTrivial, InputError, NotEquivariant
 from twistdecomp.groups import (
     generating_set,
@@ -33,6 +33,7 @@ from twistdecomp.kgroups import (
 
 from oracles import (
     NotIsotypic,
+    _orbit_data,
     action_law_failure,
     conjugate_rep,
     hom_action_by_vector,
@@ -503,6 +504,7 @@ class TestPullback:
                 assert [k.locate(p) for p in range(s.size)] == [loop_locate(k, p)
                                                                 for p in range(s.size)]
                 assert k.offsets.tolist() == [0, *np.cumsum([len(t) for t in k.summands])]
+                assert k.offsets is k.offsets and not k.offsets.flags.writeable
 
     @pytest.mark.parametrize("gens", [[1], [2]])
     def test_equals_matrix_route_for_beta_over_a_quotient(self, d8, alpha4, gens):

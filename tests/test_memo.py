@@ -1,5 +1,6 @@
-"""The content-keyed memo behind irreducibles, the orbit decomposition and the isotropy
-summands of K^0; group and cocycle validation are not remembered."""
+"""The content-keyed memo of irreducibles, and the parts a group keeps of its action
+tables, orbit decompositions and isotropy summands of K^0; group and cocycle validation
+are not remembered."""
 
 import gc
 import json
@@ -16,7 +17,7 @@ import pytest
 import twistdecomp as td
 from twistdecomp import _memo, decomposition, kgroups, reps
 from twistdecomp.cocycles import numeric_from_exact
-from twistdecomp.decomposition import _orbit_data, action_table, orbit_data
+from twistdecomp.decomposition import action_table, orbit_data
 from twistdecomp.errors import ANotTrivial, DecompositionFailure, InputError, NotNormal
 from twistdecomp.kgroups import (
     k0_of_gset,
@@ -27,6 +28,7 @@ from twistdecomp.kgroups import (
     random_gset,
 )
 
+from oracles import _orbit_data
 from test_cocycles import corrupted_alpha4
 from test_decomposition import coboundary_twist
 
@@ -60,9 +62,14 @@ def same_content(G, cocycle, labels=None):
     """New group and cocycle objects with the same tables (and the same labels, by default)."""
     H = td.FiniteGroup(order=G.order, mul=np.array(G.mul), inv=np.array(G.inv),
                        labels=G.labels if labels is None else labels)
+    return H, cocycle_on(H, cocycle)
+
+
+def cocycle_on(H, cocycle):
+    """A new cocycle object on H with cocycle's table."""
     if isinstance(cocycle, td.Cocycle):
-        return H, td.Cocycle(H, cocycle.order, np.array(cocycle.exponents))
-    return H, td.NumericCocycle(H, np.array(cocycle.table))
+        return td.Cocycle(H, cocycle.order, np.array(cocycle.exponents))
+    return td.NumericCocycle(H, np.array(cocycle.table))
 
 
 def carry(n):
@@ -195,6 +202,15 @@ def test_validation_and_derived_tables_store_nothing():
     assert not _memo._shared._entries
 
 
+def test_the_memo_holds_irreducibles_only(d8, alpha4, a_center):
+    """A K-group pass stores only irreducibles splits in the shared memo; what
+    is derived from them lives in the groups' parts."""
+    x = td.disjoint_union(td.coset_gset(d8, a_center), point_gset(d8))
+    gset_pass(d8, a_center, alpha4, x, point_gset(d8))
+    stored = [value for value, _ in _memo._shared._entries.values()]
+    assert stored and all(isinstance(value, reps._Split) for value in stored)
+
+
 class TestContentDigests:
     def test_equal_for_same_content_copies(self):
         for make in (lambda: (td.dihedral(4), td.dihedral_alpha(4)), induced_beta):
@@ -319,7 +335,7 @@ class TestLRU:
 
 @pytest.fixture
 def tabulated(monkeypatch):
-    """The A of every action table built (not served from the memo), in call order."""
+    """The A of every action table built (not read from the group's parts), in call order."""
     calls = []
     honest = decomposition._tabulate
 
@@ -331,10 +347,11 @@ def tabulated(monkeypatch):
     return calls
 
 
-def copy_inputs(G, A, alpha, *gsets):
-    """Same-content copies of G, A, alpha and of G-sets over G."""
-    H, beta = same_content(G, alpha)
-    return (H, td.SubgroupHandle(H, A.elements), beta,
+def copy_inputs(G, A, alpha, *gsets, on=None):
+    """Same-content copies of A, alpha and of G-sets over G, on a copy of G or on
+    the group `on`."""
+    H = same_content(G, alpha)[0] if on is None else on
+    return (H, td.SubgroupHandle(H, A.elements), cocycle_on(H, alpha),
             *(td.make_gset(H, np.array(x.action)) for x in gsets))
 
 
@@ -396,10 +413,8 @@ def count_builds(monkeypatch) -> list:
                         lambda self: calls.append("handle") or checked(self))
     monkeypatch.setattr(td.SubgroupHandle, "_closed",
                         classmethod(lambda cls, *a: calls.append("handle") or closed(cls, *a)))
-    for module in (kgroups, reps):
-        table = module._table
-        monkeypatch.setattr(module, "_table",
-                            lambda *a, table=table: calls.append("table") or table(*a))
+    table = reps._table
+    monkeypatch.setattr(reps, "_table", lambda *a: calls.append("table") or table(*a))
     return calls
 
 
@@ -470,7 +485,7 @@ class TestOrbitDecomposition:
         first = [kgroup_outputs(*args, f) for _, args, f in cases]
         configurations = len({name for name, _, _ in cases})
         assert len(tabulated) == configurations == 9
-        warm = [kgroup_outputs(*copy_inputs(*args), f) for _, args, f in cases]
+        warm = [kgroup_outputs(*copy_inputs(*args, on=args[0]), f) for _, args, f in cases]
         assert len(tabulated) == configurations
         for (name, args, f), w1, w2 in zip(cases, first, warm):
             _memo.clear()
@@ -496,24 +511,49 @@ class TestOrbitDecomposition:
         assert len(tabulated) == 4
 
     def test_a_hit_holds_the_callers_objects(self, d8, alpha4, a_center, tabulated):
-        _orbit_data(d8, a_center, alpha4)
-        G, A, alpha = copy_inputs(d8, a_center, alpha4)
-        hits = [(action_table(G, A, alpha), _orbit_data(G, A, alpha)) for _ in range(2)]
+        """A kept action is rebound to each caller's A and alpha, and the orbit
+        data the group keeps with it hold the group and the action's taus."""
+        td.verify_gset_decomposition(d8, a_center, alpha4, point_gset(d8))
+        _, A, alpha, x = copy_inputs(d8, a_center, alpha4, point_gset(d8), on=d8)
+        hits = [action_table(d8, A, alpha) for _ in range(2)]
+        _, sides = kgroups._decomposed_side(d8, A, alpha, x, 0, td.default_tolerances())
         assert len(tabulated) == 1
-        for action, data in hits:
-            assert action.group is G and action.subgroup is A and action.alpha is alpha
-            assert all(d.isotropy.parent is G and d.isotropy.elements == d.gt_map for d in data)
-            assert all(d.tau is action.base.irreducibles[d.representative] for d in data)
-        assert hits[0][1][0].isotropy is not hits[1][1][0].isotropy
+        for action in hits:
+            assert action.group is d8 and action.subgroup is A and action.alpha is alpha
+            assert action.perm is hits[0].perm and action.base is hits[0].base
+        data = [part[0] for part, _ in sides]
+        assert all(d.isotropy.parent is d8 and d.isotropy.elements == d.gt_map for d in data)
+        assert all(d.tau is hits[0].base.irreducibles[d.representative] for d in data)
 
-    def test_action_table_reads_but_does_not_store(self, d8, alpha4, a_center, tabulated):
-        cold = [action_table(d8, a_center, alpha4).perm.tolist() for _ in range(2)]
-        assert len(tabulated) == 2
-        _orbit_data(d8, a_center, alpha4)
-        assert len(tabulated) == 3
+    def test_action_table_is_kept_per_group_object(self, d8, alpha4, a_center, tabulated):
+        """A second call on the same group reads the action it keeps; a group
+        object of the same content tabulates its own."""
+        cold = action_table(d8, a_center, alpha4)
         warm = action_table(d8, a_center, alpha4)
-        assert len(tabulated) == 3
-        assert warm.perm.tolist() == cold[0] == cold[1]
+        assert len(tabulated) == 1 and warm.perm is cold.perm
+        copy = action_table(*copy_inputs(d8, a_center, alpha4))
+        assert len(tabulated) == 2 and copy.perm is not cold.perm
+        assert copy.perm.tolist() == warm.perm.tolist() == cold.perm.tolist()
+
+    def test_an_action_over_a_failed_split_is_tabulated_again(self, d8, alpha4, a_center,
+                                                              tabulated):
+        action_table(d8, a_center, alpha4).base._split.failed = True
+        again = action_table(d8, a_center, alpha4)
+        assert len(tabulated) == 2 and not again.base._split.failed
+
+    def test_a_kept_action_forms_no_cycle_with_its_group(self):
+        """A point decomposition leaves its action on G, and G is still freed
+        as soon as the caller drops it, without the cycle collector."""
+        G, alpha = same_content(td.dihedral(4), td.dihedral_alpha(4))
+        td.verify_point_decomposition(G, td.SubgroupHandle(G, (0, 2)), alpha)
+        assert len(_memo.parts(G)) == 1
+        ref = weakref.ref(G)
+        gc.disable()
+        try:
+            del G, alpha
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_the_memo_pins_no_callers_objects(self):
         G, alpha = same_content(td.dihedral(4), td.dihedral_alpha(4))
@@ -610,24 +650,6 @@ class TestOrbitDecomposition:
         warm = decomposition_summary(d8, a_center, alpha4)
         _memo.clear()
         assert decomposition_summary(d8, a_center, alpha4) == warm
-
-    def test_tables_shared_by_orbits_count_once(self):
-        """dihedral(64) with A = <a>: 32 orbits share one isotropy group. Its
-        tables count once toward the entry, which then fits the budget; counted
-        once per orbit they would exceed it."""
-        G = td.dihedral(64)
-        A, alpha = td.subgroup_closure(G, [1]), td.dihedral_alpha(64)
-        data = _orbit_data(G, A, alpha)
-        key = _memo.key("orbit data",
-                        decomposition._action_key(G, A, alpha, 0, td.default_tolerances()), None)
-        _, nbytes = _memo._shared._entries[key]
-        first = data[0]
-        shared = (first.alpha_gt.exponents, first.gt_group.mul, first.gt_group.inv,
-                  first.sections, first.q_group.mul, first.q_group.inv, first.quotient._chi_table)
-        assert len(data) == 32 and all(d.gt_group is first.gt_group for d in data)
-        assert nbytes == (sum(a.nbytes for a in shared) +
-                          sum(d.M.nbytes + d.beta.table.nbytes for d in data))
-        assert len(data) * sum(a.nbytes for a in shared) > _memo.BUDGET_BYTES
 
 
 class TestIsotropySummand:

@@ -15,8 +15,10 @@ each cold (the first call after _memo.clear()), warm (the same call
 again, best of three) and on relabelled copies of the G-sets (the same
 orbit types with other basepoints, best of three). Then, from a cleared
 memo under tracemalloc, it makes every call once on both chains and
-prints the traced memory that the parts of G hold: what dropping them
-frees, with the memo of certified tables kept.
+prints the traced memory held after the calls, in two shares: what
+dropping the parts of G frees (its action table, orbit data, isotropy
+summand tables, and every group, cocycle and part that hangs off them),
+and then what clearing the shared memo of irreducible tables frees.
 
 --src imports twistdecomp from another source tree, so two checkouts can be
 compared with the same script. The output is for the record; nothing is
@@ -124,9 +126,12 @@ def main(argv=None) -> int:
     G.__dict__.pop("_memo_parts", None)
     gc.collect()
     parts = held - (tracemalloc.get_traced_memory()[0] - before)
+    _memo.clear()
+    gc.collect()
+    lru = held - parts - (tracemalloc.get_traced_memory()[0] - before)
     tracemalloc.stop()
-    print(f"traced memory of G's parts: {parts / 1024:.1f} KB "
-          f"(of {held / 1024:.1f} KB held after the calls)", flush=True)
+    print(f"traced memory of G's parts: {parts / 1024:.1f} KB, of the shared memo: "
+          f"{lru / 1024:.1f} KB (of {held / 1024:.1f} KB held after the calls)", flush=True)
     return 0
 
 
