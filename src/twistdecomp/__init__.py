@@ -4,13 +4,10 @@ of twisted equivariant K-theory on finite G-sets."""
 from .cocycles import (
     Cocycle,
     NumericCocycle,
-    UnitScalar,
-    central_extension,
     dihedral_alpha,
     make_cocycle,
     make_numeric_cocycle,
     restrict,
-    tau_scalar,
     trivial_cocycle,
     validate_cocycle,
     validate_numeric_cocycle,
@@ -21,7 +18,6 @@ from .decomposition import (
     IrrAction,
     OrbitDatum,
     action_table,
-    induced_cocycle,
     orbit_data,
     verify_point_decomposition,
 )
@@ -30,7 +26,6 @@ from .groups import (
     QuotientWithSection,
     SubgroupHandle,
     center,
-    chi,
     conjugacy_classes,
     cyclic,
     dihedral,
@@ -61,8 +56,6 @@ from .reps import (
     IrrTable,
     ProjectiveRep,
     character,
-    coboundary_cochain,
-    intertwiner,
     irreducibles,
 )
 

@@ -29,7 +29,10 @@ keeps for itself, such as the action tables and K-group parts of a group
 (see decomposition.action_table and the kgroups module): it lives in the
 owner's __dict__, dies with it, is empty again after each clear(), and
 keeps at most PARTS_PER_OWNER values, dropping the oldest first. Its keys
-are plain tuples: the owner's own content needs no digest.
+are plain tuples: the owner's own content needs no digest. No part refers
+to its owner, which would make a cycle that only the collector frees: a
+kept value that refers to the owner is held off it, and each read puts it
+back on the caller's owner (rebound).
 """
 
 from __future__ import annotations
@@ -135,6 +138,17 @@ class Parts(dict):
             while len(self) > PARTS_PER_OWNER:
                 del self[next(iter(self))]
         return value
+
+
+def rebound(obj, **fields):
+    """A shallow copy of obj with fields set, made without running its
+    __init__: how a part is held off its owner and put back on it. Values
+    that obj has cached in its __dict__ are shared with the copy, and only
+    those survive a field set to None: a copy held off its owner answers
+    the reads its caches cover and fails on any read of the field."""
+    new = object.__new__(type(obj))
+    new.__dict__ = {**obj.__dict__, **fields}
+    return new
 
 
 def parts(owner) -> Parts:

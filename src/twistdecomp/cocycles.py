@@ -1,4 +1,4 @@
-"""Roots of unity, 2-cocycles as exponent tables, and central extensions.
+"""2-cocycles as exponent tables over roots of unity, and as float tables.
 
 Exact cocycles take values in the group mu_K of K-th roots of unity and are
 stored as integer exponent tables, so validation and restriction are exact.
@@ -22,37 +22,8 @@ from .groups import (
     QuotientWithSection,
     SubgroupHandle,
     dihedral,
-    from_multiplication_table,
     generating_set,
 )
-
-
-@dataclass(frozen=True)
-class UnitScalar:
-    """exp(2*pi*i * exponent / order), an element of mu_order."""
-
-    exponent: int
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise InputError("UnitScalar order must be positive")
-        object.__setattr__(self, "exponent", self.exponent % self.order)
-
-    def __mul__(self, other: "UnitScalar") -> "UnitScalar":
-        k = math.lcm(self.order, other.order)
-        e = self.exponent * (k // self.order) + other.exponent * (k // other.order)
-        return UnitScalar(e % k, k)
-
-    def inverse(self) -> "UnitScalar":
-        return UnitScalar(-self.exponent, self.order)
-
-    def value(self) -> complex:
-        return complex(np.exp(2j * np.pi * self.exponent / self.order))
-
-    @classmethod
-    def one(cls, order: int = 1) -> "UnitScalar":
-        return cls(0, order)
 
 
 @dataclass(eq=False)
@@ -125,11 +96,10 @@ class Cocycle:
     exponents: np.ndarray
 
     def __post_init__(self):
+        if self.order < 1:
+            raise InputError(f"cocycle order must be positive, got {self.order}")
         self.exponents = np.ascontiguousarray(self.exponents, dtype=np.int64) % self.order
         self.exponents.flags.writeable = False
-
-    def scalar(self, g: int, h: int) -> UnitScalar:
-        return UnitScalar(int(self.exponents[g, h]), self.order)
 
     @cached_property
     def _roots(self) -> np.ndarray | None:
@@ -354,10 +324,6 @@ def trivial_cocycle(group: FiniteGroup, order: int = 1) -> Cocycle:
     return Cocycle(group=group, order=order, exponents=np.zeros((group.order, group.order), dtype=np.int64))
 
 
-def numeric_from_exact(alpha: Cocycle) -> NumericCocycle:
-    return NumericCocycle(group=alpha.group, table=alpha.complex_table)
-
-
 def dihedral_alpha(n: int) -> Cocycle:
     """The standard nontrivial cocycle on dihedral(n) for even n, K = n.
 
@@ -394,59 +360,9 @@ def _require_on(cocycle: Cocycle | NumericCocycle, group: FiniteGroup) -> None:
         raise InputError("subgroup handle does not belong to the cocycle's group")
 
 
-@dataclass(eq=False)
-class CentralExtension:
-    """The group on G x mu_K with product (g1,z1)(g2,z2) = (g1 g2, alpha(g1,g2) z1 z2).
-
-    Elements are encoded as g*K + k; the central mu_K embeds as k -> 0*K + k.
-    """
-
-    group: FiniteGroup
-    base: FiniteGroup
-    order_k: int
-    projection: tuple[int, ...]       # extension index -> G index
-    scalar_exponent: tuple[int, ...]  # extension index -> exponent in mu_K
-    central: tuple[int, ...]          # mu_K exponent -> extension index
-
-    def encode(self, g: int, k: int) -> int:
-        return g * self.order_k + (k % self.order_k)
-
-
-def central_extension(G: FiniteGroup, alpha: Cocycle) -> CentralExtension:
-    if alpha.group is not G and not alpha.group.same_table(G):
-        raise InputError("cocycle is not defined on the given group")
-    K = alpha.order
-    n = G.order
-    size = n * K
-    gs, ks = np.divmod(np.arange(size), K)
-    mul = (
-        G.mul[np.ix_(gs, gs)] * K
-        + (alpha.exponents[np.ix_(gs, gs)] + ks[:, None] + ks[None, :]) % K
-    )
-    labels = [f"({G.labels[g]},{k})" for g in range(n) for k in range(K)]
-    ext = from_multiplication_table(mul, labels)
-    return CentralExtension(
-        group=ext,
-        base=G,
-        order_k=K,
-        projection=tuple(int(x) for x in gs),
-        scalar_exponent=tuple(int(x) for x in ks),
-        central=tuple(range(K)),
-    )
-
-
-def tau_scalar(alpha: Cocycle, qs: QuotientWithSection, q1: int, q2: int) -> UnitScalar:
-    """The correction scalar attached to a section, as an exact root of unity.
-
-    One entry of _tau_exponents, which builds and checks the table of every
-    pair: a corrupted cocycle raises InvalidCocycle at every pair. The table
-    depends on alpha, so nothing is cached and a call costs O(|Q|^2).
-    """
-    return UnitScalar(int(_tau_exponents(alpha, qs)[q1, q2]), alpha.order)
-
-
 def _tau_exponents(alpha: Cocycle, qs: QuotientWithSection) -> np.ndarray:
-    """The exponent mod K of tau_scalar at every pair (q1, q2), one (|Q|, |Q|) array.
+    """The exponent mod K of the correction scalar of a section at every pair
+    (q1, q2), one (|Q|, |Q|) array.
 
     With s = sigma, x = sigma(q1 q2) and c = chi(q1, q2) from qs._chi_table,
     both defining expressions
@@ -459,7 +375,7 @@ def _tau_exponents(alpha: Cocycle, qs: QuotientWithSection) -> np.ndarray:
     """
     G = qs.parent
     if alpha.group is not G and not alpha.group.same_table(G):
-        raise InputError("tau_scalar needs the cocycle on the quotient's parent group")
+        raise InputError("tau exponents need the cocycle on the quotient's parent group")
     E, K = alpha.exponents, alpha.order
     s = np.asarray(qs.section)
     x = s[qs.quotient.mul]

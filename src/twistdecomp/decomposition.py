@@ -30,7 +30,7 @@ by orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,9 +174,9 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 
     key = ("action table", A.elements, alpha._content, seed, tol._content)
     held = parts.get(key)
     if held is None or held.base._split.failed:
-        held = parts.put(key, replace(_tabulate(G, A, alpha, seed, tol),
-                                      group=None, subgroup=None, alpha=None))
-    return replace(held, group=G, subgroup=A, alpha=alpha)
+        held = parts.put(key, _memo.rebound(_tabulate(G, A, alpha, seed, tol),
+                                            group=None, subgroup=None, alpha=None))
+    return _memo.rebound(held, group=G, subgroup=A, alpha=alpha)
 
 
 def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
@@ -344,14 +344,6 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
     return data
 
 
-def induced_cocycle(datum: OrbitDatum, alpha: Cocycle,
-                    tol: Tolerances | None = None) -> NumericCocycle:
-    """The induced 2-cocycle beta on the isotropy quotient: the one-orbit case
-    of _induced_betas."""
-    tol = tol or default_tolerances()
-    return _induced_betas(datum, datum.tau.matrices[None], datum.M[None], alpha.order, tol)[0]
-
-
 def _induced_betas(datum: OrbitDatum, taus: np.ndarray, M: np.ndarray, K: int,
                    tol: Tolerances) -> list[NumericCocycle]:
     """The induced 2-cocycles of k orbits that share datum's isotropy group and
@@ -360,11 +352,13 @@ def _induced_betas(datum: OrbitDatum, taus: np.ndarray, M: np.ndarray, K: int,
 
     For each orbit and pair (q1, q2) the matrix
 
-        tau_scalar(q1,q2) * tau(chi(q1,q2)) * M(q2)^-1 M(q1)^-1 M(q1 q2)
+        t(q1,q2) * tau(chi(q1,q2)) * M(q2)^-1 M(q1)^-1 M(q1 q2)
 
-    must be a unit scalar matrix; the scalars assemble into a normalized
-    2-cocycle on Q_[tau]. All of them are one broadcast (k, |Q|, |Q|, d, d)
-    product over the tables qs._chi_table and _tau_exponents. beta(q1, q2)
+    must be a unit scalar matrix, where t(q1,q2) is the root of unity of
+    exponent cocycles._tau_exponents(alpha_gt, qs)[q1, q2] and chi(q1,q2) =
+    qs._chi_table[q1, q2]; the scalars assemble into a normalized 2-cocycle
+    on Q_[tau]. All of them are one broadcast (k, |Q|, |Q|, d, d) product
+    over those two tables. beta(q1, q2)
     is the mean of the diagonal; NotScalar (max |T - mean I| > tol.scalar)
     and then NotUnimodular name the first failing pair of the first failing
     orbit, in row-major order. The tables are then certified by

@@ -66,7 +66,7 @@ class ParseError(InputError):
 
 
 class NotIrreducible(InputError):
-    """intertwiner was called on a representation with commutant dimension > 1."""
+    """A Schur solve was asked for an intertwiner of a representation that is not irreducible."""
 
 
 class NumericFailure(TwistError):

@@ -53,9 +53,6 @@ class FiniteGroup:
         """g a g^-1."""
         return int(self.mul[self.mul[g, a], self.inv[g]])
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def element_order(self, g: int) -> int:
         k, x = 1, g
         while x != self.identity:
@@ -69,9 +66,6 @@ class FiniteGroup:
         for _ in range(k % self.element_order(g)):
             x = int(self.mul[x, g])
         return x
-
-    def label(self, g: int) -> str:
-        return self.labels[g]
 
     def same_table(self, other: "FiniteGroup") -> bool:
         return self.order == other.order and np.array_equal(self.mul, other.mul)
@@ -413,6 +407,12 @@ class SubgroupHandle:
         self.elements = tuple(sorted(int(x) for x in self.elements))
         G = self.parent
         idx = np.array(self.elements, dtype=np.int64)
+        if idx.size and not 0 <= idx[0] <= idx[-1] < G.order:
+            bad = idx[0] if idx[0] < 0 else idx[-1]
+            raise InputError(f"subgroup element {bad} out of range [0, {G.order})")
+        repeated = np.flatnonzero(idx[1:] == idx[:-1])
+        if repeated.size:
+            raise InputError(f"subgroup element {idx[repeated[0]]} repeated")
         members = np.zeros(G.order, dtype=bool)
         members[idx] = True
         if not members[G.identity]:
@@ -687,12 +687,3 @@ def quotient_with_section(G: FiniteGroup, A: SubgroupHandle) -> QuotientWithSect
         projection=tuple(coset_id.tolist()),
         section=tuple(section.tolist()),
     )
-
-
-def chi(qs: QuotientWithSection, q1: int, q2: int) -> int:
-    """sigma(q1 q2)^-1 sigma(q1) sigma(q2), which lies in the subgroup.
-
-    Read off qs._chi_table, which is checked whole on first use: a broken
-    section raises DecompositionFailure at every pair.
-    """
-    return int(qs._chi_table[q1, q2])

@@ -35,8 +35,11 @@ the orbit data built on it, with their Hom weights once phi_matrix has
 read them (_decomposed_side). The memo's shared store holds only the
 irreducible tables themselves, which a new group object of the same
 content finds there while it builds its own parts. No part holds a
-caller's cocycle, subgroup handle or G-set, and the checks on the
-caller's objects run on every call.
+caller's cocycle, subgroup handle or G-set, and no part holds its own
+group: a kept handle, of an isotropy or of an orbit datum, is held off
+the group and put back on it by each read, so a group is freed as soon
+as its caller drops it. The checks on the caller's objects run on every
+call.
 
 The decomposition is natural in X, so each block of the two matrices
 depends on orbit types, not on the G-set it came from, and lives in a
@@ -105,9 +108,6 @@ class FiniteGSet:
 
     def apply(self, g: int, x: int) -> int:
         return int(self.action[g, x])
-
-    def points(self) -> range:
-        return range(self.size)
 
     def _require_lawful(self) -> None:
         """Certify the action law once per G-set; InputError names the first failure."""
@@ -208,20 +208,26 @@ class TwistedKGroup:
     gset: FiniteGSet
     cocycle: Cocycle | NumericCocycle
     orbit_basepoints: list[int]
-    isotropies: list[SubgroupHandle]
     summands: list[IrrTable]
-    _blocks: list[dict] = field(default_factory=list, repr=False)    # per orbit, from its part
+    # per orbit, from its part: the isotropy handle held off the group (parent None;
+    # only elements, to_parent and position work on it, see k0_of_gset), and the blocks
+    _kept: list[SubgroupHandle] = field(default_factory=list, repr=False)
+    _blocks: list[dict] = field(default_factory=list, repr=False)
 
     @property
     def rank(self) -> int:
         return sum(len(t) for t in self.summands)
 
-    def basis(self) -> list[tuple[int, int]]:
-        """(orbit index, class index) pairs in matrix order."""
-        out = []
-        for i, table in enumerate(self.summands):
-            out.extend((i, j) for j in range(len(table)))
-        return out
+    @cached_property
+    def isotropies(self) -> list[SubgroupHandle]:
+        """The isotropy handle of each orbit, put back on the G-set's group on
+        the first read, with the tables the kept handle has cached; orbits
+        with the same isotropy group share one."""
+        on_group = {}
+        for h in self._kept:
+            if id(h) not in on_group:
+                on_group[id(h)] = _memo.rebound(h, parent=self.gset.group)
+        return [on_group[id(h)] for h in self._kept]
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -268,10 +274,17 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
     with the isotropy's handle in the parts of the G-set's group, keyed by
     the cocycle's content digest, seed, tolerances and the isotropy as a
     row of G, so every call on the group, over any G-set, shares them:
-    kx.isotropies[i] and kx.summands[i] are the group's, and orbits with
-    the same isotropy group share one of each, with the store of
-    pullback_matrix blocks kept in the same part (kx._blocks[i]). A part
-    whose split has failed is built again.
+    kx.summands[i] is the group's, with the store of pullback_matrix blocks
+    kept in the same part (kx._blocks[i]), and orbits with the same
+    isotropy group share one. The kept handle is held off the group (its
+    parent is None), so the part forms no reference cycle with it, and
+    kx.isotropies puts it back on the group when first read. The K-group
+    matrices read the kept handle as it is (kx._kept[i]), and only its
+    elements, to_parent and position: as_group has cached to_parent and
+    _index before the handle is held off, and every other read of it
+    (contains, as_group on a miss, order checks against the parent) needs
+    the parent and fails on None. A part whose split has failed is built
+    again.
     Whether the G-set and the cocycle live on G is checked on every call,
     and a failure is never remembered.
     """
@@ -291,11 +304,11 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
             handle = SubgroupHandle._closed(H, tuple(np.flatnonzero(row).tolist()))
             summand = irreducibles(handle.as_group()[0], restrict(cocycle, handle)[0],
                                    seed=seed, tol=tol)
-            part = parts.put(key, (handle, summand, {}))
+            part = parts.put(key, (_memo.rebound(handle, parent=None), summand, {}))
         shared.append(part)
     return TwistedKGroup(
         gset=x, cocycle=cocycle, orbit_basepoints=basepoints.tolist(),
-        isotropies=[part[0] for part in shared], summands=[part[1] for part in shared],
+        summands=[part[1] for part in shared], _kept=[part[0] for part in shared],
         _blocks=[part[2] for part in shared],
     )
 
@@ -339,19 +352,20 @@ class GSetDecompositionReport:
 
 def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
                      seed: int, tol: Tolerances
-                     ) -> tuple[TwistedKGroup, list[tuple[list, TwistedKGroup]]]:
-    """K^0_G(X), and per orbit datum its part [datum, Hom weights or None]
-    and K^0 of X as a Q_[tau]-set twisted by beta.
+                     ) -> tuple[TwistedKGroup, list[tuple[OrbitDatum, list, TwistedKGroup]]]:
+    """K^0_G(X), and per orbit datum the datum, its part [Hom weights or None,
+    phi_matrix blocks] and K^0 of X as a Q_[tau]-set twisted by beta.
 
     The G-set's group (InputError), the trivial action of A (ANotTrivial),
     k0_of_gset's checks, and action_table's checks of the normality of A
     (NotNormal) and the cocycle's group run on every call, in that order.
     The orbit data of the action are kept in G's parts next to it (see the
     module docstring), under A's elements, alpha's content digest, seed
-    and tolerances; a miss builds them with orbit_data. A datum's Hom
-    weights (elements, weights; see decomposition._hom_weights) are filled
-    in by the first phi_matrix that reads them, and its third entry holds
-    phi_matrix's blocks.
+    and tolerances; a miss builds them with orbit_data. A kept datum holds
+    its isotropy handle off G, as k0_of_gset holds its handles, and each
+    call returns it on G. A datum's Hom weights (elements, weights; see
+    decomposition._hom_weights) are filled in by the first phi_matrix that
+    reads them.
     """
     _require_gset_on(x, G)
     if not acts_trivially(x, A):
@@ -362,10 +376,19 @@ def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: Finit
     key = ("orbit data", A.elements, alpha._content, seed, tol._content)
     data = parts.get(key)
     if data is None:
-        data = parts.put(key, [[datum, None, {}] for datum in orbit_data(action, alpha, tol=tol)])
-    return kx, [(part, k0_of_gset(part[0].q_group, part[0].beta,
-                                  gset_as_quotient_action(x, part[0]), seed=seed, tol=tol))
-                for part in data]
+        data = parts.put(key, [(_held_off(datum, None), [None, {}])
+                               for datum in orbit_data(action, alpha, tol=tol)])
+    sides = []
+    for kept, part in data:
+        datum = _held_off(kept, G)
+        sides.append((datum, part, k0_of_gset(datum.q_group, datum.beta,
+                                              gset_as_quotient_action(x, datum), seed=seed, tol=tol)))
+    return kx, sides
+
+
+def _held_off(datum: OrbitDatum, G: FiniteGroup | None) -> OrbitDatum:
+    """The datum with its isotropy handle on G, or held off its group for None."""
+    return _memo.rebound(datum, isotropy=_memo.rebound(datum.isotropy, parent=G))
 
 
 def verify_gset_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
@@ -375,7 +398,7 @@ def verify_gset_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
     tol = tol or default_tolerances()
     kx, sides = _decomposed_side(G, A, alpha, x, seed, tol)
     lhs = kx.rank
-    rhs_ranks = [kq.rank for _, kq in sides]
+    rhs_ranks = [kq.rank for *_, kq in sides]
     ok = lhs == sum(rhs_ranks)
     if not ok:
         raise RankMismatch(f"direct rank {lhs} != decomposed rank {sum(rhs_ranks)}")
@@ -423,10 +446,10 @@ def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
     located = ky._locate_all([fmap[xp] for xp in kx.orbit_basepoints])
     for i, (j, witness) in enumerate(zip(*located)):
         r, c = slice(rows[i], rows[i + 1]), slice(cols[j], cols[j + 1])
-        key, made_from = (ky.isotropies[j].elements, witness), (ky.summands[j],)
+        key, made_from = (ky._kept[j].elements, witness), (ky.summands[j],)
         if _read_block(out, kx._blocks[i], key, made_from, r, c):
             continue
-        moved = _moved_characters(cocycle, ky, j, witness, kx.isotropies[i].to_parent)
+        moved = _moved_characters(cocycle, ky, j, witness, kx._kept[i].to_parent)
         blocks.append((kx.summands[i], moved, r, c))
         misses.append((kx._blocks[i], key, made_from, r, c))
     _fill_blocks(out, blocks, tol.char)
@@ -473,7 +496,7 @@ def _moved_characters(cocycle, k: TwistedKGroup, i: int, g: int, elements) -> np
     The result has shape (#w, *elements.shape).
     """
     back, scale = _conjugation(cocycle, g, elements)
-    at_back = k.isotropies[i].position(back)
+    at_back = k._kept[i].position(back)
     return scale * k.summands[i].character_values[:, at_back]
 
 
@@ -497,25 +520,25 @@ def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
     """
     tol = tol or default_tolerances()
     kx, sides = _decomposed_side(G, A, alpha, x, seed, tol)
-    out = np.zeros((sum(kq.rank for _, kq in sides), kx.rank), dtype=np.int64)
+    out = np.zeros((sum(kq.rank for *_, kq in sides), kx.rank), dtype=np.int64)
     cols = kx.offsets
     row_base = 0
     blocks, misses = [], []
-    for part, kq in sides:
-        if part[1] is None:
-            part[1] = _hom_weights(part[0], alpha)
-        elements, weights = part[1]
+    for datum, part, kq in sides:
+        if part[0] is None:
+            part[0] = _hom_weights(datum, alpha)
+        elements, weights = part[0]
         rows = row_base + kq.offsets
         for qo, (i, witness) in enumerate(zip(*kx._locate_all(kq.orbit_basepoints))):
             r, c = slice(rows[qo], rows[qo + 1]), slice(cols[i], cols[i + 1])
-            key = (kx.isotropies[i].elements, witness)
+            key = (kx._kept[i].elements, witness)
             made_from = (kx.summands[i], kq.summands[qo])
-            if _read_block(out, part[2], key, made_from, r, c):
+            if _read_block(out, part[1], key, made_from, r, c):
                 continue
-            q_iso = list(kq.isotropies[qo].elements)
+            q_iso = list(kq._kept[qo].elements)
             moved = _moved_characters(alpha, kx, i, witness, elements[q_iso])
             blocks.append((kq.summands[qo], np.sum(moved * weights[q_iso], axis=2), r, c))
-            misses.append((part[2], key, made_from, r, c))
+            misses.append((part[1], key, made_from, r, c))
         row_base = rows[-1]
     _fill_blocks(out, blocks, tol.char)
     _store_blocks(out, misses)

@@ -38,14 +38,13 @@ from functools import cached_property
 import numpy as np
 
 from . import _memo
-from .cocycles import Cocycle, NumericCocycle, UnitScalar, _lattice_exponents
+from .cocycles import Cocycle, NumericCocycle
 from .config import Tolerances, default_tolerances
 from .errors import (
     InputError,
     InvalidCocycle,
     NonIntegerMultiplicity,
     NotIrreducible,
-    NumericFailure,
     SplitFailure,
 )
 from .groups import FiniteGroup, generating_set
@@ -145,10 +144,6 @@ def _commutant_dimensions(G: FiniteGroup, X: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(_hom_equations(X, X), compute_uv=False)
     cutoff = _NULLSPACE_RTOL * np.maximum(1.0, s[:, 0])
     return X.shape[-1] ** 2 - np.count_nonzero(s > cutoff[:, None], axis=1)
-
-
-def commutant_dimension(rep: ProjectiveRep) -> int:
-    return int(_commutant_dimensions(rep.group, rep.matrices[None, generating_set(rep.group)])[0])
 
 
 def _cluster_sorted(w: np.ndarray) -> list[np.ndarray]:
@@ -495,17 +490,17 @@ class _Split:
 class IrrTable:
     """All irreducible projective representations for one (group, cocycle).
 
-    A table from irreducibles reads its stored split: len, dims,
-    character_values, characters and multiplicities come from the stored
-    characters, and the matrices are built on the first read of
-    irreducibles (see _Split.matrices). Each ProjectiveRep and
-    AlphaCharacter is made on first access.
+    A table is built over a certified split, with the caller's group and
+    cocycle: len, dims, character_values, characters and multiplicities
+    come from the split's characters, and character_values is the split's
+    read-only stack itself, each character a row view of it. The matrices
+    are built on the first read of irreducibles (see _Split.matrices). Each
+    ProjectiveRep and AlphaCharacter is made on first access.
     """
 
-    def __init__(self, group: FiniteGroup, cocycle: Cocycle | NumericCocycle,
-                 irreducibles: list[ProjectiveRep], characters: list[AlphaCharacter]):
-        self.group, self.cocycle = group, cocycle
-        self.irreducibles, self.characters = irreducibles, characters
+    def __init__(self, group: FiniteGroup, cocycle: Cocycle | NumericCocycle, split: _Split):
+        self.group, self.cocycle, self._split = group, cocycle, split
+        self.character_values, self.dims = split.values, split.dims
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -518,18 +513,6 @@ class IrrTable:
     @cached_property
     def characters(self) -> list[AlphaCharacter]:
         return [AlphaCharacter(v, self.group.identity) for v in self.character_values]
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(rep.dim for rep in self.irreducibles)
-
-    @cached_property
-    def character_values(self) -> np.ndarray:
-        """The characters as one read-only (#irr, |G|) array: for a table from
-        irreducibles the stored stack its characters view, else stacked once."""
-        values = np.stack([c.values for c in self.characters])
-        values.flags.writeable = False
-        return values
 
     @cached_property
     def _conj_values(self) -> np.ndarray:
@@ -608,19 +591,7 @@ def irreducibles(G: FiniteGroup, cocycle: Cocycle | NumericCocycle,
         hit = _split_certified(G, cocycle, seed, tol)
         # counted as the matrices it holds once read, and its characters
         _memo.put(key, hit, 16 * n * sum(d * d for d in hit.dims) + hit.values.nbytes)
-    return _table(G, cocycle, hit)
-
-
-def _table(G: FiniteGroup, cocycle, split: _Split) -> IrrTable:
-    """A new IrrTable on the caller's group and cocycle, over a stored split.
-
-    The split's read-only character stack becomes the table's
-    character_values, and each character is a row view of it.
-    """
-    table = IrrTable.__new__(IrrTable)
-    table.group, table.cocycle, table._split = G, cocycle, split
-    table.character_values, table.dims = split.values, split.dims
-    return table
+    return IrrTable(G, cocycle, hit)
 
 
 def _split_certified(G: FiniteGroup, cocycle, seed: int, tol: Tolerances) -> _Split:
@@ -744,64 +715,6 @@ def _assemble_table(G: FiniteGroup, cocycle, ctable: np.ndarray, V: np.ndarray,
         bases.append(rows)
         entries.extend(of_d)
     return bases, chars[entries]
-
-
-def coboundary_cochain(beta: Cocycle | NumericCocycle, lattice_order: int,
-                       tol: Tolerances | None = None) -> tuple[UnitScalar, ...] | None:
-    """The lexicographically first 1-cochain c: Q -> mu_k with delta(c) = beta, or None.
-
-    Here k = lattice_order and delta(c)(q1, q2) = c(q1) c(q2) / c(q1 q2). A
-    1-dimensional beta-representation is exactly such a cochain with values
-    anywhere on the unit circle, so beta is a coboundary if and only if
-    irreducibles(Q, beta) has an entry of dimension 1 (ask
-    `1 in irreducibles(Q, beta).dims`), and the cochains are exactly those
-    entries: at most |Q^ab| of them. Each entry is rounded onto mu_k and
-    kept when |c(q1) c(q2) - beta(q1, q2) c(q1 q2)| <= tol.cocycle at every
-    pair; the result is the kept exponent tuple (in element order) that
-    comes first, as UnitScalars of order k. beta must be a 2-cocycle on Q,
-    which irreducibles needs; a lattice order below 1 raises InputError.
-    """
-    tol = tol or default_tolerances()
-    if lattice_order < 1:
-        raise InputError("lattice order must be positive")
-    Q = beta.group
-    table = irreducibles(Q, beta, tol=tol)
-    expo = _lattice_exponents(table.character_values[np.array(table.dims) == 1], lattice_order)
-    c = np.exp(2j * np.pi * expo / lattice_order)
-    residual = np.abs(c[:, :, None] * c[:, None, :] - beta.complex_table * c[:, Q.mul])
-    kept = expo[np.all(residual <= tol.cocycle, axis=(1, 2))]
-    if not len(kept):
-        return None
-    return tuple(UnitScalar(int(e), lattice_order) for e in min(map(tuple, kept.tolist())))
-
-
-def _check_compatible(r1: ProjectiveRep, r2: ProjectiveRep) -> None:
-    if r1.group is not r2.group and not r1.group.same_table(r2.group):
-        raise InputError("representations live on different groups")
-    if not r1.cocycle.same_as(r2.cocycle):
-        raise InputError("representations use different cocycle tables")
-
-
-def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
-                tol: Tolerances | None = None) -> np.ndarray | None:
-    """Unitary M with rho2(g) = M^-1 rho1(g) M, or None if not isomorphic.
-
-    The one-pair case of _intertwiners, which holds the checks and the phase
-    rule. M is then verified on every g by _conjugation_residuals within 10
-    times _relation_tol; a NaN fails it.
-    """
-    tol = tol or default_tolerances()
-    _check_compatible(rho1, rho2)
-    if rho1.dim != rho2.dim:
-        return None
-    _, M = _intertwiners(rho1.group, rho1.matrices[None], rho2.matrices[None],
-                         np.zeros(1, dtype=np.int64), tol)
-    if M is None:
-        return None
-    err = _conjugation_residuals(rho1.matrices, rho2.matrices, M[0])
-    if not err <= 10 * _relation_tol(rho1.cocycle, tol):
-        raise NumericFailure(f"intertwiner verification failed (residual {err:.2e})")
-    return M[0]
 
 
 def _intertwiners(G: FiniteGroup, X: np.ndarray, Y: np.ndarray, source: np.ndarray,

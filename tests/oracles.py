@@ -17,10 +17,20 @@ library's whole-array kernels replaced; a NaN fails each of their checks.
 The split of the regular representation is one dense eigh of the whole
 |G| x |G| commutant element, where the library diagonalizes it block by
 block in the eigenbasis of a cyclic subgroup's left operator.
-The coboundary oracle searches every mu_K-valued cochain, where the library
-reads the cochains off the 1-dimensional entries of the beta table;
-snap_to_lattice, which rounds a numeric cocycle onto a root-of-unity
-lattice, is kept here because only the tests call it.
+The coboundary oracle searches every mu_K-valued cochain, where
+coboundary_cochain reads the cochains off the 1-dimensional entries of the
+beta table; snap_to_lattice, which rounds a numeric cocycle onto a
+root-of-unity lattice, is kept here because only the tests call it.
+
+Some names left the library because no CLI command, report or certificate
+calls them, and they live here unchanged: the exact root of unity
+UnitScalar with scalar (one cocycle value) and numeric_from_exact; the
+central extension of a cocycle, the second route to twisted characters;
+one-entry readers of the library's whole tables (chi of qs._chi_table,
+tau_scalar of cocycles._tau_exponents, induced_cocycle of
+decomposition._induced_betas); the one-pair and one-representation cases
+of the Schur kernels (intertwiner, commutant_dimension); and
+coboundary_cochain.
 The action-law oracle composes every pair of group elements, where the
 library composes generators with every element. The K-group matrices are
 filled one orbit at a time, each block by its own multiplicities call, where
@@ -40,20 +50,28 @@ other.
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from twistdecomp.cocycles import (
     Cocycle,
     NumericCocycle,
-    UnitScalar,
     _lattice_exponents,
-    central_extension,
+    _tau_exponents,
     restrict,
     validate_cocycle_table,
 )
 from twistdecomp.config import Tolerances, default_tolerances
-from twistdecomp.decomposition import _conjugation, _hom_weights, action_table, orbit_data
+from twistdecomp.decomposition import (
+    OrbitDatum,
+    _conjugation,
+    _hom_weights,
+    _induced_betas,
+    action_table,
+    orbit_data,
+)
 from twistdecomp.errors import (
     DecompositionFailure,
     InputError,
@@ -64,21 +82,192 @@ from twistdecomp.errors import (
 )
 from twistdecomp.groups import (
     FiniteGroup,
+    QuotientWithSection,
     SubgroupHandle,
     conjugacy_classes,
+    from_multiplication_table,
     generating_set,
     subgroup_closure,
 )
 from twistdecomp.reps import (
     ProjectiveRep,
     _NULLSPACE_RTOL,
-    _check_compatible,
+    _commutant_dimensions,
+    _conjugation_residuals,
     _hom_equations,
+    _intertwiners,
     _multiplicities,
     _relation_tol,
     character,
-    commutant_dimension,
+    irreducibles,
 )
+
+
+@dataclass(frozen=True)
+class UnitScalar:
+    """exp(2*pi*i * exponent / order), an element of mu_order."""
+
+    exponent: int
+    order: int
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise InputError("UnitScalar order must be positive")
+        object.__setattr__(self, "exponent", self.exponent % self.order)
+
+    def __mul__(self, other: "UnitScalar") -> "UnitScalar":
+        k = math.lcm(self.order, other.order)
+        e = self.exponent * (k // self.order) + other.exponent * (k // other.order)
+        return UnitScalar(e % k, k)
+
+    def inverse(self) -> "UnitScalar":
+        return UnitScalar(-self.exponent, self.order)
+
+    def value(self) -> complex:
+        return complex(np.exp(2j * np.pi * self.exponent / self.order))
+
+    @classmethod
+    def one(cls, order: int = 1) -> "UnitScalar":
+        return cls(0, order)
+
+
+def scalar(alpha: Cocycle, g: int, h: int) -> UnitScalar:
+    """alpha(g, h) as a UnitScalar."""
+    return UnitScalar(int(alpha.exponents[g, h]), alpha.order)
+
+
+def numeric_from_exact(alpha: Cocycle) -> NumericCocycle:
+    return NumericCocycle(group=alpha.group, table=alpha.complex_table)
+
+
+@dataclass(eq=False)
+class CentralExtension:
+    """The group on G x mu_K with product (g1,z1)(g2,z2) = (g1 g2, alpha(g1,g2) z1 z2).
+
+    Elements are encoded as g*K + k; the central mu_K embeds as k -> 0*K + k.
+    """
+
+    group: FiniteGroup
+    base: FiniteGroup
+    order_k: int
+    projection: tuple[int, ...]       # extension index -> G index
+    scalar_exponent: tuple[int, ...]  # extension index -> exponent in mu_K
+    central: tuple[int, ...]          # mu_K exponent -> extension index
+
+    def encode(self, g: int, k: int) -> int:
+        return g * self.order_k + (k % self.order_k)
+
+
+def central_extension(G: FiniteGroup, alpha: Cocycle) -> CentralExtension:
+    if alpha.group is not G and not alpha.group.same_table(G):
+        raise InputError("cocycle is not defined on the given group")
+    K = alpha.order
+    n = G.order
+    size = n * K
+    gs, ks = np.divmod(np.arange(size), K)
+    mul = (
+        G.mul[np.ix_(gs, gs)] * K
+        + (alpha.exponents[np.ix_(gs, gs)] + ks[:, None] + ks[None, :]) % K
+    )
+    labels = [f"({G.labels[g]},{k})" for g in range(n) for k in range(K)]
+    ext = from_multiplication_table(mul, labels)
+    return CentralExtension(
+        group=ext,
+        base=G,
+        order_k=K,
+        projection=tuple(int(x) for x in gs),
+        scalar_exponent=tuple(int(x) for x in ks),
+        central=tuple(range(K)),
+    )
+
+
+def chi(qs: QuotientWithSection, q1: int, q2: int) -> int:
+    """sigma(q1 q2)^-1 sigma(q1) sigma(q2), which lies in the subgroup.
+
+    Read off qs._chi_table, which is checked whole on first use: a broken
+    section raises DecompositionFailure at every pair.
+    """
+    return int(qs._chi_table[q1, q2])
+
+
+def tau_scalar(alpha: Cocycle, qs: QuotientWithSection, q1: int, q2: int) -> UnitScalar:
+    """The correction scalar attached to a section, as an exact root of unity.
+
+    One entry of _tau_exponents, which builds and checks the table of every
+    pair: a corrupted cocycle raises InvalidCocycle at every pair. The table
+    depends on alpha, so nothing is cached and a call costs O(|Q|^2).
+    """
+    return UnitScalar(int(_tau_exponents(alpha, qs)[q1, q2]), alpha.order)
+
+
+def induced_cocycle(datum: OrbitDatum, alpha: Cocycle,
+                    tol: Tolerances | None = None) -> NumericCocycle:
+    """The induced 2-cocycle beta on the isotropy quotient: the one-orbit case
+    of _induced_betas."""
+    tol = tol or default_tolerances()
+    return _induced_betas(datum, datum.tau.matrices[None], datum.M[None], alpha.order, tol)[0]
+
+
+def commutant_dimension(rep: ProjectiveRep) -> int:
+    return int(_commutant_dimensions(rep.group, rep.matrices[None, generating_set(rep.group)])[0])
+
+
+def coboundary_cochain(beta: Cocycle | NumericCocycle, lattice_order: int,
+                       tol: Tolerances | None = None) -> tuple[UnitScalar, ...] | None:
+    """The lexicographically first 1-cochain c: Q -> mu_k with delta(c) = beta, or None.
+
+    Here k = lattice_order and delta(c)(q1, q2) = c(q1) c(q2) / c(q1 q2). A
+    1-dimensional beta-representation is exactly such a cochain with values
+    anywhere on the unit circle, so beta is a coboundary if and only if
+    irreducibles(Q, beta) has an entry of dimension 1 (ask
+    `1 in irreducibles(Q, beta).dims`), and the cochains are exactly those
+    entries: at most |Q^ab| of them. Each entry is rounded onto mu_k and
+    kept when |c(q1) c(q2) - beta(q1, q2) c(q1 q2)| <= tol.cocycle at every
+    pair; the result is the kept exponent tuple (in element order) that
+    comes first, as UnitScalars of order k. beta must be a 2-cocycle on Q,
+    which irreducibles needs; a lattice order below 1 raises InputError.
+    """
+    tol = tol or default_tolerances()
+    if lattice_order < 1:
+        raise InputError("lattice order must be positive")
+    Q = beta.group
+    table = irreducibles(Q, beta, tol=tol)
+    expo = _lattice_exponents(table.character_values[np.array(table.dims) == 1], lattice_order)
+    c = np.exp(2j * np.pi * expo / lattice_order)
+    residual = np.abs(c[:, :, None] * c[:, None, :] - beta.complex_table * c[:, Q.mul])
+    kept = expo[np.all(residual <= tol.cocycle, axis=(1, 2))]
+    if not len(kept):
+        return None
+    return tuple(UnitScalar(int(e), lattice_order) for e in min(map(tuple, kept.tolist())))
+
+
+def _check_compatible(r1: ProjectiveRep, r2: ProjectiveRep) -> None:
+    if r1.group is not r2.group and not r1.group.same_table(r2.group):
+        raise InputError("representations live on different groups")
+    if not r1.cocycle.same_as(r2.cocycle):
+        raise InputError("representations use different cocycle tables")
+
+
+def intertwiner(rho1: ProjectiveRep, rho2: ProjectiveRep,
+                tol: Tolerances | None = None) -> np.ndarray | None:
+    """Unitary M with rho2(g) = M^-1 rho1(g) M, or None if not isomorphic.
+
+    The one-pair case of _intertwiners, which holds the checks and the phase
+    rule. M is then verified on every g by _conjugation_residuals within 10
+    times _relation_tol; a NaN fails it.
+    """
+    tol = tol or default_tolerances()
+    _check_compatible(rho1, rho2)
+    if rho1.dim != rho2.dim:
+        return None
+    _, M = _intertwiners(rho1.group, rho1.matrices[None], rho2.matrices[None],
+                         np.zeros(1, dtype=np.int64), tol)
+    if M is None:
+        return None
+    err = _conjugation_residuals(rho1.matrices, rho2.matrices, M[0])
+    if not err <= 10 * _relation_tol(rho1.cocycle, tol):
+        raise NumericFailure(f"intertwiner verification failed (residual {err:.2e})")
+    return M[0]
 
 
 class NotIsotypic(DecompositionFailure):
@@ -250,7 +439,7 @@ def coboundary_cochain_brute(beta, lattice_order: int, tol=None):
 
     Returns the first match in lexicographic exponent order as a tuple of
     UnitScalar, or None when no cochain on this lattice reproduces beta
-    within tol.cocycle. The reference for reps.coboundary_cochain, which
+    within tol.cocycle. The reference for coboundary_cochain above, which
     reads the cochains off the 1-dimensional entries of irreducibles(Q, beta).
     The search space (K')^(|Q|-1) is capped at 24^5; larger requests raise
     ValueError.

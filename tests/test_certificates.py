@@ -23,6 +23,7 @@ from oracles import (
     conjugation_residual_by_element,
     hom_action_by_vector,
     hom_rep,
+    intertwiner,
     regular_rep,
     rep_violations_by_element,
     restrict_rep,
@@ -178,7 +179,7 @@ class TestConjugationResiduals:
         rho1 = explicit_taus[1]
         U = random_unitaries(np.random.default_rng(1), 1, 2)[0]
         rho2 = td.ProjectiveRep(rho1.group, rho1.cocycle, 2, U.conj().T @ rho1.matrices @ U)
-        M = td.intertwiner(rho1, rho2)
+        M = intertwiner(rho1, rho2)
         got = reps._conjugation_residuals(rho1.matrices, rho2.matrices[None], M[None])[0]
         assert got == pytest.approx(conjugation_residual_by_element(rho1.matrices,
                                                                     rho2.matrices, M), abs=1e-15)
@@ -190,16 +191,16 @@ class TestConjugationResiduals:
         assert 3 not in reps.generating_set(rho1.group)
         for rhos in [(rho1, corrupted(rho1, "nan")), (corrupted(rho1, "nan"), rho1)]:
             with pytest.raises(NumericFailure, match=r"verification failed \(residual nan\)"):
-                td.intertwiner(*rhos)
+                intertwiner(*rhos)
 
     def test_pairing_errors_are_not_irreducible(self, explicit_taus):
         tau = explicit_taus[1]
         with pytest.raises(NotIrreducible, match="character pairing") as err:
-            td.intertwiner(with_nan(tau), tau)
+            intertwiner(with_nan(tau), tau)
         assert isinstance(err.value.__cause__, NonIntegerMultiplicity)
         double = direct_sum(tau, tau)
         with pytest.raises(NotIrreducible, match="character pairing 4 is not 0 or 1"):
-            td.intertwiner(double, double)
+            intertwiner(double, double)
 
     def test_nan_in_m_fails_the_m_family(self, monkeypatch, d8, alpha4, a_center):
         honest = decomposition._intertwiners

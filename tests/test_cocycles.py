@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistdecomp as td
-from twistdecomp.cocycles import (
-    make_cocycle,
-    numeric_from_exact,
-    validate_cocycle_table,
-)
+from twistdecomp.cocycles import make_cocycle, validate_cocycle_table
 from twistdecomp.errors import InputError, InvalidCocycle, OddN
 from twistdecomp.groups import all_subgroups, generating_set, trivial_subgroup
 
 from oracles import (
     COBOUNDARY_SPACE_CAP,
+    UnitScalar,
+    central_extension,
+    coboundary_cochain,
     coboundary_cochain_brute,
     cocycle_violations,
+    numeric_from_exact,
+    scalar,
     snap_to_lattice,
+    tau_scalar,
 )
 from test_decomposition import dihedral_configurations
 from test_reps import symmetric
@@ -26,18 +28,18 @@ from test_reps import symmetric
 
 class TestUnitScalar:
     def test_multiplication_rescales(self):
-        a = td.UnitScalar(1, 2)   # -1
-        b = td.UnitScalar(1, 4)   # i
+        a = UnitScalar(1, 2)   # -1
+        b = UnitScalar(1, 4)   # i
         c = a * b
         assert (c.exponent, c.order) == (3, 4)
 
     def test_inverse(self):
-        u = td.UnitScalar(3, 8)
+        u = UnitScalar(3, 8)
         v = u * u.inverse()
         assert v.exponent == 0
 
     def test_value(self):
-        assert td.UnitScalar(2, 4).value() == pytest.approx(-1)
+        assert UnitScalar(2, 4).value() == pytest.approx(-1)
 
 
 class TestValidateCocycle:
@@ -82,6 +84,13 @@ def klein_bilinear():
 
 
 class TestCocycleValidation:
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_an_order_below_one_is_rejected(self, d8, order):
+        with pytest.raises(InputError, match=f"cocycle order must be positive, got {order}"):
+            td.trivial_cocycle(d8, order)
+        with pytest.raises(InputError):
+            td.Cocycle(d8, order, np.zeros((8, 8), dtype=np.int64))
+
     def test_failure_raises_alike_every_time(self, d8):
         messages = []
         for _ in range(2):
@@ -217,7 +226,7 @@ class TestDihedralAlpha:
     def test_values_n4(self, d8, alpha4):
         # alpha(a^3 b, a^2 b) = i^2 = -1
         assert alpha4.exponents[4 + 3, 4 + 2] == 2
-        assert alpha4.scalar(4 + 3, 4 + 2).value() == pytest.approx(-1)
+        assert scalar(alpha4, 4 + 3, 4 + 2).value() == pytest.approx(-1)
         # alpha(a^2, a b) = 1
         assert alpha4.exponents[2, 5] == 0
 
@@ -296,11 +305,11 @@ class TestRestrict:
 class TestCentralExtension:
     def test_trivial_k1(self):
         G = td.cyclic(2)
-        ext = td.central_extension(G, td.trivial_cocycle(G))
+        ext = central_extension(G, td.trivial_cocycle(G))
         assert ext.group.order == 2
 
     def test_d8_alpha_order_32_center_contains_mu4(self, d8, alpha4):
-        ext = td.central_extension(d8, alpha4)
+        ext = central_extension(d8, alpha4)
         assert ext.group.order == 32
         z = td.center(ext.group)
         for k in range(4):
@@ -308,13 +317,13 @@ class TestCentralExtension:
 
     def test_trivial_k2_is_direct_product(self, d8):
         alpha = td.trivial_cocycle(d8, order=2)
-        ext = td.central_extension(d8, alpha)
+        ext = central_extension(d8, alpha)
         product = td.direct_product(d8, td.cyclic(2))
         # identical tables under the shared (g, k) encoding
         assert ext.group.same_table(product)
 
     def test_projection_is_homomorphism_with_central_kernel(self, d8, alpha4):
-        ext = td.central_extension(d8, alpha4)
+        ext = central_extension(d8, alpha4)
         E, proj = ext.group, ext.projection
         for x in range(E.order):
             for y in range(E.order):
@@ -329,19 +338,19 @@ class TestTauScalar:
     def test_normalized(self, d8, alpha4, a_cyclic):
         qs = td.quotient_with_section(d8, a_cyclic)
         for q in range(qs.quotient.order):
-            assert td.tau_scalar(alpha4, qs, 0, q).exponent == 0
-            assert td.tau_scalar(alpha4, qs, q, 0).exponent == 0
+            assert tau_scalar(alpha4, qs, 0, q).exponent == 0
+            assert tau_scalar(alpha4, qs, q, 0).exponent == 0
 
     def test_d8_mod_a_bb(self, d8, alpha4, a_cyclic):
         qs = td.quotient_with_section(d8, a_cyclic)
-        assert td.tau_scalar(alpha4, qs, 1, 1).value() == pytest.approx(1)
+        assert tau_scalar(alpha4, qs, 1, 1).value() == pytest.approx(1)
 
     def test_trivial_alpha_gives_one(self, d8, a_center):
         qs = td.quotient_with_section(d8, a_center)
         alpha = td.trivial_cocycle(d8)
         for q1 in range(4):
             for q2 in range(4):
-                assert td.tau_scalar(alpha, qs, q1, q2).exponent == 0
+                assert tau_scalar(alpha, qs, q1, q2).exponent == 0
 
     def test_both_formulas_exercised_exhaustively(self, d8, alpha4):
         # the two defining expressions are asserted equal inside tau_scalar
@@ -349,7 +358,7 @@ class TestTauScalar:
             qs = td.quotient_with_section(d8, A)
             for q1 in range(qs.quotient.order):
                 for q2 in range(qs.quotient.order):
-                    td.tau_scalar(alpha4, qs, q1, q2)
+                    tau_scalar(alpha4, qs, q1, q2)
 
 
 class TestCoboundaryBrute:
@@ -374,7 +383,7 @@ class TestCoboundaryBrute:
         beta = numeric_from_exact(alpha4)
         with pytest.raises(ValueError):
             coboundary_cochain_brute(beta, 24)
-        assert td.coboundary_cochain(beta, 24) is None
+        assert coboundary_cochain(beta, 24) is None
 
     def test_verifies_delta(self):
         # random coboundary on Z/4 is recovered
@@ -433,25 +442,25 @@ SMALL_GROUPS = {
 
 
 class TestCoboundaryCochain:
-    """reps.coboundary_cochain reads the cochains off the 1-dimensional entries
+    """oracles.coboundary_cochain reads the cochains off the 1-dimensional entries
     of the beta table; the exhaustive search of tests/oracles.py is its reference."""
 
     def test_z2_minus_one(self):
         beta = td.make_numeric_cocycle(td.cyclic(2), [[1, 1], [1, -1]])
-        result = td.coboundary_cochain(beta, 4)
+        result = coboundary_cochain(beta, 4)
         assert [u.exponent for u in result] == [0, 1]  # c(q) = i, first in lex order
 
     def test_lattice_order_must_be_positive(self):
         beta = numeric_from_exact(td.trivial_cocycle(td.cyclic(2)))
         with pytest.raises(InputError):
-            td.coboundary_cochain(beta, 0)
+            coboundary_cochain(beta, 0)
 
     def test_agrees_with_the_oracle_on_dihedral_orbit_data(self):
         data = small_orbit_data()
         assert len(data) == 182
         for name, datum in data:
             for k in range(1, 9):
-                got = td.coboundary_cochain(datum.beta, k)
+                got = coboundary_cochain(datum.beta, k)
                 assert got == coboundary_cochain_brute(datum.beta, k), (name, k)
 
     def test_order_two_quotients_are_coboundaries(self):
@@ -463,7 +472,7 @@ class TestCoboundaryCochain:
         for name, datum in missed:
             Q = datum.q_group
             assert 1 in td.irreducibles(Q, datum.beta).dims, name
-            c = td.coboundary_cochain(datum.beta, 48)
+            c = coboundary_cochain(datum.beta, 48)
             assert c is not None, name
             assert np.all(np.abs(delta(Q, cochain_values(c)) - datum.beta.table)
                           <= td.default_tolerances().cocycle), name
@@ -476,7 +485,7 @@ class TestCoboundaryCochain:
         Q, beta = datum.q_group, datum.beta
         assert np.isclose(beta.table[1, 1], np.exp(1j * np.pi / 3))
         assert 1 in td.irreducibles(Q, beta).dims
-        c = td.coboundary_cochain(beta, 12)
+        c = coboundary_cochain(beta, 12)
         assert c is not None
         assert np.all(np.abs(delta(Q, cochain_values(c)) - beta.table)
                       <= td.default_tolerances().cocycle)
@@ -491,7 +500,7 @@ class TestCoboundaryCochain:
         expo[Q.identity] = 0
         table = delta(Q, np.exp(2j * np.pi * expo / k))
         beta = td.make_numeric_cocycle(Q, table)
-        got = td.coboundary_cochain(beta, k)
+        got = coboundary_cochain(beta, k)
         assert got is not None
         assert all(u.order == k for u in got)
         assert np.all(np.abs(delta(Q, cochain_values(got)) - table)
@@ -503,7 +512,7 @@ class TestCoboundaryCochain:
     @given(st.sampled_from([2, 4]), st.integers(1, 64))
     def test_dihedral_alpha_is_never_a_coboundary(self, n, k):
         beta = numeric_from_exact(td.dihedral_alpha(n))
-        assert td.coboundary_cochain(beta, k) is None
+        assert coboundary_cochain(beta, k) is None
 
 
 class TestSnapToLattice:

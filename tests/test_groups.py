@@ -27,7 +27,7 @@ from twistdecomp.groups import (
     trivial_subgroup,
 )
 
-from oracles import associative, brute_isomorphic
+from oracles import associative, brute_isomorphic, chi
 from test_decomposition import IDENTITY_AT_3, d8_identity_at_3
 from test_reps import alternating, c2_times_dihedral, quaternion, symmetric
 
@@ -243,6 +243,18 @@ class TestSubgroups:
         assert sub.identity == 0
         assert to_parent[0] == 0
         assert brute_isomorphic(sub, td.cyclic(4))
+
+    def test_a_negative_element_is_rejected(self, d8):
+        with pytest.raises(InputError, match=r"subgroup element -1 out of range \[0, 8\)"):
+            td.SubgroupHandle(d8, (0, -1))
+
+    def test_an_element_past_the_order_is_rejected(self, d8):
+        with pytest.raises(InputError, match=r"subgroup element 99 out of range \[0, 8\)"):
+            td.SubgroupHandle(d8, (0, 99))
+
+    def test_a_repeated_element_is_rejected(self, d8):
+        with pytest.raises(InputError, match="subgroup element 4 repeated"):
+            td.SubgroupHandle(d8, (0, 4, 4))
 
 
 def loop_closure(G, seeds):
@@ -465,19 +477,19 @@ class TestChi:
     def test_normalized(self, d8, a_cyclic):
         qs = td.quotient_with_section(d8, a_cyclic)
         for q in range(qs.quotient.order):
-            assert td.chi(qs, 0, q) == 0
-            assert td.chi(qs, q, 0) == 0
+            assert chi(qs, 0, q) == 0
+            assert chi(qs, q, 0) == 0
 
     def test_d8_mod_a_bb(self, d8, a_cyclic):
         qs = td.quotient_with_section(d8, a_cyclic)
         # sigma([b]) = b; chi([b],[b]) = sigma(1)^-1 b b = 1
-        assert td.chi(qs, 1, 1) == 0
+        assert chi(qs, 1, 1) == 0
 
     def test_d8_mod_center_aa(self, d8, a_center):
         qs = td.quotient_with_section(d8, a_center)
         qa = qs.projection[1]
         # sigma([a]) sigma([a]) = a^2 and sigma([a^2 coset]) = 1
-        assert td.chi(qs, qa, qa) == 2
+        assert chi(qs, qa, qa) == 2
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_chi_lands_in_subgroup(self, n):
@@ -486,7 +498,7 @@ class TestChi:
             qs = td.quotient_with_section(G, A)
             for q1 in range(qs.quotient.order):
                 for q2 in range(qs.quotient.order):
-                    assert td.chi(qs, q1, q2) in A.elements
+                    assert chi(qs, q1, q2) in A.elements
 
 
 class TestDirectProduct:
@@ -567,16 +579,24 @@ TABLE_GROUPS = {
 
 
 GREEDY_GROUPS = {
-    **{f"D{2 * n}": functools.partial(td.dihedral, n) for n in range(1, 31)},
+    **{f"D{2 * n}": functools.partial(td.dihedral, n) for n in range(1, 130)},
+    **{f"C{n}": functools.partial(td.cyclic, n) for n in range(1, 60)},
     "S4": lambda: symmetric(4),
     "A4": lambda: alternating(4),
     "Q8": lambda: quaternion(8),
     "C2xD8": lambda: c2_times_dihedral(4),
+    "D8xD6": lambda: td.direct_product(td.dihedral(4), td.dihedral(3)),
+    "D6xD6": lambda: td.direct_product(td.dihedral(3), td.dihedral(3)),
+    "C4xD16": lambda: td.direct_product(td.cyclic(4), td.dihedral(8)),
+    "S4 from generators": lambda: td.from_permutation_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+    "S5 from generators": lambda: td.from_permutation_generators(
+        5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
     "D8 identity at 3": lambda: d8_identity_at_3()[0],
-    # an identity field that names no identity: {1} is no subgroup, so the
-    # greedy starts from the closure of 1, as _word_generators does
-    "D8 identity field 1": lambda: td.FiniteGroup(8, td.dihedral(4).mul, td.dihedral(4).inv,
-                                                  td.dihedral(4).labels, identity=1),
+    # an identity field that names no identity: {e} is no subgroup, so the
+    # greedy starts from the closure of e, as _word_generators does
+    **{f"D8 identity field {e}": functools.partial(
+        lambda e: td.FiniteGroup(8, td.dihedral(4).mul, td.dihedral(4).inv,
+                                 td.dihedral(4).labels, identity=e), e) for e in range(1, 8)},
 }
 
 
@@ -611,6 +631,8 @@ def assert_real_triple(mul, message):
 class TestTableChecksAgainstOracles:
     @pytest.mark.parametrize("name", GREEDY_GROUPS)
     def test_word_generators_equal_the_subgroup_closure_greedy(self, name):
+        """generating_set closes from scratch at each step; _word_generators
+        grows one closure in place on the raw table."""
         G = GREEDY_GROUPS[name]()
         assert generating_set(G) == list(groups._word_generators(G.mul, G.identity))
 

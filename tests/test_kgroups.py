@@ -349,6 +349,24 @@ class TestActionLaw:
             tracemalloc.stop()
         assert x.size == 2592 and peak < 10_000_000
 
+    def test_a_kept_handle_answers_what_the_matrices_read_before_isotropies(self, alpha4):
+        """The handles a K-group keeps are held off the group: elements,
+        to_parent and position work on them, cold and warm, before any read
+        of isotropies; a read that needs the parent fails."""
+        G = td.dihedral(4)
+        x = td.disjoint_union(swap_gset(G), td.coset_gset(G, td.subgroup_closure(G, [2])))
+        for k in (td.k0_of_gset(G, alpha4, x), td.k0_of_gset(G, alpha4, x)):
+            assert "isotropies" not in k.__dict__
+            for kept in k._kept:
+                assert kept.parent is None
+                on_group = td.SubgroupHandle(G, kept.elements)
+                assert kept.to_parent == on_group.to_parent
+                assert kept.position(np.arange(G.order)).tolist() == on_group._index.tolist()
+                with pytest.raises(AttributeError):
+                    kept.contains(0)
+            assert [h.parent for h in k.isotropies] == [G] * len(k._kept)
+            assert [h.elements for h in k.isotropies] == [h.elements for h in k._kept]
+
     def test_orbits_share_the_handle_and_summand_of_one_isotropy(self, d8, alpha4):
         x = td.disjoint_union(swap_gset(d8), point_gset(d8))
         k = td.k0_of_gset(d8, alpha4, x)
@@ -788,7 +806,7 @@ class TestMatrixBlocks:
         if table == "quotient":
             _, sides = kgroups._decomposed_side(d8, a_center, alpha4, x, 0,
                                                 td.default_tolerances())
-            tables = [t for _, kq in sides for t in kq.summands]
+            tables = [t for *_, kq in sides for t in kq.summands]
         else:
             mine, other = (td.k0_of_gset(d8, alpha4, s).summands
                            for s in ((x, y) if table == "source" else (y, x)))

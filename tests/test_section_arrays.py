@@ -22,13 +22,18 @@ from twistdecomp.errors import (
 from twistdecomp.groups import normal_subgroups
 
 from oracles import (
+    UnitScalar,
     act,
+    chi,
     chi_by_pair,
     hom_rep,
+    induced_cocycle,
     induced_table_by_pair,
+    intertwiner,
     reconstructed_by_element,
     restrict_rep,
     tau_exponents_by_pair,
+    tau_scalar,
 )
 from test_action_table import c2_x_d8_alpha
 from test_decomposition import coboundary_twist, dihedral_configurations, isotypic_character
@@ -100,7 +105,7 @@ def m_by_section(datum, alpha, A, tol):
     out = [np.eye(datum.tau.dim, dtype=np.complex128)]
     for q in range(1, datum.q_group.order):
         moved = act(alpha, A, int(datum.sections[q]), datum.tau)
-        out.append(td.intertwiner(datum.tau, moved, tol))
+        out.append(intertwiner(datum.tau, moved, tol))
     return np.stack(out)
 
 
@@ -117,10 +122,10 @@ class TestSectionTables:
                 for q1, q2 in itertools.product(range(n), repeat=2):
                     c = chi_by_pair(qs, q1, q2)
                     assert A.contains(c)
-                    assert table[q1, q2] == td.chi(qs, q1, q2) == c
+                    assert table[q1, q2] == chi(qs, q1, q2) == c
                     direct, expanded = tau_exponents_by_pair(alpha, qs, q1, q2)
                     assert direct == expanded == expo[q1, q2]
-                    assert td.tau_scalar(alpha, qs, q1, q2) == td.UnitScalar(direct, alpha.order)
+                    assert tau_scalar(alpha, qs, q1, q2) == UnitScalar(direct, alpha.order)
 
     def test_a_broken_section_raises_at_every_pair(self, d8):
         """The chi table is checked whole on first use, so a pair whose own value
@@ -130,7 +135,7 @@ class TestSectionTables:
         assert chi_by_pair(broken, 0, 0) == 0                # in the subgroup on its own
         for q1, q2 in ((0, 0), (1, 2)):
             with pytest.raises(DecompositionFailure, match="chi value left the subgroup"):
-                td.chi(broken, q1, q2)
+                chi(broken, q1, q2)
 
     def test_a_corrupted_cocycle_raises_at_every_pair(self, d8, alpha4):
         qs = td.quotient_with_section(d8, td.subgroup_closure(d8, [2]))
@@ -139,12 +144,12 @@ class TestSectionTables:
         corrupted = td.Cocycle(group=d8, order=4, exponents=expo)
         for q1, q2 in ((0, 0), (3, 3)):
             with pytest.raises(InvalidCocycle, match="tau formulas disagree"):
-                td.tau_scalar(corrupted, qs, q1, q2)
+                tau_scalar(corrupted, qs, q1, q2)
 
     def test_tau_scalar_needs_the_parent_group(self, d8, alpha4):
         qs = td.quotient_with_section(td.dihedral(3), td.subgroup_closure(td.dihedral(3), [1]))
         with pytest.raises(InputError):
-            td.tau_scalar(alpha4, qs, 0, 0)
+            tau_scalar(alpha4, qs, 0, 0)
 
 
 class TestOrbitDataArrays:
@@ -220,7 +225,7 @@ class TestInducedCocycleFailures:
         with pytest.raises(error) as want:
             induced_table_by_pair(broken, tol)
         with pytest.raises(error) as got:
-            td.induced_cocycle(broken, alpha, tol)
+            induced_cocycle(broken, alpha, tol)
         assert str(got.value) == str(want.value)
         return tuple(map(int, re.search(r"at \((\d+),(\d+)\)", str(got.value)).groups()))
 
@@ -348,7 +353,7 @@ class TestBatchedIntertwiners:
                 pairing, M = reps._intertwiners(taus[0].group, X, Y, source, tol)
                 assert np.array_equal(pairing, np.ones(len(pairs))), name
                 for p, (j, moved) in enumerate(pairs):
-                    assert np.array_equal(M[p], td.intertwiner(taus[j], moved, tol)), name
+                    assert np.array_equal(M[p], intertwiner(taus[j], moved, tol)), name
                 if len(data) > 1:
                     several.add(d)
                 dims.add(d)

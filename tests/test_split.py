@@ -25,6 +25,7 @@ from twistdecomp.errors import (
 )
 
 import oracles
+from oracles import chi, commutant_dimension, intertwiner, tau_scalar
 from test_action_table import c2_x_d8_alpha
 from test_reps import c2_times_dihedral, quaternion, symmetric, with_nan
 
@@ -82,7 +83,7 @@ def assemble(G, cocycle, V, clusters):
     phi = reps._conjugation_weights(G, cocycle.complex_table)
     tol = td.default_tolerances()
     bases, values = reps._assemble_table(G, cocycle, cocycle.complex_table, V, clusters, phi, tol)
-    return reps._table(G, cocycle, reps._sorted_split(G, cocycle, bases, values, tol))
+    return reps.IrrTable(G, cocycle, reps._sorted_split(G, cocycle, bases, values, tol))
 
 
 def numeric_copy(cocycle):
@@ -104,11 +105,13 @@ class TestCertificates:
             assemble(d8, trivial, V, kept)
 
     def test_reducible_entry_fails_the_split(self, monkeypatch, d8, alpha4, explicit_taus):
-        monkeypatch.setattr(reps, "_commutant_dimensions", lambda G, mats: np.full(len(mats), 2))
+        for module in (reps, oracles):
+            monkeypatch.setattr(module, "_commutant_dimensions",
+                                lambda G, mats: np.full(len(mats), 2))
         with pytest.raises(SplitFailure, match="no clean split") as err:
             td.irreducibles(d8, alpha4, seed=0)
         assert "not irreducible" in str(err.value.__cause__)
-        assert reps.commutant_dimension(explicit_taus[1]) == 2
+        assert commutant_dimension(explicit_taus[1]) == 2
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_broken_relation_fails_the_split(self, monkeypatch, d8, alpha4, exact):
@@ -205,7 +208,7 @@ class TestCommutantDimensions:
         assert want == [4, 2, 4]
         at_generators = np.stack(stacks)[:, reps.generating_set(d8)]
         assert reps._commutant_dimensions(d8, at_generators).tolist() == want
-        assert reps.commutant_dimension(oracles.regular_rep(d8, alpha4)) == 8
+        assert commutant_dimension(oracles.regular_rep(d8, alpha4)) == 8
 
 
 def merge_all(calls):
@@ -339,7 +342,7 @@ def _typed_failures() -> list[str]:
     out = []
     broken = dataclasses.replace(qs, section=(0, 4, 4, 5))
     try:
-        td.chi(broken, 1, 2)
+        chi(broken, 1, 2)
     except DecompositionFailure as exc:
         out.append(type(exc).__name__)
     expo = np.array(td.dihedral_alpha(4).exponents)
@@ -348,7 +351,7 @@ def _typed_failures() -> list[str]:
     try:
         for q1 in range(4):
             for q2 in range(4):
-                td.tau_scalar(corrupted, qs, q1, q2)
+                tau_scalar(corrupted, qs, q1, q2)
     except InvalidCocycle as exc:
         out.append(type(exc).__name__)
     tau = td.irreducibles(G, td.dihedral_alpha(4)).irreducibles[0]
@@ -358,7 +361,7 @@ def _typed_failures() -> list[str]:
     except NonIntegerMultiplicity as exc:
         out.append(type(exc).__name__)
     try:
-        td.intertwiner(broken, tau)
+        intertwiner(broken, tau)
     except NotIrreducible as exc:
         out.append(type(exc).__name__)
     return out
@@ -387,12 +390,12 @@ class TestIntertwinerFailures:
         monkeypatch.setattr(reps, "_commutant_dimensions", lambda G, X: np.ones(len(X), int))
         monkeypatch.setattr(reps, "_NULLSPACE_RTOL", 10.0)
         with pytest.raises(NotIrreducible, match="Schur solution space has dimension 4, not 1"):
-            td.intertwiner(explicit_taus[1], explicit_taus[1])
+            intertwiner(explicit_taus[1], explicit_taus[1])
 
     def test_verification_residual(self, explicit_taus):
         tol = td.default_tolerances().replace(rep=1e-30)
         with pytest.raises(NumericFailure, match="intertwiner verification failed"):
-            td.intertwiner(explicit_taus[1], explicit_taus[1], tol)
+            intertwiner(explicit_taus[1], explicit_taus[1], tol)
 
 
 def heisenberg(n):
