@@ -87,6 +87,11 @@ def _identity_defects(mul: np.ndarray, order: int, table: np.ndarray, middles):
         yield h, (lhs - rhs) % order != 0
 
 
+def _require_square(group: FiniteGroup, table: np.ndarray) -> None:
+    if table.shape != (group.order,) * 2:
+        raise InputError(f"cocycle table must have shape {(group.order,) * 2}, got {table.shape}")
+
+
 @dataclass(eq=False)
 class Cocycle:
     """A normalized 2-cocycle with values in mu_order, stored as exponents."""
@@ -96,10 +101,11 @@ class Cocycle:
     exponents: np.ndarray
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InputError(f"cocycle order must be positive, got {self.order}")
+        if not np.issubdtype(type(self.order), np.integer) or self.order < 1:
+            raise InputError(f"cocycle order must be a positive integer, got {self.order}")
         self.exponents = np.ascontiguousarray(self.exponents, dtype=np.int64) % self.order
         self.exponents.flags.writeable = False
+        _require_square(self.group, self.exponents)
 
     @cached_property
     def _roots(self) -> np.ndarray | None:
@@ -179,6 +185,7 @@ class NumericCocycle:
     def __post_init__(self):
         self.table = np.ascontiguousarray(self.table, dtype=np.complex128)
         self.table.flags.writeable = False
+        _require_square(self.group, self.table)
 
     def values(self, g, h) -> np.ndarray:
         """beta(g, h) for index arrays g and h broadcast together."""

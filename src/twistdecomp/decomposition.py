@@ -160,11 +160,10 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 
 
     The action is tabulated once per group object and kept in G's parts
     (see _memo.parts) under A's elements, alpha's content digest, seed and
-    tolerances. The kept copy holds neither G, A nor alpha, so it forms no
-    reference cycle with G: each call returns it rebound to the caller's
-    G, A and alpha. An action whose base split has since failed its matrix
-    certificate is tabulated again. Normality and the cocycle's group are
-    checked on every call, before the lookup.
+    tolerances, as the plain tuple (base, alpha_a, a_map, perm) that each
+    call wraps with the caller's G, A and alpha. An action whose base split
+    has since failed its matrix certificate is tabulated again. Normality
+    and the cocycle's group are checked on every call, before the lookup.
     """
     tol = tol or default_tolerances()
     if not is_normal(G, A):
@@ -173,14 +172,14 @@ def action_table(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int = 
     parts = _memo.parts(G)
     key = ("action table", A.elements, alpha._content, seed, tol._content)
     held = parts.get(key)
-    if held is None or held.base._split.failed:
-        held = parts.put(key, _memo.rebound(_tabulate(G, A, alpha, seed, tol),
-                                            group=None, subgroup=None, alpha=None))
-    return _memo.rebound(held, group=G, subgroup=A, alpha=alpha)
+    if held is None or held[0]._split.failed:
+        held = parts.put(key, _tabulate(G, A, alpha, seed, tol))
+    return IrrAction(G, A, alpha, *held)
 
 
 def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
-              tol: Tolerances) -> IrrAction:
+              tol: Tolerances) -> tuple[IrrTable, Cocycle, tuple[int, ...], np.ndarray]:
+    """IrrAction's fields after alpha: (base, alpha_a, a_map, perm)."""
     alpha_a, a_map = restrict(alpha, A)
     a_std, _ = A.as_group()
     irr_a = irreducibles(a_std, alpha_a, seed=seed, tol=tol)
@@ -222,10 +221,7 @@ def _tabulate(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, seed: int,
     bad = np.argwhere(np.any(perm[gens][:, perm] != perm[G.mul[gens]], axis=2))
     if bad.size:                      # bad[0] = (generator position, h)
         raise DecompositionFailure(f"action law fails at ({gens[bad[0, 0]]},{bad[0, 1]})")
-    return IrrAction(
-        group=G, subgroup=A, alpha=alpha, base=irr_a, alpha_a=alpha_a,
-        a_map=tuple(a_map), perm=perm,
-    )
+    return irr_a, alpha_a, tuple(a_map), perm
 
 
 @dataclass(eq=False)
@@ -234,9 +230,8 @@ class OrbitDatum:
 
     representative: int
     members: tuple[int, ...]
-    isotropy: SubgroupHandle            # G_[tau], on G
     gt_group: FiniteGroup               # G_[tau] re-indexed
-    gt_map: tuple[int, ...]             # gt index -> G index
+    gt_map: tuple[int, ...]             # gt index -> G index: the elements of G_[tau]
     alpha_gt: Cocycle
     a_in_gt: SubgroupHandle             # A inside gt_group
     quotient: QuotientWithSection       # A normal in G_[tau]
@@ -308,7 +303,7 @@ def orbit_data(action: IrrAction, alpha: Cocycle, phase_seed: int | None = None,
             gt_group, gt_map = isotropy.as_group()
             a_in_gt = SubgroupHandle(gt_group, tuple(isotropy.position(list(A.elements)).tolist()))
             qs = quotient_with_section(gt_group, a_in_gt)
-            shared[stabilizer] = dict(isotropy=isotropy, gt_group=gt_group, gt_map=tuple(gt_map),
+            shared[stabilizer] = dict(gt_group=gt_group, gt_map=tuple(gt_map),
                                       alpha_gt=restrict(alpha, isotropy)[0], a_in_gt=a_in_gt,
                                       quotient=qs, sections=np.asarray(gt_map)[list(qs.section)])
         sections = shared[stabilizer]["sections"]

@@ -404,9 +404,11 @@ class SubgroupHandle:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        self.elements = tuple(sorted(int(x) for x in self.elements))
+        idx = np.sort(np.array(self.elements, dtype=np.int64))
+        if not np.array_equal(idx, np.sort(self.elements)):
+            raise InputError(f"subgroup elements must be integers, got {self.elements}")
+        self.elements = tuple(idx.tolist())
         G = self.parent
-        idx = np.array(self.elements, dtype=np.int64)
         if idx.size and not 0 <= idx[0] <= idx[-1] < G.order:
             bad = idx[0] if idx[0] < 0 else idx[-1]
             raise InputError(f"subgroup element {bad} out of range [0, {G.order})")

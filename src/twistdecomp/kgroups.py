@@ -29,17 +29,15 @@ Everything this path derives from irreducible tables is kept once, in
 the _memo.parts of the FiniteGroup it belongs to, so it lives as long as
 the group (at most _memo.PARTS_PER_OWNER parts, the oldest dropped first)
 and _memo.clear() drops it: per (cocycle content, seed, tol) and
-stabilizer, the isotropy handle and its summand table (k0_of_gset); per
-(A, alpha, seed, tol), the action table (decomposition.action_table) and
-the orbit data built on it, with their Hom weights once phi_matrix has
-read them (_decomposed_side). The memo's shared store holds only the
-irreducible tables themselves, which a new group object of the same
-content finds there while it builds its own parts. No part holds a
-caller's cocycle, subgroup handle or G-set, and no part holds its own
-group: a kept handle, of an isotropy or of an orbit datum, is held off
-the group and put back on it by each read, so a group is freed as soon
-as its caller drops it. The checks on the caller's objects run on every
-call.
+stabilizer, the isotropy's elements, numbering and summand table
+(k0_of_gset); per (A, alpha, seed, tol), the action table
+(decomposition.action_table) and the orbit data built on it, with their
+Hom weights once phi_matrix has read them (_decomposed_side). The memo's
+shared store holds only the irreducible tables themselves, which a new
+group object of the same content finds there while it builds its own
+parts. No part holds a caller's cocycle, subgroup handle or G-set, nor
+its own group, so a group is freed as soon as its caller drops it. The
+checks on the caller's objects run on every call.
 
 The decomposition is natural in X, so each block of the two matrices
 depends on orbit types, not on the G-set it came from, and lives in a
@@ -201,6 +199,19 @@ def isotropy_subgroup(x: FiniteGSet, point: int) -> SubgroupHandle:
     return _stabilizer(x.group, x.action, point)
 
 
+@dataclass(frozen=True, eq=False)
+class _Isotropy:
+    """What a group keeps of one stabilizer for its K-groups: the elements,
+    SubgroupHandle's numbering of them (to_parent, and index, its _index),
+    the summand table and the store of matrix blocks read from it."""
+
+    elements: tuple[int, ...]
+    to_parent: tuple[int, ...]
+    index: np.ndarray
+    summand: IrrTable
+    blocks: dict
+
+
 @dataclass(eq=False)
 class TwistedKGroup:
     """K^0 of a finite G-set: one twisted representation ring per orbit."""
@@ -209,10 +220,7 @@ class TwistedKGroup:
     cocycle: Cocycle | NumericCocycle
     orbit_basepoints: list[int]
     summands: list[IrrTable]
-    # per orbit, from its part: the isotropy handle held off the group (parent None;
-    # only elements, to_parent and position work on it, see k0_of_gset), and the blocks
-    _kept: list[SubgroupHandle] = field(default_factory=list, repr=False)
-    _blocks: list[dict] = field(default_factory=list, repr=False)
+    _isotropy: list[_Isotropy] = field(default_factory=list, repr=False)   # per orbit
 
     @property
     def rank(self) -> int:
@@ -220,14 +228,12 @@ class TwistedKGroup:
 
     @cached_property
     def isotropies(self) -> list[SubgroupHandle]:
-        """The isotropy handle of each orbit, put back on the G-set's group on
-        the first read, with the tables the kept handle has cached; orbits
-        with the same isotropy group share one."""
-        on_group = {}
-        for h in self._kept:
-            if id(h) not in on_group:
-                on_group[id(h)] = _memo.rebound(h, parent=self.gset.group)
-        return [on_group[id(h)] for h in self._kept]
+        """The isotropy handle of each orbit on the G-set's group, built on the
+        first read; orbits with the same isotropy group share one."""
+        distinct = {id(iso): iso for iso in self._isotropy}
+        handles = {k: SubgroupHandle._closed(self.gset.group, iso.elements)
+                   for k, iso in distinct.items()}
+        return [handles[id(iso)] for iso in self._isotropy]
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -271,19 +277,13 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
 
     The summand of an isotropy group is the irreducibles of the isotropy,
     re-indexed as a group, under the cocycle restricted to it. It is kept
-    with the isotropy's handle in the parts of the G-set's group, keyed by
-    the cocycle's content digest, seed, tolerances and the isotropy as a
-    row of G, so every call on the group, over any G-set, shares them:
-    kx.summands[i] is the group's, with the store of pullback_matrix blocks
-    kept in the same part (kx._blocks[i]), and orbits with the same
-    isotropy group share one. The kept handle is held off the group (its
-    parent is None), so the part forms no reference cycle with it, and
-    kx.isotropies puts it back on the group when first read. The K-group
-    matrices read the kept handle as it is (kx._kept[i]), and only its
-    elements, to_parent and position: as_group has cached to_parent and
-    _index before the handle is held off, and every other read of it
-    (contains, as_group on a miss, order checks against the parent) needs
-    the parent and fails on None. A part whose split has failed is built
+    in the parts of the G-set's group, keyed by the cocycle's content
+    digest, seed, tolerances and the isotropy as a row of G, so every call
+    on the group, over any G-set, shares it: kx.summands[i] is the
+    group's. The part (kx._isotropy[i], an _Isotropy) also holds the
+    isotropy's elements and numbering, which the K-group matrices read,
+    and their store of pullback_matrix blocks; orbits with the same
+    isotropy group share one. A part whose split has failed is built
     again.
     Whether the G-set and the cocycle live on G is checked on every call,
     and a failure is never remembered.
@@ -300,17 +300,13 @@ def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
     for row in fixes:
         key = (cocycle._content, seed, tol._content, row.tobytes())
         part = parts.get(key)
-        if part is None or part[1]._split.failed:
-            handle = SubgroupHandle._closed(H, tuple(np.flatnonzero(row).tolist()))
-            summand = irreducibles(handle.as_group()[0], restrict(cocycle, handle)[0],
-                                   seed=seed, tol=tol)
-            part = parts.put(key, (_memo.rebound(handle, parent=None), summand, {}))
+        if part is None or part.summand._split.failed:
+            h = SubgroupHandle._closed(H, tuple(np.flatnonzero(row).tolist()))
+            summand = irreducibles(h.as_group()[0], restrict(cocycle, h)[0], seed=seed, tol=tol)
+            part = parts.put(key, _Isotropy(h.elements, h.to_parent, h._index, summand, {}))
         shared.append(part)
-    return TwistedKGroup(
-        gset=x, cocycle=cocycle, orbit_basepoints=basepoints.tolist(),
-        summands=[part[1] for part in shared], _kept=[part[0] for part in shared],
-        _blocks=[part[2] for part in shared],
-    )
+    return TwistedKGroup(gset=x, cocycle=cocycle, orbit_basepoints=basepoints.tolist(),
+                         summands=[part.summand for part in shared], _isotropy=shared)
 
 
 def _require_gset_on(x: FiniteGSet, G: FiniteGroup) -> None:
@@ -318,11 +314,7 @@ def _require_gset_on(x: FiniteGSet, G: FiniteGroup) -> None:
         raise InputError("G-set belongs to a different group")
 
 
-def acts_trivially(x: FiniteGSet, A: SubgroupHandle) -> bool:
-    return bool(np.all(x.action[list(A.elements)] == np.arange(x.size)))
-
-
-def gset_as_quotient_action(x: FiniteGSet, datum: OrbitDatum) -> FiniteGSet:
+def gset_as_quotient_action(G: FiniteGroup, x: FiniteGSet, datum: OrbitDatum) -> FiniteGSet:
     """View an A-trivial G-set as a Q_[tau]-set through the section: q.p = sigma(q).p.
 
     The view is lawful by proof, so make_gset's check is not run. x is
@@ -332,9 +324,10 @@ def gset_as_quotient_action(x: FiniteGSet, datum: OrbitDatum) -> FiniteGSet:
 
         sigma(q1).(sigma(q2).p) = sigma(q1 q2).(chi(q1, q2).p) = sigma(q1 q2).p.
 
-    A G-set of another group raises InputError, one that A moves ANotTrivial.
+    datum is an orbit datum of G. A G-set of another group raises
+    InputError, one that A moves ANotTrivial.
     """
-    _require_gset_on(x, datum.isotropy.parent)
+    _require_gset_on(x, G)
     x._require_lawful()
     if np.any(x.action[list(_a_parent_order(datum))] != np.arange(x.size)):
         raise ANotTrivial("the designated subgroup moves some point of the G-set")
@@ -361,14 +354,13 @@ def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: Finit
     (NotNormal) and the cocycle's group run on every call, in that order.
     The orbit data of the action are kept in G's parts next to it (see the
     module docstring), under A's elements, alpha's content digest, seed
-    and tolerances; a miss builds them with orbit_data. A kept datum holds
-    its isotropy handle off G, as k0_of_gset holds its handles, and each
-    call returns it on G. A datum's Hom weights (elements, weights; see
-    decomposition._hom_weights) are filled in by the first phi_matrix that
-    reads them.
+    and tolerances; a miss builds them with orbit_data. A datum names no
+    group, so each call returns the kept data as they are. A datum's Hom
+    weights (elements, weights; see decomposition._hom_weights) are filled
+    in by the first phi_matrix that reads them.
     """
     _require_gset_on(x, G)
-    if not acts_trivially(x, A):
+    if np.any(x.action[list(A.elements)] != np.arange(x.size)):
         raise ANotTrivial("the designated subgroup moves some point of the G-set")
     kx = k0_of_gset(G, alpha, x, seed=seed, tol=tol)
     action = action_table(G, A, alpha, seed=seed, tol=tol)
@@ -376,19 +368,11 @@ def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: Finit
     key = ("orbit data", A.elements, alpha._content, seed, tol._content)
     data = parts.get(key)
     if data is None:
-        data = parts.put(key, [(_held_off(datum, None), [None, {}])
+        data = parts.put(key, [(datum, [None, {}])
                                for datum in orbit_data(action, alpha, tol=tol)])
-    sides = []
-    for kept, part in data:
-        datum = _held_off(kept, G)
-        sides.append((datum, part, k0_of_gset(datum.q_group, datum.beta,
-                                              gset_as_quotient_action(x, datum), seed=seed, tol=tol)))
-    return kx, sides
-
-
-def _held_off(datum: OrbitDatum, G: FiniteGroup | None) -> OrbitDatum:
-    """The datum with its isotropy handle on G, or held off its group for None."""
-    return _memo.rebound(datum, isotropy=_memo.rebound(datum.isotropy, parent=G))
+    return kx, [(datum, part, k0_of_gset(datum.q_group, datum.beta,
+                                         gset_as_quotient_action(G, x, datum), seed=seed, tol=tol))
+                for datum, part in data]
 
 
 def verify_gset_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
@@ -446,12 +430,12 @@ def pullback_matrix(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, f,
     located = ky._locate_all([fmap[xp] for xp in kx.orbit_basepoints])
     for i, (j, witness) in enumerate(zip(*located)):
         r, c = slice(rows[i], rows[i + 1]), slice(cols[j], cols[j + 1])
-        key, made_from = (ky._kept[j].elements, witness), (ky.summands[j],)
-        if _read_block(out, kx._blocks[i], key, made_from, r, c):
+        key, made_from = (ky._isotropy[j].elements, witness), (ky.summands[j],)
+        if _read_block(out, kx._isotropy[i].blocks, key, made_from, r, c):
             continue
-        moved = _moved_characters(cocycle, ky, j, witness, kx._kept[i].to_parent)
+        moved = _moved_characters(cocycle, ky, j, witness, kx._isotropy[i].to_parent)
         blocks.append((kx.summands[i], moved, r, c))
-        misses.append((kx._blocks[i], key, made_from, r, c))
+        misses.append((kx._isotropy[i].blocks, key, made_from, r, c))
     _fill_blocks(out, blocks, tol.char)
     _store_blocks(out, misses)
     return out
@@ -496,7 +480,7 @@ def _moved_characters(cocycle, k: TwistedKGroup, i: int, g: int, elements) -> np
     The result has shape (#w, *elements.shape).
     """
     back, scale = _conjugation(cocycle, g, elements)
-    at_back = k._kept[i].position(back)
+    at_back = k._isotropy[i].index[back]
     return scale * k.summands[i].character_values[:, at_back]
 
 
@@ -531,11 +515,11 @@ def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
         rows = row_base + kq.offsets
         for qo, (i, witness) in enumerate(zip(*kx._locate_all(kq.orbit_basepoints))):
             r, c = slice(rows[qo], rows[qo + 1]), slice(cols[i], cols[i + 1])
-            key = (kx._kept[i].elements, witness)
+            key = (kx._isotropy[i].elements, witness)
             made_from = (kx.summands[i], kq.summands[qo])
             if _read_block(out, part[1], key, made_from, r, c):
                 continue
-            q_iso = list(kq._kept[qo].elements)
+            q_iso = list(kq._isotropy[qo].elements)
             moved = _moved_characters(alpha, kx, i, witness, elements[q_iso])
             blocks.append((kq.summands[qo], np.sum(moved * weights[q_iso], axis=2), r, c))
             misses.append((part[1], key, made_from, r, c))

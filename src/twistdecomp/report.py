@@ -99,9 +99,9 @@ def decomposition_payload(report: DecompositionReport) -> dict:
             "members": [irr_a[i] for i in datum.members],
             "member_indices": list(datum.members),
             "isotropy": {
-                "order": datum.isotropy.order,
-                "elements": list(datum.isotropy.elements),
-                "labels": [report.group.labels[g] for g in datum.isotropy.elements],
+                "order": len(datum.gt_map),
+                "elements": sorted(datum.gt_map),
+                "labels": [report.group.labels[g] for g in sorted(datum.gt_map)],
             },
             "quotient_order": datum.q_group.order,
             "beta": matrix_pairs(datum.beta.table),
@@ -158,10 +158,10 @@ def decomposition_text(report: DecompositionReport) -> str:
         "orbits on Irr(A):",
     ]
     for oi, (datum, table) in enumerate(zip(report.orbits, report.beta_tables)):
-        iso_labels = ", ".join(G.labels[g] for g in datum.isotropy.elements)
+        iso_labels = ", ".join(G.labels[g] for g in sorted(datum.gt_map))
         lines.append(
             f"  orbit {oi}: members {list(datum.members)}, size {len(datum.members)}, "
-            f"isotropy order {datum.isotropy.order} {{{iso_labels}}}, "
+            f"isotropy order {len(datum.gt_map)} {{{iso_labels}}}, "
             f"quotient order {datum.q_group.order}, "
             f"beta classes: {len(table)} (dims: {', '.join(map(str, table.dims))})"
         )

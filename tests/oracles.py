@@ -756,6 +756,11 @@ def restrict_rep(rho, handle, sub_cocycle=None) -> ProjectiveRep:
     return ProjectiveRep(sub, sub_cocycle, rho.dim, rho.matrices[list(to_parent)])
 
 
+def restrict_to_isotropy(rho, datum) -> ProjectiveRep:
+    """rho restricted to an orbit datum's isotropy group, under datum.alpha_gt."""
+    return restrict_rep(rho, SubgroupHandle(rho.group, datum.gt_map), datum.alpha_gt)
+
+
 def conjugate_rep(cocycle, H, g: int, rho) -> tuple:
     """(handle of g H g^-1, the representation of H transported to it).
 
@@ -852,13 +857,14 @@ def pullback_matrix_by_orbit(G, cocycle, f, x, y) -> np.ndarray:
 
 def phi_matrix_by_orbit(G, A, alpha, x) -> np.ndarray:
     """phi_matrix with one multiplicities call per quotient-set orbit."""
-    from twistdecomp.kgroups import _moved_characters, gset_as_quotient_action, k0_of_gset
+    from twistdecomp.kgroups import _moved_characters, k0_of_gset, make_gset
 
     tol = default_tolerances()
     kx = k0_of_gset(G, alpha, x)
     blocks = []
     for datum in _orbit_data(G, A, alpha):
-        kq = k0_of_gset(datum.q_group, datum.beta, gset_as_quotient_action(x, datum))
+        xq = make_gset(datum.q_group, x.action[datum.sections])
+        kq = k0_of_gset(datum.q_group, datum.beta, xq)
         block = np.zeros((kq.rank, kx.rank), dtype=np.int64)
         rows, cols = kq.offsets, kx.offsets
         elements, weights = _hom_weights(datum, alpha)

@@ -85,7 +85,7 @@ def test_criterion_2_d8_rotations():
         frozenset({(1, 1, 1, 1), (1, 1j, -1, -1j)}),
         frozenset({(1, -1, 1, -1), (1, -1j, -1, 1j)}),
     }
-    assert all(d.isotropy.elements == A.elements for d in rep.orbits)
+    assert all(tuple(sorted(d.gt_map)) == A.elements for d in rep.orbits)
     assert all(d.q_group.order == 1 for d in rep.orbits)
     assert rep.rank_lhs == 2 and rep.rank_rhs == (1, 1)
     tau1 = char_index(rep.irr_g, np.array([2, 1 + 1j, 0, 1 - 1j, 0, 0, 0, 0]))
@@ -112,8 +112,7 @@ def test_criterion_3_d8_center():
     rep = td.verify_point_decomposition(G, A, alpha, seed=0)
     assert len(rep.orbits) == 1
     datum = rep.orbits[0]
-    assert datum.isotropy.elements == (0, 1, 2, 3)
-    assert datum.isotropy.order == 4
+    assert sorted(datum.gt_map) == [0, 1, 2, 3]
     assert datum.q_group.order == 2
     assert td.validate_numeric_cocycle(datum.beta).ok
     found = None

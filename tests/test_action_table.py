@@ -204,7 +204,7 @@ def test_one_decomposition_per_table_and_one_quotient_per_isotropy_group(monkeyp
     action = td.action_table(G, A, alpha, seed=0)
     assert calls == {"multiplicities": 1, "quotient_with_section": 0}
     data = td.orbit_data(action, alpha)
-    assert len(data) == 12 and len({datum.isotropy.elements for datum in data}) == 1
+    assert len(data) == 12 and len({datum.gt_map for datum in data}) == 1
     assert calls == {"multiplicities": 1, "quotient_with_section": 1}
 
 
@@ -235,7 +235,7 @@ def test_orbits_and_isotropy_equal_search(case):
     orbits = action.orbits()
     assert orbits == bfs_orbits(action.perm)
     want = [tuple(g for g in range(G.order) if action.perm[g, o[0]] == o[0]) for o in orbits]
-    assert [d.isotropy.elements for d in td.orbit_data(action, alpha)] == want
+    assert [tuple(sorted(d.gt_map)) for d in td.orbit_data(action, alpha)] == want
 
 
 def test_certificate_rejects_a_corrupted_cocycle():

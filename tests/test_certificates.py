@@ -26,7 +26,7 @@ from oracles import (
     intertwiner,
     regular_rep,
     rep_violations_by_element,
-    restrict_rep,
+    restrict_to_isotropy,
 )
 from test_reps import direct_sum, symmetric, with_nan
 from test_split import SPLIT_CASES, assemble
@@ -222,10 +222,6 @@ def z_datum(d8, alpha4, a_center):
     return td.orbit_data(td.action_table(d8, a_center, alpha4), alpha4)[0]
 
 
-def isotropy_rep(datum, rep):
-    return restrict_rep(rep, datum.isotropy, datum.alpha_gt)
-
-
 def lookup(datum, W, corrupt_at=None, corruption=None):
     pos = {g: i for i, g in enumerate(datum.gt_map)}
 
@@ -243,7 +239,7 @@ class TestHomRep:
             else explicit_taus[which]
         elements, weights = decomposition._hom_weights(z_datum, alpha4)
         want = np.sum(td.character(rep).values[elements] * weights, axis=1)
-        got = td.character(hom_rep(isotropy_rep(z_datum, rep), z_datum)).values
+        got = td.character(hom_rep(restrict_to_isotropy(rep, z_datum), z_datum)).values
         assert np.max(np.abs(got - want)) <= TOL.char
 
     def test_dimension_is_the_multiplicity_of_tau(self, d8, alpha4, a_center, z_datum,
@@ -253,20 +249,20 @@ class TestHomRep:
         W = direct_sum(explicit_taus[1], explicit_taus[1])
         chi_a = td.character(W).values[list(action.a_map)]
         want = action.base.multiplicities(chi_a[None], TOL.char)[0, z_datum.representative]
-        assert hom_rep(isotropy_rep(z_datum, W), z_datum).dim == want == 2
+        assert hom_rep(restrict_to_isotropy(W, z_datum), z_datum).dim == want == 2
 
     @pytest.mark.parametrize("corruption", [
         lambda m: m @ random_unitaries(np.random.default_rng(2), 1, len(m))[0],
         lambda m: np.where(np.eye(len(m)) > 0, np.nan, m)])
     def test_first_failing_pair_leaves_the_hom_space(self, z_datum, explicit_taus, corruption):
-        W = isotropy_rep(z_datum, direct_sum(explicit_taus[1], explicit_taus[1]))
+        W = restrict_to_isotropy(direct_sum(explicit_taus[1], explicit_taus[1]), z_datum)
         w_lookup = lookup(z_datum, W, int(z_datum.sections[1]), corruption)
         q_list = range(z_datum.q_group.order)
         with pytest.raises(NumericFailure, match="left the Hom space"):
             hom_action_by_vector(z_datum, w_lookup, q_list, TOL)
 
     def test_nan_in_w_fails_hom_rep(self, z_datum, explicit_taus):
-        W = isotropy_rep(z_datum, explicit_taus[1])
+        W = restrict_to_isotropy(explicit_taus[1], z_datum)
         mats = np.array(W.matrices)
         mats[z_datum.gt_map.index(int(z_datum.sections[1])), 0, 1] = np.nan
         broken = td.ProjectiveRep(W.group, W.cocycle, W.dim, mats)
@@ -277,7 +273,7 @@ class TestHomRep:
     def test_relation_failure_raises(self, monkeypatch, z_datum, explicit_taus, nan):
         """A NaN in the Hom matrices fails the relation at its first row; a beta
         whose (1, 1) entry is turned by 1e-6 rad fails it at row 1 by 1e-6."""
-        W = isotropy_rep(z_datum, explicit_taus[1])
+        W = restrict_to_isotropy(explicit_taus[1], z_datum)
         honest = oracles.hom_action_by_vector
 
         def with_nan_entry(*args):

@@ -84,12 +84,22 @@ def klein_bilinear():
 
 
 class TestCocycleValidation:
-    @pytest.mark.parametrize("order", [0, -2])
-    def test_an_order_below_one_is_rejected(self, d8, order):
-        with pytest.raises(InputError, match=f"cocycle order must be positive, got {order}"):
+    @pytest.mark.parametrize("order", [0, -2, 2.5])
+    def test_an_order_that_is_not_a_positive_integer_is_rejected(self, d8, order):
+        with pytest.raises(InputError, match=f"must be a positive integer, got {order}"):
             td.trivial_cocycle(d8, order)
         with pytest.raises(InputError):
             td.Cocycle(d8, order, np.zeros((8, 8), dtype=np.int64))
+
+    def test_a_numpy_integer_order_is_accepted(self, d8):
+        assert td.trivial_cocycle(d8, np.int64(2)).order == 2
+
+    @pytest.mark.parametrize("make", [lambda G: td.Cocycle(G, 4, np.zeros((3, 3))),
+                                      lambda G: td.NumericCocycle(G, np.ones((3, 3)))],
+                             ids=["exact", "numeric"])
+    def test_a_table_of_the_wrong_shape_is_rejected(self, d8, make):
+        with pytest.raises(InputError, match=r"must have shape \(8, 8\), got \(3, 3\)"):
+            td.irreducibles(d8, make(d8))
 
     def test_failure_raises_alike_every_time(self, d8):
         messages = []

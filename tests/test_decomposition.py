@@ -16,7 +16,7 @@ from oracles import (
     nullspace,
     reconstructed_by_element,
     rep_violations_by_element,
-    restrict_rep,
+    restrict_to_isotropy,
 )
 
 
@@ -114,15 +114,14 @@ class TestOrbitData:
         data = td.orbit_data(d8_a_action, alpha4)
         assert len(data) == 2
         for datum in data:
-            assert datum.isotropy.elements == (0, 1, 2, 3)
+            assert sorted(datum.gt_map) == [0, 1, 2, 3]
             assert datum.q_group.order == 1
 
     def test_d8_center_isotropy_is_rotations(self, d8_z_action, alpha4):
         data = td.orbit_data(d8_z_action, alpha4)
         assert len(data) == 1
         datum = data[0]
-        assert datum.isotropy.elements == (0, 1, 2, 3)
-        assert datum.isotropy.order == 4
+        assert sorted(datum.gt_map) == [0, 1, 2, 3]
         assert datum.q_group.order == 2
 
     def test_self_action_gives_singletons(self, d8, alpha4):
@@ -218,7 +217,7 @@ class TestHomRep:
         datum = data[0]
         results = {}
         for name, tau_rep in explicit_taus.items():
-            w_gt = restrict_rep(tau_rep, datum.isotropy, datum.alpha_gt)
+            w_gt = restrict_to_isotropy(tau_rep, datum)
             hom = hom_rep(w_gt, datum)
             assert hom.dim == 1
             results[name] = complex(hom.matrices[1][0, 0])
@@ -248,7 +247,7 @@ class TestHomRep:
 
     def test_beta_relation_holds(self, d8, alpha4, a_center, d8_z_action, explicit_taus):
         datum = td.orbit_data(d8_z_action, alpha4)[0]
-        w_gt = restrict_rep(explicit_taus[1], datum.isotropy, datum.alpha_gt)
+        w_gt = restrict_to_isotropy(explicit_taus[1], datum)
         hom = hom_rep(w_gt, datum)
         Q = datum.q_group
         for q1 in range(Q.order):
@@ -274,7 +273,7 @@ class TestReconstruction:
     def test_character_matches_isotypic_projection(self, d8, alpha4, a_center,
                                                    d8_z_action, explicit_taus, which):
         datum = td.orbit_data(d8_z_action, alpha4)[0]
-        W = restrict_rep(explicit_taus[which], datum.isotropy, datum.alpha_gt)
+        W = restrict_to_isotropy(explicit_taus[which], datum)
         rec = reconstructed_by_element(datum, hom_rep(W, datum))
         expected = isotypic_character(datum, W)
         for h in range(datum.gt_group.order):
@@ -313,7 +312,7 @@ class TestVerifyPointDecomposition:
     def test_d8_center(self, d8, alpha4, a_center):
         rep = td.verify_point_decomposition(d8, a_center, alpha4, seed=0)
         assert len(rep.orbits) == 1
-        assert rep.orbits[0].isotropy.elements == (0, 1, 2, 3)
+        assert sorted(rep.orbits[0].gt_map) == [0, 1, 2, 3]
         assert rep.orbits[0].q_group.order == 2
         assert rep.rank_lhs == 2 and rep.rank_rhs == (2,)
         assert sorted(m[1] for m in rep.matching) == [0, 1]
@@ -442,7 +441,7 @@ def hom_character_pairs(G, A, alpha):
             if rep.multiplicities[wi][datum.representative] == 0:
                 yield chi_hom, None
                 continue
-            w_gt = restrict_rep(W, datum.isotropy, datum.alpha_gt)
+            w_gt = restrict_to_isotropy(W, datum)
             yield chi_hom, td.character(hom_rep(w_gt, datum)).values
 
 

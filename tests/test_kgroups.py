@@ -115,7 +115,7 @@ def loop_phi(G, A, alpha, x):
     cols = np.cumsum([0] + [len(t) for t in kx.summands])
     blocks = []
     for datum in orbit_data(action_table(G, A, alpha), alpha):
-        kq = td.k0_of_gset(datum.q_group, datum.beta, gset_as_quotient_action(x, datum))
+        kq = td.k0_of_gset(datum.q_group, datum.beta, gset_as_quotient_action(G, x, datum))
         rows = np.cumsum([0] + [len(t) for t in kq.summands])
         block = np.zeros((kq.rank, kx.rank), dtype=np.int64)
         for qo, y_point in enumerate(kq.orbit_basepoints):
@@ -349,23 +349,21 @@ class TestActionLaw:
             tracemalloc.stop()
         assert x.size == 2592 and peak < 10_000_000
 
-    def test_a_kept_handle_answers_what_the_matrices_read_before_isotropies(self, alpha4):
-        """The handles a K-group keeps are held off the group: elements,
-        to_parent and position work on them, cold and warm, before any read
-        of isotropies; a read that needs the parent fails."""
+    def test_a_kept_isotropy_holds_the_numbering_of_its_handle(self, alpha4):
+        """Each isotropy record a K-group keeps has the elements, to_parent and
+        _index of the SubgroupHandle on the group, cold and warm; a warm call
+        shares the records, and isotropies builds its handles on the group."""
         G = td.dihedral(4)
         x = td.disjoint_union(swap_gset(G), td.coset_gset(G, td.subgroup_closure(G, [2])))
-        for k in (td.k0_of_gset(G, alpha4, x), td.k0_of_gset(G, alpha4, x)):
-            assert "isotropies" not in k.__dict__
-            for kept in k._kept:
-                assert kept.parent is None
+        cold, warm = td.k0_of_gset(G, alpha4, x), td.k0_of_gset(G, alpha4, x)
+        assert all(w is c for w, c in zip(warm._isotropy, cold._isotropy))
+        for k in (cold, warm):
+            for kept, h in zip(k._isotropy, k.isotropies):
                 on_group = td.SubgroupHandle(G, kept.elements)
+                assert kept.elements == on_group.elements == h.elements
                 assert kept.to_parent == on_group.to_parent
-                assert kept.position(np.arange(G.order)).tolist() == on_group._index.tolist()
-                with pytest.raises(AttributeError):
-                    kept.contains(0)
-            assert [h.parent for h in k.isotropies] == [G] * len(k._kept)
-            assert [h.elements for h in k.isotropies] == [h.elements for h in k._kept]
+                assert kept.index.tolist() == on_group._index.tolist()
+                assert h.parent is G
 
     def test_orbits_share_the_handle_and_summand_of_one_isotropy(self, d8, alpha4):
         x = td.disjoint_union(swap_gset(d8), point_gset(d8))
@@ -532,8 +530,8 @@ class TestPullback:
         for datum in orbit_data(action_table(d8, A, alpha4), alpha4):
             Q = datum.q_group
             for x, y, f in maps:
-                xq = gset_as_quotient_action(x, datum)
-                yq = gset_as_quotient_action(y, datum)
+                xq = gset_as_quotient_action(d8, x, datum)
+                yq = gset_as_quotient_action(d8, y, datum)
                 assert np.array_equal(td.pullback_matrix(Q, datum.beta, f, xq, yq),
                                       loop_pullback(Q, datum.beta, f, xq, yq))
                 k = td.k0_of_gset(Q, datum.beta, xq)
@@ -597,8 +595,8 @@ class TestPhiMatrix:
         direct = td.pullback_matrix(d8, alpha4, f, x, y, seed=0)
         blocks = []
         for datum in data:
-            xq = gset_as_quotient_action(x, datum)
-            yq = gset_as_quotient_action(y, datum)
+            xq = gset_as_quotient_action(d8, x, datum)
+            yq = gset_as_quotient_action(d8, y, datum)
             blocks.append(td.pullback_matrix(datum.q_group, datum.beta, f, xq, yq, seed=0))
         decomposed = block_diag(blocks)
         assert np.array_equal(phi_x @ direct, decomposed @ phi_y)
@@ -674,7 +672,7 @@ class TestQuotientView:
             for datum in data:
                 want = td.make_gset(datum.q_group, x.action[datum.sections])
                 for source in (x, hand):
-                    view = gset_as_quotient_action(source, datum)
+                    view = gset_as_quotient_action(G, source, datum)
                     assert view.group is datum.q_group and view.size == want.size
                     assert np.array_equal(view.action, want.action) and view._lawful
             assert hand._lawful
@@ -683,14 +681,14 @@ class TestQuotientView:
                                                                          a_center):
         datum = _orbit_data(d8, a_center, alpha4)[0]
         with pytest.raises(ANotTrivial):
-            gset_as_quotient_action(left_translation_gset(d8), datum)
+            gset_as_quotient_action(d8, left_translation_gset(d8), datum)
         table = np.array(swap_gset(d8).action)
         table[1] = [1, 0]                                   # a swaps, a^2 = a a does not
         with pytest.raises(InputError, match="action law fails at"):
-            gset_as_quotient_action(td.FiniteGSet(d8, 2, table), datum)
+            gset_as_quotient_action(d8, td.FiniteGSet(d8, 2, table), datum)
         c8 = td.cyclic(8)
         with pytest.raises(InputError, match="G-set belongs to a different group"):
-            gset_as_quotient_action(point_gset(c8), datum)
+            gset_as_quotient_action(d8, point_gset(c8), datum)
 
 
 def count_moved(monkeypatch) -> list:
@@ -748,8 +746,8 @@ class TestMatrixBlocks:
         for datum in orbit_data(action_table(d8, A, alpha4), alpha4):
             Q = datum.q_group
             for x, y, f in maps:
-                xq = gset_as_quotient_action(x, datum)
-                yq = gset_as_quotient_action(y, datum)
+                xq = gset_as_quotient_action(d8, x, datum)
+                yq = gset_as_quotient_action(d8, y, datum)
                 first = td.pullback_matrix(Q, datum.beta, f, xq, yq)
                 made = len(calls)
                 assert np.array_equal(td.pullback_matrix(Q, datum.beta, f, xq, yq), first)
@@ -779,7 +777,8 @@ class TestMatrixBlocks:
                 made = len(calls)
                 assert np.array_equal(call(), want)
                 assert len(calls) == made
-            held = {id(b) for b in td.k0_of_gset(d8, cocycle, x, seed=seed, tol=t)._blocks}
+            held = {id(iso.blocks)
+                    for iso in td.k0_of_gset(d8, cocycle, x, seed=seed, tol=t)._isotropy}
             stores |= held
             per_config += len(held)
         assert len(stores) == per_config

@@ -412,8 +412,7 @@ def gset_pass(G, A, alpha, x, y):
 
 def count_builds(monkeypatch) -> list:
     """Record "handle" for each SubgroupHandle checked or closed, and "table"
-    for each table over a stored split, built from now on. A kept handle put
-    back on its group (_memo.rebound) is neither."""
+    for each table over a stored split, built from now on."""
     calls = []
     checked, closed = td.SubgroupHandle.__post_init__, td.SubgroupHandle._closed.__func__
     monkeypatch.setattr(td.SubgroupHandle, "__post_init__",
@@ -533,19 +532,22 @@ class TestOrbitDecomposition:
         assert len(tabulated) == 4
 
     def test_a_hit_holds_the_callers_objects(self, d8, alpha4, a_center, tabulated):
-        """A kept action is rebound to each caller's A and alpha, and the orbit
-        data the group keeps with it hold the group and the action's taus."""
+        """A kept action is wrapped with each caller's A and alpha, and the group
+        returns the orbit data it keeps with it as they are, over the action's
+        taus."""
         td.verify_gset_decomposition(d8, a_center, alpha4, point_gset(d8))
         _, A, alpha, x = copy_inputs(d8, a_center, alpha4, point_gset(d8), on=d8)
         hits = [action_table(d8, A, alpha) for _ in range(2)]
-        _, sides = kgroups._decomposed_side(d8, A, alpha, x, 0, td.default_tolerances())
+        sides = [kgroups._decomposed_side(d8, A, alpha, x, 0, td.default_tolerances())[1]
+                 for _ in range(2)]
         assert len(tabulated) == 1
         for action in hits:
             assert action.group is d8 and action.subgroup is A and action.alpha is alpha
             assert action.perm is hits[0].perm and action.base is hits[0].base
-        data = [datum for datum, _, _ in sides]
-        assert all(d.isotropy.parent is d8 and d.isotropy.elements == d.gt_map for d in data)
-        assert all(d.tau is hits[0].base.irreducibles[d.representative] for d in data)
+        data = [[datum for datum, _, _ in side] for side in sides]
+        assert all(d is e for d, e in zip(*data))
+        assert all(d.gt_group.labels == tuple(d8.labels[g] for g in d.gt_map) for d in data[0])
+        assert all(d.tau is hits[0].base.irreducibles[d.representative] for d in data[0])
 
     def test_action_table_is_kept_per_group_object(self, d8, alpha4, a_center, tabulated):
         """A second call on the same group reads the action it keeps; a group
@@ -628,9 +630,8 @@ class TestOrbitDecomposition:
 
     def test_kgroup_orbit_parts_are_kept_per_seed_and_tolerances(self, d8, alpha4):
         """The group keeps one orbit-data part per (A, alpha, seed, tol): a
-        repeated call hits it, and returns its data on the group with the kept
-        arrays, and another seed or tolerance gets the data a cold call
-        computes for it."""
+        repeated call hits it and returns the kept data, and another seed or
+        tolerance gets the data a cold call computes for it."""
         klein = td.SubgroupHandle(d8, (0, 2, 4, 6))          # tau of dimension 2
         tol = td.default_tolerances()
 
@@ -639,7 +640,7 @@ class TestOrbitDecomposition:
             return [datum for datum, _, _ in sides]
 
         base = data(0, tol)
-        assert data(0, tol)[0].M is base[0].M
+        assert data(0, tol)[0] is base[0]
         for seed, t in ((1, tol), (0, tol.scaled(2))):
             other = data(seed, t)
             assert other[0].M is not base[0].M
@@ -740,8 +741,8 @@ class TestHitPath:
 
     def test_warm_k0_of_gset_builds_no_handle_and_stacks_nothing(self, d8, alpha4, monkeypatch):
         """Nor does it build a table, also over a new G-set of the same group:
-        the group keeps each stabilizer's handle and summand table, and a warm
-        call puts the kept handle back on the group, with its cached tables."""
+        the group keeps each stabilizer's numbering and summand table, and a
+        warm call returns the kept summands, each over the same group."""
         x = random_gset(d8, 12, np.random.default_rng(3))
         cold = k0_of_gset(d8, alpha4, x)
         y = td.make_gset(d8, np.array(x.action))
@@ -752,9 +753,9 @@ class TestHitPath:
         assert calls == []
         assert kgroup_summary(warm) == kgroup_summary(cold) == kgroup_summary(other)
         for k in (warm, other):
-            assert all(h.parent is d8 and h.as_group()[0] is c.as_group()[0]
-                       for h, c in zip(k.isotropies, cold.isotropies))
             assert all(t is c for t, c in zip(k.summands, cold.summands))
+            assert all(h.parent is d8 and h.as_group()[0].same_table(t.group)
+                       for h, t in zip(k.isotropies, k.summands))
 
     def test_warm_pass_over_a_new_gset_builds_no_handle_and_no_table(self, d8, alpha4, a_center,
                                                                      monkeypatch):

@@ -31,7 +31,7 @@ from oracles import (
     induced_table_by_pair,
     intertwiner,
     reconstructed_by_element,
-    restrict_rep,
+    restrict_to_isotropy,
     tau_exponents_by_pair,
     tau_scalar,
 )
@@ -190,7 +190,7 @@ class TestOrbitDataArrays:
                 for wi, W in enumerate(rep.irr_g.irreducibles):
                     if rep.multiplicities[wi][datum.representative] == 0:
                         continue
-                    w_gt = restrict_rep(W, datum.isotropy, datum.alpha_gt)
+                    w_gt = restrict_to_isotropy(W, datum)
                     rec = reconstructed_by_element(datum, hom_rep(w_gt, datum))
                     err = np.max(np.abs(td.character(rec).values
                                         - isotypic_character(datum, w_gt)))

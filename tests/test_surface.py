@@ -1,6 +1,7 @@
 """The public names of the package, and the names that moved from the library
 to tests/oracles.py."""
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,17 @@ PUBLIC_NAMES = [
     "validate_numeric_cocycle", "verify_gset_decomposition", "verify_point_decomposition",
 ]
 
+# The fields of the exported dataclasses, in order, private ones included: a
+# change to them changes what callers build and read.
+FIELDS = {
+    "DecompositionReport": ["group", "subgroup", "alpha", "seed", "irr_g", "action", "orbits",
+                            "beta_tables", "matching", "multiplicities"],
+    "IrrAction": ["group", "subgroup", "alpha", "base", "alpha_a", "a_map", "perm"],
+    "OrbitDatum": ["representative", "members", "gt_group", "gt_map", "alpha_gt", "a_in_gt",
+                   "quotient", "sections", "tau", "M", "beta"],
+    "TwistedKGroup": ["gset", "cocycle", "orbit_basepoints", "summands", "_isotropy"],
+}
+
 # Each name that no CLI command, report or certificate calls, and the library
 # module it left for tests/oracles.py.
 MOVED = {
@@ -45,6 +57,11 @@ def test_the_public_names_are_pinned():
                          timeout=120, check=True)
     assert out.stdout.split() == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 55
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_the_fields_of_the_exported_dataclasses_are_pinned(name):
+    assert [f.name for f in dataclasses.fields(getattr(td, name))] == FIELDS[name]
 
 
 @pytest.mark.parametrize("name", sorted(MOVED))

@@ -218,7 +218,6 @@ def kgroup_dump(inputs: list) -> list:
     import twistdecomp as td
     from twistdecomp.decomposition import action_table, orbit_data
     from twistdecomp.errors import TwistError
-    from twistdecomp.kgroups import gset_as_quotient_action
 
     def gset_case(G, A, alpha, x):
         rep = td.verify_gset_decomposition(G, A, alpha, x)
@@ -229,9 +228,10 @@ def kgroup_dump(inputs: list) -> list:
         composite = [f2[f1[p]] for p in range(x.size)]
         pulled = [td.pullback_matrix(G, alpha, f, s, t).tolist()
                   for f, s, t in ((f1, x, y), (f2, y, z), (composite, x, z))]
-        beta = [td.pullback_matrix(d.q_group, d.beta, f1, gset_as_quotient_action(x, d),
-                                   gset_as_quotient_action(y, d)).tolist()
-                for d in orbit_data(action_table(G, A, alpha), alpha)]
+        beta = []
+        for d in orbit_data(action_table(G, A, alpha), alpha):
+            xq, yq = (td.make_gset(d.q_group, s.action[d.sections]) for s in (x, y))
+            beta.append(td.pullback_matrix(d.q_group, d.beta, f1, xq, yq).tolist())
         return {"pullbacks": pulled, "beta_pullbacks": beta}
 
     out = []
