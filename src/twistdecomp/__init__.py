@@ -44,7 +44,6 @@ from .kgroups import (
     coset_gset,
     disjoint_union,
     k0_of_gset,
-    left_translation_gset,
     make_gset,
     phi_matrix,
     point_gset,

@@ -8,7 +8,6 @@ NumericCocycle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,6 +86,27 @@ def _identity_defects(mul: np.ndarray, order: int, table: np.ndarray, middles):
         yield h, (lhs - rhs) % order != 0
 
 
+def _exponent_table(exponents) -> np.ndarray:
+    """exponents as an int64 array; InputError for an entry whose value is not an integer.
+
+    Integer and boolean tables pass as they are. Any other table must come
+    back from the int64 cast unchanged, so 1.0 passes, and 0.5, NaN and a
+    value past int64 do not.
+    """
+    table = np.asarray(exponents)
+    if table.dtype.kind in "iub":
+        return table.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            exact = table.astype(np.int64)
+        integral = np.array_equal(exact, table)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InputError("cocycle exponents must be integers")
+    return exact
+
+
 def _require_square(group: FiniteGroup, table: np.ndarray) -> None:
     if table.shape != (group.order,) * 2:
         raise InputError(f"cocycle table must have shape {(group.order,) * 2}, got {table.shape}")
@@ -103,7 +123,7 @@ class Cocycle:
     def __post_init__(self):
         if not np.issubdtype(type(self.order), np.integer) or self.order < 1:
             raise InputError(f"cocycle order must be a positive integer, got {self.order}")
-        self.exponents = np.ascontiguousarray(self.exponents, dtype=np.int64) % self.order
+        self.exponents = np.ascontiguousarray(_exponent_table(self.exponents)) % self.order
         self.exponents.flags.writeable = False
         _require_square(self.group, self.exponents)
 
@@ -152,24 +172,10 @@ class Cocycle:
     def is_exact(self) -> bool:
         return True
 
-    def is_trivial(self) -> bool:
-        return not self.exponents.any()
-
     @cached_property
     def _content(self) -> bytes:
         """Memo digest of the order and exponents."""
         return _memo.key("cocycle content", "exact", self.order, self.exponents)
-
-    def same_as(self, other) -> bool:
-        if isinstance(other, Cocycle):
-            if not self.group.same_table(other.group):
-                return False
-            lcm = math.lcm(self.order, other.order)
-            return np.array_equal(
-                self.exponents * (lcm // self.order),
-                other.exponents * (lcm // other.order),
-            )
-        return _tables_close(self.complex_table, other)
 
     def __repr__(self):
         return f"Cocycle(order={self.order}, group_order={self.group.order})"
@@ -204,25 +210,13 @@ class NumericCocycle:
     def is_exact(self) -> bool:
         return False
 
-    def same_as(self, other) -> bool:
-        if isinstance(other, Cocycle):
-            return other.same_as(self)
-        return _tables_close(self.table, other)
-
     def __repr__(self):
         return f"NumericCocycle(group_order={self.group.order})"
 
 
-def _tables_close(table: np.ndarray, other) -> bool:
-    other_table = other.complex_table if not isinstance(other, np.ndarray) else other
-    return table.shape == other_table.shape and np.allclose(
-        table, other_table, atol=1e-12, rtol=0.0
-    )
-
-
 def make_cocycle(group: FiniteGroup, order: int, exponents) -> Cocycle:
     """Build a Cocycle, requiring a clean validation report."""
-    exponents = np.asarray(exponents, dtype=np.int64)
+    exponents = _exponent_table(exponents)
     report = validate_cocycle_table(group, order, exponents)
     if not report.ok:
         raise InvalidCocycle(

@@ -22,9 +22,16 @@ isotropy group share it, its quotient and the restricted cocycle, and
 those that also share tau's dimension are built as one batch: one Schur
 solve, one residual check, one induced product and one lattice
 certificate of beta for all of them (see orbit_data).
-verify_point_decomposition checks that the irreducibles of (G, alpha)
-biject with the beta-twisted irreducibles of the isotropy quotients, orbit
-by orbit.
+
+The decomposition itself is a matrix phi of multiplicities, read off
+characters: column w is an irreducible W, and the block of rows of an orbit
+holds the decomposition of the Hom fibers Hom_A(V_tau, W) over the
+beta-twisted classes of its isotropy quotient (_hom_weights gives their
+characters, _fill_blocks decomposes the blocks). Clifford theory makes phi
+the matrix of a bijection of irreducibles, and _bijection certifies that
+it is one. verify_point_decomposition builds phi at a point, and
+kgroups.verify_gset_decomposition on a finite G-set, with these same three
+pieces.
 """
 
 from __future__ import annotations
@@ -411,6 +418,37 @@ def _hom_weights(datum: OrbitDatum, alpha: Cocycle) -> tuple[np.ndarray, np.ndar
     return G.mul[s, a_inv], scale * traces / a_inv.size
 
 
+def _fill_blocks(out: np.ndarray, blocks, tol: float) -> None:
+    """out[r, c] = table.multiplicities(chars).T for each (table, chars, r, c)
+    in blocks, with one multiplicities call per table."""
+    by_table: dict[int, tuple[IrrTable, list]] = {}
+    for table, chars, r, c in blocks:
+        by_table.setdefault(id(table), (table, []))[1].append((chars, r, c))
+    for table, items in by_table.values():
+        mult = table.multiplicities(np.concatenate([chars for chars, _, _ in items]), tol)
+        start = 0
+        for chars, r, c in items:
+            out[r, c] = mult[start:start + len(chars)].T
+            start += len(chars)
+
+
+def _bijection(phi: np.ndarray) -> np.ndarray:
+    """For each column of phi, the row of its single 1.
+
+    phi is a decomposition matrix of multiplicities: columns over the
+    irreducibles of the direct side, rows over the beta-twisted classes of
+    the orbit side. MatchFailure unless it is the matrix of a bijection, a
+    0/1 matrix with exactly one 1 in each row and each column; the empty
+    (0, 0) matrix is one.
+    """
+    per_col, per_row = phi.sum(axis=0), phi.sum(axis=1)
+    if (phi < 0).any() or (per_col != 1).any() or (per_row != 1).any():
+        raise MatchFailure(f"the matching is not a bijection: {np.count_nonzero(per_col != 1)} "
+                           f"of {phi.shape[1]} irreducibles and {np.count_nonzero(per_row != 1)} "
+                           f"of {phi.shape[0]} classes do not match exactly once")
+    return np.arange(len(phi)) @ phi
+
+
 @dataclass(eq=False)
 class DecompositionReport:
     """The verified correspondence between Irr(G, alpha) and the orbit side."""
@@ -444,19 +482,26 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
                                tol: Tolerances | None = None) -> DecompositionReport:
     """Run the whole pipeline at a single point and verify the bijection.
 
-    Each irreducible W of (G, alpha) restricts to A inside a single orbit
-    with uniform multiplicities, and the character of its multiplicity
-    representation q.f = W(s) f M_q^-1 on Hom_A(V_tau, W), s = sigma(q),
+    Each irreducible W of (G, alpha) must restrict to A inside a single
+    orbit, with uniform multiplicities that add up to its dimension
+    (OrbitMixing otherwise). Then phi at the point is assembled: for each
+    orbit one block, the characters of the multiplicity representations
+    q.f = W(s) f M_q^-1 on Hom_A(V_tau, W), s = sigma(q),
 
         chi_Hom(q) = (1/|A|) sum_a alpha(s, a^-1) alpha(a, a^-1)^-1 chi_W(s a^-1) tr(tau(a) M_q^H),
 
-    decomposes over the beta-twisted classes of the orbit's isotropy
-    quotient as exactly one class with multiplicity 1, whose dimension
-    chi_Hom(1) is the multiplicity of tau in W|_A (MatchFailure otherwise).
-    The global matching is a bijection whose counts give the rank identity.
-    The tests build the same representation with matrices (hom_rep in
-    tests/oracles.py). action_table runs first, so a subgroup that is not
-    normal raises NotNormal, from its one check, before any split.
+    of the W over the orbit, decomposed over the beta-twisted classes of
+    the orbit's isotropy quotient. Every other Hom fiber is 0, since that
+    W has no tau component, so its entries of phi are 0 and are not
+    computed: a block for every W would cost #orbits times as much. phi
+    must be the matrix of a bijection from Irr(G, alpha) onto the classes
+    of all orbits, which also gives the rank identity; matching[w] =
+    (orbit, class) is the row of column w (MatchFailure otherwise, from
+    _bijection). The class's dimension chi_Hom(1) must be the multiplicity
+    of tau in W|_A (MatchFailure). The tests build the same representation
+    with matrices (hom_rep in tests/oracles.py). action_table runs first,
+    so a subgroup that is not normal raises NotNormal, from its one check,
+    before any split.
     """
     tol = tol or default_tolerances()
     action = action_table(G, A, alpha, seed=seed, tol=tol)    # checks that A is normal, first
@@ -489,22 +534,19 @@ def verify_point_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle
         if dim_check != dim:
             raise OrbitMixing(f"W_{wi}: restriction dimensions do not add up")
         over[oi].append(wi)
-    matching: list[tuple[int, int]] = [(-1, -1)] * len(irr_g)
+    offsets = np.cumsum([0] + [len(t) for t in beta_tables])
+    phi = np.zeros((offsets[-1], len(irr_g)), dtype=np.int64)
+    blocks = []
     for oi, (datum, ws) in enumerate(zip(orbits, over)):
         elements, weights = _hom_weights(datum, alpha)
         chi_hom = np.sum(irr_g.character_values[ws][:, elements] * weights, axis=2)
-        for wi, found in zip(ws, beta_tables[oi].multiplicities(chi_hom, tol.char)):
-            j = int(np.argmax(found))
-            if found.sum() != 1:
-                raise MatchFailure(f"Hom representation of W_{wi} matches no single beta-class")
-            if beta_tables[oi].dims[j] != restricted[wi, datum.representative]:
-                raise MatchFailure(f"Hom dimension of W_{wi} is not its tau multiplicity")
-            matching[wi] = (oi, j)
-    if len(set(matching)) != len(matching):
-        raise MatchFailure("matching is not injective")
-    total = sum(len(t) for t in beta_tables)
-    if total != len(irr_g):
-        raise MatchFailure(f"rank mismatch: {len(irr_g)} irreducibles vs {total} classes")
+        blocks.append((beta_tables[oi], chi_hom, slice(offsets[oi], offsets[oi + 1]), ws))
+    _fill_blocks(phi, blocks, tol.char)
+    classes = [(oi, j) for oi, table in enumerate(beta_tables) for j in range(len(table))]
+    matching = [classes[row] for row in _bijection(phi).tolist()]
+    for wi, (oi, j) in enumerate(matching):
+        if beta_tables[oi].dims[j] != restricted[wi, orbits[oi].representative]:
+            raise MatchFailure(f"Hom dimension of W_{wi} is not its tau multiplicity")
     return DecompositionReport(
         group=G, subgroup=A, alpha=alpha, seed=seed, irr_g=irr_g, action=action,
         orbits=orbits, beta_tables=beta_tables, matching=matching,

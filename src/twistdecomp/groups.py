@@ -404,8 +404,12 @@ class SubgroupHandle:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        idx = np.sort(np.array(self.elements, dtype=np.int64))
-        if not np.array_equal(idx, np.sort(self.elements)):
+        try:
+            idx = np.sort(np.array(self.elements, dtype=np.int64))
+            integral = idx.ndim == 1 and np.array_equal(idx, np.sort(self.elements))
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
             raise InputError(f"subgroup elements must be integers, got {self.elements}")
         self.elements = tuple(idx.tolist())
         G = self.parent
@@ -458,6 +462,7 @@ class SubgroupHandle:
         """Parent element -> its position in to_parent, -1 off the subgroup."""
         index = np.full(self.parent.order, -1, dtype=np.int64)
         index[list(self.to_parent)] = np.arange(self.order)
+        index.flags.writeable = False
         return index
 
     def contains(self, g: int) -> bool:

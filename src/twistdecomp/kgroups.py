@@ -2,9 +2,12 @@
 
 A bundle over a finite G-set is a per-orbit representation of the orbit's
 isotropy group, so K^0 is the direct sum of twisted representation rings of
-isotropies. verify_gset_decomposition computes the rank of that group twice:
-directly, and through the orbit decomposition over the irreducibles of a
-normal subgroup acting trivially, and demands equality.
+isotropies. verify_gset_decomposition computes that group twice: directly,
+and through the orbit decomposition over the irreducibles of a normal
+subgroup A acting trivially. It demands equal ranks, and then that phi,
+the matrix of the decomposition in the two bases, is a bijection of them
+(decomposition._bijection, the check that verify_point_decomposition
+makes at a point).
 
 The integer matrices are read off characters. pullback_matrix moves an
 irreducible w of the target isotropy by a witness g and restricts it to the
@@ -13,8 +16,9 @@ source isotropy through the moved character
     chi_{g.w}(s) = alpha(g^-1 s, g) alpha(g, g^-1 s)^-1 chi_w(g^-1 s g),
 
 and IrrTable.multiplicities turns a stack of characters into one block of
-multiplicities. phi_matrix decomposes each Hom fiber Hom_A(V_tau, W) over
-the beta-twisted classes by its character under q.f = W(s) f M_q^-1,
+multiplicities. phi (phi_matrix, and verify_gset_decomposition's
+certificate) decomposes each Hom fiber Hom_A(V_tau, W) over the
+beta-twisted classes by its character under q.f = W(s) f M_q^-1,
 s = sigma(q),
 
     chi_Hom(q) = (1/|A|) sum_a alpha(s, a^-1) alpha(a, a^-1)^-1 chi_W(s a^-1) tr(tau(a) M_q^H),
@@ -23,7 +27,7 @@ which holds because f -> (1/|A|) sum_a W(a)^-1 f tau(a) projects onto
 Hom_A and the trace of f -> X f Y is tr X tr Y. W is a moved isotropy
 irreducible, so no representation matrix is conjugated or restricted.
 Blocks over the same isotropy table are decomposed by one multiplicities
-call.
+call (decomposition._fill_blocks).
 
 Everything this path derives from irreducible tables is kept once, in
 the _memo.parts of the FiniteGroup it belongs to, so it lives as long as
@@ -32,7 +36,7 @@ and _memo.clear() drops it: per (cocycle content, seed, tol) and
 stabilizer, the isotropy's elements, numbering and summand table
 (k0_of_gset); per (A, alpha, seed, tol), the action table
 (decomposition.action_table) and the orbit data built on it, with their
-Hom weights once phi_matrix has read them (_decomposed_side). The memo's
+Hom weights once phi has read them (_decomposed_side). The memo's
 shared store holds only the irreducible tables themselves, which a new
 group object of the same content finds there while it builds its own
 parts. No part holds a caller's cocycle, subgroup handle or G-set, nor
@@ -44,7 +48,7 @@ depends on orbit types, not on the G-set it came from, and lives in a
 part that already exists. A pullback_matrix block is kept with the
 source isotropy's summand part, keyed by the target isotropy H_j and the
 witness g, the first element of its left coset of H_j; the part's key
-holds the cocycle content, seed and tolerances. A phi_matrix block is
+holds the cocycle content, seed and tolerances. A block of phi is
 kept with its orbit datum, keyed by the G-orbit isotropy H_i and the
 witness g: the quotient isotropy of y = g.b is {q : sigma(q) in g H_i g^-1}.
 So a part holds at most one block per isotropy group and left coset of
@@ -60,14 +64,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import accumulate, islice
 
 import numpy as np
 
 from . import _memo
 from .cocycles import Cocycle, NumericCocycle, _require_on, restrict
 from .config import Tolerances, default_tolerances
-from .decomposition import (OrbitDatum, _a_parent_order, _conjugation, _hom_weights,
-                            action_table, orbit_data)
+from .decomposition import (OrbitDatum, _a_parent_order, _bijection, _conjugation,
+                            _fill_blocks, _hom_weights, action_table, orbit_data)
 from .errors import ANotTrivial, InputError, NotEquivariant, RankMismatch
 from .groups import (
     FiniteGroup,
@@ -103,9 +108,6 @@ class FiniteGSet:
     def __post_init__(self):
         self.action = np.ascontiguousarray(self.action, dtype=np.int64)
         self.action.flags.writeable = False
-
-    def apply(self, g: int, x: int) -> int:
-        return int(self.action[g, x])
 
     def _require_lawful(self) -> None:
         """Certify the action law once per G-set; InputError names the first failure."""
@@ -161,10 +163,6 @@ def point_gset(group: FiniteGroup) -> FiniteGSet:
 def empty_gset(group: FiniteGroup) -> FiniteGSet:
     return FiniteGSet(group=group, size=0,
                       action=np.zeros((group.order, 0), dtype=np.int64))
-
-
-def left_translation_gset(group: FiniteGroup) -> FiniteGSet:
-    return make_gset(group, group.mul)
 
 
 def coset_gset(group: FiniteGroup, handle: SubgroupHandle) -> FiniteGSet:
@@ -239,18 +237,14 @@ class TwistedKGroup:
     def offsets(self) -> np.ndarray:
         """Matrix row of each orbit's first class, then the rank: (#orbits + 1,),
         read-only; computed on the first read, as the summands never change."""
-        offsets = np.cumsum([0] + [len(t) for t in self.summands])
+        offsets = np.array(list(accumulate((len(t) for t in self.summands), initial=0)))
         offsets.flags.writeable = False
         return offsets
 
-    def locate(self, point: int) -> tuple[int, int]:
-        """(orbit index, first g with g . basepoint = point) for a point of the G-set."""
-        orbits, witnesses = self._locate_all([point])
-        return orbits[0], witnesses[0]
-
     def _locate_all(self, points) -> tuple[list[int], list[int]]:
-        """locate for each of the points, in two gathers: the orbit indices and
-        the witnesses.
+        """For each of the points, its orbit index and the first g with
+        g . basepoint = point, in two gathers: the orbit indices and the
+        witnesses.
 
         The basepoint of an orbit is its smallest point, and column `point`
         of the action table is the orbit of `point`; the basepoints ascend.
@@ -259,7 +253,7 @@ class TwistedKGroup:
         points = np.asarray(points, dtype=np.int64)
         bases = action[:, points].min(axis=0)
         return (np.searchsorted(self.orbit_basepoints, bases).tolist(),
-                np.argmax(action[:, bases] == points, axis=0).tolist())
+                (action[:, bases] == points).argmax(axis=0).tolist())
 
 
 def k0_of_gset(G: FiniteGroup, cocycle: Cocycle | NumericCocycle, x: FiniteGSet,
@@ -357,7 +351,8 @@ def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: Finit
     and tolerances; a miss builds them with orbit_data. A datum names no
     group, so each call returns the kept data as they are. A datum's Hom
     weights (elements, weights; see decomposition._hom_weights) are filled
-    in by the first phi_matrix that reads them.
+    in by the first phi that reads them: verify_gset_decomposition's or
+    phi_matrix's.
     """
     _require_gset_on(x, G)
     if np.any(x.action[list(A.elements)] != np.arange(x.size)):
@@ -378,7 +373,16 @@ def _decomposed_side(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: Finit
 def verify_gset_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
                               x: FiniteGSet, seed: int = 0,
                               tol: Tolerances | None = None) -> GSetDecompositionReport:
-    """Check rank(K^0_G(X)) against the sum over orbits of twisted quotient ranks."""
+    """Certify the decomposition isomorphism on K^0 of a finite G-set.
+
+    First the ranks: rank(K^0_G(X)) against the sum over orbit data of the
+    twisted quotient ranks, RankMismatch if they differ. Then the bases:
+    phi, as phi_matrix assembles it, must be the matrix of a bijection from
+    the isotropy irreducibles of the G-orbits onto the beta-twisted classes
+    of the quotient-set orbits (decomposition._bijection, MatchFailure
+    otherwise). The blocks of phi are kept as phi_matrix keeps them, so a
+    later phi_matrix on the same G-set reads them.
+    """
     tol = tol or default_tolerances()
     kx, sides = _decomposed_side(G, A, alpha, x, seed, tol)
     lhs = kx.rank
@@ -386,6 +390,7 @@ def verify_gset_decomposition(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle,
     ok = lhs == sum(rhs_ranks)
     if not ok:
         raise RankMismatch(f"direct rank {lhs} != decomposed rank {sum(rhs_ranks)}")
+    _bijection(_phi(alpha, kx, sides, tol))
     return GSetDecompositionReport(lhs_rank=lhs, rhs_ranks=rhs_ranks, ok=ok)
 
 
@@ -460,20 +465,6 @@ def _store_blocks(out: np.ndarray, misses) -> None:
         stored[key] = (made_from, block)
 
 
-def _fill_blocks(out: np.ndarray, blocks, tol: float) -> None:
-    """out[r, c] = table.multiplicities(chars).T for each (table, chars, r, c)
-    in blocks, with one multiplicities call per table."""
-    by_table: dict[int, tuple[IrrTable, list]] = {}
-    for table, chars, r, c in blocks:
-        by_table.setdefault(id(table), (table, []))[1].append((chars, r, c))
-    for table, items in by_table.values():
-        mult = table.multiplicities(np.concatenate([chars for chars, _, _ in items]), tol)
-        start = 0
-        for chars, r, c in items:
-            out[r, c] = mult[start:start + len(chars)].T
-            start += len(chars)
-
-
 def _moved_characters(cocycle, k: TwistedKGroup, i: int, g: int, elements) -> np.ndarray:
     """chi_{g.w}(h) for every irreducible w of orbit i's isotropy and h in elements.
 
@@ -503,17 +494,24 @@ def phi_matrix(G: FiniteGroup, A: SubgroupHandle, alpha: Cocycle, x: FiniteGSet,
     decomposes all blocks that miss over the same quotient isotropy table.
     """
     tol = tol or default_tolerances()
-    kx, sides = _decomposed_side(G, A, alpha, x, seed, tol)
+    return _phi(alpha, *_decomposed_side(G, A, alpha, x, seed, tol), tol)
+
+
+def _phi(alpha: Cocycle, kx: TwistedKGroup, sides, tol: Tolerances) -> np.ndarray:
+    """phi from _decomposed_side's result: the kept blocks that are hits, and
+    the misses filled by _fill_blocks and kept (see phi_matrix)."""
     out = np.zeros((sum(kq.rank for *_, kq in sides), kx.rank), dtype=np.int64)
     cols = kx.offsets
     row_base = 0
     blocks, misses = [], []
+    # the quotient-set basepoints of every datum, located in one call and read in order
+    located = zip(*kx._locate_all([p for *_, kq in sides for p in kq.orbit_basepoints]))
     for datum, part, kq in sides:
         if part[0] is None:
             part[0] = _hom_weights(datum, alpha)
         elements, weights = part[0]
         rows = row_base + kq.offsets
-        for qo, (i, witness) in enumerate(zip(*kx._locate_all(kq.orbit_basepoints))):
+        for qo, (i, witness) in enumerate(islice(located, len(kq.orbit_basepoints))):
             r, c = slice(rows[qo], rows[qo + 1]), slice(cols[i], cols[i + 1])
             key = (kx._isotropy[i].elements, witness)
             made_from = (kx.summands[i], kq.summands[qo])

@@ -241,10 +241,21 @@ def coboundary_cochain(beta: Cocycle | NumericCocycle, lattice_order: int,
     return tuple(UnitScalar(int(e), lattice_order) for e in min(map(tuple, kept.tolist())))
 
 
+def same_cocycle(c1, c2) -> bool:
+    """Whether two cocycles on one group table have the same values: two exact
+    ones by their exponents over a common order, any other pair by the complex
+    tables within 1e-12."""
+    if isinstance(c1, Cocycle) and isinstance(c2, Cocycle):
+        lcm = math.lcm(c1.order, c2.order)
+        return np.array_equal(c1.exponents * (lcm // c1.order), c2.exponents * (lcm // c2.order))
+    t1, t2 = c1.complex_table, c2.complex_table
+    return t1.shape == t2.shape and np.allclose(t1, t2, atol=1e-12, rtol=0.0)
+
+
 def _check_compatible(r1: ProjectiveRep, r2: ProjectiveRep) -> None:
     if r1.group is not r2.group and not r1.group.same_table(r2.group):
         raise InputError("representations live on different groups")
-    if not r1.cocycle.same_as(r2.cocycle):
+    if not same_cocycle(r1.cocycle, r2.cocycle):
         raise InputError("representations use different cocycle tables")
 
 
@@ -847,8 +858,8 @@ def pullback_matrix_by_orbit(G, cocycle, f, x, y) -> np.ndarray:
     kx, ky = k0_of_gset(G, cocycle, x), k0_of_gset(G, cocycle, y)
     out = np.zeros((kx.rank, ky.rank), dtype=np.int64)
     rows, cols = kx.offsets, ky.offsets
-    for i, xp in enumerate(kx.orbit_basepoints):
-        j, witness = ky.locate(f[xp])
+    located = ky._locate_all([f[xp] for xp in kx.orbit_basepoints])
+    for i, (j, witness) in enumerate(zip(*located)):
         moved = _moved_characters(cocycle, ky, j, witness, kx.isotropies[i].to_parent)
         out[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = kx.summands[i].multiplicities(
             moved, tol.char).T
@@ -868,8 +879,7 @@ def phi_matrix_by_orbit(G, A, alpha, x) -> np.ndarray:
         block = np.zeros((kq.rank, kx.rank), dtype=np.int64)
         rows, cols = kq.offsets, kx.offsets
         elements, weights = _hom_weights(datum, alpha)
-        for qo, y_point in enumerate(kq.orbit_basepoints):
-            i, witness = kx.locate(y_point)
+        for qo, (i, witness) in enumerate(zip(*kx._locate_all(kq.orbit_basepoints))):
             q_iso = list(kq.isotropies[qo].elements)
             moved = _moved_characters(alpha, kx, i, witness, elements[q_iso])
             chi_hom = np.sum(moved * weights[q_iso], axis=2)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import twistdecomp as td
-from twistdecomp import decomposition, kgroups, reps
+from twistdecomp import _memo, decomposition, kgroups, reps
 from twistdecomp.errors import (
     DecompositionFailure,
+    MatchFailure,
     NonIntegerMultiplicity,
     NotIrreducible,
     NumericFailure,
@@ -313,3 +314,52 @@ class TestRankCertificate:
         with pytest.raises(RankMismatch, match=r"direct rank \d+ != decomposed rank \d+"):
             td.verify_gset_decomposition(d8, a_center, alpha4, x)
         assert report.ok and report.lhs_rank == sum(report.rhs_ranks) > 0
+
+
+class TestBijectionCertificate:
+    """Both decompositions read phi off blocks of Hom characters with
+    decomposition._fill_blocks and certify it with decomposition._bijection."""
+
+    @pytest.mark.parametrize("phi, rows", [(np.zeros((0, 0), dtype=np.int64), []),
+                                           ([[1]], [0]), ([[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                                                          [2, 0, 1])])
+    def test_a_permutation_matrix_gives_the_row_of_each_column(self, phi, rows):
+        assert decomposition._bijection(np.array(phi)).tolist() == rows
+
+    @pytest.mark.parametrize("phi", [[[2]], [[1, 1]], [[1], [1]], [[1, 0], [0, 0]],
+                                     np.zeros((0, 2), dtype=np.int64),
+                                     [[1, -1, 1], [0, 1, 0], [0, 1, 0]]],
+                             ids=["two", "row", "column", "zero", "empty rows", "negative"])
+    def test_anything_else_raises(self, phi):
+        with pytest.raises(MatchFailure, match="not a bijection"):
+            decomposition._bijection(np.array(phi))
+
+    @pytest.mark.parametrize("how", ["swapped", "duplicated"])
+    @pytest.mark.parametrize("module", [decomposition, kgroups], ids=["point", "gset"])
+    def test_a_tampered_block_raises(self, monkeypatch, d8, alpha4, a_cyclic, module, how):
+        """In the rows of the first block of phi, the column of a W over the
+        block's orbit is swapped with, or copied onto, the column of a W over
+        another orbit: verify_point_decomposition and verify_gset_decomposition
+        each raise MatchFailure, and pass untampered."""
+        honest = module._fill_blocks
+
+        def tampered(out, blocks, tol):
+            honest(out, blocks, tol)
+            r = blocks[0][2]
+            over = out[r].any(axis=0)
+            assert over.any() and not over.all()
+            w0, w1 = np.argmax(over), np.argmin(over)
+            out[r, w1] = out[r, w0]
+            if how == "swapped":
+                out[r, w0] = 0
+
+        def verify():
+            if module is decomposition:
+                return td.verify_point_decomposition(d8, a_cyclic, alpha4)
+            return td.verify_gset_decomposition(d8, a_cyclic, alpha4, td.point_gset(d8))
+
+        verify()
+        _memo.clear()
+        monkeypatch.setattr(module, "_fill_blocks", tampered)
+        with pytest.raises(MatchFailure, match="not a bijection"):
+            verify()

@@ -478,7 +478,7 @@ class TestHomCharacters:
             return elements, np.zeros_like(weights)
 
         monkeypatch.setattr(decomposition, "_hom_weights", no_fiber)
-        with pytest.raises(MatchFailure, match="no single beta-class"):
+        with pytest.raises(MatchFailure, match="not a bijection"):
             td.verify_point_decomposition(d8, a_center, alpha4, seed=0)
 
     def test_hom_dimension_is_checked_against_the_representative(self, d8, alpha4, a_cyclic,

@@ -256,9 +256,11 @@ class TestSubgroups:
         with pytest.raises(InputError, match="subgroup element 4 repeated"):
             td.SubgroupHandle(d8, (0, 4, 4))
 
-    def test_a_non_integer_element_is_rejected_and_numpy_integers_pass(self, d8):
+    @pytest.mark.parametrize("elements", [(0, 1.5, 2, 3), [[0, 1], [2, 3]], [0, 2**70]],
+                             ids=["fraction", "nested", "past int64"])
+    def test_a_non_integer_element_is_rejected_and_numpy_integers_pass(self, d8, elements):
         with pytest.raises(InputError, match=r"subgroup elements must be integers"):
-            td.SubgroupHandle(d8, (0, 1.5, 2, 3))
+            td.SubgroupHandle(d8, elements)
         rotations = np.flatnonzero(np.arange(8) < 4)
         assert td.SubgroupHandle(d8, rotations).elements == (0, 1, 2, 3)
         assert td.SubgroupHandle(d8, (np.int32(2), 0)).elements == (0, 2)

@@ -22,7 +22,6 @@ from twistdecomp.kgroups import (
     gset_as_quotient_action,
     gset_orbits,
     isotropy_subgroup,
-    left_translation_gset,
     phi_matrix,
     point_gset,
     pullback_to_group,
@@ -214,7 +213,7 @@ class TestGSetBasics:
     def test_random_cover_without_a_subgroup_in_a_stabilizer_is_an_input_error(self, d8):
         a = td.subgroup_closure(d8, [1])                 # not in the trivial stabilizer
         with pytest.raises(InputError, match="stabilizer of point 0"):
-            random_cover(left_translation_gset(d8), np.random.default_rng(0), subgroups=[a])
+            random_cover(td.make_gset(d8, d8.mul), np.random.default_rng(0), subgroups=[a])
 
     def test_random_cover_of_the_empty_gset_is_empty(self, d8):
         x, f = random_cover(empty_gset(d8), np.random.default_rng(0))
@@ -231,7 +230,7 @@ class TestK0:
         assert td.k0_of_gset(d8, alpha4, point_gset(d8)).rank == 2
 
     def test_free_orbit_trivial_alpha_rank1(self, d8):
-        k = td.k0_of_gset(d8, td.trivial_cocycle(d8), left_translation_gset(d8))
+        k = td.k0_of_gset(d8, td.trivial_cocycle(d8), td.make_gset(d8, d8.mul))
         assert k.rank == 1
 
     def test_swap_gset_rank4(self, d8, alpha4):
@@ -363,6 +362,7 @@ class TestActionLaw:
                 assert kept.elements == on_group.elements == h.elements
                 assert kept.to_parent == on_group.to_parent
                 assert kept.index.tolist() == on_group._index.tolist()
+                assert not kept.index.flags.writeable
                 assert h.parent is G
 
     def test_orbits_share_the_handle_and_summand_of_one_isotropy(self, d8, alpha4):
@@ -373,7 +373,7 @@ class TestActionLaw:
         y = td.disjoint_union(point_gset(d8), point_gset(d8))
         k = td.k0_of_gset(d8, alpha4, y)
         assert k.isotropies[0] is k.isotropies[1] and k.summands[0] is k.summands[1]
-        for h in k.isotropies + td.k0_of_gset(d8, alpha4, left_translation_gset(d8)).isotropies:
+        for h in k.isotropies + td.k0_of_gset(d8, alpha4, td.make_gset(d8, d8.mul)).isotropies:
             assert h.elements == td.SubgroupHandle(d8, h.elements).elements
 
 
@@ -423,7 +423,7 @@ class TestVerifyGSet:
     def test_a_not_trivial_rejected(self, d8, alpha4, a_cyclic):
         # the free orbit is moved by a
         with pytest.raises(ANotTrivial):
-            td.verify_gset_decomposition(d8, a_cyclic, alpha4, left_translation_gset(d8))
+            td.verify_gset_decomposition(d8, a_cyclic, alpha4, td.make_gset(d8, d8.mul))
 
     def test_empty_gset(self, d8, alpha4, a_center):
         rep = td.verify_gset_decomposition(d8, a_center, alpha4, empty_gset(d8))
@@ -479,7 +479,7 @@ class TestPullback:
     def test_collapse_free_orbit_gives_dimension_row(self, d8):
         triv = td.trivial_cocycle(d8)
         M = td.pullback_matrix(
-            d8, triv, [0] * 8, left_translation_gset(d8), point_gset(d8)
+            d8, triv, [0] * 8, td.make_gset(d8, d8.mul), point_gset(d8)
         )
         table = td.irreducibles(d8, triv, seed=0)
         assert M.shape == (1, 5)
@@ -517,8 +517,8 @@ class TestPullback:
                                       loop_pullback(d8, alpha4, f, s, t))
             for s in (x, y, z):
                 k = td.k0_of_gset(d8, alpha4, s)
-                assert [k.locate(p) for p in range(s.size)] == [loop_locate(k, p)
-                                                                for p in range(s.size)]
+                assert list(zip(*k._locate_all(range(s.size)))) == [loop_locate(k, p)
+                                                                    for p in range(s.size)]
                 assert k.offsets.tolist() == [0, *np.cumsum([len(t) for t in k.summands])]
                 assert k.offsets is k.offsets and not k.offsets.flags.writeable
 
@@ -535,8 +535,8 @@ class TestPullback:
                 assert np.array_equal(td.pullback_matrix(Q, datum.beta, f, xq, yq),
                                       loop_pullback(Q, datum.beta, f, xq, yq))
                 k = td.k0_of_gset(Q, datum.beta, xq)
-                assert [k.locate(p) for p in range(xq.size)] == [loop_locate(k, p)
-                                                                 for p in range(xq.size)]
+                assert list(zip(*k._locate_all(range(xq.size)))) == [loop_locate(k, p)
+                                                                     for p in range(xq.size)]
 
     def test_functoriality_on_random_chains(self, d8, alpha4, a_center):
         qs = quotient_with_section(d8, a_center)
@@ -681,7 +681,7 @@ class TestQuotientView:
                                                                          a_center):
         datum = _orbit_data(d8, a_center, alpha4)[0]
         with pytest.raises(ANotTrivial):
-            gset_as_quotient_action(d8, left_translation_gset(d8), datum)
+            gset_as_quotient_action(d8, td.make_gset(d8, d8.mul), datum)
         table = np.array(swap_gset(d8).action)
         table[1] = [1, 0]                                   # a swaps, a^2 = a a does not
         with pytest.raises(InputError, match="action law fails at"):

@@ -20,14 +20,13 @@ from twistdecomp.decomposition import action_table, orbit_data
 from twistdecomp.errors import ANotTrivial, DecompositionFailure, InputError, NotNormal
 from twistdecomp.kgroups import (
     k0_of_gset,
-    left_translation_gset,
     point_gset,
     pullback_to_group,
     random_cover,
     random_gset,
 )
 
-from oracles import _orbit_data, numeric_from_exact
+from oracles import _orbit_data, numeric_from_exact, phi_matrix_by_orbit
 from test_cocycles import corrupted_alpha4
 from test_decomposition import coboundary_twist
 
@@ -650,7 +649,7 @@ class TestOrbitDecomposition:
 
     def test_a_moving_points_raises_when_warm(self, d8, alpha4, a_center):
         td.verify_gset_decomposition(d8, a_center, alpha4, point_gset(d8))
-        x = left_translation_gset(d8)
+        x = td.make_gset(d8, d8.mul)
         for call in (td.verify_gset_decomposition, td.phi_matrix):
             with pytest.raises(ANotTrivial):
                 call(d8, a_center, alpha4, x)
@@ -810,20 +809,24 @@ class TestHitPath:
         assert max(sizes) == 5
         assert np.array_equal(td.phi_matrix(d8, a_center, alpha4, x, seed=0), first)
 
-    def test_hom_weights_are_computed_by_the_first_phi_matrix(self, d8, alpha4, a_center,
-                                                                monkeypatch):
-        """verify_gset_decomposition computes no Hom weights; the first
-        phi_matrix computes each datum's once, and later calls read the group's."""
-        calls = []
-        honest = kgroups._hom_weights
+    def test_hom_weights_are_computed_by_the_first_gset_certificate(self, d8, alpha4, a_center,
+                                                                    monkeypatch):
+        """The first verify_gset_decomposition computes each datum's Hom weights
+        once, for its bijection check, and keeps the blocks of phi: a later
+        phi_matrix reads the weights and the blocks the group keeps."""
+        calls, filled = [], []
+        honest, fill = kgroups._hom_weights, kgroups._fill_blocks
         monkeypatch.setattr(kgroups, "_hom_weights", lambda *a: calls.append(a) or honest(*a))
+        monkeypatch.setattr(kgroups, "_fill_blocks",
+                            lambda out, blocks, tol: filled.extend(blocks) or fill(out, blocks, tol))
         x = td.disjoint_union(td.coset_gset(d8, a_center), point_gset(d8))
         td.verify_gset_decomposition(d8, a_center, alpha4, x)
-        assert calls == []
-        first = td.phi_matrix(d8, a_center, alpha4, x)
         assert len(calls) == len(_orbit_data(d8, a_center, alpha4))
-        assert np.array_equal(td.phi_matrix(d8, a_center, alpha4, x), first)
-        assert len(calls) == len(_orbit_data(d8, a_center, alpha4))
+        assert filled
+        filled.clear()
+        assert np.array_equal(td.phi_matrix(d8, a_center, alpha4, x),
+                              phi_matrix_by_orbit(d8, a_center, alpha4, x))
+        assert len(calls) == len(_orbit_data(d8, a_center, alpha4)) and filled == []
 
 
     def test_warm_gset_pass_builds_no_projective_rep(self, d8, alpha4, a_center, monkeypatch):
